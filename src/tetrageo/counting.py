@@ -83,11 +83,15 @@ def length_pruning_bound(alpha, n_sum):
     return 2.0 * n_sum * math.log(2.0 * math.sqrt(3.0) * (1.0 - 3.0 * alpha / math.pi) + 1.0)
 
 
-def admissible_types(L, alpha, max_types=100000):
+# cap on the admissible type list of one count
+MAX_TYPES = 100000
+
+
+def admissible_types(L, alpha):
     """Coprime types (0 <= p <= q) passing the length lower-bound filter.
 
-    Near the flat limit the filter admits ~c(alpha) L^2 types; the cap turns
-    a would-be runaway enumeration into an explicit error.
+    Near the flat limit the filter admits ~c(alpha) L^2 types; the cap
+    MAX_TYPES turns a would-be runaway enumeration into an explicit error.
     """
     out = []
     n = 1
@@ -96,9 +100,9 @@ def admissible_types(L, alpha, max_types=100000):
             q = n - p
             if p <= q and math.gcd(p, q) == 1 and (p, q) != (0, 0):
                 out.append(GeodesicType(p, q))
-        if len(out) > max_types:
+        if len(out) > MAX_TYPES:
             raise NumericalFailure(
-                f"more than {max_types} admissible types for L={L}, alpha={alpha}; "
+                f"more than {MAX_TYPES} admissible types for L={L}, alpha={alpha}; "
                 "the count grows like c(alpha) L^2 and diverges toward alpha = pi/3")
         n += 1
     return sorted(out, key=lambda t: (t.p + t.q, t.p))
@@ -131,17 +135,6 @@ class CountReport:
     c_derived: float
     lengths: tuple = field(default=())   # (p, q, length, clearance) per admissible type
 
-    def as_dict(self):
-        return {
-            "L": self.L,
-            "alpha": self.alpha,
-            "exact": self.exact_count,
-            "bound": self.bound_count,
-            "c_printed": self.c_printed,
-            "c_derived": self.c_derived,
-            "lengths": [list(row) for row in self.lengths],
-        }
-
 
 def _measure_type(args):
     alpha, p, q = args
@@ -156,8 +149,8 @@ def count_exact(L, alpha, jobs=1):
     """Count simple closed geodesics of length <= L, three copies per type."""
     if not (0.0 < alpha < math.pi / 3):
         raise ValueError("alpha must lie in (0, pi/3)")
-    if L <= 0:
-        raise ValueError("L must be positive")
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError("L must be positive and finite")
     types = admissible_types(L, alpha)
     work = [(alpha, t.p, t.q) for t in types]
     if jobs > 1 and len(work) > 1:

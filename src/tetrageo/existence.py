@@ -18,11 +18,16 @@ from dataclasses import dataclass
 
 from .combinat import GeodesicType, crossing_sequence
 from .errors import BoundDegenerate, BoundVacuous, NoThreshold, NumericalFailure, TooLong
-from .geom import SpaceKind, _cross3, _dot3, _unit3, distance, midpoint
-from .paths import GeodesicPath, NotContained, _place_chain, midpoint_geodesic
+from .geom import SpaceKind, _cross3, _dot3, _unit3, rdistance, rmidpoint
+from .paths import GeodesicPath, NotContained, midpoint_geodesic
 from .tetra import TetrahedronSpec
+from .unfold import place_chain
 
 UNDETERMINED_MARGIN = 1e-9
+
+# taut-string shortening: sweep cap and the length decrease that ends it
+TAUT_MAX_SWEEPS = 50000
+TAUT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -222,8 +227,8 @@ def threshold_beta(t: GeodesicType, tol=1e-6):
     Raises NoThreshold when the predicate is constant on (pi/3, 2pi/3),
     e.g. for type (0,1) which exists at every angle.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     hi = 2.0 * math.pi / 3.0 - 1e-9
     if _contained(hi, t):
         raise NoThreshold(f"type {(t.p, t.q)} exists across the whole interval")
@@ -251,7 +256,7 @@ def threshold_beta(t: GeodesicType, tol=1e-6):
 
 def _arc_argmin(A, B, a, b):
     """Point on arc a->b minimizing spherical d(A, .) + d(., B); clamped."""
-    ell = distance(SpaceKind.SPHERICAL, a, b)
+    ell = rdistance(SpaceKind.SPHERICAL, a, b)
     tab = _unit3(_cross3(_cross3(a, b), a))
 
     def pos(s):
@@ -288,8 +293,7 @@ def _arc_argmin(A, B, a, b):
     return s / ell, pos(s)
 
 
-def abstract_shortest_curve_length(spec: TetrahedronSpec, t: GeodesicType,
-                                   max_sweeps=50000, tol=1e-12):
+def abstract_shortest_curve_length(spec: TetrahedronSpec, t: GeodesicType):
     """Infimum length of development curves through the five symmetry points.
 
     Below the threshold this equals the chord (geodesic) length; otherwise
@@ -307,25 +311,21 @@ def abstract_shortest_curve_length(spec: TetrahedronSpec, t: GeodesicType,
         pass
     seq = crossing_sequence(t)
     tokens = list(seq.tokens) + [seq.tokens[0]]
-    edge_pts, _ = _place_chain(spec, tokens)
+    edge_pts, _ = place_chain(spec, tokens)
     n = len(seq.tokens)
-    pts = [midpoint(SpaceKind.SPHERICAL, *edge_pts[0])]
-    for i in range(1, n):
-        a, b = edge_pts[i]
-        pts.append(midpoint(SpaceKind.SPHERICAL, a, b))
-    pts.append(midpoint(SpaceKind.SPHERICAL, *edge_pts[n]))
+    pts = [rmidpoint(SpaceKind.SPHERICAL, a, b) for a, b in edge_pts]
 
     def total_length(ps):
-        return sum(distance(SpaceKind.SPHERICAL, ps[i], ps[i + 1]) for i in range(len(ps) - 1))
+        return sum(rdistance(SpaceKind.SPHERICAL, ps[i], ps[i + 1]) for i in range(len(ps) - 1))
 
     prev = total_length(pts)
-    for sweep in range(max_sweeps):
+    for sweep in range(TAUT_MAX_SWEEPS):
         for i in range(1, n):
             a, b = edge_pts[i]
             _, pnew = _arc_argmin(pts[i - 1], pts[i + 1], a, b)
             pts[i] = pnew
         cur = total_length(pts)
-        if prev - cur < tol:
+        if prev - cur < TAUT_TOL:
             return cur
         prev = cur
     raise NumericalFailure("taut-string shortening did not converge")

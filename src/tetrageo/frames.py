@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericalFailure
-from .geom import _mcross, _mdot, _unit_spacelike, _normalize_timelike
+from .geom import (SpaceKind, _mcross, _mdot, _normalize_timelike, _unit_spacelike,
+                   rdistance, rpoint_seg_dist)
 
 
 def _matvec(m, v):
@@ -35,24 +36,6 @@ def _matmul(a, b):
 
 
 IDENTITY3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
-
-def _hyp_dist(P, Q):
-    # difference form: exact to ~eps absolutely, no acosh floor near 1
-    d0, d1, d2 = P[0] - Q[0], P[1] - Q[1], P[2] - Q[2]
-    m = -d0 * d0 + d1 * d1 + d2 * d2
-    return 2.0 * math.asinh(0.5 * math.sqrt(max(m, 0.0)))
-
-
-def _point_seg_dist(X, A, B):
-    """Hyperbolic distance from X to segment AB, all hyperboloid points."""
-    n = _unit_spacelike(_mcross(A, B))
-    dn = _mdot(X, n)
-    foot = _normalize_timelike((X[0] - dn * n[0], X[1] - dn * n[1], X[2] - dn * n[2]))
-    dab = _hyp_dist(A, B)
-    if _hyp_dist(A, foot) <= dab + 1e-12 and _hyp_dist(B, foot) <= dab + 1e-12:
-        return math.asinh(abs(dn))
-    return min(_hyp_dist(X, A), _hyp_dist(X, B))
 
 
 @dataclass(frozen=True)
@@ -117,6 +100,25 @@ def build_chain(tokens, edge_len):
             verts=verts, transition=lam,
         ))
     return steps
+
+
+def place_faces(steps, frame):
+    """Vertex reps of every chain face, all in the frame of edge e_frame.
+
+    Face F_i is known in the frame of its entry edge e_i; transitions are
+    composed outward from the chosen frame, so faces near it carry the
+    least accumulated rounding.  Returns one dict label -> rep per face.
+    """
+    faces = [None] * len(steps)
+    acc = IDENTITY3
+    for i in range(frame, len(steps)):
+        faces[i] = {lab: _matvec(acc, v) for lab, v in steps[i].verts.items()}
+        acc = _matmul(acc, _mink_inverse(steps[i].transition))
+    acc = IDENTITY3
+    for i in range(frame - 1, -1, -1):
+        acc = _matmul(acc, steps[i].transition)
+        faces[i] = {lab: _matvec(acc, v) for lab, v in steps[i].verts.items()}
+    return faces
 
 
 class ChordTrace:
@@ -233,10 +235,10 @@ def trace_geometry(steps, offsets):
         C0 = chord_point(offsets[i])
         C0n = _matvec(step.transition, C0)
         C1 = chord_point(offsets[i + 1])
-        seg_lengths.append(_hyp_dist(C0n, C1))
+        seg_lengths.append(rdistance(SpaceKind.HYPERBOLIC, C0n, C1))
         for V in step.verts.values():
             Vn = _matvec(step.transition, V)
-            clearance = min(clearance, _point_seg_dist(Vn, C0n, C1))
+            clearance = min(clearance, rpoint_seg_dist(SpaceKind.HYPERBOLIC, Vn, C0n, C1))
     return seg_lengths, clearance
 
 

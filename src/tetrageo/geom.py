@@ -7,9 +7,11 @@ Three model charts, selected by :class:`SpaceKind`:
 * Cayley-Klein disk for the hyperbolic plane, points ``(x, y)`` with
   ``x^2 + y^2 < 1`` (geodesics are straight chords).
 
-Hyperbolic computations go through the hyperboloid model internally
-(signature (-,+,+)) and convert back to Klein coordinates, which keeps
-reflections and distances well conditioned away from the disk rim.
+Every operation is implemented once, in the ``r*`` functions, on
+computational representations (reps): hyperbolic points are hyperboloid
+vectors (signature (-,+,+)), Euclidean and spherical reps are their chart
+points.  ``rep_point`` and ``chart_point`` convert; the chart-level
+functions are thin wrappers over the rep layer.
 
 All functions are pure; no state is shared anywhere in the kernel.
 """
@@ -127,33 +129,22 @@ def _normalize_timelike(X):
     return (X[0] / s, X[1] / s, X[2] / s)
 
 
-def hyper_line_normal(a, b):
-    """Unit spacelike Minkowski normal of the geodesic through Klein points a, b."""
-    return _unit_spacelike(_mcross(lift_klein(a), lift_klein(b)))
-
-
 # ---------------------------------------------------------------------------
-# distances
+# representation layer
+#
+# Every operation is written once, on reps: hyperboloid vectors for H,
+# unit 3-vectors for S (the sphere chart itself) and plane points for E.
+# Hyperbolic computation in the Klein chart would cost ~cosh^2 of the
+# working radius in precision, so charts appear only at input and output.
 
-def distance(space, p, q):
-    """Geodesic distance between two chart points.
+def rep_point(space, p):
+    """Chart point -> computational representation."""
+    return lift_klein(p) if space == SpaceKind.HYPERBOLIC else p
 
-    Spherical distances are the minor-arc angle in [0, pi]; antipodal
-    inputs raise :class:`AmbiguousGeodesic`.  Hyperbolic distances equal
-    the Klein-disk cross-ratio value arcosh((1 - p.q)/sqrt((1-|p|^2)(1-|q|^2))).
-    """
-    if space == SpaceKind.EUCLIDEAN:
-        return math.hypot(q[0] - p[0], q[1] - p[1])
-    if space == SpaceKind.SPHERICAL:
-        c = _cross3(p, q)
-        d = _dot3(p, q)
-        ang = math.atan2(_norm3(c), d)
-        if math.pi - ang < 1e-12:
-            raise AmbiguousGeodesic("antipodal spherical points")
-        return ang
-    P = lift_klein(p)
-    Q = lift_klein(q)
-    return _hyp_dist_lifted(P, Q)
+
+def chart_point(space, P):
+    """Computational representation -> chart point."""
+    return drop_klein(P) if space == SpaceKind.HYPERBOLIC else P
 
 
 def _hyp_dist_lifted(P, Q):
@@ -164,182 +155,135 @@ def _hyp_dist_lifted(P, Q):
     return 2.0 * math.asinh(0.5 * math.sqrt(max(m, 0.0)))
 
 
-# ---------------------------------------------------------------------------
-# orientation predicate
-
-def side_of(space, seg, p, tol=DEFAULT_TOL):
-    """Orientation of p relative to the complete geodesic through seg.
-
-    Returns Side.LEFT / Side.RIGHT / Side.ON; the signed measure is the
-    2D cross product (Euclidean/Klein charts, where geodesics are straight)
-    or the triple product (sphere).
-    """
-    m = signed_side_measure(space, seg, p)
-    if abs(m) < tol:
-        return Side.ON
-    return Side.LEFT if m > 0 else Side.RIGHT
-
-
-def signed_side_measure(space, seg, p):
-    a, b = seg.a, seg.b
+def rdistance(space, P, Q):
+    """Geodesic distance; spherical antipodes raise AmbiguousGeodesic."""
+    if space == SpaceKind.HYPERBOLIC:
+        return _hyp_dist_lifted(P, Q)
     if space == SpaceKind.SPHERICAL:
-        return _dot3(p, _cross3(a, b))
-    # straight chords in both planar charts
-    return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+        ang = math.atan2(_norm3(_cross3(P, Q)), _dot3(P, Q))
+        if math.pi - ang < 1e-12:
+            raise AmbiguousGeodesic("antipodal spherical points")
+        return ang
+    return math.hypot(Q[0] - P[0], Q[1] - P[1])
 
 
-# ---------------------------------------------------------------------------
-# reflections and half turns
-
-def reflect_across(space, seg, p):
-    """Isometric reflection of p in the complete geodesic through seg."""
-    a, b = seg.a, seg.b
-    if space == SpaceKind.EUCLIDEAN:
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        n2 = dx * dx + dy * dy
-        t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / n2
-        fx, fy = a[0] + t * dx, a[1] + t * dy
-        return (2 * fx - p[0], 2 * fy - p[1])
+def rmidpoint(space, P, Q):
+    if space == SpaceKind.HYPERBOLIC:
+        return _normalize_timelike((P[0] + Q[0], P[1] + Q[1], P[2] + Q[2]))
     if space == SpaceKind.SPHERICAL:
-        n = _unit3(_cross3(a, b))
-        d = _dot3(p, n)
-        return (p[0] - 2 * d * n[0], p[1] - 2 * d * n[1], p[2] - 2 * d * n[2])
-    n = hyper_line_normal(a, b)
-    X = lift_klein(p)
-    d = _mdot(X, n)
-    return drop_klein((X[0] - 2 * d * n[0], X[1] - 2 * d * n[1], X[2] - 2 * d * n[2]))
-
-
-def half_turn(space, center, p):
-    """Rotation by pi about a chart point (the geodesic point reflection)."""
-    if space == SpaceKind.EUCLIDEAN:
-        return (2 * center[0] - p[0], 2 * center[1] - p[1])
-    if space == SpaceKind.SPHERICAL:
-        d = _dot3(p, center)
-        return (2 * d * center[0] - p[0], 2 * d * center[1] - p[1], 2 * d * center[2] - p[2])
-    C = lift_klein(center)
-    X = lift_klein(p)
-    d = _mdot(X, C)
-    return drop_klein((-X[0] - 2 * d * C[0], -X[1] - 2 * d * C[1], -X[2] - 2 * d * C[2]))
-
-
-def midpoint(space, p, q):
-    """Geodesic midpoint of two chart points."""
-    if space == SpaceKind.EUCLIDEAN:
-        return ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
-    if space == SpaceKind.SPHERICAL:
-        s = (p[0] + q[0], p[1] + q[1], p[2] + q[2])
+        s = (P[0] + Q[0], P[1] + Q[1], P[2] + Q[2])
         n = _norm3(s)
         if n < 1e-12:
             raise AmbiguousGeodesic("midpoint of antipodal points")
         return (s[0] / n, s[1] / n, s[2] / n)
-    P = lift_klein(p)
-    Q = lift_klein(q)
-    return drop_klein(_normalize_timelike((P[0] + Q[0], P[1] + Q[1], P[2] + Q[2])))
+    return ((P[0] + Q[0]) / 2.0, (P[1] + Q[1]) / 2.0)
 
 
-def interpolate(space, p, q, frac):
-    """Point at arc-length fraction frac from p toward q."""
-    d = distance(space, p, q)
-    if d == 0.0:
-        return p
-    return point_at(space, p, tangent_toward(space, p, q), frac * d)
-
-
-# ---------------------------------------------------------------------------
-# tangents, exponential map, angles
-
-def tangent_toward(space, p, q):
-    """Unit tangent vector at p pointing toward q (chart-model specific)."""
-    if space == SpaceKind.EUCLIDEAN:
-        d = math.hypot(q[0] - p[0], q[1] - p[1])
-        return ((q[0] - p[0]) / d, (q[1] - p[1]) / d)
+def rtangent(space, P, Q):
+    """Unit tangent vector at P pointing toward Q."""
+    if space == SpaceKind.HYPERBOLIC:
+        c = _mdot(Q, P)
+        return _unit_spacelike((Q[0] + c * P[0], Q[1] + c * P[1], Q[2] + c * P[2]))
     if space == SpaceKind.SPHERICAL:
-        c = _dot3(p, q)
-        t = (q[0] - c * p[0], q[1] - c * p[1], q[2] - c * p[2])
-        return _unit3(t)
-    P = lift_klein(p)
-    Q = lift_klein(q)
-    c = _mdot(P, Q)
-    t = (Q[0] + c * P[0], Q[1] + c * P[1], Q[2] + c * P[2])
-    return _unit_spacelike(t)
+        c = _dot3(P, Q)
+        return _unit3((Q[0] - c * P[0], Q[1] - c * P[1], Q[2] - c * P[2]))
+    d = math.hypot(Q[0] - P[0], Q[1] - P[1])
+    return ((Q[0] - P[0]) / d, (Q[1] - P[1]) / d)
 
 
-def point_at(space, p, tangent, dist):
-    """Exponential map: walk dist from p along a unit tangent."""
-    if space == SpaceKind.EUCLIDEAN:
-        return (p[0] + dist * tangent[0], p[1] + dist * tangent[1])
-    if space == SpaceKind.SPHERICAL:
+def rpoint_at(space, P, tangent, dist):
+    """Exponential map: walk dist from P along a unit tangent."""
+    if space == SpaceKind.HYPERBOLIC:
+        c, s = math.cosh(dist), math.sinh(dist)
+    elif space == SpaceKind.SPHERICAL:
         c, s = math.cos(dist), math.sin(dist)
-        return (c * p[0] + s * tangent[0], c * p[1] + s * tangent[1], c * p[2] + s * tangent[2])
-    P = lift_klein(p)
-    c, s = math.cosh(dist), math.sinh(dist)
-    return drop_klein((c * P[0] + s * tangent[0], c * P[1] + s * tangent[1], c * P[2] + s * tangent[2]))
+    else:
+        return (P[0] + dist * tangent[0], P[1] + dist * tangent[1])
+    return (c * P[0] + s * tangent[0], c * P[1] + s * tangent[1], c * P[2] + s * tangent[2])
 
 
-def rotate_tangent(space, p, tangent, theta):
-    """Rotate a unit tangent at p by theta (counterclockwise in the chart)."""
-    if space == SpaceKind.EUCLIDEAN:
-        c, s = math.cos(theta), math.sin(theta)
-        return (c * tangent[0] - s * tangent[1], s * tangent[0] + c * tangent[1])
-    if space == SpaceKind.SPHERICAL:
-        u = _cross3(p, tangent)
-        c, s = math.cos(theta), math.sin(theta)
-        return (c * tangent[0] + s * u[0], c * tangent[1] + s * u[1], c * tangent[2] + s * u[2])
-    P = lift_klein(p)
-    u = _unit_spacelike(_mcross(tangent, P))  # counterclockwise in the Klein chart
+def rrotate_tangent(space, P, tangent, theta):
+    """Rotate a unit tangent at P by theta (counterclockwise in the chart)."""
     c, s = math.cos(theta), math.sin(theta)
+    if space == SpaceKind.HYPERBOLIC:
+        u = _unit_spacelike(_mcross(tangent, P))
+    elif space == SpaceKind.SPHERICAL:
+        u = _cross3(P, tangent)
+    else:
+        return (c * tangent[0] - s * tangent[1], s * tangent[0] + c * tangent[1])
     return (c * tangent[0] + s * u[0], c * tangent[1] + s * u[1], c * tangent[2] + s * u[2])
 
 
-def angle_at(space, v, p, q):
-    """Unsigned angle at v between the geodesic rays v->p and v->q, in [0, pi]."""
-    t1 = tangent_toward(space, v, p)
-    t2 = tangent_toward(space, v, q)
-    if space == SpaceKind.EUCLIDEAN:
-        dot = t1[0] * t2[0] + t1[1] * t2[1]
-        crs = t1[0] * t2[1] - t1[1] * t2[0]
-        return abs(math.atan2(crs, dot))
+def rinterpolate(space, P, Q, frac):
+    """Point at arc-length fraction frac from P toward Q."""
+    d = rdistance(space, P, Q)
+    if d == 0.0:
+        return P
+    return rpoint_at(space, P, rtangent(space, P, Q), frac * d)
+
+
+def rangle(space, V, P, Q):
+    """Unsigned angle at V between the geodesic rays V->P and V->Q, in [0, pi]."""
+    t1 = rtangent(space, V, P)
+    t2 = rtangent(space, V, Q)
+    if space == SpaceKind.HYPERBOLIC:
+        return math.acos(max(-1.0, min(1.0, _mdot(t1, t2))))
     if space == SpaceKind.SPHERICAL:
-        dot = _dot3(t1, t2)
-        crs = _norm3(_cross3(t1, t2))
-        return math.atan2(crs, dot)
-    dot = _mdot(t1, t2)
-    return math.acos(max(-1.0, min(1.0, dot)))
+        return math.atan2(_norm3(_cross3(t1, t2)), _dot3(t1, t2))
+    return abs(math.atan2(t1[0] * t2[1] - t1[1] * t2[0], t1[0] * t2[0] + t1[1] * t2[1]))
 
 
-# ---------------------------------------------------------------------------
-# point-to-segment distance
+def rreflect(space, A, B, P):
+    """Reflect P across the geodesic through A, B."""
+    if space == SpaceKind.HYPERBOLIC:
+        n = _unit_spacelike(_mcross(A, B))
+        d = _mdot(P, n)
+    elif space == SpaceKind.SPHERICAL:
+        n = _unit3(_cross3(A, B))
+        d = _dot3(P, n)
+    else:
+        dx, dy = B[0] - A[0], B[1] - A[1]
+        t = ((P[0] - A[0]) * dx + (P[1] - A[1]) * dy) / (dx * dx + dy * dy)
+        return (2 * (A[0] + t * dx) - P[0], 2 * (A[1] + t * dy) - P[1])
+    return (P[0] - 2 * d * n[0], P[1] - 2 * d * n[1], P[2] - 2 * d * n[2])
 
-def point_to_segment_distance(space, seg, p):
-    """Distance from p to the geodesic segment (foot clamped to the segment)."""
-    a, b = seg.a, seg.b
-    if space == SpaceKind.EUCLIDEAN:
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        n2 = dx * dx + dy * dy
-        t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / n2
-        t = max(0.0, min(1.0, t))
-        return math.hypot(p[0] - (a[0] + t * dx), p[1] - (a[1] + t * dy))
+
+def rhalf_turn(space, C, P):
+    """Rotation of P by pi about C (the geodesic point reflection)."""
+    if space == SpaceKind.HYPERBOLIC:
+        d = _mdot(P, C)
+        return (-P[0] - 2 * d * C[0], -P[1] - 2 * d * C[1], -P[2] - 2 * d * C[2])
     if space == SpaceKind.SPHERICAL:
-        n = _unit3(_cross3(a, b))
-        dn = _dot3(p, n)
-        foot = (p[0] - dn * n[0], p[1] - dn * n[1], p[2] - dn * n[2])
+        d = _dot3(P, C)
+        return (2 * d * C[0] - P[0], 2 * d * C[1] - P[1], 2 * d * C[2] - P[2])
+    return (2 * C[0] - P[0], 2 * C[1] - P[1])
+
+
+def rpoint_seg_dist(space, V, A, B):
+    """Distance from V to the geodesic segment AB (foot clamped to the segment)."""
+    if space == SpaceKind.HYPERBOLIC:
+        n = _unit_spacelike(_mcross(A, B))
+        dn = _mdot(V, n)
+        foot = _normalize_timelike((V[0] - dn * n[0], V[1] - dn * n[1], V[2] - dn * n[2]))
+        dab = _hyp_dist_lifted(A, B)
+        if (_hyp_dist_lifted(A, foot) <= dab + 1e-12
+                and _hyp_dist_lifted(B, foot) <= dab + 1e-12):
+            return math.asinh(abs(dn))
+        return min(_hyp_dist_lifted(V, A), _hyp_dist_lifted(V, B))
+    if space == SpaceKind.SPHERICAL:
+        n = _unit3(_cross3(A, B))
+        dn = _dot3(V, n)
+        foot = (V[0] - dn * n[0], V[1] - dn * n[1], V[2] - dn * n[2])
         fn = _norm3(foot)
         if fn > 1e-12:
             foot = (foot[0] / fn, foot[1] / fn, foot[2] / fn)
-            if _between_on_arc(a, b, foot):
+            if _between_on_arc(A, B, foot):
                 return abs(math.asin(max(-1.0, min(1.0, dn))))
-        return min(distance(space, p, a), distance(space, p, b))
-    n = hyper_line_normal(a, b)
-    X = lift_klein(p)
-    dn = _mdot(X, n)
-    foot = _normalize_timelike((X[0] - dn * n[0], X[1] - dn * n[1], X[2] - dn * n[2]))
-    A = lift_klein(a)
-    B = lift_klein(b)
-    dab = _hyp_dist_lifted(A, B)
-    if _hyp_dist_lifted(A, foot) <= dab + 1e-12 and _hyp_dist_lifted(B, foot) <= dab + 1e-12:
-        return math.asinh(abs(dn))
-    return min(_hyp_dist_lifted(X, A), _hyp_dist_lifted(X, B))
+        return min(rdistance(space, V, A), rdistance(space, V, B))
+    dx, dy = B[0] - A[0], B[1] - A[1]
+    t = ((V[0] - A[0]) * dx + (V[1] - A[1]) * dy) / (dx * dx + dy * dy)
+    t = max(0.0, min(1.0, t))
+    return math.hypot(V[0] - (A[0] + t * dx), V[1] - (A[1] + t * dy))
 
 
 def _between_on_arc(a, b, f):
@@ -347,6 +291,58 @@ def _between_on_arc(a, b, f):
     af = math.atan2(_norm3(_cross3(a, f)), _dot3(a, f))
     fb = math.atan2(_norm3(_cross3(f, b)), _dot3(f, b))
     return af + fb <= ab + 1e-9
+
+
+def rside_measure(space, A, B, P):
+    """Signed orientation of P against the geodesic through A, B.
+
+    Positive means Left: counterclockwise in the plane and Klein charts,
+    along A x B on the sphere.
+    """
+    if space == SpaceKind.HYPERBOLIC:
+        c = _mcross(A, B)
+        return P[0] * c[0] - P[1] * c[1] - P[2] * c[2]
+    if space == SpaceKind.SPHERICAL:
+        return _dot3(P, _cross3(A, B))
+    return (B[0] - A[0]) * (P[1] - A[1]) - (B[1] - A[1]) * (P[0] - A[0])
+
+
+# ---------------------------------------------------------------------------
+# chart-level API: thin wrappers over the rep layer
+
+def distance(space, p, q):
+    """Geodesic distance between two chart points.
+
+    Spherical distances are the minor-arc angle in [0, pi]; antipodal
+    inputs raise :class:`AmbiguousGeodesic`.  Hyperbolic distances equal
+    the Klein-disk cross-ratio value arcosh((1 - p.q)/sqrt((1-|p|^2)(1-|q|^2))).
+    """
+    return rdistance(space, rep_point(space, p), rep_point(space, q))
+
+
+def side_of(space, seg, p, tol=DEFAULT_TOL):
+    """Orientation of p relative to the complete geodesic through seg.
+
+    Returns Side.LEFT / Side.RIGHT / Side.ON; tol applies to the signed
+    measure of :func:`rside_measure`.
+    """
+    m = rside_measure(space, rep_point(space, seg.a), rep_point(space, seg.b),
+                      rep_point(space, p))
+    if abs(m) < tol:
+        return Side.ON
+    return Side.LEFT if m > 0 else Side.RIGHT
+
+
+def reflect_across(space, seg, p):
+    """Isometric reflection of p in the complete geodesic through seg."""
+    return chart_point(space, rreflect(space, rep_point(space, seg.a),
+                                       rep_point(space, seg.b), rep_point(space, p)))
+
+
+def point_to_segment_distance(space, seg, p):
+    """Distance from p to the geodesic segment (foot clamped to the segment)."""
+    return rpoint_seg_dist(space, rep_point(space, p), rep_point(space, seg.a),
+                           rep_point(space, seg.b))
 
 
 # ---------------------------------------------------------------------------
@@ -393,115 +389,6 @@ def projected_angle_pair(r_over_R, a1, a2):
     cos_hat = num / den
     return (math.acos(max(-1.0, min(1.0, cos_alpha))),
             math.acos(max(-1.0, min(1.0, cos_hat))))
-
-
-# ---------------------------------------------------------------------------
-# representation layer
-#
-# Chart coordinates are the public face of the kernel, but hyperbolic
-# computation in the Klein chart costs ~cosh^2 of the working radius in
-# precision.  The rep layer therefore carries hyperbolic points as
-# hyperboloid vectors; Euclidean and spherical reps are their charts.
-
-def rep_point(space, p):
-    """Chart point -> computational representation."""
-    return lift_klein(p) if space == SpaceKind.HYPERBOLIC else p
-
-
-def chart_point(space, P):
-    """Computational representation -> chart point."""
-    return drop_klein(P) if space == SpaceKind.HYPERBOLIC else P
-
-
-def rdistance(space, P, Q):
-    if space == SpaceKind.HYPERBOLIC:
-        return _hyp_dist_lifted(P, Q)
-    return distance(space, P, Q)
-
-
-def rmidpoint(space, P, Q):
-    if space == SpaceKind.HYPERBOLIC:
-        return _normalize_timelike((P[0] + Q[0], P[1] + Q[1], P[2] + Q[2]))
-    return midpoint(space, P, Q)
-
-
-def rtangent(space, P, Q):
-    if space == SpaceKind.HYPERBOLIC:
-        c = _mdot(Q, P)
-        return _unit_spacelike((Q[0] + c * P[0], Q[1] + c * P[1], Q[2] + c * P[2]))
-    return tangent_toward(space, P, Q)
-
-
-def rpoint_at(space, P, tangent, dist):
-    if space == SpaceKind.HYPERBOLIC:
-        c, s = math.cosh(dist), math.sinh(dist)
-        return (c * P[0] + s * tangent[0], c * P[1] + s * tangent[1], c * P[2] + s * tangent[2])
-    return point_at(space, P, tangent, dist)
-
-
-def rrotate_tangent(space, P, tangent, theta):
-    if space == SpaceKind.HYPERBOLIC:
-        u = _unit_spacelike(_mcross(tangent, P))
-        c, s = math.cos(theta), math.sin(theta)
-        return (c * tangent[0] + s * u[0], c * tangent[1] + s * u[1], c * tangent[2] + s * u[2])
-    return rotate_tangent(space, P, tangent, theta)
-
-
-def rinterpolate(space, P, Q, frac):
-    if space == SpaceKind.HYPERBOLIC:
-        d = frac * _hyp_dist_lifted(P, Q)
-        return rpoint_at(space, P, rtangent(space, P, Q), d)
-    return interpolate(space, P, Q, frac)
-
-
-def rangle(space, V, P, Q):
-    if space == SpaceKind.HYPERBOLIC:
-        t1 = rtangent(space, V, P)
-        t2 = rtangent(space, V, Q)
-        return math.acos(max(-1.0, min(1.0, _mdot(t1, t2))))
-    return angle_at(space, V, P, Q)
-
-
-def rreflect(space, A, B, P):
-    """Reflect P across the geodesic through A, B (rep coordinates)."""
-    if space == SpaceKind.HYPERBOLIC:
-        n = _unit_spacelike(_mcross(A, B))
-        d = _mdot(P, n)
-        return (P[0] - 2 * d * n[0], P[1] - 2 * d * n[1], P[2] - 2 * d * n[2])
-    return reflect_across(space, Segment2(A, B, space), P)
-
-
-def rhalf_turn(space, C, P):
-    if space == SpaceKind.HYPERBOLIC:
-        d = _mdot(P, C)
-        return (-P[0] - 2 * d * C[0], -P[1] - 2 * d * C[1], -P[2] - 2 * d * C[2])
-    return half_turn(space, C, P)
-
-
-def rpoint_seg_dist(space, V, A, B):
-    if space == SpaceKind.HYPERBOLIC:
-        n = _unit_spacelike(_mcross(A, B))
-        dn = _mdot(V, n)
-        foot = _normalize_timelike((V[0] - dn * n[0], V[1] - dn * n[1], V[2] - dn * n[2]))
-        dab = _hyp_dist_lifted(A, B)
-        if (_hyp_dist_lifted(A, foot) <= dab + 1e-12
-                and _hyp_dist_lifted(B, foot) <= dab + 1e-12):
-            return math.asinh(abs(dn))
-        return min(_hyp_dist_lifted(V, A), _hyp_dist_lifted(V, B))
-    return point_to_segment_distance(space, Segment2(A, B, space), V)
-
-
-def rside_measure(space, A, B, P):
-    """Signed orientation of P against the geodesic through A, B (rep).
-
-    Signs agree with the chart convention of side_of (positive = Left).
-    """
-    if space == SpaceKind.SPHERICAL:
-        return _dot3(P, _cross3(A, B))
-    if space == SpaceKind.HYPERBOLIC:
-        c = _mcross(A, B)
-        return P[0] * c[0] - P[1] * c[1] - P[2] * c[2]
-    return (B[0] - A[0]) * (P[1] - A[1]) - (B[1] - A[1]) * (P[0] - A[0])
 
 
 def projected_angle_bound_check(r, R, alpha, samples=32):

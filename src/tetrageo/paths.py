@@ -24,13 +24,16 @@ from fractions import Fraction
 from . import frames
 from .combinat import CrossingSequence, GeodesicType, crossing_sequence, trace_crossings
 from .errors import NumericalFailure, PreconditionFailed, TooLong, VertexHit
-from .geom import (SpaceKind, _cross3, _dot3, _unit3, chart_point,
-                   distance, midpoint, rangle, rdistance, rinterpolate,
-                   rpoint_seg_dist, rreflect, rside_measure, tangent_toward)
+from .geom import (SpaceKind, _cross3, _dot3, _mdot, _unit3, chart_point, rangle,
+                   rdistance, rinterpolate, rmidpoint, rpoint_at, rpoint_seg_dist,
+                   rside_measure, rtangent)
 from .tetra import TetrahedronSpec, edge_token
-from .unfold import first_face_reps, rep_third_point
+from .unfold import _center_involution, first_face_reps, place_chain
 
 FRACTION_MARGIN = 1e-9
+
+# points of the starting edge scanned for sign changes of the angle sum
+GENERIC_GRID = 256
 
 
 @dataclass(frozen=True)
@@ -85,12 +88,6 @@ def _rep_face(spec, labels):
     return {i: vm, j: vp, k: apex}
 
 
-def canonical_face(spec, labels):
-    """Chart points of face (i<j<k): edge ij centered on the axis, k above."""
-    rep = _rep_face(spec, labels)
-    return {lab: chart_point(spec.space, pt) for lab, pt in rep.items()}
-
-
 def _rep_segments(spec, tokens, fractions):
     n = len(tokens)
     segs = []
@@ -104,12 +101,6 @@ def _rep_segments(spec, tokens, fractions):
         p_out = rinterpolate(spec.space, pts[u2], pts[v2], float(fractions[(i + 1) % n]))
         segs.append((labels, pts, p_in, p_out))
     return segs
-
-
-def fold_segments(spec, tokens, fractions):
-    """Per-face chart segments of the path, on canonically placed faces."""
-    return tuple((labels, chart_point(spec.space, p_in), chart_point(spec.space, p_out))
-                 for labels, _, p_in, p_out in _rep_segments(spec, tokens, fractions))
 
 
 def path_metrics(spec, tokens, fractions):
@@ -223,12 +214,6 @@ def euclid_geodesic(t: GeodesicType, mu=Fraction(1, 2)):
 # ---------------------------------------------------------------------------
 # fraction mirroring through the symmetry points
 
-def _involution(token):
-    a, b = int(token[0]), int(token[1])
-    rest = sorted({1, 2, 3, 4} - {a, b})
-    return {a: b, b: a, rest[0]: rest[1], rest[1]: rest[0]}
-
-
 def full_fractions_from_quarter(seq: CrossingSequence, quarter_fracs):
     """Full fraction list from quarter data via the Y1 and X2 half turns.
 
@@ -241,7 +226,7 @@ def full_fractions_from_quarter(seq: CrossingSequence, quarter_fracs):
     toks = list(seq.tokens)
     fracs = list(quarter_fracs)            # indices 0..K
     for center in (K, 2 * K):
-        sigma = _involution(toks[center])
+        sigma = _center_involution(toks[center])
         for k in range(1, center + 1):     # extend to index 2*center
             src, dst = toks[center - k], toks[(center + k) % n]
             mapped = edge_token(sigma[int(src[0])], sigma[int(src[1])])
@@ -262,49 +247,15 @@ def full_fractions_from_quarter(seq: CrossingSequence, quarter_fracs):
 # ---------------------------------------------------------------------------
 # spherical quarter construction (global chart; sphere coordinates are bounded)
 
-def _place_chain(spec, tokens):
-    """Faces F_0..F_{K-1} for glue edges tokens[0..K]; global rep points.
-
-    Returns (edge_pts, face_pts): edge_pts[i] = (point of smaller label,
-    point of larger label) on e_i; face_pts[i] = dict label -> point.
-    """
-    space = spec.space
-    a0, b0 = int(tokens[0][0]), int(tokens[0][1])
-    apex0 = int((set(tokens[1]) - set(tokens[0])).pop())
-    vm, vp, w = first_face_reps(
-        space, spec.face_edge_length(a0, b0),
-        spec.face_edge_length(a0, apex0), spec.face_edge_length(b0, apex0))
-    faces = [{a0: vm, b0: vp, apex0: w}]
-    edge_pts = [(vm, vp)]
-    for i in range(1, len(tokens)):
-        tok = tokens[i]
-        c, d = int(tok[0]), int(tok[1])
-        prev = faces[-1]
-        edge_pts.append((prev[c], prev[d]))
-        if i == len(tokens) - 1:
-            break
-        nxt = tokens[i + 1]
-        w_label = int((set(nxt) - set(tok)).pop())
-        behind = (set(prev) - {c, d}).pop()
-        if spec.is_regular:
-            w_pt = rreflect(space, prev[c], prev[d], prev[behind])
-        else:
-            w_pt = rep_third_point(space, prev[c], prev[d], spec.face_edge_length(c, d),
-                                   spec.face_edge_length(c, w_label),
-                                   spec.face_edge_length(d, w_label), prev[behind])
-        faces.append({c: prev[c], d: prev[d], w_label: w_pt})
-    return edge_pts, faces
-
-
 def _spherical_quarter(spec, seq):
     """Quarter chord data on the sphere: fractions f_0..f_K or a witness."""
     n = len(seq.tokens)
     K = n // 4
-    edge_pts, faces = _place_chain(spec, seq.tokens[:K + 1])
-    X1 = midpoint(spec.space, *edge_pts[0])
-    Y1 = midpoint(spec.space, *edge_pts[K])
-    quarter_len = distance(spec.space, X1, Y1)
-    T = tangent_toward(spec.space, X1, Y1)
+    edge_pts, _ = place_chain(spec, seq.tokens[:K + 1])
+    X1 = rmidpoint(spec.space, *edge_pts[0])
+    Y1 = rmidpoint(spec.space, *edge_pts[K])
+    quarter_len = rdistance(spec.space, X1, Y1)
+    T = rtangent(spec.space, X1, Y1)
     n_c = _unit3(_cross3(X1, T))  # pole of the chord circle
     fracs = [0.5]
     theta_prev = 0.0
@@ -316,12 +267,10 @@ def _spherical_quarter(spec, seq):
         th = base % math.pi
         while th <= theta_prev + 1e-13:
             th += math.pi
-        C = (X1[0] * math.cos(th) + T[0] * math.sin(th),
-             X1[1] * math.cos(th) + T[1] * math.sin(th),
-             X1[2] * math.cos(th) + T[2] * math.sin(th))
-        ell = distance(spec.space, a, b)
-        f = distance(spec.space, a, C) / ell
-        if _dot3(tangent_toward(spec.space, a, b), tangent_toward(spec.space, a, C)) < 0:
+        C = rpoint_at(spec.space, X1, T, th)
+        ell = rdistance(spec.space, a, b)
+        f = rdistance(spec.space, a, C) / ell
+        if _dot3(rtangent(spec.space, a, b), rtangent(spec.space, a, C)) < 0:
             f = -f
         fracs.append(f)
         theta_prev = th
@@ -346,14 +295,14 @@ def _spherical_quarter(spec, seq):
 
 def _spherical_symmetry_residual(spec, seq):
     """Perpendicular distance of X2, Y2 from the X1-Y1 great circle."""
-    edge_pts, _ = _place_chain(spec, list(seq.tokens) + [seq.tokens[0]])
+    edge_pts, _ = place_chain(spec, list(seq.tokens) + [seq.tokens[0]])
     n = len(seq.tokens)
-    X1 = midpoint(spec.space, *edge_pts[0])
-    Y1 = midpoint(spec.space, *edge_pts[n // 4])
-    n_c = _unit3(_cross3(X1, tangent_toward(spec.space, X1, Y1)))
+    X1 = rmidpoint(spec.space, *edge_pts[0])
+    Y1 = rmidpoint(spec.space, *edge_pts[n // 4])
+    n_c = _unit3(_cross3(X1, rtangent(spec.space, X1, Y1)))
     res = 0.0
     for idx in (n // 2, 3 * n // 4, n):
-        P = midpoint(spec.space, *edge_pts[idx])
+        P = rmidpoint(spec.space, *edge_pts[idx])
         res = max(res, abs(math.asin(max(-1.0, min(1.0, _dot3(P, n_c))))))
     return res
 
@@ -456,54 +405,15 @@ def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
 # ---------------------------------------------------------------------------
 # generic hyperbolic tetrahedra: the s0 bisection of the angle-sum function
 
-def _place_chain_centered(spec, tokens_ext):
-    """Global chain placement with the middle face at the chart origin."""
-    n = len(tokens_ext) - 1
-    m = n // 2
-    space = spec.space
-    am, bm = int(tokens_ext[m][0]), int(tokens_ext[m][1])
-    apexm = int((set(tokens_ext[m + 1]) - set(tokens_ext[m])).pop())
-    vm, vp, w = first_face_reps(
-        space, spec.face_edge_length(am, bm),
-        spec.face_edge_length(am, apexm), spec.face_edge_length(bm, apexm))
-    faces = [None] * n
-    faces[m] = {am: vm, bm: vp, apexm: w}
-    for i in range(m + 1, n):
-        tok = tokens_ext[i]
-        c, d = int(tok[0]), int(tok[1])
-        prev = faces[i - 1]
-        w_label = int((set(tokens_ext[i + 1]) - set(tok)).pop())
-        behind = (set(prev) - {c, d}).pop()
-        w_pt = rep_third_point(space, prev[c], prev[d], spec.face_edge_length(c, d),
-                               spec.face_edge_length(c, w_label),
-                               spec.face_edge_length(d, w_label), prev[behind])
-        faces[i] = {c: prev[c], d: prev[d], w_label: w_pt}
-    for i in range(m - 1, -1, -1):
-        tok = tokens_ext[i + 1]      # shared edge e_{i+1}
-        c, d = int(tok[0]), int(tok[1])
-        nxt = faces[i + 1]
-        w_label = int((set(tokens_ext[i]) - set(tok)).pop())
-        ahead = (set(nxt) - {c, d}).pop()
-        w_pt = rep_third_point(space, nxt[c], nxt[d], spec.face_edge_length(c, d),
-                               spec.face_edge_length(c, w_label),
-                               spec.face_edge_length(d, w_label), nxt[ahead])
-        faces[i] = {c: nxt[c], d: nxt[d], w_label: w_pt}
-    edge_pts = []
-    for i in range(n + 1):
-        tok = tokens_ext[i]
-        c, d = int(tok[0]), int(tok[1])
-        f = faces[min(i, n - 1)]
-        edge_pts.append((f[c], f[d]))
-    return edge_pts, faces
-
-
-def generic_hyperbolic_geodesic(spec, t: GeodesicType, grid=256):
+def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     """Type-(p,q) geodesic on a hyperbolic tetrahedron with angles <= pi/4.
 
-    Finds s0 on the starting edge with supplementary incidence angles by
-    bisection (interval width 1e-12 of the edge length), then extracts the
-    path by local frame propagation.  Multiple sign changes are reported in
-    the result extras; the smallest root is used.
+    A grid on the starting edge brackets s0, where the incidence angles are
+    supplementary; the grid evaluates the angle sum on e_0 and e_N placed
+    in the middle edge frame of the chain.  Bisection on the frame-local
+    residual then narrows s0 to 1e-12 of the edge length, and the path is
+    extracted by local frame propagation.  Multiple sign changes are
+    reported in the result extras; the smallest root is used.
     """
     if isinstance(spec, TetrahedronSpec):
         if spec.space != SpaceKind.HYPERBOLIC or spec.alpha > math.pi / 4 + 1e-12:
@@ -513,10 +423,14 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType, grid=256):
 
     seq = crossing_sequence(t)
     tokens_ext = list(seq.tokens) + [seq.tokens[0]]
-    edge_pts, _ = _place_chain_centered(spec, tokens_ext)
-    A1, A2 = edge_pts[0]
-    A1p, A2p = edge_pts[-1]
-    ell = spec.face_edge_length(int(seq.tokens[0][0]), int(seq.tokens[0][1]))
+    steps = frames.build_chain(tokens_ext, spec.face_edge_length)
+    ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens_ext]
+    ell = ells[0]
+    # e_0 and e_N are the same edge token at the two ends of the chain
+    a0, b0 = int(seq.tokens[0][0]), int(seq.tokens[0][1])
+    faces = frames.place_faces(steps, len(steps) // 2)
+    A1, A2 = faces[0][a0], faces[0][b0]
+    A1p, A2p = faces[-1][a0], faces[-1][b0]
 
     def angle_sum(s):
         X = rinterpolate(spec.space, A1, A2, s / ell)
@@ -525,18 +439,16 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType, grid=256):
         v = rangle(spec.space, Xp, A2p, X)
         return u + v - math.pi
 
-    ss = [ell * (i + 0.5) / grid for i in range(grid)]
+    ss = [ell * (i + 0.5) / GENERIC_GRID for i in range(GENERIC_GRID)]
     vals = [angle_sum(s) for s in ss]
-    brackets = [(ss[i], ss[i + 1]) for i in range(grid - 1)
+    brackets = [(ss[i], ss[i + 1]) for i in range(GENERIC_GRID - 1)
                 if vals[i] == 0.0 or (vals[i] < 0.0) != (vals[i + 1] < 0.0)]
     if not brackets:
         raise NumericalFailure("angle-sum function has no sign change on the edge")
 
-    # bisection runs on the frame-local residual: endpoint coordinates of
-    # long chains carry chart noise, while the local condition is built from
-    # well-conditioned quantities (the coarse global grid only brackets it)
-    steps = frames.build_chain(tokens_ext, spec.face_edge_length)
-    ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens_ext]
+    # bisection runs on the frame-local residual: the placed ends of long
+    # chains carry composition noise, while the local condition is built
+    # from well-conditioned quantities (the coarse grid only brackets it)
     state = {"init": [float(f) for f in seq.fractions] + [float(seq.fractions[0])]}
 
     def end_residual(s):
@@ -599,14 +511,12 @@ def _end_angle_residual(steps, ells, offsets):
     P1 = frames._matvec(frames._mink_inverse(steps[0].transition),
                         frames.chord_point(offsets[1]))
     e0 = (math.sinh(offsets[0]), math.cosh(offsets[0]), 0.0)
-    c = frames._mdot(P1, P0)
-    t1 = frames._unit_spacelike((P1[0] + c * P0[0], P1[1] + c * P0[1], P1[2] + c * P0[2]))
-    ang0 = math.acos(max(-1.0, min(1.0, frames._mdot(e0, t1))))
+    t1 = rtangent(SpaceKind.HYPERBOLIC, P0, P1)
+    ang0 = math.acos(max(-1.0, min(1.0, _mdot(e0, t1))))
 
     PN = frames.chord_point(offsets[-1])
     PN1 = frames._matvec(steps[-1].transition, frames.chord_point(offsets[-2]))
     eN = (math.sinh(offsets[-1]), math.cosh(offsets[-1]), 0.0)
-    c = frames._mdot(PN1, PN)
-    t2 = frames._unit_spacelike((PN1[0] + c * PN[0], PN1[1] + c * PN[1], PN1[2] + c * PN[2]))
-    angN = math.acos(max(-1.0, min(1.0, frames._mdot(eN, t2))))
+    t2 = rtangent(SpaceKind.HYPERBOLIC, PN, PN1)
+    angN = math.acos(max(-1.0, min(1.0, _mdot(eN, t2))))
     return ang0 + angN - math.pi

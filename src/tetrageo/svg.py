@@ -9,7 +9,7 @@ symmetry points carry distinct class attributes for styling.
 
 from __future__ import annotations
 
-from .geom import SpaceKind, interpolate
+from .geom import SpaceKind, rinterpolate
 
 SCALE = {SpaceKind.EUCLIDEAN: 200.0, SpaceKind.SPHERICAL: 1000.0,
          SpaceKind.HYPERBOLIC: 1000.0}
@@ -35,7 +35,8 @@ def _xy(space, p):
 
 def _edge_samples(space, a, b, steps=16):
     if space == SpaceKind.SPHERICAL:
-        return [interpolate(space, a, b, k / steps) for k in range(steps + 1)]
+        # sphere reps are chart points
+        return [rinterpolate(space, a, b, k / steps) for k in range(steps + 1)]
     return [a, b]
 
 

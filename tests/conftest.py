@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 
 def coprime_types(max_sum, min_sum=1):
@@ -17,3 +18,9 @@ def coprime_types(max_sum, min_sum=1):
 @pytest.fixture(scope="session")
 def small_types():
     return coprime_types(8)
+
+
+# property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")

@@ -132,6 +132,14 @@ def test_invalid_inputs(tmp_path):
     assert code == 2               # alpha and edge together
 
 
+def test_nonfinite_inputs_exit_2(tmp_path):
+    for value in ("nan", "inf"):
+        code, text = run_cli(["threshold", "--p", "1", "--q", "1", "--tol", value], tmp_path)
+        assert (code, text) == (2, "")
+        code, text = run_cli(["count", "--alpha", "0.5", "--L", value], tmp_path)
+        assert (code, text) == (2, "")
+
+
 def test_not_exists_construct_exit(tmp_path):
     code, _ = run_cli(["construct", "--space", "spherical", "--alpha", "1.30",
                        "--p", "1", "--q", "2"], tmp_path)

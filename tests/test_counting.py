@@ -68,6 +68,12 @@ def test_count_exact_base_cases():
     assert rep.exact_count <= rep.bound_count
 
 
+def test_count_exact_rejects_nonfinite_length():
+    for L in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            count_exact(L, 0.5)
+
+
 def test_count_exact_counts_by_length():
     rep = count_exact(16.0, math.pi / 6)
     manual = 3 * sum(1 for _, _, length, _ in rep.lengths if length <= 16.0)

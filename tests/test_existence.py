@@ -128,6 +128,12 @@ def test_threshold_values():
     assert math.pi / 3 < res12.beta < necessary_alpha_bound(GeodesicType(1, 2))
 
 
+def test_threshold_rejects_nonfinite_tol():
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            threshold_beta(GeodesicType(1, 1), tol=tol)
+
+
 def test_abstract_length_below_threshold_equals_geodesic():
     spec = TetrahedronSpec(S, 1.2)
     t = GeodesicType(1, 1)

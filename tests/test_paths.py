@@ -8,7 +8,7 @@ import pytest
 
 from conftest import coprime_types
 from tetrageo.combinat import GeodesicType, crossing_sequence
-from tetrageo.errors import PreconditionFailed, VertexHit
+from tetrageo.errors import InvalidTetrahedron, PreconditionFailed, VertexHit
 from tetrageo.geom import SpaceKind
 from tetrageo.paths import (GeodesicPath, NotContained, euclid_geodesic,
                             euclid_mu_interval, full_fractions_from_quarter,
@@ -232,7 +232,7 @@ def test_euclid_scale_invariance():
 def test_generic_regular_matches_midpoint():
     a = edge_from_angle(H, math.pi / 6)
     reg = generic_from_edges([a] * 6)
-    for pq in [(0, 1), (1, 2)]:
+    for pq in [(0, 1), (1, 2), (3, 5), (4, 5)]:
         t = GeodesicType(*pq)
         rg = generic_hyperbolic_geodesic(reg, t)
         rm = midpoint_geodesic(TetrahedronSpec(H, math.pi / 6), t)
@@ -279,6 +279,26 @@ def test_generic_random_sample():
         path = generic_hyperbolic_geodesic(spec, GeodesicType(1, 2))
         assert path.closed and path.simple
         made += 1
+
+
+def test_generic_random_specs_type_35():
+    # specs drawn as in acceptance criterion 08 with seed 1; the bracketing
+    # grid on e_0 and e_N must keep the sign change of the frame-local end
+    # condition on accepted specs 1, 9 and 12
+    rng = random.Random(1)
+    specs = []
+    while len(specs) < 13:
+        base = rng.uniform(1.9, 2.2)
+        edges = [base * (1.0 + rng.uniform(-0.05, 0.05)) for _ in range(6)]
+        try:
+            spec = generic_from_edges(edges)
+        except InvalidTetrahedron:
+            continue
+        if spec.all_angles_le(math.pi / 4):
+            specs.append(spec)
+    for i in (1, 9, 12):
+        path = generic_hyperbolic_geodesic(specs[i], GeodesicType(3, 5))
+        assert path.closed and path.simple, i
 
 
 def test_frozen_high_precision_references():
