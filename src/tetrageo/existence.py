@@ -244,6 +244,8 @@ def threshold_beta(t: GeodesicType, tol=1e-6):
         raise NoThreshold(f"type {(t.p, t.q)} never exists on the interval")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # lo and hi are adjacent floats: tol is below their spacing
+            break
         if _contained(mid, t):
             lo = mid
         else:

@@ -9,9 +9,11 @@ glue edge gets its own hyperboloid frame,
     smaller-labelled endpoint at negative x, the face ahead at y > 0,
 
 and the chain is encoded by the Minkowski change-of-basis matrix from
-each edge frame to the next.  A geodesic chord is carried along as the
-unit spacelike normal of its plane; every crossing, fraction, margin,
-length and clearance is then a well-conditioned local computation.
+each edge frame to the next.  A chord is described by its crossing
+offsets, one signed arclength from each edge midpoint, so every crossing,
+fraction, margin and length is a well-conditioned local computation.
+relax_chord is the one chord solver; direction shooting (shoot_chord) is
+exact on shallow chains and kept as the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericalFailure
-from .geom import (SpaceKind, _mcross, _mdot, _normalize_timelike, _unit_spacelike,
-                   rdistance, rpoint_seg_dist)
+from .geom import SpaceKind, _mcross, _mdot, _normalize_timelike, _unit_spacelike, rdistance
 
 
 def _matvec(m, v):
@@ -42,11 +43,6 @@ IDENTITY3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 class ChainStep:
     """Face F_i of the chain, expressed in the frame of its entry edge e_i."""
 
-    ell: float            # length of e_i
-    ell_next: float       # length of e_{i+1}
-    v_minus: int          # label at -x on e_i
-    v_plus: int
-    apex: int             # third vertex of F_i
     verts: dict           # label -> hyperboloid coords in frame E_i
     transition: tuple     # 3x3 change of basis, frame E_i -> frame E_{i+1}
 
@@ -95,29 +91,22 @@ def build_chain(tokens, edge_len):
         lam = ((M[0], -M[1], -M[2]),
                (-tx[0], tx[1], tx[2]),
                (-ty[0], ty[1], ty[2]))
-        steps.append(ChainStep(
-            ell=ell, ell_next=edge_len(c, d), v_minus=a, v_plus=b, apex=w,
-            verts=verts, transition=lam,
-        ))
+        steps.append(ChainStep(verts=verts, transition=lam))
     return steps
 
 
-def place_faces(steps, frame):
-    """Vertex reps of every chain face, all in the frame of edge e_frame.
+def place_faces(steps):
+    """Vertex reps of every chain face, all in the frame of edge e_0.
 
-    Face F_i is known in the frame of its entry edge e_i; transitions are
-    composed outward from the chosen frame, so faces near it carry the
-    least accumulated rounding.  Returns one dict label -> rep per face.
+    Face F_i is known in the frame of its entry edge e_i; the inverse
+    transitions are composed outward from e_0.  Returns one dict
+    label -> rep per face.
     """
-    faces = [None] * len(steps)
+    faces = []
     acc = IDENTITY3
-    for i in range(frame, len(steps)):
-        faces[i] = {lab: _matvec(acc, v) for lab, v in steps[i].verts.items()}
-        acc = _matmul(acc, _mink_inverse(steps[i].transition))
-    acc = IDENTITY3
-    for i in range(frame - 1, -1, -1):
-        acc = _matmul(acc, steps[i].transition)
-        faces[i] = {lab: _matvec(acc, v) for lab, v in steps[i].verts.items()}
+    for step in steps:
+        faces.append({lab: _matvec(acc, v) for lab, v in step.verts.items()})
+        acc = _matmul(acc, _mink_inverse(step.transition))
     return faces
 
 
@@ -128,7 +117,7 @@ class ChordTrace:
 
     def __init__(self, offsets, fractions, normals, exit_index, exit_sign):
         self.offsets = offsets        # signed arclength from each edge midpoint
-        self.fractions = fractions    # fraction from the v_minus endpoint
+        self.fractions = fractions    # fraction from the smaller-labelled endpoint
         self.normals = normals        # chord normal in each edge frame
         self.exit_index = exit_index  # first edge whose line the chord misses
         self.exit_sign = exit_sign
@@ -228,18 +217,10 @@ def chord_point(offset):
 
 
 def trace_geometry(steps, offsets):
-    """Segment lengths and vertex clearance for given crossing offsets."""
-    seg_lengths = []
-    clearance = math.inf
-    for i, step in enumerate(steps):
-        C0 = chord_point(offsets[i])
-        C0n = _matvec(step.transition, C0)
-        C1 = chord_point(offsets[i + 1])
-        seg_lengths.append(rdistance(SpaceKind.HYPERBOLIC, C0n, C1))
-        for V in step.verts.values():
-            Vn = _matvec(step.transition, V)
-            clearance = min(clearance, rpoint_seg_dist(SpaceKind.HYPERBOLIC, Vn, C0n, C1))
-    return seg_lengths, clearance
+    """Segment lengths of the chord with the given crossing offsets."""
+    return [rdistance(SpaceKind.HYPERBOLIC, _matvec(step.transition, chord_point(offsets[i])),
+                      chord_point(offsets[i + 1]))
+            for i, step in enumerate(steps)]
 
 
 def _mink_inverse(m):
@@ -249,88 +230,137 @@ def _mink_inverse(m):
             (-m[0][2], m[1][2], m[2][2]))
 
 
-def _argmin_on_axis(A, B, half, s):
-    """Offset on the x-axis geodesic minimizing d(A, .) + d(B, .).
+def _solve_tridiagonal(diag, off, rhs):
+    """Thomas solve of the symmetric tridiagonal system (diag, off) x = rhs."""
+    m = len(diag)
+    c, d = [0.0] * m, list(rhs)
+    for i in range(m):
+        piv = diag[i] - (off[i - 1] * c[i - 1] if i else 0.0)
+        c[i] = off[i] / piv if i < m - 1 else 0.0
+        d[i] = (d[i] - (off[i - 1] * d[i - 1] if i else 0.0)) / piv
+    for i in range(m - 2, -1, -1):
+        d[i] -= c[i] * d[i + 1]
+    return d
 
-    A and B are hyperboloid points off the axis; the sum is strictly convex
-    in the offset, so safeguarded Newton on its derivative converges fast.
-    The result is clamped to [-half, half].
+
+def _solve_cyclic(diag, off, corner, rhs):
+    """Cyclic tridiagonal solve: Thomas plus a Sherman-Morrison correction.
+
+    corner couples the first and last unknowns; the matrix is written as
+    a tridiagonal one plus the rank-one term u v^T with u = (g, 0.., corner)
+    and v = (1, 0.., corner / g).
     """
-
-    def deriv(x):
-        shx, chx = math.sinh(x), math.cosh(x)
-        g1 = 0.0
-        g2 = 0.0
-        for P in (A, B):
-            c = P[0] * chx - P[1] * shx
-            root = math.sqrt(max(c * c - 1.0, 1e-300))
-            g1 += (P[0] * shx - P[1] * chx) / root
-            g2 += c * (P[2] * P[2]) / root ** 3
-        return g1, g2
-
-    lo, hi = -half, half
-    s = max(lo, min(hi, s))
-    dlo, _ = deriv(lo)
-    if dlo >= 0.0:
-        return lo, True
-    dhi, _ = deriv(hi)
-    if dhi <= 0.0:
-        return hi, True
-    for _ in range(60):
-        g1, g2 = deriv(s)
-        if g2 > 0.0:
-            step = g1 / g2
-            s_new = s - step
-        else:
-            s_new = 0.5 * (lo + hi)
-        if not (lo <= s_new <= hi):
-            s_new = 0.5 * (lo + hi)
-        if g1 > 0.0:
-            hi = s
-        elif g1 < 0.0:
-            lo = s
-        else:
-            return s, False
-        if abs(s_new - s) < 1e-15:
-            return s_new, False
-        s = s_new
-    return s, False
+    g = -diag[0]
+    mod = list(diag)
+    mod[0] -= g
+    mod[-1] -= corner * corner / g
+    y = _solve_tridiagonal(mod, off, rhs)
+    z = _solve_tridiagonal(mod, off, [g] + [0.0] * (len(diag) - 2) + [corner])
+    w = (y[0] + corner * y[-1] / g) / (1.0 + z[0] + corner * z[-1] / g)
+    return [yi - w * zi for yi, zi in zip(y, z)]
 
 
-def relax_chord(steps, ells, init_fractions, end_offsets=(0.0, 0.0),
-                tol=1e-13, max_sweeps=20000):
-    """Taut-chord offsets by cyclic per-edge relaxation, endpoints pinned.
+def _chain_derivatives(steps, s, closed):
+    """Length, gradient and tridiagonal Hessian of the chord in the offsets.
 
-    Each sweep re-solves every interior crossing against its two neighbours
-    in the local frame.  Being a boundary-value formulation, the iteration
-    has none of the exponential error amplification of direction shooting,
-    and it contracts fast exactly in the deep hyperbolic regime where
-    shooting runs out of double precision.  Returns (offsets, clamped)
-    where clamped reports any crossing stuck at an edge endpoint (a
-    containment violation).
+    Segment i joins A = T_i P(s_i) to B = P(s_{i+1}) in frame E_{i+1};
+    its length d has cosh d - 1 = <D, D> / 2 for D = B - A, and the first
+    derivatives of cosh d are -<dA, D> and <D, dB>.  Both are taken from
+    the short difference D, never from the far points themselves, so the
+    gradient keeps full relative precision on nearly flat chains.  On a
+    closed chain s_K is s_0, so its terms are folded into index 0.
+    """
+    K = len(steps)
+    grad, diag, off = [0.0] * (K + 1), [0.0] * (K + 1), [0.0] * K
+    length = 0.0
+    for i, step in enumerate(steps):
+        ch, sh = math.cosh(s[i]), math.sinh(s[i])
+        A = _matvec(step.transition, (ch, sh, 0.0))
+        dA = _matvec(step.transition, (sh, ch, 0.0))
+        chb, shb = math.cosh(s[i + 1]), math.sinh(s[i + 1])
+        D = (chb - A[0], shb - A[1], -A[2])
+        m = _mdot(D, D)
+        c = 1.0 + 0.5 * m                      # cosh d
+        r2 = m * (1.0 + 0.25 * m)              # sinh^2 d
+        r = math.sqrt(r2)
+        r3 = r2 * r
+        cx = -_mdot(dA, D)
+        cy = -D[0] * shb + D[1] * chb          # <D, dB>, dB = (sinh, cosh, 0)
+        cxy = dA[0] * shb - dA[1] * chb        # -<dA, dB>
+        length += 2.0 * math.asinh(0.5 * math.sqrt(m))
+        grad[i] += cx / r
+        grad[i + 1] += cy / r
+        diag[i] += c * (r2 - cx * cx) / r3
+        diag[i + 1] += c * (r2 - cy * cy) / r3
+        off[i] = (cxy * r2 - c * cx * cy) / r3
+    if closed:
+        grad[0] += grad[K]
+        diag[0] += diag[K]
+    return length, grad, diag, off
+
+
+MAX_NEWTON_STEPS = 100
+STEP_TOL = 1e-13
+FLOOR_STEP = 1e-9
+ROOM_FRACTION = 0.5
+LENGTH_SLACK = 1e-12
+
+
+def relax_chord(steps, ells, init_fractions, closed=False):
+    """Taut-chord offsets through the chain by damped Newton steps.
+
+    Segment i couples only the offsets s_i and s_{i+1}, so the Hessian
+    of the length is tridiagonal and a step is one O(K) Thomas solve.
+    With closed=False the ends s_0 and s_K stay pinned at their initial
+    fractions; with closed=True e_K is e_0 again, s_K is tied to s_0, the
+    Hessian is cyclic tridiagonal and the solution is the closed geodesic,
+    whose incidence angles at e_0 are supplementary.
+
+    Iterates stay strictly inside their edges (a step is cut to
+    ROOM_FRACTION of the room left, since the length has a kink where two
+    crossings meet at their shared vertex), and a step that lengthens the
+    chord is rejected.  Levenberg damping (H + mu I) grows after a cut or
+    rejected step and relaxes after full steps.  The iteration stops when
+    the step falls below STEP_TOL, or at the rounding floor: a full step
+    below FLOOR_STEP that fails to shrink the next one.  Returns the
+    offsets s_0..s_K from the edge midpoints.
     """
     K = len(ells) - 1
     s = [(float(f) - 0.5) * ells[i] for i, f in enumerate(init_fractions)]
-    s[0] = end_offsets[0]
-    s[K] = end_offsets[1]
-    if K < 2:
-        return s, []
-    inv = [_mink_inverse(st.transition) for st in steps]
-    clamped = set()
-    for sweep in range(max_sweeps):
-        delta = 0.0
-        for i in range(1, K):
-            A = _matvec(steps[i - 1].transition, chord_point(s[i - 1]))
-            B = _matvec(inv[i], chord_point(s[i + 1]))
-            s_new, hit = _argmin_on_axis(A, B, ells[i] / 2.0, s[i])
-            if hit:
-                clamped.add(i)
-            elif i in clamped:
-                clamped.discard(i)
-            delta = max(delta, abs(s_new - s[i]))
-            s[i] = s_new
-        if delta < tol:
-            break
-    else:
-        raise NumericalFailure("chord relaxation did not converge")
-    return s, sorted(clamped)
+    if closed:
+        s[K] = s[0]
+    free = range(0, K) if closed else range(1, K)
+    if not free:
+        return s
+    current = _chain_derivatives(steps, s, closed)
+    mu, last_full = 0.0, None
+    for _ in range(MAX_NEWTON_STEPS):
+        length, grad, diag, off = current
+        rhs = [-grad[i] for i in free]
+        dg = [diag[i] + mu for i in free]
+        if closed:
+            delta = _solve_cyclic(dg, off[:K - 1], off[K - 1], rhs)
+        else:
+            delta = _solve_tridiagonal(dg, off[1:K - 1], rhs)
+        size = max(abs(x) for x in delta)
+        if size < STEP_TOL or (last_full is not None and size >= last_full):
+            return s
+        rooms = [(0.5 * ells[i] - (s[i] if x > 0.0 else -s[i])) / abs(x)
+                 for i, x in zip(free, delta) if x]
+        scale = min([1.0] + [ROOM_FRACTION * r for r in rooms])
+        trial = list(s)
+        for i, x in zip(free, delta):
+            trial[i] += scale * x
+        if closed:
+            trial[K] = trial[0]
+        candidate = _chain_derivatives(steps, trial, closed)
+        accepted = candidate[0] <= length * (1.0 + LENGTH_SLACK)
+        if accepted:
+            s, current = trial, candidate
+        if accepted and scale == 1.0:
+            mu *= 0.25
+            last_full = size if size < FLOOR_STEP else None
+        else:
+            mu = max(4.0 * mu, 1e-3 * max(dg))
+            last_full = None
+    raise NumericalFailure("chord Newton iteration did not converge")

@@ -6,8 +6,12 @@ Three construction routes:
 * spherical / hyperbolic regular: the midpoint-chord method on one quarter
   of the development (the central symmetry of the development transports
   the quarter to the whole curve);
-* generic hyperbolic: bisection for the edge parameter s0 at which the two
-  incidence angles of the connecting segment are supplementary.
+* generic hyperbolic: the closed taut chord of the whole development, whose
+  two incidence angles at the edge point s0 are supplementary.
+
+Both hyperbolic routes solve the chord with the one Newton solver of
+:func:`frames.relax_chord`, pinned at X1 and Y1 for the regular quarter and
+closed up for the generic tetrahedron.
 
 All path metrics (length, clearance, closure residuals, simplicity) are
 recomputed from the crossing fractions by folding segments back onto
@@ -18,22 +22,19 @@ produced and stay well conditioned for long hyperbolic chains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import frames
 from .combinat import CrossingSequence, GeodesicType, crossing_sequence, trace_crossings
 from .errors import NumericalFailure, PreconditionFailed, TooLong, VertexHit
-from .geom import (SpaceKind, _cross3, _dot3, _mdot, _unit3, chart_point, rangle,
+from .geom import (SpaceKind, _cross3, _dot3, _unit3, chart_point, rangle,
                    rdistance, rinterpolate, rmidpoint, rpoint_at, rpoint_seg_dist,
                    rside_measure, rtangent)
 from .tetra import TetrahedronSpec, edge_token
 from .unfold import _center_involution, first_face_reps, place_chain
 
 FRACTION_MARGIN = 1e-9
-
-# points of the starting edge scanned for sign changes of the angle sum
-GENERIC_GRID = 256
 
 
 @dataclass(frozen=True)
@@ -164,20 +165,14 @@ def simplicity_check(path, spec):
 
 def _assemble_path(spec, t, tokens, fractions, extras=None):
     total, clearance, worst, segs = path_metrics(spec, tokens, fractions)
-    margin = min(min(f, 1.0 - f) for f in fractions)
     path = GeodesicPath(
         gtype=t, space=spec.space,
         crossings=tuple(zip(tokens, (float(f) for f in fractions))),
         total_length=total, clearance=clearance,
         closed=worst < 1e-8, simple=True, closure_residual=worst,
-        min_fraction_margin=margin, segments=segs,
+        min_fraction_margin=min(min(f, 1.0 - f) for f in fractions), segments=segs,
         extras=dict(extras or {}))
-    simple = simplicity_check(path, spec)
-    return GeodesicPath(
-        gtype=t, space=spec.space, crossings=path.crossings,
-        total_length=total, clearance=clearance, closed=path.closed,
-        simple=simple, closure_residual=worst,
-        min_fraction_margin=margin, segments=segs, extras=path.extras)
+    return replace(path, simple=simplicity_check(path, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +194,8 @@ def euclid_mu_interval(t: GeodesicType):
 
 def euclid_geodesic(t: GeodesicType, mu=Fraction(1, 2)):
     """Type-(p,q) geodesic from the tiling segment anchored at X(mu, 0)."""
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     mu = Fraction(mu)
     lo, hi = euclid_mu_interval(t)
     if not (lo < mu < hi):
@@ -206,6 +203,8 @@ def euclid_geodesic(t: GeodesicType, mu=Fraction(1, 2)):
     recs = trace_crossings(t, mu)
     tokens = tuple(r[1] for r in recs)
     fractions = tuple(float(r[2]) for r in recs)
+    if min(min(f, 1.0 - f) for f in fractions) < FRACTION_MARGIN:
+        raise VertexHit(f"mu={float(mu)} puts a crossing within {FRACTION_MARGIN} of a vertex")
     spec = TetrahedronSpec(SpaceKind.EUCLIDEAN, math.pi / 3)
     return _assemble_path(spec, t, tokens, fractions,
                           extras={"mu": float(mu), "length_formula": 2.0 * math.sqrt(t.norm)})
@@ -313,51 +312,26 @@ def _spherical_symmetry_residual(spec, seq):
 def _hyperbolic_quarter(spec, seq):
     """Quarter chord of a regular hyperbolic tetrahedron.
 
-    Shallow chains are solved by direction shooting from X1; deep chains
-    (where the direction window is below double resolution) by taut-chord
-    relaxation seeded with the exact Euclidean crossing fractions.
+    The chord is pinned at the midpoints X1 of e_0 and Y1 of e_K and
+    solved by Newton steps in edge-local frames, seeded with the exact
+    Euclidean crossing fractions.
     """
     n = len(seq.tokens)
     K = n // 4
     tokens_q = list(seq.tokens[:K + 1])
     steps = frames.build_chain(tokens_q, spec.face_edge_length)
     ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens_q]
-    # depth below ~1.5 stalls the relaxation (near-flat chains couple like a
-    # Jacobi iteration) but leaves the shooting window wide; above it the
-    # relaxation contracts geometrically while the window shrinks past any
-    # affordable direction grid
-    depth = (K / 2.0) * math.log(2.0 * math.sqrt(3.0) * (1.0 - 3.0 * spec.alpha / math.pi) + 1.0)
-    offsets = None
-    method = "shoot"
-    if depth <= 2.0:
-        pe, qe = seq.gtype.effective()
-        theta_init = math.atan2(qe * math.sqrt(3.0), qe + 2.0 * pe)
-        try:
-            _, trace = frames.shoot_chord(steps, ells, theta_init)
-            offsets = list(trace.offsets)
-        except NumericalFailure:
-            offsets = None
-    if offsets is None:
-        method = "relax"
-        init = [float(f) for f in crossing_sequence(seq.gtype).fractions[:K + 1]]
-        init[K] = 0.5
-        offsets, clamped = frames.relax_chord(steps, ells, init)
-        if clamped:
-            i = clamped[0]
-            return None, NotContained(seq.gtype, face_index=i, edge=seq.tokens[i],
-                                      signed_distance=0.0,
-                                      reason="taut chord pinned at a vertex"), None
+    init = [float(f) for f in seq.fractions[:K + 1]]
+    init[0] = init[K] = 0.5
+    offsets = frames.relax_chord(steps, ells, init)
     fracs = [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(K + 1)]
-    fracs[0] = 0.5
-    fracs[K] = 0.5
     for i in range(1, K):
         f = fracs[i]
         if not (FRACTION_MARGIN < f < 1.0 - FRACTION_MARGIN):
             sd = (min(f, 1.0 - f)) * ells[i]
             return None, NotContained(seq.gtype, face_index=i, edge=seq.tokens[i],
                                       signed_distance=sd), None
-    seg_lengths, clearance = frames.trace_geometry(steps, offsets)
-    return fracs, None, (seg_lengths, clearance, method)
+    return fracs, None, sum(frames.trace_geometry(steps, offsets))
 
 
 def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
@@ -388,14 +362,11 @@ def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
         if path.total_length >= 2.0 * math.pi:
             raise TooLong(f"constructed length {path.total_length:.6f} >= 2*pi")
         return path
-    quarter, witness, geo = _hyperbolic_quarter(spec, seq)
+    quarter, witness, quarter_len = _hyperbolic_quarter(spec, seq)
     if witness is not None:
         return witness
-    seg_lengths, clearance, method = geo
     fracs = full_fractions_from_quarter(seq, quarter)
-    path = _assemble_path(spec, t, seq.tokens, fracs,
-                          extras={"quarter_length": sum(seg_lengths),
-                                  "method": method})
+    path = _assemble_path(spec, t, seq.tokens, fracs, extras={"quarter_length": quarter_len})
     if not path.closed:
         raise NumericalFailure(
             f"quarter chord fails the closure check (residual {path.closure_residual:.3e})")
@@ -403,17 +374,16 @@ def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
 
 
 # ---------------------------------------------------------------------------
-# generic hyperbolic tetrahedra: the s0 bisection of the angle-sum function
+# generic hyperbolic tetrahedra: the closed taut chord
 
 def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     """Type-(p,q) geodesic on a hyperbolic tetrahedron with angles <= pi/4.
 
-    A grid on the starting edge brackets s0, where the incidence angles are
-    supplementary; the grid evaluates the angle sum on e_0 and e_N placed
-    in the middle edge frame of the chain.  Bisection on the frame-local
-    residual then narrows s0 to 1e-12 of the edge length, and the path is
-    extracted by local frame propagation.  Multiple sign changes are
-    reported in the result extras; the smallest root is used.
+    The geodesic is the chord of the unrolled chain e_0..e_N that closes
+    up: e_N is e_0 again with the same crossing offset, and the closed
+    chain's length is stationary exactly where the two incidence angles at
+    X(s0) are supplementary.  Strict convexity of the length makes that
+    point unique; one closed Newton solve in edge-local frames finds it.
     """
     if isinstance(spec, TetrahedronSpec):
         if spec.space != SpaceKind.HYPERBOLIC or spec.alpha > math.pi / 4 + 1e-12:
@@ -425,98 +395,15 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     tokens_ext = list(seq.tokens) + [seq.tokens[0]]
     steps = frames.build_chain(tokens_ext, spec.face_edge_length)
     ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens_ext]
-    ell = ells[0]
-    # e_0 and e_N are the same edge token at the two ends of the chain
-    a0, b0 = int(seq.tokens[0][0]), int(seq.tokens[0][1])
-    faces = frames.place_faces(steps, len(steps) // 2)
-    A1, A2 = faces[0][a0], faces[0][b0]
-    A1p, A2p = faces[-1][a0], faces[-1][b0]
-
-    def angle_sum(s):
-        X = rinterpolate(spec.space, A1, A2, s / ell)
-        Xp = rinterpolate(spec.space, A1p, A2p, s / ell)
-        u = rangle(spec.space, X, A2, Xp)
-        v = rangle(spec.space, Xp, A2p, X)
-        return u + v - math.pi
-
-    ss = [ell * (i + 0.5) / GENERIC_GRID for i in range(GENERIC_GRID)]
-    vals = [angle_sum(s) for s in ss]
-    brackets = [(ss[i], ss[i + 1]) for i in range(GENERIC_GRID - 1)
-                if vals[i] == 0.0 or (vals[i] < 0.0) != (vals[i + 1] < 0.0)]
-    if not brackets:
-        raise NumericalFailure("angle-sum function has no sign change on the edge")
-
-    # bisection runs on the frame-local residual: the placed ends of long
-    # chains carry composition noise, while the local condition is built
-    # from well-conditioned quantities (the coarse grid only brackets it)
-    state = {"init": [float(f) for f in seq.fractions] + [float(seq.fractions[0])]}
-
-    def end_residual(s):
-        s_loc = s - ell / 2.0
-        offsets, clamped = frames.relax_chord(steps, ells, state["init"],
-                                              end_offsets=(s_loc, s_loc))
-        state["init"] = [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(len(ells))]
-        state["offsets"] = offsets
-        state["clamped"] = clamped
-        return _end_angle_residual(steps, ells, offsets)
-
-    lo, hi = brackets[0]
-    flo = end_residual(lo)
-    fhi = end_residual(hi)
-    if flo == 0.0:
-        hi = lo
-    elif fhi == 0.0:
-        lo = hi
-    elif (flo < 0.0) == (fhi < 0.0):
-        raise NumericalFailure("local angle condition lost the sign change")
-    while hi - lo > 1e-12 * ell:
-        mid = 0.5 * (lo + hi)
-        fm = end_residual(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    s0 = 0.5 * (lo + hi)
-    end_residual(s0)
-    offsets, clamped = state["offsets"], state["clamped"]
-    if clamped:
-        raise NumericalFailure(f"taut chord pinned at a vertex at crossings {clamped}")
-    X = rinterpolate(spec.space, A1, A2, s0 / ell)
-    Xp = rinterpolate(spec.space, A1p, A2p, s0 / ell)
-    theta = rangle(spec.space, X, A2, Xp)
-    fracs = [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(len(ells))]
-    for i in range(1, len(fracs) - 1):
-        if not (FRACTION_MARGIN < fracs[i] < 1.0 - FRACTION_MARGIN):
-            raise NumericalFailure(f"crossing {i} leaves its edge (fraction {fracs[i]})")
-    path = _assemble_path(spec, t, seq.tokens, fracs[:-1],
-                          extras={"s0": s0, "theta": theta,
-                                  "sign_changes": len(brackets)})
+    init = [float(f) for f in seq.fractions] + [float(seq.fractions[0])]
+    offsets = frames.relax_chord(steps, ells, init, closed=True)
+    fracs = [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(len(seq.tokens))]
+    for i, f in enumerate(fracs):
+        if not (FRACTION_MARGIN < f < 1.0 - FRACTION_MARGIN):
+            raise NumericalFailure(f"crossing {i} leaves its edge (fraction {f})")
+    path = _assemble_path(spec, t, seq.tokens, fracs,
+                          extras={"s0": offsets[0] + ells[0] / 2.0})
     if not path.closed:
         raise NumericalFailure(
             f"extracted path fails closure (residual {path.closure_residual:.3e})")
     return path
-
-
-def _end_angle_residual(steps, ells, offsets):
-    """Supplementary-angle defect where the chain closes, frame-locally.
-
-    Measures the angle between the starting edge and the first chord
-    segment at X(s) plus the angle between the closing edge and the last
-    segment at X'(s), minus pi; both angles point toward the larger label.
-    """
-    P0 = frames.chord_point(offsets[0])
-    P1 = frames._matvec(frames._mink_inverse(steps[0].transition),
-                        frames.chord_point(offsets[1]))
-    e0 = (math.sinh(offsets[0]), math.cosh(offsets[0]), 0.0)
-    t1 = rtangent(SpaceKind.HYPERBOLIC, P0, P1)
-    ang0 = math.acos(max(-1.0, min(1.0, _mdot(e0, t1))))
-
-    PN = frames.chord_point(offsets[-1])
-    PN1 = frames._matvec(steps[-1].transition, frames.chord_point(offsets[-2]))
-    eN = (math.sinh(offsets[-1]), math.cosh(offsets[-1]), 0.0)
-    t2 = rtangent(SpaceKind.HYPERBOLIC, PN, PN1)
-    angN = math.acos(max(-1.0, min(1.0, _mdot(eN, t2))))
-    return ang0 + angN - math.pi

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from .errors import InvalidAngle, InvalidEdge, InvalidTetrahedron
 from .geom import SpaceKind
 
-VERTICES = (1, 2, 3, 4)
 EDGES = ("12", "13", "14", "23", "24", "34")
 FACES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
@@ -27,20 +26,18 @@ FACES = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 OPPOSITE_EDGE = {"12": "34", "34": "12", "13": "24", "24": "13", "14": "23", "23": "14"}
 
 SPHERICAL_EDGE_MAX = math.pi - math.acos(1.0 / 3.0)
+# beyond this edge cos(alpha) = cosh(a) / (1 + cosh(a)) rounds to 1
+HYPERBOLIC_EDGE_MAX = math.acosh(2.0 ** 53)
 
 
 def edge_token(u, v):
     return f"{min(u, v)}{max(u, v)}"
 
 
-def edge_vertices(token):
-    return (int(token[0]), int(token[1]))
-
-
 def edge_from_angle(space, alpha):
     """Edge length of the regular tetrahedron with planar angle alpha."""
     if space == SpaceKind.EUCLIDEAN:
-        if abs(alpha - math.pi / 3) > 1e-12:
+        if not abs(alpha - math.pi / 3) <= 1e-12:
             raise InvalidAngle("Euclidean regular tetrahedron has alpha = pi/3")
         return 1.0
     if space == SpaceKind.SPHERICAL:
@@ -49,19 +46,23 @@ def edge_from_angle(space, alpha):
         return math.acos(math.cos(alpha) / (1.0 - math.cos(alpha)))
     if not (0.0 < alpha < math.pi / 3):
         raise InvalidAngle(f"hyperbolic alpha must lie in (0, pi/3), got {alpha}")
+    if math.cos(alpha) == 1.0:
+        raise InvalidAngle(f"hyperbolic alpha {alpha} is below double resolution")
     return math.acosh(math.cos(alpha) / (1.0 - math.cos(alpha)))
 
 
 def angle_from_edge(space, a):
     """Inverse of edge_from_angle; round-trips to 1e-10."""
     if space == SpaceKind.EUCLIDEAN:
+        if not (0.0 < a < math.inf):
+            raise InvalidEdge("Euclidean edge must be positive and finite")
         return math.pi / 3
     if space == SpaceKind.SPHERICAL:
         if not (0.0 < a < SPHERICAL_EDGE_MAX):
             raise InvalidEdge(f"spherical edge must lie in (0, {SPHERICAL_EDGE_MAX:.6f})")
         return math.acos(math.cos(a) / (1.0 + math.cos(a)))
-    if a <= 0.0:
-        raise InvalidEdge("hyperbolic edge must be positive")
+    if not (0.0 < a < HYPERBOLIC_EDGE_MAX):
+        raise InvalidEdge(f"hyperbolic edge must lie in (0, {HYPERBOLIC_EDGE_MAX:.6f})")
     return math.acos(math.cosh(a) / (1.0 + math.cosh(a)))
 
 

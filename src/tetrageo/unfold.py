@@ -148,8 +148,7 @@ def build_development(spec, s: CrossingSequence, hemisphere_check=True):
                 HemisphereWarning, stacklevel=2)
 
     if space == SpaceKind.HYPERBOLIC:
-        placed = frames_mod.place_faces(
-            frames_mod.build_chain(tokens_ext, spec.face_edge_length), 0)
+        placed = frames_mod.place_faces(frames_mod.build_chain(tokens_ext, spec.face_edge_length))
     else:
         _, placed = place_chain(spec, tokens_ext)
 

@@ -140,6 +140,43 @@ def test_nonfinite_inputs_exit_2(tmp_path):
         assert (code, text) == (2, "")
 
 
+@pytest.mark.parametrize("args", [
+    ["construct", "--space", "hyperbolic", "--alpha", "1e-10"],   # cos(alpha) rounds to 1
+    ["count", "--alpha", "1e-300", "--L", "20"],
+    ["construct", "--space", "hyperbolic", "--edge", "1e300"],    # cosh(edge) overflows
+    ["construct", "--space", "euclidean", "--mu", "inf"],         # Fraction(inf) overflows
+], ids=["tiny-alpha", "count-tiny-alpha", "huge-edge", "infinite-mu"])
+def test_extreme_inputs_exit_2(args, tmp_path):
+    if args[0] == "construct":
+        args = args + ["--p", "1", "--q", "2"]
+    assert run_cli(args, tmp_path) == (2, "")
+
+
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
+FUZZ_FLAGS = (
+    [(["construct", "--space", space, "--p", "1", "--q", "2"], flag)
+     for space in ("euclidean", "spherical", "hyperbolic") for flag in ("--alpha", "--edge")]
+    + [(["construct", "--space", "euclidean", "--p", "1", "--q", "2"], "--mu"),
+       (["exists", "--space", "spherical", "--p", "1", "--q", "2"], "--alpha"),
+       (["exists", "--space", "spherical", "--p", "1", "--q", "2"], "--edge"),
+       (["threshold", "--p", "1", "--q", "2"], "--tol"),
+       (["bounds", "--p", "3", "--q", "4"], "--alpha"),
+       (["count", "--L", "20"], "--alpha"),
+       (["count", "--alpha", "0.5"], "--L")])
+
+
+def test_cli_fuzz_float_flags(tmp_path, capsys):
+    # an uncaught exception would escape main() with its traceback
+    for base, flag in FUZZ_FLAGS:
+        for value in FUZZ_VALUES:
+            code, _ = run_cli(base + [f"{flag}={value}"], tmp_path)
+            assert code in (0, 2, 3, 4), (base, flag, value)
+    for jobs in ("1", "0", "-1"):   # nothing above 1: no worker pool starts
+        code, _ = run_cli(["count", "--alpha", "0.5", "--L", "20", "--jobs", jobs], tmp_path)
+        assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_not_exists_construct_exit(tmp_path):
     code, _ = run_cli(["construct", "--space", "spherical", "--alpha", "1.30",
                        "--p", "1", "--q", "2"], tmp_path)

@@ -134,6 +134,12 @@ def test_threshold_rejects_nonfinite_tol():
             threshold_beta(GeodesicType(1, 1), tol=tol)
 
 
+def test_threshold_tol_below_float_spacing():
+    # the bisection ends once lo and hi are adjacent floats
+    res = threshold_beta(GeodesicType(1, 1), tol=1e-300)
+    assert 0.0 < res.hi - res.lo <= 2.0 * math.ulp(res.lo)
+
+
 def test_abstract_length_below_threshold_equals_geodesic():
     spec = TetrahedronSpec(S, 1.2)
     t = GeodesicType(1, 1)

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import coprime_types
+from tetrageo import frames
 from tetrageo.combinat import GeodesicType, crossing_sequence
 from tetrageo.errors import InvalidTetrahedron, PreconditionFailed, VertexHit
 from tetrageo.geom import SpaceKind
@@ -159,25 +161,60 @@ def test_hyperbolic_deep_regular():
     path = midpoint_geodesic(TetrahedronSpec(H, 0.05), GeodesicType(7, 13))
     assert path.closed and path.simple
     assert path.closure_residual < 1e-8
-    assert path.extras["method"] == "relax"
 
 
-def test_hyperbolic_shoot_and_relax_agree():
-    spec = TetrahedronSpec(H, 0.9)
-    t = GeodesicType(3, 5)
+def _flat_log(alpha):
+    """log(2 sqrt(3) (1 - 3 alpha / pi) + 1): depth per crossing is half of it."""
+    return math.log(2.0 * math.sqrt(3.0) * (1.0 - 3.0 * alpha / math.pi) + 1.0)
+
+
+@st.composite
+def shallow_chains(draw):
+    """(alpha, p, q) whose quarter chain has depth (p+q)/2 * _flat_log <= 2."""
+    alpha = draw(st.one_of(st.floats(0.05, 0.95), st.floats(0.95, 1.047, exclude_max=True)))
+    n = draw(st.integers(1, max(1, min(20, int(4.0 / _flat_log(alpha))))))
+    p = draw(st.integers(0, n // 2).filter(lambda p: math.gcd(p, n - p) == 1))
+    return alpha, p, n - p
+
+
+@given(shallow_chains())
+def test_hyperbolic_shoot_and_relax_agree(chain):
+    # direction shooting is exact on shallow chains: the Newton chord must
+    # reproduce its crossing offsets, near the flat limit too
+    alpha, p, q = chain
+    spec = TetrahedronSpec(H, alpha)
+    t = GeodesicType(p, q)
     seq = crossing_sequence(t)
-    from tetrageo import frames
     K = len(seq.tokens) // 4
-    tokens_q = list(seq.tokens[:K + 1])
-    steps = frames.build_chain(tokens_q, spec.face_edge_length)
+    steps = frames.build_chain(list(seq.tokens[:K + 1]), spec.face_edge_length)
     ells = [spec.edge] * (K + 1)
     pe, qe = t.effective()
     _, trace = frames.shoot_chord(steps, ells, math.atan2(qe * math.sqrt(3), qe + 2 * pe))
-    init = [float(f) for f in seq.fractions[:K + 1]]
-    offsets, clamped = frames.relax_chord(steps, ells, init)
-    assert not clamped
+    offsets = frames.relax_chord(steps, ells, [float(f) for f in seq.fractions[:K + 1]])
     for o1, o2 in zip(trace.offsets, offsets):
         assert abs(o1 - o2) < 1e-9
+
+
+@given(st.floats(0.95, 1.045), st.sampled_from(coprime_types(20)))
+def test_hyperbolic_flat_limit_deficit(alpha, pq):
+    # toward alpha = pi/3 the length tends to the Euclidean closed form
+    # 2 a sqrt(p^2+pq+q^2) from below, within the angle defect
+    p, q = pq
+    spec = TetrahedronSpec(H, alpha)
+    path = midpoint_geodesic(spec, GeodesicType(p, q))
+    deficit = 1.0 - path.total_length / (2.0 * spec.edge * math.sqrt(p * p + p * q + q * q))
+    assert 0.0 < deficit < math.pi / 3 - alpha
+
+
+@pytest.mark.parametrize("pq, alpha", [((17, 23), 1.01), ((20, 27), 1.0), ((20, 27), 1.01),
+                                       ((20, 27), 1.02)])
+def test_hyperbolic_near_flat_deep_chains(pq, alpha):
+    # deep near-flat chains: many weakly curved faces couple every crossing
+    path = midpoint_geodesic(TetrahedronSpec(H, alpha), GeodesicType(*pq))
+    assert path.closed and path.simple
+    n = len(path.crossings)
+    for idx in (0, n // 4, n // 2, 3 * n // 4):
+        assert path.fractions[idx] == 0.5
 
 
 def test_mirrored_fractions_consistent_with_euclid():
@@ -190,6 +227,14 @@ def test_mirrored_fractions_consistent_with_euclid():
         full = full_fractions_from_quarter(seq, quarter)
         for f1, f2 in zip(full, [float(f) for f in seq.fractions]):
             assert abs(f1 - f2) < 1e-15
+
+
+def test_euclid_rejects_unrepresentable_mu():
+    t = GeodesicType(1, 2)
+    with pytest.raises(ValueError):
+        euclid_geodesic(t, math.inf)
+    with pytest.raises(VertexHit):   # valid exactly, but the crossing rounds onto a vertex
+        euclid_geodesic(t, 1e-300)
 
 
 def test_euclid_rejects_midpoint_geodesic():
@@ -232,7 +277,7 @@ def test_euclid_scale_invariance():
 def test_generic_regular_matches_midpoint():
     a = edge_from_angle(H, math.pi / 6)
     reg = generic_from_edges([a] * 6)
-    for pq in [(0, 1), (1, 2), (3, 5), (4, 5)]:
+    for pq in [(0, 1), (1, 2), (3, 5), (4, 5), (5, 8)]:
         t = GeodesicType(*pq)
         rg = generic_hyperbolic_geodesic(reg, t)
         rm = midpoint_geodesic(TetrahedronSpec(H, math.pi / 6), t)
@@ -282,9 +327,8 @@ def test_generic_random_sample():
 
 
 def test_generic_random_specs_type_35():
-    # specs drawn as in acceptance criterion 08 with seed 1; the bracketing
-    # grid on e_0 and e_N must keep the sign change of the frame-local end
-    # condition on accepted specs 1, 9 and 12
+    # specs drawn as in acceptance criterion 08 with seed 1: (3,5) on specs
+    # 1, 9 and 12 and (5,8) on all of them close up
     rng = random.Random(1)
     specs = []
     while len(specs) < 13:
@@ -298,6 +342,9 @@ def test_generic_random_specs_type_35():
             specs.append(spec)
     for i in (1, 9, 12):
         path = generic_hyperbolic_geodesic(specs[i], GeodesicType(3, 5))
+        assert path.closed and path.simple, i
+    for i, spec in enumerate(specs):
+        path = generic_hyperbolic_geodesic(spec, GeodesicType(5, 8))
         assert path.closed and path.simple, i
 
 
@@ -316,8 +363,8 @@ def test_frozen_high_precision_references():
 
 
 def test_generic_larger_types():
-    # longer generic chains: the frame-local end condition keeps the closure
-    # residual at solver precision where global-chart bisection could not
+    # longer generic chains: the closed solve in edge-local frames keeps the
+    # closure residual at solver precision
     spec = generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02])
     for pq in ((1, 3), (2, 3)):
         path = generic_hyperbolic_geodesic(spec, GeodesicType(*pq))

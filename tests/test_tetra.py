@@ -6,7 +6,7 @@ import pytest
 
 from tetrageo.errors import InvalidAngle, InvalidEdge, InvalidTetrahedron
 from tetrageo.geom import SpaceKind
-from tetrageo.tetra import (SPHERICAL_EDGE_MAX, TetrahedronSpec,
+from tetrageo.tetra import (HYPERBOLIC_EDGE_MAX, SPHERICAL_EDGE_MAX, TetrahedronSpec,
                             angle_from_edge, edge_from_angle, face_altitude,
                             generic_from_edges)
 
@@ -36,6 +36,16 @@ def test_edge_angle_domains():
         angle_from_edge(S, SPHERICAL_EDGE_MAX + 0.01)
     with pytest.raises(InvalidEdge):
         angle_from_edge(H, -1.0)
+    with pytest.raises(InvalidAngle):
+        edge_from_angle(H, 1e-10)        # cos(alpha) rounds to 1
+    with pytest.raises(InvalidEdge):
+        angle_from_edge(H, 1e300)        # cosh overflows
+    with pytest.raises(InvalidEdge):
+        angle_from_edge(H, HYPERBOLIC_EDGE_MAX)
+    with pytest.raises(InvalidAngle):
+        edge_from_angle(E, math.nan)
+    with pytest.raises(InvalidEdge):
+        angle_from_edge(E, math.inf)
 
 
 def test_round_trip():
