@@ -149,6 +149,11 @@ def _cmd_construct(args):
               f"(edge {result.edge}, signed distance {result.signed_distance:.3e})",
               file=sys.stderr)
         return EXIT_NEGATIVE
+    if not (result.closed and result.simple):
+        fault = "is not simple" if result.closed else "fails the closure check"
+        print(f"constructed path {fault} (closure residual {result.closure_residual:.3e})",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     dev = build_development(spec, crossing_sequence(t), hemisphere_check=False)
     if args.format == "svg":
         _emit(svg.render_development(dev, result), args.out)

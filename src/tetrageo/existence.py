@@ -8,7 +8,9 @@ midpoint chord; the closed-form angle bounds are one-sided cross-checks:
 * sufficient: existence for alpha in (pi/3, pi/3 + eps*) with eps* the
   two-term minimum built from the constants c0, c_l, c_alpha;
 * exact: existence iff the abstract shortest curve in the development is
-  shorter than 2*pi.
+  shorter than 2*pi; the curve is the midpoint chord where that is
+  contained, otherwise one bounded solve of the Newton chord solver of
+  :mod:`frames`, which wraps the blocking vertices.
 """
 
 from __future__ import annotations
@@ -16,18 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import frames
 from .combinat import GeodesicType, crossing_sequence
-from .errors import BoundDegenerate, BoundVacuous, NoThreshold, NumericalFailure, TooLong
-from .geom import SpaceKind, _cross3, _dot3, _unit3, rdistance, rmidpoint
+from .errors import BoundDegenerate, BoundVacuous, NoThreshold, TooLong
+from .geom import SpaceKind
 from .paths import GeodesicPath, NotContained, midpoint_geodesic
 from .tetra import TetrahedronSpec
-from .unfold import place_chain
 
 UNDETERMINED_MARGIN = 1e-9
-
-# taut-string shortening: sweep cap and the length decrease that ends it
-TAUT_MAX_SWEEPS = 50000
-TAUT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -254,54 +252,19 @@ def threshold_beta(t: GeodesicType, tol=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# abstract shortest curve (taut string over the development)
-
-def _arc_argmin(A, B, a, b):
-    """Point on arc a->b minimizing spherical d(A, .) + d(., B); clamped."""
-    ell = rdistance(SpaceKind.SPHERICAL, a, b)
-    tab = _unit3(_cross3(_cross3(a, b), a))
-
-    def pos(s):
-        return (a[0] * math.cos(s) + tab[0] * math.sin(s),
-                a[1] * math.cos(s) + tab[1] * math.sin(s),
-                a[2] * math.cos(s) + tab[2] * math.sin(s))
-
-    def deriv(s):
-        p = (-a[0] * math.sin(s) + tab[0] * math.cos(s),
-             -a[1] * math.sin(s) + tab[1] * math.cos(s),
-             -a[2] * math.sin(s) + tab[2] * math.cos(s))
-        pt = pos(s)
-        g = 0.0
-        for X in (A, B):
-            c = _dot3(X, pt)
-            root = math.sqrt(max(1.0 - c * c, 1e-300))
-            g += -_dot3(X, p) / root
-        return g
-
-    lo_s, hi_s = 0.0, ell
-    if deriv(lo_s) >= 0.0:
-        return 0.0, a
-    if deriv(hi_s) <= 0.0:
-        return 1.0, b
-    for _ in range(80):
-        mid = 0.5 * (lo_s + hi_s)
-        if deriv(mid) < 0.0:
-            lo_s = mid
-        else:
-            hi_s = mid
-        if hi_s - lo_s < 1e-14:
-            break
-    s = 0.5 * (lo_s + hi_s)
-    return s / ell, pos(s)
-
+# abstract shortest curve (bounded chord over the development)
 
 def abstract_shortest_curve_length(spec: TetrahedronSpec, t: GeodesicType):
-    """Infimum length of development curves through the five symmetry points.
+    """Length of the shortest development curve from X1 to X1'.
 
-    Below the threshold this equals the chord (geodesic) length; otherwise
-    a taut string over the glue edges is shortened iteratively, with edge
-    positions clamped so the string may wrap the blocking vertices.  At the
-    threshold the value is 2*pi (the perimeter of the flat digon).
+    Where the midpoint chord is contained (below the threshold) this is
+    its length, the geodesic's.  Otherwise the chain e_0..e_N of the whole
+    crossing word is placed in edge-local frames, and one Newton chord
+    solve, pinned at the midpoints X1 of e_0 and X1' of e_N only and seeded
+    with the exact Euclidean crossing fractions, shortens the curve; each
+    crossing may reach an end of its edge, so the curve wraps the vertices
+    that block it.  At the threshold the value is 2*pi (the perimeter of
+    the flat digon).
     """
     if spec.space != SpaceKind.SPHERICAL:
         raise ValueError("the abstract shortest curve is a spherical construction")
@@ -313,21 +276,7 @@ def abstract_shortest_curve_length(spec: TetrahedronSpec, t: GeodesicType):
         pass
     seq = crossing_sequence(t)
     tokens = list(seq.tokens) + [seq.tokens[0]]
-    edge_pts, _ = place_chain(spec, tokens)
-    n = len(seq.tokens)
-    pts = [rmidpoint(SpaceKind.SPHERICAL, a, b) for a, b in edge_pts]
-
-    def total_length(ps):
-        return sum(rdistance(SpaceKind.SPHERICAL, ps[i], ps[i + 1]) for i in range(len(ps) - 1))
-
-    prev = total_length(pts)
-    for sweep in range(TAUT_MAX_SWEEPS):
-        for i in range(1, n):
-            a, b = edge_pts[i]
-            _, pnew = _arc_argmin(pts[i - 1], pts[i + 1], a, b)
-            pts[i] = pnew
-        cur = total_length(pts)
-        if prev - cur < TAUT_TOL:
-            return cur
-        prev = cur
-    raise NumericalFailure("taut-string shortening did not converge")
+    steps = frames.build_chain(spec, tokens)
+    init = [0.5] + [float(f) for f in seq.fractions[1:]] + [0.5]
+    offsets = frames.relax_chord(steps, [spec.edge] * len(tokens), init)
+    return sum(frames.trace_geometry(steps, offsets))

@@ -247,7 +247,11 @@ def full_fractions_from_quarter(seq: CrossingSequence, quarter_fracs):
 # spherical quarter construction (global chart; sphere coordinates are bounded)
 
 def _spherical_quarter(spec, seq):
-    """Quarter chord data on the sphere: fractions f_0..f_K or a witness."""
+    """Quarter chord data on the sphere: fractions f_0..f_K or a witness, and extras.
+
+    A contained chord is checked against the whole chain: X2, Y2 and X1'
+    must lie on the great circle through X1 and Y1.
+    """
     n = len(seq.tokens)
     K = n // 4
     edge_pts, _ = place_chain(spec, seq.tokens[:K + 1])
@@ -279,7 +283,7 @@ def _spherical_quarter(spec, seq):
             witness = NotContained(seq.gtype, face_index=i, edge=seq.tokens[i],
                                    signed_distance=sd)
     if witness is not None:
-        return None, witness, quarter_len
+        return None, witness, None
     # by the exact criterion a contained chord is shorter than 2*pi; the
     # length check runs after the sweep so genuine exits report a witness
     if 4.0 * quarter_len >= 2.0 * math.pi:
@@ -287,23 +291,16 @@ def _spherical_quarter(spec, seq):
     if theta_prev >= quarter_len:
         return None, NotContained(seq.gtype, face_index=K, edge=seq.tokens[K % n],
                                   signed_distance=0.0,
-                                  reason="crossings out of order"), quarter_len
-    fracs.append(0.5)
-    return fracs, None, quarter_len
-
-
-def _spherical_symmetry_residual(spec, seq):
-    """Perpendicular distance of X2, Y2 from the X1-Y1 great circle."""
+                                  reason="crossings out of order"), None
     edge_pts, _ = place_chain(spec, list(seq.tokens) + [seq.tokens[0]])
-    n = len(seq.tokens)
-    X1 = rmidpoint(spec.space, *edge_pts[0])
-    Y1 = rmidpoint(spec.space, *edge_pts[n // 4])
-    n_c = _unit3(_cross3(X1, rtangent(spec.space, X1, Y1)))
-    res = 0.0
+    sym_res = 0.0
     for idx in (n // 2, 3 * n // 4, n):
         P = rmidpoint(spec.space, *edge_pts[idx])
-        res = max(res, abs(math.asin(max(-1.0, min(1.0, _dot3(P, n_c))))))
-    return res
+        sym_res = max(sym_res, abs(math.asin(max(-1.0, min(1.0, _dot3(P, n_c))))))
+    if sym_res > 1e-8:
+        raise NumericalFailure(f"symmetry points off the chord by {sym_res:.3e}")
+    fracs.append(0.5)
+    return fracs, None, {"quarter_length": quarter_len, "symmetry_residual": sym_res}
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +316,7 @@ def _hyperbolic_quarter(spec, seq):
     n = len(seq.tokens)
     K = n // 4
     tokens_q = list(seq.tokens[:K + 1])
-    steps = frames.build_chain(tokens_q, spec.face_edge_length)
+    steps = frames.build_chain(spec, tokens_q)
     ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens_q]
     init = [float(f) for f in seq.fractions[:K + 1]]
     init[0] = init[K] = 0.5
@@ -331,7 +328,7 @@ def _hyperbolic_quarter(spec, seq):
             sd = (min(f, 1.0 - f)) * ells[i]
             return None, NotContained(seq.gtype, face_index=i, edge=seq.tokens[i],
                                       signed_distance=sd), None
-    return fracs, None, sum(frames.trace_geometry(steps, offsets))
+    return fracs, None, {"quarter_length": sum(frames.trace_geometry(steps, offsets))}
 
 
 def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
@@ -348,26 +345,16 @@ def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
     if spec.space == SpaceKind.EUCLIDEAN:
         raise PreconditionFailed("use euclid_geodesic for the Euclidean tetrahedron")
     seq = crossing_sequence(t)
-    if spec.space == SpaceKind.SPHERICAL:
-        quarter, witness, quarter_len = _spherical_quarter(spec, seq)
-        if witness is not None:
-            return witness
-        sym_res = _spherical_symmetry_residual(spec, seq)
-        if sym_res > 1e-8:
-            raise NumericalFailure(f"symmetry points off the chord by {sym_res:.3e}")
-        fracs = full_fractions_from_quarter(seq, quarter)
-        path = _assemble_path(spec, t, seq.tokens, fracs,
-                              extras={"quarter_length": quarter_len,
-                                      "symmetry_residual": sym_res})
-        if path.total_length >= 2.0 * math.pi:
-            raise TooLong(f"constructed length {path.total_length:.6f} >= 2*pi")
-        return path
-    quarter, witness, quarter_len = _hyperbolic_quarter(spec, seq)
+    spherical = spec.space == SpaceKind.SPHERICAL
+    quarter_chord = _spherical_quarter if spherical else _hyperbolic_quarter
+    quarter, witness, extras = quarter_chord(spec, seq)
     if witness is not None:
         return witness
     fracs = full_fractions_from_quarter(seq, quarter)
-    path = _assemble_path(spec, t, seq.tokens, fracs, extras={"quarter_length": quarter_len})
-    if not path.closed:
+    path = _assemble_path(spec, t, seq.tokens, fracs, extras=extras)
+    if spherical and path.total_length >= 2.0 * math.pi:
+        raise TooLong(f"constructed length {path.total_length:.6f} >= 2*pi")
+    if not (spherical or path.closed):
         raise NumericalFailure(
             f"quarter chord fails the closure check (residual {path.closure_residual:.3e})")
     return path
@@ -393,7 +380,7 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
 
     seq = crossing_sequence(t)
     tokens_ext = list(seq.tokens) + [seq.tokens[0]]
-    steps = frames.build_chain(tokens_ext, spec.face_edge_length)
+    steps = frames.build_chain(spec, tokens_ext)
     ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens_ext]
     init = [float(f) for f in seq.fractions] + [float(seq.fractions[0])]
     offsets = frames.relax_chord(steps, ells, init, closed=True)

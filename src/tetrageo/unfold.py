@@ -148,7 +148,7 @@ def build_development(spec, s: CrossingSequence, hemisphere_check=True):
                 HemisphereWarning, stacklevel=2)
 
     if space == SpaceKind.HYPERBOLIC:
-        placed = frames_mod.place_faces(frames_mod.build_chain(tokens_ext, spec.face_edge_length))
+        placed = frames_mod.place_faces(frames_mod.build_chain(spec, tokens_ext))
     else:
         _, placed = place_chain(spec, tokens_ext)
 

@@ -271,6 +271,27 @@ def test_euclid_mu_vertex_hit_exit(tmp_path):
     assert code == 0
 
 
+def test_construct_exits_4_on_failed_closure(tmp_path, capsys):
+    # at mu = 1e-8 the angles are taken 1e-8 from a vertex and the closure
+    # residual exceeds its gate: the path must not be printed with exit 0
+    args = ["construct", "--space", "euclidean", "--p", "1", "--q", "2"]
+    assert run_cli(args + ["--mu", "1e-8"], tmp_path) == (4, "")
+    assert "closure check" in capsys.readouterr().err
+    code, text = run_cli(args + ["--mu", "1e-7"], tmp_path)
+    assert code == 0 and json.loads(text)["path"]["closed"] is True
+
+
+@pytest.mark.parametrize("pq", [(1, 12), (5, 12), (2, 15)])
+def test_tiny_hyperbolic_angle_never_domain_error(pq, tmp_path, capsys):
+    # <D, D> rounds negative on edges of length 33.6; such a segment is
+    # skipped by the chord solver instead of raising "math domain error"
+    args = ["construct", "--space", "hyperbolic", "--alpha", "1e-7",
+            "--p", str(pq[0]), "--q", str(pq[1])]
+    code, _ = run_cli(args, tmp_path)
+    assert code in (0, 4)
+    assert "math domain error" not in capsys.readouterr().err
+
+
 def test_count_deg_flag(tmp_path):
     import math
     code, text = run_cli(["count", "--alpha", str(math.degrees(0.5)), "--deg",

@@ -276,3 +276,57 @@ def test_abstract_length_above_threshold_12():
     assert L > 2 * math.pi
     L2 = abstract_shortest_curve_length(TetrahedronSpec(S, beta + 0.05), t)
     assert L2 > L
+
+
+# abstract shortest curve lengths frozen from the Gauss-Seidel taut string
+# that the Newton chord solve replaced; the solve may only come out shorter,
+# by less than 1e-6
+TAUT_STRING_LENGTHS = [
+    ((1, 4), 7, 6.480958987055651),
+    ((2, 3), 8, 6.581869813520593),
+    ((1, 3), 11, 6.331538296488243),
+    ((1, 3), 12, 6.595941213103963),
+    ((1, 2), 21, 6.329247094381984),
+    ((1, 2), 22, 6.463637455409231),
+    ((1, 2), 23, 6.594367613400218),
+    ((1, 2), 24, 6.721671089350316),
+    ((1, 2), 25, 6.845758085193256),
+    ((1, 2), 26, 6.9668186590872025),
+    ((1, 2), 27, 7.085025384239954),
+    ((1, 2), 28, 7.200535490280333),
+    ((1, 2), 29, 7.313492757723947),
+    ((1, 2), 1.9, 10.905610894748378),
+    ((2, 3), 1.5, 14.762145667122956),
+    ((3, 4), 1.3, 15.749417334880622),
+    ((2, 5), 1.25, 14.556869278090996),
+    ((1, 6), 1.6, 22.38839727586189),
+]
+
+
+def _grid_alpha(k):
+    """Angle k of the verdict grid, computed as the benchmark grid computes it."""
+    return 1.05 + 0.01 * k
+
+
+@pytest.mark.parametrize("pq, where, frozen", TAUT_STRING_LENGTHS)
+def test_abstract_length_against_taut_string(pq, where, frozen):
+    # an int is a grid index, a float a literal angle
+    alpha = _grid_alpha(where) if isinstance(where, int) else where
+    L = abstract_shortest_curve_length(TetrahedronSpec(S, alpha), GeodesicType(*pq))
+    assert L <= frozen + 1e-12
+    assert frozen - L < 1e-6
+
+
+def test_exact_criterion_on_verdict_grid():
+    # the paper's exact criterion: a type-(p,q) geodesic exists iff the
+    # abstract shortest curve is shorter than 2 pi; and the curve lengthens
+    # as the angle grows
+    for p, q in coprime_types(7):
+        t = GeodesicType(p, q)
+        prev = 0.0
+        for k in range(36):
+            spec = TetrahedronSpec(S, _grid_alpha(k))
+            L = abstract_shortest_curve_length(spec, t)
+            assert (L < 2 * math.pi) == (exists_geodesic(spec, t).outcome == "exists"), (p, q, k)
+            assert L > prev, (p, q, k)
+            prev = L

@@ -9,12 +9,13 @@ from hypothesis import given, strategies as st
 
 from conftest import coprime_types
 from tetrageo import frames
-from tetrageo.combinat import GeodesicType, crossing_sequence
+from tetrageo.combinat import (ROTATION_PERMS, CrossingSequence, GeodesicType,
+                               crossing_sequence, relabel_sequence)
 from tetrageo.errors import InvalidTetrahedron, PreconditionFailed, VertexHit
 from tetrageo.geom import SpaceKind
 from tetrageo.paths import (GeodesicPath, NotContained, euclid_geodesic,
                             euclid_mu_interval, full_fractions_from_quarter,
-                            generic_hyperbolic_geodesic, midpoint_geodesic,
+                            generic_hyperbolic_geodesic, midpoint_geodesic, path_metrics,
                             simplicity_check, vertex_clearance)
 from tetrageo.tetra import TetrahedronSpec, edge_from_angle, generic_from_edges
 
@@ -186,12 +187,11 @@ def test_hyperbolic_shoot_and_relax_agree(chain):
     t = GeodesicType(p, q)
     seq = crossing_sequence(t)
     K = len(seq.tokens) // 4
-    steps = frames.build_chain(list(seq.tokens[:K + 1]), spec.face_edge_length)
+    steps = frames.build_chain(spec, list(seq.tokens[:K + 1]))
     ells = [spec.edge] * (K + 1)
-    pe, qe = t.effective()
-    _, trace = frames.shoot_chord(steps, ells, math.atan2(qe * math.sqrt(3), qe + 2 * pe))
+    _, shot = frames.shoot_chord(steps, ells)
     offsets = frames.relax_chord(steps, ells, [float(f) for f in seq.fractions[:K + 1]])
-    for o1, o2 in zip(trace.offsets, offsets):
+    for o1, o2 in zip(shot, offsets):
         assert abs(o1 - o2) < 1e-9
 
 
@@ -204,6 +204,45 @@ def test_hyperbolic_flat_limit_deficit(alpha, pq):
     path = midpoint_geodesic(spec, GeodesicType(p, q))
     deficit = 1.0 - path.total_length / (2.0 * spec.edge * math.sqrt(p * p + p * q + q * q))
     assert 0.0 < deficit < math.pi / 3 - alpha
+
+
+@given(st.floats(1e-6, 1e-3), st.sampled_from(coprime_types(20)))
+def test_spherical_flat_limit_excess(eps, pq):
+    # toward alpha = pi/3 from above the length tends to the Euclidean
+    # closed form 2 a sqrt(p^2+pq+q^2) from above, within the angle excess
+    p, q = pq
+    spec = TetrahedronSpec(S, math.pi / 3 + eps)
+    path = midpoint_geodesic(spec, GeodesicType(p, q))
+    excess = path.total_length / (2.0 * spec.edge * math.sqrt(p * p + p * q + q * q)) - 1.0
+    assert 0.0 < excess < spec.alpha - math.pi / 3
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6])
+def test_spherical_flat_limit_all_types(eps):
+    spec = TetrahedronSpec(S, math.pi / 3 + eps)
+    for p, q in coprime_types(20):
+        path = midpoint_geodesic(spec, GeodesicType(p, q))
+        assert isinstance(path, GeodesicPath) and path.closed, (p, q)
+        excess = path.total_length / (2.0 * spec.edge * math.sqrt(p * p + p * q + q * q)) - 1.0
+        assert 0.0 < excess <= 0.65 * (spec.alpha - math.pi / 3), (p, q)
+
+
+@given(st.sampled_from(coprime_types(12)), st.sampled_from([E, S, H]), st.floats(0.05, 1.0))
+def test_isometric_copies_have_equal_lengths(pq, space, h_alpha):
+    # relabelling the crossings by a rotation of the tetrahedron gives an
+    # isometric path: the fold-back must measure the same length and closure
+    t = GeodesicType(*pq)
+    if space == E:
+        spec, path = TetrahedronSpec(E, math.pi / 3), euclid_geodesic(t)
+    else:
+        spec = TetrahedronSpec(space, math.pi / 3 + 1e-4 if space == S else h_alpha)
+        path = midpoint_geodesic(spec, t)
+    seq = CrossingSequence(t, path.tokens, path.fractions)
+    for perm in ROTATION_PERMS:
+        copy = relabel_sequence(seq, perm)
+        length, _, residual, _ = path_metrics(spec, copy.tokens, copy.fractions)
+        assert abs(length - path.total_length) < 1e-9
+        assert residual < 1e-8
 
 
 @pytest.mark.parametrize("pq, alpha", [((17, 23), 1.01), ((20, 27), 1.0), ((20, 27), 1.01),
