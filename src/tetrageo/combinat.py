@@ -12,12 +12,14 @@ tiling is cut out by three line families
 and the traced segment runs from (mu, 0) to (mu + qe + 2*pe, qe).  The
 orientation (pe, qe) is (p, q) when q is odd and (q, p) otherwise: the
 row family must carry the odd member of the pair, else the mu = 1/2 line
-passes through a tiling vertex.  All crossing ordinates are exact
-rationals, so vertex hits are detected exactly.
+passes through a tiling vertex.  All crossing ordinates share one
+denominator, so the trace runs exactly on scaled integers; the canonical
+word (mu = 1/2) is cached for the most recently used types.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,23 +86,9 @@ class CrossingSequence:
         return out
 
 
-def _vertex_label(x, m):
-    """Tetrahedron label of the tiling vertex at (x, Y=m/2); x, m exact."""
-    r = m % 4
-    if r == 0:
-        l = int(x)
-        return 1 if l % 2 == 0 else 2
-    if r == 2:
-        l = int(x)
-        return 2 if l % 2 == 0 else 1
-    l = int(x - Fraction(1, 2))
-    if r == 1:
-        return 3 if l % 2 == 0 else 4
-    return 4 if l % 2 == 0 else 3
-
-
-def _row_offset(m):
-    return Fraction(0) if m % 2 == 0 else Fraction(1, 2)
+def _vertex_label(u, m):
+    """Tetrahedron label of the tiling vertex at (x, Y) = (u/2, m/2): by m % 4 and floor(x) % 2."""
+    return ((1, 2), (3, 4), (2, 1), (4, 3))[m % 4][(u // 2) % 2]
 
 
 def trace_crossings(t: GeodesicType, mu):
@@ -109,58 +97,41 @@ def trace_crossings(t: GeodesicType, mu):
     Returns a list of (x, token, fraction) with fraction measured from the
     smaller-labelled endpoint.  Raises VertexHit if the line meets a tiling
     vertex (or if two crossings coincide, which is the same event).
+
+    The trace runs on integers: for mu = a/b every crossing abscissa and
+    fraction is a multiple of 1/D, D = 2 b lcm(qe, pe, pe+qe), the common
+    denominator of the rows, both diagonal families and the anchor.
+    Fractions are built only for the returned records.
     """
     mu = Fraction(mu)
+    a, b = mu.numerator, mu.denominator
     pe, qe = t.effective()
-    slope = Fraction(qe, qe + 2 * pe)
-    out = []
+    w = qe + 2 * pe
+    D = 2 * b * math.lcm(qe, pe + qe, pe or 1)
+    out = []  # (x * D, token, fraction * D)
 
-    def add(x, yy, v0, l0, v1, l1, frac_from_v0):
-        if frac_from_v0 <= 0 or frac_from_v0 >= 1:
-            raise VertexHit(f"tiling line through mu={mu} hits a vertex near x={x}")
-        tok = edge_token(l0, l1)
-        frac = frac_from_v0 if l0 < l1 else 1 - frac_from_v0
-        out.append((x, tok, frac))
+    def add(X, u0, m0, u1, m1, F):
+        if F <= 0 or F >= D:
+            raise VertexHit(f"tiling line through mu={mu} hits a vertex near x={Fraction(X, D)}")
+        l0, l1 = _vertex_label(u0, m0), _vertex_label(u1, m1)
+        out.append((X, edge_token(l0, l1), F if l0 < l1 else D - F))
 
-    # row crossings, m = 0 .. 2*qe - 1 (the m = 2*qe endpoint is identified with m = 0)
+    # rows Y = m/2, m = 0 .. 2*qe - 1 (m = 2*qe is identified with m = 0);
+    # the vertices of row m sit at x = k + off, off = 1/2 on odd rows
     for m in range(0, 2 * qe):
-        x = mu + Fraction(m * (qe + 2 * pe), 2 * qe)
-        off = _row_offset(m)
-        x0 = (x - off).__floor__() + off
-        l0 = _vertex_label(x0, m)
-        l1 = _vertex_label(x0 + 1, m)
-        add(x, Fraction(m, 2), x0, l0, x0 + 1, l1, x - x0)
+        X = a * (D // b) + m * w * (D // (2 * qe))
+        off = D // 2 if m % 2 else 0
+        k = (X - off) // D
+        add(X, 2 * k + m % 2, m, 2 * k + m % 2 + 2, m, X - k * D - off)
 
-    # diagonals x - Y = n (climbing family), crossed 2*pe times
-    if pe > 0:
-        lo = (mu).__floor__() + 1
-        hi = (mu + 2 * pe).__ceil__() - 1
-        for n in range(lo, hi + 1):
-            x = (n - slope * mu) / (1 - slope)
-            yy = slope * (x - mu)
-            y0 = (2 * yy).__floor__()
-            Y0 = Fraction(y0, 2)
-            m0 = y0
-            v0x = n + Y0
-            v1x = n + Y0 + Fraction(1, 2)
-            l0 = _vertex_label(v0x, m0)
-            l1 = _vertex_label(v1x, m0 + 1)
-            add(x, yy, v0x, l0, v1x, l1, 2 * (yy - Y0))
-
-    # diagonals x + Y = n (descending family), crossed 2*(pe+qe) times
-    lo = (mu).__floor__() + 1
-    hi = (mu + 2 * (pe + qe)).__ceil__() - 1
-    for n in range(lo, hi + 1):
-        x = (n + slope * mu) / (1 + slope)
-        yy = slope * (x - mu)
-        y0 = (2 * yy).__floor__()
-        Y0 = Fraction(y0, 2)
-        m0 = y0
-        v0x = n - Y0
-        v1x = n - Y0 - Fraction(1, 2)
-        l0 = _vertex_label(v0x, m0)
-        l1 = _vertex_label(v1x, m0 + 1)
-        add(x, yy, v0x, l0, v1x, l1, 2 * (yy - Y0))
+    # diagonals x - sY = n, crossed 2c times: the climbing family (s = 1, c = pe,
+    # no crossing when pe = 0) and the descending one (s = -1, c = pe + qe); T = 2Y * D
+    for s, c in ((1, pe), (-1, pe + qe)):
+        for n in range(a // b + 1, -(-(a + 2 * c * b) // b)):
+            X = (n * w * b - s * qe * a) * (D // (2 * c * b))
+            T = qe * (n * b - a) * (D // (c * b))
+            y0 = T // D
+            add(X, 2 * n + s * y0, y0, 2 * n + s * (y0 + 1), y0 + 1, T - y0 * D)
 
     out.sort(key=lambda rec: rec[0])
     n_total = t.n_crossings
@@ -169,27 +140,38 @@ def trace_crossings(t: GeodesicType, mu):
     for i in range(1, len(out)):
         if out[i][0] == out[i - 1][0]:
             raise VertexHit("two crossings coincide: segment passes a tiling vertex")
-    return out
+    return [(Fraction(X, D), tok, Fraction(F, D)) for X, tok, F in out]
 
 
-def crossing_sequence(t: GeodesicType, mu=Fraction(1, 2)):
+_HALF = Fraction(1, 2)
+
+
+def crossing_sequence(t: GeodesicType, mu=_HALF):
     """Canonical crossing word of type (p,q), anchored at the A1A2 crossing at mu.
 
     With the default mu = 1/2 the word starts at the midpoint of an A1A2
     edge and its quarter points land on edge midpoints (the symmetry points
-    of the development).
+    of the development).  That word is cached for the 256 most recently used
+    types; the returned sequence is immutable and shared by every caller.
     """
-    recs = trace_crossings(t, mu)
-    seq = CrossingSequence(
-        gtype=t,
-        tokens=tuple(rec[1] for rec in recs),
-        fractions=tuple(rec[2] for rec in recs),
-    )
-    if Fraction(mu) == Fraction(1, 2):
-        n = len(seq)
-        for idx in (0, n // 4, n // 2, 3 * n // 4):
-            assert seq.fractions[idx] == Fraction(1, 2), "midpoint anchor violated"
+    if Fraction(mu) == _HALF:
+        return _canonical_sequence(t)
+    return _traced_sequence(t, mu)
+
+
+# bounded: the words of every type with p+q <= 154 (a count at L = 320) hold ~190 MB
+@functools.lru_cache(maxsize=256)
+def _canonical_sequence(t):
+    seq = _traced_sequence(t, _HALF)
+    assert all(seq.fractions[k * len(seq) // 4] == _HALF for k in range(4)), \
+        "midpoint anchor violated"
     return seq
+
+
+def _traced_sequence(t, mu):
+    recs = trace_crossings(t, mu)
+    return CrossingSequence(gtype=t, tokens=tuple(rec[1] for rec in recs),
+                            fractions=tuple(rec[2] for rec in recs))
 
 
 def validate_sequence(s: CrossingSequence, t: GeodesicType):
@@ -198,17 +180,10 @@ def validate_sequence(s: CrossingSequence, t: GeodesicType):
     if len(s.tokens) != n:
         return False
     counts = s.multiplicities()
-    seen = set()
-    per_pair = []
-    for tok, opp in OPPOSITE_EDGE.items():
-        if tok in seen or opp in seen:
-            continue
-        seen.update((tok, opp))
-        c1, c2 = counts.get(tok, 0), counts.get(opp, 0)
-        if c1 != c2:
-            return False
-        per_pair.append(c1)
-    if sorted(per_pair) != sorted((t.p, t.q, t.p + t.q)):
+    if any(counts.get(tok, 0) != counts.get(opp, 0) for tok, opp in OPPOSITE_EDGE.items()):
+        return False
+    # one edge of each opposite pair: 12/34, 13/24, 14/23
+    if sorted(counts.get(tok, 0) for tok in ("12", "13", "14")) != sorted((t.p, t.q, t.p + t.q)):
         return False
     for i in range(n):
         a, b = s.tokens[i], s.tokens[(i + 1) % n]
@@ -225,14 +200,8 @@ def validate_sequence(s: CrossingSequence, t: GeodesicType):
 def link_node_windows(s: CrossingSequence):
     """Centers i where crossings i-1, i, i+1 lie on edges at one vertex."""
     n = len(s.tokens)
-    wins = []
-    for i in range(n):
-        common = (set(s.tokens[(i - 1) % n])
-                  & set(s.tokens[i])
-                  & set(s.tokens[(i + 1) % n]))
-        if common:
-            wins.append(i)
-    return wins
+    return [i for i in range(n)
+            if set(s.tokens[i - 1]) & set(s.tokens[i]) & set(s.tokens[(i + 1) % n])]
 
 
 def link_nodes(s: CrossingSequence):

@@ -193,7 +193,7 @@ def exists_geodesic(spec: TetrahedronSpec, t: GeodesicType):
         return ExistenceVerdict("not_exists", t, spec.alpha,
                                 reason="alpha exceeds the necessary bound",
                                 alpha1=alpha1, alpha2=alpha2)
-    length = abstract_shortest_curve_length(spec, t)
+    length = _solved_curve_length(spec, t)
     if length >= 2.0 * math.pi - 1e-9:
         return ExistenceVerdict("not_exists", t, spec.alpha,
                                 reason="abstract shortest curve not shorter than 2*pi",
@@ -274,6 +274,11 @@ def abstract_shortest_curve_length(spec: TetrahedronSpec, t: GeodesicType):
             return result.total_length
     except TooLong:
         pass
+    return _solved_curve_length(spec, t)
+
+
+def _solved_curve_length(spec, t):
+    """The bounded chord solve of the abstract curve, for a chord that is not contained."""
     seq = crossing_sequence(t)
     tokens = list(seq.tokens) + [seq.tokens[0]]
     steps = frames.build_chain(spec, tokens)

@@ -13,10 +13,10 @@ Both hyperbolic routes solve the chord with the one Newton solver of
 :func:`frames.relax_chord`, pinned at X1 and Y1 for the regular quarter and
 closed up for the generic tetrahedron.
 
-All path metrics (length, clearance, closure residuals, simplicity) are
-recomputed from the crossing fractions by folding segments back onto
-canonically placed faces, so they are independent of how the candidate was
-produced and stay well conditioned for long hyperbolic chains.
+Length, clearance and closure residuals are recomputed from the crossing
+fractions by folding each segment back onto its canonically placed face,
+once per path; simplicity is decided from the crossing word and fractions
+alone (endpoints interleaving along a face boundary).
 """
 
 from __future__ import annotations
@@ -24,17 +24,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate, combinations
 
 from . import frames
 from .combinat import CrossingSequence, GeodesicType, crossing_sequence, trace_crossings
 from .errors import NumericalFailure, PreconditionFailed, TooLong, VertexHit
-from .geom import (SpaceKind, _cross3, _dot3, _unit3, chart_point, rangle,
+# rside_measure stays importable here for the perfbench layer trace
+from .geom import (SpaceKind, _cross3, _dot3, _unit3, chart_point, rangle,  # noqa: F401
                    rdistance, rinterpolate, rmidpoint, rpoint_at, rpoint_seg_dist,
                    rside_measure, rtangent)
 from .tetra import TetrahedronSpec, edge_token
 from .unfold import _center_involution, first_face_reps, place_chain
 
 FRACTION_MARGIN = 1e-9
+STRAND_TIE = 1e-12  # crossings of one edge closer than this (in fraction) are unresolved
 
 
 @dataclass(frozen=True)
@@ -91,11 +94,12 @@ def _rep_face(spec, labels):
 
 def _rep_segments(spec, tokens, fractions):
     n = len(tokens)
+    faces = {labels: _rep_face(spec, labels) for labels in combinations((1, 2, 3, 4), 3)}
     segs = []
     for i in range(n):
         tok_in, tok_out = tokens[i], tokens[(i + 1) % n]
         labels = tuple(sorted(set(int(c) for c in tok_in + tok_out)))
-        pts = _rep_face(spec, labels)
+        pts = faces[labels]
         u1, v1 = int(tok_in[0]), int(tok_in[1])
         u2, v2 = int(tok_out[0]), int(tok_out[1])
         p_in = rinterpolate(spec.space, pts[u1], pts[v1], float(fractions[i]))
@@ -135,31 +139,52 @@ def vertex_clearance(path, spec):
     return clearance
 
 
-def _segments_properly_cross(space, a, b, c, d):
-    """Strict interior crossing test; faces lie in convex chart regions.
+def _edge_ranks(path):
+    """Rank of each crossing along its edge, by fraction.
 
-    Spherical faces fit inside an open hemisphere and hyperbolic segments
-    are Klein chords, so in all three spaces proper crossing reduces to the
-    four orientation signs (triple products for the curved reps).
+    Crossings of one edge closer than STRAND_TIE take the strand order of
+    the exact word at mu = 1/2: a simple curve with that word crosses each
+    edge in that one order, which rounding-level fractions do not resolve.
     """
-    eps = 1e-14
-    o1 = rside_measure(space, a, b, c)
-    o2 = rside_measure(space, a, b, d)
-    o3 = rside_measure(space, c, d, a)
-    o4 = rside_measure(space, c, d, b)
-    return (o1 * o2 < -eps) and (o3 * o4 < -eps)
+    tokens, fracs = path.tokens, path.fractions
+    word = crossing_sequence(path.gtype)
+    strand = word.fractions if word.tokens == tokens else fracs
+    ranks = [0] * len(tokens)
+    for tok in set(tokens):
+        idx = sorted((i for i, t in enumerate(tokens) if t == tok), key=fracs.__getitem__)
+        runs = accumulate((fracs[j] - fracs[i] > STRAND_TIE for i, j in zip(idx, idx[1:])),
+                          initial=0)
+        for r, (_, _, i) in enumerate(sorted(zip(runs, map(strand.__getitem__, idx), idx))):
+            ranks[i] = r
+    return ranks
 
 
 def simplicity_check(path, spec):
-    """No two segments on a common tetrahedron face cross in their interiors."""
+    """No two segments on a common tetrahedron face cross in their interiors.
+
+    Faces are geodesically convex, so two segments of one face cross iff
+    their endpoints, placed by :func:`_edge_ranks`, strictly interleave
+    along the face boundary: per face, a stack of open ends checks that the
+    segments nest.  No geometry or signs (``spec`` is not needed).
+    """
+    tokens, ranks = path.tokens, _edge_ranks(path)
+    n = len(tokens)
     by_face = {}
-    for labels, _, p_in, p_out in _rep_segments(spec, path.tokens, path.fractions):
-        by_face.setdefault(labels, []).append((p_in, p_out))
+    for i in range(n):
+        ends = ((tokens[i], ranks[i]), (tokens[(i + 1) % n], ranks[(i + 1) % n]))
+        face = "".join(sorted(set(ends[0][0] + ends[1][0])))
+        # position on the boundary loop i -> j -> k -> i of face ijk
+        by_face.setdefault(face, []).append(sorted(
+            (1, r) if tok[0] != face[0] else (0, r) if tok[1] == face[1] else (2, -r)
+            for tok, r in ends))
     for segs in by_face.values():
-        for i in range(len(segs)):
-            for j in range(i + 1, len(segs)):
-                if _segments_properly_cross(spec.space, *segs[i], *segs[j]):
-                    return False
+        open_ends = []  # innermost last
+        for start, end in sorted(segs, key=lambda seg: (seg[0], -seg[1][0], -seg[1][1])):
+            while open_ends and open_ends[-1] <= start:
+                open_ends.pop()
+            if open_ends and open_ends[-1] < end:
+                return False
+            open_ends.append(end)
     return True
 
 

@@ -1,7 +1,22 @@
 import math
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def subprocess_env():
+    """Environment for a child interpreter that imports tetrageo from this checkout.
+
+    The pytest ``pythonpath`` setting reaches only the test process, so the
+    child gets ``src`` on PYTHONPATH explicitly.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def coprime_types(max_sum, min_sum=1):

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import coprime_types
+from conftest import coprime_types, subprocess_env
 from tetrageo.combinat import GeodesicType
 from tetrageo.counting import count_exact, psi, psi_bruteforce, totient_sum
 from tetrageo.errors import TooLong
@@ -290,7 +290,7 @@ def test_criterion_11_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "tetrageo.cli", "verify", "--out",
              str(tmp_path / name)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=subprocess_env())
         assert proc.returncode == 0, proc.stderr
         outs.append((tmp_path / name).read_bytes())
     assert outs[0] == outs[1]

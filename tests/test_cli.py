@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from conftest import subprocess_env
 from tetrageo import report
 from tetrageo.cli import main
 from tetrageo.combinat import GeodesicType, crossing_sequence
@@ -50,6 +51,15 @@ def test_construct_euclid_and_deg(tmp_path):
                           "--deg", "--p", "0", "--q", "1"], tmp_path)
     assert code == 0
     assert json.loads(text)["path"]["closed"] is True
+
+
+@pytest.mark.parametrize("pq", [(2, 37), (11, 29), (19, 21)])
+def test_construct_strands_within_rounding(pq, tmp_path):
+    # two strands of each path cross one edge closer than rounding
+    code, text = run_cli(["construct", "--space", "hyperbolic", "--alpha", "0.1",
+                          "--p", str(pq[0]), "--q", str(pq[1])], tmp_path)
+    assert code == 0
+    assert json.loads(text)["path"]["simple"] is True
 
 
 def test_construct_generic(tmp_path):
@@ -233,7 +243,7 @@ def test_verify_deterministic(tmp_path):
 def test_cli_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "tetrageo.cli", "bounds", "--p", "1", "--q", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["alpha2"] is not None
 

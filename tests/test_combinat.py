@@ -3,14 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import coprime_types
 from tetrageo.combinat import (CrossingSequence, GeodesicType,
                                crossing_sequence, isometric_copies,
                                link_node_windows, link_nodes,
-                               relabel_sequence, validate_sequence)
+                               relabel_sequence, trace_crossings, validate_sequence)
 from tetrageo.errors import NoLinkNodes, VertexHit
-from tetrageo.tetra import OPPOSITE_EDGE
+from tetrageo.paths import euclid_mu_interval
+from tetrageo.tetra import OPPOSITE_EDGE, edge_token
 
 
 def test_type_validation():
@@ -187,3 +189,110 @@ def test_vertex_hit_detection():
         # force the bad orientation by tracing type (2,1)-style line: mu on a
         # forbidden residue of the valid orientation instead
         trace_crossings(t, Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# the integer trace against the Fraction trace it replaced
+
+def _fraction_vertex_label(x, m):
+    r = m % 4
+    if r == 0:
+        return 1 if int(x) % 2 == 0 else 2
+    if r == 2:
+        return 2 if int(x) % 2 == 0 else 1
+    l = int(x - Fraction(1, 2))
+    if r == 1:
+        return 3 if l % 2 == 0 else 4
+    return 4 if l % 2 == 0 else 3
+
+
+def _fraction_trace(t, mu):
+    """Reference trace in Fraction arithmetic, same records and errors."""
+    mu = Fraction(mu)
+    pe, qe = t.effective()
+    slope = Fraction(qe, qe + 2 * pe)
+    out = []
+
+    def add(x, l0, l1, frac_from_v0):
+        if frac_from_v0 <= 0 or frac_from_v0 >= 1:
+            raise VertexHit(f"tiling line through mu={mu} hits a vertex near x={x}")
+        out.append((x, edge_token(l0, l1), frac_from_v0 if l0 < l1 else 1 - frac_from_v0))
+
+    for m in range(0, 2 * qe):
+        x = mu + Fraction(m * (qe + 2 * pe), 2 * qe)
+        off = Fraction(0) if m % 2 == 0 else Fraction(1, 2)
+        x0 = (x - off).__floor__() + off
+        add(x, _fraction_vertex_label(x0, m), _fraction_vertex_label(x0 + 1, m), x - x0)
+
+    def diagonal(x, v0x, v1x, y0, yy):
+        add(x, _fraction_vertex_label(v0x, y0), _fraction_vertex_label(v1x, y0 + 1),
+            2 * (yy - Fraction(y0, 2)))
+
+    if pe > 0:
+        for n in range(mu.__floor__() + 1, (mu + 2 * pe).__ceil__()):
+            x = (n - slope * mu) / (1 - slope)
+            yy = slope * (x - mu)
+            y0 = (2 * yy).__floor__()
+            diagonal(x, n + Fraction(y0, 2), n + Fraction(y0 + 1, 2), y0, yy)
+    for n in range(mu.__floor__() + 1, (mu + 2 * (pe + qe)).__ceil__()):
+        x = (n + slope * mu) / (1 + slope)
+        yy = slope * (x - mu)
+        y0 = (2 * yy).__floor__()
+        diagonal(x, n - Fraction(y0, 2), n - Fraction(y0 + 1, 2), y0, yy)
+
+    out.sort(key=lambda rec: rec[0])
+    if len(out) != t.n_crossings:
+        raise VertexHit(f"expected {t.n_crossings} crossings, traced {len(out)}")
+    for i in range(1, len(out)):
+        if out[i][0] == out[i - 1][0]:
+            raise VertexHit("two crossings coincide: segment passes a tiling vertex")
+    return out
+
+
+def _same_trace(t, mu):
+    """Both traces return equal records, or raise VertexHit with one message."""
+    try:
+        expected = _fraction_trace(t, mu)
+    except VertexHit as exc:
+        with pytest.raises(VertexHit) as got:
+            trace_crossings(t, mu)
+        assert str(got.value) == str(exc)
+        return False
+    recs = trace_crossings(t, mu)
+    assert recs == expected
+    assert all(type(v) is Fraction for x, _, f in recs for v in (x, f))
+    return True
+
+
+def test_integer_trace_matches_fraction_trace():
+    for p, q in coprime_types(60):
+        assert _same_trace(GeodesicType(p, q), Fraction(1, 2)), (p, q)
+
+
+@given(st.sampled_from(coprime_types(24)), st.integers(1, 10**6), st.integers(-2, 10**6 + 2))
+def test_integer_trace_matches_on_valid_anchors(pq, den, k):
+    # mu = lo + (hi - lo) k / den: inside the valid interval for 0 < k < den,
+    # on a forbidden anchor (a vertex hit) for k = 0 or den; outside it the
+    # line may hit a vertex or not, and both traces must agree either way
+    t = GeodesicType(*pq)
+    lo, hi = euclid_mu_interval(t)
+    traced = _same_trace(t, lo + (hi - lo) * Fraction(k, den))
+    if 0 <= k <= den:
+        assert traced == (0 < k < den)
+
+
+def test_integer_trace_same_vertex_hits():
+    for p, q in coprime_types(12):
+        t = GeodesicType(p, q)
+        pe, qe = t.effective()
+        for k in range(0, 2 * qe + 1):
+            for mu in (Fraction(-k * (qe + 2 * pe), qe) % 1,
+                       (Fraction(1, 2) - Fraction((2 * k + 1) * (qe + 2 * pe), 2 * qe)) % 1):
+                assert not _same_trace(t, mu), (p, q, mu)
+
+
+def test_canonical_word_is_cached():
+    t = GeodesicType(5, 8)
+    assert crossing_sequence(t) is crossing_sequence(t, 0.5)
+    assert crossing_sequence(t, Fraction(1, 2)).fractions == tuple(
+        rec[2] for rec in _fraction_trace(t, Fraction(1, 2)))

@@ -330,3 +330,21 @@ def test_exact_criterion_on_verdict_grid():
             assert (L < 2 * math.pi) == (exists_geodesic(spec, t).outcome == "exists"), (p, q, k)
             assert L > prev, (p, q, k)
             prev = L
+
+
+def test_verdict_builds_the_midpoint_chord_once(monkeypatch):
+    # a verdict that reaches the length criterion reuses the chord it built
+    import tetrageo.existence as existence_mod
+    calls = []
+
+    def counted(spec, t):
+        calls.append(t)
+        return midpoint_geodesic(spec, t)
+
+    monkeypatch.setattr(existence_mod, "midpoint_geodesic", counted)
+    t = GeodesicType(1, 2)
+    spec = TetrahedronSpec(SpaceKind.SPHERICAL, 1.3)
+    verdict = exists_geodesic(spec, t)
+    assert verdict.outcome == "not_exists" and "abstract shortest curve" in verdict.reason
+    assert len(calls) == 1
+    assert abstract_shortest_curve_length(spec, t) >= 2 * math.pi - 1e-9

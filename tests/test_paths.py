@@ -2,21 +2,23 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import coprime_types
 from tetrageo import frames
 from tetrageo.combinat import (ROTATION_PERMS, CrossingSequence, GeodesicType,
                                crossing_sequence, relabel_sequence)
-from tetrageo.errors import InvalidTetrahedron, PreconditionFailed, VertexHit
-from tetrageo.geom import SpaceKind
+from tetrageo.errors import InvalidTetrahedron, PreconditionFailed, TooLong, VertexHit
+from tetrageo.geom import SpaceKind, rside_measure
 from tetrageo.paths import (GeodesicPath, NotContained, euclid_geodesic,
                             euclid_mu_interval, full_fractions_from_quarter,
                             generic_hyperbolic_geodesic, midpoint_geodesic, path_metrics,
-                            simplicity_check, vertex_clearance)
+                            simplicity_check, vertex_clearance, _rep_segments)
 from tetrageo.tetra import TetrahedronSpec, edge_from_angle, generic_from_edges
 
 E, S, H = SpaceKind.EUCLIDEAN, SpaceKind.SPHERICAL, SpaceKind.HYPERBOLIC
@@ -90,6 +92,128 @@ def test_euclid_clearance_bound():
         assert path.clearance >= bound - 1e-12
         assert vertex_clearance(path, TetrahedronSpec(E, math.pi / 3)) == pytest.approx(
             path.clearance, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# simplicity: the combinatorial test against the geometric one it replaced
+
+def _segments_properly_cross(space, a, b, c, d):
+    """Strict interior crossing test; faces lie in convex chart regions.
+
+    Spherical faces fit inside an open hemisphere and hyperbolic segments
+    are Klein chords, so in all three spaces proper crossing reduces to the
+    four orientation signs (triple products for the curved reps).
+    """
+    eps = 1e-14
+    o1 = rside_measure(space, a, b, c)
+    o2 = rside_measure(space, a, b, d)
+    o3 = rside_measure(space, c, d, a)
+    o4 = rside_measure(space, c, d, b)
+    return (o1 * o2 < -eps) and (o3 * o4 < -eps)
+
+
+def _geometric_simplicity(path, spec):
+    """Reference verdict: pairwise orientation tests of the folded-back segments."""
+    by_face = {}
+    for labels, _, p_in, p_out in _rep_segments(spec, path.tokens, path.fractions):
+        by_face.setdefault(labels, []).append((p_in, p_out))
+    for segs in by_face.values():
+        for i in range(len(segs)):
+            for j in range(i + 1, len(segs)):
+                if _segments_properly_cross(spec.space, *segs[i], *segs[j]):
+                    return False
+    return True
+
+
+def _perturbed(path, rng, scale):
+    """The same crossing word with every fraction moved by up to scale, kept in (0, 1)."""
+    fracs = []
+    for f in path.fractions:
+        g = f + scale * rng.uniform(-1.0, 1.0)
+        fracs.append(g if 1e-3 < g < 1.0 - 1e-3 else rng.uniform(1e-3, 1.0 - 1e-3))
+    return replace(path, crossings=tuple(zip(path.tokens, fracs)))
+
+
+# two strands of each example path cross one edge 0 to 3e-15 apart, in
+# either float order; the exact word orders them and the paths stay simple
+@example((2, 37), 0.1)
+@example((11, 29), 0.1)
+@example((19, 21), 0.1)
+@given(st.sampled_from(coprime_types(40)), st.sampled_from([0.1, 0.5, 1.0]))
+def test_simplicity_agrees_on_hyperbolic_paths(pq, alpha):
+    spec = TetrahedronSpec(H, alpha)
+    path = midpoint_geodesic(spec, GeodesicType(*pq))
+    assert path.simple and _geometric_simplicity(path, spec)
+
+
+def test_simplicity_orders_rounding_level_ties_by_the_word():
+    spec = TetrahedronSpec(H, 0.5)
+    path = midpoint_geodesic(spec, GeodesicType(2, 3))
+    fracs = list(path.fractions)
+    on_edge = sorted((f, i) for i, (tok, f) in enumerate(path.crossings) if tok == "12")
+    (_, i), (f_j, _) = on_edge[:2]
+    # crossing i moved just past its neighbour j on the edge: a swap within
+    # rounding is read in the word's order, a resolved swap is a crossing
+    for gap, simple in ((0.0, True), (1e-15, True), (1e-6, False)):
+        fracs[i] = f_j + gap
+        moved = replace(path, crossings=tuple(zip(path.tokens, fracs)))
+        assert simplicity_check(moved, spec) is simple
+        if gap != 1e-15:
+            assert _geometric_simplicity(moved, spec) is simple
+
+
+@given(st.sampled_from(coprime_types(12)), st.sampled_from([1.08, 1.15, 1.3, 1.6, 2.0]),
+       st.integers(1, 9))
+def test_simplicity_agrees_on_spherical_and_euclidean_paths(pq, alpha, k):
+    t = GeodesicType(*pq)
+    lo, hi = euclid_mu_interval(t)
+    path = euclid_geodesic(t, lo + (hi - lo) * Fraction(k, 10))
+    assert path.simple and _geometric_simplicity(path, TetrahedronSpec(E, math.pi / 3))
+    spec = TetrahedronSpec(S, alpha)
+    try:
+        path = midpoint_geodesic(spec, t)
+    except TooLong:
+        return
+    if isinstance(path, GeodesicPath):
+        assert path.simple == _geometric_simplicity(path, spec)
+
+
+@lru_cache(maxsize=None)
+def _base_path(pq, space):
+    t = GeodesicType(*pq)
+    if space == E:
+        return TetrahedronSpec(E, math.pi / 3), euclid_geodesic(t)
+    spec = TetrahedronSpec(space, {S: 1.06, H: 0.5}[space])  # every type p+q <= 10 contained
+    return spec, midpoint_geodesic(spec, t)
+
+
+@given(st.sampled_from(coprime_types(10)), st.sampled_from([E, S, H]),
+       st.sampled_from([1e-4, 1e-2, 0.05, 0.2, 1.0]), st.integers(0, 2**32))
+def test_simplicity_agrees_on_perturbed_paths(pq, space, scale, seed):
+    spec, path = _base_path(pq, space)
+    bent = _perturbed(path, random.Random(seed), scale)
+    assert simplicity_check(bent, spec) == _geometric_simplicity(bent, spec)
+
+
+def test_perturbed_paths_are_mostly_not_simple():
+    # the agreement above is only informative if non-simple inputs occur
+    verdicts = []
+    for seed in range(60):
+        pq, space = [(1, 2), (2, 3), (3, 4)][seed % 3], [E, S, H][seed % 3]
+        spec, path = _base_path(pq, space)
+        bent = _perturbed(path, random.Random(seed), 0.2)
+        verdicts.append(simplicity_check(bent, spec))
+        assert verdicts[-1] == _geometric_simplicity(bent, spec)
+    assert verdicts.count(False) >= 30 and verdicts.count(True) > 0
+
+
+def test_simplicity_shared_endpoints_do_not_cross():
+    # a triangle inside face 123 whose three segments meet at their ends
+    path = replace(euclid_geodesic(GeodesicType(0, 1)),
+                   crossings=(("12", 0.2), ("23", 0.5), ("13", 0.5)))
+    for spec in (TetrahedronSpec(E, math.pi / 3), TetrahedronSpec(S, 1.2),
+                 TetrahedronSpec(H, 0.5)):
+        assert simplicity_check(path, spec) and _geometric_simplicity(path, spec)
 
 
 def test_simplicity_rejects_crossing_polyline():
