@@ -12,10 +12,10 @@ the unit sphere (k = +1),
 and the chain is encoded by the change-of-basis matrix from each edge
 frame to the next.  A chord is described by its crossing offsets, one
 signed arclength from each edge midpoint, so every crossing, fraction,
-margin and length is a well-conditioned local computation.  relax_chord
-is the one chord solver of both curved spaces; hyperbolic direction
-shooting (shoot_chord) is exact on shallow chains and kept as the
-reference it is tested against.
+margin and length is a well-conditioned local computation.  relax_chord,
+the one chord solver of both curved spaces, and the fold-back metrics use
+the same segment terms (chord_segments); hyperbolic direction shooting
+(shoot_chord) is exact on shallow chains and kept as the tests' reference.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericalFailure
-from .geom import SpaceKind, _cross3, _dot3, _mcross, _mdot, _unit_spacelike, rangle, rdistance
+from .geom import SpaceKind, _cross3, _dot3, _mcross, _mdot, _unit_spacelike, rangle
 
 
 def _matvec(m, v):
@@ -52,10 +52,11 @@ class ChainStep:
 
 
 # per curvature k = -1 (hyperboloid) or +1 (sphere): k, the trig pair of an
-# edge point (C(s), S(s), 0), the inner product and its cross product
+# edge point (C(s), S(s), 0), the inner product, its cross product, and the
+# inverse of S, which gives a chord D the length 2 arc(sqrt(<D, D>) / 2)
 _KERNEL = {
-    SpaceKind.HYPERBOLIC: (-1.0, math.cosh, math.sinh, _mdot, _mcross),
-    SpaceKind.SPHERICAL: (1.0, math.cos, math.sin, _dot3, _cross3),
+    SpaceKind.HYPERBOLIC: (-1.0, math.cosh, math.sinh, _mdot, _mcross, math.asinh),
+    SpaceKind.SPHERICAL: (1.0, math.cos, math.sin, _dot3, _cross3, math.asin),
 }
 
 
@@ -68,16 +69,16 @@ def build_chain(spec, tokens):
     """Chain steps of a hyperbolic or spherical spec for glue edges tokens[0..K].
 
     tokens[i] and tokens[i+1] must share exactly one vertex; face F_i is
-    their union.  Returns a list of K ChainStep records.
+    their union.  Returns a list of K ChainStep records.  A step depends
+    only on the spec and its two tokens, so each distinct pair (at most 24)
+    is built once and shared by every position it occurs at.
     """
-    k, C, S, dot, cross = _KERNEL[spec.space]
-    steps = []
-    for i in range(len(tokens) - 1):
-        cur = tokens[i]
-        nxt = tokens[i + 1]
+    k, C, S, dot, cross, _ = _KERNEL[spec.space]
+    pairs = list(zip(tokens, tokens[1:]))
+    built = {}
+    for cur, nxt in dict.fromkeys(pairs):
         a, b = int(cur[0]), int(cur[1])  # token characters are sorted
-        apex = (set(nxt) - set(cur)).pop()
-        w = int(apex)
+        w = int((set(nxt) - set(cur)).pop())
         ell = spec.face_edge_length(a, b)
         d_minus = spec.face_edge_length(a, w)
         d_plus = spec.face_edge_length(b, w)
@@ -88,7 +89,7 @@ def build_chain(spec, tokens):
         w1 = k * (C(d_plus) - C(d_minus)) / (2.0 * sh)
         w2sq = -k * w0 * w0 - w1 * w1 + k
         if w2sq <= 0.0:
-            raise NumericalFailure(f"degenerate face at step {i}: {cur}->{nxt}")
+            raise NumericalFailure(f"degenerate face {cur}->{nxt}")
         verts[w] = (w0, w1, math.sqrt(w2sq))
 
         c, d = int(nxt[0]), int(nxt[1])
@@ -105,9 +106,9 @@ def build_chain(spec, tokens):
                (k * tx[0], tx[1], tx[2]),
                (k * ty[0], ty[1], ty[2]))
         pivot = ({a, b} & {c, d}).pop()
-        steps.append(ChainStep(verts=verts, transition=lam, space=spec.space,
-                               hinge=(pivot, a + b - pivot, w)))
-    return steps
+        built[cur, nxt] = ChainStep(verts=verts, transition=lam, space=spec.space,
+                                    hinge=(pivot, a + b - pivot, w))
+    return [built[pair] for pair in pairs]
 
 
 def place_faces(steps):
@@ -159,12 +160,9 @@ def shoot_chord(steps, ells):
 
 def trace_geometry(steps, offsets):
     """Segment lengths of the chord with the given crossing offsets."""
-    lengths = []
-    for i, step in enumerate(steps):
-        _, C, S, _, _ = _KERNEL[step.space]
-        A = _matvec(step.transition, (C(offsets[i]), S(offsets[i]), 0.0))
-        lengths.append(rdistance(step.space, A, (C(offsets[i + 1]), S(offsets[i + 1]), 0.0)))
-    return lengths
+    arc = _KERNEL[steps[0].space][5]
+    return [2.0 * arc(0.5 * math.sqrt(max(m, 0.0)))
+            for m, _, _, _ in chord_segments(steps, offsets)[2]]
 
 
 def _mink_inverse(m):
@@ -218,27 +216,20 @@ def _solve_cyclic(diag, off, corner, rhs):
     return [yi - w * zi for yi, zi in zip(y, z)]
 
 
-def _chain_derivatives(steps, s, closed, pinned=()):
-    """Length, gradient and tridiagonal Hessian of the chord in the offsets.
+def chord_segments(steps, s):
+    """C(s_i), S(s_i) and per-segment terms of the chord with offsets s.
 
-    Segment i joins A = T_i P(s_i) to B = P(s_{i+1}) in frame E_{i+1},
-    with P(s) = (C(s), S(s), 0).  Its length d has 1 - C(d) = k <D, D> / 2
-    for D = B - A, and the first derivatives of C(d) are -k <dA, D> and
-    k <D, dB>; the formulas below hold for k = -1 and +1 alike.  All terms
-    come from the short difference D, never from the far points, so the
-    gradient keeps full relative precision on nearly flat chains.  Pinned
-    segments (two crossings at their shared vertex) have length zero and
-    are skipped, as is a segment whose <D, D> rounds to zero or below.  On
-    a closed chain s_K is s_0, so its terms are folded into index 0.
+    Segment i joins A = T_i P(s_i) to B = P(s_{i+1}) in frame E_{i+1}, with
+    P(s) = (C(s), S(s), 0).  Its terms are <D, D>, -<dA, D>, <D, dB> and
+    -<dA, dB> for D = B - A and the edge tangents dA, dB: its length d has
+    1 - C(d) = k <D, D> / 2, and S(d) cos(angle with the edge's +x) is
+    -<dA, D> at A and <D, dB> at B.  All terms come from the short
+    difference D, never from the far points (full relative precision).
     """
-    K = len(steps)
-    k, C, S, _, _ = _KERNEL[steps[0].space]
-    arc = math.asinh if k < 0 else math.asin
-    half, quarter = -0.5 * k, -0.25 * k
+    k, C, S, _, _, _ = _KERNEL[steps[0].space]
     cs, sn = [C(x) for x in s], [S(x) for x in s]
     dsn = sn if k < 0 else [-x for x in sn]    # P'(s) = (-k S(s), C(s), 0)
-    grad, diag, off = [0.0] * (K + 1), [0.0] * (K + 1), [0.0] * K
-    length = 0.0
+    terms = []
     for i, step in enumerate(steps):
         (t00, t01, _), (t10, t11, _), (t20, t21, _) = step.transition
         ca, sa, da = cs[i], sn[i], dsn[i]
@@ -247,16 +238,33 @@ def _chain_derivatives(steps, s, closed, pinned=()):
         d1 = sb - (t10 * ca + t11 * sa)
         d2 = -(t20 * ca + t21 * sa)
         a0, a1, a2 = t00 * da + t01 * ca, t10 * da + t11 * ca, t20 * da + t21 * ca   # dA
-        m = k * d0 * d0 + d1 * d1 + d2 * d2    # <D, D>
+        terms.append((k * d0 * d0 + d1 * d1 + d2 * d2,    # <D, D>
+                      -(k * a0 * d0 + a1 * d1 + a2 * d2),  # -<dA, D>
+                      -d0 * sb + d1 * cb,                  # <D, dB>
+                      a0 * sb - a1 * cb))                  # -<dA, dB>
+    return cs, sn, terms
+
+
+def _chain_derivatives(steps, s, closed, pinned=()):
+    """Length, gradient and tridiagonal Hessian of the chord in the offsets.
+
+    From the terms of :func:`chord_segments`, for k = -1 and +1 alike.
+    Pinned segments (two crossings at their shared vertex) have length zero
+    and are skipped, as is a segment whose <D, D> rounds to zero or below.
+    On a closed chain s_K is s_0, so its terms are folded into index 0.
+    """
+    K = len(steps)
+    k, _, _, _, _, arc = _KERNEL[steps[0].space]
+    half, quarter = -0.5 * k, -0.25 * k
+    grad, diag, off = [0.0] * (K + 1), [0.0] * (K + 1), [0.0] * K
+    length = 0.0
+    for i, (m, cx, cy, cxy) in enumerate(chord_segments(steps, s)[2]):
         c = 1.0 + half * m                     # C(d)
         r2 = m * (1.0 + quarter * m)           # S(d)^2
         if not r2 > 0.0 or i in pinned:
             continue
         r = math.sqrt(r2)
         r3 = r2 * r
-        cx = -(k * a0 * d0 + a1 * d1 + a2 * d2)   # -<dA, D>
-        cy = -d0 * sb + d1 * cb                # <D, dB>
-        cxy = a0 * sb - a1 * cb                # -<dA, dB>
         length += 2.0 * arc(0.5 * math.sqrt(m))
         grad[i] += cx / r
         grad[i + 1] += cy / r

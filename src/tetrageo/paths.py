@@ -13,10 +13,11 @@ Both hyperbolic routes solve the chord with the one Newton solver of
 :func:`frames.relax_chord`, pinned at X1 and Y1 for the regular quarter and
 closed up for the generic tetrahedron.
 
-Length, clearance and closure residuals are recomputed from the crossing
-fractions by folding each segment back onto its canonically placed face,
-once per path; simplicity is decided from the crossing word and fractions
-alone (endpoints interleaving along a face boundary).
+Length, clearance and closure residual are recomputed from the crossing
+fractions in the edge-local frames of the whole closed chain (closure
+angles at the crossings, clearance pruned exactly by line distances), and
+on canonically placed faces for Euclidean paths; simplicity is decided
+from the crossing word and fractions alone.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import frames
 from .combinat import CrossingSequence, GeodesicType, crossing_sequence, trace_crossings
 from .errors import NumericalFailure, PreconditionFailed, TooLong, VertexHit
 # rside_measure stays importable here for the perfbench layer trace
-from .geom import (SpaceKind, _cross3, _dot3, _unit3, chart_point, rangle,  # noqa: F401
+from .geom import (SpaceKind, _cross3, _dot3, _unit3, rangle,  # noqa: F401
                    rdistance, rinterpolate, rmidpoint, rpoint_at, rpoint_seg_dist,
                    rside_measure, rtangent)
 from .tetra import TetrahedronSpec, edge_token
@@ -53,7 +54,6 @@ class GeodesicPath:
     simple: bool
     closure_residual: float
     min_fraction_margin: float
-    segments: tuple           # (face labels, chart point in, chart point out)
     extras: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -77,65 +77,91 @@ class NotContained:
 
 
 # ---------------------------------------------------------------------------
-# canonical per-face geometry (fold a path back onto single faces)
+# fold-back metrics
 #
 # Metric computations run in rep coordinates (hyperboloid for H): folding
 # through Klein coordinates costs ~cosh(a)^2 * eps of precision, which is
 # fatal for the large edge lengths of small planar angles.
 
-def _rep_face(spec, labels):
-    """Face rep points of face (i<j<k): edge ij centered, apex k above."""
-    i, j, k = labels
-    vm, vp, apex = first_face_reps(
-        spec.space, spec.face_edge_length(i, j),
-        spec.face_edge_length(i, k), spec.face_edge_length(j, k))
-    return {i: vm, j: vp, k: apex}
-
-
 def _rep_segments(spec, tokens, fractions):
-    n = len(tokens)
-    faces = {labels: _rep_face(spec, labels) for labels in combinations((1, 2, 3, 4), 3)}
+    """Each segment on its canonically placed face: (labels, face reps, point in, point out)."""
+    faces = {labels: dict(zip(labels, first_face_reps(   # face ijk: ij centered, apex k above
+        spec.space, *(spec.face_edge_length(*e) for e in combinations(labels, 2)))))
+        for labels in combinations((1, 2, 3, 4), 3)}
+    crossings = list(zip(tokens, fractions))
     segs = []
-    for i in range(n):
-        tok_in, tok_out = tokens[i], tokens[(i + 1) % n]
-        labels = tuple(sorted(set(int(c) for c in tok_in + tok_out)))
+    for ends in zip(crossings, crossings[1:] + crossings[:1]):
+        labels = tuple(sorted(set(int(c) for tok, _ in ends for c in tok)))
         pts = faces[labels]
-        u1, v1 = int(tok_in[0]), int(tok_in[1])
-        u2, v2 = int(tok_out[0]), int(tok_out[1])
-        p_in = rinterpolate(spec.space, pts[u1], pts[v1], float(fractions[i]))
-        p_out = rinterpolate(spec.space, pts[u2], pts[v2], float(fractions[(i + 1) % n]))
+        p_in, p_out = (rinterpolate(spec.space, pts[int(tok[0])], pts[int(tok[1])], float(f))
+                       for tok, f in ends)
         segs.append((labels, pts, p_in, p_out))
     return segs
 
 
-def path_metrics(spec, tokens, fractions):
-    """Length, clearance, worst supplementary-angle residual, fold segments."""
+def _face_fold_metrics(spec, tokens, fractions):
+    """Length, clearance and closure residual (angles at a vertex of the crossed edge)."""
     space = spec.space
     segs = _rep_segments(spec, tokens, fractions)
-    n = len(tokens)
     total = 0.0
-    clearance = math.inf
-    for labels, pts, p_in, p_out in segs:
+    for _, _, p_in, p_out in segs:
         total += rdistance(space, p_in, p_out)
-        for lp in pts.values():
-            clearance = min(clearance, rpoint_seg_dist(space, lp, p_in, p_out))
+    clearance = min(rpoint_seg_dist(space, v, p_in, p_out)
+                    for _, pts, p_in, p_out in segs for v in pts.values())
     worst = 0.0
-    for i in range(n):
-        _, prev_pts, pin_prev, pout_prev = segs[(i - 1) % n]
-        _, cur_pts, pin_cur, pout_cur = segs[i]
-        tok = tokens[i]
-        v_ref = min(int(tok[0]), int(tok[1]))
-        ang_in = rangle(space, pout_prev, prev_pts[v_ref], pin_prev)
-        ang_out = rangle(space, pin_cur, cur_pts[v_ref], pout_cur)
-        worst = max(worst, abs(ang_in + ang_out - math.pi))
-    chart_segs = tuple((labels, chart_point(space, p_in), chart_point(space, p_out))
-                       for labels, _, p_in, p_out in segs)
-    return total, clearance, worst, chart_segs
+    for tok, (_, prev_pts, pin_prev, pout_prev), (_, pts, p_in, p_out) in zip(
+            tokens, segs[-1:] + segs[:-1], segs):
+        v = min(int(tok[0]), int(tok[1]))
+        worst = max(worst, abs(rangle(space, pout_prev, prev_pts[v], pin_prev)
+                               + rangle(space, p_in, pts[v], p_out) - math.pi))
+    return total, clearance, worst
+
+
+def path_metrics(spec, tokens, fractions):
+    """Length, vertex clearance and worst closure residual of a closed path.
+
+    Curved paths are measured in the edge-local frames of the closed chain
+    e_0..e_n = e_0, offsets taken from the fractions alone.  The residual at
+    crossing j is the difference of the angles of segments j-1 and j with
+    e_j.  A vertex's distance to a segment's line is a lower bound of its
+    distance to the segment: only a bound under the running minimum calls
+    the clamped test.  Euclidean paths fold onto single faces.
+    """
+    space = spec.space
+    if space == SpaceKind.EUCLIDEAN:
+        return _face_fold_metrics(spec, tokens, fractions)
+    k = frames._KERNEL[space][0]
+    arc = math.asinh if k < 0 else lambda x: math.asin(min(1.0, x))
+    tokens_ext = list(tokens) + [tokens[0]]
+    steps = frames.build_chain(spec, tokens_ext)
+    s = [(float(f) - 0.5) * spec.face_edge_length(int(tok[0]), int(tok[1]))
+         for tok, f in zip(tokens_ext, list(fractions) + [fractions[0]])]
+    cs, sn, terms = frames.chord_segments(steps, s)
+    total, clearance, ends = 0.0, math.inf, []
+    for i, (step, (m, cx, cy, _)) in enumerate(zip(steps, terms)):
+        r = math.sqrt(m * (1.0 - 0.25 * k * m))          # S(d)
+        total += 2.0 * arc(0.5 * math.sqrt(m))
+        # the angles of segment i with e_i and e_{i+1}, at its two ends
+        ends.append((math.acos(max(-1.0, min(1.0, -cx / r))),
+                     math.acos(max(-1.0, min(1.0, cy / r)))))
+        # in the entry frame E_i: A = P(s_i), B = T_i^-1 P(s_{i+1}) = (B_0, B_1, w), and
+        # with C, S at s_i, N = (S w, -k C w, k u) is normal to AB, <N, N> = u^2 + w^2
+        (t00, t01, t02), (t10, t11, t12), _ = step.transition
+        ca, sa, cb, sb = cs[i], sn[i], cs[i + 1], sn[i + 1]
+        A = (ca, sa, 0.0)
+        B = (t00 * cb + k * t10 * sb, k * t01 * cb + t11 * sb, k * t02 * cb + t12 * sb)
+        u, w = ca * B[1] - sa * B[0], B[2]
+        norm = math.sqrt(u * u + w * w)
+        for V in step.verts.values():
+            if arc(abs(w * (sa * V[0] - ca * V[1]) + u * V[2]) / norm) < clearance:
+                clearance = min(clearance, rpoint_seg_dist(space, V, A, B))
+    worst = max(abs(prev[1] - cur[0]) for prev, cur in zip(ends[-1:] + ends[:-1], ends))
+    return total, clearance, worst
 
 
 def vertex_clearance(path, spec):
-    """Minimum distance from the four vertices to the path (per-face charts)."""
-    _, clearance, _, _ = path_metrics(spec, path.tokens, path.fractions)
+    """Minimum distance from the four vertices to the path (see path_metrics)."""
+    _, clearance, _ = path_metrics(spec, path.tokens, path.fractions)
     return clearance
 
 
@@ -189,13 +215,13 @@ def simplicity_check(path, spec):
 
 
 def _assemble_path(spec, t, tokens, fractions, extras=None):
-    total, clearance, worst, segs = path_metrics(spec, tokens, fractions)
+    total, clearance, worst = path_metrics(spec, tokens, fractions)
     path = GeodesicPath(
         gtype=t, space=spec.space,
         crossings=tuple(zip(tokens, (float(f) for f in fractions))),
         total_length=total, clearance=clearance,
         closed=worst < 1e-8, simple=True, closure_residual=worst,
-        min_fraction_margin=min(min(f, 1.0 - f) for f in fractions), segments=segs,
+        min_fraction_margin=min(min(f, 1.0 - f) for f in fractions),
         extras=dict(extras or {}))
     return replace(path, simple=simplicity_check(path, spec))
 

@@ -60,10 +60,6 @@ class Development:
         tok, (va, vb) = self.glue_edges[i]
         return self.vertex_reps[va], self.vertex_reps[vb]
 
-    def glue_edge_points(self, i):
-        tok, (va, vb) = self.glue_edges[i]
-        return self.vertex_points[va], self.vertex_points[vb]
-
     def crossing_point(self, i, fraction):
         """Chart point at the given fraction (from the smaller label) of e_i."""
         a, b = self.glue_edge_reps(i)

@@ -302,6 +302,16 @@ def test_tiny_hyperbolic_angle_never_domain_error(pq, tmp_path, capsys):
     assert "math domain error" not in capsys.readouterr().err
 
 
+def test_small_hyperbolic_angle_count_and_construct(tmp_path):
+    code, text = run_cli(["count", "--alpha", "0.01", "--L", "20"], tmp_path)
+    assert code == 0
+    assert json.loads(text)["exact"] > 0
+    code, text = run_cli(["construct", "--space", "hyperbolic", "--alpha", "0.01",
+                          "--p", "1", "--q", "2"], tmp_path, "path.json")
+    assert code == 0
+    assert json.loads(text)["path"]["closed"] is True
+
+
 def test_count_deg_flag(tmp_path):
     import math
     code, text = run_cli(["count", "--alpha", str(math.degrees(0.5)), "--deg",

@@ -14,11 +14,13 @@ from tetrageo import frames
 from tetrageo.combinat import (ROTATION_PERMS, CrossingSequence, GeodesicType,
                                crossing_sequence, relabel_sequence)
 from tetrageo.errors import InvalidTetrahedron, PreconditionFailed, TooLong, VertexHit
+from tetrageo.existence import hyperbolic_clearance_bound, hyperbolic_length_lower_bound
 from tetrageo.geom import SpaceKind, rside_measure
 from tetrageo.paths import (GeodesicPath, NotContained, euclid_geodesic,
                             euclid_mu_interval, full_fractions_from_quarter,
                             generic_hyperbolic_geodesic, midpoint_geodesic, path_metrics,
-                            simplicity_check, vertex_clearance, _rep_segments)
+                            simplicity_check, vertex_clearance, _face_fold_metrics,
+                            _rep_segments)
 from tetrageo.tetra import TetrahedronSpec, edge_from_angle, generic_from_edges
 
 E, S, H = SpaceKind.EUCLIDEAN, SpaceKind.SPHERICAL, SpaceKind.HYPERBOLIC
@@ -288,6 +290,99 @@ def test_hyperbolic_deep_regular():
     assert path.closure_residual < 1e-8
 
 
+def _assert_hyperbolic_geodesic(alpha, p, q):
+    spec = TetrahedronSpec(H, alpha)
+    t = GeodesicType(p, q)
+    path = midpoint_geodesic(spec, t)
+    assert path.closed and path.simple, (alpha, p, q)
+    assert path.clearance > hyperbolic_clearance_bound(alpha), (alpha, p, q)
+    assert path.total_length > hyperbolic_length_lower_bound(alpha, t), (alpha, p, q)
+
+
+@pytest.mark.parametrize("alpha", [1e-5, 1e-3, 0.005, 0.01, 0.016, 0.021])
+def test_hyperbolic_small_angles_all_types(alpha):
+    # edges of length 9 to 24: the closure angles are measured at the
+    # crossings themselves, so every type closes within rounding
+    for p, q in coprime_types(20):
+        _assert_hyperbolic_geodesic(alpha, p, q)
+
+
+@given(st.one_of(st.floats(1e-5, 0.05), st.floats(0.05, 1.04)),
+       st.sampled_from(coprime_types(20)))
+def test_hyperbolic_geodesic_at_every_angle(alpha, pq):
+    # a type-(p,q) geodesic exists for every coprime type at every angle
+    _assert_hyperbolic_geodesic(alpha, *pq)
+
+
+def _markov_numbers(limit):
+    """Markov numbers up to limit, from the tree (a, b, c) -> (a, c, 3ac - b), (b, c, 3bc - a)."""
+    found, todo = set(), [(1, 1, 1)]
+    while todo:
+        a, b, c = todo.pop()
+        found.update((a, b, c))
+        for child in ((a, c, 3 * a * c - b), (b, c, 3 * b * c - a)):
+            if child[2] <= limit:
+                todo.append(tuple(sorted(child)))
+    return found
+
+
+def test_ideal_limit_lengths_are_markov_numbers():
+    # toward alpha = 0 the regular tetrahedron tends to the ideal one, whose
+    # closed geodesics have 2 cosh(L/4) = 3m for Markov numbers m, a
+    # different one for every type
+    spec = TetrahedronSpec(H, 1e-6)
+    markov = sorted(_markov_numbers(10 ** 12))
+    image = {}
+    for p, q in coprime_types(20):
+        x = 2.0 * math.cosh(midpoint_geodesic(spec, GeodesicType(p, q)).total_length / 4.0) / 3.0
+        m = min(markov, key=lambda m: abs(m - x))
+        assert abs(x - m) < 1e-8 * m, (p, q, x, m)
+        image[p, q] = m
+    assert len(set(image.values())) == len(image)
+
+
+@given(st.floats(0.05, 1.04), st.sampled_from(coprime_types(20)))
+def test_edge_frame_metrics_match_face_fold(alpha, pq):
+    # the edge-frame fold-back against the canonically placed single faces
+    spec = TetrahedronSpec(H, alpha)
+    path = midpoint_geodesic(spec, GeodesicType(*pq))
+    length, clearance, residual = _face_fold_metrics(spec, path.tokens, path.fractions)
+    assert abs(path.total_length - length) < 1e-10 * length
+    assert abs(path.clearance - clearance) < 1e-9
+    assert path.closure_residual < 1e-8 and residual < 1e-8
+
+
+def test_edge_frame_metrics_match_face_fold_on_sphere():
+    # every contained chord of the spherical verdict grid
+    compared = 0
+    for k in range(36):
+        spec = TetrahedronSpec(S, 1.05 + 0.01 * k)
+        for p, q in coprime_types(7):
+            try:
+                path = midpoint_geodesic(spec, GeodesicType(p, q))
+            except TooLong:
+                continue
+            if not isinstance(path, GeodesicPath):
+                continue
+            length, clearance, residual = _face_fold_metrics(spec, path.tokens, path.fractions)
+            assert abs(path.total_length - length) < 1e-10 * length, (k, p, q)
+            assert abs(path.clearance - clearance) < 1e-9, (k, p, q)
+            assert path.closure_residual < 1e-8 and residual < 1e-8, (k, p, q)
+            compared += 1
+    assert compared > 100
+
+
+@pytest.mark.parametrize("spec", [TetrahedronSpec(H, 0.3), TetrahedronSpec(S, 1.2),
+                                  generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02])])
+def test_build_chain_builds_each_pair_once(spec):
+    # a step depends only on the spec and its two tokens
+    tokens = list(crossing_sequence(GeodesicType(3, 5)).tokens)
+    tokens.append(tokens[0])
+    steps = frames.build_chain(spec, tokens)
+    assert steps == [frames.build_chain(spec, tokens[i:i + 2])[0] for i in range(len(steps))]
+    assert len({id(step) for step in steps}) == len(set(zip(tokens, tokens[1:])))
+
+
 def _flat_log(alpha):
     """log(2 sqrt(3) (1 - 3 alpha / pi) + 1): depth per crossing is half of it."""
     return math.log(2.0 * math.sqrt(3.0) * (1.0 - 3.0 * alpha / math.pi) + 1.0)
@@ -364,7 +459,7 @@ def test_isometric_copies_have_equal_lengths(pq, space, h_alpha):
     seq = CrossingSequence(t, path.tokens, path.fractions)
     for perm in ROTATION_PERMS:
         copy = relabel_sequence(seq, perm)
-        length, _, residual, _ = path_metrics(spec, copy.tokens, copy.fractions)
+        length, _, residual = path_metrics(spec, copy.tokens, copy.fractions)
         assert abs(length - path.total_length) < 1e-9
         assert residual < 1e-8
 
@@ -427,8 +522,7 @@ def test_euclid_scale_invariance():
     t = GeodesicType(2, 3)
     path = euclid_geodesic(t)
     for c in (0.25, 3.0):
-        total, clearance, worst, _ = path_metrics(_ScaledEuclid(c), path.tokens,
-                                                  path.fractions)
+        total, clearance, worst = path_metrics(_ScaledEuclid(c), path.tokens, path.fractions)
         assert total == pytest.approx(c * path.total_length, rel=1e-12)
         assert clearance == pytest.approx(c * path.clearance, rel=1e-12)
         assert worst < 1e-10
