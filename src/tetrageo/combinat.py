@@ -91,6 +91,10 @@ def _vertex_label(u, m):
     return ((1, 2), (3, 4), (2, 1), (4, 3))[m % 4][(u // 2) % 2]
 
 
+# label -> label -> token of the edge joining them (row and column 0 unused)
+_TOKEN = [[edge_token(u, v) for v in range(5)] for u in range(5)]
+
+
 def trace_crossings(t: GeodesicType, mu):
     """All crossings of the tiling segment, sorted by x; exact arithmetic.
 
@@ -114,7 +118,7 @@ def trace_crossings(t: GeodesicType, mu):
         if F <= 0 or F >= D:
             raise VertexHit(f"tiling line through mu={mu} hits a vertex near x={Fraction(X, D)}")
         l0, l1 = _vertex_label(u0, m0), _vertex_label(u1, m1)
-        out.append((X, edge_token(l0, l1), F if l0 < l1 else D - F))
+        out.append((X, _TOKEN[l0][l1], F if l0 < l1 else D - F))
 
     # rows Y = m/2, m = 0 .. 2*qe - 1 (m = 2*qe is identified with m = 0);
     # the vertices of row m sit at x = k + off, off = 1/2 on odd rows

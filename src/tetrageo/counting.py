@@ -6,15 +6,14 @@ and counts three isometric copies per type whose constructed length fits
 the budget.  Totient machinery supplies the asymptotics: the number of
 coprime pairs p < q with p + q <= x is psi(x) = (1/2) sum phi(y) - 1
 (the halving identity phi(y)/2 per sum value y holds from y = 3 on;
-y = 1, 2 contribute the -1 correction).
+y = 1, 2 contribute the -1 correction).  numpy is imported only by the
+sieve and the brute-force oracle, so importing the library does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .combinat import GeodesicType
 from .errors import NumericalFailure
@@ -43,6 +42,7 @@ def euler_phi(n):
 
 def totient_sieve(x):
     """phi(1..x) as an array (linear sieve)."""
+    import numpy as np
     phi = np.arange(x + 1, dtype=np.int64)
     for p in range(2, x + 1):
         if phi[p] == p:  # p prime
@@ -67,6 +67,7 @@ def psi(x):
 
 def psi_bruteforce(x):
     """psi by direct pair enumeration (vectorized gcd); the test oracle."""
+    import numpy as np
     x = int(x)
     count = 0
     for q in range(2, x):

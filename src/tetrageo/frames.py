@@ -10,16 +10,19 @@ the unit sphere (k = +1),
     smaller-labelled endpoint at negative x, the face ahead at y > 0,
 
 and the chain is encoded by the change-of-basis matrix from each edge
-frame to the next.  A chord is described by its crossing offsets, one
-signed arclength from each edge midpoint, so every crossing, fraction,
-margin and length is a well-conditioned local computation.  relax_chord,
-the one chord solver of both curved spaces, and the fold-back metrics use
-the same segment terms (chord_segments); hyperbolic direction shooting
+frame to the next.  A step depends only on the space, its two edges and
+the face's three edge lengths, so each is built once (a bounded table) and
+shared by every chain with that key.  A chord is described by its crossing
+offsets, one signed arclength from each edge midpoint, so every crossing,
+fraction, margin and length is a well-conditioned local computation.
+relax_chord, the one chord solver of both curved spaces, and the fold-back
+metrics use the same segment terms (chord_segments); direction shooting
 (shoot_chord) is exact on shallow chains and kept as the tests' reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,45 +73,45 @@ def build_chain(spec, tokens):
 
     tokens[i] and tokens[i+1] must share exactly one vertex; face F_i is
     their union.  Returns a list of K ChainStep records.  A step depends
-    only on the spec and its two tokens, so each distinct pair (at most 24)
-    is built once and shared by every position it occurs at.
+    only on the space, its two tokens and the face's three edge lengths: it
+    comes from the step table :func:`_chain_step`.
     """
-    k, C, S, dot, cross, _ = _KERNEL[spec.space]
     pairs = list(zip(tokens, tokens[1:]))
-    built = {}
+    ell, built = spec.face_edge_length, {}
     for cur, nxt in dict.fromkeys(pairs):
-        a, b = int(cur[0]), int(cur[1])  # token characters are sorted
-        w = int((set(nxt) - set(cur)).pop())
-        ell = spec.face_edge_length(a, b)
-        d_minus = spec.face_edge_length(a, w)
-        d_plus = spec.face_edge_length(b, w)
-        ch, sh = C(ell / 2.0), S(ell / 2.0)
-        verts = {a: (ch, -sh, 0.0), b: (ch, sh, 0.0)}
-        # <W, V> = k C(d) against both edge ends, and <W, W> = k
-        w0 = (C(d_minus) + C(d_plus)) / (2.0 * ch)
-        w1 = k * (C(d_plus) - C(d_minus)) / (2.0 * sh)
-        w2sq = -k * w0 * w0 - w1 * w1 + k
-        if w2sq <= 0.0:
-            raise NumericalFailure(f"degenerate face {cur}->{nxt}")
-        verts[w] = (w0, w1, math.sqrt(w2sq))
-
-        c, d = int(nxt[0]), int(nxt[1])
-        Pm, Pp = verts[c], verts[d]
-        behind = ({a, b, w} - {c, d}).pop()
-        B = verts[behind]
-        M = _unit((Pm[0] + Pp[0], Pm[1] + Pp[1], Pm[2] + Pp[2]), dot)
-        cc = -k * dot(Pp, M)
-        tx = _unit((Pp[0] + cc * M[0], Pp[1] + cc * M[1], Pp[2] + cc * M[2]), dot)
-        ty = _unit(cross(M, tx), dot)
-        if dot(B, ty) > 0.0:
-            ty = (-ty[0], -ty[1], -ty[2])
-        lam = ((M[0], k * M[1], k * M[2]),
-               (k * tx[0], tx[1], tx[2]),
-               (k * ty[0], ty[1], ty[2]))
-        pivot = ({a, b} & {c, d}).pop()
-        built[cur, nxt] = ChainStep(verts=verts, transition=lam, space=spec.space,
-                                    hinge=(pivot, a + b - pivot, w))
+        a, b, w = (int(c) for c in cur + (set(nxt) - set(cur)).pop())  # cur is sorted
+        built[cur, nxt] = _chain_step(spec.space, cur, nxt, ell(a, b), ell(a, w), ell(b, w))
     return [built[pair] for pair in pairs]
+
+
+# bounded: at most 24 steps per spec, about 1 kB each
+@functools.lru_cache(maxsize=2048)
+def _chain_step(space, cur, nxt, ell, d_minus, d_plus):
+    """Face cur+nxt with edge cur of length ell and sides d_minus, d_plus at its ends."""
+    k, C, S, dot, cross, _ = _KERNEL[space]
+    a, b, w = (int(c) for c in cur + (set(nxt) - set(cur)).pop())
+    ch, sh = C(ell / 2.0), S(ell / 2.0)
+    verts = {a: (ch, -sh, 0.0), b: (ch, sh, 0.0)}
+    # <W, V> = k C(d) against both edge ends, and <W, W> = k
+    w0 = (C(d_minus) + C(d_plus)) / (2.0 * ch)
+    w1 = k * (C(d_plus) - C(d_minus)) / (2.0 * sh)
+    w2sq = -k * w0 * w0 - w1 * w1 + k
+    if w2sq <= 0.0:
+        raise NumericalFailure(f"degenerate face {cur}->{nxt}")
+    verts[w] = (w0, w1, math.sqrt(w2sq))
+    c, d = int(nxt[0]), int(nxt[1])
+    Pm, Pp, B = verts[c], verts[d], verts[({a, b, w} - {c, d}).pop()]   # B: the vertex behind
+    M = _unit((Pm[0] + Pp[0], Pm[1] + Pp[1], Pm[2] + Pp[2]), dot)
+    cc = -k * dot(Pp, M)
+    tx = _unit((Pp[0] + cc * M[0], Pp[1] + cc * M[1], Pp[2] + cc * M[2]), dot)
+    ty = _unit(cross(M, tx), dot)
+    if dot(B, ty) > 0.0:
+        ty = (-ty[0], -ty[1], -ty[2])
+    lam = ((M[0], k * M[1], k * M[2]),
+           (k * tx[0], tx[1], tx[2]),
+           (k * ty[0], ty[1], ty[2]))
+    pivot = ({a, b} & {c, d}).pop()
+    return ChainStep(verts=verts, transition=lam, space=space, hinge=(pivot, a + b - pivot, w))
 
 
 def place_faces(steps):

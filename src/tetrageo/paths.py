@@ -17,7 +17,9 @@ Length, clearance and closure residual are recomputed from the crossing
 fractions in the edge-local frames of the whole closed chain (closure
 angles at the crossings, clearance pruned exactly by line distances), and
 on canonically placed faces for Euclidean paths; simplicity is decided
-from the crossing word and fractions alone.
+from the crossing word and fractions alone.  What depends on the
+tetrahedron alone (a segment's face and boundary slots, the half turns'
+images) sits in static tables built at import.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import NumericalFailure, PreconditionFailed, TooLong, VertexHit
 from .geom import (SpaceKind, _cross3, _dot3, _unit3, rangle,  # noqa: F401
                    rdistance, rinterpolate, rmidpoint, rpoint_at, rpoint_seg_dist,
                    rside_measure, rtangent)
-from .tetra import TetrahedronSpec, edge_token
+from .tetra import EDGES, TetrahedronSpec, edge_token
 from .unfold import _center_involution, first_face_reps, place_chain
 
 FRACTION_MARGIN = 1e-9
@@ -117,6 +119,12 @@ def _face_fold_metrics(spec, tokens, fractions):
     return total, clearance, worst
 
 
+def _edge_lengths(spec, tokens):
+    """Length of each token's edge, from the spec's six."""
+    ell = {tok: spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in EDGES}
+    return [ell[tok] for tok in tokens]
+
+
 def path_metrics(spec, tokens, fractions):
     """Length, vertex clearance and worst closure residual of a closed path.
 
@@ -134,8 +142,8 @@ def path_metrics(spec, tokens, fractions):
     arc = math.asinh if k < 0 else lambda x: math.asin(min(1.0, x))
     tokens_ext = list(tokens) + [tokens[0]]
     steps = frames.build_chain(spec, tokens_ext)
-    s = [(float(f) - 0.5) * spec.face_edge_length(int(tok[0]), int(tok[1]))
-         for tok, f in zip(tokens_ext, list(fractions) + [fractions[0]])]
+    s = [(float(f) - 0.5) * ell
+         for ell, f in zip(_edge_lengths(spec, tokens_ext), list(fractions) + [fractions[0]])]
     cs, sn, terms = frames.chord_segments(steps, s)
     total, clearance, ends = 0.0, math.inf, []
     for i, (step, (m, cx, cy, _)) in enumerate(zip(steps, terms)):
@@ -178,11 +186,29 @@ def _edge_ranks(path):
     ranks = [0] * len(tokens)
     for tok in set(tokens):
         idx = sorted((i for i, t in enumerate(tokens) if t == tok), key=fracs.__getitem__)
-        runs = accumulate((fracs[j] - fracs[i] > STRAND_TIE for i, j in zip(idx, idx[1:])),
-                          initial=0)
-        for r, (_, _, i) in enumerate(sorted(zip(runs, map(strand.__getitem__, idx), idx))):
+        runs = list(accumulate((fracs[j] - fracs[i] > STRAND_TIE for i, j in zip(idx, idx[1:])),
+                               initial=0))
+        if runs[-1] < len(idx) - 1:    # some crossings tie: order them by strand
+            idx = [i for _, _, i in sorted(zip(runs, map(strand.__getitem__, idx), idx))]
+        for r, i in enumerate(idx):
             ranks[i] = r
     return ranks
+
+
+def _face_slots(cur, nxt):
+    """Face ijk of the segment from edge cur to edge nxt, and (slot, sign) of its two ends.
+
+    The face's boundary loop i -> j -> k -> i runs along ij, jk, then ki
+    backwards: slots 1, 3 and 5, with the rank counted backwards on ki.
+    """
+    face = "".join(sorted(set(cur + nxt)))
+    return face, *((3, 1) if tok[0] != face[0] else (1, 1) if tok[1] == face[1] else (5, -1)
+                   for tok in (cur, nxt))
+
+
+# the 24 (entry, exit) edge pairs of a face
+_FACE_SLOTS = {(cur, nxt): _face_slots(cur, nxt)
+               for cur in EDGES for nxt in EDGES if len(set(cur) & set(nxt)) == 1}
 
 
 def simplicity_check(path, spec):
@@ -191,26 +217,26 @@ def simplicity_check(path, spec):
     Faces are geodesically convex, so two segments of one face cross iff
     their endpoints, placed by :func:`_edge_ranks`, strictly interleave
     along the face boundary: per face, a stack of open ends checks that the
-    segments nest.  No geometry or signs (``spec`` is not needed).
+    segments nest.  An end's position is the integer slot * n + sign * rank
+    (_FACE_SLOTS; ranks lie in 0..n-1, so slots never overlap).  No
+    geometry or signs (``spec`` is not needed).
     """
     tokens, ranks = path.tokens, _edge_ranks(path)
     n = len(tokens)
     by_face = {}
     for i in range(n):
-        ends = ((tokens[i], ranks[i]), (tokens[(i + 1) % n], ranks[(i + 1) % n]))
-        face = "".join(sorted(set(ends[0][0] + ends[1][0])))
-        # position on the boundary loop i -> j -> k -> i of face ijk
-        by_face.setdefault(face, []).append(sorted(
-            (1, r) if tok[0] != face[0] else (0, r) if tok[1] == face[1] else (2, -r)
-            for tok, r in ends))
+        j = (i + 1) % n
+        face, (m0, s0), (m1, s1) = _FACE_SLOTS[tokens[i], tokens[j]]
+        x, y = m0 * n + s0 * ranks[i], m1 * n + s1 * ranks[j]
+        by_face.setdefault(face, []).append((x, -y) if x < y else (y, -x))
     for segs in by_face.values():
         open_ends = []  # innermost last
-        for start, end in sorted(segs, key=lambda seg: (seg[0], -seg[1][0], -seg[1][1])):
+        for start, neg_end in sorted(segs):
             while open_ends and open_ends[-1] <= start:
                 open_ends.pop()
-            if open_ends and open_ends[-1] < end:
+            if open_ends and open_ends[-1] < -neg_end:
                 return False
-            open_ends.append(end)
+            open_ends.append(-neg_end)
     return True
 
 
@@ -264,26 +290,32 @@ def euclid_geodesic(t: GeodesicType, mu=Fraction(1, 2)):
 # ---------------------------------------------------------------------------
 # fraction mirroring through the symmetry points
 
+# the half turn about mid(center): image token of each edge, and whether it flips the ends
+_MIRROR = {center: {tok: (edge_token(sigma[int(tok[0])], sigma[int(tok[1])]),
+                          sigma[int(tok[0])] > sigma[int(tok[1])]) for tok in EDGES}
+           for center in EDGES for sigma in [_center_involution(center)]}
+
+
 def full_fractions_from_quarter(seq: CrossingSequence, quarter_fracs):
     """Full fraction list from quarter data via the Y1 and X2 half turns.
 
     The half turn about the midpoint of e_c maps crossing c-k to crossing
     c+k and relabels endpoints by the edge involution, so fractions mirror
-    (f -> 1-f exactly when the involution flips the endpoint order).
+    (f -> 1-f exactly when the involution flips the endpoint order); images
+    and flips come from the static table _MIRROR.
     """
     n = len(seq.tokens)
     K = n // 4
-    toks = list(seq.tokens)
+    toks = seq.tokens
     fracs = list(quarter_fracs)            # indices 0..K
     for center in (K, 2 * K):
-        sigma = _center_involution(toks[center])
+        mirror = _MIRROR[toks[center]]
         for k in range(1, center + 1):     # extend to index 2*center
-            src, dst = toks[center - k], toks[(center + k) % n]
-            mapped = edge_token(sigma[int(src[0])], sigma[int(src[1])])
-            if mapped != dst:
+            mapped, flip = mirror[toks[center - k]]
+            if mapped != toks[(center + k) % n]:
                 raise NumericalFailure("crossing word lacks the half-turn symmetry")
             f = fracs[center - k]
-            if sigma[min(int(src[0]), int(src[1]))] != min(int(dst[0]), int(dst[1])):
+            if flip:
                 f = 1.0 - f
             if len(fracs) == center + k:
                 fracs.append(f)
@@ -368,7 +400,7 @@ def _hyperbolic_quarter(spec, seq):
     K = n // 4
     tokens_q = list(seq.tokens[:K + 1])
     steps = frames.build_chain(spec, tokens_q)
-    ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens_q]
+    ells = _edge_lengths(spec, tokens_q)
     init = [float(f) for f in seq.fractions[:K + 1]]
     init[0] = init[K] = 0.5
     offsets = frames.relax_chord(steps, ells, init)
@@ -432,7 +464,7 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     seq = crossing_sequence(t)
     tokens_ext = list(seq.tokens) + [seq.tokens[0]]
     steps = frames.build_chain(spec, tokens_ext)
-    ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens_ext]
+    ells = _edge_lengths(spec, tokens_ext)
     init = [float(f) for f in seq.fractions] + [float(seq.fractions[0])]
     offsets = frames.relax_chord(steps, ells, init, closed=True)
     fracs = [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(len(seq.tokens))]

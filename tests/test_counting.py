@@ -1,8 +1,12 @@
 """Totient machinery and geodesic counting."""
 
 import math
+import subprocess
+import sys
 
 import pytest
+
+from conftest import subprocess_env
 
 from tetrageo.counting import (admissible_types, asymptotic_constant,
                                count_exact, euler_phi, psi, psi_bruteforce,
@@ -90,3 +94,12 @@ def test_count_exact_parallel_matches_serial():
     parallel = count_exact(18.0, 0.5, jobs=2)
     assert serial.exact_count == parallel.exact_count
     assert serial.lengths == parallel.lengths
+
+
+def test_import_leaves_numpy_out():
+    # numpy serves only the totient oracles: importing the library and the CLI,
+    # which every command pays, does not load it
+    code = "import sys, tetrageo, tetrageo.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=subprocess_env(), check=True).stdout
+    assert out.strip() == "False"

@@ -13,7 +13,8 @@ from conftest import coprime_types
 from tetrageo import frames
 from tetrageo.combinat import (ROTATION_PERMS, CrossingSequence, GeodesicType,
                                crossing_sequence, relabel_sequence)
-from tetrageo.errors import InvalidTetrahedron, PreconditionFailed, TooLong, VertexHit
+from tetrageo.errors import (InvalidTetrahedron, NumericalFailure, PreconditionFailed, TooLong,
+                             VertexHit)
 from tetrageo.existence import hyperbolic_clearance_bound, hyperbolic_length_lower_bound
 from tetrageo.geom import SpaceKind, rside_measure
 from tetrageo.paths import (GeodesicPath, NotContained, euclid_geodesic,
@@ -381,6 +382,14 @@ def test_build_chain_builds_each_pair_once(spec):
     steps = frames.build_chain(spec, tokens)
     assert steps == [frames.build_chain(spec, tokens[i:i + 2])[0] for i in range(len(steps))]
     assert len({id(step) for step in steps}) == len(set(zip(tokens, tokens[1:])))
+    # the step table: a chain of an equal spec shares the very step objects,
+    # and they equal steps built afresh with the table cleared
+    twin = replace(spec)
+    assert twin == spec and twin is not spec
+    assert all(a is b for a, b in zip(frames.build_chain(twin, tokens), steps))
+    frames._chain_step.cache_clear()
+    fresh = frames.build_chain(spec, tokens)
+    assert fresh == steps and all(a is not b for a, b in zip(fresh, steps))
 
 
 def _flat_log(alpha):
@@ -485,6 +494,32 @@ def test_mirrored_fractions_consistent_with_euclid():
         full = full_fractions_from_quarter(seq, quarter)
         for f1, f2 in zip(full, [float(f) for f in seq.fractions]):
             assert abs(f1 - f2) < 1e-15
+
+
+@pytest.mark.parametrize("pq", [(1, 2), (2, 3), (3, 5), (4, 7)])
+def test_mirror_map_rejects_asymmetric_words(pq):
+    # swapping any two neighbouring tokens of the word breaks the half turns
+    seq = crossing_sequence(GeodesicType(*pq))
+    n = len(seq.tokens)
+    quarter = [float(f) for f in seq.fractions[:n // 4 + 1]]
+    for j in range(n - 1):
+        toks = list(seq.tokens)
+        toks[j], toks[j + 1] = toks[j + 1], toks[j]
+        with pytest.raises(NumericalFailure, match="lacks the half-turn symmetry"):
+            full_fractions_from_quarter(replace(seq, tokens=tuple(toks)), quarter)
+
+
+@pytest.mark.parametrize("pq", [(1, 2), (2, 3), (3, 5), (4, 7)])
+def test_mirror_map_rejects_perturbed_fractions(pq):
+    # given more than the quarter, every entry is checked against its mirror image
+    seq = crossing_sequence(GeodesicType(*pq))
+    exact = [float(f) for f in seq.fractions]
+    assert full_fractions_from_quarter(seq, exact) == exact
+    for j in range(len(exact)):
+        perturbed = list(exact)
+        perturbed[j] += 1e-6
+        with pytest.raises(NumericalFailure, match="mirrored fractions disagree"):
+            full_fractions_from_quarter(seq, perturbed)
 
 
 def test_euclid_rejects_unrepresentable_mu():
