@@ -80,16 +80,16 @@ def build_chain(spec, tokens):
     ell, built = spec.face_edge_length, {}
     for cur, nxt in dict.fromkeys(pairs):
         a, b, w = (int(c) for c in cur + (set(nxt) - set(cur)).pop())  # cur is sorted
-        built[cur, nxt] = _chain_step(spec.space, cur, nxt, ell(a, b), ell(a, w), ell(b, w))
+        built[cur, nxt] = _chain_step(spec.space, cur, nxt, a, b, w,
+                                      ell(a, b), ell(a, w), ell(b, w))
     return [built[pair] for pair in pairs]
 
 
 # bounded: at most 24 steps per spec, about 1 kB each
 @functools.lru_cache(maxsize=2048)
-def _chain_step(space, cur, nxt, ell, d_minus, d_plus):
-    """Face cur+nxt with edge cur of length ell and sides d_minus, d_plus at its ends."""
+def _chain_step(space, cur, nxt, a, b, w, ell, d_minus, d_plus):
+    """Face abw entered by cur = ab (length ell), left by nxt; aw, bw of lengths d_minus, d_plus."""
     k, C, S, dot, cross, _ = _KERNEL[space]
-    a, b, w = (int(c) for c in cur + (set(nxt) - set(cur)).pop())
     ch, sh = C(ell / 2.0), S(ell / 2.0)
     verts = {a: (ch, -sh, 0.0), b: (ch, sh, 0.0)}
     # <W, V> = k C(d) against both edge ends, and <W, W> = k

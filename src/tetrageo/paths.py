@@ -119,12 +119,6 @@ def _face_fold_metrics(spec, tokens, fractions):
     return total, clearance, worst
 
 
-def _edge_lengths(spec, tokens):
-    """Length of each token's edge, from the spec's six."""
-    ell = {tok: spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in EDGES}
-    return [ell[tok] for tok in tokens]
-
-
 def path_metrics(spec, tokens, fractions):
     """Length, vertex clearance and worst closure residual of a closed path.
 
@@ -142,8 +136,8 @@ def path_metrics(spec, tokens, fractions):
     arc = math.asinh if k < 0 else lambda x: math.asin(min(1.0, x))
     tokens_ext = list(tokens) + [tokens[0]]
     steps = frames.build_chain(spec, tokens_ext)
-    s = [(float(f) - 0.5) * ell
-         for ell, f in zip(_edge_lengths(spec, tokens_ext), list(fractions) + [fractions[0]])]
+    s = [(float(f) - 0.5) * spec.face_edge_length(int(tok[0]), int(tok[1]))
+         for tok, f in zip(tokens_ext, list(fractions) + [fractions[0]])]
     cs, sn, terms = frames.chord_segments(steps, s)
     total, clearance, ends = 0.0, math.inf, []
     for i, (step, (m, cx, cy, _)) in enumerate(zip(steps, terms)):
@@ -186,11 +180,9 @@ def _edge_ranks(path):
     ranks = [0] * len(tokens)
     for tok in set(tokens):
         idx = sorted((i for i, t in enumerate(tokens) if t == tok), key=fracs.__getitem__)
-        runs = list(accumulate((fracs[j] - fracs[i] > STRAND_TIE for i, j in zip(idx, idx[1:])),
-                               initial=0))
-        if runs[-1] < len(idx) - 1:    # some crossings tie: order them by strand
-            idx = [i for _, _, i in sorted(zip(runs, map(strand.__getitem__, idx), idx))]
-        for r, i in enumerate(idx):
+        runs = accumulate((fracs[j] - fracs[i] > STRAND_TIE for i, j in zip(idx, idx[1:])),
+                          initial=0)
+        for r, (_, _, i) in enumerate(sorted(zip(runs, map(strand.__getitem__, idx), idx))):
             ranks[i] = r
     return ranks
 
@@ -400,7 +392,7 @@ def _hyperbolic_quarter(spec, seq):
     K = n // 4
     tokens_q = list(seq.tokens[:K + 1])
     steps = frames.build_chain(spec, tokens_q)
-    ells = _edge_lengths(spec, tokens_q)
+    ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens_q]
     init = [float(f) for f in seq.fractions[:K + 1]]
     init[0] = init[K] = 0.5
     offsets = frames.relax_chord(steps, ells, init)
@@ -464,7 +456,7 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     seq = crossing_sequence(t)
     tokens_ext = list(seq.tokens) + [seq.tokens[0]]
     steps = frames.build_chain(spec, tokens_ext)
-    ells = _edge_lengths(spec, tokens_ext)
+    ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens_ext]
     init = [float(f) for f in seq.fractions] + [float(seq.fractions[0])]
     offsets = frames.relax_chord(steps, ells, init, closed=True)
     fracs = [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(len(seq.tokens))]
