@@ -15,9 +15,11 @@ the face's three edge lengths, so each is built once (a bounded table) and
 shared by every chain with that key.  A chord is described by its crossing
 offsets, one signed arclength from each edge midpoint, so every crossing,
 fraction, margin and length is a well-conditioned local computation.
-relax_chord, the one chord solver of both curved spaces, and the fold-back
-metrics use the same segment terms (chord_segments); direction shooting
-(shoot_chord) is exact on shallow chains and kept as the tests' reference.
+relax_chord, the Newton chord solver of both curved spaces, and the
+fold-back metrics use the same segment terms (chord_segments).  Direction
+shooting (shoot_chord) carries the chord's normal through the transitions;
+it is the sphere's exact quarter solver, and on shallow hyperbolic chains
+the tests' reference for relax_chord.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericalFailure
-from .geom import SpaceKind, _cross3, _dot3, _mcross, _mdot, _unit_spacelike, rangle
+from .geom import SpaceKind, _cross3, _dot3, _mcross, _mdot, rangle
 
 
 def _matvec(m, v):
@@ -121,44 +123,55 @@ def place_faces(steps):
     transitions are composed outward from e_0.  Returns one dict
     label -> rep per face.
     """
+    k = _KERNEL[steps[0].space][0]
     faces = []
     acc = IDENTITY3
     for step in steps:
         faces.append({lab: _matvec(acc, v) for lab, v in step.verts.items()})
-        acc = _matmul(acc, _mink_inverse(step.transition))
+        acc = _matmul(acc, _inverse(step.transition, k))
     return faces
 
 
-def propagate_chord(steps, theta, ells):
-    """Offsets at which the chord through mid(e_0) at angle theta from +x crosses e_0..e_K.
+def propagate_chord(steps, theta):
+    """Offsets and unit normals at e_0..e_K of the chord through mid(e_0) at angle theta from +x.
 
-    Returns None if the chord misses some edge's complete geodesic.
+    The normal n of the chord's plane, <n, X> = 0 on the chord, is carried
+    through the transitions.  On the hyperboloid the chord meets e_i where
+    tanh s = n_0 / n_1; NumericalFailure if it misses the edge's geodesic.
+    On the sphere it meets the great circle of e_i twice; the crossing taken
+    is the one where it runs into the face ahead, s = atan2(-h n_0, h n_1),
+    where the handedness h flips at every transition of determinant -1.
     """
-    n = (0.0, math.sin(theta), -math.cos(theta))    # normal of the chord in frame E_0
-    offsets = []
-    for i in range(len(ells)):
-        if abs(n[0]) >= abs(n[1]):
-            return None
-        offsets.append(math.atanh(n[0] / n[1]))
-        if i < len(steps):
-            n = _unit_spacelike(_matvec(steps[i].transition, n))
-    return offsets
+    k, _, _, dot, _, _ = _KERNEL[steps[0].space]
+    n, h = (0.0, math.sin(theta), -math.cos(theta)), 1.0   # the normal in frame E_0
+    offsets, normals = [], []
+    for i in range(len(steps) + 1):
+        if i:
+            m = steps[i - 1].transition
+            n = _unit(_matvec(m, n), dot)
+            h = h if _dot3(m[2], _cross3(m[0], m[1])) > 0.0 else -h
+        if k < 0 and abs(n[0]) >= abs(n[1]):
+            raise NumericalFailure(f"chord misses the geodesic of edge e_{i}")
+        offsets.append(math.atan2(-h * n[0], h * n[1]) if k > 0 else math.atanh(n[0] / n[1]))
+        normals.append(n)
+    return offsets, normals
 
 
-def shoot_chord(steps, ells):
-    """Direction theta at mid(e_0) whose chord also passes mid(e_K), and its offsets.
+def shoot_chord(steps):
+    """The chord through mid(e_0) aimed at mid(e_K): direction theta, offsets and normals.
 
-    The line through two hyperbolic points is unique: the chord is aimed
-    at mid(e_K) placed in frame E_0.  Exact on shallow chains; on deep ones
-    the far point loses the precision that relax_chord keeps edge by edge.
+    mid(e_K) is pulled back into frame E_0 through the inverse transitions,
+    the chord aimed at it and propagated.  On the sphere the great circle
+    runs into the face ahead of e_K at its midpoint or, offset +-pi, at the
+    antipode: the caller tells the two apart.  On deep hyperbolic chains the
+    far point loses the precision that relax_chord keeps edge by edge.
     """
-    p, _, w = steps[-1].hinge
-    face = place_faces(steps)[-1]                   # e_K = pw, in frame E_0
-    theta = math.atan2(face[p][2] + face[w][2], face[p][1] + face[w][1])
-    offsets = propagate_chord(steps, theta, ells)
-    if offsets is None or abs(offsets[-1]) > 1e-9 * max(ells):
-        raise NumericalFailure("chord shooting did not converge to the midpoint target")
-    return theta, offsets
+    k = _KERNEL[steps[0].space][0]
+    v = (1.0, 0.0, 0.0)                             # mid(e_K) in frame E_K
+    for step in reversed(steps):
+        v = _matvec(_inverse(step.transition, k), v)
+    theta = math.atan2(v[2], v[1])
+    return (theta, *propagate_chord(steps, theta))
 
 
 def trace_geometry(steps, offsets):
@@ -168,11 +181,11 @@ def trace_geometry(steps, offsets):
             for m, _, _, _ in chord_segments(steps, offsets)[2]]
 
 
-def _mink_inverse(m):
-    """Inverse of a Minkowski-orthogonal matrix: eta m^T eta."""
-    return ((m[0][0], -m[1][0], -m[2][0]),
-            (-m[0][1], m[1][1], m[2][1]),
-            (-m[0][2], m[1][2], m[2][2]))
+def _inverse(m, k):
+    """Inverse J m^T J, J = diag(k, 1, 1), of a transition (it keeps <u, v> = u^T J v)."""
+    return ((m[0][0], k * m[1][0], k * m[2][0]),
+            (k * m[0][1], m[1][1], m[2][1]),
+            (k * m[0][2], m[1][2], m[2][2]))
 
 
 class _Indefinite(Exception):

@@ -394,8 +394,7 @@ def projected_angle_pair(r_over_R, a1, a2):
 def projected_angle_bound_check(r, R, alpha, samples=32):
     """Check |alpha_hat_r - pi/3| < pi tan^2(r/R) + eps over a plane-pencil sample.
 
-    alpha must be pi/3 + eps with eps in (0, pi/6); r/R < pi/2.  Used by the
-    verification harness only.
+    alpha must be pi/3 + eps with eps in (0, pi/6); r/R < pi/2.
     """
     rr = r / R
     if rr >= math.pi / 2:

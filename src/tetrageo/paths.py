@@ -9,9 +9,11 @@ Three construction routes:
 * generic hyperbolic: the closed taut chord of the whole development, whose
   two incidence angles at the edge point s0 are supplementary.
 
-Both hyperbolic routes solve the chord with the one Newton solver of
-:func:`frames.relax_chord`, pinned at X1 and Y1 for the regular quarter and
-closed up for the generic tetrahedron.
+Every curved chain is placed in the edge-local frames of :mod:`frames`.
+The spherical quarter chord is shot exactly through the two midpoints
+(:func:`frames.shoot_chord`); both hyperbolic routes solve the chord with
+the one Newton solver of :func:`frames.relax_chord`, pinned at X1 and Y1
+for the regular quarter and closed up for the generic tetrahedron.
 
 Length, clearance and closure residual are recomputed from the crossing
 fractions in the edge-local frames of the whole closed chain (closure
@@ -33,11 +35,10 @@ from . import frames
 from .combinat import CrossingSequence, GeodesicType, crossing_sequence, trace_crossings
 from .errors import NumericalFailure, PreconditionFailed, TooLong, VertexHit
 # rside_measure stays importable here for the perfbench layer trace
-from .geom import (SpaceKind, _cross3, _dot3, _unit3, rangle,  # noqa: F401
-                   rdistance, rinterpolate, rmidpoint, rpoint_at, rpoint_seg_dist,
-                   rside_measure, rtangent)
+from .geom import (SpaceKind, rangle, rdistance, rinterpolate, rpoint_seg_dist,  # noqa: F401
+                   rside_measure)
 from .tetra import EDGES, TetrahedronSpec, edge_token
-from .unfold import _center_involution, first_face_reps, place_chain
+from .unfold import _center_involution, first_face_reps
 
 FRACTION_MARGIN = 1e-9
 STRAND_TIE = 1e-12  # crossings of one edge closer than this (in fraction) are unresolved
@@ -69,7 +70,13 @@ class GeodesicPath:
 
 @dataclass(frozen=True)
 class NotContained:
-    """First boundary violation of the midpoint chord."""
+    """First boundary violation of the midpoint chord.
+
+    signed_distance: in S, the distance of the end of the edge nearer the
+    crossing from the chord's great circle, signed by the side of the pole
+    X1 x Y1 it lies on; in H, where the solver keeps every crossing on its
+    edge, the distance along the edge from the crossing to that end.
+    """
 
     gtype: GeodesicType
     face_index: int
@@ -319,91 +326,64 @@ def full_fractions_from_quarter(seq: CrossingSequence, quarter_fracs):
 
 
 # ---------------------------------------------------------------------------
-# spherical quarter construction (global chart; sphere coordinates are bounded)
+# quarter construction (edge-local frames)
 
-def _spherical_quarter(spec, seq):
-    """Quarter chord data on the sphere: fractions f_0..f_K or a witness, and extras.
+def _quarter_chord(spec, seq):
+    """Quarter chord of a curved regular tetrahedron: fractions f_0..f_K or a witness, and extras.
 
-    A contained chord is checked against the whole chain: X2, Y2 and X1'
-    must lie on the great circle through X1 and Y1.
+    The chord runs from the midpoint X1 of e_0 to the midpoint Y1 of e_K of
+    the chain placed in edge-local frames.  On the hyperboloid it is solved
+    by Newton steps pinned at X1 and Y1, seeded with the exact Euclidean
+    crossing fractions; on the sphere it is shot from X1 at Y1, must reach
+    e_K at its midpoint, and is checked against the whole chain: X2, Y2 and
+    X1' must lie on it too.
     """
     n = len(seq.tokens)
     K = n // 4
-    edge_pts, _ = place_chain(spec, seq.tokens[:K + 1])
-    X1 = rmidpoint(spec.space, *edge_pts[0])
-    Y1 = rmidpoint(spec.space, *edge_pts[K])
-    quarter_len = rdistance(spec.space, X1, Y1)
-    T = rtangent(spec.space, X1, Y1)
-    n_c = _unit3(_cross3(X1, T))  # pole of the chord circle
-    fracs = [0.5]
-    theta_prev = 0.0
-    witness = None
-    for i in range(1, K):
-        a, b = edge_pts[i]
-        n_e = _unit3(_cross3(a, b))
-        base = math.atan2(-_dot3(X1, n_e), _dot3(T, n_e))
-        th = base % math.pi
-        while th <= theta_prev + 1e-13:
-            th += math.pi
-        C = rpoint_at(spec.space, X1, T, th)
-        ell = rdistance(spec.space, a, b)
-        f = rdistance(spec.space, a, C) / ell
-        if _dot3(rtangent(spec.space, a, b), rtangent(spec.space, a, C)) < 0:
-            f = -f
-        fracs.append(f)
-        theta_prev = th
-        if witness is None and not (FRACTION_MARGIN < f < 1.0 - FRACTION_MARGIN):
-            vertex = b if f > 0.5 else a
-            sd = math.asin(max(-1.0, min(1.0, _dot3(vertex, n_c))))
-            witness = NotContained(seq.gtype, face_index=i, edge=seq.tokens[i],
-                                   signed_distance=sd)
-    if witness is not None:
-        return None, witness, None
-    # by the exact criterion a contained chord is shorter than 2*pi; the
-    # length check runs after the sweep so genuine exits report a witness
-    if 4.0 * quarter_len >= 2.0 * math.pi:
-        raise TooLong(f"candidate length {4 * quarter_len:.6f} >= 2*pi")
-    if theta_prev >= quarter_len:
-        return None, NotContained(seq.gtype, face_index=K, edge=seq.tokens[K % n],
-                                  signed_distance=0.0,
-                                  reason="crossings out of order"), None
-    edge_pts, _ = place_chain(spec, list(seq.tokens) + [seq.tokens[0]])
-    sym_res = 0.0
-    for idx in (n // 2, 3 * n // 4, n):
-        P = rmidpoint(spec.space, *edge_pts[idx])
-        sym_res = max(sym_res, abs(math.asin(max(-1.0, min(1.0, _dot3(P, n_c))))))
-    if sym_res > 1e-8:
-        raise NumericalFailure(f"symmetry points off the chord by {sym_res:.3e}")
-    fracs.append(0.5)
-    return fracs, None, {"quarter_length": quarter_len, "symmetry_residual": sym_res}
-
-
-# ---------------------------------------------------------------------------
-# hyperbolic quarter construction (edge-local frames)
-
-def _hyperbolic_quarter(spec, seq):
-    """Quarter chord of a regular hyperbolic tetrahedron.
-
-    The chord is pinned at the midpoints X1 of e_0 and Y1 of e_K and
-    solved by Newton steps in edge-local frames, seeded with the exact
-    Euclidean crossing fractions.
-    """
-    n = len(seq.tokens)
-    K = n // 4
-    tokens_q = list(seq.tokens[:K + 1])
-    steps = frames.build_chain(spec, tokens_q)
-    ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens_q]
-    init = [float(f) for f in seq.fractions[:K + 1]]
-    init[0] = init[K] = 0.5
-    offsets = frames.relax_chord(steps, ells, init)
-    fracs = [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(K + 1)]
+    tokens = list(seq.tokens[:K + 1])
+    steps = frames.build_chain(spec, tokens)
+    ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens]
+    spherical = spec.space == SpaceKind.SPHERICAL
+    if spherical:
+        theta, offsets, normals = frames.shoot_chord(steps)
+    else:
+        init = [float(f) for f in seq.fractions[:K + 1]]
+        init[0] = init[K] = 0.5
+        offsets = frames.relax_chord(steps, ells, init)
+    fracs = [0.5] + [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(1, K)] + [0.5]
     for i in range(1, K):
         f = fracs[i]
         if not (FRACTION_MARGIN < f < 1.0 - FRACTION_MARGIN):
-            sd = (min(f, 1.0 - f)) * ells[i]
-            return None, NotContained(seq.gtype, face_index=i, edge=seq.tokens[i],
+            if spherical:
+                # V: the end of e_i nearer the crossing, measured from the smaller-labelled
+                # end the short way round; the sign is that of the pole X1 x Y1 = -n
+                u = math.remainder(offsets[i] + ells[i] / 2.0, 2.0 * math.pi)
+                V = steps[i].verts[int(tokens[i][u > ells[i] / 2.0])]
+                sd = -math.asin(max(-1.0, min(1.0, sum(a * b for a, b in zip(normals[i], V)))))
+            else:
+                sd = min(f, 1.0 - f) * ells[i]
+            return None, NotContained(seq.gtype, face_index=i, edge=tokens[i],
                                       signed_distance=sd), None
-    return fracs, None, {"quarter_length": sum(frames.trace_geometry(steps, offsets))}
+    if abs(offsets[K]) > 0.5 * math.pi:     # the great circle runs into F_K at -mid(e_K)
+        return None, NotContained(seq.gtype, face_index=K, edge=tokens[K], signed_distance=0.0,
+                                  reason="crossings out of order"), None
+    # pinned at both midpoints, the length is stationary in the interior
+    # crossings; a grazing chord's rounding on e_K would enter it to first order
+    offsets[0] = offsets[K] = 0.0
+    quarter_len = sum(frames.trace_geometry(steps, offsets))
+    if not spherical:
+        return fracs, None, {"quarter_length": quarter_len}
+    # by the exact criterion a contained chord is shorter than 2*pi; the
+    # length check runs after containment so genuine exits report a witness
+    if 4.0 * quarter_len >= 2.0 * math.pi:
+        raise TooLong(f"candidate length {4 * quarter_len:.6f} >= 2*pi")
+    # mid(e_j) is (1, 0, 0) in frame E_j: its distance from the chord is asin(n_0)
+    normals = frames.propagate_chord(frames.build_chain(spec, list(seq.tokens) + tokens[:1]),
+                                     theta)[1]
+    sym_res = max(abs(normals[j][0]) for j in (n // 2, 3 * n // 4, n))
+    if sym_res > 1e-8:
+        raise NumericalFailure(f"symmetry points off the chord by {sym_res:.3e}")
+    return fracs, None, {"quarter_length": quarter_len, "symmetry_residual": sym_res}
 
 
 def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
@@ -421,8 +401,7 @@ def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
         raise PreconditionFailed("use euclid_geodesic for the Euclidean tetrahedron")
     seq = crossing_sequence(t)
     spherical = spec.space == SpaceKind.SPHERICAL
-    quarter_chord = _spherical_quarter if spherical else _hyperbolic_quarter
-    quarter, witness, extras = quarter_chord(spec, seq)
+    quarter, witness, extras = _quarter_chord(spec, seq)
     if witness is not None:
         return witness
     fracs = full_fractions_from_quarter(seq, quarter)

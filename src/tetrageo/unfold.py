@@ -10,10 +10,13 @@ Spherical chains may overlap themselves on the sphere; the development is
 an abstract chain and overlap is never an error.  If the chain leaves an
 open hemisphere a warning is emitted when the hemisphere check is on.
 
-Hyperbolic chains are computed on the hyperboloid and converted to Klein
-coordinates only for the stored chart points; long chains still saturate
-any global chart, so the published coordinates of very large developments
-are display quality while all metric checks use the internal points.
+Euclidean chains are placed by reflection across each glue edge
+(:func:`place_chain`).  Hyperbolic and spherical chains are placed in
+edge-local frames (:func:`frames.place_faces`), on the hyperboloid or the
+sphere, and converted to chart coordinates only for the stored chart
+points; long hyperbolic chains still saturate any global chart, so the
+published coordinates of very large developments are display quality
+while all metric checks use the internal points.
 """
 
 from __future__ import annotations
@@ -97,10 +100,12 @@ def first_face_reps(space, ell, d_minus, d_plus):
 
 
 def place_chain(spec, tokens):
-    """Euclidean or spherical faces F_0..F_{K-1} for glue edges tokens[0..K].
+    """Euclidean faces F_0..F_{K-1} for glue edges tokens[0..K].
 
     F_0 is the canonical first face; every later apex is the reflection,
-    across the glue edge, of the vertex behind it.  Returns (edge_pts,
+    across the glue edge, of the vertex behind it.  The body is
+    curvature-generic, but curved chains are placed in edge-local frames
+    (:func:`frames.place_faces`).  Returns (edge_pts,
     faces): edge_pts[i] holds the reps of e_i's smaller and larger label,
     faces[i] maps label -> rep.
     """
@@ -126,10 +131,10 @@ def place_chain(spec, tokens):
 def build_development(spec, s: CrossingSequence, hemisphere_check=True):
     """Place the face chain of a crossing word in the spec's chart.
 
-    Euclidean and spherical chains come from :func:`place_chain`.
-    Hyperbolic faces are solved in their local edge frames and pushed to
-    the chart by composed frame transitions, so the chain never feeds
-    far-point cancellations back into itself.  The symmetry points X1, Y1,
+    Euclidean chains come from :func:`place_chain`.  Hyperbolic and
+    spherical faces are solved in their local edge frames and pushed to the
+    chart by composed frame transitions, so the chain never feeds far-point
+    cancellations back into itself.  The symmetry points X1, Y1,
     X2, Y2, X1' are the midpoints of the start, quarter, half,
     three-quarter and closing glue edges.
     """
@@ -143,10 +148,10 @@ def build_development(spec, s: CrossingSequence, hemisphere_check=True):
                 "the development is abstract and may overlap",
                 HemisphereWarning, stacklevel=2)
 
-    if space == SpaceKind.HYPERBOLIC:
-        placed = frames_mod.place_faces(frames_mod.build_chain(spec, tokens_ext))
-    else:
+    if space == SpaceKind.EUCLIDEAN:
         _, placed = place_chain(spec, tokens_ext)
+    else:
+        placed = frames_mod.place_faces(frames_mod.build_chain(spec, tokens_ext))
 
     vertex_reps = {}
     faces = []

@@ -1,13 +1,19 @@
-"""Outputs frozen before the step table and the static word tables.
+"""Outputs frozen before a change that must not move them.
 
 tests/data/frozen_outputs.json holds the repr of the count_exact(40, alpha)
 rows for alpha in {0.3, 0.5, 0.9} and of the midpoint_geodesic lengths and
-fractions for every type p+q <= 12 at alpha in {0.05, 0.5, 1.0}, written by
+fractions for every type p+q <= 12 at alpha in {0.05, 0.5, 1.0}, frozen
+before the step table and the static word tables; every value must stay
+the same to the last bit, so the test compares the reprs exactly.
+
+Its "spherical" part holds decisions only, frozen before the spherical
+quarter chord moved from the global chart to edge-local frames: the
+midpoint_geodesic outcome (the witness face and edge, or the exception)
+for every type p+q <= 7 at alpha = 1.05 + 0.01 k, k < 36, and the repr of
+the threshold_beta(t, 1e-6) bracket of every type p+q <= 8 with a
+necessary bound, and (1, 1).  The file is written by
 
     PYTHONPATH=src python tests/test_frozen_outputs.py
-
-on the commit before those tables.  Every value must stay the same to the
-last bit, so the test compares the reprs exactly.
 """
 
 import json
@@ -15,8 +21,44 @@ from pathlib import Path
 
 from conftest import coprime_types
 from tetrageo import GeodesicType, SpaceKind, TetrahedronSpec, count_exact, midpoint_geodesic
+from tetrageo.errors import BoundVacuous
+from tetrageo.existence import necessary_alpha_bound, threshold_beta
+from tetrageo.paths import NotContained
 
 FROZEN = Path(__file__).resolve().parent / "data" / "frozen_outputs.json"
+
+
+def _outcome(spec, t):
+    try:
+        result = midpoint_geodesic(spec, t)
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc).__name__
+    if isinstance(result, NotContained):
+        return ("witness", result.face_index, result.edge)
+    return "path"
+
+
+def _has_threshold(t):
+    try:
+        necessary_alpha_bound(t)
+    except BoundVacuous:
+        return (t.p, t.q) == (1, 1)
+    return True
+
+
+def spherical_decisions():
+    out = {}
+    for k in range(36):
+        alpha = 1.05 + 0.01 * k
+        spec = TetrahedronSpec(SpaceKind.SPHERICAL, alpha)
+        out[repr(alpha)] = [repr((p, q, _outcome(spec, GeodesicType(p, q))))
+                            for p, q in coprime_types(7)]
+    for p, q in coprime_types(8):
+        t = GeodesicType(p, q)
+        if _has_threshold(t):
+            bracket = threshold_beta(t, 1e-6)
+            out[repr((p, q))] = repr((bracket.lo, bracket.hi))
+    return out
 
 
 def frozen_outputs():
@@ -28,16 +70,16 @@ def frozen_outputs():
             repr((p, q, path.total_length, path.fractions))
             for p, q in coprime_types(12)
             for path in [midpoint_geodesic(spec, GeodesicType(p, q))]]
-    return {"count_exact": counts, "midpoint_geodesic": paths}
+    return {"count_exact": counts, "midpoint_geodesic": paths, "spherical": spherical_decisions()}
 
 
 def test_outputs_match_frozen_reprs():
     frozen = json.loads(FROZEN.read_text())
     outputs = frozen_outputs()
-    for part in ("count_exact", "midpoint_geodesic"):
+    for part in ("count_exact", "midpoint_geodesic", "spherical"):
         assert outputs[part].keys() == frozen[part].keys()
-        for alpha, value in frozen[part].items():
-            assert outputs[part][alpha] == value, (part, alpha)
+        for key, value in frozen[part].items():
+            assert outputs[part][key] == value, (part, key)
 
 
 if __name__ == "__main__":

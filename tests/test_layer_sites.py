@@ -8,6 +8,8 @@ installing.
 import importlib.util
 from pathlib import Path
 
+from tetrageo import GeodesicType, SpaceKind, TetrahedronSpec, paths
+
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
 
 
@@ -28,3 +30,14 @@ def test_every_traced_site_is_a_module_attribute():
     tracer = layertrace.Tracer().install()
     tracer.restore()
     assert all(getattr(m, a) is fn for (m, a), fn in originals.items())
+
+
+def test_spherical_quarter_runs_the_shooting_layers():
+    # the spherical quarter chord is shot: both shooting layers record work
+    tracer = _layertrace().Tracer().install()
+    try:
+        paths.midpoint_geodesic(TetrahedronSpec(SpaceKind.SPHERICAL, 1.1), GeodesicType(2, 3))
+    finally:
+        tracer.restore()
+    assert any(span[0] == "frames.shoot_chord" for span in tracer.spans)
+    assert tracer.counts["frames.propagate_chord"] > 0

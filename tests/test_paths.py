@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from conftest import coprime_types
 from tetrageo import frames
@@ -16,13 +16,15 @@ from tetrageo.combinat import (ROTATION_PERMS, CrossingSequence, GeodesicType,
 from tetrageo.errors import (InvalidTetrahedron, NumericalFailure, PreconditionFailed, TooLong,
                              VertexHit)
 from tetrageo.existence import hyperbolic_clearance_bound, hyperbolic_length_lower_bound
-from tetrageo.geom import SpaceKind, rside_measure
-from tetrageo.paths import (GeodesicPath, NotContained, euclid_geodesic,
+from tetrageo.geom import (SpaceKind, _cross3, _dot3, _unit3, rdistance, rmidpoint, rpoint_at,
+                           rside_measure, rtangent)
+from tetrageo.paths import (FRACTION_MARGIN, GeodesicPath, NotContained, euclid_geodesic,
                             euclid_mu_interval, full_fractions_from_quarter,
                             generic_hyperbolic_geodesic, midpoint_geodesic, path_metrics,
                             simplicity_check, vertex_clearance, _face_fold_metrics,
-                            _rep_segments)
+                            _quarter_chord, _rep_segments)
 from tetrageo.tetra import TetrahedronSpec, edge_from_angle, generic_from_edges
+from tetrageo.unfold import place_chain
 
 E, S, H = SpaceKind.EUCLIDEAN, SpaceKind.SPHERICAL, SpaceKind.HYPERBOLIC
 
@@ -261,6 +263,99 @@ def test_spherical_midpoint_law():
     assert path.closure_residual < 1e-8
 
 
+def _global_chart_quarter(spec, seq):
+    """Reference spherical quarter: the chain placed in one sphere chart, the chord swept in theta.
+
+    The construction the edge-frame shooting replaced: X1, Y1 and every
+    glue edge are placed by reflections (unfold.place_chain), the great
+    circle from X1 towards Y1 is cut with each edge's great circle at the
+    first angle past the previous crossing, and the crossings must come
+    before Y1.  Returns what paths._quarter_chord returns.
+    """
+    n = len(seq.tokens)
+    K = n // 4
+    edge_pts, _ = place_chain(spec, seq.tokens[:K + 1])
+    X1 = rmidpoint(spec.space, *edge_pts[0])
+    Y1 = rmidpoint(spec.space, *edge_pts[K])
+    quarter_len = rdistance(spec.space, X1, Y1)
+    T = rtangent(spec.space, X1, Y1)
+    n_c = _unit3(_cross3(X1, T))  # pole of the chord circle
+    fracs = [0.5]
+    theta_prev = 0.0
+    witness = None
+    for i in range(1, K):
+        a, b = edge_pts[i]
+        n_e = _unit3(_cross3(a, b))
+        base = math.atan2(-_dot3(X1, n_e), _dot3(T, n_e))
+        th = base % math.pi
+        while th <= theta_prev + 1e-13:
+            th += math.pi
+        C = rpoint_at(spec.space, X1, T, th)
+        ell = rdistance(spec.space, a, b)
+        f = rdistance(spec.space, a, C) / ell
+        if _dot3(rtangent(spec.space, a, b), rtangent(spec.space, a, C)) < 0:
+            f = -f
+        fracs.append(f)
+        theta_prev = th
+        if witness is None and not (FRACTION_MARGIN < f < 1.0 - FRACTION_MARGIN):
+            vertex = b if f > 0.5 else a
+            sd = math.asin(max(-1.0, min(1.0, _dot3(vertex, n_c))))
+            witness = NotContained(seq.gtype, face_index=i, edge=seq.tokens[i],
+                                   signed_distance=sd)
+    if witness is not None:
+        return None, witness, None
+    if 4.0 * quarter_len >= 2.0 * math.pi:
+        raise TooLong(f"candidate length {4 * quarter_len:.6f} >= 2*pi")
+    if theta_prev >= quarter_len:
+        return None, NotContained(seq.gtype, face_index=K, edge=seq.tokens[K % n],
+                                  signed_distance=0.0,
+                                  reason="crossings out of order"), None
+    edge_pts, _ = place_chain(spec, list(seq.tokens) + [seq.tokens[0]])
+    sym_res = 0.0
+    for idx in (n // 2, 3 * n // 4, n):
+        P = rmidpoint(spec.space, *edge_pts[idx])
+        sym_res = max(sym_res, abs(math.asin(max(-1.0, min(1.0, _dot3(P, n_c))))))
+    if sym_res > 1e-8:
+        raise NumericalFailure(f"symmetry points off the chord by {sym_res:.3e}")
+    fracs.append(0.5)
+    return fracs, None, {"quarter_length": quarter_len, "symmetry_residual": sym_res}
+
+
+def _quarter_outcome(quarter, spec, seq):
+    try:
+        return quarter(spec, seq)
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc)
+
+
+# regressions: a crossing just past the antipode of an edge end (1,6), one just
+# short of it (4,5), and a chord meeting e_K at a grazing angle (1,3)
+@example(1.319469394507713, (1, 6))
+@example(1.2566376614359172, (4, 5))
+@example(1.1582012796234369, (1, 3))
+@given(st.floats(math.pi / 3 + 1e-6, 2 * math.pi / 3 - 1e-6), st.sampled_from(coprime_types(15)))
+def test_spherical_quarter_matches_global_chart(alpha, pq):
+    # shooting in edge-local frames against the global-chart sweep it replaced
+    spec = TetrahedronSpec(S, alpha)
+    seq = crossing_sequence(GeodesicType(*pq))
+    new = _quarter_outcome(_quarter_chord, spec, seq)
+    old = _quarter_outcome(_global_chart_quarter, spec, seq)
+    if isinstance(old, type):
+        assert new is old
+        return
+    (fracs, witness, extras), (ref_fracs, ref_witness, ref_extras) = new, old
+    if ref_witness is not None:
+        assert fracs is None and witness is not None
+        assert ((witness.face_index, witness.edge, witness.reason)
+                == (ref_witness.face_index, ref_witness.edge, ref_witness.reason))
+        if min(abs(witness.signed_distance), abs(ref_witness.signed_distance)) < 1e-3:
+            assert abs(witness.signed_distance - ref_witness.signed_distance) < 1e-12
+        return
+    assert witness is None and len(fracs) == len(ref_fracs)
+    assert max(abs(f - g) for f, g in zip(fracs, ref_fracs)) < 1e-9
+    assert abs(extras["quarter_length"] - ref_extras["quarter_length"]) < 1e-12
+
+
 def test_spherical_uniqueness_same_word():
     # two независимes constructions with the same crossing word coincide
     p1 = midpoint_geodesic(TetrahedronSpec(S, 1.2), GeodesicType(1, 2))
@@ -406,18 +501,30 @@ def shallow_chains(draw):
     return alpha, p, n - p
 
 
-@given(shallow_chains())
-def test_hyperbolic_shoot_and_relax_agree(chain):
-    # direction shooting is exact on shallow chains: the Newton chord must
-    # reproduce its crossing offsets, near the flat limit too
-    alpha, p, q = chain
-    spec = TetrahedronSpec(H, alpha)
+@st.composite
+def shot_chains(draw):
+    """(space, alpha, p, q): a shallow hyperbolic chain, or a spherical one near the flat limit."""
+    if draw(st.booleans()):
+        return (H, *draw(shallow_chains()))
+    alpha = draw(st.floats(math.pi / 3 + 1e-6, math.pi / 3 + 0.05))
+    return (S, alpha, *draw(st.sampled_from(coprime_types(12))))
+
+
+@given(shot_chains())
+def test_shoot_and_relax_agree(chain):
+    # direction shooting is exact on shallow hyperbolic chains and on every
+    # spherical one: the Newton chord pinned at both midpoints must reproduce
+    # its crossing offsets, near the flat limit too
+    space, alpha, p, q = chain
+    spec = TetrahedronSpec(space, alpha)
     t = GeodesicType(p, q)
+    if space == S:   # on contained quarters
+        assume(isinstance(midpoint_geodesic(spec, t), GeodesicPath))
     seq = crossing_sequence(t)
     K = len(seq.tokens) // 4
     steps = frames.build_chain(spec, list(seq.tokens[:K + 1]))
     ells = [spec.edge] * (K + 1)
-    _, shot = frames.shoot_chord(steps, ells)
+    _, shot, _ = frames.shoot_chord(steps)
     offsets = frames.relax_chord(steps, ells, [float(f) for f in seq.fractions[:K + 1]])
     for o1, o2 in zip(shot, offsets):
         assert abs(o1 - o2) < 1e-9

@@ -5,10 +5,11 @@ import warnings
 
 import pytest
 
+from tetrageo import frames
 from tetrageo.combinat import CrossingSequence, GeodesicType, crossing_sequence
 from tetrageo.geom import SpaceKind, rdistance
 from tetrageo.tetra import TetrahedronSpec, generic_from_edges
-from tetrageo.unfold import HemisphereWarning, build_development, symmetry_check
+from tetrageo.unfold import HemisphereWarning, build_development, place_chain, symmetry_check
 
 E, S, H = SpaceKind.EUCLIDEAN, SpaceKind.SPHERICAL, SpaceKind.HYPERBOLIC
 
@@ -48,6 +49,20 @@ def test_isometry_and_angles(spec, pq):
 @pytest.mark.parametrize("spec,pq", _spec_cases())
 def test_symmetry(spec, pq):
     assert symmetry_check(_dev(spec, pq))
+
+
+@pytest.mark.parametrize("alpha,pq", SPH_CASES + [(1.2, (5, 8)), (2.0, (7, 13))])
+def test_spherical_frames_match_reflected_chain(alpha, pq):
+    # edge-frame placement against the reflection chain, whose body is curvature-generic
+    spec = TetrahedronSpec(S, alpha)
+    seq = crossing_sequence(GeodesicType(*pq))
+    tokens = list(seq.tokens) + [seq.tokens[0]]
+    placed = frames.place_faces(frames.build_chain(spec, tokens))
+    _, reflected = place_chain(spec, tokens)
+    assert len(placed) == len(reflected)
+    for face, ref in zip(placed, reflected):
+        assert face.keys() == ref.keys()
+        assert max(abs(x - y) for lab in face for x, y in zip(face[lab], ref[lab])) < 1e-12
 
 
 def test_gluing_shared_edges():
