@@ -339,12 +339,6 @@ def reflect_across(space, seg, p):
                                        rep_point(space, seg.b), rep_point(space, p)))
 
 
-def point_to_segment_distance(space, seg, p):
-    """Distance from p to the geodesic segment (foot clamped to the segment)."""
-    return rpoint_seg_dist(space, rep_point(space, p), rep_point(space, seg.a),
-                           rep_point(space, seg.b))
-
-
 # ---------------------------------------------------------------------------
 # central (gnomonic) projection of the sphere
 
@@ -389,28 +383,3 @@ def projected_angle_pair(r_over_R, a1, a2):
     cos_hat = num / den
     return (math.acos(max(-1.0, min(1.0, cos_alpha))),
             math.acos(max(-1.0, min(1.0, cos_hat))))
-
-
-def projected_angle_bound_check(r, R, alpha, samples=32):
-    """Check |alpha_hat_r - pi/3| < pi tan^2(r/R) + eps over a plane-pencil sample.
-
-    alpha must be pi/3 + eps with eps in (0, pi/6); r/R < pi/2.
-    """
-    rr = r / R
-    if rr >= math.pi / 2:
-        raise ValueError("r/R must be below pi/2")
-    eps = alpha - math.pi / 3
-    bound = math.pi * math.tan(rr) ** 2 + eps
-    if rr == 0.0:
-        return True  # projection is the identity on directions at the pole
-    # a_i = cos(phi_i) with phi1 - phi2 = +-alpha keeps the plane angle at alpha
-    for k in range(samples):
-        phi1 = (k + 0.5) * math.pi / samples
-        for phi2 in (phi1 + alpha, phi1 - alpha):
-            a1, a2 = math.cos(phi1), math.cos(phi2)
-            got_alpha, got_hat = projected_angle_pair(rr, a1, a2)
-            if abs(got_alpha - alpha) > 1e-9:
-                continue  # pencil member folded past the angle range
-            if abs(got_hat - math.pi / 3) >= bound:
-                return False
-    return True

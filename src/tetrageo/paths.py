@@ -16,12 +16,13 @@ the one Newton solver of :func:`frames.relax_chord`, pinned at X1 and Y1
 for the regular quarter and closed up for the generic tetrahedron.
 
 Length, clearance and closure residual are recomputed from the crossing
-fractions in the edge-local frames of the whole closed chain (closure
-angles at the crossings, clearance pruned exactly by line distances), and
-on canonically placed faces for Euclidean paths; simplicity is decided
-from the crossing word and fractions alone.  What depends on the
-tetrahedron alone (a segment's face and boundary slots, the half turns'
-images) sits in static tables built at import.
+fractions in edge-local frames (closure angles at the crossings, clearance
+pruned exactly by line distances): a regular midpoint path on its quarter
+chain, which the half turns carry onto the whole curve, a generic path on
+its whole closed chain; Euclidean paths on canonically placed faces.
+Simplicity is decided from the crossing word and fractions alone.  What
+depends on the tetrahedron alone (a segment's face and boundary slots, the
+half turns' images) sits in static tables built at import.
 """
 
 from __future__ import annotations
@@ -129,22 +130,36 @@ def _face_fold_metrics(spec, tokens, fractions):
 def path_metrics(spec, tokens, fractions):
     """Length, vertex clearance and worst closure residual of a closed path.
 
-    Curved paths are measured in the edge-local frames of the closed chain
-    e_0..e_n = e_0, offsets taken from the fractions alone.  The residual at
-    crossing j is the difference of the angles of segments j-1 and j with
-    e_j.  A vertex's distance to a segment's line is a lower bound of its
-    distance to the segment: only a bound under the running minimum calls
-    the clamped test.  Euclidean paths fold onto single faces.
+    Curved paths are measured in the edge-local frames of a chain, offsets
+    taken from the fractions alone.  Given one fraction per token, the chain
+    is the closed one e_0..e_n = e_0.  Given the whole word of a regular
+    midpoint path but only its K + 1 = n/4 + 1 quarter fractions, it is the
+    quarter e_0..e_K: the half turns about the symmetry points carry the
+    quarter onto the other three, so the length is four times the quarter's,
+    the clearance is the quarter's, and the residual is taken over the
+    interior crossings 1..K-1 (at a symmetry point the two segments are
+    images of each other under its half turn).  The residual at crossing j
+    is the difference of the angles of segments j-1 and j with e_j.  A
+    vertex's distance to a segment's line is a lower bound of its distance
+    to the segment: only a bound under the running minimum calls the
+    clamped test.  Euclidean paths fold onto single faces.
     """
     space = spec.space
     if space == SpaceKind.EUCLIDEAN:
         return _face_fold_metrics(spec, tokens, fractions)
+    n, K = len(tokens), len(tokens) // 4
+    if len(fractions) == n:         # closed: crossing 0 joins segments n-1 and 0
+        chain, fracs, copies = list(tokens) + [tokens[0]], list(fractions) + [fractions[0]], 1
+        crossings = range(n)
+    elif len(fractions) == K + 1:   # the quarter
+        chain, fracs, copies, crossings = tokens[:K + 1], fractions, 4, range(1, K)
+    else:
+        raise ValueError(f"{len(fractions)} fractions for a word of {n} tokens")
     k = frames._KERNEL[space][0]
     arc = math.asinh if k < 0 else lambda x: math.asin(min(1.0, x))
-    tokens_ext = list(tokens) + [tokens[0]]
-    steps = frames.build_chain(spec, tokens_ext)
+    steps = frames.build_chain(spec, chain)
     s = [(float(f) - 0.5) * spec.face_edge_length(int(tok[0]), int(tok[1]))
-         for tok, f in zip(tokens_ext, list(fractions) + [fractions[0]])]
+         for tok, f in zip(chain, fracs)]
     cs, sn, terms = frames.chord_segments(steps, s)
     total, clearance, ends = 0.0, math.inf, []
     for i, (step, (m, cx, cy, _)) in enumerate(zip(steps, terms)):
@@ -164,8 +179,8 @@ def path_metrics(spec, tokens, fractions):
         for V in step.verts.values():
             if arc(abs(w * (sa * V[0] - ca * V[1]) + u * V[2]) / norm) < clearance:
                 clearance = min(clearance, rpoint_seg_dist(space, V, A, B))
-    worst = max(abs(prev[1] - cur[0]) for prev, cur in zip(ends[-1:] + ends[:-1], ends))
-    return total, clearance, worst
+    worst = max((abs(ends[j - 1][1] - ends[j][0]) for j in crossings), default=0.0)
+    return copies * total, clearance, worst
 
 
 def vertex_clearance(path, spec):
@@ -239,8 +254,10 @@ def simplicity_check(path, spec):
     return True
 
 
-def _assemble_path(spec, t, tokens, fractions, extras=None):
-    total, clearance, worst = path_metrics(spec, tokens, fractions)
+def _assemble_path(spec, t, tokens, fractions, extras=None, measured=None):
+    """The path through the crossings, measured on the fractions ``measured`` (default: all)."""
+    measured = fractions if measured is None else measured
+    total, clearance, worst = path_metrics(spec, tokens, measured)
     path = GeodesicPath(
         gtype=t, space=spec.space,
         crossings=tuple(zip(tokens, (float(f) for f in fractions))),
@@ -391,11 +408,14 @@ def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
 
     Returns the GeodesicPath when the chord stays strictly inside the face
     chain, otherwise the first NotContained witness.  Spherical chords of
-    length >= 2*pi raise TooLong.  The path's closure residual doubles as
-    the verification that the curve runs through the symmetry points X2,
-    Y1, Y2: the mirrored fractions pin those crossings to edge midpoints,
-    and any deviation of the true chord would break the supplementary-angle
-    condition there.
+    length >= 2*pi raise TooLong.  The path is measured on its quarter
+    chain, so its closure residual covers the quarter's interior crossings
+    only.  The other crossings, those at the symmetry points X1, Y1, X2 and
+    Y2 among them, rest on the mirror map instead: it checks that the word
+    has the half-turn symmetry and pins the symmetry crossings to edge
+    midpoints, and the half turns carry the quarter onto the rest of the
+    curve, the segment before a symmetry point onto the one after it.  On
+    the sphere the whole chain is checked as well (the symmetry residual).
     """
     if spec.space == SpaceKind.EUCLIDEAN:
         raise PreconditionFailed("use euclid_geodesic for the Euclidean tetrahedron")
@@ -405,7 +425,7 @@ def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
     if witness is not None:
         return witness
     fracs = full_fractions_from_quarter(seq, quarter)
-    path = _assemble_path(spec, t, seq.tokens, fracs, extras=extras)
+    path = _assemble_path(spec, t, seq.tokens, fracs, extras=extras, measured=quarter)
     if spherical and path.total_length >= 2.0 * math.pi:
         raise TooLong(f"constructed length {path.total_length:.6f} >= 2*pi")
     if not (spherical or path.closed):

@@ -6,6 +6,13 @@ fractions for every type p+q <= 12 at alpha in {0.05, 0.5, 1.0}, frozen
 before the step table and the static word tables; every value must stay
 the same to the last bit, so the test compares the reprs exactly.
 
+Lengths and clearances were frozen as measured on the whole closed chain.
+The library now measures a midpoint path on its quarter chain, which moves
+them by rounding; so the frozen reprs are matched by path_metrics given
+every fraction of the path (which pins the fractions and that closed-chain
+measure to the bit), and the path's own length and clearance must lie
+within REL_TOL of them.
+
 Its "spherical" part holds decisions only, frozen before the spherical
 quarter chord moved from the global chart to edge-local frames: the
 midpoint_geodesic outcome (the witness face and edge, or the exception)
@@ -17,15 +24,17 @@ necessary bound, and (1, 1).  The file is written by
 """
 
 import json
+import math
 from pathlib import Path
 
 from conftest import coprime_types
 from tetrageo import GeodesicType, SpaceKind, TetrahedronSpec, count_exact, midpoint_geodesic
 from tetrageo.errors import BoundVacuous
 from tetrageo.existence import necessary_alpha_bound, threshold_beta
-from tetrageo.paths import NotContained
+from tetrageo.paths import NotContained, path_metrics
 
 FROZEN = Path(__file__).resolve().parent / "data" / "frozen_outputs.json"
+REL_TOL = 1e-13   # quarter-chain against closed-chain length and clearance
 
 
 def _outcome(spec, t):
@@ -61,26 +70,49 @@ def spherical_decisions():
     return out
 
 
+def _closed_chain_path(spec, p, q):
+    """The midpoint path of type (p, q), and its length and clearance on the whole closed chain."""
+    path = midpoint_geodesic(spec, GeodesicType(p, q))
+    length, clearance, _ = path_metrics(spec, path.tokens, path.fractions)
+    return path, length, clearance
+
+
 def frozen_outputs():
-    counts = {repr(alpha): repr(count_exact(40, alpha).lengths) for alpha in (0.3, 0.5, 0.9)}
+    """The frozen parts, and (key, closed-chain value, library value) per length and clearance."""
+    measured = []
+    counts = {}
+    for alpha in (0.3, 0.5, 0.9):
+        spec = TetrahedronSpec(SpaceKind.HYPERBOLIC, alpha)
+        rows = []
+        for p, q, length, clearance in count_exact(40, alpha).lengths:
+            _, closed_length, closed_clearance = _closed_chain_path(spec, p, q)
+            rows.append((p, q, closed_length, closed_clearance))
+            measured += [(("count", alpha, p, q), closed_length, length),
+                         (("count", alpha, p, q), closed_clearance, clearance)]
+        counts[repr(alpha)] = repr(tuple(rows))
     paths = {}
     for alpha in (0.05, 0.5, 1.0):
         spec = TetrahedronSpec(SpaceKind.HYPERBOLIC, alpha)
-        paths[repr(alpha)] = [
-            repr((p, q, path.total_length, path.fractions))
-            for p, q in coprime_types(12)
-            for path in [midpoint_geodesic(spec, GeodesicType(p, q))]]
-    return {"count_exact": counts, "midpoint_geodesic": paths, "spherical": spherical_decisions()}
+        paths[repr(alpha)] = []
+        for p, q in coprime_types(12):
+            path, closed_length, _ = _closed_chain_path(spec, p, q)
+            paths[repr(alpha)].append(repr((p, q, closed_length, path.fractions)))
+            measured.append((("path", alpha, p, q), closed_length, path.total_length))
+    outputs = {"count_exact": counts, "midpoint_geodesic": paths,
+               "spherical": spherical_decisions()}
+    return outputs, measured
 
 
 def test_outputs_match_frozen_reprs():
     frozen = json.loads(FROZEN.read_text())
-    outputs = frozen_outputs()
+    outputs, measured = frozen_outputs()
     for part in ("count_exact", "midpoint_geodesic", "spherical"):
         assert outputs[part].keys() == frozen[part].keys()
         for key, value in frozen[part].items():
             assert outputs[part][key] == value, (part, key)
+    for key, closed, own in measured:
+        assert math.isfinite(own) and abs(own - closed) <= REL_TOL * closed, (key, closed, own)
 
 
 if __name__ == "__main__":
-    FROZEN.write_text(json.dumps(frozen_outputs(), indent=1) + "\n")
+    FROZEN.write_text(json.dumps(frozen_outputs()[0], indent=1) + "\n")

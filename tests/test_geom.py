@@ -6,10 +6,9 @@ import random
 import pytest
 
 from tetrageo.errors import AmbiguousGeodesic, OutOfHemisphere
-from tetrageo.geom import (SpaceKind, Segment2, Side, distance,
-                           gnomonic_project, point_to_segment_distance,
-                           projected_angle_bound_check, projected_angle_pair,
-                           reflect_across, side_of)
+from tetrageo.geom import (SpaceKind, Segment2, Side, distance, gnomonic_project,
+                           projected_angle_pair, reflect_across, rep_point, rpoint_seg_dist,
+                           side_of)
 
 E, S, H = SpaceKind.EUCLIDEAN, SpaceKind.SPHERICAL, SpaceKind.HYPERBOLIC
 
@@ -179,18 +178,43 @@ def test_projected_angle_formula_matches_3d():
         assert alpha_hat == pytest.approx(math.acos(max(-1, min(1, dot / nrm))), abs=1e-10)
 
 
+def projected_angle_bound_check(r, R, alpha, samples=32):
+    """Check |alpha_hat_r - pi/3| < pi tan^2(r/R) + eps over a plane-pencil sample.
+
+    alpha must be pi/3 + eps with eps in (0, pi/6); r/R < pi/2.
+    """
+    rr = r / R
+    assert rr < math.pi / 2
+    eps = alpha - math.pi / 3
+    bound = math.pi * math.tan(rr) ** 2 + eps
+    if rr == 0.0:
+        return True  # projection is the identity on directions at the pole
+    # a_i = cos(phi_i) with phi1 - phi2 = +-alpha keeps the plane angle at alpha
+    for k in range(samples):
+        phi1 = (k + 0.5) * math.pi / samples
+        for phi2 in (phi1 + alpha, phi1 - alpha):
+            got_alpha, got_hat = projected_angle_pair(rr, math.cos(phi1), math.cos(phi2))
+            if abs(got_alpha - alpha) > 1e-9:
+                continue  # pencil member folded past the angle range
+            if abs(got_hat - math.pi / 3) >= bound:
+                return False
+    return True
+
+
 def test_projected_angle_bound_check_examples():
     assert projected_angle_bound_check(0.0, 1.0, math.pi / 3 + 0.01)
     assert projected_angle_bound_check(0.1, 1.0, math.pi / 3 + 0.01)
     assert projected_angle_bound_check(0.3, 1.0, math.pi / 3 + 0.05)
 
 
+def _segment_distance(space, a, b, p):
+    return rpoint_seg_dist(space, *(rep_point(space, x) for x in (p, a, b)))
+
+
 def test_point_to_segment_distance():
-    seg = Segment2((0.0, 0.0), (1.0, 0.0), E)
-    assert point_to_segment_distance(E, seg, (0.5, 0.4)) == pytest.approx(0.4)
-    assert point_to_segment_distance(E, seg, (2.0, 0.0)) == pytest.approx(1.0)
-    seg = Segment2((1, 0, 0), (0, 1, 0), S)
-    assert point_to_segment_distance(S, seg, (0, 0, 1)) == pytest.approx(math.pi / 2, abs=1e-12)
-    seg = Segment2((-0.5, 0.0), (0.5, 0.0), H)
-    d = point_to_segment_distance(H, seg, (0.0, 0.3))
+    assert _segment_distance(E, (0.0, 0.0), (1.0, 0.0), (0.5, 0.4)) == pytest.approx(0.4)
+    assert _segment_distance(E, (0.0, 0.0), (1.0, 0.0), (2.0, 0.0)) == pytest.approx(1.0)
+    d = _segment_distance(S, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert d == pytest.approx(math.pi / 2, abs=1e-12)
+    d = _segment_distance(H, (-0.5, 0.0), (0.5, 0.0), (0.0, 0.3))
     assert d == pytest.approx(math.atanh(0.3), abs=1e-12)

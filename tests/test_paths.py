@@ -437,6 +437,31 @@ def test_ideal_limit_lengths_are_markov_numbers():
     assert len(set(image.values())) == len(image)
 
 
+@lru_cache(maxsize=None)
+def _markov_number(pq):
+    """The Markov number m of a type: its ideal-limit length is 4 acosh(3m/2)."""
+    spec = TetrahedronSpec(H, 1e-6)
+    x = 2.0 * math.cosh(midpoint_geodesic(spec, GeodesicType(*pq)).total_length / 4.0) / 3.0
+    return min(_markov_numbers(10 ** 12), key=lambda m: abs(m - x))
+
+
+@st.composite
+def angle_pairs(draw):
+    """alpha_1 < alpha_2 in [1e-4, 1.04], at least 1e-6 apart: closer ones are rounding."""
+    a1 = draw(st.floats(1e-4, 1.04 - 1e-6))
+    return a1, draw(st.floats(a1 + 1e-6, 1.04))
+
+
+@given(angle_pairs(), st.sampled_from(coprime_types(16)))
+def test_lengths_decrease_in_alpha_below_the_ideal_limit(alphas, pq):
+    # an observation, not a theorem of the paper: the length falls as the
+    # angle grows, so the ideal tetrahedron's 4 acosh(3m/2) bounds it above
+    lengths = [midpoint_geodesic(TetrahedronSpec(H, a), GeodesicType(*pq)).total_length
+               for a in alphas]
+    assert lengths[1] < lengths[0], (alphas, pq, lengths)
+    assert lengths[0] < 4.0 * math.acosh(1.5 * _markov_number(pq)), (alphas, pq, lengths)
+
+
 @given(st.floats(0.05, 1.04), st.sampled_from(coprime_types(20)))
 def test_edge_frame_metrics_match_face_fold(alpha, pq):
     # the edge-frame fold-back against the canonically placed single faces
@@ -448,9 +473,8 @@ def test_edge_frame_metrics_match_face_fold(alpha, pq):
     assert path.closure_residual < 1e-8 and residual < 1e-8
 
 
-def test_edge_frame_metrics_match_face_fold_on_sphere():
-    # every contained chord of the spherical verdict grid
-    compared = 0
+def _contained_spherical_grid():
+    """(key, spec, path) for every contained chord of the spherical verdict grid."""
     for k in range(36):
         spec = TetrahedronSpec(S, 1.05 + 0.01 * k)
         for p, q in coprime_types(7):
@@ -458,14 +482,64 @@ def test_edge_frame_metrics_match_face_fold_on_sphere():
                 path = midpoint_geodesic(spec, GeodesicType(p, q))
             except TooLong:
                 continue
-            if not isinstance(path, GeodesicPath):
-                continue
-            length, clearance, residual = _face_fold_metrics(spec, path.tokens, path.fractions)
-            assert abs(path.total_length - length) < 1e-10 * length, (k, p, q)
-            assert abs(path.clearance - clearance) < 1e-9, (k, p, q)
-            assert path.closure_residual < 1e-8 and residual < 1e-8, (k, p, q)
-            compared += 1
+            if isinstance(path, GeodesicPath):
+                yield (k, p, q), spec, path
+
+
+def test_edge_frame_metrics_match_face_fold_on_sphere():
+    compared = 0
+    for key, spec, path in _contained_spherical_grid():
+        length, clearance, residual = _face_fold_metrics(spec, path.tokens, path.fractions)
+        assert abs(path.total_length - length) < 1e-10 * length, key
+        assert abs(path.clearance - clearance) < 1e-9, key
+        assert path.closure_residual < 1e-8 and residual < 1e-8, key
+        compared += 1
     assert compared > 100
+
+
+def _assert_quarter_matches_closed_chain(spec, path, key):
+    # a midpoint path is measured on its quarter chain; the oracle measures
+    # the same fractions on the whole closed chain
+    length, clearance, residual = path_metrics(spec, path.tokens, path.fractions)
+    assert abs(path.total_length - length) <= 1e-13 * length, key
+    assert abs(path.clearance - clearance) <= max(1e-13 * clearance, 1e-15), key
+    assert path.closure_residual < 1e-8 and residual < 1e-8, key
+    assert abs(path.closure_residual - residual) < 1e-11, key
+
+
+@given(st.floats(1e-5, 1.04), st.sampled_from(coprime_types(20)))
+def test_quarter_metrics_match_closed_chain(alpha, pq):
+    spec = TetrahedronSpec(H, alpha)
+    _assert_quarter_matches_closed_chain(spec, midpoint_geodesic(spec, GeodesicType(*pq)),
+                                         (alpha, pq))
+
+
+def test_quarter_metrics_match_closed_chain_on_sphere():
+    compared = 0
+    for key, spec, path in _contained_spherical_grid():
+        _assert_quarter_matches_closed_chain(spec, path, key)
+        compared += 1
+    assert compared > 100
+
+
+def test_quarter_metrics_reject_other_fraction_counts():
+    spec = TetrahedronSpec(H, 0.5)
+    path = midpoint_geodesic(spec, GeodesicType(2, 3))
+    with pytest.raises(ValueError):
+        path_metrics(spec, path.tokens, path.fractions[:-1])
+
+
+@pytest.mark.parametrize("pq", [(0, 1), (1, 2), (3, 5), (7, 13)])
+def test_hyperbolic_midpoint_path_builds_only_its_quarter_chain(monkeypatch, pq):
+    lengths, build_chain = [], frames.build_chain
+
+    def recording(spec, tokens):
+        lengths.append(len(tokens))
+        return build_chain(spec, tokens)
+
+    monkeypatch.setattr(frames, "build_chain", recording)
+    path = midpoint_geodesic(TetrahedronSpec(H, 0.5), GeodesicType(*pq))
+    assert lengths and max(lengths) <= len(path.tokens) // 4 + 1, lengths
 
 
 @pytest.mark.parametrize("spec", [TetrahedronSpec(H, 0.3), TetrahedronSpec(S, 1.2),
