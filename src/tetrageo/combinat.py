@@ -14,7 +14,8 @@ orientation (pe, qe) is (p, q) when q is odd and (q, p) otherwise: the
 row family must carry the odd member of the pair, else the mu = 1/2 line
 passes through a tiling vertex.  All crossing ordinates share one
 denominator, so the trace runs exactly on scaled integers; the canonical
-word (mu = 1/2) is cached for the most recently used types.
+word (mu = 1/2) and its per-edge strand order are cached for the most
+recently used types.
 """
 
 from __future__ import annotations
@@ -170,6 +171,22 @@ def _canonical_sequence(t):
     assert all(seq.fractions[k * len(seq) // 4] == _HALF for k in range(4)), \
         "midpoint anchor violated"
     return seq
+
+
+@functools.lru_cache(maxsize=256)
+def strand_order(t):
+    """Strand order of the canonical word: per crossed edge, its crossing indices by fraction.
+
+    A simple curve with this word crosses each edge in this one order, that
+    of the tiling line's strands.  The fractions are multiples of 1/D with
+    D <= (p+q)**3, below 2**52 up to p+q of about 165,000, so their float
+    values keep their exact order.  Cached beside the word, for as many types.
+    """
+    seq = _canonical_sequence(t)
+    by_edge = {}
+    for i, (tok, f) in enumerate(zip(seq.tokens, seq.fractions)):
+        by_edge.setdefault(tok, []).append((float(f), i))
+    return tuple(tuple(i for _, i in sorted(strand)) for strand in by_edge.values())
 
 
 def _traced_sequence(t, mu):

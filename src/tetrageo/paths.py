@@ -20,9 +20,9 @@ fractions in edge-local frames (closure angles at the crossings, clearance
 pruned exactly by line distances): a regular midpoint path on its quarter
 chain, which the half turns carry onto the whole curve, a generic path on
 its whole closed chain; Euclidean paths on canonically placed faces.
-Simplicity is decided from the crossing word and fractions alone.  What
-depends on the tetrahedron alone (a segment's face and boundary slots, the
-half turns' images) sits in static tables built at import.
+Simplicity is decided from the fractions alone: along each edge they must
+follow the strand order of the exact word.  The half turns' images of the
+edges sit in a static table built at import.
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 
 from . import frames
-from .combinat import CrossingSequence, GeodesicType, crossing_sequence, trace_crossings
+from .combinat import (CrossingSequence, GeodesicType, crossing_sequence, strand_order,
+                       trace_crossings)
 from .errors import NumericalFailure, PreconditionFailed, TooLong, VertexHit
 # rside_measure stays importable here for the perfbench layer trace
 from .geom import (SpaceKind, rangle, rdistance, rinterpolate, rpoint_seg_dist,  # noqa: F401
@@ -189,69 +190,25 @@ def vertex_clearance(path, spec):
     return clearance
 
 
-def _edge_ranks(path):
-    """Rank of each crossing along its edge, by fraction.
-
-    Crossings of one edge closer than STRAND_TIE take the strand order of
-    the exact word at mu = 1/2: a simple curve with that word crosses each
-    edge in that one order, which rounding-level fractions do not resolve.
-    """
-    tokens, fracs = path.tokens, path.fractions
-    word = crossing_sequence(path.gtype)
-    strand = word.fractions if word.tokens == tokens else fracs
-    ranks = [0] * len(tokens)
-    for tok in set(tokens):
-        idx = sorted((i for i, t in enumerate(tokens) if t == tok), key=fracs.__getitem__)
-        runs = accumulate((fracs[j] - fracs[i] > STRAND_TIE for i, j in zip(idx, idx[1:])),
-                          initial=0)
-        for r, (_, _, i) in enumerate(sorted(zip(runs, map(strand.__getitem__, idx), idx))):
-            ranks[i] = r
-    return ranks
-
-
-def _face_slots(cur, nxt):
-    """Face ijk of the segment from edge cur to edge nxt, and (slot, sign) of its two ends.
-
-    The face's boundary loop i -> j -> k -> i runs along ij, jk, then ki
-    backwards: slots 1, 3 and 5, with the rank counted backwards on ki.
-    """
-    face = "".join(sorted(set(cur + nxt)))
-    return face, *((3, 1) if tok[0] != face[0] else (1, 1) if tok[1] == face[1] else (5, -1)
-                   for tok in (cur, nxt))
-
-
-# the 24 (entry, exit) edge pairs of a face
-_FACE_SLOTS = {(cur, nxt): _face_slots(cur, nxt)
-               for cur in EDGES for nxt in EDGES if len(set(cur) & set(nxt)) == 1}
-
-
 def simplicity_check(path, spec):
     """No two segments on a common tetrahedron face cross in their interiors.
 
-    Faces are geodesically convex, so two segments of one face cross iff
-    their endpoints, placed by :func:`_edge_ranks`, strictly interleave
-    along the face boundary: per face, a stack of open ends checks that the
-    segments nest.  An end's position is the integer slot * n + sign * rank
-    (_FACE_SLOTS; ranks lie in 0..n-1, so slots never overlap).  No
-    geometry or signs (``spec`` is not needed).
+    A simple curve with the canonical word of its type crosses each edge in
+    one order, the tiling line's strand order (:func:`combinat.strand_order`),
+    and a curve in that order is simple: faces are geodesically convex, so
+    two segments of one face cross iff their ends interleave along its
+    boundary, and in strand order they nest as the tiling line's do.  The
+    path is simple iff, walking each edge in strand order, no fraction
+    drops by more than STRAND_TIE: closer crossings are not resolved by the
+    rounding of the fractions and read as in order.  No geometry (``spec``
+    is not needed).  Raises PreconditionFailed unless the path carries the
+    canonical word of its type, as every path the library builds does.
     """
-    tokens, ranks = path.tokens, _edge_ranks(path)
-    n = len(tokens)
-    by_face = {}
-    for i in range(n):
-        j = (i + 1) % n
-        face, (m0, s0), (m1, s1) = _FACE_SLOTS[tokens[i], tokens[j]]
-        x, y = m0 * n + s0 * ranks[i], m1 * n + s1 * ranks[j]
-        by_face.setdefault(face, []).append((x, -y) if x < y else (y, -x))
-    for segs in by_face.values():
-        open_ends = []  # innermost last
-        for start, neg_end in sorted(segs):
-            while open_ends and open_ends[-1] <= start:
-                open_ends.pop()
-            if open_ends and open_ends[-1] < -neg_end:
-                return False
-            open_ends.append(-neg_end)
-    return True
+    if path.tokens != crossing_sequence(path.gtype).tokens:
+        raise PreconditionFailed("simplicity is decided on the canonical word of the path's type")
+    fracs = path.fractions
+    return all(fracs[i] - fracs[j] <= STRAND_TIE
+               for strand in strand_order(path.gtype) for i, j in zip(strand, strand[1:]))
 
 
 def _assemble_path(spec, t, tokens, fractions, extras=None, measured=None):
@@ -313,17 +270,22 @@ _MIRROR = {center: {tok: (edge_token(sigma[int(tok[0])], sigma[int(tok[1])]),
 
 
 def full_fractions_from_quarter(seq: CrossingSequence, quarter_fracs):
-    """Full fraction list from quarter data via the Y1 and X2 half turns.
+    """Full fraction list from the K + 1 quarter fractions via the Y1 and X2 half turns.
 
     The half turn about the midpoint of e_c maps crossing c-k to crossing
     c+k and relabels endpoints by the edge involution, so fractions mirror
     (f -> 1-f exactly when the involution flips the endpoint order); images
-    and flips come from the static table _MIRROR.
+    and flips come from the static table _MIRROR.  The map only appends
+    mirror images: it checks that the word has the half-turn symmetry and
+    that the mirrored fractions close up, and raises ValueError for any
+    other number of fractions than K + 1.
     """
     n = len(seq.tokens)
     K = n // 4
     toks = seq.tokens
     fracs = list(quarter_fracs)            # indices 0..K
+    if len(fracs) != K + 1:
+        raise ValueError(f"{len(fracs)} quarter fractions for a word of {n} tokens")
     for center in (K, 2 * K):
         mirror = _MIRROR[toks[center]]
         for k in range(1, center + 1):     # extend to index 2*center
@@ -331,12 +293,7 @@ def full_fractions_from_quarter(seq: CrossingSequence, quarter_fracs):
             if mapped != toks[(center + k) % n]:
                 raise NumericalFailure("crossing word lacks the half-turn symmetry")
             f = fracs[center - k]
-            if flip:
-                f = 1.0 - f
-            if len(fracs) == center + k:
-                fracs.append(f)
-            elif abs(fracs[center + k] - f) > 1e-9:
-                raise NumericalFailure("mirrored fractions disagree")
+            fracs.append(1.0 - f if flip else f)
     if abs(fracs[n] - fracs[0]) > 1e-9:
         raise NumericalFailure("mirrored fractions do not close up")
     return fracs[:n]

@@ -9,7 +9,8 @@ from conftest import coprime_types
 from tetrageo.combinat import (CrossingSequence, GeodesicType,
                                crossing_sequence, isometric_copies,
                                link_node_windows, link_nodes,
-                               relabel_sequence, trace_crossings, validate_sequence)
+                               relabel_sequence, strand_order, trace_crossings,
+                               validate_sequence)
 from tetrageo.errors import NoLinkNodes, VertexHit
 from tetrageo.paths import euclid_mu_interval
 from tetrageo.tetra import OPPOSITE_EDGE, edge_token
@@ -296,3 +297,16 @@ def test_canonical_word_is_cached():
     assert crossing_sequence(t) is crossing_sequence(t, 0.5)
     assert crossing_sequence(t, Fraction(1, 2)).fractions == tuple(
         rec[2] for rec in _fraction_trace(t, Fraction(1, 2)))
+
+
+def test_strand_order_is_the_exact_order_on_each_edge():
+    # float keys keep the order of the exact fractions up to p+q = 403
+    for pq in [*coprime_types(12), (100, 101), (200, 203)]:
+        t = GeodesicType(*pq)
+        seq = crossing_sequence(t)
+        strands = strand_order(t)
+        assert strands is strand_order(t)
+        assert sorted(i for strand in strands for i in strand) == list(range(len(seq)))
+        for strand in strands:
+            assert len({seq.tokens[i] for i in strand}) == 1
+            assert all(seq.fractions[i] < seq.fractions[j] for i, j in zip(strand, strand[1:]))
