@@ -13,9 +13,14 @@ and the traced segment runs from (mu, 0) to (mu + qe + 2*pe, qe).  The
 orientation (pe, qe) is (p, q) when q is odd and (q, p) otherwise: the
 row family must carry the odd member of the pair, else the mu = 1/2 line
 passes through a tiling vertex.  All crossing ordinates share one
-denominator, so the trace runs exactly on scaled integers; the canonical
-word (mu = 1/2) and its per-edge strand order are cached for the most
-recently used types.
+denominator D, so the trace runs exactly on scaled integers.  The
+canonical word (mu = 1/2) is kept on integers too (:class:`CanonicalWord`,
+cached for the most recently used types): its tokens, the numerators F of
+its fractions F/D, their correctly rounded floats and its per-edge strand
+order.  The curved constructions read only that.  ``Fraction`` values are
+built where a caller asks for them: the records of :func:`trace_crossings`
+and the canonical :class:`CrossingSequence`, which is made from the cached
+integers.
 """
 
 from __future__ import annotations
@@ -96,28 +101,22 @@ def _vertex_label(u, m):
 _TOKEN = [[edge_token(u, v) for v in range(5)] for u in range(5)]
 
 
-def trace_crossings(t: GeodesicType, mu):
-    """All crossings of the tiling segment, sorted by x; exact arithmetic.
+def _integer_trace(t, a, b):
+    """Crossings of the tiling segment anchored at mu = a/b, on integers.
 
-    Returns a list of (x, token, fraction) with fraction measured from the
-    smaller-labelled endpoint.  Raises VertexHit if the line meets a tiling
-    vertex (or if two crossings coincide, which is the same event).
-
-    The trace runs on integers: for mu = a/b every crossing abscissa and
-    fraction is a multiple of 1/D, D = 2 b lcm(qe, pe, pe+qe), the common
-    denominator of the rows, both diagonal families and the anchor.
-    Fractions are built only for the returned records.
+    Returns D and the records (x * D, token, fraction * D) sorted by x, with
+    the fraction measured from the smaller-labelled endpoint; see
+    :func:`trace_crossings`.
     """
-    mu = Fraction(mu)
-    a, b = mu.numerator, mu.denominator
     pe, qe = t.effective()
     w = qe + 2 * pe
     D = 2 * b * math.lcm(qe, pe + qe, pe or 1)
-    out = []  # (x * D, token, fraction * D)
+    out = []
 
     def add(X, u0, m0, u1, m1, F):
         if F <= 0 or F >= D:
-            raise VertexHit(f"tiling line through mu={mu} hits a vertex near x={Fraction(X, D)}")
+            raise VertexHit(f"tiling line through mu={Fraction(a, b)} hits a vertex "
+                            f"near x={Fraction(X, D)}")
         l0, l1 = _vertex_label(u0, m0), _vertex_label(u1, m1)
         out.append((X, _TOKEN[l0][l1], F if l0 < l1 else D - F))
 
@@ -145,54 +144,96 @@ def trace_crossings(t: GeodesicType, mu):
     for i in range(1, len(out)):
         if out[i][0] == out[i - 1][0]:
             raise VertexHit("two crossings coincide: segment passes a tiling vertex")
+    return D, out
+
+
+def trace_crossings(t: GeodesicType, mu):
+    """All crossings of the tiling segment, sorted by x; exact arithmetic.
+
+    Returns a list of (x, token, fraction) with fraction measured from the
+    smaller-labelled endpoint.  Raises VertexHit if the line meets a tiling
+    vertex (or if two crossings coincide, which is the same event).
+
+    The trace runs on integers: for mu = a/b every crossing abscissa and
+    fraction is a multiple of 1/D, D = 2 b lcm(qe, pe, pe+qe), the common
+    denominator of the rows, both diagonal families and the anchor.
+    Fractions are built only for the returned records.
+    """
+    mu = Fraction(mu)
+    D, out = _integer_trace(t, mu.numerator, mu.denominator)
     return [(Fraction(X, D), tok, Fraction(F, D)) for X, tok, F in out]
+
+
+@dataclass(frozen=True)
+class CanonicalWord:
+    """The canonical (mu = 1/2) word of a type on integers.
+
+    Crossing i lies on edge tokens[i] at fraction numerators[i] / denominator
+    from its smaller-labelled end; fractions holds those quotients as
+    correctly rounded floats, equal to float(Fraction(F, D)).  strands is
+    the strand order: per crossed edge, its crossing indices by fraction.
+    """
+
+    gtype: GeodesicType
+    tokens: tuple
+    numerators: tuple
+    denominator: int
+    fractions: tuple
+    strands: tuple
+
+
+# bounded: the words of every type with p+q <= 154 (a count at L = 320) hold ~150 MB,
+# the 256 largest of them ~16 MB
+@functools.lru_cache(maxsize=256)
+def canonical_word(t: GeodesicType):
+    """The integer canonical word of type (p,q), cached for the 256 most recently used types.
+
+    A simple curve with this word crosses each edge in its strand order,
+    that of the tiling line's strands, sorted here by the exact numerators.
+    """
+    D, recs = _integer_trace(t, 1, 2)
+    tokens = tuple(rec[1] for rec in recs)
+    nums = tuple(rec[2] for rec in recs)
+    assert all(2 * nums[k * len(nums) // 4] == D for k in range(4)), "midpoint anchor violated"
+    by_edge = {}
+    for i, (tok, F) in enumerate(zip(tokens, nums)):
+        by_edge.setdefault(tok, []).append((F, i))
+    return CanonicalWord(gtype=t, tokens=tokens, numerators=nums, denominator=D,
+                         fractions=tuple(F / D for F in nums),
+                         strands=tuple(tuple(i for _, i in sorted(strand))
+                                       for strand in by_edge.values()))
+
+
+def strand_order(t):
+    """Strand order of the canonical word: per crossed edge, its crossing indices by fraction."""
+    return canonical_word(t).strands
 
 
 _HALF = Fraction(1, 2)
 
 
 def crossing_sequence(t: GeodesicType, mu=_HALF):
-    """Canonical crossing word of type (p,q), anchored at the A1A2 crossing at mu.
+    """Crossing word of type (p,q) with exact fractions, anchored at the A1A2 crossing at mu.
 
     With the default mu = 1/2 the word starts at the midpoint of an A1A2
     edge and its quarter points land on edge midpoints (the symmetry points
-    of the development).  That word is cached for the 256 most recently used
-    types; the returned sequence is immutable and shared by every caller.
+    of the development).  That word's ``Fraction`` view is made from the
+    cached :func:`canonical_word` and cached beside it; the returned
+    sequence is immutable and shared by every caller.
     """
     if Fraction(mu) == _HALF:
         return _canonical_sequence(t)
-    return _traced_sequence(t, mu)
-
-
-# bounded: the words of every type with p+q <= 154 (a count at L = 320) hold ~190 MB
-@functools.lru_cache(maxsize=256)
-def _canonical_sequence(t):
-    seq = _traced_sequence(t, _HALF)
-    assert all(seq.fractions[k * len(seq) // 4] == _HALF for k in range(4)), \
-        "midpoint anchor violated"
-    return seq
-
-
-@functools.lru_cache(maxsize=256)
-def strand_order(t):
-    """Strand order of the canonical word: per crossed edge, its crossing indices by fraction.
-
-    A simple curve with this word crosses each edge in this one order, that
-    of the tiling line's strands.  The fractions are multiples of 1/D with
-    D <= (p+q)**3, below 2**52 up to p+q of about 165,000, so their float
-    values keep their exact order.  Cached beside the word, for as many types.
-    """
-    seq = _canonical_sequence(t)
-    by_edge = {}
-    for i, (tok, f) in enumerate(zip(seq.tokens, seq.fractions)):
-        by_edge.setdefault(tok, []).append((float(f), i))
-    return tuple(tuple(i for _, i in sorted(strand)) for strand in by_edge.values())
-
-
-def _traced_sequence(t, mu):
     recs = trace_crossings(t, mu)
     return CrossingSequence(gtype=t, tokens=tuple(rec[1] for rec in recs),
                             fractions=tuple(rec[2] for rec in recs))
+
+
+@functools.lru_cache(maxsize=256)
+def _canonical_sequence(t):
+    word = canonical_word(t)
+    return CrossingSequence(gtype=t, tokens=word.tokens,
+                            fractions=tuple(Fraction(F, word.denominator)
+                                            for F in word.numerators))
 
 
 def validate_sequence(s: CrossingSequence, t: GeodesicType):

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import frames
-from .combinat import GeodesicType, crossing_sequence
+from .combinat import GeodesicType, canonical_word
 from .errors import BoundDegenerate, BoundVacuous, NoThreshold, TooLong
 from .geom import SpaceKind
 from .paths import GeodesicPath, NotContained, midpoint_geodesic
@@ -279,9 +279,9 @@ def abstract_shortest_curve_length(spec: TetrahedronSpec, t: GeodesicType):
 
 def _solved_curve_length(spec, t):
     """The bounded chord solve of the abstract curve, for a chord that is not contained."""
-    seq = crossing_sequence(t)
-    tokens = list(seq.tokens) + [seq.tokens[0]]
+    word = canonical_word(t)
+    tokens = list(word.tokens) + [word.tokens[0]]
     steps = frames.build_chain(spec, tokens)
-    init = [0.5] + [float(f) for f in seq.fractions[1:]] + [0.5]
+    init = [0.5] + list(word.fractions[1:]) + [0.5]
     offsets = frames.relax_chord(steps, [spec.edge] * len(tokens), init)
     return sum(frames.trace_geometry(steps, offsets))

@@ -91,18 +91,36 @@ def build_chain(spec, tokens):
 @functools.lru_cache(maxsize=2048)
 def _chain_step(space, cur, nxt, a, b, w, ell, d_minus, d_plus):
     """Face abw entered by cur = ab (length ell), left by nxt; aw, bw of lengths d_minus, d_plus."""
+    pivot = a if str(a) in nxt else b
+    verts, lam = _face_frame(space, ell, d_minus, d_plus, pivot == b, w < pivot)
+    if verts is None:
+        raise NumericalFailure(f"degenerate face {cur}->{nxt}")
+    return ChainStep(verts=dict(zip((a, b, w), verts)), transition=lam, space=space,
+                     hinge=(pivot, a + b - pivot, w))
+
+
+# bounded: at most four frames per face shape, 24 per spec
+@functools.lru_cache(maxsize=2048)
+def _face_frame(space, ell, d_minus, d_plus, from_b, w_first):
+    """Reps of a, b, w and the transition of the face abw of a step (see _chain_step).
+
+    The face is entered by ab, a < b, and left by the edge joining w to the
+    pivot, b if from_b else a; w_first when w is the smaller label of the
+    exit edge.  The frame depends on nothing else, so the steps of one face
+    shape share it.  (None, None) for a degenerate face.
+    """
     k, C, S, dot, cross, _ = _KERNEL[space]
     ch, sh = C(ell / 2.0), S(ell / 2.0)
-    verts = {a: (ch, -sh, 0.0), b: (ch, sh, 0.0)}
+    A, Bv = (ch, -sh, 0.0), (ch, sh, 0.0)
     # <W, V> = k C(d) against both edge ends, and <W, W> = k
     w0 = (C(d_minus) + C(d_plus)) / (2.0 * ch)
     w1 = k * (C(d_plus) - C(d_minus)) / (2.0 * sh)
     w2sq = -k * w0 * w0 - w1 * w1 + k
     if w2sq <= 0.0:
-        raise NumericalFailure(f"degenerate face {cur}->{nxt}")
-    verts[w] = (w0, w1, math.sqrt(w2sq))
-    c, d = int(nxt[0]), int(nxt[1])
-    Pm, Pp, B = verts[c], verts[d], verts[({a, b, w} - {c, d}).pop()]   # B: the vertex behind
+        return None, None
+    W = (w0, w1, math.sqrt(w2sq))
+    P, B = (Bv, A) if from_b else (A, Bv)     # the pivot and the vertex behind
+    Pm, Pp = (W, P) if w_first else (P, W)
     M = _unit((Pm[0] + Pp[0], Pm[1] + Pp[1], Pm[2] + Pp[2]), dot)
     cc = -k * dot(Pp, M)
     tx = _unit((Pp[0] + cc * M[0], Pp[1] + cc * M[1], Pp[2] + cc * M[2]), dot)
@@ -112,8 +130,7 @@ def _chain_step(space, cur, nxt, a, b, w, ell, d_minus, d_plus):
     lam = ((M[0], k * M[1], k * M[2]),
            (k * tx[0], tx[1], tx[2]),
            (k * ty[0], ty[1], ty[2]))
-    pivot = ({a, b} & {c, d}).pop()
-    return ChainStep(verts=verts, transition=lam, space=space, hinge=(pivot, a + b - pivot, w))
+    return (A, Bv, W), lam
 
 
 def place_faces(steps):
@@ -192,6 +209,15 @@ class _Indefinite(Exception):
     """A Thomas pivot is not positive; args[0] is a direction of non-positive curvature."""
 
 
+def _indefinite(c, r):
+    """_Indefinite for the pivot d_r <= 0 of a sweep with multipliers c: z = L^-T e_r."""
+    z = [0.0] * len(c)
+    z[r] = 1.0
+    for j in range(r - 1, -1, -1):
+        z[j] = -c[j] * z[j + 1]
+    return _Indefinite(z)
+
+
 def _solve_tridiagonal(diag, off, rhs):
     """Thomas solve of the symmetric tridiagonal system (diag, off) x = rhs.
 
@@ -203,11 +229,7 @@ def _solve_tridiagonal(diag, off, rhs):
     for i in range(m):
         piv = diag[i] - (off[i - 1] * c[i - 1] if i else 0.0)
         if not piv > 0.0:
-            z = [0.0] * m
-            z[i] = 1.0
-            for j in range(i - 1, -1, -1):
-                z[j] = -c[j] * z[j + 1]
-            raise _Indefinite(z)
+            raise _indefinite(c, i)
         c[i] = off[i] / piv if i < m - 1 else 0.0
         d[i] = (d[i] - (off[i - 1] * d[i - 1] if i else 0.0)) / piv
     for i in range(m - 2, -1, -1):
@@ -220,14 +242,25 @@ def _solve_cyclic(diag, off, corner, rhs):
 
     corner couples the first and last unknowns; the matrix is written as
     a tridiagonal one plus the rank-one term u v^T with u = (g, 0.., corner)
-    and v = (1, 0.., corner / g).
+    and v = (1, 0.., corner / g).  One sweep of _solve_tridiagonal's
+    recurrence carries both right-hand sides, rhs and u.
     """
     g = -diag[0]
+    m = len(diag)
     mod = list(diag)
     mod[0] -= g
     mod[-1] -= corner * corner / g
-    y = _solve_tridiagonal(mod, off, rhs)
-    z = _solve_tridiagonal(mod, off, [g] + [0.0] * (len(diag) - 2) + [corner])
+    c, y, z = [0.0] * m, list(rhs), [g] + [0.0] * (m - 2) + [corner]
+    for i in range(m):
+        piv = mod[i] - (off[i - 1] * c[i - 1] if i else 0.0)
+        if not piv > 0.0:
+            raise _indefinite(c, i)
+        c[i] = off[i] / piv if i < m - 1 else 0.0
+        y[i] = (y[i] - (off[i - 1] * y[i - 1] if i else 0.0)) / piv
+        z[i] = (z[i] - (off[i - 1] * z[i - 1] if i else 0.0)) / piv
+    for i in range(m - 2, -1, -1):
+        y[i] -= c[i] * y[i + 1]
+        z[i] -= c[i] * z[i + 1]
     w = (y[0] + corner * y[-1] / g) / (1.0 + z[0] + corner * z[-1] / g)
     return [yi - w * zi for yi, zi in zip(y, z)]
 

@@ -33,8 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import frames
-from .combinat import (CrossingSequence, GeodesicType, crossing_sequence, strand_order,
-                       trace_crossings)
+from .combinat import GeodesicType, canonical_word, trace_crossings
 from .errors import NumericalFailure, PreconditionFailed, TooLong, VertexHit
 # rside_measure stays importable here for the perfbench layer trace
 from .geom import (SpaceKind, rangle, rdistance, rinterpolate, rpoint_seg_dist,  # noqa: F401
@@ -145,21 +144,28 @@ def path_metrics(spec, tokens, fractions):
     to the segment: only a bound under the running minimum calls the
     clamped test.  Euclidean paths fold onto single faces.
     """
-    space = spec.space
-    if space == SpaceKind.EUCLIDEAN:
+    if spec.space == SpaceKind.EUCLIDEAN:
         return _face_fold_metrics(spec, tokens, fractions)
+    chain = _measured_chain(tokens, fractions)
+    return _chain_metrics(spec, frames.build_chain(spec, chain[0]), *chain)
+
+
+def _measured_chain(tokens, fractions):
+    """Chain tokens, their fractions, copies in the curve and residual crossings (path_metrics)."""
     n, K = len(tokens), len(tokens) // 4
     if len(fractions) == n:         # closed: crossing 0 joins segments n-1 and 0
-        chain, fracs, copies = list(tokens) + [tokens[0]], list(fractions) + [fractions[0]], 1
-        crossings = range(n)
-    elif len(fractions) == K + 1:   # the quarter
-        chain, fracs, copies, crossings = tokens[:K + 1], fractions, 4, range(1, K)
-    else:
-        raise ValueError(f"{len(fractions)} fractions for a word of {n} tokens")
+        return list(tokens) + [tokens[0]], list(fractions) + [fractions[0]], 1, range(n)
+    if len(fractions) == K + 1:     # the quarter
+        return tokens[:K + 1], fractions, 4, range(1, K)
+    raise ValueError(f"{len(fractions)} fractions for a word of {n} tokens")
+
+
+def _chain_metrics(spec, steps, chain, fracs, copies, crossings):
+    """path_metrics of a curved path on ``steps``, the chain built for the tokens ``chain``."""
+    space = spec.space
     k = frames._KERNEL[space][0]
     arc = math.asinh if k < 0 else lambda x: math.asin(min(1.0, x))
-    steps = frames.build_chain(spec, chain)
-    s = [(float(f) - 0.5) * spec.face_edge_length(int(tok[0]), int(tok[1]))
+    s = [(f - 0.5) * spec.face_edge_length(int(tok[0]), int(tok[1]))
          for tok, f in zip(chain, fracs)]
     cs, sn, terms = frames.chord_segments(steps, s)
     total, clearance, ends = 0.0, math.inf, []
@@ -204,20 +210,28 @@ def simplicity_check(path, spec):
     is not needed).  Raises PreconditionFailed unless the path carries the
     canonical word of its type, as every path the library builds does.
     """
-    if path.tokens != crossing_sequence(path.gtype).tokens:
+    word = canonical_word(path.gtype)
+    if path.tokens != word.tokens:
         raise PreconditionFailed("simplicity is decided on the canonical word of the path's type")
     fracs = path.fractions
     return all(fracs[i] - fracs[j] <= STRAND_TIE
-               for strand in strand_order(path.gtype) for i, j in zip(strand, strand[1:]))
+               for strand in word.strands for i, j in zip(strand, strand[1:]))
 
 
-def _assemble_path(spec, t, tokens, fractions, extras=None, measured=None):
-    """The path through the crossings, measured on the fractions ``measured`` (default: all)."""
+def _assemble_path(spec, t, tokens, fractions, extras=None, measured=None, steps=None):
+    """The path through the crossings, measured on the fractions ``measured`` (default: all).
+
+    A curved construction passes the chain its solver used (``steps``, for
+    the tokens path_metrics would measure); a Euclidean path is folded.
+    """
     measured = fractions if measured is None else measured
-    total, clearance, worst = path_metrics(spec, tokens, measured)
+    if steps is None:
+        total, clearance, worst = path_metrics(spec, tokens, measured)
+    else:
+        total, clearance, worst = _chain_metrics(spec, steps, *_measured_chain(tokens, measured))
     path = GeodesicPath(
         gtype=t, space=spec.space,
-        crossings=tuple(zip(tokens, (float(f) for f in fractions))),
+        crossings=tuple(zip(tokens, fractions)),
         total_length=total, clearance=clearance,
         closed=worst < 1e-8, simple=True, closure_residual=worst,
         min_fraction_margin=min(min(f, 1.0 - f) for f in fractions),
@@ -269,7 +283,7 @@ _MIRROR = {center: {tok: (edge_token(sigma[int(tok[0])], sigma[int(tok[1])]),
            for center in EDGES for sigma in [_center_involution(center)]}
 
 
-def full_fractions_from_quarter(seq: CrossingSequence, quarter_fracs):
+def full_fractions_from_quarter(seq, quarter_fracs):
     """Full fraction list from the K + 1 quarter fractions via the Y1 and X2 half turns.
 
     The half turn about the midpoint of e_c maps crossing c-k to crossing
@@ -278,7 +292,8 @@ def full_fractions_from_quarter(seq: CrossingSequence, quarter_fracs):
     and flips come from the static table _MIRROR.  The map only appends
     mirror images: it checks that the word has the half-turn symmetry and
     that the mirrored fractions close up, and raises ValueError for any
-    other number of fractions than K + 1.
+    other number of fractions than K + 1.  ``seq`` is the type's word, a
+    CanonicalWord or a CrossingSequence: only its tokens are read.
     """
     n = len(seq.tokens)
     K = n // 4
@@ -302,26 +317,30 @@ def full_fractions_from_quarter(seq: CrossingSequence, quarter_fracs):
 # ---------------------------------------------------------------------------
 # quarter construction (edge-local frames)
 
-def _quarter_chord(spec, seq):
-    """Quarter chord of a curved regular tetrahedron: fractions f_0..f_K or a witness, and extras.
+def _quarter_chord(spec, word):
+    """Quarter chord of a curved regular tetrahedron: fractions f_0..f_K or a witness, extras,
+    and the quarter chain's steps.
 
     The chord runs from the midpoint X1 of e_0 to the midpoint Y1 of e_K of
     the chain placed in edge-local frames.  On the hyperboloid it is solved
     by Newton steps pinned at X1 and Y1, seeded with the exact Euclidean
-    crossing fractions; on the sphere it is shot from X1 at Y1, must reach
-    e_K at its midpoint, and is checked against the whole chain: X2, Y2 and
-    X1' must lie on it too.
+    crossing fractions (the float fractions of ``word``, the type's
+    CanonicalWord); on the sphere it is shot from X1 at Y1, must reach e_K
+    at its midpoint, and is checked against the whole chain: X2, Y2 and X1'
+    must lie on it too.  The chain is built once, on the sphere the whole
+    closed one, whose first K steps are the quarter's.
     """
-    n = len(seq.tokens)
+    n = len(word.tokens)
     K = n // 4
-    tokens = list(seq.tokens[:K + 1])
-    steps = frames.build_chain(spec, tokens)
-    ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens]
+    tokens = list(word.tokens[:K + 1])
     spherical = spec.space == SpaceKind.SPHERICAL
+    chain = frames.build_chain(spec, list(word.tokens) + tokens[:1] if spherical else tokens)
+    steps = chain[:K]
+    ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens]
     if spherical:
         theta, offsets, normals = frames.shoot_chord(steps)
     else:
-        init = [float(f) for f in seq.fractions[:K + 1]]
+        init = list(word.fractions[:K + 1])
         init[0] = init[K] = 0.5
         offsets = frames.relax_chord(steps, ells, init)
     fracs = [0.5] + [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(1, K)] + [0.5]
@@ -336,28 +355,27 @@ def _quarter_chord(spec, seq):
                 sd = -math.asin(max(-1.0, min(1.0, sum(a * b for a, b in zip(normals[i], V)))))
             else:
                 sd = min(f, 1.0 - f) * ells[i]
-            return None, NotContained(seq.gtype, face_index=i, edge=tokens[i],
-                                      signed_distance=sd), None
+            return None, NotContained(word.gtype, face_index=i, edge=tokens[i],
+                                      signed_distance=sd), None, steps
     if abs(offsets[K]) > 0.5 * math.pi:     # the great circle runs into F_K at -mid(e_K)
-        return None, NotContained(seq.gtype, face_index=K, edge=tokens[K], signed_distance=0.0,
-                                  reason="crossings out of order"), None
+        return None, NotContained(word.gtype, face_index=K, edge=tokens[K], signed_distance=0.0,
+                                  reason="crossings out of order"), None, steps
     # pinned at both midpoints, the length is stationary in the interior
     # crossings; a grazing chord's rounding on e_K would enter it to first order
     offsets[0] = offsets[K] = 0.0
     quarter_len = sum(frames.trace_geometry(steps, offsets))
     if not spherical:
-        return fracs, None, {"quarter_length": quarter_len}
+        return fracs, None, {"quarter_length": quarter_len}, steps
     # by the exact criterion a contained chord is shorter than 2*pi; the
     # length check runs after containment so genuine exits report a witness
     if 4.0 * quarter_len >= 2.0 * math.pi:
         raise TooLong(f"candidate length {4 * quarter_len:.6f} >= 2*pi")
     # mid(e_j) is (1, 0, 0) in frame E_j: its distance from the chord is asin(n_0)
-    normals = frames.propagate_chord(frames.build_chain(spec, list(seq.tokens) + tokens[:1]),
-                                     theta)[1]
+    normals = frames.propagate_chord(chain, theta)[1]
     sym_res = max(abs(normals[j][0]) for j in (n // 2, 3 * n // 4, n))
     if sym_res > 1e-8:
         raise NumericalFailure(f"symmetry points off the chord by {sym_res:.3e}")
-    return fracs, None, {"quarter_length": quarter_len, "symmetry_residual": sym_res}
+    return fracs, None, {"quarter_length": quarter_len, "symmetry_residual": sym_res}, steps
 
 
 def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
@@ -376,13 +394,14 @@ def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
     """
     if spec.space == SpaceKind.EUCLIDEAN:
         raise PreconditionFailed("use euclid_geodesic for the Euclidean tetrahedron")
-    seq = crossing_sequence(t)
+    word = canonical_word(t)
     spherical = spec.space == SpaceKind.SPHERICAL
-    quarter, witness, extras = _quarter_chord(spec, seq)
+    quarter, witness, extras, steps = _quarter_chord(spec, word)
     if witness is not None:
         return witness
-    fracs = full_fractions_from_quarter(seq, quarter)
-    path = _assemble_path(spec, t, seq.tokens, fracs, extras=extras, measured=quarter)
+    fracs = full_fractions_from_quarter(word, quarter)
+    path = _assemble_path(spec, t, word.tokens, fracs, extras=extras, measured=quarter,
+                          steps=steps)
     if spherical and path.total_length >= 2.0 * math.pi:
         raise TooLong(f"constructed length {path.total_length:.6f} >= 2*pi")
     if not (spherical or path.closed):
@@ -409,18 +428,18 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     elif not spec.all_angles_le(math.pi / 4):
         raise PreconditionFailed("all twelve planar angles must be at most pi/4")
 
-    seq = crossing_sequence(t)
-    tokens_ext = list(seq.tokens) + [seq.tokens[0]]
+    word = canonical_word(t)
+    tokens_ext = list(word.tokens) + [word.tokens[0]]
     steps = frames.build_chain(spec, tokens_ext)
     ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens_ext]
-    init = [float(f) for f in seq.fractions] + [float(seq.fractions[0])]
+    init = list(word.fractions) + [word.fractions[0]]
     offsets = frames.relax_chord(steps, ells, init, closed=True)
-    fracs = [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(len(seq.tokens))]
+    fracs = [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(len(word.tokens))]
     for i, f in enumerate(fracs):
         if not (FRACTION_MARGIN < f < 1.0 - FRACTION_MARGIN):
             raise NumericalFailure(f"crossing {i} leaves its edge (fraction {f})")
-    path = _assemble_path(spec, t, seq.tokens, fracs,
-                          extras={"s0": offsets[0] + ells[0] / 2.0})
+    path = _assemble_path(spec, t, word.tokens, fracs,
+                          extras={"s0": offsets[0] + ells[0] / 2.0}, steps=steps)
     if not path.closed:
         raise NumericalFailure(
             f"extracted path fails closure (residual {path.closure_residual:.3e})")

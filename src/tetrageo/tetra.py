@@ -140,11 +140,22 @@ class GenericTetraSpec:
 
 
 def generic_from_edges(edges):
-    """Build a GenericTetraSpec from six lengths (a12, a13, a14, a23, a24, a34)."""
+    """Build a GenericTetraSpec from six lengths (a12, a13, a14, a23, a24, a34).
+
+    Each length must be finite, at most HYPERBOLIC_EDGE_MAX and large
+    enough that its cosh exceeds 1, and every face must satisfy the
+    triangle inequality; else InvalidTetrahedron.
+    """
     if len(edges) != 6:
         raise InvalidTetrahedron("exactly six edge lengths required")
     if any(e <= 0 for e in edges):
         raise InvalidTetrahedron("edge lengths must be positive")
+    if not all(math.isfinite(e) for e in edges):
+        raise InvalidTetrahedron("edge lengths must be finite")
+    if any(e > HYPERBOLIC_EDGE_MAX for e in edges):
+        raise InvalidTetrahedron(f"edge lengths must be at most {HYPERBOLIC_EDGE_MAX:.6f}")
+    if any(math.cosh(e) == 1.0 for e in edges):   # the law of cosines cannot resolve it
+        raise InvalidTetrahedron("edge length below double resolution")
     table = dict(zip(EDGES, (float(e) for e in edges)))
     angles = {}
     for face in FACES:

@@ -181,6 +181,11 @@ def test_cli_fuzz_float_flags(tmp_path, capsys):
         for value in FUZZ_VALUES:
             code, _ = run_cli(base + [f"{flag}={value}"], tmp_path)
             assert code in (0, 2, 3, 4), (base, flag, value)
+    for value in FUZZ_VALUES + ("100", "400", "800"):   # generic edges past the longest edge
+        edges = ",".join([value] * 6)
+        code, _ = run_cli(["construct", "--space", "hyperbolic", "--p", "1", "--q", "2",
+                           f"--edges={edges}"], tmp_path)
+        assert code == 2, value
     for jobs in ("1", "0", "-1"):   # nothing above 1: no worker pool starts
         code, _ = run_cli(["count", "--alpha", "0.5", "--L", "20", "--jobs", jobs], tmp_path)
         assert code == 0

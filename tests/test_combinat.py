@@ -1,12 +1,13 @@
 """Crossing words: generation, validation, link nodes, relabeling."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conftest import coprime_types
-from tetrageo.combinat import (CrossingSequence, GeodesicType,
+from tetrageo.combinat import (CrossingSequence, GeodesicType, canonical_word,
                                crossing_sequence, isometric_copies,
                                link_node_windows, link_nodes,
                                relabel_sequence, strand_order, trace_crossings,
@@ -299,8 +300,28 @@ def test_canonical_word_is_cached():
         rec[2] for rec in _fraction_trace(t, Fraction(1, 2)))
 
 
+@st.composite
+def coprime_type(draw, max_sum=300):
+    n = draw(st.integers(1, max_sum))
+    p = draw(st.integers(0, n // 2))
+    assume(math.gcd(p, n) == 1)
+    return GeodesicType(p, n - p)
+
+
+@given(coprime_type())
+def test_integer_word_matches_the_fraction_word(t):
+    word, seq = canonical_word(t), crossing_sequence(t)
+    assert word.tokens == seq.tokens
+    # the correctly rounded quotients F / D are float(Fraction) bit for bit
+    assert [f.hex() for f in word.fractions] == [float(g).hex() for g in seq.fractions]
+    by_edge = {}
+    for i, (tok, g) in enumerate(zip(seq.tokens, seq.fractions)):
+        by_edge.setdefault(tok, []).append((g, i))
+    assert word.strands == tuple(tuple(i for _, i in sorted(strand))
+                                 for strand in by_edge.values())
+
+
 def test_strand_order_is_the_exact_order_on_each_edge():
-    # float keys keep the order of the exact fractions up to p+q = 403
     for pq in [*coprime_types(12), (100, 101), (200, 203)]:
         t = GeodesicType(*pq)
         seq = crossing_sequence(t)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -385,7 +386,7 @@ def _global_chart_quarter(spec, seq):
     glue edge are placed by reflections (unfold.place_chain), the great
     circle from X1 towards Y1 is cut with each edge's great circle at the
     first angle past the previous crossing, and the crossings must come
-    before Y1.  Returns what paths._quarter_chord returns.
+    before Y1.  Returns what paths._quarter_chord returns but its chain steps.
     """
     n = len(seq.tokens)
     K = n // 4
@@ -458,7 +459,7 @@ def test_spherical_quarter_matches_global_chart(alpha, pq):
     if isinstance(old, type):
         assert new is old
         return
-    (fracs, witness, extras), (ref_fracs, ref_witness, ref_extras) = new, old
+    (fracs, witness, extras, _), (ref_fracs, ref_witness, ref_extras) = new, old
     if ref_witness is not None:
         assert fracs is None and witness is not None
         assert ((witness.face_index, witness.edge, witness.reason)
@@ -954,3 +955,56 @@ def test_generic_larger_types():
         path = generic_hyperbolic_geodesic(spec, GeodesicType(*pq))
         assert path.closed and path.simple
         assert path.closure_residual < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# work done once per construction
+
+@pytest.mark.parametrize("build", [
+    lambda: midpoint_geodesic(TetrahedronSpec(H, 0.5), GeodesicType(3, 5)),
+    lambda: midpoint_geodesic(TetrahedronSpec(S, 1.1), GeodesicType(1, 2)),
+    lambda: generic_hyperbolic_geodesic(generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02]),
+                                        GeodesicType(2, 3)),
+], ids=["hyperbolic-midpoint", "spherical-midpoint", "generic"])
+def test_one_chain_and_no_fraction_per_construction(build, monkeypatch):
+    # once the type's word is cached, the solve and the fold-back share one
+    # chain and the float fractions of the integer word stand in for Fractions
+    build()
+    chains, made = [], []
+    build_chain = frames.build_chain
+    monkeypatch.setattr(frames, "build_chain", lambda *args: chains.append(1) or build_chain(*args))
+    new = Fraction.__new__.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            made.append(1)
+
+    sys.setprofile(profile)
+    try:
+        path = build()
+    finally:
+        sys.setprofile(None)
+    assert isinstance(path, GeodesicPath) and path.closed and path.simple
+    assert (len(chains), len(made)) == (1, 0)
+
+
+def test_cyclic_solve_matches_dense_solve():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(5)
+    for m in (3, 4, 7, 20):
+        for _ in range(25):
+            off = [rng.uniform(-1.0, 1.0) for _ in range(m - 1)]
+            corner = rng.uniform(-1.0, 1.0)
+            diag = [rng.uniform(2.1, 5.0) for _ in range(m)]    # |off| + |corner| < 2
+            rhs = [rng.uniform(-1.0, 1.0) for _ in range(m)]
+            A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            A[0, m - 1] = A[m - 1, 0] = corner
+            x = frames._solve_cyclic(diag, off, corner, rhs)
+            assert np.max(np.abs(np.array(x) - np.linalg.solve(A, rhs))) < 1e-13
+            # the same float operations as two tridiagonal solves
+            g = -diag[0]
+            mod = [diag[0] - g] + diag[1:-1] + [diag[-1] - corner * corner / g]
+            y = frames._solve_tridiagonal(mod, off, rhs)
+            z = frames._solve_tridiagonal(mod, off, [g] + [0.0] * (m - 2) + [corner])
+            w = (y[0] + corner * y[-1] / g) / (1.0 + z[0] + corner * z[-1] / g)
+            assert x == [yi - w * zi for yi, zi in zip(y, z)]

@@ -120,3 +120,13 @@ def test_generic_rejects_degenerate():
         generic_from_edges([1.0, 1.0, 1.0, 1.0, 1.0, 5.0])
     with pytest.raises(InvalidTetrahedron):
         generic_from_edges([1.0] * 5)
+
+
+@pytest.mark.parametrize("edge", [math.nan, math.inf, math.nextafter(HYPERBOLIC_EDGE_MAX, math.inf),
+                                  100.0, 400.0, 800.0, 1e-8, 1e-300])
+def test_generic_rejects_edges_out_of_range(edge):
+    # non-finite, past the longest representable edge, or too short for cosh to resolve
+    with pytest.raises(InvalidTetrahedron):
+        generic_from_edges([edge] * 6)
+    with pytest.raises(InvalidTetrahedron):
+        generic_from_edges([2.0] * 5 + [edge])
