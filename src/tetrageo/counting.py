@@ -115,6 +115,9 @@ def asymptotic_constant(alpha):
     The composition N = 3 psi(L / (2 ln D)) with psi(x) ~ (3/(2 pi^2)) x^2
     yields 9 / (8 pi^2 ln^2 D); the published growth constant carries ln D
     to the first power.  Both are returned so the discrepancy stays visible.
+    Both are constants of that bound count, the three copies of every type
+    the length filter admits (a report's bound_count), not of the exact
+    count, which the bound count only bounds from above.
     """
     if not (0.0 <= alpha < math.pi / 3):
         raise ValueError("alpha must lie in [0, pi/3)")
@@ -146,21 +149,40 @@ def _measure_type(args):
     return (p, q, result.total_length, result.clearance)
 
 
+# rows of the most recent alpha that count_exact was called at, by (p, q)
+_row_memo = {}
+_row_memo_alpha = None
+
+
 def count_exact(L, alpha, jobs=1):
-    """Count simple closed geodesics of length <= L, three copies per type."""
+    """Count simple closed geodesics of length <= L, three copies per type.
+
+    A row (p, q, length, clearance) depends only on (alpha, p, q), so the
+    rows of the most recent alpha are kept and a ladder of L at one alpha
+    constructs each type once; a call at another alpha starts afresh.  The
+    admissible sets grow with L, so the kept rows are those of the largest
+    L asked at that alpha, never more than MAX_TYPES.  With jobs > 1 only
+    the types not kept yet go to the pool.
+    """
+    global _row_memo_alpha
     if not (0.0 < alpha < math.pi / 3):
         raise ValueError("alpha must lie in (0, pi/3)")
     if not (math.isfinite(L) and L > 0):
         raise ValueError("L must be positive and finite")
     types = admissible_types(L, alpha)
-    work = [(alpha, t.p, t.q) for t in types]
+    if alpha != _row_memo_alpha:
+        _row_memo.clear()
+        _row_memo_alpha = alpha
+    work = [(alpha, t.p, t.q) for t in types if (t.p, t.q) not in _row_memo]
     if jobs > 1 and len(work) > 1:
         from multiprocessing import Pool
         with Pool(jobs) as pool:
-            rows = pool.map(_measure_type, work)
+            new_rows = pool.map(_measure_type, work)
     else:
-        rows = [_measure_type(w) for w in work]
-    rows.sort(key=lambda r: (r[0] + r[1], r[0]))
+        new_rows = map(_measure_type, work)
+    for row in new_rows:
+        _row_memo[row[:2]] = row
+    rows = [_row_memo[(t.p, t.q)] for t in types]
     exact = 3 * sum(1 for _, _, length, _ in rows if length <= L)
     consts = asymptotic_constant(alpha)
     return CountReport(L=float(L), alpha=float(alpha), exact_count=exact,

@@ -104,9 +104,12 @@ def _hyp_triangle_angles(la, lb, lc):
     if not (la < lb + lc and lb < la + lc and lc < la + lb):
         raise InvalidTetrahedron(f"face sides {la, lb, lc} violate the triangle inequality")
 
+    # half-angle form sin^2(A/2) = sinh(s - b) sinh(s - c) / (sinh b sinh c),
+    # taken as two ratios: the cosine form cancels on short sides
     def ang(opp, s1, s2):
-        c = (math.cosh(s1) * math.cosh(s2) - math.cosh(opp)) / (math.sinh(s1) * math.sinh(s2))
-        return math.acos(max(-1.0, min(1.0, c)))
+        h = (math.sinh((opp - s1 + s2) / 2.0) / math.sinh(s1)
+             * (math.sinh((opp + s1 - s2) / 2.0) / math.sinh(s2)))
+        return 2.0 * math.asin(math.sqrt(min(1.0, h)))
 
     return (ang(la, lb, lc), ang(lb, la, lc), ang(lc, la, lb))
 

@@ -1,6 +1,7 @@
 """Totient machinery and geodesic counting."""
 
 import math
+import multiprocessing
 import subprocess
 import sys
 
@@ -8,9 +9,11 @@ import pytest
 
 from conftest import subprocess_env
 
+from tetrageo import counting
 from tetrageo.counting import (admissible_types, asymptotic_constant,
                                count_exact, euler_phi, psi, psi_bruteforce,
                                totient_sieve, totient_sum)
+from tetrageo.errors import NumericalFailure
 
 
 def test_euler_phi():
@@ -89,11 +92,105 @@ def test_count_exact_counts_by_length():
         assert clearance > 0
 
 
-def test_count_exact_parallel_matches_serial():
+def test_count_exact_parallel_matches_serial(monkeypatch):
     serial = count_exact(18.0, 0.5, jobs=1)
+    pools = []
+    real_pool = multiprocessing.Pool
+
+    def spy(*args, **kwargs):
+        pools.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    counting._row_memo.clear()          # else every row is kept and no pool starts
     parallel = count_exact(18.0, 0.5, jobs=2)
+    assert pools == [(2,)]
     assert serial.exact_count == parallel.exact_count
     assert serial.lengths == parallel.lengths
+    # with every row kept, a second parallel call starts no pool
+    assert count_exact(18.0, 0.5, jobs=2) == parallel
+    assert pools == [(2,)]
+
+
+def test_count_ladder_constructs_each_type_once(monkeypatch):
+    calls = []
+    real = counting.midpoint_geodesic
+
+    def counted(spec, t):
+        calls.append((spec.alpha, t.p, t.q))
+        return real(spec, t)
+
+    monkeypatch.setattr(counting, "midpoint_geodesic", counted)
+    counting._row_memo.clear()
+    ladder = [count_exact(L, 0.5) for L in (20.0, 30.0, 40.0)]
+    assert len(calls) == len(set(calls)) == len(admissible_types(40.0, 0.5)) == 61
+    calls.clear()
+    count_exact(30.0, 0.5)
+    assert calls == []
+    # each rung equals a count from scratch
+    for rep in ladder:
+        counting._row_memo.clear()
+        assert count_exact(rep.L, 0.5) == rep
+    # another alpha constructs again, and the memo then holds only its rows
+    calls.clear()
+    count_exact(20.0, 0.4)
+    assert len(calls) == len(admissible_types(20.0, 0.4))
+    assert {alpha for alpha, _, _ in calls} == {0.4}
+    calls.clear()
+    count_exact(20.0, 0.5)
+    assert len(calls) == len(admissible_types(20.0, 0.5))
+
+
+def test_count_exact_keeps_no_failed_row(monkeypatch):
+    real = counting.midpoint_geodesic
+
+    def failing(spec, t):
+        if (t.p, t.q) == (1, 2):
+            raise NumericalFailure("injected")
+        return real(spec, t)
+
+    counting._row_memo.clear()
+    monkeypatch.setattr(counting, "midpoint_geodesic", failing)
+    with pytest.raises(NumericalFailure):
+        count_exact(20.0, 0.5)
+    assert (1, 2) not in counting._row_memo
+    monkeypatch.setattr(counting, "midpoint_geodesic", real)
+    rep = count_exact(20.0, 0.5)
+    counting._row_memo.clear()
+    assert rep == count_exact(20.0, 0.5)
+
+
+def _markov_by_slope(limit):
+    """m(p/q) <= limit for coprime 0 <= p <= q, by the Stern-Brocot recursion.
+
+    The mediant c of neighbours l, r gets m(c) = 3 m(l) m(r) - m(o), where o
+    is the fraction whose mediant with one of l, r made the other; m grows
+    down the tree, so a branch stops at its first value past the limit.
+    """
+    m = {(0, 1): 1, (1, 0): 1, (1, 1): 2}
+    stack = [((0, 1), (1, 1), (1, 0))]        # (left, right, opposite)
+    while stack:
+        left, right, opp = stack.pop()
+        c = (left[0] + right[0], left[1] + right[1])
+        mc = 3 * m[left] * m[right] - m[opp]
+        if mc <= limit:
+            m[c] = mc
+            stack += [(left, c, right), (c, right, left)]
+    del m[(1, 0)]
+    return {pq: v for pq, v in m.items() if v <= limit}
+
+
+def test_ideal_limit_count_is_the_markov_count():
+    # near the ideal limit a type's length is 4 acosh(3m/2) for the Markov
+    # number m of its slope p/q, so N(L) = 3 #{p/q : 3 m(p/q) <= 2 cosh(L/4)};
+    # the ladder ascends, as a table of N(L) would
+    counts = []
+    for L in (20.0, 40.0, 80.0):
+        expected = 3 * len(_markov_by_slope(2.0 * math.cosh(L / 4.0) / 3.0))
+        rep = count_exact(L, 1e-4)
+        assert rep.exact_count == expected, (L, rep.exact_count, expected)
+        counts.append(rep.exact_count)
+    assert counts == [18, 57, 216]
 
 
 def test_import_leaves_numpy_out():

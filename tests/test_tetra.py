@@ -105,6 +105,15 @@ def test_generic_regular_reproduces_angles():
     assert not spec2.all_angles_le(math.pi / 4)
 
 
+@pytest.mark.parametrize("edge", [1e-6, 1e-7, 2e-8, 0.5, 2.0, 10.0])
+def test_generic_regular_angles_on_short_and_long_edges(edge):
+    # (cosh b cosh c - cosh a) / (sinh b sinh c) cancels on short sides;
+    # the angles must hold to rounding there too
+    spec = generic_from_edges([edge] * 6)
+    for ang in spec.angles.values():
+        assert ang == pytest.approx(angle_from_edge(H, edge), abs=1e-12)
+
+
 def test_generic_skew_angles_law_of_cosines():
     spec = generic_from_edges([2.0, 2.0, 2.0, 2.2, 2.2, 2.2])
     # independent evaluation at face (1,2,3), vertex 1: opposite side 23=2.2
