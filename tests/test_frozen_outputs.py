@@ -18,23 +18,38 @@ quarter chord moved from the global chart to edge-local frames: the
 midpoint_geodesic outcome (the witness face and edge, or the exception)
 for every type p+q <= 7 at alpha = 1.05 + 0.01 k, k < 36, and the repr of
 the threshold_beta(t, 1e-6) bracket of every type p+q <= 8 with a
-necessary bound, and (1, 1).  The file is written by
+necessary bound, and (1, 1).
+
+Its "generic" part pins the closed chord solve (the cyclic Newton system
+of generic_hyperbolic_geodesic) and its "spherical_lengths" part the
+spherical midpoint lengths, both frozen before the chord solver's
+Newton iterate was fused into one pass: the repr of the fractions, s0,
+length and clearance of types (1,1), (1,2), (2,3) and (3,5) on the
+regular pi/6 tetrahedron and on GENERIC_SPECS seeded random ones with
+every angle <= pi/4 (or the exception a construction raises), and the
+repr of the midpoint_geodesic length and clearance of every type p+q <= 7
+at every fifth alpha of the spherical grid (or its outcome).  The file
+is written by
 
     PYTHONPATH=src python tests/test_frozen_outputs.py
 """
 
 import json
 import math
+import random
 from pathlib import Path
 
 from conftest import coprime_types
 from tetrageo import GeodesicType, SpaceKind, TetrahedronSpec, count_exact, midpoint_geodesic
 from tetrageo.errors import BoundVacuous
 from tetrageo.existence import necessary_alpha_bound, threshold_beta
-from tetrageo.paths import NotContained, path_metrics
+from tetrageo.paths import NotContained, generic_hyperbolic_geodesic, path_metrics
+from tetrageo.tetra import edge_from_angle, generic_from_edges
 
 FROZEN = Path(__file__).resolve().parent / "data" / "frozen_outputs.json"
 REL_TOL = 1e-13   # quarter-chain against closed-chain length and clearance
+GENERIC_TYPES = ((1, 1), (1, 2), (2, 3), (3, 5))
+GENERIC_SPECS = 4
 
 
 def _outcome(spec, t):
@@ -70,6 +85,54 @@ def spherical_decisions():
     return out
 
 
+def generic_specs():
+    """The regular pi/6 tetrahedron and GENERIC_SPECS seeded ones with every angle <= pi/4."""
+    regular = edge_from_angle(SpaceKind.HYPERBOLIC, math.pi / 6)
+    specs = {"regular": generic_from_edges([regular] * 6)}
+    rng = random.Random(15)
+    while len(specs) <= GENERIC_SPECS:
+        base = rng.uniform(1.9, 2.2)
+        spec = generic_from_edges([base * (1.0 + rng.uniform(-0.05, 0.05)) for _ in range(6)])
+        if spec.all_angles_le(math.pi / 4):
+            specs[repr(len(specs))] = spec
+    return specs
+
+
+def generic_outputs():
+    out = {}
+    for name, spec in generic_specs().items():
+        out[name] = []
+        for p, q in GENERIC_TYPES:
+            try:
+                path = generic_hyperbolic_geodesic(spec, GeodesicType(p, q))
+            except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+                out[name].append(repr((p, q, type(exc).__name__)))
+                continue
+            out[name].append(repr((p, q, path.fractions, path.extras["s0"], path.total_length,
+                                   path.clearance)))
+    return out
+
+
+def _measured_outcome(spec, t):
+    try:
+        result = midpoint_geodesic(spec, t)
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc).__name__
+    if isinstance(result, NotContained):
+        return ("witness", result.face_index, result.edge)
+    return result.total_length, result.clearance
+
+
+def spherical_lengths():
+    out = {}
+    for k in range(0, 36, 5):
+        alpha = 1.05 + 0.01 * k
+        spec = TetrahedronSpec(SpaceKind.SPHERICAL, alpha)
+        out[repr(alpha)] = [repr((p, q, _measured_outcome(spec, GeodesicType(p, q))))
+                            for p, q in coprime_types(7)]
+    return out
+
+
 def _closed_chain_path(spec, p, q):
     """The midpoint path of type (p, q), and its length and clearance on the whole closed chain."""
     path = midpoint_geodesic(spec, GeodesicType(p, q))
@@ -99,14 +162,16 @@ def frozen_outputs():
             paths[repr(alpha)].append(repr((p, q, closed_length, path.fractions)))
             measured.append((("path", alpha, p, q), closed_length, path.total_length))
     outputs = {"count_exact": counts, "midpoint_geodesic": paths,
-               "spherical": spherical_decisions()}
+               "spherical": spherical_decisions(), "generic": generic_outputs(),
+               "spherical_lengths": spherical_lengths()}
     return outputs, measured
 
 
 def test_outputs_match_frozen_reprs():
     frozen = json.loads(FROZEN.read_text())
     outputs, measured = frozen_outputs()
-    for part in ("count_exact", "midpoint_geodesic", "spherical"):
+    for part in ("count_exact", "midpoint_geodesic", "spherical", "generic",
+                 "spherical_lengths"):
         assert outputs[part].keys() == frozen[part].keys()
         for key, value in frozen[part].items():
             assert outputs[part][key] == value, (part, key)
