@@ -15,8 +15,10 @@ the face's three edge lengths, so each is built once (a bounded table) and
 shared by every chain with that key.  A chord is described by its crossing
 offsets, one signed arclength from each edge midpoint, so every crossing,
 fraction, margin and length is a well-conditioned local computation.
-relax_chord, the Newton chord solver of both curved spaces, and the
-fold-back metrics use the same segment terms (chord_segments).  Direction
+The segment terms are written twice, with the same floating-point
+operations in the same order: chord_segments, read by the fold-back
+metrics, and the one pass per Newton iterate of relax_chord, the chord
+solver of both curved spaces, that also sums the derivatives.  Direction
 shooting (shoot_chord) carries the chord's normal through the transitions;
 it is the sphere's exact quarter solver, and on shallow hyperbolic chains
 the tests' reference for relax_chord.
@@ -26,10 +28,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import NumericalFailure
 from .geom import SpaceKind, _cross3, _dot3, _mcross, _mdot, rangle
+from .tetra import EDGES
 
 
 def _matvec(m, v):
@@ -70,6 +74,12 @@ def _unit(v, dot):
     return (v[0] / s, v[1] / s, v[2] / s)
 
 
+# (entry, exit) pair of glue edges sharing one vertex -> (a, b, w): the entry
+# edge ab, a < b, and the third vertex w of the face they span
+_STEP_LABELS = {(cur, nxt): (int(cur[0]), int(cur[1]), int((set(nxt) - set(cur)).pop()))
+                for cur in EDGES for nxt in EDGES if len(set(cur) & set(nxt)) == 1}
+
+
 def build_chain(spec, tokens):
     """Chain steps of a hyperbolic or spherical spec for glue edges tokens[0..K].
 
@@ -80,10 +90,9 @@ def build_chain(spec, tokens):
     """
     pairs = list(zip(tokens, tokens[1:]))
     ell, built = spec.face_edge_length, {}
-    for cur, nxt in dict.fromkeys(pairs):
-        a, b, w = (int(c) for c in cur + (set(nxt) - set(cur)).pop())  # cur is sorted
-        built[cur, nxt] = _chain_step(spec.space, cur, nxt, a, b, w,
-                                      ell(a, b), ell(a, w), ell(b, w))
+    for pair in dict.fromkeys(pairs):
+        a, b, w = _STEP_LABELS[pair]
+        built[pair] = _chain_step(spec.space, *pair, a, b, w, ell(a, b), ell(a, w), ell(b, w))
     return [built[pair] for pair in pairs]
 
 
@@ -107,18 +116,14 @@ def _face_frame(space, ell, d_minus, d_plus, from_b, w_first):
     The face is entered by ab, a < b, and left by the edge joining w to the
     pivot, b if from_b else a; w_first when w is the smaller label of the
     exit edge.  The frame depends on nothing else, so the steps of one face
-    shape share it.  (None, None) for a degenerate face.
+    shape share it, and its four orientations share the reps
+    (:func:`_face_reps`).  (None, None) for a degenerate face.
     """
-    k, C, S, dot, cross, _ = _KERNEL[space]
-    ch, sh = C(ell / 2.0), S(ell / 2.0)
-    A, Bv = (ch, -sh, 0.0), (ch, sh, 0.0)
-    # <W, V> = k C(d) against both edge ends, and <W, W> = k
-    w0 = (C(d_minus) + C(d_plus)) / (2.0 * ch)
-    w1 = k * (C(d_plus) - C(d_minus)) / (2.0 * sh)
-    w2sq = -k * w0 * w0 - w1 * w1 + k
-    if w2sq <= 0.0:
+    k, _, _, dot, cross, _ = _KERNEL[space]
+    reps = _face_reps(space, ell, d_minus, d_plus)
+    if reps is None:
         return None, None
-    W = (w0, w1, math.sqrt(w2sq))
+    A, Bv, W = reps
     P, B = (Bv, A) if from_b else (A, Bv)     # the pivot and the vertex behind
     Pm, Pp = (W, P) if w_first else (P, W)
     M = _unit((Pm[0] + Pp[0], Pm[1] + Pp[1], Pm[2] + Pp[2]), dot)
@@ -130,7 +135,22 @@ def _face_frame(space, ell, d_minus, d_plus, from_b, w_first):
     lam = ((M[0], k * M[1], k * M[2]),
            (k * tx[0], tx[1], tx[2]),
            (k * ty[0], ty[1], ty[2]))
-    return (A, Bv, W), lam
+    return reps, lam
+
+
+# bounded: one entry per face and entry edge, at most twelve per spec
+@functools.lru_cache(maxsize=1024)
+def _face_reps(space, ell, d_minus, d_plus):
+    """Reps A, B, W of the face abw in the frame of ab (see _face_frame), or None if degenerate."""
+    k, C, S, _, _, _ = _KERNEL[space]
+    ch, sh = C(ell / 2.0), S(ell / 2.0)
+    # <W, V> = k C(d) against both edge ends, and <W, W> = k
+    w0 = (C(d_minus) + C(d_plus)) / (2.0 * ch)
+    w1 = k * (C(d_plus) - C(d_minus)) / (2.0 * sh)
+    w2sq = -k * w0 * w0 - w1 * w1 + k
+    if w2sq <= 0.0:
+        return None
+    return (ch, -sh, 0.0), (ch, sh, 0.0), (w0, w1, math.sqrt(w2sq))
 
 
 def place_faces(steps):
@@ -226,14 +246,19 @@ def _solve_tridiagonal(diag, off, rhs):
     """
     m = len(diag)
     c, d = [0.0] * m, list(rhs)
-    for i in range(m):
-        piv = diag[i] - (off[i - 1] * c[i - 1] if i else 0.0)
+    piv = diag[0]
+    if not piv > 0.0:
+        raise _indefinite(c, 0)
+    d[0] = di = d[0] / piv
+    for i in range(1, m):
+        o = off[i - 1]
+        c[i - 1] = ci = o / piv
+        piv = diag[i] - o * ci
         if not piv > 0.0:
             raise _indefinite(c, i)
-        c[i] = off[i] / piv if i < m - 1 else 0.0
-        d[i] = (d[i] - (off[i - 1] * d[i - 1] if i else 0.0)) / piv
+        d[i] = di = (d[i] - o * di) / piv
     for i in range(m - 2, -1, -1):
-        d[i] -= c[i] * d[i + 1]
+        d[i] = di = d[i] - c[i] * di
     return d
 
 
@@ -251,16 +276,21 @@ def _solve_cyclic(diag, off, corner, rhs):
     mod[0] -= g
     mod[-1] -= corner * corner / g
     c, y, z = [0.0] * m, list(rhs), [g] + [0.0] * (m - 2) + [corner]
-    for i in range(m):
-        piv = mod[i] - (off[i - 1] * c[i - 1] if i else 0.0)
+    piv = mod[0]
+    if not piv > 0.0:
+        raise _indefinite(c, 0)
+    y[0], z[0] = yi, zi = y[0] / piv, g / piv
+    for i in range(1, m):
+        o = off[i - 1]
+        c[i - 1] = ci = o / piv
+        piv = mod[i] - o * ci
         if not piv > 0.0:
             raise _indefinite(c, i)
-        c[i] = off[i] / piv if i < m - 1 else 0.0
-        y[i] = (y[i] - (off[i - 1] * y[i - 1] if i else 0.0)) / piv
-        z[i] = (z[i] - (off[i - 1] * z[i - 1] if i else 0.0)) / piv
+        y[i] = yi = (y[i] - o * yi) / piv
+        z[i] = zi = (z[i] - o * zi) / piv
     for i in range(m - 2, -1, -1):
-        y[i] -= c[i] * y[i + 1]
-        z[i] -= c[i] * z[i + 1]
+        y[i] = yi = y[i] - c[i] * yi
+        z[i] = zi = z[i] - c[i] * zi
     w = (y[0] + corner * y[-1] / g) / (1.0 + z[0] + corner * z[-1] / g)
     return [yi - w * zi for yi, zi in zip(y, z)]
 
@@ -274,15 +304,15 @@ def chord_segments(steps, s):
     1 - C(d) = k <D, D> / 2, and S(d) cos(angle with the edge's +x) is
     -<dA, D> at A and <D, dB> at B.  All terms come from the short
     difference D, never from the far points (full relative precision).
+    relax_chord streams the same operations in the same order.
     """
     k, C, S, _, _, _ = _KERNEL[steps[0].space]
     cs, sn = [C(x) for x in s], [S(x) for x in s]
-    dsn = sn if k < 0 else [-x for x in sn]    # P'(s) = (-k S(s), C(s), 0)
     terms = []
     for i, step in enumerate(steps):
         (t00, t01, _), (t10, t11, _), (t20, t21, _) = step.transition
-        ca, sa, da = cs[i], sn[i], dsn[i]
-        cb, sb = cs[i + 1], sn[i + 1]
+        ca, sa, cb, sb = cs[i], sn[i], cs[i + 1], sn[i + 1]
+        da = sa if k < 0 else -sa              # P'(s) = (-k S(s), C(s), 0)
         d0 = cb - (t00 * ca + t01 * sa)        # D = B - A
         d1 = sb - (t10 * ca + t11 * sa)
         d2 = -(t20 * ca + t21 * sa)
@@ -294,35 +324,46 @@ def chord_segments(steps, s):
     return cs, sn, terms
 
 
-def _chain_derivatives(steps, s, closed, pinned=()):
-    """Length, gradient and tridiagonal Hessian of the chord in the offsets.
+def _chord_derivatives(space, rows, x, closed, pinned):
+    """Length, gradient and tridiagonal Hessian of the chord in the offsets x.
 
-    From the terms of :func:`chord_segments`, for k = -1 and +1 alike.
-    Pinned segments (two crossings at their shared vertex) have length zero
-    and are skipped, as is a segment whose <D, D> rounds to zero or below.
-    On a closed chain s_K is s_0, so its terms are folded into index 0.
+    One pass with the operations of chord_segments in its order; rows[i]
+    is (t00, t01, t10, t11, t20, t21) of transition i.  Pinned segments
+    (two crossings at their shared vertex) have length zero and are
+    skipped, as is a segment whose <D, D> rounds to zero or below.  On a
+    closed chain s_K is s_0, so its terms are folded into index 0.
     """
-    K = len(steps)
-    k, _, _, _, _, arc = _KERNEL[steps[0].space]
-    half, quarter = -0.5 * k, -0.25 * k
-    grad, diag, off = [0.0] * (K + 1), [0.0] * (K + 1), [0.0] * K
-    length = 0.0
-    for i, (m, cx, cy, cxy) in enumerate(chord_segments(steps, s)[2]):
-        c = 1.0 + half * m                     # C(d)
+    k, C, S, _, _, arc = _KERNEL[space]
+    hyperbolic, half, quarter, sqrt = k < 0, -0.5 * k, -0.25 * k, math.sqrt
+    grad, diag, off = [0.0] * (len(rows) + 1), [0.0] * (len(rows) + 1), [0.0] * len(rows)
+    length = gi = di = 0.0          # grad and diag at s_i from the segment before
+    cb, sb = C(x[0]), S(x[0])
+    for i, ((t00, t01, t10, t11, t20, t21), xb) in enumerate(zip(rows, x[1:])):
+        ca, sa = cb, sb
+        cb, sb = C(xb), S(xb)
+        d0 = cb - (t00 * ca + t01 * sa)
+        d1 = sb - (t10 * ca + t11 * sa)
+        d2 = -(t20 * ca + t21 * sa)
+        m = k * d0 * d0 + d1 * d1 + d2 * d2
         r2 = m * (1.0 + quarter * m)           # S(d)^2
         if not r2 > 0.0 or i in pinned:
+            grad[i], diag[i], gi, di = gi, di, 0.0, 0.0
             continue
-        r = math.sqrt(r2)
+        da = sa if hyperbolic else -sa
+        a0, a1, a2 = t00 * da + t01 * ca, t10 * da + t11 * ca, t20 * da + t21 * ca
+        cx = -(k * a0 * d0 + a1 * d1 + a2 * d2)
+        cy = -d0 * sb + d1 * cb
+        c = 1.0 + half * m                     # C(d)
+        r = sqrt(r2)
         r3 = r2 * r
-        length += 2.0 * arc(0.5 * math.sqrt(m))
-        grad[i] += cx / r
-        grad[i + 1] += cy / r
-        diag[i] += c * (r2 - cx * cx) / r3
-        diag[i + 1] += c * (r2 - cy * cy) / r3
-        off[i] = (cxy * r2 - c * cx * cy) / r3
+        length += 2.0 * arc(0.5 * sqrt(m))
+        grad[i], gi = gi + cx / r, 0.0 + cy / r
+        diag[i], di = di + c * (r2 - cx * cx) / r3, 0.0 + c * (r2 - cy * cy) / r3
+        off[i] = ((a0 * sb - a1 * cb) * r2 - c * cx * cy) / r3
+    grad[-1], diag[-1] = gi, di
     if closed:
-        grad[0] += grad[K]
-        diag[0] += diag[K]
+        grad[0] += gi
+        diag[0] += di
     return length, grad, diag, off
 
 
@@ -406,30 +447,33 @@ def relax_chord(steps, ells, init_fractions, closed=False):
     free = range(0, K) if closed else range(1, K)
     if not free:
         return s
+    lo = free[0]
     ends = [0.5 * ell for ell in ells]
     near_ends = [e * (1.0 - 1e-12) for e in ends]     # within rounding of an end is at it
     # the sides of e_i and e_{i+1} at the vertex about which F_i turns
     hinges = [(1 if p > q else -1, 1 if p > w else -1) for p, q, w in (st.hinge for st in steps)]
+    space = steps[0].space
+    rows = [(*t0[:2], *t1[:2], *t2[:2]) for t0, t1, t2 in (st.transition for st in steps)]
 
     def evaluate(x):
-        """State (offsets, derivatives, end sides, pinned segments) at x, snapped."""
+        """State (offsets, derivatives, end sides or None, pinned segments) at x, snapped."""
         if closed:
             x[K] = x[0]
+        if not any(map(operator.gt, map(abs, x), near_ends)):
+            return x, _chord_derivatives(space, rows, x, closed, ()), None, ()
         sides = [(1 if v > 0.0 else -1) if abs(v) > e else 0 for v, e in zip(x, near_ends)]
-        pinned = ()
-        if any(sides):
-            for i in free:
-                x[i] = sides[i] * ends[i] if sides[i] else x[i]
-            for i in list(range(K)) + list(range(K - 1, -1, -1)):
-                a, b = hinges[i]
-                if sides[i] == a and sides[i + 1] != b and i + 1 in free:
-                    x[i + 1], sides[i + 1] = b * ends[i + 1], b
-                elif sides[i + 1] == b and sides[i] != a and i in free:
-                    x[i], sides[i] = a * ends[i], a
-            if closed:
-                x[K], sides[K] = x[0], sides[0]
-            pinned = {i for i, (a, b) in enumerate(hinges) if sides[i] == a and sides[i + 1] == b}
-        return x, _chain_derivatives(steps, x, closed, pinned), sides, pinned
+        for i in free:
+            x[i] = sides[i] * ends[i] if sides[i] else x[i]
+        for i in list(range(K)) + list(range(K - 1, -1, -1)):
+            a, b = hinges[i]
+            if sides[i] == a and sides[i + 1] != b and i + 1 in free:
+                x[i + 1], sides[i + 1] = b * ends[i + 1], b
+            elif sides[i + 1] == b and sides[i] != a and i in free:
+                x[i], sides[i] = a * ends[i], a
+        if closed:
+            x[K], sides[K] = x[0], sides[0]
+        pinned = {i for i, (a, b) in enumerate(hinges) if sides[i] == a and sides[i + 1] == b}
+        return x, _chord_derivatives(space, rows, x, closed, pinned), sides, pinned
 
     def moved_by(step):
         """Offsets s + step on the free indices, held to their edges."""
@@ -442,36 +486,39 @@ def relax_chord(steps, ells, init_fractions, closed=False):
     mu, last_full, checked = 0.0, None, False
     for _ in range(MAX_NEWTON_STEPS):
         s, (length, grad, diag, off), sides, pinned = state
-        runs, held, moved = [], set(), None
-        for i in free:
-            if sides[i] and runs and runs[-1][-1] == i - 1 and i - 1 in pinned:
-                runs[-1].append(i)
-            elif sides[i]:
-                runs.append([i])
-        for run in runs:
-            if len(run) > 1:
-                moved = moved or _corner_cut(steps, state, run, ends, evaluate)
-            if len(run) > 1 or sides[run[0]] * grad[run[0]] <= 0.0:
-                held.update(run)
-        if moved:
-            state, last_full, checked = moved, None, False
-            continue
-        rhs = [0.0 if i in held else -grad[i] for i in free]
-        dg = [1.0 if i in held else diag[i] + mu for i in free]
-        offs = [0.0 if i in held or (i + 1) % K in held else off[i] for i in free]
+        if sides is None:               # no offset at an edge end: nothing is held
+            rhs, dg, offs = [-g for g in grad[lo:K]], [d + mu for d in diag[lo:K]], off[lo:K]
+        else:
+            runs, held, moved = [], set(), None
+            for i in free:
+                if sides[i] and runs and runs[-1][-1] == i - 1 and i - 1 in pinned:
+                    runs[-1].append(i)
+                elif sides[i]:
+                    runs.append([i])
+            for run in runs:
+                if len(run) > 1:
+                    moved = moved or _corner_cut(steps, state, run, ends, evaluate)
+                if len(run) > 1 or sides[run[0]] * grad[run[0]] <= 0.0:
+                    held.update(run)
+            if moved:
+                state, last_full, checked = moved, None, False
+                continue
+            rhs = [0.0 if i in held else -grad[i] for i in free]
+            dg = [1.0 if i in held else diag[i] + mu for i in free]
+            offs = [0.0 if i in held or (i + 1) % K in held else off[i] for i in free]
         try:
             if closed:
                 delta = _solve_cyclic(dg, offs[:K - 1], offs[K - 1], rhs)
             else:
                 delta = _solve_tridiagonal(dg, offs[:K - 2], rhs)
         except _Indefinite as exc:
-            z = exc.args[0]
+            z, moved = exc.args[0], None
             if not closed and max(map(abs, rhs)) < SADDLE_GRADIENT:
                 # the length is concave along z: from the first edge end inwards
                 reach = min((ends[i] - (s[i] if x > 0.0 else -s[i])) / abs(x)
                             for i, x in zip(free, z) if x)
                 levels = ([moved_by([t * x for x in z]) for t in (r, -r)]
-                          for r in (reach * 0.25 ** k for k in range(8)))
+                          for r in (reach * 0.25 ** j for j in range(8)))
                 moved = _shorter(levels, evaluate, length)
             if moved:
                 state, checked = moved, False
@@ -485,16 +532,17 @@ def relax_chord(steps, ells, init_fractions, closed=False):
                 return s
             mu, checked = 0.0, True
             continue
-        scale = min([1.0] + [ROOM_FRACTION * ((ends[i] - (s[i] if x > 0.0 else -s[i])) / abs(x))
-                             for i, x in zip(free, delta) if x])
-        cut = list(s)
+        scale = 1.0
         for i, x in zip(free, delta):
-            cut[i] += scale * x
-        trials = [cut]
+            if x:
+                room = ROOM_FRACTION * ((ends[i] - (s[i] if x > 0.0 else -s[i])) / abs(x))
+                if room < scale:
+                    scale = room
+        cut = s[:lo] + [v + scale * x for v, x in zip(s[lo:K], delta)] + s[K:]
+        candidate = evaluate(cut)
         if ROOM_FRACTION / OVERSHOOT <= scale < ROOM_FRACTION:
             # the full step leaves an edge, by at most OVERSHOOT rooms: try it projected too
-            trials.append(moved_by(delta))
-        candidate = min(map(evaluate, trials), key=lambda c: c[1][0])
+            candidate = min(candidate, evaluate(moved_by(delta)), key=lambda c: c[1][0])
         accepted = candidate[1][0] <= length * (1.0 + LENGTH_SLACK)
         if accepted:
             state, checked = candidate, False

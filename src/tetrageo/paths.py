@@ -142,8 +142,11 @@ def path_metrics(spec, tokens, fractions):
     is the difference of the angles of segments j-1 and j with e_j.  A
     vertex's distance to a segment's line is a lower bound of its distance
     to the segment: only a bound under the running minimum calls the
-    clamped test.  Euclidean paths fold onto single faces.
+    clamped test.  Euclidean paths fold onto single faces.  ValueError
+    for a fraction that is not finite or lies outside [0, 1].
     """
+    if not all(0.0 <= f <= 1.0 for f in fractions):
+        raise ValueError("every fraction must be finite and lie in [0, 1]")
     if spec.space == SpaceKind.EUCLIDEAN:
         return _face_fold_metrics(spec, tokens, fractions)
     chain = _measured_chain(tokens, fractions)

@@ -8,7 +8,9 @@ installing.
 import importlib.util
 from pathlib import Path
 
-from tetrageo import GeodesicType, SpaceKind, TetrahedronSpec, paths
+import pytest
+
+from tetrageo import GeodesicType, SpaceKind, TetrahedronSpec, paths, tetra
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
 
@@ -41,3 +43,24 @@ def test_spherical_quarter_runs_the_shooting_layers():
         tracer.restore()
     assert any(span[0] == "frames.shoot_chord" for span in tracer.spans)
     assert tracer.counts["frames.propagate_chord"] > 0
+
+
+@pytest.mark.parametrize("construct, layers", [
+    (lambda: paths.midpoint_geodesic(TetrahedronSpec(SpaceKind.HYPERBOLIC, 0.5),
+                                     GeodesicType(2, 3)),
+     {"paths.full_fractions_from_quarter"}),
+    (lambda: paths.generic_hyperbolic_geodesic(
+        tetra.generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02]), GeodesicType(2, 3)),
+     set()),
+], ids=["midpoint", "generic"])
+def test_hyperbolic_constructions_run_the_solver_layers(construct, layers):
+    # the solver's inner work is inlined, but the layers the benchmark times
+    # are still called through their module attributes: none may read 0
+    tracer = _layertrace().Tracer().install()
+    try:
+        path = construct()
+    finally:
+        tracer.restore()
+    assert isinstance(path, paths.GeodesicPath)
+    recorded = {span[0] for span in tracer.spans}
+    assert {"frames.build_chain", "frames.relax_chord", "paths.simplicity_check"} | layers <= recorded

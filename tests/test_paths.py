@@ -645,6 +645,23 @@ def test_quarter_metrics_reject_other_fraction_counts():
         path_metrics(spec, path.tokens, path.fractions[:-1])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0, -0.5, 1.0 + 1e-15])
+@pytest.mark.parametrize("space", [E, S, H])
+def test_metrics_reject_fractions_off_the_edge(space, bad):
+    # a NaN fraction measured as (nan, inf, 0.0): a residual of 0 read as closed
+    spec = TetrahedronSpec(space, {E: math.pi / 3, S: 1.1, H: 0.5}[space])
+    t = GeodesicType(1, 2)
+    path = euclid_geodesic(t) if space == E else midpoint_geodesic(spec, t)
+    K = len(path.tokens) // 4
+    for fracs in (list(path.fractions), list(path.fractions[:K + 1])):
+        fracs[1] = bad
+        with pytest.raises(ValueError):
+            path_metrics(spec, path.tokens, fracs)
+    broken = replace(path, crossings=((path.tokens[0], bad),) + path.crossings[1:])
+    with pytest.raises(ValueError):
+        vertex_clearance(broken, spec)
+
+
 @pytest.mark.parametrize("pq", [(0, 1), (1, 2), (3, 5), (7, 13)])
 def test_hyperbolic_midpoint_path_builds_only_its_quarter_chain(monkeypatch, pq):
     lengths, build_chain = [], frames.build_chain
