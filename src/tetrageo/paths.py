@@ -175,9 +175,11 @@ def _chain_metrics(spec, steps, chain, fracs, copies, crossings):
     for i, (step, (m, cx, cy, _)) in enumerate(zip(steps, terms)):
         r = math.sqrt(m * (1.0 - 0.25 * k * m))          # S(d)
         total += 2.0 * arc(0.5 * math.sqrt(m))
-        # the angles of segment i with e_i and e_{i+1}, at its two ends
-        ends.append((math.acos(max(-1.0, min(1.0, -cx / r))),
-                     math.acos(max(-1.0, min(1.0, cy / r)))))
+        # the angles of segment i with e_i and e_{i+1}, at its two ends; each cosine
+        # clamped as by max(-1, min(1, x)), a NaN to 1, without the two calls
+        x, y = -cx / r, cy / r
+        ends.append((math.acos((x if x > -1.0 else -1.0) if x < 1.0 else 1.0),
+                     math.acos((y if y > -1.0 else -1.0) if y < 1.0 else 1.0)))
         # in the entry frame E_i: A = P(s_i), B = T_i^-1 P(s_{i+1}) = (B_0, B_1, w), and
         # with C, S at s_i, N = (S w, -k C w, k u) is normal to AB, <N, N> = u^2 + w^2
         (t00, t01, t02), (t10, t11, t12), _ = step.transition
