@@ -308,11 +308,12 @@ def chord_segments(steps, s):
     """
     k, C, S, _, _, _ = _KERNEL[steps[0].space]
     cs, sn = [C(x) for x in s], [S(x) for x in s]
+    dsn = sn if k < 0 else [-x for x in sn]    # P'(s) = (-k S(s), C(s), 0)
     terms = []
     for i, step in enumerate(steps):
         (t00, t01, _), (t10, t11, _), (t20, t21, _) = step.transition
-        ca, sa, cb, sb = cs[i], sn[i], cs[i + 1], sn[i + 1]
-        da = sa if k < 0 else -sa              # P'(s) = (-k S(s), C(s), 0)
+        ca, sa, da = cs[i], sn[i], dsn[i]
+        cb, sb = cs[i + 1], sn[i + 1]
         d0 = cb - (t00 * ca + t01 * sa)        # D = B - A
         d1 = sb - (t10 * ca + t11 * sa)
         d2 = -(t20 * ca + t21 * sa)
