@@ -253,6 +253,13 @@ def test_cli_entry_point_subprocess():
     assert json.loads(proc.stdout)["alpha2"] is not None
 
 
+def test_package_runs_as_a_module():
+    proc = subprocess.run([sys.executable, "-m", "tetrageo", "--help"],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 0
+    assert "verify" in proc.stdout
+
+
 def test_svg_all_spaces(tmp_path):
     import xml.etree.ElementTree as ET
     ns = {"svg": "http://www.w3.org/2000/svg"}
