@@ -268,17 +268,19 @@ def _solve_cyclic(diag, off, corner, rhs):
     corner couples the first and last unknowns; the matrix is written as
     a tridiagonal one plus the rank-one term u v^T with u = (g, 0.., corner)
     and v = (1, 0.., corner / g).  One sweep of _solve_tridiagonal's
-    recurrence carries both right-hand sides, rhs and u.
+    recurrence carries both right-hand sides, rhs and u.  The first pivot,
+    diag[0] - g = 2 diag[0], is tested before anything is divided by g.
     """
     g = -diag[0]
     m = len(diag)
+    c = [0.0] * m
+    if not g < 0.0:
+        raise _indefinite(c, 0)
     mod = list(diag)
     mod[0] -= g
     mod[-1] -= corner * corner / g
-    c, y, z = [0.0] * m, list(rhs), [g] + [0.0] * (m - 2) + [corner]
+    y, z = list(rhs), [g] + [0.0] * (m - 2) + [corner]
     piv = mod[0]
-    if not piv > 0.0:
-        raise _indefinite(c, 0)
     y[0], z[0] = yi, zi = y[0] / piv, g / piv
     for i in range(1, m):
         o = off[i - 1]

@@ -10,6 +10,7 @@ results are compared with ==.
 
 import math
 
+import pytest
 from hypothesis import given, strategies as st
 
 from conftest import coprime_types
@@ -66,6 +67,8 @@ def _solve_cyclic(diag, off, corner, rhs):
     m = len(diag)
     mod = list(diag)
     mod[0] -= g
+    if not mod[0] > 0.0:            # the first pivot, tested before the division by g
+        raise frames._indefinite([0.0] * m, 0)
     mod[-1] -= corner * corner / g
     c, y, z = [0.0] * m, list(rhs), [g] + [0.0] * (m - 2) + [corner]
     for i in range(m):
@@ -129,7 +132,7 @@ def test_one_pass_derivatives_equal_the_segment_terms_reference(chain):
 def _outcome(solve, *args):
     try:
         return solve(*args)
-    except (frames._Indefinite, ZeroDivisionError) as exc:   # a zero first pivot of the cyclic
+    except frames._Indefinite as exc:
         return type(exc).__name__, exc.args
 
 
@@ -155,3 +158,12 @@ def test_peeled_cyclic_solve_equals_the_loop(system):
     diag, off, corner, rhs = system
     assert (_outcome(frames._solve_cyclic, diag, off, corner, rhs)
             == _outcome(_solve_cyclic, diag, off, corner, rhs))
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_zero_first_pivot_of_the_cyclic_solve_is_indefinite(zero):
+    # g = -diag[0] is a divisor of the Sherman-Morrison correction: a zero
+    # first pivot is reported as such, with z = e_0, before it is divided by
+    with pytest.raises(frames._Indefinite) as info:
+        frames._solve_cyclic([zero, zero], [0.0], 0.0, [1.0, 1.0])
+    assert info.value.args[0] == [1.0, 0.0]
