@@ -28,7 +28,8 @@ edges sit in a static table built at import.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -214,6 +215,8 @@ def simplicity_check(path, spec):
     rounding of the fractions and read as in order.  No geometry (``spec``
     is not needed).  Raises PreconditionFailed unless the path carries the
     canonical word of its type, as every path the library builds does.
+    Only the path's gtype, tokens and fractions are read, so a path is
+    checked before it is built (_assemble_path).
     """
     word = canonical_word(path.gtype)
     if path.tokens != word.tokens:
@@ -221,6 +224,10 @@ def simplicity_check(path, spec):
     fracs = path.fractions
     return all(fracs[i] - fracs[j] <= STRAND_TIE
                for strand in word.strands for i, j in zip(strand, strand[1:]))
+
+
+# what simplicity_check reads of a path, for a path not yet built
+_Crossings = namedtuple("_Crossings", "gtype tokens fractions")
 
 
 def _assemble_path(spec, t, tokens, fractions, extras=None, measured=None, steps=None):
@@ -234,14 +241,14 @@ def _assemble_path(spec, t, tokens, fractions, extras=None, measured=None, steps
         total, clearance, worst = path_metrics(spec, tokens, measured)
     else:
         total, clearance, worst = _chain_metrics(spec, steps, *_measured_chain(tokens, measured))
-    path = GeodesicPath(
+    return GeodesicPath(
         gtype=t, space=spec.space,
         crossings=tuple(zip(tokens, fractions)),
         total_length=total, clearance=clearance,
-        closed=worst < 1e-8, simple=True, closure_residual=worst,
+        closed=worst < 1e-8, simple=simplicity_check(_Crossings(t, tokens, fractions), spec),
+        closure_residual=worst,
         min_fraction_margin=min(min(f, 1.0 - f) for f in fractions),
         extras=dict(extras or {}))
-    return replace(path, simple=simplicity_check(path, spec))
 
 
 # ---------------------------------------------------------------------------

@@ -1005,6 +1005,23 @@ def test_one_chain_and_no_fraction_per_construction(build, monkeypatch):
     assert (len(chains), len(made)) == (1, 0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: euclid_geodesic(GeodesicType(2, 3)),
+    lambda: midpoint_geodesic(TetrahedronSpec(H, 0.5), GeodesicType(3, 5)),
+    lambda: midpoint_geodesic(TetrahedronSpec(S, 1.1), GeodesicType(1, 2)),
+    lambda: generic_hyperbolic_geodesic(generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02]),
+                                        GeodesicType(2, 3)),
+], ids=["euclidean", "hyperbolic-midpoint", "spherical-midpoint", "generic"])
+def test_one_path_record_per_construction(build, monkeypatch):
+    # simplicity is decided before the path is built, so it is built once
+    built, init = [], GeodesicPath.__init__
+    monkeypatch.setattr(GeodesicPath, "__init__",
+                        lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+    path = build()
+    assert path.simple and len(built) == 1
+    assert path.simple == simplicity_check(path, None)
+
+
 def test_cyclic_solve_matches_dense_solve():
     np = pytest.importorskip("numpy")
     rng = random.Random(5)
