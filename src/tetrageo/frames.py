@@ -20,8 +20,9 @@ operations in the same order: chord_segments, read by the fold-back
 metrics, and the one pass per Newton iterate of relax_chord, the chord
 solver of both curved spaces, that also sums the derivatives.  Direction
 shooting (shoot_chord) carries the chord's normal through the transitions;
-it is the sphere's exact quarter solver, and on shallow hyperbolic chains
-the tests' reference for relax_chord.
+it is the sphere's exact quarter solver, and on the hyperboloid the start
+of the quarter's Newton solve, which polishes it to relax_chord's step
+tolerance.
 """
 
 from __future__ import annotations
@@ -201,7 +202,8 @@ def shoot_chord(steps):
     the chord aimed at it and propagated.  On the sphere the great circle
     runs into the face ahead of e_K at its midpoint or, offset +-pi, at the
     antipode: the caller tells the two apart.  On deep hyperbolic chains the
-    far point loses the precision that relax_chord keeps edge by edge.
+    far point loses the precision that relax_chord keeps edge by edge, so
+    there the shot only seeds relax_chord.
     """
     k = _KERNEL[steps[0].space][0]
     v = (1.0, 0.0, 0.0)                             # mid(e_K) in frame E_K

@@ -10,10 +10,12 @@ Three construction routes:
   two incidence angles at the edge point s0 are supplementary.
 
 Every curved chain is placed in the edge-local frames of :mod:`frames`.
-The spherical quarter chord is shot exactly through the two midpoints
-(:func:`frames.shoot_chord`); both hyperbolic routes solve the chord with
-the one Newton solver of :func:`frames.relax_chord`, pinned at X1 and Y1
-for the regular quarter and closed up for the generic tetrahedron.
+The quarter chord is shot through the two midpoints in both curved spaces
+(:func:`frames.shoot_chord`): on the sphere the shot is exact; on the
+hyperboloid it seeds the one Newton solver of :func:`frames.relax_chord`,
+pinned at X1 and Y1, and the exact Euclidean fractions are the seed when
+the shot fails.  The generic tetrahedron's chord is the same solver closed
+up.
 
 Length, clearance and closure residual are recomputed from the crossing
 fractions in edge-local frames (closure angles at the crossings, clearance
@@ -334,13 +336,16 @@ def _quarter_chord(spec, word):
     and the quarter chain's steps.
 
     The chord runs from the midpoint X1 of e_0 to the midpoint Y1 of e_K of
-    the chain placed in edge-local frames.  On the hyperboloid it is solved
-    by Newton steps pinned at X1 and Y1, seeded with the exact Euclidean
-    crossing fractions (the float fractions of ``word``, the type's
-    CanonicalWord); on the sphere it is shot from X1 at Y1, must reach e_K
-    at its midpoint, and is checked against the whole chain: X2, Y2 and X1'
-    must lie on it too.  The chain is built once, on the sphere the whole
-    closed one, whose first K steps are the quarter's.
+    the chain placed in edge-local frames, and is shot from X1 at Y1 first.
+    On the hyperboloid the shot's crossing fractions seed Newton steps
+    pinned at X1 and Y1, which polish the far crossings the shot loses to
+    rounding on deep chains; a shot that misses an edge's geodesic or puts
+    a crossing off its edge is replaced by the exact Euclidean fractions
+    (the float fractions of ``word``, the type's CanonicalWord).  On the
+    sphere the shot is the chord: it must reach e_K at its midpoint, and is
+    checked against the whole chain: X2, Y2 and X1' must lie on it too.
+    The chain is built once, on the sphere the whole closed one, whose
+    first K steps are the quarter's.
     """
     n = len(word.tokens)
     K = n // 4
@@ -352,7 +357,12 @@ def _quarter_chord(spec, word):
     if spherical:
         theta, offsets, normals = frames.shoot_chord(steps)
     else:
-        init = list(word.fractions[:K + 1])
+        try:
+            init = [(x + ell / 2.0) / ell for x, ell in zip(frames.shoot_chord(steps)[1], ells)]
+        except NumericalFailure:          # the shot misses the geodesic of an edge
+            init = [math.nan]
+        if not all(0.0 < f < 1.0 for f in init):
+            init = list(word.fractions[:K + 1])
         init[0] = init[K] = 0.5
         offsets = frames.relax_chord(steps, ells, init)
     fracs = [0.5] + [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(1, K)] + [0.5]
@@ -394,7 +404,9 @@ def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
     """Midpoint-chord candidate of type (p,q) on a curved regular tetrahedron.
 
     Returns the GeodesicPath when the chord stays strictly inside the face
-    chain, otherwise the first NotContained witness.  Spherical chords of
+    chain, otherwise the first NotContained witness.  The quarter chord is
+    shot (:func:`_quarter_chord`), on the hyperboloid as the seed of a
+    Newton solve, the Euclidean fractions its fallback.  Spherical chords of
     length >= 2*pi raise TooLong.  The path is measured on its quarter
     chain, so its closure residual covers the quarter's interior crossings
     only.  The other crossings, those at the symmetry points X1, Y1, X2 and

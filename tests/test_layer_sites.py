@@ -48,7 +48,7 @@ def test_spherical_quarter_runs_the_shooting_layers():
 @pytest.mark.parametrize("construct, layers", [
     (lambda: paths.midpoint_geodesic(TetrahedronSpec(SpaceKind.HYPERBOLIC, 0.5),
                                      GeodesicType(2, 3)),
-     {"paths.full_fractions_from_quarter"}),
+     {"paths.full_fractions_from_quarter", "frames.shoot_chord"}),
     (lambda: paths.generic_hyperbolic_geodesic(
         tetra.generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02]), GeodesicType(2, 3)),
      set()),

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, strategies as st
 from conftest import coprime_types
 from tetrageo import frames
 from tetrageo.combinat import (ROTATION_PERMS, CrossingSequence, GeodesicType,
-                               crossing_sequence, relabel_sequence)
+                               canonical_word, crossing_sequence, relabel_sequence)
 from tetrageo.errors import (InvalidTetrahedron, NumericalFailure, PreconditionFailed, TooLong,
                              VertexHit)
 from tetrageo.existence import hyperbolic_clearance_bound, hyperbolic_length_lower_bound
@@ -551,6 +551,74 @@ def test_ideal_limit_lengths_are_markov_numbers():
         assert abs(x - m) < 1e-8 * m, (p, q, x, m)
         image[p, q] = m
     assert len(set(image.values())) == len(image)
+
+
+def _assert_markov_length(alpha, pq, markov):
+    # closed, simple and on the Markov number of its type, as at alpha = 1e-6
+    path = midpoint_geodesic(TetrahedronSpec(H, alpha), GeodesicType(*pq))
+    assert isinstance(path, GeodesicPath) and path.closed and path.simple, (alpha, pq)
+    x = 2.0 * math.cosh(path.total_length / 4.0) / 3.0
+    m = min(markov, key=lambda m: abs(m - x))
+    assert abs(x - m) < 1e-8 * m, (alpha, pq, x, m)
+
+
+@pytest.mark.parametrize("alpha, pq", [
+    (1e-7, (4, 5)), (1e-7, (7, 8)), (3e-8, (5, 11)), (3e-8, (7, 12)), (3e-8, (9, 11)),
+    (1e-6, (9, 14)), (1e-6, (15, 23))])
+def test_near_ideal_chords_converge(alpha, pq):
+    # these quarter solves ran out of Newton steps from the Euclidean fractions
+    _assert_markov_length(alpha, pq, _markov_numbers(10 ** 15))
+
+
+def test_near_ideal_limit_every_type_builds():
+    markov = _markov_numbers(10 ** 12)
+    for pq in coprime_types(20):
+        _assert_markov_length(3e-8, pq, markov)
+
+
+@given(st.floats(1e-4, 1.04), st.sampled_from(coprime_types(20)))
+def test_shot_seed_matches_the_euclidean_seed(alpha, pq):
+    # the hyperbolic quarter solve starts from the shot chord's fractions;
+    # from the Euclidean fractions the same solver reaches the same chord
+    spec = TetrahedronSpec(H, alpha)
+    word = canonical_word(GeodesicType(*pq))
+    fracs, _, extras, steps = _quarter_chord(spec, word)
+    K = len(steps)
+    offsets = frames.relax_chord(steps, [spec.edge] * (K + 1), list(word.fractions[:K + 1]))
+    assert max(abs(f - (x / spec.edge + 0.5)) for f, x in zip(fracs, offsets)) < 1e-11
+    length = sum(frames.trace_geometry(steps, [0.0] + offsets[1:K] + [0.0]))
+    assert abs(length - extras["quarter_length"]) <= 1e-12 * length
+
+
+def test_shot_seeded_solve_takes_few_evaluations(monkeypatch):
+    # from the Euclidean fractions a solve took about 9.4 evaluations here
+    calls, derivatives = [], frames._chord_derivatives
+    monkeypatch.setattr(frames, "_chord_derivatives",
+                        lambda *args: calls.append(1) or derivatives(*args))
+    spec = TetrahedronSpec(H, 0.5)
+    types = coprime_types(20)
+    for pq in types:
+        assert isinstance(midpoint_geodesic(spec, GeodesicType(*pq)), GeodesicPath)
+    assert len(calls) <= 3 * len(types), len(calls)
+
+
+def _missed(steps):
+    raise NumericalFailure("chord misses the geodesic of edge e_1")
+
+
+@pytest.mark.parametrize("shot", [
+    _missed,
+    lambda steps: (0.0, [math.nan] * (len(steps) + 1), None),
+    lambda steps: (0.0, [0.0] + [1e3] * len(steps), None),
+], ids=["missed", "not-finite", "off-the-edge"])
+def test_failed_shot_falls_back_to_the_euclidean_seed(shot, monkeypatch):
+    spec, t = TetrahedronSpec(H, 0.3), GeodesicType(5, 8)
+    seeded = midpoint_geodesic(spec, t)
+    monkeypatch.setattr(frames, "shoot_chord", shot)
+    path = midpoint_geodesic(spec, t)
+    assert isinstance(path, GeodesicPath) and path.closed and path.simple
+    assert max(abs(a - b) for a, b in zip(path.fractions, seeded.fractions)) < 1e-11
+    assert abs(path.total_length - seeded.total_length) <= 1e-12 * seeded.total_length
 
 
 @lru_cache(maxsize=None)
