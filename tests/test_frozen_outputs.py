@@ -3,7 +3,9 @@
 tests/data/frozen_outputs.json holds the repr of the count_exact(40, alpha)
 rows for alpha in {0.3, 0.5, 0.9} and of the midpoint_geodesic lengths and
 fractions for every type p+q <= 12 at alpha in {0.05, 0.5, 1.0}, frozen
-before the step table and the static word tables; every value must stay
+before the step table and the static word tables and re-taken when the
+hyperbolic quarter solve began from the shot chord instead of the
+Euclidean fractions (which moved them by rounding); every value must stay
 the same to the last bit, so the test compares the reprs exactly.
 
 Lengths and clearances were frozen as measured on the whole closed chain.
