@@ -1,28 +1,30 @@
-"""Edge-local frames for hyperbolic and spherical face chains.
+"""Edge-local frames for the face chains of all three spaces.
 
 Long hyperbolic face chains cannot be held in a single chart: Klein
 coordinates saturate at the disk rim and global hyperboloid coordinates
 lose all precision in differences of nearby far points.  Instead, every
-glue edge gets its own frame, on the hyperboloid (curvature k = -1) or
-the unit sphere (k = +1),
+glue edge gets its own frame, on the hyperboloid (curvature k = -1), the
+plane (k = 0, the point (x, y) written (1, x, y)) or the unit sphere (k = +1),
 
     edge midpoint at (1, 0, 0), edge along the x-direction with the
     smaller-labelled endpoint at negative x, the face ahead at y > 0,
 
 and the chain is encoded by the change-of-basis matrix from each edge
-frame to the next.  A step depends only on the space, its two edges and
-the face's three edge lengths, so each is built once (a bounded table) and
-shared by every chain with that key.  A chord is described by its crossing
-offsets, one signed arclength from each edge midpoint, so every crossing,
-fraction, margin and length is a well-conditioned local computation.
-The segment terms are written twice, with the same floating-point
-operations in the same order: chord_segments, read by the fold-back
-metrics, and the one pass per Newton iterate of relax_chord, the chord
-solver of both curved spaces, that also sums the derivatives.  Direction
-shooting (shoot_chord) carries the chord's normal through the transitions;
-it is the sphere's exact quarter solver, and on the hyperboloid the start
-of the quarter's Newton solve, which polishes it to relax_chord's step
-tolerance.
+frame to the next, a rigid motion of the plane at k = 0.  A step depends
+only on the space, its two edges and the face's three edge lengths, so
+each is built once (a bounded table) and shared by every chain with that
+key.  A chord is described by its crossing offsets, one signed arclength
+from each edge midpoint, so every crossing, fraction, margin and length is
+a well-conditioned local computation; chains are placed (place_faces) and
+measured (chord_segments) this way in all three spaces.  The segment terms
+are written twice, with the same floating-point operations in the same
+order: chord_segments, read by the fold-back metrics, and the one pass per
+Newton iterate of relax_chord, the chord solver of both curved spaces,
+that also sums the derivatives.  Direction shooting (shoot_chord) carries
+the chord's normal through the transitions; it is the sphere's exact
+quarter solver, and on the hyperboloid the start of the quarter's Newton
+solve, which polishes it to relax_chord's step tolerance.  The plane needs
+no solver: its chord is the tiling line.
 """
 
 from __future__ import annotations
@@ -55,17 +57,20 @@ IDENTITY3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 class ChainStep:
     """Face F_i of the chain, expressed in the frame of its entry edge e_i."""
 
-    verts: dict           # label -> rep (hyperboloid or sphere) in frame E_i
+    verts: dict           # label -> rep (hyperboloid, (1, x, y) or sphere) in frame E_i
     transition: tuple     # 3x3 change of basis, frame E_i -> frame E_{i+1}
+    inverse: tuple        # its inverse, frame E_{i+1} -> frame E_i
     space: SpaceKind
     hinge: tuple          # (p, q, w): F_i turns about vertex p from e_i = pq to e_{i+1} = pw
 
 
-# per curvature k = -1 (hyperboloid) or +1 (sphere): k, the trig pair of an
-# edge point (C(s), S(s), 0), the inner product, its cross product, and the
-# inverse of S, which gives a chord D the length 2 arc(sqrt(<D, D>) / 2)
+# per curvature k = -1 (hyperboloid), 0 (plane) or +1 (sphere): k, the trig
+# pair of an edge point (C(s), S(s), 0), the inner product, its cross product
+# (the plane's rigid frames need neither), and the inverse of S, which gives a
+# chord D the length 2 arc(sqrt(<D, D>) / 2)
 _KERNEL = {
     SpaceKind.HYPERBOLIC: (-1.0, math.cosh, math.sinh, _mdot, _mcross, math.asinh),
+    SpaceKind.EUCLIDEAN: (0.0, lambda s: 1.0, lambda s: s, None, None, lambda x: x),
     SpaceKind.SPHERICAL: (1.0, math.cos, math.sin, _dot3, _cross3, math.asin),
 }
 
@@ -82,7 +87,7 @@ _STEP_LABELS = {(cur, nxt): (int(cur[0]), int(cur[1]), int((set(nxt) - set(cur))
 
 
 def build_chain(spec, tokens):
-    """Chain steps of a hyperbolic or spherical spec for glue edges tokens[0..K].
+    """Chain steps of a spec for glue edges tokens[0..K].
 
     tokens[i] and tokens[i+1] must share exactly one vertex; face F_i is
     their union.  Returns a list of K ChainStep records.  A step depends
@@ -105,7 +110,8 @@ def _chain_step(space, cur, nxt, a, b, w, ell, d_minus, d_plus):
     verts, lam = _face_frame(space, ell, d_minus, d_plus, pivot == b, w < pivot)
     if verts is None:
         raise NumericalFailure(f"degenerate face {cur}->{nxt}")
-    return ChainStep(verts=dict(zip((a, b, w), verts)), transition=lam, space=space,
+    return ChainStep(verts=dict(zip((a, b, w), verts)), transition=lam,
+                     inverse=_inverse(lam, _KERNEL[space][0]), space=space,
                      hinge=(pivot, a + b - pivot, w))
 
 
@@ -127,6 +133,16 @@ def _face_frame(space, ell, d_minus, d_plus, from_b, w_first):
     A, Bv, W = reps
     P, B = (Bv, A) if from_b else (A, Bv)     # the pivot and the vertex behind
     Pm, Pp = (W, P) if w_first else (P, W)
+    if not k:       # the plane: a rigid motion to the origin M and the axes tx, ty
+        mx, my = 0.5 * (Pm[1] + Pp[1]), 0.5 * (Pm[2] + Pp[2])
+        r = math.hypot(Pp[1] - Pm[1], Pp[2] - Pm[2])
+        tx = ((Pp[1] - Pm[1]) / r, (Pp[2] - Pm[2]) / r)
+        ty = (-tx[1], tx[0])
+        if (B[1] - mx) * ty[0] + (B[2] - my) * ty[1] > 0.0:
+            ty = (tx[1], -tx[0])
+        return reps, ((1.0, 0.0, 0.0),
+                      (-(mx * tx[0] + my * tx[1]), tx[0], tx[1]),
+                      (-(mx * ty[0] + my * ty[1]), ty[0], ty[1]))
     M = _unit((Pm[0] + Pp[0], Pm[1] + Pp[1], Pm[2] + Pp[2]), dot)
     cc = -k * dot(Pp, M)
     tx = _unit((Pp[0] + cc * M[0], Pp[1] + cc * M[1], Pp[2] + cc * M[2]), dot)
@@ -144,6 +160,12 @@ def _face_frame(space, ell, d_minus, d_plus, from_b, w_first):
 def _face_reps(space, ell, d_minus, d_plus):
     """Reps A, B, W of the face abw in the frame of ab (see _face_frame), or None if degenerate."""
     k, C, S, _, _, _ = _KERNEL[space]
+    if not k:       # |W - A| = d_minus, |W - B| = d_plus
+        w1 = (d_minus * d_minus - d_plus * d_plus) / (2.0 * ell)
+        w2sq = d_minus * d_minus - (w1 + 0.5 * ell) ** 2
+        if w2sq <= 0.0:
+            return None
+        return (1.0, -0.5 * ell, 0.0), (1.0, 0.5 * ell, 0.0), (1.0, w1, math.sqrt(w2sq))
     ch, sh = C(ell / 2.0), S(ell / 2.0)
     # <W, V> = k C(d) against both edge ends, and <W, W> = k
     w0 = (C(d_minus) + C(d_plus)) / (2.0 * ch)
@@ -161,12 +183,11 @@ def place_faces(steps):
     transitions are composed outward from e_0.  Returns one dict
     label -> rep per face.
     """
-    k = _KERNEL[steps[0].space][0]
     faces = []
     acc = IDENTITY3
     for step in steps:
         faces.append({lab: _matvec(acc, v) for lab, v in step.verts.items()})
-        acc = _matmul(acc, _inverse(step.transition, k))
+        acc = _matmul(acc, step.inverse)
     return faces
 
 
@@ -205,10 +226,9 @@ def shoot_chord(steps):
     far point loses the precision that relax_chord keeps edge by edge, so
     there the shot only seeds relax_chord.
     """
-    k = _KERNEL[steps[0].space][0]
     v = (1.0, 0.0, 0.0)                             # mid(e_K) in frame E_K
     for step in reversed(steps):
-        v = _matvec(_inverse(step.transition, k), v)
+        v = _matvec(step.inverse, v)
     theta = math.atan2(v[2], v[1])
     return (theta, *propagate_chord(steps, theta))
 
@@ -221,7 +241,13 @@ def trace_geometry(steps, offsets):
 
 
 def _inverse(m, k):
-    """Inverse J m^T J, J = diag(k, 1, 1), of a transition (it keeps <u, v> = u^T J v)."""
+    """Inverse J m^T J, J = diag(k, 1, 1), of a curved transition (it keeps <u, v> = u^T J v);
+    (1, x) -> (1, R^T (x - a)) of the plane's rigid motion (1, x) -> (1, a + R x)."""
+    if not k:
+        _, (a1, r11, r12), (a2, r21, r22) = m
+        return ((1.0, 0.0, 0.0),
+                (-(r11 * a1 + r21 * a2), r11, r21),
+                (-(r12 * a1 + r22 * a2), r12, r22))
     return ((m[0][0], k * m[1][0], k * m[2][0]),
             (k * m[0][1], m[1][1], m[2][1]),
             (k * m[0][2], m[1][2], m[2][2]))
@@ -305,14 +331,14 @@ def chord_segments(steps, s):
     Segment i joins A = T_i P(s_i) to B = P(s_{i+1}) in frame E_{i+1}, with
     P(s) = (C(s), S(s), 0).  Its terms are <D, D>, -<dA, D>, <D, dB> and
     -<dA, dB> for D = B - A and the edge tangents dA, dB: its length d has
-    1 - C(d) = k <D, D> / 2, and S(d) cos(angle with the edge's +x) is
+    2 S(d / 2) = sqrt(<D, D>), and S(d) cos(angle with the edge's +x) is
     -<dA, D> at A and <D, dB> at B.  All terms come from the short
     difference D, never from the far points (full relative precision).
     relax_chord streams the same operations in the same order.
     """
     k, C, S, _, _, _ = _KERNEL[steps[0].space]
     cs, sn = [C(x) for x in s], [S(x) for x in s]
-    dsn = sn if k < 0 else [-x for x in sn]    # P'(s) = (-k S(s), C(s), 0)
+    dsn = [-k * x for x in sn]                 # P'(s) = (-k S(s), C(s), 0)
     terms = []
     for i, step in enumerate(steps):
         (t00, t01, _), (t10, t11, _), (t20, t21, _) = step.transition

@@ -202,18 +202,6 @@ def rpoint_at(space, P, tangent, dist):
     return (c * P[0] + s * tangent[0], c * P[1] + s * tangent[1], c * P[2] + s * tangent[2])
 
 
-def rrotate_tangent(space, P, tangent, theta):
-    """Rotate a unit tangent at P by theta (counterclockwise in the chart)."""
-    c, s = math.cos(theta), math.sin(theta)
-    if space == SpaceKind.HYPERBOLIC:
-        u = _unit_spacelike(_mcross(tangent, P))
-    elif space == SpaceKind.SPHERICAL:
-        u = _cross3(P, tangent)
-    else:
-        return (c * tangent[0] - s * tangent[1], s * tangent[0] + c * tangent[1])
-    return (c * tangent[0] + s * u[0], c * tangent[1] + s * u[1], c * tangent[2] + s * u[2])
-
-
 def rinterpolate(space, P, Q, frac):
     """Point at arc-length fraction frac from P toward Q."""
     d = rdistance(space, P, Q)

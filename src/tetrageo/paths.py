@@ -9,7 +9,8 @@ Three construction routes:
 * generic hyperbolic: the closed taut chord of the whole development, whose
   two incidence angles at the edge point s0 are supplementary.
 
-Every curved chain is placed in the edge-local frames of :mod:`frames`.
+Every chain is placed in the edge-local frames of :mod:`frames`, the
+Euclidean one as the plane's k = 0.
 The quarter chord is shot through the two midpoints in both curved spaces
 (:func:`frames.shoot_chord`): on the sphere the shot is exact; on the
 hyperboloid it seeds the one Newton solver of :func:`frames.relax_chord`,
@@ -18,10 +19,10 @@ the shot fails.  The generic tetrahedron's chord is the same solver closed
 up.
 
 Length, clearance and closure residual are recomputed from the crossing
-fractions in edge-local frames (closure angles at the crossings, clearance
-pruned exactly by line distances): a regular midpoint path on its quarter
-chain, which the half turns carry onto the whole curve, a generic path on
-its whole closed chain; Euclidean paths on canonically placed faces.
+fractions in edge-local frames, in all three spaces (closure angles at the
+crossings, clearance pruned exactly by line distances): a regular midpoint
+path on its quarter chain, which the half turns carry onto the whole
+curve, a generic or Euclidean path on its whole closed chain.
 Simplicity is decided from the fractions alone: along each edge they must
 follow the strand order of the exact word.  The half turns' images of the
 edges sit in a static table built at import.
@@ -33,16 +34,15 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from . import frames
 from .combinat import GeodesicType, canonical_word, trace_crossings
 from .errors import NumericalFailure, PreconditionFailed, TooLong, VertexHit
-# rside_measure stays importable here for the perfbench layer trace
-from .geom import (SpaceKind, rangle, rdistance, rinterpolate, rpoint_seg_dist,  # noqa: F401
-                   rside_measure)
+# rangle, rdistance and rside_measure have no caller here; they stay importable
+# from this module because the perfbench layer trace counts kernel calls at this site
+from .geom import SpaceKind, rangle, rdistance, rpoint_seg_dist, rside_measure  # noqa: F401
 from .tetra import EDGES, TetrahedronSpec, edge_token
-from .unfold import _center_involution, first_face_reps
+from .unfold import _center_involution
 
 FRACTION_MARGIN = 1e-9
 STRAND_TIE = 1e-12  # crossings of one edge closer than this (in fraction) are unresolved
@@ -92,66 +92,30 @@ class NotContained:
 # ---------------------------------------------------------------------------
 # fold-back metrics
 #
-# Metric computations run in rep coordinates (hyperboloid for H): folding
-# through Klein coordinates costs ~cosh(a)^2 * eps of precision, which is
-# fatal for the large edge lengths of small planar angles.
-
-def _rep_segments(spec, tokens, fractions):
-    """Each segment on its canonically placed face: (labels, face reps, point in, point out)."""
-    faces = {labels: dict(zip(labels, first_face_reps(   # face ijk: ij centered, apex k above
-        spec.space, *(spec.face_edge_length(*e) for e in combinations(labels, 2)))))
-        for labels in combinations((1, 2, 3, 4), 3)}
-    crossings = list(zip(tokens, fractions))
-    segs = []
-    for ends in zip(crossings, crossings[1:] + crossings[:1]):
-        labels = tuple(sorted(set(int(c) for tok, _ in ends for c in tok)))
-        pts = faces[labels]
-        p_in, p_out = (rinterpolate(spec.space, pts[int(tok[0])], pts[int(tok[1])], float(f))
-                       for tok, f in ends)
-        segs.append((labels, pts, p_in, p_out))
-    return segs
-
-
-def _face_fold_metrics(spec, tokens, fractions):
-    """Length, clearance and closure residual (angles at a vertex of the crossed edge)."""
-    space = spec.space
-    segs = _rep_segments(spec, tokens, fractions)
-    total = 0.0
-    for _, _, p_in, p_out in segs:
-        total += rdistance(space, p_in, p_out)
-    clearance = min(rpoint_seg_dist(space, v, p_in, p_out)
-                    for _, pts, p_in, p_out in segs for v in pts.values())
-    worst = 0.0
-    for tok, (_, prev_pts, pin_prev, pout_prev), (_, pts, p_in, p_out) in zip(
-            tokens, segs[-1:] + segs[:-1], segs):
-        v = min(int(tok[0]), int(tok[1]))
-        worst = max(worst, abs(rangle(space, pout_prev, prev_pts[v], pin_prev)
-                               + rangle(space, p_in, pts[v], p_out) - math.pi))
-    return total, clearance, worst
-
+# Metric computations run in the edge-local frames of the chain (hyperboloid
+# reps for H): folding through Klein coordinates costs ~cosh(a)^2 * eps of
+# precision, which is fatal for the large edge lengths of small planar angles.
 
 def path_metrics(spec, tokens, fractions):
     """Length, vertex clearance and worst closure residual of a closed path.
 
-    Curved paths are measured in the edge-local frames of a chain, offsets
-    taken from the fractions alone.  Given one fraction per token, the chain
-    is the closed one e_0..e_n = e_0.  Given the whole word of a regular
-    midpoint path but only its K + 1 = n/4 + 1 quarter fractions, it is the
-    quarter e_0..e_K: the half turns about the symmetry points carry the
-    quarter onto the other three, so the length is four times the quarter's,
-    the clearance is the quarter's, and the residual is taken over the
-    interior crossings 1..K-1 (at a symmetry point the two segments are
-    images of each other under its half turn).  The residual at crossing j
-    is the difference of the angles of segments j-1 and j with e_j.  A
-    vertex's distance to a segment's line is a lower bound of its distance
-    to the segment: only a bound under the running minimum calls the
-    clamped test.  Euclidean paths fold onto single faces.  ValueError
-    for a fraction that is not finite or lies outside [0, 1].
+    Paths of all three spaces are measured in the edge-local frames of a
+    chain, offsets taken from the fractions alone.  Given one fraction per
+    token, the chain is the closed one e_0..e_n = e_0.  Given the whole word
+    of a regular midpoint path but only its K + 1 = n/4 + 1 quarter
+    fractions, it is the quarter e_0..e_K: the half turns about the symmetry
+    points carry the quarter onto the other three, so the length is four
+    times the quarter's, the clearance is the quarter's, and the residual is
+    taken over the interior crossings 1..K-1 (at a symmetry point the two
+    segments are images of each other under its half turn).  The residual at
+    crossing j is the difference of the angles of segments j-1 and j with
+    e_j.  A vertex's distance to a segment's line is a lower bound of its
+    distance to the segment: only a bound under the running minimum calls
+    the clamped test.  ValueError for a fraction that is not finite or lies
+    outside [0, 1], and for any other number of fractions.
     """
     if not all(0.0 <= f <= 1.0 for f in fractions):
         raise ValueError("every fraction must be finite and lie in [0, 1]")
-    if spec.space == SpaceKind.EUCLIDEAN:
-        return _face_fold_metrics(spec, tokens, fractions)
     chain = _measured_chain(tokens, fractions)
     return _chain_metrics(spec, frames.build_chain(spec, chain[0]), *chain)
 
@@ -167,10 +131,13 @@ def _measured_chain(tokens, fractions):
 
 
 def _chain_metrics(spec, steps, chain, fracs, copies, crossings):
-    """path_metrics of a curved path on ``steps``, the chain built for the tokens ``chain``."""
+    """path_metrics of a path on ``steps``, the chain built for the tokens ``chain``.
+
+    The plane's reps (1, x, y) enter the clamped segment distance as (x, y).
+    """
     space = spec.space
     k = frames._KERNEL[space][0]
-    arc = math.asinh if k < 0 else lambda x: math.asin(min(1.0, x))
+    arc = (lambda x: math.asin(min(1.0, x))) if k > 0 else frames._KERNEL[space][5]
     s = [(f - 0.5) * spec.face_edge_length(int(tok[0]), int(tok[1]))
          for tok, f in zip(chain, fracs)]
     cs, sn, terms = frames.chord_segments(steps, s)
@@ -185,21 +152,25 @@ def _chain_metrics(spec, steps, chain, fracs, copies, crossings):
                      math.acos((y if y > -1.0 else -1.0) if y < 1.0 else 1.0)))
         # in the entry frame E_i: A = P(s_i), B = T_i^-1 P(s_{i+1}) = (B_0, B_1, w), and
         # with C, S at s_i, N = (S w, -k C w, k u) is normal to AB, <N, N> = u^2 + w^2
-        (t00, t01, t02), (t10, t11, t12), _ = step.transition
+        # (in the plane, where C = 1, the vertex's distance to the line AB is the same ratio)
+        (i00, i01, _), (i10, i11, _), (i20, i21, _) = step.inverse
         ca, sa, cb, sb = cs[i], sn[i], cs[i + 1], sn[i + 1]
         A = (ca, sa, 0.0)
-        B = (t00 * cb + k * t10 * sb, k * t01 * cb + t11 * sb, k * t02 * cb + t12 * sb)
+        B = (i00 * cb + i01 * sb, i10 * cb + i11 * sb, i20 * cb + i21 * sb)
         u, w = ca * B[1] - sa * B[0], B[2]
         norm = math.sqrt(u * u + w * w)
         for V in step.verts.values():
             if arc(abs(w * (sa * V[0] - ca * V[1]) + u * V[2]) / norm) < clearance:
-                clearance = min(clearance, rpoint_seg_dist(space, V, A, B))
+                clearance = min(clearance, rpoint_seg_dist(space, V[1:], A[1:], B[1:]) if not k
+                                else rpoint_seg_dist(space, V, A, B))
     worst = max((abs(ends[j - 1][1] - ends[j][0]) for j in crossings), default=0.0)
     return copies * total, clearance, worst
 
 
 def vertex_clearance(path, spec):
-    """Minimum distance from the four vertices to the path (see path_metrics)."""
+    """Minimum distance from the four vertices to the path; ValueError for another space's spec."""
+    if spec.space != path.space:
+        raise ValueError(f"{path.space.name} path measured on a {spec.space.name} tetrahedron")
     _, clearance, _ = path_metrics(spec, path.tokens, path.fractions)
     return clearance
 
@@ -236,7 +207,8 @@ def _assemble_path(spec, t, tokens, fractions, extras=None, measured=None, steps
     """The path through the crossings, measured on the fractions ``measured`` (default: all).
 
     A curved construction passes the chain its solver used (``steps``, for
-    the tokens path_metrics would measure); a Euclidean path is folded.
+    the tokens path_metrics would measure); path_metrics builds the closed
+    chain of a Euclidean path.
     """
     measured = fractions if measured is None else measured
     if steps is None:

@@ -10,13 +10,13 @@ Spherical chains may overlap themselves on the sphere; the development is
 an abstract chain and overlap is never an error.  If the chain leaves an
 open hemisphere a warning is emitted when the hemisphere check is on.
 
-Euclidean chains are placed by reflection across each glue edge
-(:func:`place_chain`).  Hyperbolic and spherical chains are placed in
-edge-local frames (:func:`frames.place_faces`), on the hyperboloid or the
-sphere, and converted to chart coordinates only for the stored chart
-points; long hyperbolic chains still saturate any global chart, so the
-published coordinates of very large developments are display quality
-while all metric checks use the internal points.
+Chains of all three spaces are placed in edge-local frames
+(:func:`frames.place_faces`), on the hyperboloid, the plane or the sphere.
+The plane's reps (1, x, y) are stored as their points (x, y); hyperbolic
+reps are converted to chart coordinates only for the stored chart points.
+Long hyperbolic chains still saturate any global chart, so the published
+coordinates of very large developments are display quality while all
+metric checks use the internal points.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from .combinat import CrossingSequence
 # rside_measure has no caller here; it stays importable from this module
 # because the perfbench layer trace counts kernel calls at this site
 from .geom import (SpaceKind, chart_point, rangle, rdistance, rhalf_turn,  # noqa: F401
-                   rinterpolate, rmidpoint, rpoint_at, rreflect,
-                   rrotate_tangent, rside_measure, rtangent)
+                   rinterpolate, rmidpoint, rside_measure)
 
 
 class HemisphereWarning(UserWarning):
@@ -72,69 +71,13 @@ class Development:
         return [rec[3] for rec in self.boundary]
 
 
-def first_face_reps(space, ell, d_minus, d_plus):
-    """Canonical triangle: base of length ell centered on the chart axis.
-
-    The apex lies on the +y (counterclockwise) side, at distance d_minus
-    from the base's -x end and d_plus from its +x end.
-    """
-    h = ell / 2.0
-    if space == SpaceKind.HYPERBOLIC:
-        vm = (math.cosh(h), -math.sinh(h), 0.0)
-        vp = (math.cosh(h), math.sinh(h), 0.0)
-        cg = ((math.cosh(ell) * math.cosh(d_minus) - math.cosh(d_plus))
-              / (math.sinh(ell) * math.sinh(d_minus)))
-    elif space == SpaceKind.SPHERICAL:
-        vm = (math.cos(h), -math.sin(h), 0.0)
-        vp = (math.cos(h), math.sin(h), 0.0)
-        cg = ((math.cos(d_plus) - math.cos(ell) * math.cos(d_minus))
-              / (math.sin(ell) * math.sin(d_minus)))
-    else:
-        vm = (-h, 0.0)
-        vp = (h, 0.0)
-        cg = (d_minus * d_minus + ell * ell - d_plus * d_plus) / (2.0 * d_minus * ell)
-    gamma = math.acos(max(-1.0, min(1.0, cg)))
-    base = rtangent(space, vm, vp)
-    apex = rpoint_at(space, vm, rrotate_tangent(space, vm, base, gamma), d_minus)
-    return vm, vp, apex
-
-
-def place_chain(spec, tokens):
-    """Euclidean faces F_0..F_{K-1} for glue edges tokens[0..K].
-
-    F_0 is the canonical first face; every later apex is the reflection,
-    across the glue edge, of the vertex behind it.  The body is
-    curvature-generic, but curved chains are placed in edge-local frames
-    (:func:`frames.place_faces`).  Returns (edge_pts,
-    faces): edge_pts[i] holds the reps of e_i's smaller and larger label,
-    faces[i] maps label -> rep.
-    """
-    space = spec.space
-    a0, b0 = int(tokens[0][0]), int(tokens[0][1])
-    apex0 = int((set(tokens[1]) - set(tokens[0])).pop())
-    vm, vp, w = first_face_reps(space, spec.edge, spec.edge, spec.edge)
-    faces = [{a0: vm, b0: vp, apex0: w}]
-    for i in range(1, len(tokens) - 1):
-        c, d = int(tokens[i][0]), int(tokens[i][1])
-        prev = faces[-1]
-        w_label = int((set(tokens[i + 1]) - set(tokens[i])).pop())
-        behind = (set(prev) - {c, d}).pop()
-        faces.append({c: prev[c], d: prev[d],
-                      w_label: rreflect(space, prev[c], prev[d], prev[behind])})
-    edge_pts = []
-    for i, tok in enumerate(tokens):
-        face = faces[min(i, len(faces) - 1)]
-        edge_pts.append((face[int(tok[0])], face[int(tok[1])]))
-    return edge_pts, faces
-
-
 def build_development(spec, s: CrossingSequence, hemisphere_check=True):
     """Place the face chain of a crossing word in the spec's chart.
 
-    Euclidean chains come from :func:`place_chain`.  Hyperbolic and
-    spherical faces are solved in their local edge frames and pushed to the
-    chart by composed frame transitions, so the chain never feeds far-point
-    cancellations back into itself.  The symmetry points X1, Y1,
+    The faces of every space are solved in their local edge frames and
+    pushed to the chart by composed frame transitions, so the chain never
+    feeds far-point cancellations back into itself; the plane's reps
+    (1, x, y) are kept as (x, y).  The symmetry points X1, Y1,
     X2, Y2, X1' are the midpoints of the start, quarter, half,
     three-quarter and closing glue edges.
     """
@@ -148,10 +91,9 @@ def build_development(spec, s: CrossingSequence, hemisphere_check=True):
                 "the development is abstract and may overlap",
                 HemisphereWarning, stacklevel=2)
 
+    placed = frames_mod.place_faces(frames_mod.build_chain(spec, tokens_ext))
     if space == SpaceKind.EUCLIDEAN:
-        _, placed = place_chain(spec, tokens_ext)
-    else:
-        placed = frames_mod.place_faces(frames_mod.build_chain(spec, tokens_ext))
+        placed = [{lab: rep[1:] for lab, rep in face.items()} for face in placed]
 
     vertex_reps = {}
     faces = []

@@ -170,7 +170,7 @@ def test_threshold_touching_witnesses():
     # near endpoints are the four tetrahedron vertices, on alternating sides
     # of the chord
     from tetrageo.geom import rside_measure
-    from tetrageo.paths import _rep_segments
+    from face_fold import _rep_segments
 
     t = GeodesicType(1, 2)
     beta = threshold_beta(t, tol=1e-6).beta

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from conftest import coprime_types
+from face_fold import _face_fold_metrics, _rep_segments, place_chain
 from tetrageo import frames
 from tetrageo.combinat import (ROTATION_PERMS, CrossingSequence, GeodesicType,
                                canonical_word, crossing_sequence, relabel_sequence)
@@ -23,10 +24,8 @@ from tetrageo.geom import (SpaceKind, _cross3, _dot3, _unit3, rdistance, rmidpoi
 from tetrageo.paths import (FRACTION_MARGIN, STRAND_TIE, GeodesicPath, NotContained,
                             euclid_geodesic, euclid_mu_interval, full_fractions_from_quarter,
                             generic_hyperbolic_geodesic, midpoint_geodesic, path_metrics,
-                            simplicity_check, vertex_clearance, _face_fold_metrics,
-                            _quarter_chord, _rep_segments)
+                            simplicity_check, vertex_clearance, _quarter_chord)
 from tetrageo.tetra import EDGES, TetrahedronSpec, edge_from_angle, generic_from_edges
-from tetrageo.unfold import place_chain
 
 E, S, H = SpaceKind.EUCLIDEAN, SpaceKind.SPHERICAL, SpaceKind.HYPERBOLIC
 
@@ -383,7 +382,7 @@ def _global_chart_quarter(spec, seq):
     """Reference spherical quarter: the chain placed in one sphere chart, the chord swept in theta.
 
     The construction the edge-frame shooting replaced: X1, Y1 and every
-    glue edge are placed by reflections (unfold.place_chain), the great
+    glue edge are placed by reflections (face_fold.place_chain), the great
     circle from X1 towards Y1 is cut with each edge's great circle at the
     first angle past the previous crossing, and the crossings must come
     before Y1.  Returns what paths._quarter_chord returns but its chain steps.
@@ -646,15 +645,23 @@ def test_lengths_decrease_in_alpha_below_the_ideal_limit(alphas, pq):
     assert lengths[0] < 4.0 * math.acosh(1.5 * _markov_number(pq)), (alphas, pq, lengths)
 
 
-@given(st.floats(0.05, 1.04), st.sampled_from(coprime_types(20)))
-def test_edge_frame_metrics_match_face_fold(alpha, pq):
-    # the edge-frame fold-back against the canonically placed single faces
+@given(st.floats(0.05, 1.04), st.sampled_from(coprime_types(20)),
+       st.sampled_from([1, 2, 3, 4, 6, 7, 8, 9]))
+def test_edge_frame_metrics_match_face_fold(alpha, pq, j):
+    # the edge-frame fold-back against the canonically placed single faces: the
+    # hyperbolic midpoint path, and the Euclidean path anchored off centre, at
+    # mu = lo + j (hi - lo) / 10 of its valid interval
+    t = GeodesicType(*pq)
+    lo, hi = euclid_mu_interval(t)
     spec = TetrahedronSpec(H, alpha)
-    path = midpoint_geodesic(spec, GeodesicType(*pq))
-    length, clearance, residual = _face_fold_metrics(spec, path.tokens, path.fractions)
-    assert abs(path.total_length - length) < 1e-10 * length
-    assert abs(path.clearance - clearance) < 1e-9
-    assert path.closure_residual < 1e-8 and residual < 1e-8
+    cases = [(spec, midpoint_geodesic(spec, t), 1e-10, 1e-9),
+             (TetrahedronSpec(E, math.pi / 3), euclid_geodesic(t, lo + (hi - lo) * Fraction(j, 10)),
+              1e-14, 1e-15)]
+    for spec, path, length_tol, clearance_tol in cases:
+        length, clearance, residual = _face_fold_metrics(spec, path.tokens, path.fractions)
+        assert abs(path.total_length - length) < length_tol * length
+        assert abs(path.clearance - clearance) < clearance_tol
+        assert path.closure_residual < 1e-8 and residual < 1e-8
 
 
 def _contained_spherical_grid():
@@ -706,18 +713,27 @@ def test_quarter_metrics_match_closed_chain_on_sphere():
     assert compared > 100
 
 
-def test_quarter_metrics_reject_other_fraction_counts():
-    spec = TetrahedronSpec(H, 0.5)
-    path = midpoint_geodesic(spec, GeodesicType(2, 3))
-    with pytest.raises(ValueError):
-        path_metrics(spec, path.tokens, path.fractions[:-1])
+@pytest.mark.parametrize("space", [E, S, H])
+def test_quarter_metrics_reject_other_fraction_counts(space):
+    # one fraction per token or the K + 1 of the quarter; any other count is an
+    # error, never a measure of the tokens the fractions happen to pair with
+    spec = TetrahedronSpec(space, {E: math.pi / 3, S: 1.12, H: 0.5}[space])
+    t = GeodesicType(2, 3)
+    path = euclid_geodesic(t) if space == E else midpoint_geodesic(spec, t)
+    K = len(path.tokens) // 4
+    for count in (3, K, K + 2, len(path.tokens) - 1):
+        with pytest.raises(ValueError):
+            path_metrics(spec, path.tokens, path.fractions[:count])
+    quarter = path_metrics(spec, path.tokens, path.fractions[:K + 1])
+    assert quarter[0] == pytest.approx(path.total_length, rel=1e-13)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0, -0.5, 1.0 + 1e-15])
 @pytest.mark.parametrize("space", [E, S, H])
 def test_metrics_reject_fractions_off_the_edge(space, bad):
     # a NaN fraction measured as (nan, inf, 0.0): a residual of 0 read as closed
-    spec = TetrahedronSpec(space, {E: math.pi / 3, S: 1.1, H: 0.5}[space])
+    angles = {E: math.pi / 3, S: 1.1, H: 0.5}
+    spec = TetrahedronSpec(space, angles[space])
     t = GeodesicType(1, 2)
     path = euclid_geodesic(t) if space == E else midpoint_geodesic(spec, t)
     K = len(path.tokens) // 4
@@ -728,6 +744,9 @@ def test_metrics_reject_fractions_off_the_edge(space, bad):
     broken = replace(path, crossings=((path.tokens[0], bad),) + path.crossings[1:])
     with pytest.raises(ValueError):
         vertex_clearance(broken, spec)
+    other = {E: H, S: E, H: S}[space]   # and a path measured on another space's tetrahedron
+    with pytest.raises(ValueError):
+        vertex_clearance(path, TetrahedronSpec(other, angles[other]))
 
 
 @pytest.mark.parametrize("pq", [(0, 1), (1, 2), (3, 5), (7, 13)])
@@ -825,6 +844,23 @@ def test_spherical_flat_limit_excess(eps, pq):
     path = midpoint_geodesic(spec, GeodesicType(p, q))
     excess = path.total_length / (2.0 * spec.edge * math.sqrt(p * p + p * q + q * q)) - 1.0
     assert 0.0 < excess < spec.alpha - math.pi / 3
+
+
+@given(st.floats(1e-6, 1e-3), st.sampled_from(coprime_types(12)))
+def test_curved_metrics_tend_to_the_plane(delta, pq):
+    # the same crossings, the canonical word's fractions, measured by one kernel at
+    # k = -1, 0 and +1: in units of the edge, the curved metrics at
+    # alpha = pi/3 -+ delta are within a multiple of delta of the plane's
+    word = canonical_word(GeodesicType(*pq))
+    plane = TetrahedronSpec(E, math.pi / 3)
+    flat = path_metrics(plane, word.tokens, word.fractions)
+    flat_length, flat_clearance = flat[0] / plane.edge, flat[1] / plane.edge
+    for space, alpha in ((H, math.pi / 3 - delta), (S, math.pi / 3 + delta)):
+        spec = TetrahedronSpec(space, alpha)
+        length, clearance, residual = path_metrics(spec, word.tokens, word.fractions)
+        assert abs(length / spec.edge - flat_length) <= delta * flat_length, space
+        assert abs(clearance / spec.edge - flat_clearance) <= delta * flat_clearance, space
+        assert abs(residual - flat[2]) <= 4.0 * delta, space
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6])

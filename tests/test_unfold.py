@@ -5,11 +5,12 @@ import warnings
 
 import pytest
 
+from face_fold import place_chain
 from tetrageo import frames
 from tetrageo.combinat import CrossingSequence, GeodesicType, crossing_sequence
 from tetrageo.geom import SpaceKind, rdistance
 from tetrageo.tetra import TetrahedronSpec, generic_from_edges
-from tetrageo.unfold import HemisphereWarning, build_development, place_chain, symmetry_check
+from tetrageo.unfold import HemisphereWarning, build_development, symmetry_check
 
 E, S, H = SpaceKind.EUCLIDEAN, SpaceKind.SPHERICAL, SpaceKind.HYPERBOLIC
 
@@ -51,18 +52,29 @@ def test_symmetry(spec, pq):
     assert symmetry_check(_dev(spec, pq))
 
 
-@pytest.mark.parametrize("alpha,pq", SPH_CASES + [(1.2, (5, 8)), (2.0, (7, 13))])
-def test_spherical_frames_match_reflected_chain(alpha, pq):
-    # edge-frame placement against the reflection chain, whose body is curvature-generic
-    spec = TetrahedronSpec(S, alpha)
+_FRAME_CASES = [(S, alpha, pq) for alpha, pq in SPH_CASES + [(1.2, (5, 8)), (2.0, (7, 13))]]
+_FRAME_CASES += [(E, math.pi / 3, pq) for pq in [(0, 1), (2, 3), (7, 13), (1, 29), (11, 19)]]
+
+
+@pytest.mark.parametrize("space,alpha,pq", [
+    pytest.param(space, alpha, pq, id=f"{alpha}-pq{i}" if space == S else f"euclidean-pq{i}")
+    for i, (space, alpha, pq) in enumerate(_FRAME_CASES)])
+def test_spherical_frames_match_reflected_chain(space, alpha, pq):
+    # edge-frame placement against the reflection chain, whose body is curvature-generic;
+    # a plane rep (1, x, y) is compared as its point (x, y)
+    spec = TetrahedronSpec(space, alpha)
     seq = crossing_sequence(GeodesicType(*pq))
     tokens = list(seq.tokens) + [seq.tokens[0]]
     placed = frames.place_faces(frames.build_chain(spec, tokens))
     _, reflected = place_chain(spec, tokens)
     assert len(placed) == len(reflected)
+    tol = 1e-12 if space == S else 1e-11
     for face, ref in zip(placed, reflected):
         assert face.keys() == ref.keys()
-        assert max(abs(x - y) for lab in face for x, y in zip(face[lab], ref[lab])) < 1e-12
+        if space == E:
+            assert all(face[lab][0] == 1.0 for lab in face)
+            face = {lab: rep[1:] for lab, rep in face.items()}
+        assert max(abs(x - y) for lab in face for x, y in zip(face[lab], ref[lab])) < tol
 
 
 def test_gluing_shared_edges():
