@@ -107,52 +107,54 @@ def build_chain(spec, tokens):
 def _chain_step(space, cur, nxt, a, b, w, ell, d_minus, d_plus):
     """Face abw entered by cur = ab (length ell), left by nxt; aw, bw of lengths d_minus, d_plus."""
     pivot = a if str(a) in nxt else b
-    verts, lam = _face_frame(space, ell, d_minus, d_plus, pivot == b, w < pivot)
+    verts, lam, inverse = _face_frame(space, ell, d_minus, d_plus, pivot == b, w < pivot)
     if verts is None:
         raise NumericalFailure(f"degenerate face {cur}->{nxt}")
-    return ChainStep(verts=dict(zip((a, b, w), verts)), transition=lam,
-                     inverse=_inverse(lam, _KERNEL[space][0]), space=space,
-                     hinge=(pivot, a + b - pivot, w))
+    return ChainStep(verts=dict(zip((a, b, w), verts)), transition=lam, inverse=inverse,
+                     space=space, hinge=(pivot, a + b - pivot, w))
 
 
 # bounded: at most four frames per face shape, 24 per spec
 @functools.lru_cache(maxsize=2048)
 def _face_frame(space, ell, d_minus, d_plus, from_b, w_first):
-    """Reps of a, b, w and the transition of the face abw of a step (see _chain_step).
+    """Reps of a, b, w, the transition and its inverse of the face abw of a step (_chain_step).
 
     The face is entered by ab, a < b, and left by the edge joining w to the
     pivot, b if from_b else a; w_first when w is the smaller label of the
     exit edge.  The frame depends on nothing else, so the steps of one face
     shape share it, and its four orientations share the reps
-    (:func:`_face_reps`).  (None, None) for a degenerate face.
+    (:func:`_face_reps`).  The new frame has origin M and axes tx, ty; the
+    inverse transition has them as its columns.  (None, None, None) for a
+    degenerate face.
     """
     k, _, _, dot, cross, _ = _KERNEL[space]
     reps = _face_reps(space, ell, d_minus, d_plus)
     if reps is None:
-        return None, None
+        return None, None, None
     A, Bv, W = reps
     P, B = (Bv, A) if from_b else (A, Bv)     # the pivot and the vertex behind
     Pm, Pp = (W, P) if w_first else (P, W)
-    if not k:       # the plane: a rigid motion to the origin M and the axes tx, ty
-        mx, my = 0.5 * (Pm[1] + Pp[1]), 0.5 * (Pm[2] + Pp[2])
+    if not k:       # the plane: a rigid motion (1, x) -> (1, R (x - M))
+        M = (1.0, 0.5 * (Pm[1] + Pp[1]), 0.5 * (Pm[2] + Pp[2]))
         r = math.hypot(Pp[1] - Pm[1], Pp[2] - Pm[2])
-        tx = ((Pp[1] - Pm[1]) / r, (Pp[2] - Pm[2]) / r)
-        ty = (-tx[1], tx[0])
-        if (B[1] - mx) * ty[0] + (B[2] - my) * ty[1] > 0.0:
-            ty = (tx[1], -tx[0])
-        return reps, ((1.0, 0.0, 0.0),
-                      (-(mx * tx[0] + my * tx[1]), tx[0], tx[1]),
-                      (-(mx * ty[0] + my * ty[1]), ty[0], ty[1]))
-    M = _unit((Pm[0] + Pp[0], Pm[1] + Pp[1], Pm[2] + Pp[2]), dot)
-    cc = -k * dot(Pp, M)
-    tx = _unit((Pp[0] + cc * M[0], Pp[1] + cc * M[1], Pp[2] + cc * M[2]), dot)
-    ty = _unit(cross(M, tx), dot)
-    if dot(B, ty) > 0.0:
-        ty = (-ty[0], -ty[1], -ty[2])
-    lam = ((M[0], k * M[1], k * M[2]),
-           (k * tx[0], tx[1], tx[2]),
-           (k * ty[0], ty[1], ty[2]))
-    return reps, lam
+        tx = (0.0, (Pp[1] - Pm[1]) / r, (Pp[2] - Pm[2]) / r)
+        ty = (0.0, -tx[2], tx[1])
+        if (B[1] - M[1]) * ty[1] + (B[2] - M[2]) * ty[2] > 0.0:
+            ty = (0.0, tx[2], -tx[1])
+        lam = ((1.0, 0.0, 0.0),
+               (-(M[1] * tx[1] + M[2] * tx[2]), tx[1], tx[2]),
+               (-(M[1] * ty[1] + M[2] * ty[2]), ty[1], ty[2]))
+    else:
+        M = _unit((Pm[0] + Pp[0], Pm[1] + Pp[1], Pm[2] + Pp[2]), dot)
+        cc = -k * dot(Pp, M)
+        tx = _unit((Pp[0] + cc * M[0], Pp[1] + cc * M[1], Pp[2] + cc * M[2]), dot)
+        ty = _unit(cross(M, tx), dot)
+        if dot(B, ty) > 0.0:
+            ty = (-ty[0], -ty[1], -ty[2])
+        lam = ((M[0], k * M[1], k * M[2]),
+               (k * tx[0], tx[1], tx[2]),
+               (k * ty[0], ty[1], ty[2]))
+    return reps, lam, tuple(zip(M, tx, ty))
 
 
 # bounded: one entry per face and entry edge, at most twelve per spec
@@ -238,19 +240,6 @@ def trace_geometry(steps, offsets):
     arc = _KERNEL[steps[0].space][5]
     return [2.0 * arc(0.5 * math.sqrt(max(m, 0.0)))
             for m, _, _, _ in chord_segments(steps, offsets)[2]]
-
-
-def _inverse(m, k):
-    """Inverse J m^T J, J = diag(k, 1, 1), of a curved transition (it keeps <u, v> = u^T J v);
-    (1, x) -> (1, R^T (x - a)) of the plane's rigid motion (1, x) -> (1, a + R x)."""
-    if not k:
-        _, (a1, r11, r12), (a2, r21, r22) = m
-        return ((1.0, 0.0, 0.0),
-                (-(r11 * a1 + r21 * a2), r11, r21),
-                (-(r12 * a1 + r22 * a2), r12, r22))
-    return ((m[0][0], k * m[1][0], k * m[2][0]),
-            (k * m[0][1], m[1][1], m[2][1]),
-            (k * m[0][2], m[1][2], m[2][2]))
 
 
 class _Indefinite(Exception):

@@ -653,11 +653,10 @@ def test_edge_frame_metrics_match_face_fold(alpha, pq, j):
     # mu = lo + j (hi - lo) / 10 of its valid interval
     t = GeodesicType(*pq)
     lo, hi = euclid_mu_interval(t)
-    spec = TetrahedronSpec(H, alpha)
-    cases = [(spec, midpoint_geodesic(spec, t), 1e-10, 1e-9),
-             (TetrahedronSpec(E, math.pi / 3), euclid_geodesic(t, lo + (hi - lo) * Fraction(j, 10)),
-              1e-14, 1e-15)]
-    for spec, path, length_tol, clearance_tol in cases:
+    hyperbolic, plane = TetrahedronSpec(H, alpha), TetrahedronSpec(E, math.pi / 3)
+    for spec, path, length_tol, clearance_tol in (
+            (hyperbolic, midpoint_geodesic(hyperbolic, t), 1e-10, 1e-9),
+            (plane, euclid_geodesic(t, lo + (hi - lo) * Fraction(j, 10)), 1e-14, 1e-15)):
         length, clearance, residual = _face_fold_metrics(spec, path.tokens, path.fractions)
         assert abs(path.total_length - length) < length_tol * length
         assert abs(path.clearance - clearance) < clearance_tol
