@@ -154,7 +154,7 @@ def _face_frame(space, ell, d_minus, d_plus, from_b, w_first):
         lam = ((M[0], k * M[1], k * M[2]),
                (k * tx[0], tx[1], tx[2]),
                (k * ty[0], ty[1], ty[2]))
-    return reps, lam, tuple(zip(M, tx, ty))
+    return reps, lam, ((M[0], tx[0], ty[0]), (M[1], tx[1], ty[1]), (M[2], tx[2], ty[2]))
 
 
 # bounded: one entry per face and entry edge, at most twelve per spec
