@@ -1,13 +1,13 @@
-"""Test oracles: Euclidean chain placement by reflection and the face fold.
+"""Test oracles: chain placement by reflection and the face fold.
 
 The library places and measures the chains of all three spaces in the
-edge-local frames of :mod:`tetrageo.frames`.  These are the constructions
-that did it before for the plane, and for the curved spaces as
-independent checks: a face chain placed by reflecting the vertex behind
-each glue edge, and a path folded back onto canonically placed single
-faces, where its length, vertex clearance and closure residual are taken
-with the rep-layer kernel of :mod:`tetrageo.geom`.  Their bodies are
-curvature-generic.
+edge-local frames of :mod:`tetrageo.frames`.  These functions compute the
+same quantities independently, with the rep-layer kernel of
+:mod:`tetrageo.geom` and curvature-generic bodies: a face chain placed by
+reflecting the vertex behind each glue edge across it (``place_chain``),
+and a path folded back onto canonically placed single faces, where its
+length, vertex clearance and closure residual are taken
+(``_face_fold_metrics``).
 """
 
 import math
