@@ -23,8 +23,10 @@ Newton iterate of relax_chord, the chord solver of both curved spaces,
 that also sums the derivatives.  Direction shooting (shoot_chord) carries
 the chord's normal through the transitions; it is the sphere's exact
 quarter solver, and on the hyperboloid the start of the quarter's Newton
-solve, which polishes it to relax_chord's step tolerance.  The plane needs
-no solver: its chord is the tiling line.
+solve, which polishes it to relax_chord's step tolerance.  A closed
+hyperbolic chain's geodesic is the axis of its holonomy (axis_chord), the
+start of the closed Newton solve.  The plane needs no solver: its chord is
+the tiling line.
 """
 
 from __future__ import annotations
@@ -46,8 +48,18 @@ def _matvec(m, v):
 
 
 def _matmul(a, b):
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-                 for i in range(3))
+    # the leading 0.0 + is sum()'s start: an entry of exact zeros keeps the sign sum gave it
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return ((0.0 + a00 * b00 + a01 * b10 + a02 * b20,
+             0.0 + a00 * b01 + a01 * b11 + a02 * b21,
+             0.0 + a00 * b02 + a01 * b12 + a02 * b22),
+            (0.0 + a10 * b00 + a11 * b10 + a12 * b20,
+             0.0 + a10 * b01 + a11 * b11 + a12 * b21,
+             0.0 + a10 * b02 + a11 * b12 + a12 * b22),
+            (0.0 + a20 * b00 + a21 * b10 + a22 * b20,
+             0.0 + a20 * b01 + a21 * b11 + a22 * b21,
+             0.0 + a20 * b02 + a21 * b12 + a22 * b22))
 
 
 IDENTITY3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -233,6 +245,38 @@ def shoot_chord(steps):
         v = _matvec(step.inverse, v)
     theta = math.atan2(v[2], v[1])
     return (theta, *propagate_chord(steps, theta))
+
+
+def axis_chord(steps):
+    """Offsets s_0..s_N of the closed hyperbolic chord: the axis of the chain's holonomy.
+
+    The chain e_0..e_N closes up (e_N is e_0), so M = T_{N-1}..T_0 carries
+    frame E_0 onto its last copy; the closed geodesic is the invariant line
+    of M, whose normal n (M n = n) is J axial(M J - J M^T), J = diag(-1, 1,
+    1): for M = ((a, b, c), (d, e, f), (g, h, i)), n = (f - h, c + g,
+    -(b + d)).  Rounding in n grows with the distance it is carried, so it
+    is carried forward through the transitions up to e_{N/2} and backward
+    from E_N = E_0 through the inverses; each offset is atanh(n_0 / n_1).
+    NumericalFailure if the line misses the geodesic of an edge.
+    """
+    holonomy = IDENTITY3
+    for step in steps:
+        holonomy = _matmul(step.transition, holonomy)
+    (_, b, c), (d, _, f), (g, h, _) = holonomy
+    axis = _unit((f - h, c + g, -(b + d)), _mdot)
+    half = len(steps) // 2
+    normals = [axis]
+    for step in steps[:half]:
+        normals.append(_unit(_matvec(step.transition, normals[-1]), _mdot))
+    behind = [axis]
+    for step in reversed(steps[half + 1:]):
+        behind.append(_unit(_matvec(step.inverse, behind[-1]), _mdot))
+    offsets = []
+    for i, n in enumerate(normals + behind[::-1]):
+        if abs(n[0]) >= abs(n[1]):
+            raise NumericalFailure(f"holonomy axis misses the geodesic of edge e_{i}")
+        offsets.append(math.atanh(n[0] / n[1]))
+    return offsets
 
 
 def trace_geometry(steps, offsets):

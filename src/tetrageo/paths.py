@@ -14,9 +14,10 @@ Euclidean one as the plane's k = 0.
 The quarter chord is shot through the two midpoints in both curved spaces
 (:func:`frames.shoot_chord`): on the sphere the shot is exact; on the
 hyperboloid it seeds the one Newton solver of :func:`frames.relax_chord`,
-pinned at X1 and Y1, and the exact Euclidean fractions are the seed when
-the shot fails.  The generic tetrahedron's chord is the same solver closed
-up.
+pinned at X1 and Y1.  The generic tetrahedron's chord is the same solver
+closed up, started from the axis of the chain's holonomy
+(:func:`frames.axis_chord`).  The exact Euclidean fractions are the seed
+when the shot or the axis fails.
 
 Length, clearance and closure residual are recomputed from the crossing
 fractions in edge-local frames, in all three spaces (closure angles at the
@@ -303,6 +304,20 @@ def full_fractions_from_quarter(seq, quarter_fracs):
 # ---------------------------------------------------------------------------
 # quarter construction (edge-local frames)
 
+def _seed_fractions(seed, ells, euclidean):
+    """Fractions of the seed offsets seed() on edges of lengths ells, or the Euclidean ones.
+
+    A seed that misses the geodesic of an edge (NumericalFailure) or puts a
+    crossing at a fraction that is not finite or lies off its edge is
+    replaced by ``euclidean``, the word's exact Euclidean fractions.
+    """
+    try:
+        init = [(x + ell / 2.0) / ell for x, ell in zip(seed(), ells)]
+    except NumericalFailure:
+        return list(euclidean)
+    return init if all(0.0 < f < 1.0 for f in init) else list(euclidean)
+
+
 def _quarter_chord(spec, word):
     """Quarter chord of a curved regular tetrahedron: fractions f_0..f_K or a witness, extras,
     and the quarter chain's steps.
@@ -329,12 +344,8 @@ def _quarter_chord(spec, word):
     if spherical:
         theta, offsets, normals = frames.shoot_chord(steps)
     else:
-        try:
-            init = [(x + ell / 2.0) / ell for x, ell in zip(frames.shoot_chord(steps)[1], ells)]
-        except NumericalFailure:          # the shot misses the geodesic of an edge
-            init = [math.nan]
-        if not all(0.0 < f < 1.0 for f in init):
-            init = list(word.fractions[:K + 1])
+        init = _seed_fractions(lambda: frames.shoot_chord(steps)[1], ells,
+                               word.fractions[:K + 1])
         init[0] = init[K] = 0.5
         offsets = frames.relax_chord(steps, ells, init)
     fracs = [0.5] + [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(1, K)] + [0.5]
@@ -416,7 +427,9 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     up: e_N is e_0 again with the same crossing offset, and the closed
     chain's length is stationary exactly where the two incidence angles at
     X(s0) are supplementary.  Strict convexity of the length makes that
-    point unique; one closed Newton solve in edge-local frames finds it.
+    point unique; one closed Newton solve in edge-local frames finds it,
+    started from the axis of the chain's holonomy (the Euclidean fractions
+    when the axis fails, as for the quarter chord).
     """
     if isinstance(spec, TetrahedronSpec):
         if spec.space != SpaceKind.HYPERBOLIC or spec.alpha > math.pi / 4 + 1e-12:
@@ -428,7 +441,8 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     tokens_ext = list(word.tokens) + [word.tokens[0]]
     steps = frames.build_chain(spec, tokens_ext)
     ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens_ext]
-    init = list(word.fractions) + [word.fractions[0]]
+    init = _seed_fractions(lambda: frames.axis_chord(steps), ells,
+                           list(word.fractions) + [word.fractions[0]])
     offsets = frames.relax_chord(steps, ells, init, closed=True)
     fracs = [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(len(word.tokens))]
     for i, f in enumerate(fracs):

@@ -1067,6 +1067,90 @@ def test_frozen_high_precision_references():
     assert path.fractions[2] == pytest.approx(0.42840084302268303, abs=1e-12)
 
 
+def _holonomy_length(spec, t):
+    """Translation length of the closed chain's holonomy M: tr M = 1 + 2 cosh L."""
+    word = canonical_word(t)
+    holonomy = frames.IDENTITY3
+    for step in frames.build_chain(spec, list(word.tokens) + [word.tokens[0]]):
+        holonomy = frames._matmul(step.transition, holonomy)
+    return math.acosh((holonomy[0][0] + holonomy[1][1] + holonomy[2][2] - 1.0) / 2.0)
+
+
+@st.composite
+def generic_specs(draw):
+    """Near-regular hyperbolic tetrahedra with every planar angle at most pi/4."""
+    base = draw(st.floats(1.6, 4.0))
+    try:
+        spec = generic_from_edges([base * (1.0 + draw(st.floats(-0.05, 0.05)))
+                                   for _ in range(6)])
+    except InvalidTetrahedron:
+        assume(False)
+    assume(spec.all_angles_le(math.pi / 4))
+    return spec
+
+
+@given(generic_specs(), st.sampled_from(coprime_types(13)))
+def test_generic_length_is_the_holonomy_translation(spec, pq):
+    t = GeodesicType(*pq)
+    path = generic_hyperbolic_geodesic(spec, t)
+    assert path.total_length == pytest.approx(_holonomy_length(spec, t), rel=1e-12)
+
+
+def test_regular_generic_length_is_the_holonomy_translation():
+    spec = generic_from_edges([edge_from_angle(H, math.pi / 6)] * 6)
+    for pq in coprime_types(13):
+        t = GeodesicType(*pq)
+        path = generic_hyperbolic_geodesic(spec, t)
+        assert path.total_length == pytest.approx(_holonomy_length(spec, t), rel=1e-12), pq
+
+
+def test_axis_chord_is_the_closed_geodesic():
+    # its offsets lose about e^(L/2) eps to rounding, 6e-13 at (3,5) and 5e-9 at
+    # (4,9): it is only the seed that relax_chord polishes
+    spec = generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02])
+    for pq in ((0, 1), (1, 2), (2, 3), (3, 5)):
+        path = generic_hyperbolic_geodesic(spec, GeodesicType(*pq))
+        word = list(path.tokens) + [path.tokens[0]]
+        ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in word]
+        offsets = frames.axis_chord(frames.build_chain(spec, word))
+        assert len(offsets) == len(word)
+        assert max(abs(x / ell + 0.5 - f) for x, ell, f in
+                   zip(offsets, ells, path.fractions + path.fractions[:1])) < 1e-11, pq
+
+
+def test_axis_seeded_solve_takes_few_evaluations(monkeypatch):
+    # from the Euclidean fractions these solves took about 10 evaluations on
+    # average, up to 55 on the skew spec
+    calls, derivatives = [], frames._chord_derivatives
+    monkeypatch.setattr(frames, "_chord_derivatives",
+                        lambda *args: calls.append(1) or derivatives(*args))
+    specs = (generic_from_edges([edge_from_angle(H, math.pi / 6)] * 6),
+             generic_from_edges([2.0, 2.0, 2.0, 2.2, 2.2, 2.2]))
+    cases = [(spec, GeodesicType(*pq)) for spec in specs for pq in coprime_types(20)]
+    per_solve = []
+    for spec, t in cases:
+        before = len(calls)
+        assert isinstance(generic_hyperbolic_geodesic(spec, t), GeodesicPath)
+        per_solve.append(len(calls) - before)
+    assert sum(per_solve) <= 3 * len(cases), sum(per_solve)
+    assert max(per_solve) <= 8, max(per_solve)
+
+
+@pytest.mark.parametrize("axis", [
+    _missed,
+    lambda steps: [math.nan] * (len(steps) + 1),
+    lambda steps: [0.0] + [1e3] * len(steps),
+], ids=["missed", "not-finite", "off-the-edge"])
+def test_failed_axis_falls_back_to_the_euclidean_seed(axis, monkeypatch):
+    spec, t = generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02]), GeodesicType(3, 5)
+    seeded = generic_hyperbolic_geodesic(spec, t)
+    monkeypatch.setattr(frames, "axis_chord", axis)
+    path = generic_hyperbolic_geodesic(spec, t)
+    assert isinstance(path, GeodesicPath) and path.closed and path.simple
+    assert max(abs(a - b) for a, b in zip(path.fractions, seeded.fractions)) < 1e-11
+    assert abs(path.total_length - seeded.total_length) <= 1e-12 * seeded.total_length
+
+
 def test_generic_larger_types():
     # longer generic chains: the closed solve in edge-local frames keeps the
     # closure residual at solver precision
