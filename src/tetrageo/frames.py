@@ -48,7 +48,7 @@ def _matvec(m, v):
 
 
 def _matmul(a, b):
-    # the leading 0.0 + is sum()'s start: an entry of exact zeros keeps the sign sum gave it
+    # each entry adds from 0.0, as sum() does: one whose products are all -0.0 is +0.0
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
     return ((0.0 + a00 * b00 + a01 * b10 + a02 * b20,
