@@ -10,11 +10,15 @@ midpoint chord; the closed-form angle bounds are one-sided cross-checks:
 * exact: existence iff the abstract shortest curve in the development is
   shorter than 2*pi; the curve is the midpoint chord where that is
   contained, otherwise one bounded solve of the Newton chord solver of
-  :mod:`frames`, which wraps the blocking vertices.
+  :mod:`frames`, which wraps the blocking vertices;
+* threshold: beta(p,q), where containment stops, bracketed by the
+  containment predicate and found by Brent's method on the length margin
+  2*pi - 4 * (quarter chord length), zero at the flat digon.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -148,6 +152,8 @@ def hyperbolic_length_lower_bound(alpha, t: GeodesicType):
     return 2.0 * (t.p + t.q) * math.log(2.0 * math.sqrt(3.0) * (1.0 - 3.0 * alpha / math.pi) + 1.0)
 
 
+# both bounds depend on the type only, and every verdict reports them
+@functools.lru_cache(maxsize=256)
 def _bounds_pair(t):
     a1 = a2 = None
     try:
@@ -203,12 +209,29 @@ def exists_geodesic(spec: TetrahedronSpec, t: GeodesicType):
                             alpha1=alpha1, alpha2=alpha2)
 
 
-def _contained(alpha, t):
+def _probe(alpha, t):
+    """Containment of the type-(p,q) midpoint chord at alpha, and its signed length margin.
+
+    The decision is midpoint_geodesic's, TooLong read as not contained.
+    The margin 2*pi - 4 * (quarter chord length) vanishes at beta, where the
+    curve is the flat digon of length 2*pi; it is signed by the decision
+    (+ contained, - not), so it only steers the search and never moves a
+    probe to the wrong end of the bracket.  A chord that is not contained
+    is shot once more on its quarter chain for the length.
+    """
+    spec = TetrahedronSpec(SpaceKind.SPHERICAL, alpha)
     try:
-        result = midpoint_geodesic(TetrahedronSpec(SpaceKind.SPHERICAL, alpha), t)
+        result = midpoint_geodesic(spec, t)
     except TooLong:
-        return False
-    return isinstance(result, GeodesicPath)
+        result = None
+    if isinstance(result, GeodesicPath):
+        return True, abs(2.0 * math.pi - 4.0 * result.extras["quarter_length"])
+    word = canonical_word(t)
+    K = len(word.tokens) // 4
+    steps = frames.build_chain(spec, word.tokens[:K + 1])
+    offsets = frames.shoot_chord(steps)[1]
+    offsets[0] = offsets[K] = 0.0
+    return False, -abs(2.0 * math.pi - 4.0 * sum(frames.trace_geometry(steps, offsets)))
 
 
 @dataclass(frozen=True)
@@ -217,38 +240,90 @@ class ThresholdResult:
     lo: float
     hi: float
     tol: float
+    probes: int = 0               # containment probes (midpoint chords) taken
 
 
 def threshold_beta(t: GeodesicType, tol=1e-6):
-    """Bisection threshold: containment holds below beta, fails above.
+    """Brent threshold: containment holds below beta, fails above.
+
+    The bracket [lo, hi] is certified by the containment predicate alone:
+    lo is contained and hi is not, and every probe lies strictly inside the
+    bracket and replaces the end on its side.  The signed length margin of
+    :func:`_probe` only chooses the next probe, by Brent's method (inverse
+    quadratic or secant steps, a bisection when they stall), with steps of
+    at least max(tol/2, 2 ulp).  The search stops when hi - lo <= tol or lo
+    and hi are adjacent floats.  A tol below about 1e-9 asks for more than
+    the predicate resolves: a crossing within paths.FRACTION_MARGIN of a
+    vertex reads as not contained, so a bracket that narrow may miss the
+    exact beta (type (1,1) at 1e-12 excludes pi/2).
 
     Raises NoThreshold when the predicate is constant on (pi/3, 2pi/3),
     e.g. for type (0,1) which exists at every angle.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
+    probes = 0
+
+    def probe(alpha):
+        nonlocal probes
+        probes += 1
+        return _probe(alpha, t)
+
     hi = 2.0 * math.pi / 3.0 - 1e-9
-    if _contained(hi, t):
+    contained, fhi = probe(hi)
+    if contained:
         raise NoThreshold(f"type {(t.p, t.q)} exists across the whole interval")
     lo = None
     step = 1e-4
     while step > 1e-13:
         cand = math.pi / 3.0 + step
-        if _contained(cand, t):
+        contained, flo = probe(cand)
+        if contained:
             lo = cand
             break
         step *= 0.1
     if lo is None:
         raise NoThreshold(f"type {(t.p, t.q)} never exists on the interval")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # lo and hi are adjacent floats: tol is below their spacing
+    # Brent's method on the margin: cur is the bracket end with the smaller
+    # |margin|, blk the other end, pre the previous cur; spre and scur are
+    # the last two steps
+    pre, fpre, cur, fcur, blk, fblk = lo, flo, hi, fhi, lo, flo
+    spre = scur = hi - lo
+    while True:
+        if abs(fblk) < abs(fcur):
+            pre, cur, blk = cur, blk, cur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        if hi - lo <= tol or 0.5 * (lo + hi) in (lo, hi):  # adjacent floats: tol is below their spacing
             break
-        if _contained(mid, t):
-            lo = mid
+        delta = max(0.5 * tol, 2.0 * math.ulp(cur))
+        sbis = 0.5 * (blk - cur)
+        if abs(spre) > delta and abs(fcur) < abs(fpre) and fblk != 0.0:
+            if pre == blk:      # secant
+                stry = -fcur * (cur - pre) / (fcur - fpre)
+            else:               # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (pre - cur)
+                dblk = (fblk - fcur) / (blk - cur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
         else:
-            hi = mid
-    return ThresholdResult(beta=0.5 * (lo + hi), lo=lo, hi=hi, tol=tol)
+            spre = scur = sbis
+        pre, fpre = cur, fcur
+        x = cur + (scur if abs(scur) > delta else math.copysign(delta, sbis))
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        contained, fx = probe(x)
+        if contained:
+            lo = x
+        else:
+            hi = x
+        cur, fcur = x, fx
+        if blk not in (lo, hi):     # x replaced blk's end: the bracket is now [pre, x]
+            blk, fblk = pre, fpre
+            spre = scur = cur - pre
+    return ThresholdResult(beta=0.5 * (lo + hi), lo=lo, hi=hi, tol=tol, probes=probes)
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,10 @@ class GeodesicPath:
 class NotContained:
     """First boundary violation of the midpoint chord.
 
-    signed_distance: in S, the distance of the end of the edge nearer the
-    crossing from the chord's great circle, signed by the side of the pole
+    signed_distance: in S, the distance from the chord's great circle of
+    whichever end of the edge lies nearer it, signed by the side of the pole
     X1 x Y1 it lies on; in H, where the solver keeps every crossing on its
-    edge, the distance along the edge from the crossing to that end.
+    edge, the distance along the edge from the crossing to the nearer end.
     """
 
     gtype: GeodesicType
@@ -353,11 +353,11 @@ def _quarter_chord(spec, word):
         f = fracs[i]
         if not (FRACTION_MARGIN < f < 1.0 - FRACTION_MARGIN):
             if spherical:
-                # V: the end of e_i nearer the crossing, measured from the smaller-labelled
-                # end the short way round; the sign is that of the pole X1 x Y1 = -n
-                u = math.remainder(offsets[i] + ells[i] / 2.0, 2.0 * math.pi)
-                V = steps[i].verts[int(tokens[i][u > ells[i] / 2.0])]
-                sd = -math.asin(max(-1.0, min(1.0, sum(a * b for a, b in zip(normals[i], V)))))
+                # the end of e_i nearer the chord's great circle; the sign is that of
+                # the pole X1 x Y1 = -n
+                sd = min((-math.asin(max(-1.0, min(1.0, sum(
+                    a * b for a, b in zip(normals[i], steps[i].verts[int(end)])))))
+                    for end in tokens[i]), key=abs)
             else:
                 sd = min(f, 1.0 - f) * ells[i]
             return None, NotContained(word.gtype, face_index=i, edge=tokens[i],

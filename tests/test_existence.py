@@ -6,7 +6,7 @@ import pytest
 
 from conftest import coprime_types
 from tetrageo.combinat import GeodesicType
-from tetrageo.errors import BoundDegenerate, BoundVacuous, NoThreshold
+from tetrageo.errors import BoundDegenerate, BoundVacuous, NoThreshold, TooLong
 from tetrageo.existence import (abstract_shortest_curve_length,
                                 edge_sufficient_bound, exists_geodesic,
                                 hyperbolic_clearance_bound,
@@ -134,10 +134,72 @@ def test_threshold_rejects_nonfinite_tol():
             threshold_beta(GeodesicType(1, 1), tol=tol)
 
 
+def _contained(alpha, t):
+    try:
+        result = midpoint_geodesic(TetrahedronSpec(S, alpha), t)
+    except TooLong:
+        return False
+    return isinstance(result, GeodesicPath)
+
+
+def _bisection_threshold(t, tol):
+    """The containment bisection threshold_beta ran before Brent's method: (lo, hi, probes)."""
+    hi = 2.0 * math.pi / 3.0 - 1e-9
+    assert not _contained(hi, t)
+    lo = math.pi / 3.0 + 1e-4
+    assert _contained(lo, t)
+    probes = 2
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        probes += 1
+        if _contained(mid, t):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, probes
+
+
+# the types p+q <= 8 with a necessary bound, and (1,1) whose beta is pi/2
+THRESHOLD_TYPES = [(1, 1)] + [pq for pq in coprime_types(8) if sum(pq) >= 3]
+
+
+@pytest.mark.parametrize("pq, tol", [(pq, 1e-6) for pq in THRESHOLD_TYPES]
+                         + [((1, 1), 1e-9), ((1, 2), 1e-9)])
+def test_threshold_bracket_is_certified(pq, tol):
+    # lo is contained and hi is not, whatever the margin steered; the bracket
+    # overlaps the bisection's (it need not contain the bisection's beta)
+    t = GeodesicType(*pq)
+    res = threshold_beta(t, tol)
+    assert _contained(res.lo, t) and not _contained(res.hi, t)
+    assert 0.0 < res.hi - res.lo <= tol
+    assert res.beta == 0.5 * (res.lo + res.hi)
+    lo, hi, _ = _bisection_threshold(t, tol)
+    assert res.lo <= hi and lo <= res.hi
+
+
+def test_threshold_takes_few_probes(monkeypatch):
+    # the bisection takes 22 probes per type at tol 1e-6
+    import tetrageo.existence as existence_mod
+    calls = []
+    monkeypatch.setattr(existence_mod, "midpoint_geodesic",
+                        lambda spec, t: calls.append(t) or midpoint_geodesic(spec, t))
+    for pq in THRESHOLD_TYPES:
+        before = len(calls)
+        res = threshold_beta(GeodesicType(*pq), 1e-6)
+        assert res.probes == len(calls) - before
+        assert res.probes <= 12, (pq, res.probes)
+
+
 def test_threshold_tol_below_float_spacing():
-    # the bisection ends once lo and hi are adjacent floats
-    res = threshold_beta(GeodesicType(1, 1), tol=1e-300)
+    # the search ends once lo and hi are adjacent floats: the bisection's own bracket
+    t = GeodesicType(1, 1)
+    res = threshold_beta(t, tol=1e-300)
     assert 0.0 < res.hi - res.lo <= 2.0 * math.ulp(res.lo)
+    lo, hi, probes = _bisection_threshold(t, 1e-300)
+    assert (res.lo, res.hi) == (lo, hi)
+    assert res.probes < probes
 
 
 def test_abstract_length_below_threshold_equals_geodesic():

@@ -370,6 +370,23 @@ def test_spherical_not_contained_witness():
     assert r.edge in ("12", "13", "14", "23", "24", "34")
 
 
+def test_spherical_witness_is_the_nearer_edge_end():
+    # the crossing lies past the antipode of vertex 3, 1.017 from the chord's
+    # great circle; vertex 2, the other end of e_1, lies 6.7e-7 from it
+    spec, t = TetrahedronSpec(S, 1.2566376614359172), GeodesicType(4, 5)
+    r = midpoint_geodesic(spec, t)
+    assert isinstance(r, NotContained) and (r.face_index, r.edge) == (1, "23")
+    assert -1e-6 < r.signed_distance < 0.0
+    # both ends of e_1 against the chord's great circle, in one sphere chart
+    seq = crossing_sequence(t)
+    K = len(seq.tokens) // 4
+    edge_pts, _ = place_chain(spec, seq.tokens[:K + 1])
+    pole = _unit3(_cross3(rmidpoint(S, *edge_pts[0]), rmidpoint(S, *edge_pts[K])))
+    ends = sorted((math.asin(_dot3(V, pole)) for V in edge_pts[1]), key=abs)
+    assert abs(ends[1]) > 1.0
+    assert abs(r.signed_distance - ends[0]) < 1e-12
+
+
 def test_spherical_midpoint_law():
     path = midpoint_geodesic(TetrahedronSpec(S, 1.12), GeodesicType(2, 3))
     n = len(path.crossings)
@@ -385,7 +402,8 @@ def _global_chart_quarter(spec, seq):
     glue edge are placed by reflections (face_fold.place_chain), the great
     circle from X1 towards Y1 is cut with each edge's great circle at the
     first angle past the previous crossing, and the crossings must come
-    before Y1.  Returns what paths._quarter_chord returns but its chain steps.
+    before Y1; a witness is signed by the edge end nearer the chord's great
+    circle.  Returns what paths._quarter_chord returns but its chain steps.
     """
     n = len(seq.tokens)
     K = n // 4
@@ -413,8 +431,7 @@ def _global_chart_quarter(spec, seq):
         fracs.append(f)
         theta_prev = th
         if witness is None and not (FRACTION_MARGIN < f < 1.0 - FRACTION_MARGIN):
-            vertex = b if f > 0.5 else a
-            sd = math.asin(max(-1.0, min(1.0, _dot3(vertex, n_c))))
+            sd = min((math.asin(max(-1.0, min(1.0, _dot3(v, n_c)))) for v in (a, b)), key=abs)
             witness = NotContained(seq.gtype, face_index=i, edge=seq.tokens[i],
                                    signed_distance=sd)
     if witness is not None:
