@@ -63,7 +63,7 @@ def _build_parser():
     e.add_argument("--p", type=int, required=True)
     e.add_argument("--q", type=int, required=True)
 
-    th = sub.add_parser("threshold", help="threshold angle beta(p,q): Brent root in a containment bracket")
+    th = sub.add_parser("threshold", help="Brent threshold angle beta(p,q), containment bracket")
     th.add_argument("--p", type=int, required=True)
     th.add_argument("--q", type=int, required=True)
     th.add_argument("--tol", type=float, default=1e-6)

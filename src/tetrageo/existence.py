@@ -240,7 +240,7 @@ class ThresholdResult:
     lo: float
     hi: float
     tol: float
-    probes: int = 0               # containment probes (midpoint chords) taken
+    probes: int                   # containment probes (midpoint chords) taken
 
 
 def threshold_beta(t: GeodesicType, tol=1e-6):
@@ -293,7 +293,8 @@ def threshold_beta(t: GeodesicType, tol=1e-6):
         if abs(fblk) < abs(fcur):
             pre, cur, blk = cur, blk, cur
             fpre, fcur, fblk = fcur, fblk, fcur
-        if hi - lo <= tol or 0.5 * (lo + hi) in (lo, hi):  # adjacent floats: tol is below their spacing
+        # at adjacent floats lo and hi, tol is below their spacing
+        if hi - lo <= tol or 0.5 * (lo + hi) in (lo, hi):
             break
         delta = max(0.5 * tol, 2.0 * math.ulp(cur))
         sbis = 0.5 * (blk - cur)

@@ -353,11 +353,11 @@ def _quarter_chord(spec, word):
         f = fracs[i]
         if not (FRACTION_MARGIN < f < 1.0 - FRACTION_MARGIN):
             if spherical:
-                # the end of e_i nearer the chord's great circle; the sign is that of
-                # the pole X1 x Y1 = -n
-                sd = min((-math.asin(max(-1.0, min(1.0, sum(
-                    a * b for a, b in zip(normals[i], steps[i].verts[int(end)])))))
-                    for end in tokens[i]), key=abs)
+                # the end of e_i nearer the chord's great circle, signed by the side
+                # of the pole X1 x Y1 = -n it lies on
+                dots = [sum(a * b for a, b in zip(normals[i], steps[i].verts[int(end)]))
+                        for end in tokens[i]]
+                sd = -math.asin(max(-1.0, min(1.0, min(dots, key=abs))))
             else:
                 sd = min(f, 1.0 - f) * ells[i]
             return None, NotContained(word.gtype, face_index=i, edge=tokens[i],
