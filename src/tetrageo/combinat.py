@@ -92,10 +92,8 @@ class CrossingSequence:
         return out
 
 
-def _vertex_label(u, m):
-    """Tetrahedron label of the tiling vertex at (x, Y) = (u/2, m/2): by m % 4 and floor(x) % 2."""
-    return ((1, 2), (3, 4), (2, 1), (4, 3))[m % 4][(u // 2) % 2]
-
+# label of the tiling vertex at (x, Y) = (u/2, m/2): _ROW_LABELS[m % 4][(u // 2) % 2]
+_ROW_LABELS = ((1, 2), (3, 4), (2, 1), (4, 3))
 
 # label -> label -> token of the edge joining them (row and column 0 unused)
 _TOKEN = [[edge_token(u, v) for v in range(5)] for u in range(5)]
@@ -106,27 +104,20 @@ def _integer_trace(t, a, b):
 
     Returns D and the records (x * D, token, fraction * D) sorted by x, with
     the fraction measured from the smaller-labelled endpoint; see
-    :func:`trace_crossings`.
+    :func:`trace_crossings`.  A stored F or D - F lies outside (0, D) at a vertex hit.
     """
     pe, qe = t.effective()
     w = qe + 2 * pe
     D = 2 * b * math.lcm(qe, pe + qe, pe or 1)
     out = []
-
-    def add(X, u0, m0, u1, m1, F):
-        if F <= 0 or F >= D:
-            raise VertexHit(f"tiling line through mu={Fraction(a, b)} hits a vertex "
-                            f"near x={Fraction(X, D)}")
-        l0, l1 = _vertex_label(u0, m0), _vertex_label(u1, m1)
-        out.append((X, _TOKEN[l0][l1], F if l0 < l1 else D - F))
-
-    # rows Y = m/2, m = 0 .. 2*qe - 1 (m = 2*qe is identified with m = 0);
-    # the vertices of row m sit at x = k + off, off = 1/2 on odd rows
+    # rows Y = m/2, m = 0 .. 2*qe - 1 (m = 2*qe is identified with m = 0); the vertices
+    # of row m sit at x = k + off, off = 1/2 on odd rows: the edge is u = 2k + m % 2 to u + 2
     for m in range(0, 2 * qe):
         X = a * (D // b) + m * w * (D // (2 * qe))
         off = D // 2 if m % 2 else 0
-        k = (X - off) // D
-        add(X, 2 * k + m % 2, m, 2 * k + m % 2 + 2, m, X - k * D - off)
+        (k, F), row = divmod(X - off, D), _ROW_LABELS[m % 4]
+        l0, l1 = row[k % 2], row[(k + 1) % 2]
+        out.append((X, _TOKEN[l0][l1], F if l0 < l1 else D - F))
 
     # diagonals x - sY = n, crossed 2c times: the climbing family (s = 1, c = pe,
     # no crossing when pe = 0) and the descending one (s = -1, c = pe + qe); T = 2Y * D
@@ -134,9 +125,15 @@ def _integer_trace(t, a, b):
         for n in range(a // b + 1, -(-(a + 2 * c * b) // b)):
             X = (n * w * b - s * qe * a) * (D // (2 * c * b))
             T = qe * (n * b - a) * (D // (c * b))
-            y0 = T // D
-            add(X, 2 * n + s * y0, y0, 2 * n + s * (y0 + 1), y0 + 1, T - y0 * D)
+            y0, F = divmod(T, D)
+            l0 = _ROW_LABELS[y0 % 4][((2 * n + s * y0) // 2) % 2]
+            l1 = _ROW_LABELS[(y0 + 1) % 4][((2 * n + s * (y0 + 1)) // 2) % 2]
+            out.append((X, _TOKEN[l0][l1], F if l0 < l1 else D - F))
 
+    for X, _, F in out:
+        if F <= 0 or F >= D:
+            raise VertexHit(f"tiling line through mu={Fraction(a, b)} hits a vertex "
+                            f"near x={Fraction(X, D)}")
     out.sort(key=lambda rec: rec[0])
     n_total = t.n_crossings
     if len(out) != n_total:

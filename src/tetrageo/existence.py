@@ -216,26 +216,22 @@ def _probe(alpha, t):
     The margin 2*pi - 4 * (quarter chord length) vanishes at beta, where the
     curve is the flat digon of length 2*pi; it is signed by the decision
     (+ contained, - not), so it only steers the search and never moves a
-    probe to the wrong end of the bracket.  A chord that is not contained
-    is shot once more on its quarter chain for the length.
+    probe to the wrong end of the bracket.  The length is the one the
+    construction took, or for a witness that of the shot it carries.
     """
-    spec = TetrahedronSpec(SpaceKind.SPHERICAL, alpha)
     try:
-        result = midpoint_geodesic(spec, t)
-    except TooLong:
-        result = None
+        result = midpoint_geodesic(TetrahedronSpec(SpaceKind.SPHERICAL, alpha), t)
+    except TooLong as exc:
+        return False, -abs(2.0 * math.pi - 4.0 * exc.quarter_length)
     if isinstance(result, GeodesicPath):
         return True, abs(2.0 * math.pi - 4.0 * result.extras["quarter_length"])
-    word = canonical_word(t)
-    K = len(word.tokens) // 4
-    steps = frames.build_chain(spec, word.tokens[:K + 1])
-    offsets = frames.shoot_chord(steps)[1]
-    offsets[0] = offsets[K] = 0.0
-    return False, -abs(2.0 * math.pi - 4.0 * sum(frames.trace_geometry(steps, offsets)))
+    return False, -abs(2.0 * math.pi - 4.0 * sum(frames.trace_geometry(*result.chord)))
 
 
 @dataclass(frozen=True)
 class ThresholdResult:
+    """[lo, hi] certified for the containment predicate (see threshold_beta), beta its midpoint."""
+
     beta: float
     lo: float
     hi: float
@@ -246,16 +242,16 @@ class ThresholdResult:
 def threshold_beta(t: GeodesicType, tol=1e-6):
     """Brent threshold: containment holds below beta, fails above.
 
-    The bracket [lo, hi] is certified by the containment predicate alone:
-    lo is contained and hi is not, and every probe lies strictly inside the
+    The bracket [lo, hi] is certified for the containment predicate: lo is
+    contained and hi is not, and every probe lies strictly inside the
     bracket and replaces the end on its side.  The signed length margin of
     :func:`_probe` only chooses the next probe, by Brent's method (inverse
     quadratic or secant steps, a bisection when they stall), with steps of
     at least max(tol/2, 2 ulp).  The search stops when hi - lo <= tol or lo
-    and hi are adjacent floats.  A tol below about 1e-9 asks for more than
-    the predicate resolves: a crossing within paths.FRACTION_MARGIN of a
-    vertex reads as not contained, so a bracket that narrow may miss the
-    exact beta (type (1,1) at 1e-12 excludes pi/2).
+    and hi are adjacent floats.  A crossing within paths.FRACTION_MARGIN of
+    a vertex reads as not contained, so containment fails early and a tol
+    below about 1e-9 may exclude the exact beta: for (1,1), hi lies 0.98e-9
+    to 1.57e-9 below pi/2 at every tol from 1e-6 down to 1e-12.
 
     Raises NoThreshold when the predicate is constant on (pi/3, 2pi/3),
     e.g. for type (0,1) which exists at every angle.
@@ -359,5 +355,5 @@ def _solved_curve_length(spec, t):
     tokens = list(word.tokens) + [word.tokens[0]]
     steps = frames.build_chain(spec, tokens)
     init = [0.5] + list(word.fractions[1:]) + [0.5]
-    offsets = frames.relax_chord(steps, [spec.edge] * len(tokens), init)
+    offsets, _ = frames.relax_chord(steps, [spec.edge] * len(tokens), init)
     return sum(frames.trace_geometry(steps, offsets))

@@ -20,13 +20,13 @@ measured (chord_segments) this way in all three spaces.  The segment terms
 are written twice, with the same floating-point operations in the same
 order: chord_segments, read by the fold-back metrics, and the one pass per
 Newton iterate of relax_chord, the chord solver of both curved spaces,
-that also sums the derivatives.  Direction shooting (shoot_chord) carries
-the chord's normal through the transitions; it is the sphere's exact
-quarter solver, and on the hyperboloid the start of the quarter's Newton
-solve, which polishes it to relax_chord's step tolerance.  A closed
-hyperbolic chain's geodesic is the axis of its holonomy (axis_chord), the
-start of the closed Newton solve.  The plane needs no solver: its chord is
-the tiling line.
+that also sums the derivatives and the length it returns with the offsets.
+Direction shooting (shoot_chord) carries the chord's normal through the
+transitions; it is the sphere's exact quarter solver, and on the
+hyperboloid the start of the quarter's Newton solve, which polishes it to
+relax_chord's step tolerance.  A closed hyperbolic chain's geodesic is the
+axis of its holonomy (axis_chord), the start of the closed Newton solve.
+The plane needs no solver: its chord is the tiling line.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ class ChainStep:
     inverse: tuple        # its inverse, frame E_{i+1} -> frame E_i
     space: SpaceKind
     hinge: tuple          # (p, q, w): F_i turns about vertex p from e_i = pq to e_{i+1} = pw
+    det_sign: float       # 1.0 if det(transition) > 0, else -1.0 (the sphere's handedness flips)
 
 
 # per curvature k = -1 (hyperboloid), 0 (plane) or +1 (sphere): k, the trig
@@ -123,7 +124,8 @@ def _chain_step(space, cur, nxt, a, b, w, ell, d_minus, d_plus):
     if verts is None:
         raise NumericalFailure(f"degenerate face {cur}->{nxt}")
     return ChainStep(verts=dict(zip((a, b, w), verts)), transition=lam, inverse=inverse,
-                     space=space, hinge=(pivot, a + b - pivot, w))
+                     space=space, hinge=(pivot, a + b - pivot, w),
+                     det_sign=1.0 if _dot3(lam[2], _cross3(lam[0], lam[1])) > 0.0 else -1.0)
 
 
 # bounded: at most four frames per face shape, 24 per spec
@@ -205,6 +207,19 @@ def place_faces(steps):
     return faces
 
 
+def carry_normals(steps, n):
+    """Unit normals at e_0..e_K of the chord with normal n in frame E_0: _unit(_matvec(T_i, n))."""
+    k, normals = _KERNEL[steps[0].space][0], [n]
+    for step in steps:
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = step.transition
+        n0, n1, n2 = normals[-1]
+        v0, v1, v2 = (m00 * n0 + m01 * n1 + m02 * n2, m10 * n0 + m11 * n1 + m12 * n2,
+                      m20 * n0 + m21 * n1 + m22 * n2)
+        s = math.sqrt(max(abs(k * v0 * v0 + v1 * v1 + v2 * v2), 1e-300))
+        normals.append((v0 / s, v1 / s, v2 / s))
+    return normals
+
+
 def propagate_chord(steps, theta):
     """Offsets and unit normals at e_0..e_K of the chord through mid(e_0) at angle theta from +x.
 
@@ -213,20 +228,15 @@ def propagate_chord(steps, theta):
     tanh s = n_0 / n_1; NumericalFailure if it misses the edge's geodesic.
     On the sphere it meets the great circle of e_i twice; the crossing taken
     is the one where it runs into the face ahead, s = atan2(-h n_0, h n_1),
-    where the handedness h flips at every transition of determinant -1.
+    where the handedness h flips at every transition with det_sign -1.
     """
-    k, _, _, dot, _, _ = _KERNEL[steps[0].space]
-    n, h = (0.0, math.sin(theta), -math.cos(theta)), 1.0   # the normal in frame E_0
-    offsets, normals = [], []
-    for i in range(len(steps) + 1):
-        if i:
-            m = steps[i - 1].transition
-            n = _unit(_matvec(m, n), dot)
-            h = h if _dot3(m[2], _cross3(m[0], m[1])) > 0.0 else -h
-        if k < 0 and abs(n[0]) >= abs(n[1]):
+    k, h, offsets = _KERNEL[steps[0].space][0], 1.0, []
+    normals = carry_normals(steps, (0.0, math.sin(theta), -math.cos(theta)))
+    for i, (n0, n1, _) in enumerate(normals):
+        h *= steps[i - 1].det_sign if i else 1.0
+        if k < 0 and abs(n0) >= abs(n1):
             raise NumericalFailure(f"chord misses the geodesic of edge e_{i}")
-        offsets.append(math.atan2(-h * n[0], h * n[1]) if k > 0 else math.atanh(n[0] / n[1]))
-        normals.append(n)
+        offsets.append(math.atan2(-h * n0, h * n1) if k > 0 else math.atanh(n0 / n1))
     return offsets, normals
 
 
@@ -265,9 +275,7 @@ def axis_chord(steps):
     (_, b, c), (d, _, f), (g, h, _) = holonomy
     axis = _unit((f - h, c + g, -(b + d)), _mdot)
     half = len(steps) // 2
-    normals = [axis]
-    for step in steps[:half]:
-        normals.append(_unit(_matvec(step.transition, normals[-1]), _mdot))
+    normals = carry_normals(steps[:half], axis)
     behind = [axis]
     for step in reversed(steps[half + 1:]):
         behind.append(_unit(_matvec(step.inverse, behind[-1]), _mdot))
@@ -504,14 +512,11 @@ def relax_chord(steps, ells, init_fractions, closed=False):
     moves along a direction of negative curvature instead.  The iteration
     stops when the step falls below STEP_TOL, or at the rounding floor (a
     full step below FLOOR_STEP that fails to shrink the next one), and
-    confirms a stop without damping.  Returns the offsets s_0..s_K.
+    confirms a stop without damping.  Returns the offsets s_0..s_K and their length.
     """
     K = len(ells) - 1
     s = [(float(f) - 0.5) * ells[i] for i, f in enumerate(init_fractions)]
     free = range(0, K) if closed else range(1, K)
-    if not free:
-        return s
-    lo = free[0]
     ends = [0.5 * ell for ell in ells]
     near_ends = [e * (1.0 - 1e-12) for e in ends]     # within rounding of an end is at it
     # the sides of e_i and e_{i+1} at the vertex about which F_i turns
@@ -547,6 +552,9 @@ def relax_chord(steps, ells, init_fractions, closed=False):
         return x
 
     state = evaluate(s)
+    if not free:
+        return state[0], state[1][0]
+    lo = free[0]
     mu, last_full, checked = 0.0, None, False
     for _ in range(MAX_NEWTON_STEPS):
         s, (length, grad, diag, off), sides, pinned = state
@@ -593,7 +601,7 @@ def relax_chord(steps, ells, init_fractions, closed=False):
         size = max(map(abs, delta))
         if size < STEP_TOL or (last_full is not None and size >= last_full):
             if mu == 0.0 or checked:
-                return s
+                return s, length
             mu, checked = 0.0, True
             continue
         scale = 1.0

@@ -47,6 +47,7 @@ from .unfold import _center_involution
 
 FRACTION_MARGIN = 1e-9
 STRAND_TIE = 1e-12  # crossings of one edge closer than this (in fraction) are unresolved
+SEG_TIE = 1e-8      # relative band of the foot signs of _seg_distance left to rpoint_seg_dist
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class GeodesicPath:
 
 @dataclass(frozen=True)
 class NotContained:
-    """First boundary violation of the midpoint chord.
+    """First boundary violation of the midpoint chord; chord: (steps, offsets pinned at X1, Y1).
 
     signed_distance: in S, the distance from the chord's great circle of
     whichever end of the edge lies nearer it, signed by the side of the pole
@@ -88,6 +89,7 @@ class NotContained:
     edge: str
     signed_distance: float
     reason: str = "chord leaves the face chain"
+    chord: tuple = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +165,38 @@ def _chain_metrics(spec, steps, chain, fracs, copies, crossings):
         for V in step.verts.values():
             if arc(abs(w * (sa * V[0] - ca * V[1]) + u * V[2]) / norm) < clearance:
                 clearance = min(clearance, rpoint_seg_dist(space, V[1:], A[1:], B[1:]) if not k
-                                else rpoint_seg_dist(space, V, A, B))
+                                else _seg_distance(space, V, A, B))
     worst = max((abs(ends[j - 1][1] - ends[j][0]) for j in crossings), default=0.0)
     return copies * total, clearance, worst
+
+
+def _seg_distance(space, V, A, B):
+    """rpoint_seg_dist(space, V, A, B) of a curved space: its operations, without its calls.
+
+    With t_A = B - k<A, B>A and t_B = A - k<A, B>B, the foot of V lies inside
+    AB where <V, t_A> and <V, t_B> are positive, beyond A (B) where <V, t_A>
+    (<V, t_B>) is negative; only that distance is computed.  rpoint_seg_dist
+    decides where both are negative (only on the sphere) and within SEG_TIE of
+    either's larger term, a band that holds their rounding and its end slack.
+    """
+    k, (v0, v1, v2), (a0, a1, a2), (b0, b1, b2) = float(space), V, A, B
+    ab = k * a0 * b0 + a1 * b1 + a2 * b2
+    va, vb = k * v0 * a0 + v1 * a1 + v2 * a2, k * v0 * b0 + v1 * b1 + v2 * b2
+    ta, tb = vb - k * ab * va, va - k * ab * vb
+    if (abs(ta) <= SEG_TIE * max(1.0, abs(ab * va)) or abs(tb) <= SEG_TIE * max(1.0, abs(ab * vb))
+            or (ta < 0.0 and tb < 0.0)):
+        return rpoint_seg_dist(space, V, A, B)
+    if ta > 0.0 and tb > 0.0:       # the unit normal n: A x B, first coordinates times k
+        n0, n1, n2 = a1 * b2 - a2 * b1, k * (a2 * b0 - a0 * b2), k * (a0 * b1 - a1 * b0)
+        s = math.sqrt(max(k * n0 * n0 + n1 * n1 + n2 * n2, 1e-300))
+        dn = k * v0 * (n0 / s) + v1 * (n1 / s) + v2 * (n2 / s)
+        return math.asinh(abs(dn)) if k < 0.0 else abs(math.asin(max(-1.0, min(1.0, dn))))
+    x0, x1, x2 = A if ta < 0.0 else B
+    if k < 0.0:
+        d0, d1, d2 = v0 - x0, v1 - x1, v2 - x2
+        return 2.0 * math.asinh(0.5 * math.sqrt(max(-d0 * d0 + d1 * d1 + d2 * d2, 0.0)))
+    c0, c1, c2 = v1 * x2 - v2 * x1, v2 * x0 - v0 * x2, v0 * x1 - v1 * x0
+    return math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), v0 * x0 + v1 * x1 + v2 * x2)
 
 
 def vertex_clearance(path, spec):
@@ -342,13 +373,17 @@ def _quarter_chord(spec, word):
     steps = chain[:K]
     ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens]
     if spherical:
-        theta, offsets, normals = frames.shoot_chord(steps)
+        _, offsets, normals = frames.shoot_chord(steps)
     else:
         init = _seed_fractions(lambda: frames.shoot_chord(steps)[1], ells,
                                word.fractions[:K + 1])
         init[0] = init[K] = 0.5
-        offsets = frames.relax_chord(steps, ells, init)
+        offsets, quarter_len = frames.relax_chord(steps, ells, init)
     fracs = [0.5] + [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(1, K)] + [0.5]
+    out_of_order = abs(offsets[K]) > 0.5 * math.pi  # the great circle runs into F_K at -mid(e_K)
+    # pinned at both midpoints, the length is stationary in the interior
+    # crossings; a grazing chord's rounding on e_K would enter it to first order
+    offsets[0] = offsets[K] = 0.0
     for i in range(1, K):
         f = fracs[i]
         if not (FRACTION_MARGIN < f < 1.0 - FRACTION_MARGIN):
@@ -361,23 +396,21 @@ def _quarter_chord(spec, word):
             else:
                 sd = min(f, 1.0 - f) * ells[i]
             return None, NotContained(word.gtype, face_index=i, edge=tokens[i],
-                                      signed_distance=sd), None, steps
-    if abs(offsets[K]) > 0.5 * math.pi:     # the great circle runs into F_K at -mid(e_K)
+                                      signed_distance=sd, chord=(steps, offsets)), None, steps
+    if out_of_order:
         return None, NotContained(word.gtype, face_index=K, edge=tokens[K], signed_distance=0.0,
-                                  reason="crossings out of order"), None, steps
-    # pinned at both midpoints, the length is stationary in the interior
-    # crossings; a grazing chord's rounding on e_K would enter it to first order
-    offsets[0] = offsets[K] = 0.0
-    quarter_len = sum(frames.trace_geometry(steps, offsets))
-    if not spherical:
+                                  reason="crossings out of order",
+                                  chord=(steps, offsets)), None, steps
+    if not spherical:       # the solver's length: a contained quarter has no pinned segment
         return fracs, None, {"quarter_length": quarter_len}, steps
+    quarter_len = sum(frames.trace_geometry(steps, offsets))
     # by the exact criterion a contained chord is shorter than 2*pi; the
     # length check runs after containment so genuine exits report a witness
     if 4.0 * quarter_len >= 2.0 * math.pi:
-        raise TooLong(f"candidate length {4 * quarter_len:.6f} >= 2*pi")
+        raise TooLong(f"candidate length {4 * quarter_len:.6f} >= 2*pi", quarter_len)
     # mid(e_j) is (1, 0, 0) in frame E_j: its distance from the chord is asin(n_0)
-    normals = frames.propagate_chord(chain, theta)[1]
-    sym_res = max(abs(normals[j][0]) for j in (n // 2, 3 * n // 4, n))
+    normals = frames.carry_normals(chain[K:], normals[K])
+    sym_res = max(abs(normals[j][0]) for j in (K, 2 * K, 3 * K))
     if sym_res > 1e-8:
         raise NumericalFailure(f"symmetry points off the chord by {sym_res:.3e}")
     return fracs, None, {"quarter_length": quarter_len, "symmetry_residual": sym_res}, steps
@@ -410,7 +443,8 @@ def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
     path = _assemble_path(spec, t, word.tokens, fracs, extras=extras, measured=quarter,
                           steps=steps)
     if spherical and path.total_length >= 2.0 * math.pi:
-        raise TooLong(f"constructed length {path.total_length:.6f} >= 2*pi")
+        raise TooLong(f"constructed length {path.total_length:.6f} >= 2*pi",
+                      extras["quarter_length"])
     if not (spherical or path.closed):
         raise NumericalFailure(
             f"quarter chord fails the closure check (residual {path.closure_residual:.3e})")
@@ -443,7 +477,7 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens_ext]
     init = _seed_fractions(lambda: frames.axis_chord(steps), ells,
                            list(word.fractions) + [word.fractions[0]])
-    offsets = frames.relax_chord(steps, ells, init, closed=True)
+    offsets, _ = frames.relax_chord(steps, ells, init, closed=True)
     fracs = [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(len(word.tokens))]
     for i, f in enumerate(fracs):
         if not (FRACTION_MARGIN < f < 1.0 - FRACTION_MARGIN):

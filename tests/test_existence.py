@@ -192,6 +192,28 @@ def test_threshold_takes_few_probes(monkeypatch):
         assert res.probes <= 12, (pq, res.probes)
 
 
+def test_threshold_probe_shoots_once(monkeypatch):
+    # a probe's length margin comes from the shot its construction made: a
+    # witness carries its chord, TooLong its quarter length
+    import tetrageo.existence as existence_mod
+    from tetrageo import frames
+    probes, shots, shoot = [], [], frames.shoot_chord
+    monkeypatch.setattr(existence_mod, "midpoint_geodesic",
+                        lambda spec, t: probes.append(t) or midpoint_geodesic(spec, t))
+    monkeypatch.setattr(frames, "shoot_chord", lambda steps: shots.append(1) or shoot(steps))
+    for pq in THRESHOLD_TYPES:
+        threshold_beta(GeodesicType(*pq), 1e-6)
+    assert len(shots) == len(probes)
+
+
+@pytest.mark.parametrize("tol", [10.0 ** -e for e in range(6, 13)])
+def test_threshold_11_ends_just_below_pi_over_2(tol):
+    # containment of (1,1) fails about 1e-9 before beta = pi/2, so hi sits
+    # there at every tol, and from 1e-10 down the bracket excludes pi/2
+    res = threshold_beta(GeodesicType(1, 1), tol)
+    assert 0.9e-9 < math.pi / 2 - res.hi < 1.7e-9
+
+
 def test_threshold_tol_below_float_spacing():
     # the search ends once lo and hi are adjacent floats: the bisection's own bracket
     t = GeodesicType(1, 1)

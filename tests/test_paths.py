@@ -600,7 +600,7 @@ def test_shot_seed_matches_the_euclidean_seed(alpha, pq):
     word = canonical_word(GeodesicType(*pq))
     fracs, _, extras, steps = _quarter_chord(spec, word)
     K = len(steps)
-    offsets = frames.relax_chord(steps, [spec.edge] * (K + 1), list(word.fractions[:K + 1]))
+    offsets, _ = frames.relax_chord(steps, [spec.edge] * (K + 1), list(word.fractions[:K + 1]))
     assert max(abs(f - (x / spec.edge + 0.5)) for f, x in zip(fracs, offsets)) < 1e-11
     length = sum(frames.trace_geometry(steps, [0.0] + offsets[1:K] + [0.0]))
     assert abs(length - extras["quarter_length"]) <= 1e-12 * length
@@ -835,7 +835,7 @@ def test_shoot_and_relax_agree(chain):
     steps = frames.build_chain(spec, list(seq.tokens[:K + 1]))
     ells = [spec.edge] * (K + 1)
     _, shot, _ = frames.shoot_chord(steps)
-    offsets = frames.relax_chord(steps, ells, [float(f) for f in seq.fractions[:K + 1]])
+    offsets, _ = frames.relax_chord(steps, ells, [float(f) for f in seq.fractions[:K + 1]])
     for o1, o2 in zip(shot, offsets):
         assert abs(o1 - o2) < 1e-9
 
