@@ -512,7 +512,8 @@ def relax_chord(steps, ells, init_fractions, closed=False):
     moves along a direction of negative curvature instead.  The iteration
     stops when the step falls below STEP_TOL, or at the rounding floor (a
     full step below FLOOR_STEP that fails to shrink the next one), and
-    confirms a stop without damping.  Returns the offsets s_0..s_K and their length.
+    confirms a stop without damping.  Returns the offsets s_0..s_K and their
+    length, summed by the last pass (pinned segments count zero).
     """
     K = len(ells) - 1
     s = [(float(f) - 0.5) * ells[i] for i, f in enumerate(init_fractions)]

@@ -47,7 +47,7 @@ from .unfold import _center_involution
 
 FRACTION_MARGIN = 1e-9
 STRAND_TIE = 1e-12  # crossings of one edge closer than this (in fraction) are unresolved
-SEG_TIE = 1e-8      # relative band of the foot signs of _seg_distance left to rpoint_seg_dist
+SEG_TIE = 1e-8      # _seg_distance's relative tie band: rounding and rpoint_seg_dist's end slack
 
 
 @dataclass(frozen=True)
@@ -173,11 +173,10 @@ def _chain_metrics(spec, steps, chain, fracs, copies, crossings):
 def _seg_distance(space, V, A, B):
     """rpoint_seg_dist(space, V, A, B) of a curved space: its operations, without its calls.
 
-    With t_A = B - k<A, B>A and t_B = A - k<A, B>B, the foot of V lies inside
-    AB where <V, t_A> and <V, t_B> are positive, beyond A (B) where <V, t_A>
-    (<V, t_B>) is negative; only that distance is computed.  rpoint_seg_dist
-    decides where both are negative (only on the sphere) and within SEG_TIE of
-    either's larger term, a band that holds their rounding and its end slack.
+    With t_A = B - k<A, B>A and t_B = A - k<A, B>B, the foot of V lies inside AB
+    where <V, t_A> and <V, t_B> are positive, beyond A (B) where <V, t_A> (<V, t_B>)
+    is negative; only that distance is computed.  rpoint_seg_dist decides where both
+    are negative (only on the sphere) and within SEG_TIE of either's larger term.
     """
     k, (v0, v1, v2), (a0, a1, a2), (b0, b1, b2) = float(space), V, A, B
     ab = k * a0 * b0 + a1 * b1 + a2 * b2
