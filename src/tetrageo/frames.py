@@ -120,41 +120,41 @@ def build_chain(spec, tokens):
 def _chain_step(space, cur, nxt, a, b, w, ell, d_minus, d_plus):
     """Face abw entered by cur = ab (length ell), left by nxt; aw, bw of lengths d_minus, d_plus."""
     pivot = a if str(a) in nxt else b
-    verts, lam, inverse = _face_frame(space, ell, d_minus, d_plus, pivot == b, w < pivot)
+    verts, lam, inverse, det_sign = _face_frame(space, ell, d_minus, d_plus, pivot == b, w < pivot)
     if verts is None:
         raise NumericalFailure(f"degenerate face {cur}->{nxt}")
     return ChainStep(verts=dict(zip((a, b, w), verts)), transition=lam, inverse=inverse,
-                     space=space, hinge=(pivot, a + b - pivot, w),
-                     det_sign=1.0 if _dot3(lam[2], _cross3(lam[0], lam[1])) > 0.0 else -1.0)
+                     space=space, hinge=(pivot, a + b - pivot, w), det_sign=det_sign)
 
 
 # bounded: at most four frames per face shape, 24 per spec
 @functools.lru_cache(maxsize=2048)
 def _face_frame(space, ell, d_minus, d_plus, from_b, w_first):
-    """Reps of a, b, w, the transition and its inverse of the face abw of a step (_chain_step).
+    """Reps of a, b, w, the transition, its inverse and det_sign of the face abw of a step.
 
     The face is entered by ab, a < b, and left by the edge joining w to the
     pivot, b if from_b else a; w_first when w is the smaller label of the
     exit edge.  The frame depends on nothing else, so the steps of one face
     shape share it, and its four orientations share the reps
     (:func:`_face_reps`).  The new frame has origin M and axes tx, ty; the
-    inverse transition has them as its columns.  (None, None, None) for a
+    inverse transition has them as its columns.  (None,) * 4 for a
     degenerate face.
     """
     k, _, _, dot, cross, _ = _KERNEL[space]
     reps = _face_reps(space, ell, d_minus, d_plus)
     if reps is None:
-        return None, None, None
+        return None, None, None, None
     A, Bv, W = reps
     P, B = (Bv, A) if from_b else (A, Bv)     # the pivot and the vertex behind
     Pm, Pp = (W, P) if w_first else (P, W)
+    det_sign = k or 1.0     # det(lam) = det(M, tx, ty) is k (1 on the plane) for ty as first taken
     if not k:       # the plane: a rigid motion (1, x) -> (1, R (x - M))
         M = (1.0, 0.5 * (Pm[1] + Pp[1]), 0.5 * (Pm[2] + Pp[2]))
         r = math.hypot(Pp[1] - Pm[1], Pp[2] - Pm[2])
         tx = (0.0, (Pp[1] - Pm[1]) / r, (Pp[2] - Pm[2]) / r)
         ty = (0.0, -tx[2], tx[1])
         if (B[1] - M[1]) * ty[1] + (B[2] - M[2]) * ty[2] > 0.0:
-            ty = (0.0, tx[2], -tx[1])
+            ty, det_sign = (0.0, tx[2], -tx[1]), -det_sign
         lam = ((1.0, 0.0, 0.0),
                (-(M[1] * tx[1] + M[2] * tx[2]), tx[1], tx[2]),
                (-(M[1] * ty[1] + M[2] * ty[2]), ty[1], ty[2]))
@@ -164,11 +164,11 @@ def _face_frame(space, ell, d_minus, d_plus, from_b, w_first):
         tx = _unit((Pp[0] + cc * M[0], Pp[1] + cc * M[1], Pp[2] + cc * M[2]), dot)
         ty = _unit(cross(M, tx), dot)
         if dot(B, ty) > 0.0:
-            ty = (-ty[0], -ty[1], -ty[2])
+            ty, det_sign = (-ty[0], -ty[1], -ty[2]), -det_sign
         lam = ((M[0], k * M[1], k * M[2]),
                (k * tx[0], tx[1], tx[2]),
                (k * ty[0], ty[1], ty[2]))
-    return reps, lam, ((M[0], tx[0], ty[0]), (M[1], tx[1], ty[1]), (M[2], tx[2], ty[2]))
+    return reps, lam, ((M[0], tx[0], ty[0]), (M[1], tx[1], ty[1]), (M[2], tx[2], ty[2])), det_sign
 
 
 # bounded: one entry per face and entry edge, at most twelve per spec

@@ -8,7 +8,8 @@ reference, so results are compared with ==:
 * the hyperbolic quarter length, taken from the solver's last pass,
   against the trace of the solved chord (frames.trace_geometry);
 * frames.propagate_chord and carry_normals, with the product and the
-  normalisation written out, against the helper-based propagation;
+  normalisation written out and the handedness read from each step's
+  det_sign, against the helper-based propagation;
 * combinat._integer_trace, with the vertex labels read inline, against
   the closure-based trace below.
 """
@@ -17,7 +18,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conftest import coprime_types
 from tetrageo import counting, frames, paths
@@ -134,6 +135,18 @@ def _helper_propagation(steps, theta):
         offsets.append(math.atan2(-h * n[0], h * n[1]) if k > 0 else math.atanh(n[0] / n[1]))
         normals.append(n)
     return offsets, normals
+
+
+@given(st.sampled_from([H, SpaceKind.EUCLIDEAN, S]), st.floats(0.05, 1.5), st.floats(0.05, 1.5),
+       st.floats(0.05, 1.5), st.booleans(), st.booleans(), st.floats(1.0, 8.0))
+def test_det_sign_is_the_sign_of_the_determinant(space, ell, d_minus, d_plus, from_b, w_first,
+                                                 scale):
+    # the frame keeps det(transition)'s sign as its orientation was chosen
+    if space != S:
+        ell, d_minus, d_plus = ell * scale, d_minus * scale, d_plus * scale
+    _, lam, _, det_sign = frames._face_frame(space, ell, d_minus, d_plus, from_b, w_first)
+    assume(lam is not None)
+    assert det_sign == (1.0 if _dot3(lam[2], _cross3(lam[0], lam[1])) > 0.0 else -1.0)
 
 
 @given(st.sampled_from([(H, 0.05), (H, 0.5), (H, 1.0), (S, 1.1), (S, 1.3), (S, 1.6)]),
