@@ -513,11 +513,14 @@ def relax_chord(steps, ells, init_fractions, closed=False):
     stops when the step falls below STEP_TOL, or at the rounding floor (a
     full step below FLOOR_STEP that fails to shrink the next one), and
     confirms a stop without damping.  Returns the offsets s_0..s_K and their
-    length, summed by the last pass (pinned segments count zero).
+    length: the last pass's sum (pinned segments count zero), or the trace.
     """
     K = len(ells) - 1
     s = [(float(f) - 0.5) * ells[i] for i, f in enumerate(init_fractions)]
     free = range(0, K) if closed else range(1, K)
+    if not free:
+        return s, sum(trace_geometry(steps, s)) if steps else 0.0
+    lo = free[0]
     ends = [0.5 * ell for ell in ells]
     near_ends = [e * (1.0 - 1e-12) for e in ends]     # within rounding of an end is at it
     # the sides of e_i and e_{i+1} at the vertex about which F_i turns
@@ -553,9 +556,6 @@ def relax_chord(steps, ells, init_fractions, closed=False):
         return x
 
     state = evaluate(s)
-    if not free:
-        return state[0], state[1][0]
-    lo = free[0]
     mu, last_full, checked = 0.0, None, False
     for _ in range(MAX_NEWTON_STEPS):
         s, (length, grad, diag, off), sides, pinned = state
