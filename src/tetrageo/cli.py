@@ -63,11 +63,11 @@ def _build_parser():
     e.add_argument("--p", type=int, required=True)
     e.add_argument("--q", type=int, required=True)
 
-    th = sub.add_parser("threshold", help="Brent threshold beta(p,q), certified for containment")
+    th = sub.add_parser("threshold", help="threshold beta(p,q), the least root of the integer "
+                        "trace polynomial, bracketed in exact arithmetic")
     th.add_argument("--p", type=int, required=True)
     th.add_argument("--q", type=int, required=True)
-    th.add_argument("--tol", type=float, default=1e-6, help="bracket width; containment fails "
-                    "early, (1,1) ends 0.98e-9 to 1.57e-9 below pi/2 at any tol")
+    th.add_argument("--tol", type=float, default=1e-6, help="bracket width")
     th.add_argument("--out")
 
     b = sub.add_parser("bounds", help="closed-form bounds for a type")

@@ -30,11 +30,7 @@ class VertexHit(TetrageoError):
 
 
 class TooLong(TetrageoError):
-    """Spherical candidate reached length 2*pi or more; quarter_length is its quarter chord's."""
-
-    def __init__(self, message, quarter_length=None):
-        super().__init__(message)
-        self.quarter_length = quarter_length
+    """Spherical candidate reached length 2*pi or more."""
 
 
 class NoLinkNodes(TetrageoError):

@@ -11,9 +11,10 @@ midpoint chord; the closed-form angle bounds are one-sided cross-checks:
   shorter than 2*pi; the curve is the midpoint chord where that is
   contained, otherwise one bounded solve of the Newton chord solver of
   :mod:`frames`, which wraps the blocking vertices;
-* threshold: beta(p,q), where containment stops, bracketed by the
-  containment predicate and found by Brent's method on the length margin
-  2*pi - 4 * (quarter chord length), zero at the flat digon.
+* threshold: beta(p,q), where the geodesic becomes the flat digon of
+  length 2*pi, is the least root in (pi/3, 2pi/3) of the integer trace
+  polynomial x_(p,q)(cos alpha) = 2 cos(L/4), bracketed in exact integer
+  arithmetic; no chord is constructed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from . import frames
 from .combinat import GeodesicType, canonical_word
-from .errors import BoundDegenerate, BoundVacuous, NoThreshold, TooLong
+from .errors import BoundDegenerate, BoundVacuous, NoThreshold, NumericalFailure, TooLong
 from .geom import SpaceKind
 from .paths import GeodesicPath, NotContained, midpoint_geodesic
 from .tetra import TetrahedronSpec
@@ -209,118 +210,121 @@ def exists_geodesic(spec: TetrahedronSpec, t: GeodesicType):
                             alpha1=alpha1, alpha2=alpha2)
 
 
-def _probe(alpha, t):
-    """Containment of the type-(p,q) midpoint chord at alpha, and its signed length margin.
+def trace_polynomial(t: GeodesicType):
+    """x_(p,q) = 2 C(L/4) as a polynomial in c = cos(alpha): integer coefficients, c^0 first.
 
-    The decision is midpoint_geodesic's, TooLong read as not contained.
-    The margin 2*pi - 4 * (quarter chord length) vanishes at beta, where the
-    curve is the flat digon of length 2*pi; it is signed by the decision
-    (+ contained, - not), so it only steers the search and never moves a
-    probe to the wrong end of the bracket.  The length is the one the
-    construction took, or for a witness that of the shot it carries.
+    L is the type's length on the regular tetrahedron of angle alpha, C = cos
+    on S and cosh on H.  Farey neighbours a, b with mediant m and difference
+    d satisfy Fricke's trace identity x_m = x_a x_b - x_d (the Markov tree at
+    alpha -> 0, Zagier 1982); the Stern-Brocot walk to p/q carries
+    (x_a, x_b, x_d) from x(0,1) = x(1,0) = 1 + 2c and x(1,1) = 2c(1 + 2c).
+    x = 2 at c = 1/2 for every type, and x = 0 is the flat digon L = 2 pi.
     """
-    try:
-        result = midpoint_geodesic(TetrahedronSpec(SpaceKind.SPHERICAL, alpha), t)
-    except TooLong as exc:
-        return False, -abs(2.0 * math.pi - 4.0 * exc.quarter_length)
-    if isinstance(result, GeodesicPath):
-        return True, abs(2.0 * math.pi - 4.0 * result.extras["quarter_length"])
-    return False, -abs(2.0 * math.pi - 4.0 * sum(frames.trace_geometry(*result.chord)))
+    xa, xb, xd = (1, 2), (0, 2, 4), (1, 2)
+    if t.p == 0:
+        return xa
+    a, b = (0, 1), (1, 1)
+    while b != (t.p, t.q):
+        m = (a[0] + b[0], a[1] + b[1])
+        xm = [-v for v in xd] + [0] * (len(xa) + len(xb) - 1 - len(xd))
+        for i, u in enumerate(xa):
+            for j, v in enumerate(xb):
+                xm[i + j] += u * v
+        if t.p * m[1] <= m[0] * t.q:    # p/q in [a, m]: its difference is b
+            b, xb, xd = m, tuple(xm), xb
+        else:                           # in (m, b]: its difference is a
+            a, xa, xd = m, tuple(xm), xa
+    return xb
+
+
+def _sign(poly, c):
+    """Sign of poly at the exact rational value of the float c."""
+    num, den = c.as_integer_ratio()
+    value, scale = 0, 1
+    for a in reversed(poly):
+        value = value * num + a * scale
+        scale *= den
+    return (value > 0) - (value < 0)
+
+
+def _variations(poly, lo, hi):
+    """Descartes' bound on the roots of poly in the open interval (lo, hi) of floats.
+
+    The sign variations of (1 + y)^n poly((hi + lo y) / (1 + y)), in exact
+    integers: at most the number of roots, and of the same parity.
+    """
+    (L, D1), (H, D2) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    D = max(D1, D2)
+    L, W = L * (D // D1), H * (D // D2) - L * (D // D1)
+    n = len(poly) - 1
+    r = [a * D ** (n - k) for k, a in enumerate(poly)]
+    for i in range(n):                      # r(y) <- r(L + y)
+        for j in range(n - 1, i - 1, -1):
+            r[j] += L * r[j + 1]
+    w = 1
+    for k in range(n + 1):                  # r(y) <- r(W y), then y^n r(1/y)
+        r[k] *= w
+        w *= W
+    r.reverse()
+    for i in range(n):                      # r(y) <- r(1 + y)
+        for j in range(n - 1, i - 1, -1):
+            r[j] += r[j + 1]
+    signs = [a > 0 for a in r if a]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """[lo, hi] certified for the containment predicate (see threshold_beta), beta its midpoint."""
+    """[lo, hi] certified around beta(p,q) (see threshold_beta); beta is its midpoint."""
 
     beta: float
     lo: float
     hi: float
     tol: float
-    probes: int                   # containment probes (midpoint chords) taken
 
 
 def threshold_beta(t: GeodesicType, tol=1e-6):
-    """Brent threshold: containment holds below beta, fails above.
+    """Threshold beta(p,q): the least root in (pi/3, 2pi/3) of x_(p,q)(cos alpha).
 
-    The bracket [lo, hi] is certified for the containment predicate: lo is
-    contained and hi is not, and every probe lies strictly inside the
-    bracket and replaces the end on its side.  The signed length margin of
-    :func:`_probe` only chooses the next probe, by Brent's method (inverse
-    quadratic or secant steps, a bisection when they stall), with steps of
-    at least max(tol/2, 2 ulp).  The search stops when hi - lo <= tol or lo
-    and hi are adjacent floats.  A crossing within paths.FRACTION_MARGIN of
-    a vertex reads as not contained, so containment fails early and a tol
-    below about 1e-9 may exclude the exact beta: for (1,1), hi lies 0.98e-9
-    to 1.57e-9 below pi/2 at every tol from 1e-6 down to 1e-12.
+    Below beta the type-(p,q) geodesic is shorter than 2 pi; at beta it is
+    the flat digon (see :func:`trace_polynomial`).  No construction is made.
+    The bracket is certified in exact integers on the floats' rationals,
+    writing x(a) for x_(p,q) at the float cos(a): x(lo) > 0 >= x(hi), and
+    no root on (pi/3, lo], by Descartes' rule of signs on (pi/3, 2pi/3)
+    halved from the left until a part holds one root.  Bisection on the
+    sign of x then ends when hi - lo <= tol or lo and hi are adjacent
+    floats.
 
-    Raises NoThreshold when the predicate is constant on (pi/3, 2pi/3),
-    e.g. for type (0,1) which exists at every angle.
+    Raises NoThreshold when x has no root on the interval, as for type
+    (0,1), whose root is 2pi/3.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
-    probes = 0
-
-    def probe(alpha):
-        nonlocal probes
-        probes += 1
-        return _probe(alpha, t)
-
-    hi = 2.0 * math.pi / 3.0 - 1e-9
-    contained, fhi = probe(hi)
-    if contained:
+    x = trace_polynomial(t)
+    # each part (lo, hi) has x(lo) > 0 and no root left of it; at the first,
+    # x(1/2) = 2 and the float cos(pi/3) lies 1.1e-16 above 1/2
+    parts = [(math.pi / 3.0, 2.0 * math.pi / 3.0)]
+    while parts:
+        lo, hi = parts.pop()
+        roots = _variations(x, math.cos(hi), math.cos(lo))
+        if roots == 1 or roots == 0 and _sign(x, math.cos(hi)) == 0:
+            break
+        if roots > 1:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                raise NumericalFailure(f"roots of x{(t.p, t.q)} closer than the float spacing")
+            parts += [(mid, hi), (lo, mid)]
+    else:
         raise NoThreshold(f"type {(t.p, t.q)} exists across the whole interval")
-    lo = None
-    step = 1e-4
-    while step > 1e-13:
-        cand = math.pi / 3.0 + step
-        contained, flo = probe(cand)
-        if contained:
-            lo = cand
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
             break
-        step *= 0.1
-    if lo is None:
-        raise NoThreshold(f"type {(t.p, t.q)} never exists on the interval")
-    # Brent's method on the margin: cur is the bracket end with the smaller
-    # |margin|, blk the other end, pre the previous cur; spre and scur are
-    # the last two steps
-    pre, fpre, cur, fcur, blk, fblk = lo, flo, hi, fhi, lo, flo
-    spre = scur = hi - lo
-    while True:
-        if abs(fblk) < abs(fcur):
-            pre, cur, blk = cur, blk, cur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        # at adjacent floats lo and hi, tol is below their spacing
-        if hi - lo <= tol or 0.5 * (lo + hi) in (lo, hi):
-            break
-        delta = max(0.5 * tol, 2.0 * math.ulp(cur))
-        sbis = 0.5 * (blk - cur)
-        if abs(spre) > delta and abs(fcur) < abs(fpre) and fblk != 0.0:
-            if pre == blk:      # secant
-                stry = -fcur * (cur - pre) / (fcur - fpre)
-            else:               # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (pre - cur)
-                dblk = (fblk - fcur) / (blk - cur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+        if _sign(x, math.cos(mid)) > 0:
+            lo = mid
         else:
-            spre = scur = sbis
-        pre, fpre = cur, fcur
-        x = cur + (scur if abs(scur) > delta else math.copysign(delta, sbis))
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        contained, fx = probe(x)
-        if contained:
-            lo = x
-        else:
-            hi = x
-        cur, fcur = x, fx
-        if blk not in (lo, hi):     # x replaced blk's end: the bracket is now [pre, x]
-            blk, fblk = pre, fpre
-            spre = scur = cur - pre
-    return ThresholdResult(beta=0.5 * (lo + hi), lo=lo, hi=hi, tol=tol, probes=probes)
+            hi = mid
+    return ThresholdResult(beta=0.5 * (lo + hi), lo=lo, hi=hi, tol=tol)
 
 
 # ---------------------------------------------------------------------------

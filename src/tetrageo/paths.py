@@ -76,7 +76,7 @@ class GeodesicPath:
 
 @dataclass(frozen=True)
 class NotContained:
-    """First boundary violation of the midpoint chord; chord: (steps, offsets pinned at X1, Y1).
+    """First boundary violation of the midpoint chord.
 
     signed_distance: in S, the distance from the chord's great circle of
     whichever end of the edge lies nearer it, signed by the side of the pole
@@ -89,7 +89,6 @@ class NotContained:
     edge: str
     signed_distance: float
     reason: str = "chord leaves the face chain"
-    chord: tuple = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +394,17 @@ def _quarter_chord(spec, word):
             else:
                 sd = min(f, 1.0 - f) * ells[i]
             return None, NotContained(word.gtype, face_index=i, edge=tokens[i],
-                                      signed_distance=sd, chord=(steps, offsets)), None, steps
+                                      signed_distance=sd), None, steps
     if out_of_order:
         return None, NotContained(word.gtype, face_index=K, edge=tokens[K], signed_distance=0.0,
-                                  reason="crossings out of order",
-                                  chord=(steps, offsets)), None, steps
+                                  reason="crossings out of order"), None, steps
     if not spherical:       # the solver's length: a contained quarter has no pinned segment
         return fracs, None, {"quarter_length": quarter_len}, steps
     quarter_len = sum(frames.trace_geometry(steps, offsets))
     # by the exact criterion a contained chord is shorter than 2*pi; the
     # length check runs after containment so genuine exits report a witness
     if 4.0 * quarter_len >= 2.0 * math.pi:
-        raise TooLong(f"candidate length {4 * quarter_len:.6f} >= 2*pi", quarter_len)
+        raise TooLong(f"candidate length {4 * quarter_len:.6f} >= 2*pi")
     # mid(e_j) is (1, 0, 0) in frame E_j: its distance from the chord is asin(n_0)
     normals = frames.carry_normals(chain[K:], normals[K])
     sym_res = max(abs(normals[j][0]) for j in (K, 2 * K, 3 * K))
@@ -442,8 +440,7 @@ def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
     path = _assemble_path(spec, t, word.tokens, fracs, extras=extras, measured=quarter,
                           steps=steps)
     if spherical and path.total_length >= 2.0 * math.pi:
-        raise TooLong(f"constructed length {path.total_length:.6f} >= 2*pi",
-                      extras["quarter_length"])
+        raise TooLong(f"constructed length {path.total_length:.6f} >= 2*pi")
     if not (spherical or path.closed):
         raise NumericalFailure(
             f"quarter chord fails the closure check (residual {path.closure_residual:.3e})")

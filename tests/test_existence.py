@@ -1,8 +1,11 @@
 """Existence bounds, thresholds, abstract curve length, verdicts."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from conftest import coprime_types
 from tetrageo.combinat import GeodesicType
@@ -12,7 +15,7 @@ from tetrageo.existence import (abstract_shortest_curve_length,
                                 hyperbolic_clearance_bound,
                                 hyperbolic_length_lower_bound,
                                 necessary_alpha_bound, sufficient_epsilon_bound,
-                                threshold_beta)
+                                threshold_beta, trace_polynomial)
 from tetrageo.geom import SpaceKind
 from tetrageo.paths import midpoint_geodesic, GeodesicPath
 from tetrageo.tetra import TetrahedronSpec, angle_from_edge
@@ -142,86 +145,99 @@ def _contained(alpha, t):
     return isinstance(result, GeodesicPath)
 
 
-def _bisection_threshold(t, tol):
-    """The containment bisection threshold_beta ran before Brent's method: (lo, hi, probes)."""
-    hi = 2.0 * math.pi / 3.0 - 1e-9
-    assert not _contained(hi, t)
-    lo = math.pi / 3.0 + 1e-4
-    assert _contained(lo, t)
-    probes = 2
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        probes += 1
-        if _contained(mid, t):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi, probes
+def _x(t, alpha):
+    """x_(p,q) at the exact rational value of the float cos(alpha)."""
+    c = Fraction(math.cos(alpha))
+    return sum(a * c ** k for k, a in enumerate(trace_polynomial(t)))
 
 
 # the types p+q <= 8 with a necessary bound, and (1,1) whose beta is pi/2
 THRESHOLD_TYPES = [(1, 1)] + [pq for pq in coprime_types(8) if sum(pq) >= 3]
 
 
-@pytest.mark.parametrize("pq, tol", [(pq, 1e-6) for pq in THRESHOLD_TYPES]
-                         + [((1, 1), 1e-9), ((1, 2), 1e-9)])
+@pytest.mark.parametrize("tol", [10.0 ** -e for e in range(6, 13)])
+def test_threshold_brackets_closed_forms(tol):
+    # beta(1,1) = pi/2, the root c = 0 of x = 2c(1 + 2c); beta(1,2) = 2 pi/5
+    for pq, beta in (((1, 1), math.pi / 2), ((1, 2), 1.2566370614359172)):
+        res = threshold_beta(GeodesicType(*pq), tol)
+        assert res.lo <= beta <= res.hi, (pq, res)
+        assert 0.0 < res.hi - res.lo <= tol
+
+
+@pytest.mark.parametrize("pq, tol", [(pq, tol) for tol in (1e-6, 1e-9) for pq in THRESHOLD_TYPES])
 def test_threshold_bracket_is_certified(pq, tol):
-    # lo is contained and hi is not, whatever the margin steered; the bracket
-    # overlaps the bisection's (it need not contain the bisection's beta)
+    # exact end signs, the least root against numpy's roots, and the containment
+    # predicate as a differential oracle: it fails about 1e-9 below beta, so it
+    # holds at lo - 2e-9 and fails at hi
     t = GeodesicType(*pq)
     res = threshold_beta(t, tol)
-    assert _contained(res.lo, t) and not _contained(res.hi, t)
+    assert _x(t, res.lo) > 0 >= _x(t, res.hi)
     assert 0.0 < res.hi - res.lo <= tol
     assert res.beta == 0.5 * (res.lo + res.hi)
-    lo, hi, _ = _bisection_threshold(t, tol)
-    assert res.lo <= hi and lo <= res.hi
+    roots = np.roots(trace_polynomial(t)[::-1])
+    least = max(r.real for r in roots if abs(r.imag) < 1e-9 and -0.5 + 1e-9 < r.real < 0.5)
+    assert math.cos(res.hi) - 1e-9 < least < math.cos(res.lo) + 1e-9
+    assert _contained(res.lo - 2e-9, t) and not _contained(res.hi, t)
 
 
-def test_threshold_takes_few_probes(monkeypatch):
-    # the bisection takes 22 probes per type at tol 1e-6
-    import tetrageo.existence as existence_mod
-    calls = []
-    monkeypatch.setattr(existence_mod, "midpoint_geodesic",
-                        lambda spec, t: calls.append(t) or midpoint_geodesic(spec, t))
-    for pq in THRESHOLD_TYPES:
-        before = len(calls)
-        res = threshold_beta(GeodesicType(*pq), 1e-6)
-        assert res.probes == len(calls) - before
-        assert res.probes <= 12, (pq, res.probes)
-
-
-def test_threshold_probe_shoots_once(monkeypatch):
-    # a probe's length margin comes from the shot its construction made: a
-    # witness carries its chord, TooLong its quarter length
+def test_threshold_makes_no_construction(monkeypatch):
     import tetrageo.existence as existence_mod
     from tetrageo import frames
-    probes, shots, shoot = [], [], frames.shoot_chord
-    monkeypatch.setattr(existence_mod, "midpoint_geodesic",
-                        lambda spec, t: probes.append(t) or midpoint_geodesic(spec, t))
-    monkeypatch.setattr(frames, "shoot_chord", lambda steps: shots.append(1) or shoot(steps))
-    for pq in THRESHOLD_TYPES:
-        threshold_beta(GeodesicType(*pq), 1e-6)
-    assert len(shots) == len(probes)
 
-
-@pytest.mark.parametrize("tol", [10.0 ** -e for e in range(6, 13)])
-def test_threshold_11_ends_just_below_pi_over_2(tol):
-    # containment of (1,1) fails about 1e-9 before beta = pi/2, so hi sits
-    # there at every tol, and from 1e-10 down the bracket excludes pi/2
-    res = threshold_beta(GeodesicType(1, 1), tol)
-    assert 0.9e-9 < math.pi / 2 - res.hi < 1.7e-9
+    def refuse(*args):
+        raise AssertionError("threshold_beta built a chord")
+    want = {pq: threshold_beta(GeodesicType(*pq), 1e-6) for pq in THRESHOLD_TYPES}
+    monkeypatch.setattr(existence_mod, "midpoint_geodesic", refuse)
+    monkeypatch.setattr(frames, "build_chain", refuse)
+    assert {pq: threshold_beta(GeodesicType(*pq), 1e-6) for pq in THRESHOLD_TYPES} == want
 
 
 def test_threshold_tol_below_float_spacing():
-    # the search ends once lo and hi are adjacent floats: the bisection's own bracket
-    t = GeodesicType(1, 1)
-    res = threshold_beta(t, tol=1e-300)
-    assert 0.0 < res.hi - res.lo <= 2.0 * math.ulp(res.lo)
-    lo, hi, probes = _bisection_threshold(t, 1e-300)
-    assert (res.lo, res.hi) == (lo, hi)
-    assert res.probes < probes
+    # the bisection ends once lo and hi are adjacent floats
+    for pq in THRESHOLD_TYPES:
+        t = GeodesicType(*pq)
+        res = threshold_beta(t, tol=1e-300)
+        assert res.hi == math.nextafter(res.lo, math.inf), pq
+        assert _x(t, res.lo) > 0 >= _x(t, res.hi), pq
+
+
+def test_trace_polynomial_at_pi_over_3():
+    # the flat limit: L -> 0, x = 2 C(0) = 2 at c = 1/2 for every type
+    for pq in coprime_types(30):
+        poly = trace_polynomial(GeodesicType(*pq))
+        assert len(poly) == sum(pq) + 1 and poly[-1] == 2 ** sum(pq), pq
+        assert sum(a * Fraction(1, 2) ** k for k, a in enumerate(poly)) == 2, pq
+
+
+def test_threshold_deep_type():
+    # degree 151: the bracket is certified as for the short types
+    t = GeodesicType(50, 101)
+    res = threshold_beta(t, 1e-6)
+    assert math.pi / 3 < res.lo < res.hi <= res.lo + 1e-6
+    assert _x(t, res.lo) > 0 >= _x(t, res.hi)
+
+
+@given(pq=st.sampled_from(coprime_types(12)),
+       alpha=st.floats(math.pi / 3 + 1e-6, 2 * math.pi / 3 - 1e-6))
+def test_trace_identity_spherical(pq, alpha):
+    # the constructed length against the trace polynomial: 2 cos(L/4) = x
+    t = GeodesicType(*pq)
+    try:
+        path = midpoint_geodesic(TetrahedronSpec(S, alpha), t)
+    except TooLong:
+        path = None
+    assume(isinstance(path, GeodesicPath))
+    assert abs(2.0 * math.cos(path.total_length / 4.0) - float(_x(t, alpha))) <= 1e-12
+
+
+@given(pq=st.sampled_from(coprime_types(12)),
+       alpha=st.floats(1e-3, math.pi / 3 - 1e-3))
+def test_trace_identity_hyperbolic(pq, alpha):
+    # on the hyperboloid 2 cosh(L/4) = x, relative to x
+    t = GeodesicType(*pq)
+    path = midpoint_geodesic(TetrahedronSpec(SpaceKind.HYPERBOLIC, alpha), t)
+    x = float(_x(t, alpha))
+    assert abs(2.0 * math.cosh(path.total_length / 4.0) - x) <= 1e-12 * x
 
 
 def test_abstract_length_below_threshold_equals_geodesic():
