@@ -20,11 +20,14 @@ quarter chord moved from the global chart to edge-local frames: the
 midpoint_geodesic outcome (the witness face and edge, or the exception)
 for every type p+q <= 7 at alpha = 1.05 + 0.01 k, k < 36, and the repr of
 the threshold_beta(t, 1e-6) bracket of every type p+q <= 8 with a
-necessary bound, and (1, 1).  The brackets were re-taken when the
-threshold search moved from bisection to Brent's method on the length
-margin; every decision entry stayed byte for byte the same.  The new
-brackets overlap the bisection's but need not contain its beta (5 of
-the 11 do not): both are certified by the containment predicate alone.
+necessary bound, and (1, 1).  The brackets were re-taken twice, every
+decision entry staying byte for byte the same: when the threshold
+search moved from bisection to Brent's method on the length margin, and
+when the threshold became the least root of the integer trace
+polynomial (existence.trace_polynomial), bracketed in exact arithmetic
+instead of by the containment predicate.  The predicate fails up to
+about 1.6e-9 below that root, so the containment bracket of (1, 1) ended
+9.8e-10 short of pi/2; the other 10 new brackets overlap the old ones.
 
 Its "generic" part pins the closed chord solve (the cyclic Newton system
 of generic_hyperbolic_geodesic) and its "spherical_lengths" part the
