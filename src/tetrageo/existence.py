@@ -288,12 +288,11 @@ def threshold_beta(t: GeodesicType, tol=1e-6):
 
     Below beta the type-(p,q) geodesic is shorter than 2 pi; at beta it is
     the flat digon (see :func:`trace_polynomial`).  No construction is made.
-    The bracket is certified in exact integers on the floats' rationals,
-    writing x(a) for x_(p,q) at the float cos(a): x(lo) > 0 >= x(hi), and
-    no root on (pi/3, lo], by Descartes' rule of signs on (pi/3, 2pi/3)
-    halved from the left until a part holds one root.  Bisection on the
-    sign of x then ends when hi - lo <= tol or lo and hi are adjacent
-    floats.
+    Writing x(a) for x_(p,q) at the float cos(a), the bracket is certified
+    in exact integers on the floats' rationals: x(lo) > 0 >= x(hi), and no
+    root on (pi/3, lo] by Descartes' rule of signs on parts of (pi/3, 2pi/3)
+    halved from the left until one holds a root.  The bisection on the sign
+    of x ends when hi - lo <= tol or lo and hi are adjacent floats.
 
     Raises NoThreshold when x has no root on the interval, as for type
     (0,1), whose root is 2pi/3.
@@ -306,10 +305,10 @@ def threshold_beta(t: GeodesicType, tol=1e-6):
     parts = [(math.pi / 3.0, 2.0 * math.pi / 3.0)]
     while parts:
         lo, hi = parts.pop()
-        roots = _variations(x, math.cos(hi), math.cos(lo))
-        if roots == 1 or roots == 0 and _sign(x, math.cos(hi)) == 0:
+        changes = _variations(x, math.cos(hi), math.cos(lo))
+        if changes == 1 or changes == 0 and _sign(x, math.cos(hi)) == 0:
             break
-        if roots > 1:
+        if changes > 1:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 raise NumericalFailure(f"roots of x{(t.p, t.q)} closer than the float spacing")
