@@ -97,6 +97,9 @@ def test_threshold(tmp_path):
     doc = json.loads(text)
     assert doc["beta"] == pytest.approx(math.pi / 2, abs=1e-4)
     assert doc["bracket"][0] <= doc["beta"] <= doc["bracket"][1]
+    code, text = run_cli(["threshold", "--p", "1", "--q", "1", "--tol", "1e-12"], tmp_path)
+    lo, hi = json.loads(text)["bracket"]
+    assert code == 0 and lo <= math.pi / 2 <= hi and hi - lo <= 1e-12
     code, _ = run_cli(["threshold", "--p", "0", "--q", "1"], tmp_path)
     assert code == 3
 
