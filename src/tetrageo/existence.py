@@ -1,7 +1,7 @@
 """Existence bounds and threshold machinery for spherical tetrahedra.
 
-The operational existence criterion is the containment test of the
-midpoint chord; the closed-form angle bounds are one-sided cross-checks:
+The existence criterion is the threshold beta(p,q) below which the type
+exists; the closed-form angle bounds and the 2*pi criterion are cross-checks:
 
 * necessary: no type-(p,q) geodesic when alpha exceeds
   2 arcsin sqrt(N / (4N - pi^2)), N = p^2+pq+q^2;
@@ -153,10 +153,10 @@ def hyperbolic_length_lower_bound(alpha, t: GeodesicType):
     return 2.0 * (t.p + t.q) * math.log(2.0 * math.sqrt(3.0) * (1.0 - 3.0 * alpha / math.pi) + 1.0)
 
 
-# both bounds depend on the type only, and every verdict reports them
+# the bounds and the threshold depend on the type only, and every verdict reports them
 @functools.lru_cache(maxsize=256)
-def _bounds_pair(t):
-    a1 = a2 = None
+def _bounds(t):
+    a1 = a2 = threshold = None
     try:
         a1 = math.pi / 3 + sufficient_epsilon_bound(t).epsilon
     except BoundDegenerate:
@@ -165,49 +165,41 @@ def _bounds_pair(t):
         a2 = necessary_alpha_bound(t)
     except BoundVacuous:
         pass
-    return a1, a2
+    try:
+        threshold = threshold_beta(t, UNDETERMINED_MARGIN)
+    except NoThreshold:
+        pass
+    return a1, a2, threshold
 
 
 def exists_geodesic(spec: TetrahedronSpec, t: GeodesicType):
     """Existence verdict for a type-(p,q) geodesic on a spherical tetrahedron.
 
-    The decision is the containment test; the inequality bounds and the
-    2*pi criterion are attached as reasons.  Verdicts within 1e-9 of the
-    containment boundary are reported undetermined rather than forced.
+    Decided by the tol-1e-9 bracket [lo, hi] of beta(p,q): not_exists from
+    hi on, with no chord built, undetermined inside.  Below it, or with no
+    threshold as for (0,1), exists iff the midpoint chord is contained with
+    every crossing 1e-9 from a vertex, else undetermined.
     """
     if spec.space != SpaceKind.SPHERICAL:
         raise ValueError("existence verdicts apply to spherical tetrahedra")
-    alpha1, alpha2 = _bounds_pair(t)
+    alpha1, alpha2, threshold = _bounds(t)
+    bounds = dict(alpha1=alpha1, alpha2=alpha2, beta=threshold.beta if threshold else None)
+    if threshold is not None and spec.alpha >= threshold.hi:
+        return ExistenceVerdict("not_exists", t, spec.alpha,
+                                reason="alpha at or above the threshold beta", **bounds)
+    if threshold is not None and spec.alpha > threshold.lo:
+        return ExistenceVerdict("undetermined", t, spec.alpha,
+                                reason="alpha within the threshold bracket", **bounds)
     try:
         result = midpoint_geodesic(spec, t)
     except TooLong as exc:
-        return ExistenceVerdict("not_exists", t, spec.alpha, reason=str(exc),
-                                alpha1=alpha1, alpha2=alpha2)
-    if isinstance(result, GeodesicPath):
-        interior = [min(f, 1.0 - f) for _, f in result.crossings]
-        if min(interior) < UNDETERMINED_MARGIN:
-            return ExistenceVerdict("undetermined", t, spec.alpha,
-                                    reason="chord within tolerance of the boundary",
-                                    alpha1=alpha1, alpha2=alpha2)
-        return ExistenceVerdict("exists", t, spec.alpha, path=result,
-                                alpha1=alpha1, alpha2=alpha2)
-    assert isinstance(result, NotContained)
-    if abs(result.signed_distance) < UNDETERMINED_MARGIN:
+        return ExistenceVerdict("undetermined", t, spec.alpha, reason=str(exc), **bounds)
+    if isinstance(result, NotContained):
+        return ExistenceVerdict("undetermined", t, spec.alpha, reason=result.reason, **bounds)
+    if result.min_fraction_margin < UNDETERMINED_MARGIN:
         return ExistenceVerdict("undetermined", t, spec.alpha,
-                                reason="chord touches the boundary within tolerance",
-                                alpha1=alpha1, alpha2=alpha2)
-    if alpha2 is not None and spec.alpha > alpha2:
-        return ExistenceVerdict("not_exists", t, spec.alpha,
-                                reason="alpha exceeds the necessary bound",
-                                alpha1=alpha1, alpha2=alpha2)
-    length = _solved_curve_length(spec, t)
-    if length >= 2.0 * math.pi - 1e-9:
-        return ExistenceVerdict("not_exists", t, spec.alpha,
-                                reason="abstract shortest curve not shorter than 2*pi",
-                                alpha1=alpha1, alpha2=alpha2)
-    return ExistenceVerdict("undetermined", t, spec.alpha,
-                            reason="containment and length criteria disagree within tolerance",
-                            alpha1=alpha1, alpha2=alpha2)
+                                reason="chord within tolerance of the boundary", **bounds)
+    return ExistenceVerdict("exists", t, spec.alpha, path=result, **bounds)
 
 
 def trace_polynomial(t: GeodesicType):
@@ -349,11 +341,6 @@ def abstract_shortest_curve_length(spec: TetrahedronSpec, t: GeodesicType):
             return result.total_length
     except TooLong:
         pass
-    return _solved_curve_length(spec, t)
-
-
-def _solved_curve_length(spec, t):
-    """The bounded chord solve of the abstract curve, for a chord that is not contained."""
     word = canonical_word(t)
     tokens = list(word.tokens) + [word.tokens[0]]
     steps = frames.build_chain(spec, tokens)

@@ -79,6 +79,8 @@ def test_exists_exit_codes(tmp_path):
     doc = json.loads(text)
     assert doc["outcome"] == "not_exists"
     assert doc["alpha2"] == pytest.approx(1.3409621366164460)
+    assert abs(doc["beta"] - 2 * math.pi / 5) < 1e-9
+    assert doc["reason"] == "alpha at or above the threshold beta"
     code, text = run_cli(["exists", "--space", "spherical", "--alpha", "1.885",
                           "--p", "0", "--q", "1"], tmp_path)
     assert code == 0

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import coprime_types
 from tetrageo.combinat import GeodesicType
-from tetrageo.errors import BoundDegenerate, BoundVacuous, NoThreshold, TooLong
+from tetrageo.errors import (BoundDegenerate, BoundVacuous, NoThreshold, NumericalFailure,
+                             TooLong)
 from tetrageo.existence import (abstract_shortest_curve_length,
                                 edge_sufficient_bound, exists_geodesic,
                                 hyperbolic_clearance_bound,
@@ -433,18 +434,62 @@ def test_exact_criterion_on_verdict_grid():
 
 
 def test_verdict_builds_the_midpoint_chord_once(monkeypatch):
-    # a verdict that reaches the length criterion reuses the chord it built
+    # not_exists is read off the threshold bracket; exists builds the chord once
     import tetrageo.existence as existence_mod
+    from tetrageo import frames
+    t = GeodesicType(1, 2)
     calls = []
 
     def counted(spec, t):
         calls.append(t)
         return midpoint_geodesic(spec, t)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("a not_exists verdict ran the chord solver")
     monkeypatch.setattr(existence_mod, "midpoint_geodesic", counted)
-    t = GeodesicType(1, 2)
-    spec = TetrahedronSpec(SpaceKind.SPHERICAL, 1.3)
-    verdict = exists_geodesic(spec, t)
-    assert verdict.outcome == "not_exists" and "abstract shortest curve" in verdict.reason
-    assert len(calls) == 1
-    assert abstract_shortest_curve_length(spec, t) >= 2 * math.pi - 1e-9
+    monkeypatch.setattr(frames, "relax_chord", refuse)
+    verdict = exists_geodesic(TetrahedronSpec(S, 1.3), t)
+    assert verdict.outcome == "not_exists" and verdict.path is None and calls == []
+    verdict = exists_geodesic(TetrahedronSpec(S, 1.2), t)
+    assert verdict.outcome == "exists" and len(calls) == 1
+    monkeypatch.undo()
+    assert abstract_shortest_curve_length(TetrahedronSpec(S, 1.3), t) >= 2 * math.pi - 1e-9
+
+
+def _containment_verdict(spec, t):
+    """The outcome exists_geodesic gave before it read the threshold: the
+    containment test, then the necessary bound alpha2, then the taut-string
+    length of the abstract curve against 2*pi."""
+    try:
+        result = midpoint_geodesic(spec, t)
+    except TooLong:
+        return "not_exists"
+    if isinstance(result, GeodesicPath):
+        if min(min(f, 1.0 - f) for f in result.fractions) < 1e-9:
+            return "undetermined"
+        return "exists"
+    if abs(result.signed_distance) < 1e-9:
+        return "undetermined"
+    try:
+        if spec.alpha > necessary_alpha_bound(t):
+            return "not_exists"
+    except BoundVacuous:
+        pass
+    # the chord is not contained, so this is the bounded taut-string solve; just
+    # above some thresholds it does not converge, and the oracle has no verdict
+    try:
+        length = abstract_shortest_curve_length(spec, t)
+    except NumericalFailure:
+        return "undetermined"
+    return "not_exists" if length >= 2.0 * math.pi - 1e-9 else "undetermined"
+
+
+@settings(max_examples=200)
+@given(pq=st.sampled_from(coprime_types(12)),
+       alpha=st.floats(math.pi / 3 + 1e-4, 2 * math.pi / 3 - 1e-4))
+def test_threshold_verdict_against_containment(pq, alpha):
+    t = GeodesicType(*pq)
+    spec = TetrahedronSpec(S, alpha)
+    want = _containment_verdict(spec, t)
+    assume(want != "undetermined")
+    assert exists_geodesic(spec, t).outcome == want
