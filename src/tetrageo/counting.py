@@ -93,7 +93,12 @@ def admissible_types(L, alpha):
 
     Near the flat limit the filter admits ~c(alpha) L^2 types; the cap
     MAX_TYPES turns a would-be runaway enumeration into an explicit error.
+    ValueError unless 0 < alpha < pi/3 and L is positive and finite.
     """
+    if not (0.0 < alpha < math.pi / 3):
+        raise ValueError("alpha must lie in (0, pi/3)")
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError("L must be positive and finite")
     out = []
     n = 1
     while length_pruning_bound(alpha, n) <= L:
@@ -165,10 +170,6 @@ def count_exact(L, alpha, jobs=1):
     the types not kept yet go to the pool.
     """
     global _row_memo_alpha
-    if not (0.0 < alpha < math.pi / 3):
-        raise ValueError("alpha must lie in (0, pi/3)")
-    if not (math.isfinite(L) and L > 0):
-        raise ValueError("L must be positive and finite")
     types = admissible_types(L, alpha)
     if alpha != _row_memo_alpha:
         _row_memo.clear()

@@ -81,6 +81,19 @@ def test_count_exact_rejects_nonfinite_length():
             count_exact(L, 0.5)
 
 
+@pytest.mark.parametrize("L, alpha, message", [
+    (math.nan, 0.5, "L must be"), (math.inf, 0.5, "L must be"), (-math.inf, 0.5, "L must be"),
+    (0.0, 0.5, "L must be"), (-10.0, 0.5, "L must be"),
+    (10.0, math.nan, "alpha must"), (10.0, math.inf, "alpha must"),
+    (10.0, -math.inf, "alpha must"), (10.0, 0.0, "alpha must"),
+    (10.0, math.pi / 3, "alpha must"), (10.0, 2.0, "alpha must")])
+def test_admissible_types_rejects_bad_input(L, alpha, message):
+    # count_exact checks its input by calling admissible_types first
+    for count in (admissible_types, count_exact):
+        with pytest.raises(ValueError, match=message):
+            count(L, alpha)
+
+
 def test_count_exact_counts_by_length():
     rep = count_exact(16.0, math.pi / 6)
     manual = 3 * sum(1 for _, _, length, _ in rep.lengths if length <= 16.0)
