@@ -42,7 +42,7 @@ class ExistenceVerdict:
     reason: str = ""
     alpha1: float = None          # pi/3 + eps* when the sufficient bound is defined
     alpha2: float = None          # necessary bound when defined
-    beta: float = None
+    beta: float = None            # threshold_beta at tol 1e-9 when the type has one
 
     @property
     def exists(self):
