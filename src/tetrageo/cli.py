@@ -81,7 +81,6 @@ def _build_parser():
     cn.add_argument("--alpha", type=float, required=True)
     cn.add_argument("--deg", action="store_true")
     cn.add_argument("--L", type=float, required=True)
-    cn.add_argument("--jobs", type=int, default=1)
     cn.add_argument("--format", default="json", choices=("json", "csv"))
     cn.add_argument("--out")
 
@@ -231,7 +230,7 @@ def _cmd_bounds(args):
 
 def _cmd_count(args):
     alpha = math.radians(args.alpha) if args.deg else args.alpha
-    rep = count_exact(args.L, alpha, jobs=args.jobs)
+    rep = count_exact(args.L, alpha)
     if args.format == "csv":
         _emit(report.count_to_csv(rep), args.out)
     else:

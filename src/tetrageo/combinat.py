@@ -80,17 +80,6 @@ class CrossingSequence:
             counts[tok] = counts.get(tok, 0) + 1
         return counts
 
-    def faces(self):
-        """Face of each segment: union of consecutive crossed edges."""
-        n = len(self.tokens)
-        out = []
-        for i in range(n):
-            labels = set(self.tokens[i]) | set(self.tokens[(i + 1) % n])
-            if len(labels) != 3:
-                raise ValueError("consecutive crossings do not bound a face")
-            out.append(tuple(sorted(int(c) for c in labels)))
-        return out
-
 
 # label of the tiling vertex at (x, Y) = (u/2, m/2): _ROW_LABELS[m % 4][(u // 2) % 2]
 _ROW_LABELS = ((1, 2), (3, 4), (2, 1), (4, 3))

@@ -3,15 +3,18 @@
 The exact count enumerates coprime types admitted by the length lower
 bound 2(p+q) ln(2 sqrt(3)(1 - 3 alpha/pi) + 1), constructs each geodesic,
 and counts three isometric copies per type whose constructed length fits
-the budget.  Totient machinery supplies the asymptotics: the number of
-coprime pairs p < q with p + q <= x is psi(x) = (1/2) sum phi(y) - 1
-(the halving identity phi(y)/2 per sum value y holds from y = 3 on;
-y = 1, 2 contribute the -1 correction).  numpy is imported only by the
-sieve and the brute-force oracle, so importing the library does not load it.
+the budget.  A count runs in one process, and each row is cached by
+(alpha, p, q) in a bounded least-recently-used cache.  Totient machinery
+supplies the asymptotics: the number of coprime pairs p < q with
+p + q <= x is psi(x) = (1/2) sum phi(y) - 1 (the halving identity
+phi(y)/2 per sum value y holds from y = 3 on; y = 1, 2 contribute the -1
+correction).  numpy is imported only by the sieve and the brute-force
+oracle, so importing the library does not load it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -79,9 +82,14 @@ def psi_bruteforce(x):
     return count
 
 
+def _log_d(alpha):
+    """ln D, D = 2 sqrt(3)(1 - 3 alpha/pi) + 1, of the length bound and the growth constants."""
+    return math.log(2.0 * math.sqrt(3.0) * (1.0 - 3.0 * alpha / math.pi) + 1.0)
+
+
 def length_pruning_bound(alpha, n_sum):
-    """Lower bound on the length of any type with p + q = n_sum."""
-    return 2.0 * n_sum * math.log(2.0 * math.sqrt(3.0) * (1.0 - 3.0 * alpha / math.pi) + 1.0)
+    """Lower bound 2 n_sum ln D on the length of any type with p + q = n_sum."""
+    return 2.0 * n_sum * _log_d(alpha)
 
 
 # cap on the admissible type list of one count
@@ -104,14 +112,14 @@ def admissible_types(L, alpha):
     while length_pruning_bound(alpha, n) <= L:
         for p in range(0, n // 2 + 1):
             q = n - p
-            if p <= q and math.gcd(p, q) == 1 and (p, q) != (0, 0):
+            if math.gcd(p, q) == 1:
                 out.append(GeodesicType(p, q))
         if len(out) > MAX_TYPES:
             raise NumericalFailure(
                 f"more than {MAX_TYPES} admissible types for L={L}, alpha={alpha}; "
                 "the count grows like c(alpha) L^2 and diverges toward alpha = pi/3")
         n += 1
-    return sorted(out, key=lambda t: (t.p + t.q, t.p))
+    return out
 
 
 def asymptotic_constant(alpha):
@@ -126,7 +134,7 @@ def asymptotic_constant(alpha):
     """
     if not (0.0 <= alpha < math.pi / 3):
         raise ValueError("alpha must lie in [0, pi/3)")
-    lnD = math.log(2.0 * math.sqrt(3.0) * (1.0 - 3.0 * alpha / math.pi) + 1.0)
+    lnD = _log_d(alpha)
     return {
         "c_printed": 9.0 / (8.0 * math.pi ** 2 * lnD),
         "c_derived": 9.0 / (8.0 * math.pi ** 2 * lnD ** 2),
@@ -145,45 +153,29 @@ class CountReport:
     lengths: tuple = field(default=())   # (p, q, length, clearance) per admissible type
 
 
-def _measure_type(args):
-    alpha, p, q = args
+@functools.lru_cache(maxsize=MAX_TYPES)
+def _measure_type(alpha, p, q):
+    """Row (p, q, length, clearance) of the type-(p, q) geodesic at alpha."""
     spec = TetrahedronSpec(SpaceKind.HYPERBOLIC, alpha)
     result = midpoint_geodesic(spec, GeodesicType(p, q))
     if not isinstance(result, GeodesicPath):
-        return (p, q, math.inf, 0.0)
+        raise NumericalFailure(f"type ({p},{q}) at alpha={alpha!r}: {result.reason}")
     return (p, q, result.total_length, result.clearance)
-
-
-# rows of the most recent alpha that count_exact was called at, by (p, q)
-_row_memo = {}
-_row_memo_alpha = None
 
 
 def count_exact(L, alpha, jobs=1):
     """Count simple closed geodesics of length <= L, three copies per type.
 
-    A row (p, q, length, clearance) depends only on (alpha, p, q), so the
-    rows of the most recent alpha are kept and a ladder of L at one alpha
-    constructs each type once; a call at another alpha starts afresh.  The
-    admissible sets grow with L, so the kept rows are those of the largest
-    L asked at that alpha, never more than MAX_TYPES.  With jobs > 1 only
-    the types not kept yet go to the pool.
+    A row (p, q, length, clearance) depends only on (alpha, p, q), so rows
+    are cached by those three, up to MAX_TYPES of them, the least recently
+    used evicted first: a ladder of L at one alpha constructs each type
+    once.  A type whose construction fails raises NumericalFailure and is
+    not cached.  jobs must be 1: the count runs in one process.
     """
-    global _row_memo_alpha
+    if jobs != 1:
+        raise ValueError("jobs must be 1: the count runs in one process")
     types = admissible_types(L, alpha)
-    if alpha != _row_memo_alpha:
-        _row_memo.clear()
-        _row_memo_alpha = alpha
-    work = [(alpha, t.p, t.q) for t in types if (t.p, t.q) not in _row_memo]
-    if jobs > 1 and len(work) > 1:
-        from multiprocessing import Pool
-        with Pool(jobs) as pool:
-            new_rows = pool.map(_measure_type, work)
-    else:
-        new_rows = map(_measure_type, work)
-    for row in new_rows:
-        _row_memo[row[:2]] = row
-    rows = [_row_memo[(t.p, t.q)] for t in types]
+    rows = [_measure_type(alpha, t.p, t.q) for t in types]
     exact = 3 * sum(1 for _, _, length, _ in rows if length <= L)
     consts = asymptotic_constant(alpha)
     return CountReport(L=float(L), alpha=float(alpha), exact_count=exact,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from . import frames
 from .combinat import GeodesicType, canonical_word
+from .counting import length_pruning_bound
 from .errors import BoundDegenerate, BoundVacuous, NoThreshold, NumericalFailure, TooLong
 from .geom import SpaceKind
 from .paths import GeodesicPath, NotContained, midpoint_geodesic
@@ -150,7 +151,7 @@ def hyperbolic_length_lower_bound(alpha, t: GeodesicType):
     """Length lower bound 2(p+q) ln(2 sqrt(3) (1 - 3 alpha/pi) + 1)."""
     if not (0.0 <= alpha < math.pi / 3):
         raise ValueError("alpha must lie in [0, pi/3)")
-    return 2.0 * (t.p + t.q) * math.log(2.0 * math.sqrt(3.0) * (1.0 - 3.0 * alpha / math.pi) + 1.0)
+    return length_pruning_bound(alpha, t.p + t.q)
 
 
 # the bounds and the threshold depend on the type only, and every verdict reports them

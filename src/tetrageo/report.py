@@ -127,7 +127,7 @@ def count_to_dict(report):
         "note": "asymptotic-constant forms differ: see c_printed vs c_derived",
         "lengths": [
             {"p": p, "q": q,
-             "length": None if math.isinf(length) else float(length),
+             "length": float(length),
              "clearance": float(clear)}
             for p, q, length, clear in report.lengths
         ],
@@ -137,6 +137,5 @@ def count_to_dict(report):
 def count_to_csv(report):
     lines = ["p,q,length,clearance"]
     for p, q, length, clear in report.lengths:
-        ls = "" if math.isinf(length) else format(length, ".17g")
-        lines.append(f"{p},{q},{ls},{format(clear, '.17g')}")
+        lines.append(f"{p},{q},{format(length, '.17g')},{format(clear, '.17g')}")
     return "\n".join(lines) + "\n"

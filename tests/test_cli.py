@@ -191,9 +191,11 @@ def test_cli_fuzz_float_flags(tmp_path, capsys):
         code, _ = run_cli(["construct", "--space", "hyperbolic", "--p", "1", "--q", "2",
                            f"--edges={edges}"], tmp_path)
         assert code == 2, value
-    for jobs in ("1", "0", "-1"):   # nothing above 1: no worker pool starts
-        code, _ = run_cli(["count", "--alpha", "0.5", "--L", "20", "--jobs", jobs], tmp_path)
-        assert code == 0
+    # counting runs in one process: no --jobs flag, and count_exact takes jobs=1 only
+    code, _ = run_cli(["count", "--alpha", "0.5", "--L", "20", "--jobs", "1"], tmp_path)
+    assert code == 2
+    with pytest.raises(ValueError, match="jobs must be 1"):
+        count_exact(20, 0.5, jobs=2)
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -1,7 +1,6 @@
 """Totient machinery and geodesic counting."""
 
 import math
-import multiprocessing
 import subprocess
 import sys
 
@@ -10,10 +9,12 @@ import pytest
 from conftest import subprocess_env
 
 from tetrageo import counting
+from tetrageo.cli import main
 from tetrageo.counting import (admissible_types, asymptotic_constant,
                                count_exact, euler_phi, psi, psi_bruteforce,
                                totient_sieve, totient_sum)
 from tetrageo.errors import NumericalFailure
+from tetrageo.paths import NotContained
 
 
 def test_euler_phi():
@@ -105,26 +106,6 @@ def test_count_exact_counts_by_length():
         assert clearance > 0
 
 
-def test_count_exact_parallel_matches_serial(monkeypatch):
-    serial = count_exact(18.0, 0.5, jobs=1)
-    pools = []
-    real_pool = multiprocessing.Pool
-
-    def spy(*args, **kwargs):
-        pools.append(args)
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing, "Pool", spy)
-    counting._row_memo.clear()          # else every row is kept and no pool starts
-    parallel = count_exact(18.0, 0.5, jobs=2)
-    assert pools == [(2,)]
-    assert serial.exact_count == parallel.exact_count
-    assert serial.lengths == parallel.lengths
-    # with every row kept, a second parallel call starts no pool
-    assert count_exact(18.0, 0.5, jobs=2) == parallel
-    assert pools == [(2,)]
-
-
 def test_count_ladder_constructs_each_type_once(monkeypatch):
     calls = []
     real = counting.midpoint_geodesic
@@ -134,7 +115,7 @@ def test_count_ladder_constructs_each_type_once(monkeypatch):
         return real(spec, t)
 
     monkeypatch.setattr(counting, "midpoint_geodesic", counted)
-    counting._row_memo.clear()
+    counting._measure_type.cache_clear()
     ladder = [count_exact(L, 0.5) for L in (20.0, 30.0, 40.0)]
     assert len(calls) == len(set(calls)) == len(admissible_types(40.0, 0.5)) == 61
     calls.clear()
@@ -142,16 +123,16 @@ def test_count_ladder_constructs_each_type_once(monkeypatch):
     assert calls == []
     # each rung equals a count from scratch
     for rep in ladder:
-        counting._row_memo.clear()
+        counting._measure_type.cache_clear()
         assert count_exact(rep.L, 0.5) == rep
-    # another alpha constructs again, and the memo then holds only its rows
+    # another alpha constructs its own types; the first alpha's rows stay cached
     calls.clear()
     count_exact(20.0, 0.4)
-    assert len(calls) == len(admissible_types(20.0, 0.4))
+    assert len(calls) == len(set(calls)) == len(admissible_types(20.0, 0.4))
     assert {alpha for alpha, _, _ in calls} == {0.4}
     calls.clear()
-    count_exact(20.0, 0.5)
-    assert len(calls) == len(admissible_types(20.0, 0.5))
+    count_exact(40.0, 0.5)
+    assert calls == []
 
 
 def test_count_exact_keeps_no_failed_row(monkeypatch):
@@ -162,15 +143,37 @@ def test_count_exact_keeps_no_failed_row(monkeypatch):
             raise NumericalFailure("injected")
         return real(spec, t)
 
-    counting._row_memo.clear()
+    counting._measure_type.cache_clear()
     monkeypatch.setattr(counting, "midpoint_geodesic", failing)
     with pytest.raises(NumericalFailure):
         count_exact(20.0, 0.5)
-    assert (1, 2) not in counting._row_memo
-    monkeypatch.setattr(counting, "midpoint_geodesic", real)
+    # the next count reads (0,1) and (1,1) from the cache and constructs (1,2) again
+    calls = []
+    monkeypatch.setattr(counting, "midpoint_geodesic",
+                        lambda spec, t: calls.append((t.p, t.q)) or real(spec, t))
     rep = count_exact(20.0, 0.5)
-    counting._row_memo.clear()
+    assert calls[0] == (1, 2) and len(calls) == len(rep.lengths) - 2
+    counting._measure_type.cache_clear()
     assert rep == count_exact(20.0, 0.5)
+
+
+def test_count_exact_raises_on_uncontained_chord(monkeypatch, tmp_path, capsys):
+    # a type whose chord leaves the face chain stops the count, never a silent row
+    real = counting.midpoint_geodesic
+
+    def leaving(spec, t):
+        if (t.p, t.q) == (2, 3):
+            return NotContained(t, 0, "12", 0.0)
+        return real(spec, t)
+
+    counting._measure_type.cache_clear()
+    monkeypatch.setattr(counting, "midpoint_geodesic", leaving)
+    with pytest.raises(NumericalFailure, match=r"type \(2,3\) at alpha=0\.5"):
+        count_exact(20.0, 0.5)
+    out = tmp_path / "count.json"
+    assert main(["count", "--alpha", "0.5", "--L", "20", "--out", str(out)]) == 4
+    assert not out.exists()
+    assert "type (2,3) at alpha=0.5: chord leaves the face chain" in capsys.readouterr().err
 
 
 def _markov_by_slope(limit):

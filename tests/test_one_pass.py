@@ -51,9 +51,8 @@ def _assert_kernel_is_rpoint_seg_dist(calls):
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
 def test_seg_distance_on_count_calls(alpha, monkeypatch):
-    # count_exact keeps the rows of the most recent alpha: start afresh
-    monkeypatch.setattr(counting, "_row_memo", {})
-    monkeypatch.setattr(counting, "_row_memo_alpha", None)
+    # count_exact caches its rows: start afresh
+    counting._measure_type.cache_clear()
     calls = _recorded_seg_calls(monkeypatch, lambda: counting.count_exact(40, alpha))
     assert len(calls) > 150
     _assert_kernel_is_rpoint_seg_dist(calls)
