@@ -14,13 +14,13 @@ orientation (pe, qe) is (p, q) when q is odd and (q, p) otherwise: the
 row family must carry the odd member of the pair, else the mu = 1/2 line
 passes through a tiling vertex.  All crossing ordinates share one
 denominator D, so the trace runs exactly on scaled integers.  The
-canonical word (mu = 1/2) is kept on integers too (:class:`CanonicalWord`,
-cached for the most recently used types): its tokens, the numerators F of
-its fractions F/D, their correctly rounded floats and its per-edge strand
-order.  The curved constructions read only that.  ``Fraction`` values are
-built where a caller asks for them: the records of :func:`trace_crossings`
-and the canonical :class:`CrossingSequence`, which is made from the cached
-integers.
+canonical word (mu = 1/2) traces its first quarter only and completes it by
+the half turns about its quarter points (tetra.HALF_TURN), on integers too
+(:class:`CanonicalWord`, cached for the most recently used types): its
+tokens, the numerators F of its fractions F/D, their correctly rounded
+floats and its per-edge strand order, all the curved constructions read.
+``Fraction`` values are built where a caller asks for them: the records of
+:func:`trace_crossings` and the canonical :class:`CrossingSequence`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoLinkNodes, VertexHit
-from .tetra import OPPOSITE_EDGE, edge_token
+from .tetra import HALF_TURN, OPPOSITE_EDGE, edge_token
 
 
 @dataclass(frozen=True)
@@ -84,49 +84,56 @@ class CrossingSequence:
 # label of the tiling vertex at (x, Y) = (u/2, m/2): _ROW_LABELS[m % 4][(u // 2) % 2]
 _ROW_LABELS = ((1, 2), (3, 4), (2, 1), (4, 3))
 
-# label -> label -> token of the edge joining them (row and column 0 unused)
-_TOKEN = [[edge_token(u, v) for v in range(5)] for u in range(5)]
+# (token, whether l0 is the smaller-labelled end) of the edge from label l0 to l1, read for
+# each crossing by its end labels: rows by (m % 4, k % 2), the diagonal families s = +-1
+# by (y0 % 4, n % 2), as the labels repeat with period 4 in m and 2 in u
+_EDGE = {(l0, l1): (edge_token(l0, l1), l0 < l1) for l0 in range(1, 5) for l1 in range(1, 5)}
+_ROW_EDGE = tuple(tuple(_EDGE[row[k], row[1 - k]] for k in (0, 1)) for row in _ROW_LABELS)
+_DIAG_EDGE = {s: tuple(tuple(_EDGE[_ROW_LABELS[y][((2 * n + s * y) // 2) % 2],
+                                  _ROW_LABELS[(y + 1) % 4][((2 * n + s * (y + 1)) // 2) % 2]]
+                             for n in (0, 1)) for y in range(4)) for s in (1, -1)}
 
 
-def _integer_trace(t, a, b):
+def _integer_trace(t, a, b, last=None):
     """Crossings of the tiling segment anchored at mu = a/b, on integers.
 
     Returns D and the records (x * D, token, fraction * D) sorted by x, with
     the fraction measured from the smaller-labelled endpoint; see
     :func:`trace_crossings`.  A stored F or D - F lies outside (0, D) at a vertex hit.
+    The records stop at the abscissa ``last`` (a Fraction, included) when it
+    is given, else at the segment's end, the first crossing again.
     """
     pe, qe = t.effective()
     w = qe + 2 * pe
     D = 2 * b * math.lcm(qe, pe + qe, pe or 1)
+    X0, step = a * (D // b), w * (D // (2 * qe))
+    stop = X0 + w * D if last is None else math.floor(last * D) + 1   # every traced X is below
     out = []
     # rows Y = m/2, m = 0 .. 2*qe - 1 (m = 2*qe is identified with m = 0); the vertices
     # of row m sit at x = k + off, off = 1/2 on odd rows: the edge is u = 2k + m % 2 to u + 2
-    for m in range(0, 2 * qe):
-        X = a * (D // b) + m * w * (D // (2 * qe))
-        off = D // 2 if m % 2 else 0
-        (k, F), row = divmod(X - off, D), _ROW_LABELS[m % 4]
-        l0, l1 = row[k % 2], row[(k + 1) % 2]
-        out.append((X, _TOKEN[l0][l1], F if l0 < l1 else D - F))
+    for m in range(0, -(-(stop - X0) // step)):
+        X = X0 + m * step
+        k, F = divmod(X - D // 2 * (m % 2), D)
+        tok, up = _ROW_EDGE[m % 4][k % 2]
+        out.append((X, tok, F if up else D - F))
 
     # diagonals x - sY = n, crossed 2c times: the climbing family (s = 1, c = pe,
     # no crossing when pe = 0) and the descending one (s = -1, c = pe + qe); T = 2Y * D
     for s, c in ((1, pe), (-1, pe + qe)):
-        for n in range(a // b + 1, -(-(a + 2 * c * b) // b)):
+        edges = _DIAG_EDGE[s]
+        for n in range(a // b + 1, -(-(2 * c * b * stop + s * qe * a * D) // (w * b * D))):
             X = (n * w * b - s * qe * a) * (D // (2 * c * b))
-            T = qe * (n * b - a) * (D // (c * b))
-            y0, F = divmod(T, D)
-            l0 = _ROW_LABELS[y0 % 4][((2 * n + s * y0) // 2) % 2]
-            l1 = _ROW_LABELS[(y0 + 1) % 4][((2 * n + s * (y0 + 1)) // 2) % 2]
-            out.append((X, _TOKEN[l0][l1], F if l0 < l1 else D - F))
+            y0, F = divmod(qe * (n * b - a) * (D // (c * b)), D)
+            tok, up = edges[y0 % 4][n % 2]
+            out.append((X, tok, F if up else D - F))
 
     for X, _, F in out:
         if F <= 0 or F >= D:
             raise VertexHit(f"tiling line through mu={Fraction(a, b)} hits a vertex "
                             f"near x={Fraction(X, D)}")
-    out.sort(key=lambda rec: rec[0])
-    n_total = t.n_crossings
-    if len(out) != n_total:
-        raise VertexHit(f"expected {n_total} crossings, traced {len(out)}")
+    out.sort()   # three runs, each already sorted by x
+    if last is None and len(out) != t.n_crossings:
+        raise VertexHit(f"expected {t.n_crossings} crossings, traced {len(out)}")
     for i in range(1, len(out)):
         if out[i][0] == out[i - 1][0]:
             raise VertexHit("two crossings coincide: segment passes a tiling vertex")
@@ -138,13 +145,16 @@ def trace_crossings(t: GeodesicType, mu):
 
     Returns a list of (x, token, fraction) with fraction measured from the
     smaller-labelled endpoint.  Raises VertexHit if the line meets a tiling
-    vertex (or if two crossings coincide, which is the same event).
+    vertex (or if two crossings coincide, which is the same event), and
+    ValueError for an infinite or NaN mu.
 
     The trace runs on integers: for mu = a/b every crossing abscissa and
     fraction is a multiple of 1/D, D = 2 b lcm(qe, pe, pe+qe), the common
     denominator of the rows, both diagonal families and the anchor.
     Fractions are built only for the returned records.
     """
+    if isinstance(mu, float) and not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     mu = Fraction(mu)
     D, out = _integer_trace(t, mu.numerator, mu.denominator)
     return [(Fraction(X, D), tok, Fraction(F, D)) for X, tok, F in out]
@@ -174,19 +184,31 @@ class CanonicalWord:
 def canonical_word(t: GeodesicType):
     """The integer canonical word of type (p,q), cached for the 256 most recently used types.
 
-    A simple curve with this word crosses each edge in its strand order,
-    that of the tiling line's strands, sorted here by the exact numerators.
+    Crossings 0..K (K = p+q), up to the quarter point, are traced; the half
+    turns about crossings K and 2K, which keep the labelled tiling and the
+    line, carry crossing c - k to c + k (tetra.HALF_TURN), and the word must
+    close up.  A simple curve with this word crosses each edge in its strand
+    order, that of the tiling line's strands, sorted by the exact numerators.
     """
-    D, recs = _integer_trace(t, 1, 2)
-    tokens = tuple(rec[1] for rec in recs)
-    nums = tuple(rec[2] for rec in recs)
-    assert all(2 * nums[k * len(nums) // 4] == D for k in range(4)), "midpoint anchor violated"
+    K = t.p + t.q
+    pe, qe = t.effective()
+    D, quarter = _integer_trace(t, 1, 2, Fraction(qe + 2 * pe + 2, 4))
+    _, tokens, nums = map(list, zip(*quarter))
+    assert len(nums) == K + 1, "quarter point missed"
+    for c in (K, 2 * K):
+        turn = HALF_TURN[tokens[c]]
+        for i in range(c - 1, -1, -1):
+            tok, flip = turn[tokens[i]]
+            tokens.append(tok)
+            nums.append(D - nums[i] if flip else nums[i])
+    assert tokens.pop() == tokens[0] and nums.pop() == nums[0], "word does not close up"
+    assert all(2 * nums[k * K] == D for k in range(4)), "midpoint anchor violated"
     by_edge = {}
-    for i, (tok, F) in enumerate(zip(tokens, nums)):
-        by_edge.setdefault(tok, []).append((F, i))
-    return CanonicalWord(gtype=t, tokens=tokens, numerators=nums, denominator=D,
+    for i, tok in enumerate(tokens):
+        by_edge.setdefault(tok, []).append(i)
+    return CanonicalWord(gtype=t, tokens=tuple(tokens), numerators=tuple(nums), denominator=D,
                          fractions=tuple(F / D for F in nums),
-                         strands=tuple(tuple(i for _, i in sorted(strand))
+                         strands=tuple(tuple(sorted(strand, key=nums.__getitem__))
                                        for strand in by_edge.values()))
 
 
@@ -207,7 +229,7 @@ def crossing_sequence(t: GeodesicType, mu=_HALF):
     cached :func:`canonical_word` and cached beside it; the returned
     sequence is immutable and shared by every caller.
     """
-    if Fraction(mu) == _HALF:
+    if mu == _HALF:
         return _canonical_sequence(t)
     recs = trace_crossings(t, mu)
     return CrossingSequence(gtype=t, tokens=tuple(rec[1] for rec in recs),

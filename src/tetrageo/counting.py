@@ -160,6 +160,8 @@ def _measure_type(alpha, p, q):
     result = midpoint_geodesic(spec, GeodesicType(p, q))
     if not isinstance(result, GeodesicPath):
         raise NumericalFailure(f"type ({p},{q}) at alpha={alpha!r}: {result.reason}")
+    if not result.simple:
+        raise NumericalFailure(f"type ({p},{q}) at alpha={alpha!r}: the path is not simple")
     return (p, q, result.total_length, result.clearance)
 
 

@@ -26,7 +26,7 @@ path on its quarter chain, which the half turns carry onto the whole
 curve, a generic or Euclidean path on its whole closed chain.
 Simplicity is decided from the fractions alone: along each edge they must
 follow the strand order of the exact word.  The half turns' images of the
-edges sit in a static table built at import.
+edges sit in the static table tetra.HALF_TURN, which the exact word shares.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from .errors import NumericalFailure, PreconditionFailed, TooLong, VertexHit
 # rangle, rdistance and rside_measure have no caller here; they stay importable
 # from this module because the perfbench layer trace counts kernel calls at this site
 from .geom import SpaceKind, rangle, rdistance, rpoint_seg_dist, rside_measure  # noqa: F401
-from .tetra import EDGES, TetrahedronSpec, edge_token
-from .unfold import _center_involution
+from .tetra import HALF_TURN, TetrahedronSpec
 
 FRACTION_MARGIN = 1e-9
 STRAND_TIE = 1e-12  # crossings of one edge closer than this (in fraction) are unresolved
@@ -293,19 +292,13 @@ def euclid_geodesic(t: GeodesicType, mu=Fraction(1, 2)):
 # ---------------------------------------------------------------------------
 # fraction mirroring through the symmetry points
 
-# the half turn about mid(center): image token of each edge, and whether it flips the ends
-_MIRROR = {center: {tok: (edge_token(sigma[int(tok[0])], sigma[int(tok[1])]),
-                          sigma[int(tok[0])] > sigma[int(tok[1])]) for tok in EDGES}
-           for center in EDGES for sigma in [_center_involution(center)]}
-
-
 def full_fractions_from_quarter(seq, quarter_fracs):
     """Full fraction list from the K + 1 quarter fractions via the Y1 and X2 half turns.
 
     The half turn about the midpoint of e_c maps crossing c-k to crossing
     c+k and relabels endpoints by the edge involution, so fractions mirror
     (f -> 1-f exactly when the involution flips the endpoint order); images
-    and flips come from the static table _MIRROR.  The map only appends
+    and flips come from the static table tetra.HALF_TURN.  The map only appends
     mirror images: it checks that the word has the half-turn symmetry and
     that the mirrored fractions close up, and raises ValueError for any
     other number of fractions than K + 1.  ``seq`` is the type's word, a
@@ -318,7 +311,7 @@ def full_fractions_from_quarter(seq, quarter_fracs):
     if len(fracs) != K + 1:
         raise ValueError(f"{len(fracs)} quarter fractions for a word of {n} tokens")
     for center in (K, 2 * K):
-        mirror = _MIRROR[toks[center]]
+        mirror = HALF_TURN[toks[center]]
         for k in range(1, center + 1):     # extend to index 2*center
             mapped, flip = mirror[toks[center - k]]
             if mapped != toks[(center + k) % n]:

@@ -34,6 +34,15 @@ def edge_token(u, v):
     return f"{min(u, v)}{max(u, v)}"
 
 
+# the half turn about the midpoint of an edge c: the vertex involution swapping the ends
+# of c and of its opposite edge, and per edge its image and whether the ends swap order
+HALF_TURN_LABELS = {c: {int(u): int(v) for e in (c, o) for u, v in (e, e[::-1])}
+                    for c, o in OPPOSITE_EDGE.items()}
+HALF_TURN = {c: {tok: (edge_token(s[int(tok[0])], s[int(tok[1])]),
+                       s[int(tok[0])] > s[int(tok[1])]) for tok in EDGES}
+             for c, s in HALF_TURN_LABELS.items()}
+
+
 def edge_from_angle(space, alpha):
     """Edge length of the regular tetrahedron with planar angle alpha."""
     if space == SpaceKind.EUCLIDEAN:

@@ -31,6 +31,7 @@ from .combinat import CrossingSequence
 # because the perfbench layer trace counts kernel calls at this site
 from .geom import (SpaceKind, chart_point, rangle, rdistance, rhalf_turn,  # noqa: F401
                    rinterpolate, rmidpoint, rside_measure)
+from .tetra import HALF_TURN_LABELS
 
 
 class HemisphereWarning(UserWarning):
@@ -179,13 +180,6 @@ def _attach_boundary(dev):
     dev.boundary = boundary
 
 
-def _center_involution(token):
-    """Vertex involution of the half-turn about the midpoint of an edge."""
-    a, b = int(token[0]), int(token[1])
-    rest = sorted(set((1, 2, 3, 4)) - {a, b})
-    return {a: b, b: a, rest[0]: rest[1], rest[1]: rest[0]}
-
-
 def symmetry_check(dev, tol=1e-8):
     """Half-turn symmetry of the chain about X2, Y1, Y2 (regular specs).
 
@@ -198,7 +192,7 @@ def symmetry_check(dev, tol=1e-8):
     checks = (("Y1", n // 4, n // 4), ("X2", n // 2, n // 2), ("Y2", 3 * n // 4, n // 4))
     for name, c, span in checks:
         center = dev.sym_reps[name]
-        sigma = _center_involution(dev.glue_edges[c][0])
+        sigma = HALF_TURN_LABELS[dev.glue_edges[c][0]]
         for k in range(span):
             src = dev.faces[c - 1 - k]
             dst = dev.faces[c + k]

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import coprime_types
-from tetrageo.combinat import (CrossingSequence, GeodesicType, canonical_word,
+from tetrageo import combinat
+from tetrageo.combinat import (CrossingSequence, GeodesicType, _integer_trace, canonical_word,
                                crossing_sequence, isometric_copies,
                                link_node_windows, link_nodes,
                                relabel_sequence, strand_order, trace_crossings,
                                validate_sequence)
 from tetrageo.errors import NoLinkNodes, VertexHit
-from tetrageo.paths import euclid_mu_interval
+from tetrageo.paths import euclid_mu_interval, full_fractions_from_quarter
 from tetrageo.tetra import OPPOSITE_EDGE, edge_token
 
 
@@ -331,3 +332,60 @@ def test_strand_order_is_the_exact_order_on_each_edge():
         for strand in strands:
             assert len({seq.tokens[i] for i in strand}) == 1
             assert all(seq.fractions[i] < seq.fractions[j] for i, j in zip(strand, strand[1:]))
+
+
+@pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan])
+def test_non_finite_anchor_is_a_value_error(mu):
+    t = GeodesicType(2, 3)
+    for fn in (crossing_sequence, trace_crossings):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            fn(t, mu)
+
+
+# ---------------------------------------------------------------------------
+# the canonical word from its traced quarter and the half turns
+
+def _fully_traced_word(t):
+    """The canonical word from the full trace of all 4(p+q) crossings, the == oracle."""
+    D, recs = _integer_trace(t, 1, 2)
+    tokens = tuple(rec[1] for rec in recs)
+    nums = tuple(rec[2] for rec in recs)
+    by_edge = {}
+    for i, (tok, F) in enumerate(zip(tokens, nums)):
+        by_edge.setdefault(tok, []).append((F, i))
+    return (tokens, nums, D, tuple(F / D for F in nums),
+            tuple(tuple(i for _, i in sorted(strand)) for strand in by_edge.values()))
+
+
+def test_canonical_word_matches_the_full_trace():
+    for pq in coprime_types(160):
+        word = canonical_word(GeodesicType(*pq))
+        assert (word.tokens, word.numerators, word.denominator, word.fractions,
+                word.strands) == _fully_traced_word(GeodesicType(*pq)), pq
+
+
+@given(coprime_type(max_sum=400))
+def test_quarter_word_has_the_float_mirror_symmetry(t):
+    # the integer mirror of the word and the float mirror of the curved
+    # constructions read one half-turn table: they must agree
+    assert validate_sequence(crossing_sequence(t), t)
+    word = canonical_word(t)
+    K = t.p + t.q
+    # full_fractions_from_quarter raises unless the word's tokens have its symmetry;
+    # its fractions carry at most four roundings (the quarter's, two 1 - f, the
+    # word's own), each within half an ulp of 1/2 on a fraction in (0, 1)
+    fracs = full_fractions_from_quarter(word, word.fractions[:K + 1])
+    assert all(abs(f - g) <= math.ulp(1.0) for f, g in zip(fracs, word.fractions))
+
+
+@pytest.mark.parametrize("pq", [(0, 1), (1, 1), (1, 2), (2, 3), (3, 8), (5, 13), (21, 34)])
+def test_canonical_word_traces_only_its_quarter(pq, monkeypatch):
+    # the word traces crossings 0..K and mirrors the rest: a fall-back to
+    # the full trace would trace 4K crossings
+    traced, trace = [], combinat._integer_trace
+    monkeypatch.setattr(combinat, "_integer_trace",
+                        lambda *args: traced.append(trace(*args)) or traced[-1])
+    t = GeodesicType(*pq)
+    canonical_word.cache_clear()
+    assert len(canonical_word(t).tokens) == 4 * (t.p + t.q)
+    assert [len(recs) for _, recs in traced] == [t.p + t.q + 1]

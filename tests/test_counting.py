@@ -1,5 +1,6 @@
 """Totient machinery and geodesic counting."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -157,23 +158,36 @@ def test_count_exact_keeps_no_failed_row(monkeypatch):
     assert rep == count_exact(20.0, 0.5)
 
 
-def test_count_exact_raises_on_uncontained_chord(monkeypatch, tmp_path, capsys):
-    # a type whose chord leaves the face chain stops the count, never a silent row
+def _assert_count_stops_at_2_3(monkeypatch, tmp_path, capsys, fault, message):
+    """With fault(path) in place of the (2,3) construction, count_exact and `count` stop."""
     real = counting.midpoint_geodesic
 
-    def leaving(spec, t):
-        if (t.p, t.q) == (2, 3):
-            return NotContained(t, 0, "12", 0.0)
-        return real(spec, t)
+    def faulty(spec, t):
+        path = real(spec, t)
+        return fault(path) if (t.p, t.q) == (2, 3) else path
 
     counting._measure_type.cache_clear()
-    monkeypatch.setattr(counting, "midpoint_geodesic", leaving)
+    monkeypatch.setattr(counting, "midpoint_geodesic", faulty)
     with pytest.raises(NumericalFailure, match=r"type \(2,3\) at alpha=0\.5"):
         count_exact(20.0, 0.5)
     out = tmp_path / "count.json"
     assert main(["count", "--alpha", "0.5", "--L", "20", "--out", str(out)]) == 4
     assert not out.exists()
-    assert "type (2,3) at alpha=0.5: chord leaves the face chain" in capsys.readouterr().err
+    assert f"type (2,3) at alpha=0.5: {message}" in capsys.readouterr().err
+
+
+def test_count_exact_raises_on_uncontained_chord(monkeypatch, tmp_path, capsys):
+    # a type whose chord leaves the face chain stops the count, never a silent row
+    _assert_count_stops_at_2_3(monkeypatch, tmp_path, capsys,
+                               lambda path: NotContained(path.gtype, 0, "12", 0.0),
+                               "chord leaves the face chain")
+
+
+def test_count_exact_raises_on_non_simple_path(monkeypatch, tmp_path, capsys):
+    # a row is a simple closed geodesic: a self-crossing construction stops the count
+    _assert_count_stops_at_2_3(monkeypatch, tmp_path, capsys,
+                               lambda path: dataclasses.replace(path, simple=False),
+                               "the path is not simple")
 
 
 def _markov_by_slope(limit):
