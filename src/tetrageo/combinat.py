@@ -86,7 +86,7 @@ _ROW_LABELS = ((1, 2), (3, 4), (2, 1), (4, 3))
 
 # (token, whether l0 is the smaller-labelled end) of the edge from label l0 to l1, read for
 # each crossing by its end labels: rows by (m % 4, k % 2), the diagonal families s = +-1
-# by (y0 % 4, n % 2), as the labels repeat with period 4 in m and 2 in u
+# by (y0 % 4, n % 2), as the labels repeat with period 4 in m and in u
 _EDGE = {(l0, l1): (edge_token(l0, l1), l0 < l1) for l0 in range(1, 5) for l1 in range(1, 5)}
 _ROW_EDGE = tuple(tuple(_EDGE[row[k], row[1 - k]] for k in (0, 1)) for row in _ROW_LABELS)
 _DIAG_EDGE = {s: tuple(tuple(_EDGE[_ROW_LABELS[y][((2 * n + s * y) // 2) % 2],
@@ -107,7 +107,7 @@ def _integer_trace(t, a, b, last=None):
     w = qe + 2 * pe
     D = 2 * b * math.lcm(qe, pe + qe, pe or 1)
     X0, step = a * (D // b), w * (D // (2 * qe))
-    stop = X0 + w * D if last is None else math.floor(last * D) + 1   # every traced X is below
+    stop = X0 + w * D if last is None else math.floor(last * D) + 1   # trace X < stop
     out = []
     # rows Y = m/2, m = 0 .. 2*qe - 1 (m = 2*qe is identified with m = 0); the vertices
     # of row m sit at x = k + off, off = 1/2 on odd rows: the edge is u = 2k + m % 2 to u + 2
