@@ -40,7 +40,11 @@ repr of the midpoint_geodesic length and clearance of every type p+q <= 7
 at every fifth alpha of the spherical grid (or its outcome).  The
 "generic" part was re-taken when the closed solve began from the axis of
 the chain's holonomy instead of the Euclidean fractions (which moved it
-by rounding).  The file is written by
+by rounding).
+
+Its "verify" part holds report.dumps of run_verification(), the document
+that ``python -m tetrageo verify`` prints, under the key "report".  The
+file is written by
 
     PYTHONPATH=src python tests/test_frozen_outputs.py [PART ...]
 
@@ -55,11 +59,13 @@ import sys
 from pathlib import Path
 
 from conftest import coprime_types
-from tetrageo import GeodesicType, SpaceKind, TetrahedronSpec, count_exact, midpoint_geodesic
+from tetrageo import (GeodesicType, SpaceKind, TetrahedronSpec, count_exact, midpoint_geodesic,
+                      report)
 from tetrageo.errors import BoundVacuous
 from tetrageo.existence import necessary_alpha_bound, threshold_beta
 from tetrageo.paths import NotContained, generic_hyperbolic_geodesic, path_metrics
 from tetrageo.tetra import edge_from_angle, generic_from_edges
+from tetrageo.verify import run_verification
 
 FROZEN = Path(__file__).resolve().parent / "data" / "frozen_outputs.json"
 REL_TOL = 1e-13   # quarter-chain against closed-chain length and clearance
@@ -178,7 +184,8 @@ def frozen_outputs():
             measured.append((("path", alpha, p, q), closed_length, path.total_length))
     outputs = {"count_exact": counts, "midpoint_geodesic": paths,
                "spherical": spherical_decisions(), "generic": generic_outputs(),
-               "spherical_lengths": spherical_lengths()}
+               "spherical_lengths": spherical_lengths(),
+               "verify": {"report": report.dumps(run_verification())}}
     return outputs, measured
 
 
@@ -186,7 +193,7 @@ def test_outputs_match_frozen_reprs():
     frozen = json.loads(FROZEN.read_text())
     outputs, measured = frozen_outputs()
     for part in ("count_exact", "midpoint_geodesic", "spherical", "generic",
-                 "spherical_lengths"):
+                 "spherical_lengths", "verify"):
         assert outputs[part].keys() == frozen[part].keys()
         for key, value in frozen[part].items():
             assert outputs[part][key] == value, (part, key)
