@@ -248,37 +248,31 @@ def rhalf_turn(space, C, P):
 
 
 def rpoint_seg_dist(space, V, A, B):
-    """Distance from V to the geodesic segment AB (foot clamped to the segment)."""
-    if space == SpaceKind.HYPERBOLIC:
-        n = _unit_spacelike(_mcross(A, B))
-        dn = _mdot(V, n)
-        foot = _normalize_timelike((V[0] - dn * n[0], V[1] - dn * n[1], V[2] - dn * n[2]))
-        dab = _hyp_dist_lifted(A, B)
-        if (_hyp_dist_lifted(A, foot) <= dab + 1e-12
-                and _hyp_dist_lifted(B, foot) <= dab + 1e-12):
-            return math.asinh(abs(dn))
-        return min(_hyp_dist_lifted(V, A), _hyp_dist_lifted(V, B))
-    if space == SpaceKind.SPHERICAL:
-        n = _unit3(_cross3(A, B))
-        dn = _dot3(V, n)
-        foot = (V[0] - dn * n[0], V[1] - dn * n[1], V[2] - dn * n[2])
-        fn = _norm3(foot)
-        if fn > 1e-12:
-            foot = (foot[0] / fn, foot[1] / fn, foot[2] / fn)
-            if _between_on_arc(A, B, foot):
-                return abs(math.asin(max(-1.0, min(1.0, dn))))
+    """Distance from V to the geodesic segment AB (foot clamped to the segment).
+
+    In the curved spaces, with t_A = B - k<A, B>A and t_B = A - k<A, B>B, the
+    foot of the perpendicular from V lies inside AB where <V, t_A> and
+    <V, t_B> are both positive, and the distance is the perpendicular one.
+    Otherwise it is the distance to the end whose sign is not positive (A for
+    t_A), or to the nearer end where both are not.
+    """
+    if space == SpaceKind.EUCLIDEAN:
+        dx, dy = B[0] - A[0], B[1] - A[1]
+        t = ((V[0] - A[0]) * dx + (V[1] - A[1]) * dy) / (dx * dx + dy * dy)
+        t = max(0.0, min(1.0, t))
+        return math.hypot(V[0] - (A[0] + t * dx), V[1] - (A[1] + t * dy))
+    k, (v0, v1, v2), (a0, a1, a2), (b0, b1, b2) = float(space), V, A, B
+    ab = k * a0 * b0 + a1 * b1 + a2 * b2
+    va, vb = k * v0 * a0 + v1 * a1 + v2 * a2, k * v0 * b0 + v1 * b1 + v2 * b2
+    ta, tb = vb - k * ab * va, va - k * ab * vb
+    if ta > 0.0 and tb > 0.0:       # the unit normal n: A x B, first coordinates times k
+        n0, n1, n2 = a1 * b2 - a2 * b1, k * (a2 * b0 - a0 * b2), k * (a0 * b1 - a1 * b0)
+        s = math.sqrt(max(k * n0 * n0 + n1 * n1 + n2 * n2, 1e-300))
+        dn = k * v0 * (n0 / s) + v1 * (n1 / s) + v2 * (n2 / s)
+        return math.asinh(abs(dn)) if k < 0.0 else abs(math.asin(max(-1.0, min(1.0, dn))))
+    if ta <= 0.0 and tb <= 0.0:
         return min(rdistance(space, V, A), rdistance(space, V, B))
-    dx, dy = B[0] - A[0], B[1] - A[1]
-    t = ((V[0] - A[0]) * dx + (V[1] - A[1]) * dy) / (dx * dx + dy * dy)
-    t = max(0.0, min(1.0, t))
-    return math.hypot(V[0] - (A[0] + t * dx), V[1] - (A[1] + t * dy))
-
-
-def _between_on_arc(a, b, f):
-    ab = math.atan2(_norm3(_cross3(a, b)), _dot3(a, b))
-    af = math.atan2(_norm3(_cross3(a, f)), _dot3(a, f))
-    fb = math.atan2(_norm3(_cross3(f, b)), _dot3(f, b))
-    return af + fb <= ab + 1e-9
+    return rdistance(space, V, A if ta <= 0.0 else B)
 
 
 def rside_measure(space, A, B, P):

@@ -46,7 +46,6 @@ from .tetra import HALF_TURN, TetrahedronSpec
 
 FRACTION_MARGIN = 1e-9
 STRAND_TIE = 1e-12  # crossings of one edge closer than this (in fraction) are unresolved
-SEG_TIE = 1e-8      # _seg_distance's relative tie band: rounding and rpoint_seg_dist's end slack
 
 
 @dataclass(frozen=True)
@@ -139,6 +138,7 @@ def _chain_metrics(spec, steps, chain, fracs, copies, crossings):
     space = spec.space
     k = frames._KERNEL[space][0]
     arc = (lambda x: math.asin(min(1.0, x))) if k > 0 else frames._KERNEL[space][5]
+    cut = 0 if k else 1
     s = [(f - 0.5) * spec.face_edge_length(int(tok[0]), int(tok[1]))
          for tok, f in zip(chain, fracs)]
     cs, sn, terms = frames.chord_segments(steps, s)
@@ -162,38 +162,9 @@ def _chain_metrics(spec, steps, chain, fracs, copies, crossings):
         norm = math.sqrt(u * u + w * w)
         for V in step.verts.values():
             if arc(abs(w * (sa * V[0] - ca * V[1]) + u * V[2]) / norm) < clearance:
-                clearance = min(clearance, rpoint_seg_dist(space, V[1:], A[1:], B[1:]) if not k
-                                else _seg_distance(space, V, A, B))
+                clearance = min(clearance, rpoint_seg_dist(space, V[cut:], A[cut:], B[cut:]))
     worst = max((abs(ends[j - 1][1] - ends[j][0]) for j in crossings), default=0.0)
     return copies * total, clearance, worst
-
-
-def _seg_distance(space, V, A, B):
-    """rpoint_seg_dist(space, V, A, B) of a curved space: its operations, without its calls.
-
-    With t_A = B - k<A, B>A and t_B = A - k<A, B>B, the foot of V lies inside AB
-    where <V, t_A> and <V, t_B> are positive, beyond A (B) where <V, t_A> (<V, t_B>)
-    is negative; only that distance is computed.  rpoint_seg_dist decides where both
-    are negative (only on the sphere) and within SEG_TIE of either's larger term.
-    """
-    k, (v0, v1, v2), (a0, a1, a2), (b0, b1, b2) = float(space), V, A, B
-    ab = k * a0 * b0 + a1 * b1 + a2 * b2
-    va, vb = k * v0 * a0 + v1 * a1 + v2 * a2, k * v0 * b0 + v1 * b1 + v2 * b2
-    ta, tb = vb - k * ab * va, va - k * ab * vb
-    if (abs(ta) <= SEG_TIE * max(1.0, abs(ab * va)) or abs(tb) <= SEG_TIE * max(1.0, abs(ab * vb))
-            or (ta < 0.0 and tb < 0.0)):
-        return rpoint_seg_dist(space, V, A, B)
-    if ta > 0.0 and tb > 0.0:       # the unit normal n: A x B, first coordinates times k
-        n0, n1, n2 = a1 * b2 - a2 * b1, k * (a2 * b0 - a0 * b2), k * (a0 * b1 - a1 * b0)
-        s = math.sqrt(max(k * n0 * n0 + n1 * n1 + n2 * n2, 1e-300))
-        dn = k * v0 * (n0 / s) + v1 * (n1 / s) + v2 * (n2 / s)
-        return math.asinh(abs(dn)) if k < 0.0 else abs(math.asin(max(-1.0, min(1.0, dn))))
-    x0, x1, x2 = A if ta < 0.0 else B
-    if k < 0.0:
-        d0, d1, d2 = v0 - x0, v1 - x1, v2 - x2
-        return 2.0 * math.asinh(0.5 * math.sqrt(max(-d0 * d0 + d1 * d1 + d2 * d2, 0.0)))
-    c0, c1, c2 = v1 * x2 - v2 * x1, v2 * x0 - v0 * x2, v0 * x1 - v1 * x0
-    return math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), v0 * x0 + v1 * x1 + v2 * x2)
 
 
 def vertex_clearance(path, spec):

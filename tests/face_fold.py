@@ -8,13 +8,53 @@ reflecting the vertex behind each glue edge across it (``place_chain``),
 and a path folded back onto canonically placed single faces, where its
 length, vertex clearance and closure residual are taken
 (``_face_fold_metrics``).
+
+``foot_point_seg_dist`` is the curved point-to-segment distance that
+geom.rpoint_seg_dist computed before it placed the foot by two signs: the
+foot projected onto the segment's line and tested against the segment
+with end slack.
 """
 
 import math
 from itertools import combinations
 
-from tetrageo.geom import (SpaceKind, _cross3, _mcross, _unit_spacelike, rangle, rdistance,
+from tetrageo.geom import (SpaceKind, _cross3, _dot3, _hyp_dist_lifted, _mcross, _mdot, _norm3,
+                           _normalize_timelike, _unit3, _unit_spacelike, rangle, rdistance,
                            rinterpolate, rpoint_at, rpoint_seg_dist, rreflect, rtangent)
+
+
+def foot_point_seg_dist(space, V, A, B):
+    """Distance from V to the curved geodesic segment AB by its projected foot.
+
+    The foot counts as inside AB within 1e-12 (H) or 1e-9 (S) of its ends.
+    """
+    if space == SpaceKind.HYPERBOLIC:
+        n = _unit_spacelike(_mcross(A, B))
+        dn = _mdot(V, n)
+        foot = _normalize_timelike((V[0] - dn * n[0], V[1] - dn * n[1], V[2] - dn * n[2]))
+        dab = _hyp_dist_lifted(A, B)
+        if (_hyp_dist_lifted(A, foot) <= dab + 1e-12
+                and _hyp_dist_lifted(B, foot) <= dab + 1e-12):
+            return math.asinh(abs(dn))
+        return min(_hyp_dist_lifted(V, A), _hyp_dist_lifted(V, B))
+    if space == SpaceKind.SPHERICAL:
+        n = _unit3(_cross3(A, B))
+        dn = _dot3(V, n)
+        foot = (V[0] - dn * n[0], V[1] - dn * n[1], V[2] - dn * n[2])
+        fn = _norm3(foot)
+        if fn > 1e-12:
+            foot = (foot[0] / fn, foot[1] / fn, foot[2] / fn)
+            if _between_on_arc(A, B, foot):
+                return abs(math.asin(max(-1.0, min(1.0, dn))))
+        return min(rdistance(space, V, A), rdistance(space, V, B))
+    raise ValueError("foot_point_seg_dist measures curved segments only")
+
+
+def _between_on_arc(a, b, f):
+    ab = math.atan2(_norm3(_cross3(a, b)), _dot3(a, b))
+    af = math.atan2(_norm3(_cross3(a, f)), _dot3(a, f))
+    fb = math.atan2(_norm3(_cross3(f, b)), _dot3(f, b))
+    return af + fb <= ab + 1e-9
 
 
 def rrotate_tangent(space, P, tangent, theta):
