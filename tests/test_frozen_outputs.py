@@ -42,6 +42,13 @@ at every fifth alpha of the spherical grid (or its outcome).  The
 the chain's holonomy instead of the Euclidean fractions (which moved it
 by rounding).
 
+The "count_exact" and "spherical_lengths" parts were re-taken when
+geom.rpoint_seg_dist began to place the foot of the perpendicular by two
+signs, without the relative tie band in which the clearance kernel had
+handed its calls to the projected foot.  Only (1, 1) clearances moved,
+by 1 or 2 ulps: the count row at alpha = 0.5 and four spherical lengths
+entries, where the band had decided a tie.
+
 Its "verify" part holds report.dumps of run_verification(), the document
 that ``python -m tetrageo verify`` prints, under the key "report".  The
 file is written by
