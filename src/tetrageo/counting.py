@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .combinat import GeodesicType
@@ -26,7 +27,11 @@ from .tetra import TetrahedronSpec
 
 
 def euler_phi(n):
-    """Euler's totient of a single integer."""
+    """Euler's totient of a positive integer; ValueError for anything else."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be a positive integer, got {n!r}") from None
     if n < 1:
         raise ValueError("n must be positive")
     total = n

@@ -244,7 +244,7 @@ def euclid_mu_interval(t: GeodesicType):
 
 def euclid_geodesic(t: GeodesicType, mu=Fraction(1, 2)):
     """Type-(p,q) geodesic from the tiling segment anchored at X(mu, 0)."""
-    if not math.isfinite(mu):
+    if isinstance(mu, float) and not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
     mu = Fraction(mu)
     lo, hi = euclid_mu_interval(t)

@@ -28,6 +28,12 @@ def test_euler_phi():
         assert sieve[n] == euler_phi(n)
 
 
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf, 0, -1])
+def test_euler_phi_rejects_all_but_positive_integers(n):
+    with pytest.raises(ValueError):
+        euler_phi(n)
+
+
 def test_psi_small():
     assert psi(5) == 4                 # (1,2),(1,3),(1,4),(2,3)
     assert psi(2) == 0

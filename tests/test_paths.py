@@ -960,6 +960,13 @@ def test_euclid_rejects_unrepresentable_mu():
         euclid_geodesic(t, 1e-300)
 
 
+@pytest.mark.parametrize("mu", [10**400, Fraction(10**400 + 1, 3)])
+def test_euclid_rejects_huge_exact_mu_by_its_interval(mu):
+    # too large for a float: the finiteness check reads floats only
+    with pytest.raises(VertexHit, match="outside the valid interval"):
+        euclid_geodesic(GeodesicType(1, 2), mu)
+
+
 def test_euclid_rejects_midpoint_geodesic():
     with pytest.raises(PreconditionFailed):
         midpoint_geodesic(TetrahedronSpec(E, math.pi / 3), GeodesicType(1, 2))
