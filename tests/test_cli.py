@@ -14,6 +14,7 @@ from tetrageo.cli import main
 from tetrageo.combinat import GeodesicType, crossing_sequence
 from tetrageo.counting import count_exact
 from tetrageo.existence import exists_geodesic
+from tetrageo.existence import exists_geodesic, threshold_beta
 from tetrageo.geom import SpaceKind
 from tetrageo.paths import midpoint_geodesic
 from tetrageo.tetra import TetrahedronSpec
@@ -87,6 +88,18 @@ def test_exists_exit_codes(tmp_path):
     assert json.loads(text)["outcome"] == "exists"
 
 
+def test_exists_inside_the_threshold_bracket_exits_4(tmp_path):
+    t = GeodesicType(1, 2)
+    bracket = threshold_beta(t, 1e-9)
+    code, text = run_cli(["exists", "--space", "spherical",
+                          "--alpha", repr((bracket.lo + bracket.hi) / 2), "--p", "1", "--q", "2"],
+                         tmp_path)
+    assert code == 4
+    doc = json.loads(text)
+    assert doc["outcome"] == "undetermined"
+    assert doc["reason"] == "alpha within the threshold bracket"
+
+
 def test_exists_rejects_nonspherical(tmp_path):
     code, _ = run_cli(["exists", "--space", "hyperbolic", "--alpha", "0.5",
                        "--p", "0", "--q", "1"], tmp_path)
@@ -118,6 +131,10 @@ def test_bounds(tmp_path):
     doc = json.loads(text)
     assert doc["epsilon"] is None          # degenerate for p+q <= 6
     assert doc["alpha2"] is not None
+    code, text = run_cli(["bounds", "--p", "0", "--q", "1"], tmp_path)
+    doc = json.loads(text)
+    assert code == 0
+    assert doc["alpha2"] is None and doc["alpha2_note"]
 
 
 def test_count_json_and_csv(tmp_path):
@@ -231,6 +248,12 @@ def test_json_round_trip():
         parsed = report.loads(text)
         assert parsed == report.loads(report.dumps(parsed))
         assert report.dumps(parsed) == text
+
+
+def test_dumps_nonfinite_floats():
+    assert report.dumps(math.nan) == "null"
+    assert report.dumps([math.inf, -math.inf, 1.0]) == '["inf", "-inf", 1.0]'
+    assert report.dumps({"x": math.nan}) == '{\n  "x": null\n}'
 
 
 def test_svg_golden(tmp_path):

@@ -342,6 +342,18 @@ def test_non_finite_anchor_is_a_value_error(mu):
             fn(t, mu)
 
 
+def test_crossing_sequence_off_the_midpoint_is_the_trace():
+    # mu = 1/3 lies inside the valid anchor interval of these types
+    mu = Fraction(1, 3)
+    types = [GeodesicType(*pq) for pq in coprime_types(8)]
+    types = [t for t in types if euclid_mu_interval(t)[0] < mu < euclid_mu_interval(t)[1]]
+    assert GeodesicType(1, 2) in types
+    for t in types:
+        seq = crossing_sequence(t, mu)
+        records = [(tok, f) for _, tok, f in trace_crossings(t, mu)]
+        assert seq.gtype == t and list(zip(seq.tokens, seq.fractions)) == records
+
+
 # ---------------------------------------------------------------------------
 # the canonical word from its traced quarter and the half turns
 

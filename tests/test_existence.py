@@ -123,6 +123,22 @@ def test_exists_verdicts():
     assert v.alpha2 == pytest.approx(1.3409621366164460, abs=1e-12)
 
 
+def test_verdict_inside_the_threshold_bracket():
+    # the verdict's bracket is threshold_beta's at tol 1e-9: no chord decides inside it
+    t = GeodesicType(1, 2)
+    bracket = threshold_beta(t, 1e-9)
+    v = exists_geodesic(TetrahedronSpec(S, (bracket.lo + bracket.hi) / 2), t)
+    assert v.outcome == "undetermined"
+    assert v.reason == "alpha within the threshold bracket"
+    assert v.path is None
+
+
+@pytest.mark.parametrize("call", [exists_geodesic, abstract_shortest_curve_length])
+def test_spherical_constructions_reject_hyperbolic_specs(call):
+    with pytest.raises(ValueError):
+        call(TetrahedronSpec(SpaceKind.HYPERBOLIC, 0.5), GeodesicType(1, 2))
+
+
 def test_threshold_values():
     with pytest.raises(NoThreshold):
         threshold_beta(GeodesicType(0, 1))
