@@ -45,16 +45,17 @@ SEG_TIE = 1e-8  # the relative band, around either sign's zero, where the two ma
 
 
 def _in_tie_band(space, V, A, B):
-    """True when <V, t_A> or <V, t_B> lies within SEG_TIE of its larger term (rpoint_seg_dist)."""
+    """True when <V, t_A> or <V, t_B> is zero within SEG_TIE of its larger term."""
     k, (v0, v1, v2), (a0, a1, a2), (b0, b1, b2) = float(space), V, A, B
     ab = k * a0 * b0 + a1 * b1 + a2 * b2
     va, vb = k * v0 * a0 + v1 * a1 + v2 * a2, k * v0 * b0 + v1 * b1 + v2 * b2
     ta, tb = vb - k * ab * va, va - k * ab * vb
-    return abs(ta) <= SEG_TIE * max(1.0, abs(ab * va)) or abs(tb) <= SEG_TIE * max(1.0, abs(ab * vb))
+    return (abs(ta) <= SEG_TIE * max(1.0, abs(ab * va))
+            or abs(tb) <= SEG_TIE * max(1.0, abs(ab * vb)))
 
 
 def _recorded_seg_calls(monkeypatch, construct):
-    """Every curved (space, V, A, B) that _chain_metrics hands rpoint_seg_dist during construct()."""
+    """Every curved (space, V, A, B) that _chain_metrics measures during construct()."""
     calls, kernel = [], paths.rpoint_seg_dist
     monkeypatch.setattr(paths, "rpoint_seg_dist",
                         lambda *args: (args[0] != SpaceKind.EUCLIDEAN and calls.append(args))
@@ -65,7 +66,10 @@ def _recorded_seg_calls(monkeypatch, construct):
 
 
 def _assert_kernel_is_the_foot_distance(calls):
-    """== the projected foot's distance outside the tie band, within 4 ulps in it; the band calls."""
+    """== the projected foot's distance outside the tie band, within 4 ulps in it.
+
+    Returns the number of calls in the band.
+    """
     band = 0
     for args in calls:
         got, ref = rpoint_seg_dist(*args), foot_point_seg_dist(*args)
