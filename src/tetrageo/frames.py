@@ -25,8 +25,9 @@ Direction shooting (shoot_chord) carries the chord's normal through the
 transitions; it is the sphere's exact quarter solver, and on the
 hyperboloid the start of the quarter's Newton solve, which polishes it to
 relax_chord's step tolerance.  A closed hyperbolic chain's geodesic is the
-axis of its holonomy (axis_chord), the start of the closed Newton solve.
-The plane needs no solver: its chord is the tiling line.
+axis of its holonomy, which pins the Newton solve at e_0 (holonomy_axis)
+and, carried along the chain (axis_chord), starts it.  The plane needs no
+solver: its chord is the tiling line.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ def _matmul(a, b):
 
 
 IDENTITY3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+_PLANE = "the plane has no chord solver: its geodesic is the tiling line (paths.euclid_geodesic)"
 
 
 @dataclass(frozen=True)
@@ -229,8 +231,11 @@ def propagate_chord(steps, theta):
     On the sphere it meets the great circle of e_i twice; the crossing taken
     is the one where it runs into the face ahead, s = atan2(-h n_0, h n_1),
     where the handedness h flips at every transition with det_sign -1.
+    ValueError on the plane.
     """
     k, h, offsets = _KERNEL[steps[0].space][0], 1.0, []
+    if not k:
+        raise ValueError(_PLANE)
     normals = carry_normals(steps, (0.0, math.sin(theta), -math.cos(theta)))
     for i, (n0, n1, _) in enumerate(normals):
         h *= steps[i - 1].det_sign if i else 1.0
@@ -248,7 +253,7 @@ def shoot_chord(steps):
     runs into the face ahead of e_K at its midpoint or, offset +-pi, at the
     antipode: the caller tells the two apart.  On deep hyperbolic chains the
     far point loses the precision that relax_chord keeps edge by edge, so
-    there the shot only seeds relax_chord.
+    there the shot only seeds relax_chord.  ValueError on the plane.
     """
     v = (1.0, 0.0, 0.0)                             # mid(e_K) in frame E_K
     for step in reversed(steps):
@@ -257,23 +262,33 @@ def shoot_chord(steps):
     return (theta, *propagate_chord(steps, theta))
 
 
-def axis_chord(steps):
-    """Offsets s_0..s_N of the closed hyperbolic chord: the axis of the chain's holonomy.
+def holonomy_axis(steps):
+    """Axis normal n in frame E_0 of a closed hyperbolic chain's holonomy, and its offset s_0.
 
-    The chain e_0..e_N closes up (e_N is e_0), so M = T_{N-1}..T_0 carries
-    frame E_0 onto its last copy; the closed geodesic is the invariant line
-    of M, whose normal n (M n = n) is J axial(M J - J M^T), J = diag(-1, 1,
-    1): for M = ((a, b, c), (d, e, f), (g, h, i)), n = (f - h, c + g,
-    -(b + d)).  Rounding in n grows with the distance it is carried, so it
-    is carried forward through the transitions up to e_{N/2} and backward
-    from E_N = E_0 through the inverses; each offset is atanh(n_0 / n_1).
-    NumericalFailure if the line misses the geodesic of an edge.
+    M = T_{N-1}..T_0 carries frame E_0 onto its last copy E_N = E_0; the
+    closed geodesic is the invariant line of M, whose normal n (M n = n) is
+    J axial(M J - J M^T), J = diag(-1, 1, 1): for M = ((a, b, c), (d, e, f),
+    (g, h, i)), n = (f - h, c + g, -(b + d)).  It meets e_0 at s_0 =
+    atanh(n_0 / n_1); NumericalFailure if it misses the geodesic of e_0.
     """
     holonomy = IDENTITY3
     for step in steps:
         holonomy = _matmul(step.transition, holonomy)
     (_, b, c), (d, _, f), (g, h, _) = holonomy
-    axis = _unit((f - h, c + g, -(b + d)), _mdot)
+    n = _unit((f - h, c + g, -(b + d)), _mdot)
+    if abs(n[0]) >= abs(n[1]):
+        raise NumericalFailure("holonomy axis misses the geodesic of edge e_0")
+    return n, math.atanh(n[0] / n[1])
+
+
+def axis_chord(steps, axis):
+    """Offsets s_0..s_N of the line with normal axis in frame E_0 of the closed chain e_0..e_N.
+
+    Rounding in the normal grows with the distance it is carried, so it is
+    carried forward up to e_{N/2} and backward from E_N = E_0 through the
+    inverses; each offset is atanh(n_0 / n_1).  NumericalFailure if the
+    line misses the geodesic of an edge.
+    """
     half = len(steps) // 2
     normals = carry_normals(steps[:half], axis)
     behind = [axis]
@@ -331,41 +346,6 @@ def _solve_tridiagonal(diag, off, rhs):
     return d
 
 
-def _solve_cyclic(diag, off, corner, rhs):
-    """Cyclic tridiagonal solve: Thomas plus a Sherman-Morrison correction.
-
-    corner couples the first and last unknowns; the matrix is written as
-    a tridiagonal one plus the rank-one term u v^T with u = (g, 0.., corner)
-    and v = (1, 0.., corner / g).  One sweep of _solve_tridiagonal's
-    recurrence carries both right-hand sides, rhs and u.  The first pivot,
-    diag[0] - g = 2 diag[0], is tested before anything is divided by g.
-    """
-    g = -diag[0]
-    m = len(diag)
-    c = [0.0] * m
-    if not g < 0.0:
-        raise _indefinite(c, 0)
-    mod = list(diag)
-    mod[0] -= g
-    mod[-1] -= corner * corner / g
-    y, z = list(rhs), [g] + [0.0] * (m - 2) + [corner]
-    piv = mod[0]
-    y[0], z[0] = yi, zi = y[0] / piv, g / piv
-    for i in range(1, m):
-        o = off[i - 1]
-        c[i - 1] = ci = o / piv
-        piv = mod[i] - o * ci
-        if not piv > 0.0:
-            raise _indefinite(c, i)
-        y[i] = yi = (y[i] - o * yi) / piv
-        z[i] = zi = (z[i] - o * zi) / piv
-    for i in range(m - 2, -1, -1):
-        y[i] = yi = y[i] - c[i] * yi
-        z[i] = zi = z[i] - c[i] * zi
-    w = (y[0] + corner * y[-1] / g) / (1.0 + z[0] + corner * z[-1] / g)
-    return [yi - w * zi for yi, zi in zip(y, z)]
-
-
 def chord_segments(steps, s):
     """C(s_i), S(s_i) and per-segment terms of the chord with offsets s.
 
@@ -396,14 +376,13 @@ def chord_segments(steps, s):
     return cs, sn, terms
 
 
-def _chord_derivatives(space, rows, x, closed, pinned):
+def _chord_derivatives(space, rows, x, pinned):
     """Length, gradient and tridiagonal Hessian of the chord in the offsets x.
 
     One pass with the operations of chord_segments in its order; rows[i]
     is (t00, t01, t10, t11, t20, t21) of transition i.  Pinned segments
     (two crossings at their shared vertex) have length zero and are
-    skipped, as is a segment whose <D, D> rounds to zero or below.  On a
-    closed chain s_K is s_0, so its terms are folded into index 0.
+    skipped, as is a segment whose <D, D> rounds to zero or below.
     """
     k, C, S, _, _, arc = _KERNEL[space]
     hyperbolic, half, quarter, sqrt = k < 0, -0.5 * k, -0.25 * k, math.sqrt
@@ -433,9 +412,6 @@ def _chord_derivatives(space, rows, x, closed, pinned):
         diag[i], di = di + c * (r2 - cx * cx) / r3, 0.0 + c * (r2 - cy * cy) / r3
         off[i] = ((a0 * sb - a1 * cb) * r2 - c * cx * cy) / r3
     grad[-1], diag[-1] = gi, di
-    if closed:
-        grad[0] += gi
-        diag[0] += di
     return length, grad, diag, off
 
 
@@ -488,14 +464,12 @@ def _corner_cut(steps, state, run, ends, evaluate):
     return _shorter(([across(h * 0.25 ** k)] for k in range(40)), evaluate, length)
 
 
-def relax_chord(steps, ells, init_fractions, closed=False):
+def relax_chord(steps, ells, init_fractions):
     """Taut-chord offsets through the chain by damped Newton steps.
 
     Segment i couples only s_i and s_{i+1}, so the Hessian of the length is
-    tridiagonal and a step is one O(K) Thomas solve.  With closed=False
-    s_0 and s_K stay pinned at their initial fractions; with closed=True
-    e_K is e_0 again, s_K is tied to s_0 (a cyclic system), and the
-    solution is the closed geodesic.
+    tridiagonal and a step is one O(K) Thomas solve.  s_0 and s_K stay
+    pinned at their initial fractions.
 
     Every offset stays on its edge.  A step moves no offset by more than
     ROOM_FRACTION of the room left to its end; one that would leave an
@@ -514,13 +488,15 @@ def relax_chord(steps, ells, init_fractions, closed=False):
     full step below FLOOR_STEP that fails to shrink the next one), and
     confirms a stop without damping.  Returns the offsets s_0..s_K and their
     length: the last pass's sum (pinned segments count zero), or the trace.
+    ValueError on the plane.
     """
+    if steps and not _KERNEL[steps[0].space][0]:
+        raise ValueError(_PLANE)
     K = len(ells) - 1
     s = [(float(f) - 0.5) * ells[i] for i, f in enumerate(init_fractions)]
-    free = range(0, K) if closed else range(1, K)
+    free = range(1, K)
     if not free:
         return s, sum(trace_geometry(steps, s)) if steps else 0.0
-    lo = free[0]
     ends = [0.5 * ell for ell in ells]
     near_ends = [e * (1.0 - 1e-12) for e in ends]     # within rounding of an end is at it
     # the sides of e_i and e_{i+1} at the vertex about which F_i turns
@@ -530,10 +506,8 @@ def relax_chord(steps, ells, init_fractions, closed=False):
 
     def evaluate(x):
         """State (offsets, derivatives, end sides or None, pinned segments) at x, snapped."""
-        if closed:
-            x[K] = x[0]
         if not any(map(operator.gt, map(abs, x), near_ends)):
-            return x, _chord_derivatives(space, rows, x, closed, ()), None, ()
+            return x, _chord_derivatives(space, rows, x, ()), None, ()
         sides = [(1 if v > 0.0 else -1) if abs(v) > e else 0 for v, e in zip(x, near_ends)]
         for i in free:
             x[i] = sides[i] * ends[i] if sides[i] else x[i]
@@ -543,10 +517,8 @@ def relax_chord(steps, ells, init_fractions, closed=False):
                 x[i + 1], sides[i + 1] = b * ends[i + 1], b
             elif sides[i + 1] == b and sides[i] != a and i in free:
                 x[i], sides[i] = a * ends[i], a
-        if closed:
-            x[K], sides[K] = x[0], sides[0]
         pinned = {i for i, (a, b) in enumerate(hinges) if sides[i] == a and sides[i + 1] == b}
-        return x, _chord_derivatives(space, rows, x, closed, pinned), sides, pinned
+        return x, _chord_derivatives(space, rows, x, pinned), sides, pinned
 
     def moved_by(step):
         """Offsets s + step on the free indices, held to their edges."""
@@ -560,7 +532,7 @@ def relax_chord(steps, ells, init_fractions, closed=False):
     for _ in range(MAX_NEWTON_STEPS):
         s, (length, grad, diag, off), sides, pinned = state
         if sides is None:               # no offset at an edge end: nothing is held
-            rhs, dg, offs = [-g for g in grad[lo:K]], [d + mu for d in diag[lo:K]], off[lo:K]
+            rhs, dg, offs = [-g for g in grad[1:K]], [d + mu for d in diag[1:K]], off[1:K]
         else:
             runs, held, moved = [], set(), None
             for i in free:
@@ -578,15 +550,12 @@ def relax_chord(steps, ells, init_fractions, closed=False):
                 continue
             rhs = [0.0 if i in held else -grad[i] for i in free]
             dg = [1.0 if i in held else diag[i] + mu for i in free]
-            offs = [0.0 if i in held or (i + 1) % K in held else off[i] for i in free]
+            offs = [0.0 if i in held or i + 1 in held else off[i] for i in free]
         try:
-            if closed:
-                delta = _solve_cyclic(dg, offs[:K - 1], offs[K - 1], rhs)
-            else:
-                delta = _solve_tridiagonal(dg, offs[:K - 2], rhs)
+            delta = _solve_tridiagonal(dg, offs[:K - 2], rhs)
         except _Indefinite as exc:
             z, moved = exc.args[0], None
-            if not closed and max(map(abs, rhs)) < SADDLE_GRADIENT:
+            if max(map(abs, rhs)) < SADDLE_GRADIENT:
                 # the length is concave along z: from the first edge end inwards
                 reach = min((ends[i] - (s[i] if x > 0.0 else -s[i])) / abs(x)
                             for i, x in zip(free, z) if x)
@@ -611,7 +580,7 @@ def relax_chord(steps, ells, init_fractions, closed=False):
                 room = ROOM_FRACTION * ((ends[i] - (s[i] if x > 0.0 else -s[i])) / abs(x))
                 if room < scale:
                     scale = room
-        cut = s[:lo] + [v + scale * x for v, x in zip(s[lo:K], delta)] + s[K:]
+        cut = s[:1] + [v + scale * x for v, x in zip(s[1:K], delta)] + s[K:]
         candidate = evaluate(cut)
         if ROOM_FRACTION / OVERSHOOT <= scale < ROOM_FRACTION:
             # the full step leaves an edge, by at most OVERSHOOT rooms: try it projected too

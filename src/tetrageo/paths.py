@@ -6,8 +6,8 @@ Three construction routes:
 * spherical / hyperbolic regular: the midpoint-chord method on one quarter
   of the development (the central symmetry of the development transports
   the quarter to the whole curve);
-* generic hyperbolic: the closed taut chord of the whole development, whose
-  two incidence angles at the edge point s0 are supplementary.
+* generic hyperbolic: the taut chord of the whole closed development from
+  s0, where the axis of its holonomy meets the first edge, back to s0.
 
 Every chain is placed in the edge-local frames of :mod:`frames`, the
 Euclidean one as the plane's k = 0.
@@ -15,9 +15,9 @@ The quarter chord is shot through the two midpoints in both curved spaces
 (:func:`frames.shoot_chord`): on the sphere the shot is exact; on the
 hyperboloid it seeds the one Newton solver of :func:`frames.relax_chord`,
 pinned at X1 and Y1.  The generic tetrahedron's chord is the same solver
-closed up, started from the axis of the chain's holonomy
+pinned at s0 (:func:`frames.holonomy_axis`), started from the carried axis
 (:func:`frames.axis_chord`).  The exact Euclidean fractions are the seed
-when the shot or the axis fails.
+when the shot or the carried axis fails.
 
 Length, clearance and closure residual are recomputed from the crossing
 fractions in edge-local frames, in all three spaces (closure angles at the
@@ -417,13 +417,12 @@ def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
 def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     """Type-(p,q) geodesic on a hyperbolic tetrahedron with angles <= pi/4.
 
-    The geodesic is the chord of the unrolled chain e_0..e_N that closes
-    up: e_N is e_0 again with the same crossing offset, and the closed
-    chain's length is stationary exactly where the two incidence angles at
-    X(s0) are supplementary.  Strict convexity of the length makes that
-    point unique; one closed Newton solve in edge-local frames finds it,
-    started from the axis of the chain's holonomy (the Euclidean fractions
-    when the axis fails, as for the quarter chord).
+    The geodesic is the axis of the holonomy M of the unrolled chain
+    e_0..e_N, e_N being e_0 again; M fixes where it crosses e_0, at s0
+    (NumericalFailure if the axis misses e_0).  One Newton solve in
+    edge-local frames, pinned at s0 on e_0 and e_N, finds the interior
+    crossings from the carried axis (the Euclidean fractions when that
+    fails, as for the quarter chord).
     """
     if isinstance(spec, TetrahedronSpec):
         if spec.space != SpaceKind.HYPERBOLIC or spec.alpha > math.pi / 4 + 1e-12:
@@ -435,9 +434,11 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     tokens_ext = list(word.tokens) + [word.tokens[0]]
     steps = frames.build_chain(spec, tokens_ext)
     ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens_ext]
-    init = _seed_fractions(lambda: frames.axis_chord(steps), ells,
+    axis, s0 = frames.holonomy_axis(steps)
+    init = _seed_fractions(lambda: frames.axis_chord(steps, axis), ells,
                            list(word.fractions) + [word.fractions[0]])
-    offsets, _ = frames.relax_chord(steps, ells, init, closed=True)
+    init[0] = init[-1] = s0 / ells[0] + 0.5
+    offsets, _ = frames.relax_chord(steps, ells, init)
     fracs = [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(len(word.tokens))]
     for i, f in enumerate(fracs):
         if not (FRACTION_MARGIN < f < 1.0 - FRACTION_MARGIN):

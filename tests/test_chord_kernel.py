@@ -2,15 +2,13 @@
 
 frames._chord_derivatives computes the segment terms of
 frames.chord_segments and accumulates the length, gradient and
-tridiagonal Hessian in the same pass; _solve_tridiagonal and
-_solve_cyclic take their first row out of the sweep.  Each keeps the
-floating-point operations of the reference below and their order, so
-results are compared with ==.
+tridiagonal Hessian in the same pass; _solve_tridiagonal takes its first
+row out of the sweep.  Each keeps the floating-point operations of the
+reference below and their order, so results are compared with ==.
 """
 
 import math
 
-import pytest
 from hypothesis import given, strategies as st
 
 from conftest import coprime_types
@@ -22,7 +20,7 @@ from tetrageo.tetra import TetrahedronSpec, generic_from_edges
 H, S = SpaceKind.HYPERBOLIC, SpaceKind.SPHERICAL
 
 
-def _chain_derivatives(steps, s, closed, pinned=()):
+def _chain_derivatives(steps, s, pinned=()):
     """Length, gradient and tridiagonal Hessian of the chord, from the terms of chord_segments."""
     K = len(steps)
     k, _, _, _, _, arc = frames._KERNEL[steps[0].space]
@@ -42,9 +40,6 @@ def _chain_derivatives(steps, s, closed, pinned=()):
         diag[i] += c * (r2 - cx * cx) / r3
         diag[i + 1] += c * (r2 - cy * cy) / r3
         off[i] = (cxy * r2 - c * cx * cy) / r3
-    if closed:
-        grad[0] += grad[K]
-        diag[0] += diag[K]
     return length, grad, diag, off
 
 
@@ -62,32 +57,9 @@ def _solve_tridiagonal(diag, off, rhs):
     return d
 
 
-def _solve_cyclic(diag, off, corner, rhs):
-    g = -diag[0]
-    m = len(diag)
-    mod = list(diag)
-    mod[0] -= g
-    if not mod[0] > 0.0:            # the first pivot, tested before the division by g
-        raise frames._indefinite([0.0] * m, 0)
-    mod[-1] -= corner * corner / g
-    c, y, z = [0.0] * m, list(rhs), [g] + [0.0] * (m - 2) + [corner]
-    for i in range(m):
-        piv = mod[i] - (off[i - 1] * c[i - 1] if i else 0.0)
-        if not piv > 0.0:
-            raise frames._indefinite(c, i)
-        c[i] = off[i] / piv if i < m - 1 else 0.0
-        y[i] = (y[i] - (off[i - 1] * y[i - 1] if i else 0.0)) / piv
-        z[i] = (z[i] - (off[i - 1] * z[i - 1] if i else 0.0)) / piv
-    for i in range(m - 2, -1, -1):
-        y[i] -= c[i] * y[i + 1]
-        z[i] -= c[i] * z[i + 1]
-    w = (y[0] + corner * y[-1] / g) / (1.0 + z[0] + corner * z[-1] / g)
-    return [yi - w * zi for yi, zi in zip(y, z)]
-
-
 @st.composite
 def chains(draw):
-    """(steps, offsets, closed, pinned) on a random curved spec and crossing word.
+    """(steps, offsets, pinned) on a random curved spec and open crossing word.
 
     Offsets are drawn on their edges, some at an edge end; a pinned
     segment has both its crossings at the vertex its two edges share.
@@ -100,11 +72,7 @@ def chains(draw):
     else:
         spec = generic_from_edges(draw(st.lists(st.floats(1.8, 2.3), min_size=6, max_size=6)))
     word = canonical_word(GeodesicType(*draw(st.sampled_from(coprime_types(12)))))
-    closed = draw(st.booleans())
-    if closed:
-        tokens = list(word.tokens) + [word.tokens[0]]
-    else:
-        tokens = list(word.tokens[:draw(st.integers(2, len(word.tokens)))])
+    tokens = list(word.tokens[:draw(st.integers(2, len(word.tokens)))])
     steps = frames.build_chain(spec, tokens)
     K = len(steps)
     ends = [0.5 * spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens]
@@ -115,18 +83,16 @@ def chains(draw):
             p, q, w = steps[i].hinge
             x[i], x[i + 1] = (1 if p > q else -1) * ends[i], (1 if p > w else -1) * ends[i + 1]
             pinned.add(i)
-    if closed:
-        x[K] = x[0]
-    return steps, x, closed, pinned
+    return steps, x, pinned
 
 
 @given(chains())
 def test_one_pass_derivatives_equal_the_segment_terms_reference(chain):
-    steps, x, closed, pinned = chain
+    steps, x, pinned = chain
     rows = [(t0[0], t0[1], t1[0], t1[1], t2[0], t2[1]) for t0, t1, t2 in
             (step.transition for step in steps)]
-    fused = frames._chord_derivatives(steps[0].space, rows, x, closed, pinned)
-    assert fused == _chain_derivatives(steps, x, closed, pinned)
+    fused = frames._chord_derivatives(steps[0].space, rows, x, pinned)
+    assert fused == _chain_derivatives(steps, x, pinned)
 
 
 def _outcome(solve, *args):
@@ -137,33 +103,17 @@ def _outcome(solve, *args):
 
 
 @st.composite
-def tridiagonal_systems(draw, min_size, low):
-    """(diag, off, corner, rhs); diag from [low, 5], so SPD for low > 2, indefinite ones below."""
-    m = draw(st.integers(min_size, 20))
+def tridiagonal_systems(draw, low):
+    """(diag, off, rhs); diag from [low, 5], so SPD for low > 2, indefinite ones below."""
+    m = draw(st.integers(1, 20))
     unit = st.floats(-1.0, 1.0)
     return (draw(st.lists(st.floats(low, 5.0), min_size=m, max_size=m)),
-            draw(st.lists(unit, min_size=m - 1, max_size=m - 1)), draw(unit),
+            draw(st.lists(unit, min_size=m - 1, max_size=m - 1)),
             draw(st.lists(unit, min_size=m, max_size=m)))
 
 
-@given(st.one_of(tridiagonal_systems(1, 2.1), tridiagonal_systems(1, -1.0)))
+@given(st.one_of(tridiagonal_systems(2.1), tridiagonal_systems(-1.0)))
 def test_peeled_thomas_solve_equals_the_loop(system):
-    diag, off, _, rhs = system
+    diag, off, rhs = system
     assert (_outcome(frames._solve_tridiagonal, diag, off, rhs)
             == _outcome(_solve_tridiagonal, diag, off, rhs))
-
-
-@given(st.one_of(tridiagonal_systems(2, 2.1), tridiagonal_systems(2, -1.0)))
-def test_peeled_cyclic_solve_equals_the_loop(system):
-    diag, off, corner, rhs = system
-    assert (_outcome(frames._solve_cyclic, diag, off, corner, rhs)
-            == _outcome(_solve_cyclic, diag, off, corner, rhs))
-
-
-@pytest.mark.parametrize("zero", [0.0, -0.0])
-def test_zero_first_pivot_of_the_cyclic_solve_is_indefinite(zero):
-    # g = -diag[0] is a divisor of the Sherman-Morrison correction: a zero
-    # first pivot is reported as such, with z = e_0, before it is divided by
-    with pytest.raises(frames._Indefinite) as info:
-        frames._solve_cyclic([zero, zero], [0.0], 0.0, [1.0, 1.0])
-    assert info.value.args[0] == [1.0, 0.0]

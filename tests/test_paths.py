@@ -972,6 +972,22 @@ def test_euclid_rejects_midpoint_geodesic():
         midpoint_geodesic(TetrahedronSpec(E, math.pi / 3), GeodesicType(1, 2))
 
 
+@pytest.mark.parametrize("solve", [
+    lambda steps, ells, fracs: frames.propagate_chord(steps, 0.3),
+    lambda steps, ells, fracs: frames.shoot_chord(steps),
+    lambda steps, ells, fracs: frames.relax_chord(steps, ells, fracs),
+], ids=["propagate", "shoot", "relax"])
+def test_plane_chain_has_no_chord_solver(solve):
+    # the (1,2) quarter's exact fractions are 1/2, 1/6, 1/4, 1/2: the atanh
+    # offsets put every crossing at 1/2, and Newton steps never converged
+    word = canonical_word(GeodesicType(1, 2))
+    tokens = word.tokens[:len(word.tokens) // 4 + 1]
+    assert word.fractions[:len(tokens)] == (0.5, 1 / 6, 0.25, 0.5)
+    steps = frames.build_chain(TetrahedronSpec(E, math.pi / 3), tokens)
+    with pytest.raises(ValueError, match="tiling line"):
+        solve(steps, [1.0] * len(tokens), list(word.fractions[:len(tokens)]))
+
+
 class _ScaledEuclid:
     """Euclidean spec with edge c: the unit normalization is scale free."""
 
@@ -1113,11 +1129,17 @@ def generic_specs(draw):
     return spec
 
 
-@given(generic_specs(), st.sampled_from(coprime_types(13)))
+@given(generic_specs(), st.sampled_from(coprime_types(20)))
 def test_generic_length_is_the_holonomy_translation(spec, pq):
+    # the solve is pinned at the holonomy axis's offset s_0 on e_0 and closes up
     t = GeodesicType(*pq)
     path = generic_hyperbolic_geodesic(spec, t)
-    assert path.total_length == pytest.approx(_holonomy_length(spec, t), rel=1e-12)
+    assert path.total_length == pytest.approx(_holonomy_length(spec, t), rel=1e-14)
+    word = canonical_word(t)
+    _, s0 = frames.holonomy_axis(frames.build_chain(spec, list(word.tokens) + [word.tokens[0]]))
+    ell = spec.face_edge_length(int(word.tokens[0][0]), int(word.tokens[0][1]))
+    assert abs(path.extras["s0"] - (s0 + ell / 2.0)) <= 1e-13 * ell
+    assert path.closure_residual < 1e-11
 
 
 def test_regular_generic_length_is_the_holonomy_translation():
@@ -1136,8 +1158,10 @@ def test_axis_chord_is_the_closed_geodesic():
         path = generic_hyperbolic_geodesic(spec, GeodesicType(*pq))
         word = list(path.tokens) + [path.tokens[0]]
         ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in word]
-        offsets = frames.axis_chord(frames.build_chain(spec, word))
-        assert len(offsets) == len(word)
+        steps = frames.build_chain(spec, word)
+        axis, s0 = frames.holonomy_axis(steps)
+        offsets = frames.axis_chord(steps, axis)
+        assert len(offsets) == len(word) and offsets[0] == offsets[-1] == s0
         assert max(abs(x / ell + 0.5 - f) for x, ell, f in
                    zip(offsets, ells, path.fractions + path.fractions[:1])) < 1e-11, pq
 
@@ -1161,23 +1185,58 @@ def test_axis_seeded_solve_takes_few_evaluations(monkeypatch):
 
 
 @pytest.mark.parametrize("axis", [
-    _missed,
-    lambda steps: [math.nan] * (len(steps) + 1),
-    lambda steps: [0.0] + [1e3] * len(steps),
+    lambda steps, axis: _missed(steps),
+    lambda steps, axis: [math.nan] * (len(steps) + 1),
+    lambda steps, axis: [0.0] + [1e3] * len(steps),
 ], ids=["missed", "not-finite", "off-the-edge"])
 def test_failed_axis_falls_back_to_the_euclidean_seed(axis, monkeypatch):
+    # a carried axis that fails seeds the interior from the Euclidean fractions;
+    # both ends stay pinned at the holonomy's s_0
     spec, t = generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02]), GeodesicType(3, 5)
     seeded = generic_hyperbolic_geodesic(spec, t)
+    word = canonical_word(t)
+    tokens = list(word.tokens) + [word.tokens[0]]
+    _, s0 = frames.holonomy_axis(frames.build_chain(spec, tokens))
+    ell = spec.face_edge_length(int(tokens[0][0]), int(tokens[0][1]))
+    seeds, relax = [], frames.relax_chord
     monkeypatch.setattr(frames, "axis_chord", axis)
+    monkeypatch.setattr(frames, "relax_chord",
+                        lambda steps, ells, init: seeds.append(init) or relax(steps, ells, init))
     path = generic_hyperbolic_geodesic(spec, t)
+    assert seeds == [[s0 / ell + 0.5] + list(word.fractions[1:]) + [s0 / ell + 0.5]]
     assert isinstance(path, GeodesicPath) and path.closed and path.simple
     assert max(abs(a - b) for a, b in zip(path.fractions, seeded.fractions)) < 1e-11
     assert abs(path.total_length - seeded.total_length) <= 1e-12 * seeded.total_length
 
 
+def _boost(i, t):
+    """The hyperboloid's translation by t along the x (i = 1) or y (i = 2) direction."""
+    m = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    m[0][0] = m[i][i] = math.cosh(t)
+    m[0][i] = m[i][0] = math.sinh(t)
+    return tuple(map(tuple, m))
+
+
+def test_holonomy_axis_that_misses_e0_raises(monkeypatch):
+    # a holonomy that translates along a line 0.5 away from e_0's geodesic,
+    # which never meets it: there is no s_0 to pin, and no path
+    holonomy = frames._matmul(_boost(2, 0.5), frames._matmul(_boost(1, 3.0), _boost(2, -0.5)))
+    build_chain = frames.build_chain
+
+    def skewed(spec, tokens):
+        steps = build_chain(spec, tokens)
+        return ([replace(steps[0], transition=holonomy)]
+                + [replace(step, transition=frames.IDENTITY3) for step in steps[1:]])
+
+    monkeypatch.setattr(frames, "build_chain", skewed)
+    spec = generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02])
+    with pytest.raises(NumericalFailure, match="holonomy axis misses the geodesic of edge e_0"):
+        generic_hyperbolic_geodesic(spec, GeodesicType(1, 2))
+
+
 def test_generic_larger_types():
-    # longer generic chains: the closed solve in edge-local frames keeps the
-    # closure residual at solver precision
+    # longer generic chains: the solve pinned at s0 in edge-local frames keeps
+    # the closure residual at solver precision
     spec = generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02])
     for pq in ((1, 3), (2, 3)):
         path = generic_hyperbolic_geodesic(spec, GeodesicType(*pq))
@@ -1231,25 +1290,3 @@ def test_one_path_record_per_construction(build, monkeypatch):
     path = build()
     assert path.simple and len(built) == 1
     assert path.simple == simplicity_check(path, None)
-
-
-def test_cyclic_solve_matches_dense_solve():
-    np = pytest.importorskip("numpy")
-    rng = random.Random(5)
-    for m in (3, 4, 7, 20):
-        for _ in range(25):
-            off = [rng.uniform(-1.0, 1.0) for _ in range(m - 1)]
-            corner = rng.uniform(-1.0, 1.0)
-            diag = [rng.uniform(2.1, 5.0) for _ in range(m)]    # |off| + |corner| < 2
-            rhs = [rng.uniform(-1.0, 1.0) for _ in range(m)]
-            A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-            A[0, m - 1] = A[m - 1, 0] = corner
-            x = frames._solve_cyclic(diag, off, corner, rhs)
-            assert np.max(np.abs(np.array(x) - np.linalg.solve(A, rhs))) < 1e-13
-            # the same float operations as two tridiagonal solves
-            g = -diag[0]
-            mod = [diag[0] - g] + diag[1:-1] + [diag[-1] - corner * corner / g]
-            y = frames._solve_tridiagonal(mod, off, rhs)
-            z = frames._solve_tridiagonal(mod, off, [g] + [0.0] * (m - 2) + [corner])
-            w = (y[0] + corner * y[-1] / g) / (1.0 + z[0] + corner * z[-1] / g)
-            assert x == [yi - w * zi for yi, zi in zip(y, z)]
