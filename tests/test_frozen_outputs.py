@@ -29,18 +29,20 @@ instead of by the containment predicate.  The predicate fails up to
 about 1.6e-9 below that root, so the containment bracket of (1, 1) ended
 9.8e-10 short of pi/2; the other 10 new brackets overlap the old ones.
 
-Its "generic" part pins the closed chord solve (the cyclic Newton system
-of generic_hyperbolic_geodesic) and its "spherical_lengths" part the
-spherical midpoint lengths, both frozen before the chord solver's
-Newton iterate was fused into one pass: the repr of the fractions, s0,
-length and clearance of types (1,1), (1,2), (2,3) and (3,5) on the
-regular pi/6 tetrahedron and on GENERIC_SPECS seeded random ones with
-every angle <= pi/4 (or the exception a construction raises), and the
-repr of the midpoint_geodesic length and clearance of every type p+q <= 7
-at every fifth alpha of the spherical grid (or its outcome).  The
-"generic" part was re-taken when the closed solve began from the axis of
-the chain's holonomy instead of the Euclidean fractions (which moved it
-by rounding).
+Its "generic" part pins generic_hyperbolic_geodesic and its
+"spherical_lengths" part the spherical midpoint lengths, both frozen
+before the chord solver's Newton iterate was fused into one pass: the
+repr of the fractions, s0, length and clearance of types (1,1), (1,2),
+(2,3) and (3,5) on the regular pi/6 tetrahedron and on GENERIC_SPECS
+seeded random ones with every angle <= pi/4 (or the exception a
+construction raises), and the repr of the midpoint_geodesic length and
+clearance of every type p+q <= 7 at every fifth alpha of the spherical
+grid (or its outcome).  The "generic" part was re-taken twice, each time
+moved by rounding only: when the closed solve began from the axis of the
+chain's holonomy instead of the Euclidean fractions, and when the cyclic
+Newton system gave way to the pinned solve, both ends held at the offset
+s0 where the holonomy's axis meets e_0 (7 of its 20 entries moved, by
+1 to 3 ulps).
 
 The "count_exact" and "spherical_lengths" parts were re-taken when
 geom.rpoint_seg_dist began to place the foot of the perpendicular by two
