@@ -532,7 +532,7 @@ def relax_chord(steps, ells, init_fractions):
     for _ in range(MAX_NEWTON_STEPS):
         s, (length, grad, diag, off), sides, pinned = state
         if sides is None:               # no offset at an edge end: nothing is held
-            rhs, dg, offs = [-g for g in grad[1:K]], [d + mu for d in diag[1:K]], off[1:K]
+            rhs, dg, offs = [-g for g in grad[1:K]], [d + mu for d in diag[1:K]], off[1:K - 1]
         else:
             runs, held, moved = [], set(), None
             for i in free:
@@ -550,9 +550,9 @@ def relax_chord(steps, ells, init_fractions):
                 continue
             rhs = [0.0 if i in held else -grad[i] for i in free]
             dg = [1.0 if i in held else diag[i] + mu for i in free]
-            offs = [0.0 if i in held or i + 1 in held else off[i] for i in free]
+            offs = [0.0 if i in held or i + 1 in held else off[i] for i in free[:-1]]
         try:
-            delta = _solve_tridiagonal(dg, offs[:K - 2], rhs)
+            delta = _solve_tridiagonal(dg, offs, rhs)
         except _Indefinite as exc:
             z, moved = exc.args[0], None
             if max(map(abs, rhs)) < SADDLE_GRADIENT:
