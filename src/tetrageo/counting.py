@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
+import numbers
 from dataclasses import dataclass, field
 
 from .combinat import GeodesicType
@@ -26,14 +26,16 @@ from .paths import GeodesicPath, midpoint_geodesic
 from .tetra import TetrahedronSpec
 
 
+def _positive_integer(name, n):
+    """n as an int; ValueError naming the argument unless n is a positive integer."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def euler_phi(n):
     """Euler's totient of a positive integer; ValueError for anything else."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be a positive integer, got {n!r}") from None
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _positive_integer("n", n)
     total = n
     m = n
     p = 2
@@ -59,14 +61,18 @@ def totient_sieve(x):
 
 
 def totient_sum(x):
-    """Sum of phi(n) for n = 1..x; asymptotically (3/pi^2) x^2."""
+    """Sum of phi(n) for n = 1..x, asymptotically (3/pi^2) x^2; ValueError for a non-integer x."""
+    if not isinstance(x, numbers.Integral):
+        raise ValueError(f"x must be an integer, got {x!r}")
     if x < 1:
         return 0
     return int(totient_sieve(x)[1:].sum())
 
 
 def psi(x):
-    """Number of coprime pairs p < q with p, q >= 1 and p + q <= x."""
+    """Number of coprime pairs p < q with p, q >= 1 and p + q <= x (x truncated; finite)."""
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     x = int(x)
     if x < 3:
         return 0
@@ -88,13 +94,21 @@ def psi_bruteforce(x):
 
 
 def _log_d(alpha):
-    """ln D, D = 2 sqrt(3)(1 - 3 alpha/pi) + 1, of the length bound and the growth constants."""
+    """ln D, D = 2 sqrt(3)(1 - 3 alpha/pi) + 1, of the length bound and the growth constants.
+
+    ValueError unless 0 <= alpha < pi/3.
+    """
+    if not (0.0 <= alpha < math.pi / 3):
+        raise ValueError("alpha must lie in [0, pi/3)")
     return math.log(2.0 * math.sqrt(3.0) * (1.0 - 3.0 * alpha / math.pi) + 1.0)
 
 
 def length_pruning_bound(alpha, n_sum):
-    """Lower bound 2 n_sum ln D on the length of any type with p + q = n_sum."""
-    return 2.0 * n_sum * _log_d(alpha)
+    """Lower bound 2 n_sum ln D on the length of any type with p + q = n_sum.
+
+    ValueError unless 0 <= alpha < pi/3 and n_sum is a positive integer.
+    """
+    return 2.0 * _positive_integer("n_sum", n_sum) * _log_d(alpha)
 
 
 # cap on the admissible type list of one count
@@ -137,8 +151,6 @@ def asymptotic_constant(alpha):
     the length filter admits (a report's bound_count), not of the exact
     count, which the bound count only bounds from above.
     """
-    if not (0.0 <= alpha < math.pi / 3):
-        raise ValueError("alpha must lie in [0, pi/3)")
     lnD = _log_d(alpha)
     return {
         "c_printed": 9.0 / (8.0 * math.pi ** 2 * lnD),

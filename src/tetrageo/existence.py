@@ -148,9 +148,7 @@ def hyperbolic_clearance_bound(alpha):
 
 
 def hyperbolic_length_lower_bound(alpha, t: GeodesicType):
-    """Length lower bound 2(p+q) ln(2 sqrt(3) (1 - 3 alpha/pi) + 1)."""
-    if not (0.0 <= alpha < math.pi / 3):
-        raise ValueError("alpha must lie in [0, pi/3)")
+    """Length lower bound 2(p+q) ln(2 sqrt(3) (1 - 3 alpha/pi) + 1); ValueError off [0, pi/3)."""
     return length_pruning_bound(alpha, t.p + t.q)
 
 

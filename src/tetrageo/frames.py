@@ -10,12 +10,12 @@ plane (k = 0, the point (x, y) written (1, x, y)) or the unit sphere (k = +1),
     smaller-labelled endpoint at negative x, the face ahead at y > 0,
 
 and the chain is encoded by the change-of-basis matrix from each edge
-frame to the next, a rigid motion of the plane at k = 0.  A step depends
-only on the space, its two edges and the face's three edge lengths, so
-each is built once (a bounded table) and shared by every chain with that
-key.  A chord is described by its crossing offsets, one signed arclength
-from each edge midpoint, so every crossing, fraction, margin and length is
-a well-conditioned local computation; chains are placed (place_faces) and
+frame to the next, a rigid motion of the plane at k = 0.  A step has no
+vertex labels, only the space, the face's edge lengths and its turn, so each
+is built once (a bounded table) and shared by every chain with that key.
+A chord is described by its crossing offsets, one signed arclength from
+each edge midpoint, so every crossing, fraction, margin and length is a
+well-conditioned local computation; chains are placed (place_faces) and
 measured (chord_segments) this way in all three spaces.  The segment terms
 are written twice, with the same floating-point operations in the same
 order: chord_segments, read by the fold-back metrics, and the one pass per
@@ -69,13 +69,14 @@ _PLANE = "the plane has no chord solver: its geodesic is the tiling line (paths.
 
 @dataclass(frozen=True)
 class ChainStep:
-    """Face F_i of the chain, expressed in the frame of its entry edge e_i."""
+    """Face abw in the frame of its entry edge ab, a < b; label-free, one per shape and turn."""
 
-    verts: dict           # label -> rep (hyperboloid, (1, x, y) or sphere) in frame E_i
+    verts: tuple          # reps of a, b, w (hyperboloid, (1, x, y) or sphere) in frame E_i
     transition: tuple     # 3x3 change of basis, frame E_i -> frame E_{i+1}
     inverse: tuple        # its inverse, frame E_{i+1} -> frame E_i
     space: SpaceKind
-    hinge: tuple          # (p, q, w): F_i turns about vertex p from e_i = pq to e_{i+1} = pw
+    sides: tuple          # ends of e_i, e_{i+1} at the pivot: +1 the larger label, -1 the smaller
+    row: tuple            # (t00, t01, t10, t11, t20, t21), the entries the chord passes read
     det_sign: float       # 1.0 if det(transition) > 0, else -1.0 (the sphere's handedness flips)
 
 
@@ -95,57 +96,43 @@ def _unit(v, dot):
     return (v[0] / s, v[1] / s, v[2] / s)
 
 
-# (entry, exit) pair of glue edges sharing one vertex -> (a, b, w): the entry
-# edge ab, a < b, and the third vertex w of the face they span
+# (entry, exit) pair of glue edges sharing one vertex -> (a, b, w): the entry edge ab,
+# a < b, and the third vertex w of the face; its key adds from_b and w_first (_chain_step)
 _STEP_LABELS = {(cur, nxt): (int(cur[0]), int(cur[1]), int((set(nxt) - set(cur)).pop()))
                 for cur in EDGES for nxt in EDGES if len(set(cur) & set(nxt)) == 1}
+_STEP_KEYS = {pair: (a, b, w, str(b) in pair[1], str(w) == pair[1][0])
+              for pair, (a, b, w) in _STEP_LABELS.items()}
 
 
 def build_chain(spec, tokens):
     """Chain steps of a spec for glue edges tokens[0..K].
 
     tokens[i] and tokens[i+1] must share exactly one vertex; face F_i is
-    their union.  Returns a list of K ChainStep records.  A step depends
-    only on the space, its two tokens and the face's three edge lengths: it
-    comes from the step table :func:`_chain_step`.
+    their union.  Returns a list of K ChainStep records from the step table
+    :func:`_chain_step`.
     """
     pairs = list(zip(tokens, tokens[1:]))
     ell, built = spec.face_edge_length, {}
     for pair in dict.fromkeys(pairs):
-        a, b, w = _STEP_LABELS[pair]
-        built[pair] = _chain_step(spec.space, *pair, a, b, w, ell(a, b), ell(a, w), ell(b, w))
+        a, b, w, from_b, w_first = _STEP_KEYS[pair]
+        built[pair] = _chain_step(spec.space, ell(a, b), ell(a, w), ell(b, w), from_b, w_first)
     return [built[pair] for pair in pairs]
 
 
-# bounded: at most 24 steps per spec, about 1 kB each
+# bounded: at most four steps per face shape, 24 per spec, about 1 kB each
 @functools.lru_cache(maxsize=2048)
-def _chain_step(space, cur, nxt, a, b, w, ell, d_minus, d_plus):
-    """Face abw entered by cur = ab (length ell), left by nxt; aw, bw of lengths d_minus, d_plus."""
-    pivot = a if str(a) in nxt else b
-    verts, lam, inverse, det_sign = _face_frame(space, ell, d_minus, d_plus, pivot == b, w < pivot)
-    if verts is None:
-        raise NumericalFailure(f"degenerate face {cur}->{nxt}")
-    return ChainStep(verts=dict(zip((a, b, w), verts)), transition=lam, inverse=inverse,
-                     space=space, hinge=(pivot, a + b - pivot, w), det_sign=det_sign)
+def _chain_step(space, ell, d_minus, d_plus, from_b, w_first):
+    """Step through the face abw entered by ab, a < b; ab, aw, bw of lengths ell, d_minus, d_plus.
 
-
-# bounded: at most four frames per face shape, 24 per spec
-@functools.lru_cache(maxsize=2048)
-def _face_frame(space, ell, d_minus, d_plus, from_b, w_first):
-    """Reps of a, b, w, the transition, its inverse and det_sign of the face abw of a step.
-
-    The face is entered by ab, a < b, and left by the edge joining w to the
-    pivot, b if from_b else a; w_first when w is the smaller label of the
-    exit edge.  The frame depends on nothing else, so the steps of one face
-    shape share it, and its four orientations share the reps
-    (:func:`_face_reps`).  The new frame has origin M and axes tx, ty; the
-    inverse transition has them as its columns.  (None,) * 4 for a
-    degenerate face.
+    The face is left by the edge joining w to the pivot, b if from_b else
+    a, w_first when w is its smaller label; the four turns share the reps
+    (:func:`_face_reps`).  The new frame has origin M and axes tx, ty, the
+    inverse transition's columns.  NumericalFailure for a degenerate face.
     """
     k, _, _, dot, cross, _ = _KERNEL[space]
     reps = _face_reps(space, ell, d_minus, d_plus)
     if reps is None:
-        return None, None, None, None
+        raise NumericalFailure("degenerate face")
     A, Bv, W = reps
     P, B = (Bv, A) if from_b else (A, Bv)     # the pivot and the vertex behind
     Pm, Pp = (W, P) if w_first else (P, W)
@@ -170,13 +157,16 @@ def _face_frame(space, ell, d_minus, d_plus, from_b, w_first):
         lam = ((M[0], k * M[1], k * M[2]),
                (k * tx[0], tx[1], tx[2]),
                (k * ty[0], ty[1], ty[2]))
-    return reps, lam, ((M[0], tx[0], ty[0]), (M[1], tx[1], ty[1]), (M[2], tx[2], ty[2])), det_sign
+    return ChainStep(verts=reps, transition=lam,
+                     inverse=((M[0], tx[0], ty[0]), (M[1], tx[1], ty[1]), (M[2], tx[2], ty[2])),
+                     space=space, sides=(1 if from_b else -1, 1 if w_first else -1),
+                     row=(*lam[0][:2], *lam[1][:2], *lam[2][:2]), det_sign=det_sign)
 
 
 # bounded: one entry per face and entry edge, at most twelve per spec
 @functools.lru_cache(maxsize=1024)
 def _face_reps(space, ell, d_minus, d_plus):
-    """Reps A, B, W of the face abw in the frame of ab (see _face_frame), or None if degenerate."""
+    """Reps A, B, W of the face abw in the frame of ab (see _chain_step), or None if degenerate."""
     k, C, S, _, _, _ = _KERNEL[space]
     if not k:       # |W - A| = d_minus, |W - B| = d_plus
         w1 = (d_minus * d_minus - d_plus * d_plus) / (2.0 * ell)
@@ -194,17 +184,17 @@ def _face_reps(space, ell, d_minus, d_plus):
     return (ch, -sh, 0.0), (ch, sh, 0.0), (w0, w1, math.sqrt(w2sq))
 
 
-def place_faces(steps):
+def place_faces(steps, tokens):
     """Vertex reps of every chain face, all in the frame of edge e_0.
 
     Face F_i is known in the frame of its entry edge e_i; the inverse
     transitions are composed outward from e_0.  Returns one dict
-    label -> rep per face.
+    label -> rep per face, labelled from the chain's tokens.
     """
     faces = []
     acc = IDENTITY3
-    for step in steps:
-        faces.append({lab: _matvec(acc, v) for lab, v in step.verts.items()})
+    for step, pair in zip(steps, zip(tokens, tokens[1:])):
+        faces.append({lab: _matvec(acc, v) for lab, v in zip(_STEP_LABELS[pair], step.verts)})
         acc = _matmul(acc, step.inverse)
     return faces
 
@@ -446,9 +436,9 @@ def _corner_cut(steps, state, run, ends, evaluate):
     s, (length, grad, _, _), sides, _ = state
     i, j = run[0], run[-1]
     rays = [math.acos(max(-1.0, min(1.0, sides[i] * grad[i])))]
-    for m in range(i, j):
-        p, q, w = steps[m].hinge
-        rays.append(rays[-1] + rangle(steps[m].space, *(steps[m].verts[x] for x in (p, q, w))))
+    for step in steps[i:j]:     # the face angle at the pivot, between the entry edge and the exit
+        A, B, W = step.verts
+        rays.append(rays[-1] + rangle(step.space, *((B, A) if step.sides[0] > 0 else (A, B)), W))
     theta = rays[-1] + math.acos(max(-1.0, min(1.0, sides[j] * grad[j])))
     if theta >= math.pi:
         return None
@@ -499,10 +489,8 @@ def relax_chord(steps, ells, init_fractions):
         return s, sum(trace_geometry(steps, s)) if steps else 0.0
     ends = [0.5 * ell for ell in ells]
     near_ends = [e * (1.0 - 1e-12) for e in ends]     # within rounding of an end is at it
-    # the sides of e_i and e_{i+1} at the vertex about which F_i turns
-    hinges = [(1 if p > q else -1, 1 if p > w else -1) for p, q, w in (st.hinge for st in steps)]
     space = steps[0].space
-    rows = [(*t0[:2], *t1[:2], *t2[:2]) for t0, t1, t2 in (st.transition for st in steps)]
+    rows = [st.row for st in steps]
 
     def evaluate(x):
         """State (offsets, derivatives, end sides or None, pinned segments) at x, snapped."""
@@ -512,12 +500,12 @@ def relax_chord(steps, ells, init_fractions):
         for i in free:
             x[i] = sides[i] * ends[i] if sides[i] else x[i]
         for i in list(range(K)) + list(range(K - 1, -1, -1)):
-            a, b = hinges[i]
+            a, b = steps[i].sides
             if sides[i] == a and sides[i + 1] != b and i + 1 in free:
                 x[i + 1], sides[i + 1] = b * ends[i + 1], b
             elif sides[i + 1] == b and sides[i] != a and i in free:
                 x[i], sides[i] = a * ends[i], a
-        pinned = {i for i, (a, b) in enumerate(hinges) if sides[i] == a and sides[i + 1] == b}
+        pinned = {i for i, st in enumerate(steps) if (sides[i], sides[i + 1]) == st.sides}
         return x, _chord_derivatives(space, rows, x, pinned), sides, pinned
 
     def moved_by(step):

@@ -117,7 +117,8 @@ def path_metrics(spec, tokens, fractions):
     if not all(0.0 <= f <= 1.0 for f in fractions):
         raise ValueError("every fraction must be finite and lie in [0, 1]")
     chain = _measured_chain(tokens, fractions)
-    return _chain_metrics(spec, frames.build_chain(spec, chain[0]), *chain)
+    ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in chain[0]]
+    return _chain_metrics(spec, frames.build_chain(spec, chain[0]), ells, *chain[1:])
 
 
 def _measured_chain(tokens, fractions):
@@ -130,8 +131,8 @@ def _measured_chain(tokens, fractions):
     raise ValueError(f"{len(fractions)} fractions for a word of {n} tokens")
 
 
-def _chain_metrics(spec, steps, chain, fracs, copies, crossings):
-    """path_metrics of a path on ``steps``, the chain built for the tokens ``chain``.
+def _chain_metrics(spec, steps, ells, fracs, copies, crossings):
+    """path_metrics of a path on ``steps``, the chain of edges of lengths ``ells``.
 
     The plane's reps (1, x, y) enter the clamped segment distance as (x, y).
     """
@@ -139,8 +140,7 @@ def _chain_metrics(spec, steps, chain, fracs, copies, crossings):
     k = frames._KERNEL[space][0]
     arc = (lambda x: math.asin(min(1.0, x))) if k > 0 else frames._KERNEL[space][5]
     cut = 0 if k else 1
-    s = [(f - 0.5) * spec.face_edge_length(int(tok[0]), int(tok[1]))
-         for tok, f in zip(chain, fracs)]
+    s = [(f - 0.5) * ell for ell, f in zip(ells, fracs)]
     cs, sn, terms = frames.chord_segments(steps, s)
     total, clearance, ends = 0.0, math.inf, []
     for i, (step, (m, cx, cy, _)) in enumerate(zip(steps, terms)):
@@ -160,7 +160,7 @@ def _chain_metrics(spec, steps, chain, fracs, copies, crossings):
         B = (i00 * cb + i01 * sb, i10 * cb + i11 * sb, i20 * cb + i21 * sb)
         u, w = ca * B[1] - sa * B[0], B[2]
         norm = math.sqrt(u * u + w * w)
-        for V in step.verts.values():
+        for V in step.verts:
             if arc(abs(w * (sa * V[0] - ca * V[1]) + u * V[2]) / norm) < clearance:
                 clearance = min(clearance, rpoint_seg_dist(space, V[cut:], A[cut:], B[cut:]))
     worst = max((abs(ends[j - 1][1] - ends[j][0]) for j in crossings), default=0.0)
@@ -203,25 +203,26 @@ def simplicity_check(path, spec):
 _Crossings = namedtuple("_Crossings", "gtype tokens fractions")
 
 
-def _assemble_path(spec, t, tokens, fractions, extras=None, measured=None, steps=None):
+def _assemble_path(spec, t, tokens, fractions, extras=None, measured=None, chain=None):
     """The path through the crossings, measured on the fractions ``measured`` (default: all).
 
-    A curved construction passes the chain its solver used (``steps``, for
-    the tokens path_metrics would measure); path_metrics builds the closed
-    chain of a Euclidean path.
+    A curved construction passes the chain its solver used (``chain``: steps
+    and edge lengths of the tokens path_metrics would measure); path_metrics
+    builds the closed chain of a Euclidean path.
     """
     measured = fractions if measured is None else measured
-    if steps is None:
+    if chain is None:
         total, clearance, worst = path_metrics(spec, tokens, measured)
     else:
-        total, clearance, worst = _chain_metrics(spec, steps, *_measured_chain(tokens, measured))
+        total, clearance, worst = _chain_metrics(spec, *chain,
+                                                 *_measured_chain(tokens, measured)[1:])
     return GeodesicPath(
         gtype=t, space=spec.space,
         crossings=tuple(zip(tokens, fractions)),
         total_length=total, clearance=clearance,
         closed=worst < 1e-8, simple=simplicity_check(_Crossings(t, tokens, fractions), spec),
         closure_residual=worst,
-        min_fraction_margin=min(min(f, 1.0 - f) for f in fractions),
+        min_fraction_margin=min(min(fractions), 1.0 - max(fractions)),
         extras=dict(extras or {}))
 
 
@@ -313,7 +314,7 @@ def _seed_fractions(seed, ells, euclidean):
 
 def _quarter_chord(spec, word):
     """Quarter chord of a curved regular tetrahedron: fractions f_0..f_K or a witness, extras,
-    and the quarter chain's steps.
+    and the quarter chain: its steps and edge lengths.
 
     The chord runs from the midpoint X1 of e_0 to the midpoint Y1 of e_K of
     the chain placed in edge-local frames, and is shot from X1 at Y1 first.
@@ -352,18 +353,17 @@ def _quarter_chord(spec, word):
             if spherical:
                 # the end of e_i nearer the chord's great circle, signed by the side
                 # of the pole X1 x Y1 = -n it lies on
-                dots = [sum(a * b for a, b in zip(normals[i], steps[i].verts[int(end)]))
-                        for end in tokens[i]]
+                dots = [sum(a * b for a, b in zip(normals[i], end)) for end in steps[i].verts[:2]]
                 sd = -math.asin(max(-1.0, min(1.0, min(dots, key=abs))))
             else:
                 sd = min(f, 1.0 - f) * ells[i]
             return None, NotContained(word.gtype, face_index=i, edge=tokens[i],
-                                      signed_distance=sd), None, steps
+                                      signed_distance=sd), None, (steps, ells)
     if out_of_order:
         return None, NotContained(word.gtype, face_index=K, edge=tokens[K], signed_distance=0.0,
-                                  reason="crossings out of order"), None, steps
+                                  reason="crossings out of order"), None, (steps, ells)
     if not spherical:       # the solver's length: a contained quarter has no pinned segment
-        return fracs, None, {"quarter_length": quarter_len}, steps
+        return fracs, None, {"quarter_length": quarter_len}, (steps, ells)
     quarter_len = sum(frames.trace_geometry(steps, offsets))
     # by the exact criterion a contained chord is shorter than 2*pi; the
     # length check runs after containment so genuine exits report a witness
@@ -374,7 +374,8 @@ def _quarter_chord(spec, word):
     sym_res = max(abs(normals[j][0]) for j in (K, 2 * K, 3 * K))
     if sym_res > 1e-8:
         raise NumericalFailure(f"symmetry points off the chord by {sym_res:.3e}")
-    return fracs, None, {"quarter_length": quarter_len, "symmetry_residual": sym_res}, steps
+    extras = {"quarter_length": quarter_len, "symmetry_residual": sym_res}
+    return fracs, None, extras, (steps, ells)
 
 
 def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
@@ -397,12 +398,12 @@ def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
         raise PreconditionFailed("use euclid_geodesic for the Euclidean tetrahedron")
     word = canonical_word(t)
     spherical = spec.space == SpaceKind.SPHERICAL
-    quarter, witness, extras, steps = _quarter_chord(spec, word)
+    quarter, witness, extras, chain = _quarter_chord(spec, word)
     if witness is not None:
         return witness
     fracs = full_fractions_from_quarter(word, quarter)
     path = _assemble_path(spec, t, word.tokens, fracs, extras=extras, measured=quarter,
-                          steps=steps)
+                          chain=chain)
     if spherical and path.total_length >= 2.0 * math.pi:
         raise TooLong(f"constructed length {path.total_length:.6f} >= 2*pi")
     if not (spherical or path.closed):
@@ -444,7 +445,7 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
         if not (FRACTION_MARGIN < f < 1.0 - FRACTION_MARGIN):
             raise NumericalFailure(f"crossing {i} leaves its edge (fraction {f})")
     path = _assemble_path(spec, t, word.tokens, fracs,
-                          extras={"s0": offsets[0] + ells[0] / 2.0}, steps=steps)
+                          extras={"s0": offsets[0] + ells[0] / 2.0}, chain=(steps, ells))
     if not path.closed:
         raise NumericalFailure(
             f"extracted path fails closure (residual {path.closure_residual:.3e})")

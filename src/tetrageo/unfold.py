@@ -92,7 +92,7 @@ def build_development(spec, s: CrossingSequence, hemisphere_check=True):
                 "the development is abstract and may overlap",
                 HemisphereWarning, stacklevel=2)
 
-    placed = frames_mod.place_faces(frames_mod.build_chain(spec, tokens_ext))
+    placed = frames_mod.place_faces(frames_mod.build_chain(spec, tokens_ext), tokens_ext)
     if space == SpaceKind.EUCLIDEAN:
         placed = [{lab: rep[1:] for lab, rep in face.items()} for face in placed]
 

@@ -13,10 +13,22 @@ length, vertex clearance and closure residual are taken
 geom.rpoint_seg_dist computed before it placed the foot by two signs: the
 foot projected onto the segment's line and tested against the segment
 with end slack.
+
+``labelled_chain_step`` is the chain step as it was built before the
+step table was keyed by face shape: one step per labelled edge pair, its
+reps keyed by vertex label and its turn given as the hinge (pivot, other
+end of the entry edge, third vertex), on top of a label-free face frame
+(``labelled_face_frame``); ``labelled_place_faces`` places a chain of
+such steps.
 """
 
+import functools
 import math
+from collections import namedtuple
 from itertools import combinations
+
+from tetrageo.errors import NumericalFailure
+from tetrageo.frames import _KERNEL, IDENTITY3, _face_reps, _matmul, _matvec, _unit
 
 from tetrageo.geom import (SpaceKind, _cross3, _dot3, _hyp_dist_lifted, _mcross, _mdot, _norm3,
                            _normalize_timelike, _unit3, _unit_spacelike, rangle, rdistance,
@@ -157,3 +169,66 @@ def _face_fold_metrics(spec, tokens, fractions):
         worst = max(worst, abs(rangle(space, pout_prev, prev_pts[v], pin_prev)
                                + rangle(space, p_in, pts[v], p_out) - math.pi))
     return total, clearance, worst
+
+
+LabelledStep = namedtuple("LabelledStep", "verts transition inverse space hinge det_sign")
+
+
+@functools.lru_cache(maxsize=None)
+def labelled_chain_step(space, cur, nxt, a, b, w, ell, d_minus, d_plus):
+    """Face abw entered by cur = ab (length ell), left by nxt; aw, bw of lengths d_minus, d_plus."""
+    pivot = a if str(a) in nxt else b
+    verts, lam, inverse, det_sign = labelled_face_frame(space, ell, d_minus, d_plus, pivot == b,
+                                                        w < pivot)
+    if verts is None:
+        raise NumericalFailure(f"degenerate face {cur}->{nxt}")
+    return LabelledStep(verts=dict(zip((a, b, w), verts)), transition=lam, inverse=inverse,
+                        space=space, hinge=(pivot, a + b - pivot, w), det_sign=det_sign)
+
+
+def labelled_face_frame(space, ell, d_minus, d_plus, from_b, w_first):
+    """Reps of a, b, w, the transition, its inverse and det_sign of the face abw of a step.
+
+    The face is entered by ab, a < b, and left by the edge joining w to the
+    pivot, b if from_b else a; w_first when w is the smaller label of the
+    exit edge.  (None,) * 4 for a degenerate face.
+    """
+    k, _, _, dot, cross, _ = _KERNEL[space]
+    reps = _face_reps(space, ell, d_minus, d_plus)
+    if reps is None:
+        return None, None, None, None
+    A, Bv, W = reps
+    P, B = (Bv, A) if from_b else (A, Bv)     # the pivot and the vertex behind
+    Pm, Pp = (W, P) if w_first else (P, W)
+    det_sign = k or 1.0     # det(lam) = det(M, tx, ty) is k (1 on the plane) for ty as first taken
+    if not k:       # the plane: a rigid motion (1, x) -> (1, R (x - M))
+        M = (1.0, 0.5 * (Pm[1] + Pp[1]), 0.5 * (Pm[2] + Pp[2]))
+        r = math.hypot(Pp[1] - Pm[1], Pp[2] - Pm[2])
+        tx = (0.0, (Pp[1] - Pm[1]) / r, (Pp[2] - Pm[2]) / r)
+        ty = (0.0, -tx[2], tx[1])
+        if (B[1] - M[1]) * ty[1] + (B[2] - M[2]) * ty[2] > 0.0:
+            ty, det_sign = (0.0, tx[2], -tx[1]), -det_sign
+        lam = ((1.0, 0.0, 0.0),
+               (-(M[1] * tx[1] + M[2] * tx[2]), tx[1], tx[2]),
+               (-(M[1] * ty[1] + M[2] * ty[2]), ty[1], ty[2]))
+    else:
+        M = _unit((Pm[0] + Pp[0], Pm[1] + Pp[1], Pm[2] + Pp[2]), dot)
+        cc = -k * dot(Pp, M)
+        tx = _unit((Pp[0] + cc * M[0], Pp[1] + cc * M[1], Pp[2] + cc * M[2]), dot)
+        ty = _unit(cross(M, tx), dot)
+        if dot(B, ty) > 0.0:
+            ty, det_sign = (-ty[0], -ty[1], -ty[2]), -det_sign
+        lam = ((M[0], k * M[1], k * M[2]),
+               (k * tx[0], tx[1], tx[2]),
+               (k * ty[0], ty[1], ty[2]))
+    return reps, lam, ((M[0], tx[0], ty[0]), (M[1], tx[1], ty[1]), (M[2], tx[2], ty[2])), det_sign
+
+
+def labelled_place_faces(steps):
+    """Vertex reps of every face of a chain of LabelledSteps, in the frame of edge e_0."""
+    faces = []
+    acc = IDENTITY3
+    for step in steps:
+        faces.append({lab: _matvec(acc, v) for lab, v in step.verts.items()})
+        acc = _matmul(acc, step.inverse)
+    return faces

@@ -80,8 +80,7 @@ def chains(draw):
     pinned = set()
     if draw(st.booleans()):
         for i in draw(st.sets(st.integers(0, K - 1), max_size=3)):
-            p, q, w = steps[i].hinge
-            x[i], x[i + 1] = (1 if p > q else -1) * ends[i], (1 if p > w else -1) * ends[i + 1]
+            x[i], x[i + 1] = steps[i].sides[0] * ends[i], steps[i].sides[1] * ends[i + 1]
             pinned.add(i)
     return steps, x, pinned
 

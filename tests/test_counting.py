@@ -12,8 +12,8 @@ from conftest import subprocess_env
 from tetrageo import counting
 from tetrageo.cli import main
 from tetrageo.counting import (admissible_types, asymptotic_constant,
-                               count_exact, euler_phi, psi, psi_bruteforce,
-                               totient_sieve, totient_sum)
+                               count_exact, euler_phi, length_pruning_bound, psi,
+                               psi_bruteforce, totient_sieve, totient_sum)
 from tetrageo.errors import NumericalFailure
 from tetrageo.paths import NotContained
 
@@ -32,6 +32,35 @@ def test_euler_phi():
 def test_euler_phi_rejects_all_but_positive_integers(n):
     with pytest.raises(ValueError):
         euler_phi(n)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_psi_rejects_non_finite_input(x):
+    with pytest.raises(ValueError, match="x must be finite"):
+        psi(x)
+
+
+def test_psi_truncates_finite_input():
+    assert psi(5.9) == psi(5) == 4 and psi(-3.5) == psi(2.99) == 0
+
+
+@pytest.mark.parametrize("x", [2.5, 10.0, math.nan, math.inf, "10"])
+def test_totient_sum_rejects_all_but_integers(x):
+    with pytest.raises(ValueError, match="x must be an integer"):
+        totient_sum(x)
+
+
+@pytest.mark.parametrize("alpha,n_sum", [
+    (math.nan, 3), (-1.0, 3), (2.0, 3), (math.pi / 3, 3), (math.inf, 3), (-math.inf, 3),
+    (0.5, -3), (0.5, 0), (0.5, 2.5), (0.5, 3.0), (0.5, math.nan), (0.5, math.inf)])
+def test_length_pruning_bound_rejects_bad_input(alpha, n_sum):
+    with pytest.raises(ValueError, match="alpha must lie in|n_sum must be a positive integer"):
+        length_pruning_bound(alpha, n_sum)
+
+
+def test_length_pruning_bound_values():
+    assert length_pruning_bound(0.0, 1) == 2.0 * math.log(2.0 * math.sqrt(3.0) + 1.0)
+    assert length_pruning_bound(0.5, 7) == 7 * length_pruning_bound(0.5, 1) > 0.0
 
 
 def test_psi_small():

@@ -178,9 +178,12 @@ def test_det_sign_is_the_sign_of_the_determinant(space, ell, d_minus, d_plus, fr
     # the frame keeps det(transition)'s sign as its orientation was chosen
     if space != S:
         ell, d_minus, d_plus = ell * scale, d_minus * scale, d_plus * scale
-    _, lam, _, det_sign = frames._face_frame(space, ell, d_minus, d_plus, from_b, w_first)
-    assume(lam is not None)
-    assert det_sign == (1.0 if _dot3(lam[2], _cross3(lam[0], lam[1])) > 0.0 else -1.0)
+    try:
+        step = frames._chain_step(space, ell, d_minus, d_plus, from_b, w_first)
+    except frames.NumericalFailure:
+        assume(False)
+    lam = step.transition
+    assert step.det_sign == (1.0 if _dot3(lam[2], _cross3(lam[0], lam[1])) > 0.0 else -1.0)
 
 
 @given(st.sampled_from([(H, 0.05), (H, 0.5), (H, 1.0), (S, 1.1), (S, 1.3), (S, 1.6)]),

@@ -65,7 +65,7 @@ def test_spherical_frames_match_reflected_chain(space, alpha, pq):
     spec = TetrahedronSpec(space, alpha)
     seq = crossing_sequence(GeodesicType(*pq))
     tokens = list(seq.tokens) + [seq.tokens[0]]
-    placed = frames.place_faces(frames.build_chain(spec, tokens))
+    placed = frames.place_faces(frames.build_chain(spec, tokens), tokens)
     _, reflected = place_chain(spec, tokens)
     assert len(placed) == len(reflected)
     tol = 1e-12 if space == S else 1e-11
