@@ -70,7 +70,7 @@ def totient_sum(x):
 
 
 def psi(x):
-    """Number of coprime pairs p < q with p, q >= 1 and p + q <= x (x truncated; finite)."""
+    """Number of coprime pairs p < q with p, q >= 1 and p + q <= int(x); ValueError for inf, NaN."""
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     x = int(x)
