@@ -10,9 +10,9 @@ plane (k = 0, the point (x, y) written (1, x, y)) or the unit sphere (k = +1),
     smaller-labelled endpoint at negative x, the face ahead at y > 0,
 
 and the chain is encoded by the change-of-basis matrix from each edge
-frame to the next, a rigid motion of the plane at k = 0.  A step has no
-vertex labels, only the space, the face's edge lengths and its turn, so each
-is built once (a bounded table) and shared by every chain with that key.
+frame to the next, a rigid motion of the plane at k = 0.  A step is a
+named tuple, built in one pass from the space, the face's edge lengths
+and its turn alone (no labels), once per key and shared by every chain.
 A chord is described by its crossing offsets, one signed arclength from
 each edge midpoint, so every crossing, fraction, margin and length is a
 well-conditioned local computation; chains are placed (place_faces) and
@@ -35,11 +35,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NumericalFailure
 from .geom import SpaceKind, _cross3, _dot3, _mcross, _mdot, rangle
-from .tetra import EDGES
+from .tetra import EDGES, edge_token
 
 
 def _matvec(m, v):
@@ -67,17 +67,14 @@ IDENTITY3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _PLANE = "the plane has no chord solver: its geodesic is the tiling line (paths.euclid_geodesic)"
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    """Face abw in the frame of its entry edge ab, a < b; label-free, one per shape and turn."""
-
-    verts: tuple          # reps of a, b, w (hyperboloid, (1, x, y) or sphere) in frame E_i
-    transition: tuple     # 3x3 change of basis, frame E_i -> frame E_{i+1}
-    inverse: tuple        # its inverse, frame E_{i+1} -> frame E_i
-    space: SpaceKind
-    sides: tuple          # ends of e_i, e_{i+1} at the pivot: +1 the larger label, -1 the smaller
-    row: tuple            # (t00, t01, t10, t11, t20, t21), the entries the chord passes read
-    det_sign: float       # 1.0 if det(transition) > 0, else -1.0 (the sphere's handedness flips)
+# face abw in the frame of its entry edge ab, a < b; label-free, one per shape and turn:
+#   verts       reps of a, b, w (hyperboloid, (1, x, y) or sphere) in frame E_i
+#   transition  3x3 change of basis, frame E_i -> frame E_{i+1}
+#   inverse     its inverse, frame E_{i+1} -> frame E_i
+#   sides       ends of e_i, e_{i+1} at the pivot: +1 the larger label, -1 the smaller
+#   row         (t00, t01, t10, t11, t20, t21), the entries the chord passes read
+#   det_sign    1.0 if det(transition) > 0, else -1.0 (the sphere's handedness flips)
+ChainStep = namedtuple("ChainStep", "verts transition inverse space sides row det_sign")
 
 
 # per curvature k = -1 (hyperboloid), 0 (plane) or +1 (sphere): k, the trig
@@ -97,25 +94,28 @@ def _unit(v, dot):
 
 
 # (entry, exit) pair of glue edges sharing one vertex -> (a, b, w): the entry edge ab,
-# a < b, and the third vertex w of the face; its key adds from_b and w_first (_chain_step)
+# a < b, and the third vertex w; its key: the tokens ab, aw, bw, from_b, w_first (_chain_step)
 _STEP_LABELS = {(cur, nxt): (int(cur[0]), int(cur[1]), int((set(nxt) - set(cur)).pop()))
                 for cur in EDGES for nxt in EDGES if len(set(cur) & set(nxt)) == 1}
-_STEP_KEYS = {pair: (a, b, w, str(b) in pair[1], str(w) == pair[1][0])
-              for pair, (a, b, w) in _STEP_LABELS.items()}
+_STEP_KEYS = {pair: (pair[0], edge_token(a, w), edge_token(b, w), str(b) in pair[1],
+                     str(w) == pair[1][0]) for pair, (a, b, w) in _STEP_LABELS.items()}
 
 
 def build_chain(spec, tokens):
     """Chain steps of a spec for glue edges tokens[0..K].
 
-    tokens[i] and tokens[i+1] must share exactly one vertex; face F_i is
-    their union.  Returns a list of K ChainStep records from the step table
-    :func:`_chain_step`.
+    tokens[i] and tokens[i+1] must share exactly one vertex (ValueError);
+    face F_i is their union.  Returns a list of K ChainStep records from the
+    step table :func:`_chain_step`, with the lengths of spec.edges.
     """
     pairs = list(zip(tokens, tokens[1:]))
-    ell, built = spec.face_edge_length, {}
+    edges, built = spec.edges, {}
     for pair in dict.fromkeys(pairs):
-        a, b, w, from_b, w_first = _STEP_KEYS[pair]
-        built[pair] = _chain_step(spec.space, ell(a, b), ell(a, w), ell(b, w), from_b, w_first)
+        try:
+            ab, aw, bw, from_b, w_first = _STEP_KEYS[pair]
+        except KeyError:
+            raise ValueError(f"glue edges {pair} must share exactly one vertex") from None
+        built[pair] = _chain_step(spec.space, edges[ab], edges[aw], edges[bw], from_b, w_first)
     return [built[pair] for pair in pairs]
 
 
@@ -126,10 +126,10 @@ def _chain_step(space, ell, d_minus, d_plus, from_b, w_first):
 
     The face is left by the edge joining w to the pivot, b if from_b else
     a, w_first when w is its smaller label; the four turns share the reps
-    (:func:`_face_reps`).  The new frame has origin M and axes tx, ty, the
-    inverse transition's columns.  NumericalFailure for a degenerate face.
+    (:func:`_face_reps`).  The new frame has origin M and axes tx, ty (m, x,
+    y), the inverse transition's columns.  NumericalFailure if degenerate.
     """
-    k, _, _, dot, cross, _ = _KERNEL[space]
+    k = _KERNEL[space][0]
     reps = _face_reps(space, ell, d_minus, d_plus)
     if reps is None:
         raise NumericalFailure("degenerate face")
@@ -138,29 +138,30 @@ def _chain_step(space, ell, d_minus, d_plus, from_b, w_first):
     Pm, Pp = (W, P) if w_first else (P, W)
     det_sign = k or 1.0     # det(lam) = det(M, tx, ty) is k (1 on the plane) for ty as first taken
     if not k:       # the plane: a rigid motion (1, x) -> (1, R (x - M))
-        M = (1.0, 0.5 * (Pm[1] + Pp[1]), 0.5 * (Pm[2] + Pp[2]))
+        m0, m1, m2 = 1.0, 0.5 * (Pm[1] + Pp[1]), 0.5 * (Pm[2] + Pp[2])
         r = math.hypot(Pp[1] - Pm[1], Pp[2] - Pm[2])
-        tx = (0.0, (Pp[1] - Pm[1]) / r, (Pp[2] - Pm[2]) / r)
-        ty = (0.0, -tx[2], tx[1])
-        if (B[1] - M[1]) * ty[1] + (B[2] - M[2]) * ty[2] > 0.0:
-            ty, det_sign = (0.0, tx[2], -tx[1]), -det_sign
-        lam = ((1.0, 0.0, 0.0),
-               (-(M[1] * tx[1] + M[2] * tx[2]), tx[1], tx[2]),
-               (-(M[1] * ty[1] + M[2] * ty[2]), ty[1], ty[2]))
-    else:
-        M = _unit((Pm[0] + Pp[0], Pm[1] + Pp[1], Pm[2] + Pp[2]), dot)
-        cc = -k * dot(Pp, M)
-        tx = _unit((Pp[0] + cc * M[0], Pp[1] + cc * M[1], Pp[2] + cc * M[2]), dot)
-        ty = _unit(cross(M, tx), dot)
-        if dot(B, ty) > 0.0:
-            ty, det_sign = (-ty[0], -ty[1], -ty[2]), -det_sign
-        lam = ((M[0], k * M[1], k * M[2]),
-               (k * tx[0], tx[1], tx[2]),
-               (k * ty[0], ty[1], ty[2]))
-    return ChainStep(verts=reps, transition=lam,
-                     inverse=((M[0], tx[0], ty[0]), (M[1], tx[1], ty[1]), (M[2], tx[2], ty[2])),
-                     space=space, sides=(1 if from_b else -1, 1 if w_first else -1),
-                     row=(*lam[0][:2], *lam[1][:2], *lam[2][:2]), det_sign=det_sign)
+        x0, x1, x2 = 0.0, (Pp[1] - Pm[1]) / r, (Pp[2] - Pm[2]) / r
+        y0, y1, y2 = 0.0, -x2, x1
+        if (B[1] - m1) * y1 + (B[2] - m2) * y2 > 0.0:
+            y1, y2, det_sign = x2, -x1, -det_sign
+        lam = ((1.0, 0.0, 0.0), (-(m1 * x1 + m2 * x2), x1, x2), (-(m1 * y1 + m2 * y2), y1, y2))
+    else:           # M, tx, ty by _unit, the space's dot and cross, written out
+        m0, m1, m2 = Pm[0] + Pp[0], Pm[1] + Pp[1], Pm[2] + Pp[2]
+        r = math.sqrt(max(abs(k * m0 * m0 + m1 * m1 + m2 * m2), 1e-300))
+        m0, m1, m2 = m0 / r, m1 / r, m2 / r
+        cc = -k * (k * Pp[0] * m0 + Pp[1] * m1 + Pp[2] * m2)
+        x0, x1, x2 = Pp[0] + cc * m0, Pp[1] + cc * m1, Pp[2] + cc * m2
+        r = math.sqrt(max(abs(k * x0 * x0 + x1 * x1 + x2 * x2), 1e-300))
+        x0, x1, x2 = x0 / r, x1 / r, x2 / r
+        y0, y1, y2 = m1 * x2 - m2 * x1, m2 * (k * x0) - k * m0 * x2, k * m0 * x1 - m1 * (k * x0)
+        r = math.sqrt(max(abs(k * y0 * y0 + y1 * y1 + y2 * y2), 1e-300))
+        y0, y1, y2 = y0 / r, y1 / r, y2 / r
+        if k * B[0] * y0 + B[1] * y1 + B[2] * y2 > 0.0:
+            y0, y1, y2, det_sign = -y0, -y1, -y2, -det_sign
+        lam = ((m0, k * m1, k * m2), (k * x0, x1, x2), (k * y0, y1, y2))
+    return ChainStep(reps, lam, ((m0, x0, y0), (m1, x1, y1), (m2, x2, y2)), space,
+                     (1 if from_b else -1, 1 if w_first else -1),
+                     (*lam[0][:2], *lam[1][:2], *lam[2][:2]), det_sign)
 
 
 # bounded: one entry per face and entry edge, at most twelve per spec

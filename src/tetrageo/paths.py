@@ -109,24 +109,27 @@ def path_metrics(spec, tokens, fractions):
     taken over the interior crossings 1..K-1 (at a symmetry point the two
     segments are images of each other under its half turn).  The residual at
     crossing j is the difference of the angles of segments j-1 and j with
-    e_j.  A vertex's distance to a segment's line is a lower bound of its
-    distance to the segment: only a bound under the running minimum calls
-    the clamped test.  ValueError for a fraction that is not finite or lies
-    outside [0, 1], and for any other number of fractions.
+    e_j.  A vertex's distance to a segment's line bounds its distance to the
+    segment from below, a crossing's to the nearer end of its edge the
+    clearance from above: only a line distance under that bound and the
+    running minimum calls the clamped test.  ValueError for a fraction not
+    finite or outside [0, 1], for any other number of fractions, for an
+    empty word and for consecutive edges (e_n = e_0 closes the chain) that
+    do not share exactly one vertex.
     """
     if not all(0.0 <= f <= 1.0 for f in fractions):
         raise ValueError("every fraction must be finite and lie in [0, 1]")
     chain = _measured_chain(tokens, fractions)
-    ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in chain[0]]
-    return _chain_metrics(spec, frames.build_chain(spec, chain[0]), ells, *chain[1:])
+    steps = frames.build_chain(spec, chain[0])
+    return _chain_metrics(spec, steps, [spec.edges[tok] for tok in chain[0]], *chain[1:])
 
 
 def _measured_chain(tokens, fractions):
     """Chain tokens, their fractions, copies in the curve and residual crossings (path_metrics)."""
     n, K = len(tokens), len(tokens) // 4
-    if len(fractions) == n:         # closed: crossing 0 joins segments n-1 and 0
+    if len(fractions) == n > 0:     # closed: crossing 0 joins segments n-1 and 0
         return list(tokens) + [tokens[0]], list(fractions) + [fractions[0]], 1, range(n)
-    if len(fractions) == K + 1:     # the quarter
+    if len(fractions) == K + 1 > 1:     # the quarter
         return tokens[:K + 1], fractions, 4, range(1, K)
     raise ValueError(f"{len(fractions)} fractions for a word of {n} tokens")
 
@@ -141,6 +144,9 @@ def _chain_metrics(spec, steps, ells, fracs, copies, crossings):
     arc = (lambda x: math.asin(min(1.0, x))) if k > 0 else frames._KERNEL[space][5]
     cut = 0 if k else 1
     s = [(f - 0.5) * ell for ell, f in zip(ells, fracs)]
+    # the edge-end bound, widened by 1e-9 relative and absolute past a crossing's rounding
+    bound = min(0.5 * ell - abs(x) for ell, x in zip(ells, s)) * (1.0 + 1e-9) + 1e-9
+    lim = math.sinh(bound) if k < 0 else math.sin(min(bound, 0.5 * math.pi)) if k else bound
     cs, sn, terms = frames.chord_segments(steps, s)
     total, clearance, ends = 0.0, math.inf, []
     for i, (step, (m, cx, cy, _)) in enumerate(zip(steps, terms)):
@@ -161,7 +167,8 @@ def _chain_metrics(spec, steps, ells, fracs, copies, crossings):
         u, w = ca * B[1] - sa * B[0], B[2]
         norm = math.sqrt(u * u + w * w)
         for V in step.verts:
-            if arc(abs(w * (sa * V[0] - ca * V[1]) + u * V[2]) / norm) < clearance:
+            h = abs(w * (sa * V[0] - ca * V[1]) + u * V[2])
+            if h < lim * norm and arc(h / norm) < clearance:
                 clearance = min(clearance, rpoint_seg_dist(space, V[cut:], A[cut:], B[cut:]))
     worst = max((abs(ends[j - 1][1] - ends[j][0]) for j in crossings), default=0.0)
     return copies * total, clearance, worst
@@ -334,7 +341,7 @@ def _quarter_chord(spec, word):
     spherical = spec.space == SpaceKind.SPHERICAL
     chain = frames.build_chain(spec, list(word.tokens) + tokens[:1] if spherical else tokens)
     steps = chain[:K]
-    ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens]
+    ells = [spec.edges[tok] for tok in tokens]
     if spherical:
         _, offsets, normals = frames.shoot_chord(steps)
     else:
@@ -434,7 +441,7 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     word = canonical_word(t)
     tokens_ext = list(word.tokens) + [word.tokens[0]]
     steps = frames.build_chain(spec, tokens_ext)
-    ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in tokens_ext]
+    ells = [spec.edges[tok] for tok in tokens_ext]
     axis, s0 = frames.holonomy_axis(steps)
     init = _seed_fractions(lambda: frames.axis_chord(steps, axis), ells,
                            list(word.fractions) + [word.fractions[0]])

@@ -82,9 +82,11 @@ class TetrahedronSpec:
     space: SpaceKind
     alpha: float
     edge: float = field(init=False)
+    edges: dict = field(init=False, repr=False, compare=False)  # token -> length, as generic
 
     def __post_init__(self):
         object.__setattr__(self, "edge", edge_from_angle(self.space, self.alpha))
+        object.__setattr__(self, "edges", dict.fromkeys(EDGES, self.edge))
 
     def face_edge_length(self, u, v):
         return self.edge

@@ -83,9 +83,11 @@ def _assert_kernel_is_the_foot_distance(calls):
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
 def test_seg_distance_on_count_calls(alpha, monkeypatch):
-    # count_exact caches its rows: start afresh
+    # count_exact caches its rows: start afresh.  The clearance scan tests only vertices
+    # under its edge-end bound, so the deep tetrahedron counts to a longer L for its calls
     counting._measure_type.cache_clear()
-    calls = _recorded_seg_calls(monkeypatch, lambda: counting.count_exact(40, alpha))
+    L = 60 if alpha < 0.5 else 40
+    calls = _recorded_seg_calls(monkeypatch, lambda: counting.count_exact(L, alpha))
     assert len(calls) > 150
     band = _assert_kernel_is_the_foot_distance(calls)
     assert band >= (alpha == 0.5)
@@ -93,8 +95,8 @@ def test_seg_distance_on_count_calls(alpha, monkeypatch):
 
 def test_seg_distance_on_spherical_verdict_grid(monkeypatch):
     def grid():
-        for k in range(36):
-            spec = TetrahedronSpec(S, 1.05 + 0.01 * k)
+        for k in range(72):
+            spec = TetrahedronSpec(S, 1.05 + 0.005 * k)
             for pq in coprime_types(7):
                 try:
                     midpoint_geodesic(spec, GeodesicType(*pq))

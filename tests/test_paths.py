@@ -765,6 +765,31 @@ def test_metrics_reject_fractions_off_the_edge(space, bad):
         vertex_clearance(path, TetrahedronSpec(other, angles[other]))
 
 
+@pytest.mark.parametrize("spec", [TetrahedronSpec(E, math.pi / 3), TetrahedronSpec(S, 1.1),
+                                  TetrahedronSpec(H, 0.5),
+                                  generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02])],
+                         ids=["E", "S", "H", "generic"])
+def test_metrics_reject_words_that_are_no_chain(spec):
+    # an empty word, or a quarter of no segment, raised IndexError, and a pair of tokens
+    # with no face between them KeyError ('12', '34'): all are ValueError, the closing
+    # pair included
+    with pytest.raises(ValueError, match="0 fractions for a word of 0 tokens"):
+        path_metrics(spec, (), ())
+    for tokens in ((), ("12", "23"), ("12", "23", "13")):
+        with pytest.raises(ValueError, match=f"1 fractions for a word of {len(tokens)} tokens"):
+            path_metrics(spec, tokens, [0.5])
+    for tokens in (("12", "34", "13"), ("12", "23", "13", "13"), ("12", "23", "34"),
+                   ("12", "21", "13"), ("12", "23", "99"), ("12",)):
+        with pytest.raises(ValueError, match="must share exactly one vertex"):
+            path_metrics(spec, tokens, [0.5] * len(tokens))
+    path = GeodesicPath(GeodesicType(1, 2), spec.space, (("12", 0.5), ("34", 0.5)), 1.0, 0.1,
+                        True, True, 0.0, 0.5)
+    with pytest.raises(ValueError, match="must share exactly one vertex"):
+        vertex_clearance(path, spec)
+    with pytest.raises(ValueError, match="word of 0 tokens"):
+        vertex_clearance(replace(path, crossings=()), spec)
+
+
 @pytest.mark.parametrize("pq", [(0, 1), (1, 2), (3, 5), (7, 13)])
 def test_hyperbolic_midpoint_path_builds_only_its_quarter_chain(monkeypatch, pq):
     lengths, build_chain = [], frames.build_chain
@@ -1000,6 +1025,7 @@ class _ScaledEuclid:
     def __init__(self, c):
         self.space = E
         self.edge = c
+        self.edges = dict.fromkeys(EDGES, c)
         self.alpha = math.pi / 3
 
     def face_edge_length(self, u, v):
@@ -1231,8 +1257,8 @@ def test_holonomy_axis_that_misses_e0_raises(monkeypatch):
 
     def skewed(spec, tokens):
         steps = build_chain(spec, tokens)
-        return ([replace(steps[0], transition=holonomy)]
-                + [replace(step, transition=frames.IDENTITY3) for step in steps[1:]])
+        return ([steps[0]._replace(transition=holonomy)]
+                + [step._replace(transition=frames.IDENTITY3) for step in steps[1:]])
 
     monkeypatch.setattr(frames, "build_chain", skewed)
     spec = generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02])
