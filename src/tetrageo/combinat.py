@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import NoLinkNodes, VertexHit
 from .tetra import HALF_TURN, OPPOSITE_EDGE, edge_token
@@ -167,7 +169,8 @@ class CanonicalWord:
     Crossing i lies on edge tokens[i] at fraction numerators[i] / denominator
     from its smaller-labelled end; fractions holds those quotients as
     correctly rounded floats, equal to float(Fraction(F, D)).  strands is
-    the strand order: per crossed edge, its crossing indices by fraction.
+    the strand order: per crossed edge, its crossing indices by fraction;
+    strand_pairs, two getters of (f_i, ...) and (f_j, ...) over its steps i, j.
     """
 
     gtype: GeodesicType
@@ -176,6 +179,13 @@ class CanonicalWord:
     denominator: int
     fractions: tuple
     strands: tuple
+
+    def __post_init__(self):    # itemgetter(*idx) returns a tuple for two indices or more
+        ends = [tuple(chain.from_iterable(map(operator.itemgetter(cut), self.strands)))
+                for cut in (slice(-1), slice(1, None))]
+        object.__setattr__(self, "strand_pairs", tuple(
+            operator.itemgetter(*idx) if len(idx) > 1
+            else lambda seq, idx=idx: tuple(seq[i] for i in idx) for idx in ends))
 
 
 # bounded: the words of every type with p+q <= 154 (a count at L = 320) hold ~150 MB,

@@ -12,15 +12,16 @@ plane (k = 0, the point (x, y) written (1, x, y)) or the unit sphere (k = +1),
 and the chain is encoded by the change-of-basis matrix from each edge
 frame to the next, a rigid motion of the plane at k = 0.  A step is a
 named tuple, built in one pass from the space, the face's edge lengths
-and its turn alone (no labels), once per key and shared by every chain.
+and its turn alone (no labels), once per key and shared by every chain;
+build_chain caches each token tuple's plan, its pairs' keys and layout.
 A chord is described by its crossing offsets, one signed arclength from
 each edge midpoint, so every crossing, fraction, margin and length is a
 well-conditioned local computation; chains are placed (place_faces) and
-measured (chord_segments) this way in all three spaces.  The segment terms
-are written twice, with the same floating-point operations in the same
-order: chord_segments, read by the fold-back metrics, and the one pass per
-Newton iterate of relax_chord, the chord solver of both curved spaces,
-that also sums the derivatives and the length it returns with the offsets.
+measured this way in all three spaces.  Each reader writes the segment
+terms in its own loop with the same floating-point operations in the same
+order: the fold-back metrics (paths._chain_metrics), the segment lengths
+(trace_geometry) and the one pass per Newton iterate of relax_chord, the
+chord solver of both curved spaces, which also sums the length it returns.
 Direction shooting (shoot_chord) carries the chord's normal through the
 transitions; it is the sphere's exact quarter solver, and on the
 hyperboloid the start of the quarter's Newton solve, which polishes it to
@@ -33,6 +34,7 @@ solver: its chord is the tiling line.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections import namedtuple
@@ -105,18 +107,29 @@ def build_chain(spec, tokens):
     """Chain steps of a spec for glue edges tokens[0..K].
 
     tokens[i] and tokens[i+1] must share exactly one vertex (ValueError);
-    face F_i is their union.  Returns a list of K ChainStep records from the
-    step table :func:`_chain_step`, with the lengths of spec.edges.
+    face F_i is their union.  Returns a list of K ChainStep records: one
+    lookup in the step table :func:`_chain_step` per distinct pair, with the
+    lengths of spec.edges, laid out by the tokens' plan (_chain_plan).
     """
+    keys, layout = _chain_plan(tuple(tokens))
+    edges, space = spec.edges, spec.space
+    built = [_chain_step(space, edges[ab], edges[aw], edges[bw], from_b, w_first)
+             for ab, aw, bw, from_b, w_first in keys]
+    return list(layout(built)) if layout else built
+
+
+# bounded: a few objects per chain, the quarter and closed chains of the 256 cached words
+@functools.lru_cache(maxsize=1024)
+def _chain_plan(tokens):
+    """_STEP_KEYS entries of the distinct pairs of tokens by first use, and a getter laying them
+    out along the chain (None for fewer than two pairs: the entries are the chain)."""
     pairs = list(zip(tokens, tokens[1:]))
-    edges, built = spec.edges, {}
-    for pair in dict.fromkeys(pairs):
-        try:
-            ab, aw, bw, from_b, w_first = _STEP_KEYS[pair]
-        except KeyError:
-            raise ValueError(f"glue edges {pair} must share exactly one vertex") from None
-        built[pair] = _chain_step(spec.space, edges[ab], edges[aw], edges[bw], from_b, w_first)
-    return [built[pair] for pair in pairs]
+    where = dict(zip(dict.fromkeys(pairs), itertools.count()))
+    try:
+        keys = tuple(map(_STEP_KEYS.__getitem__, where))
+    except KeyError as exc:
+        raise ValueError(f"glue edges {exc.args[0]} must share exactly one vertex") from None
+    return keys, operator.itemgetter(*map(where.__getitem__, pairs)) if len(pairs) > 1 else None
 
 
 # bounded: at most four steps per face shape, 24 per spec, about 1 kB each
@@ -246,10 +259,12 @@ def shoot_chord(steps):
     far point loses the precision that relax_chord keeps edge by edge, so
     there the shot only seeds relax_chord.  ValueError on the plane.
     """
-    v = (1.0, 0.0, 0.0)                             # mid(e_K) in frame E_K
+    v0, v1, v2 = 1.0, 0.0, 0.0                      # mid(e_K) in frame E_K
     for step in reversed(steps):
-        v = _matvec(step.inverse, v)
-    theta = math.atan2(v[2], v[1])
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = step.inverse
+        v0, v1, v2 = (m00 * v0 + m01 * v1 + m02 * v2, m10 * v0 + m11 * v1 + m12 * v2,
+                      m20 * v0 + m21 * v1 + m22 * v2)
+    theta = math.atan2(v2, v1)
     return (theta, *propagate_chord(steps, theta))
 
 
@@ -294,10 +309,15 @@ def axis_chord(steps, axis):
 
 
 def trace_geometry(steps, offsets):
-    """Segment lengths of the chord with the given crossing offsets."""
-    arc = _KERNEL[steps[0].space][5]
-    return [2.0 * arc(0.5 * math.sqrt(max(m, 0.0)))
-            for m, _, _, _ in chord_segments(steps, offsets)[2]]
+    """Segment lengths of the chord with the given crossing offsets, 2 arc(sqrt(<D, D>) / 2)."""
+    k, C, S, _, _, arc = _KERNEL[steps[0].space]
+    lengths, cb, sb = [], C(offsets[0]), S(offsets[0])
+    for step, x in zip(steps, offsets[1:]):
+        t00, t01, t10, t11, t20, t21 = step.row
+        ca, sa, cb, sb = cb, sb, C(x), S(x)
+        d0, d1, d2 = cb - (t00 * ca + t01 * sa), sb - (t10 * ca + t11 * sa), -(t20 * ca + t21 * sa)
+        lengths.append(2.0 * arc(0.5 * math.sqrt(max(k * d0 * d0 + d1 * d1 + d2 * d2, 0.0))))
+    return lengths
 
 
 class _Indefinite(Exception):
@@ -337,42 +357,12 @@ def _solve_tridiagonal(diag, off, rhs):
     return d
 
 
-def chord_segments(steps, s):
-    """C(s_i), S(s_i) and per-segment terms of the chord with offsets s.
-
-    Segment i joins A = T_i P(s_i) to B = P(s_{i+1}) in frame E_{i+1}, with
-    P(s) = (C(s), S(s), 0).  Its terms are <D, D>, -<dA, D>, <D, dB> and
-    -<dA, dB> for D = B - A and the edge tangents dA, dB: its length d has
-    2 S(d / 2) = sqrt(<D, D>), and S(d) cos(angle with the edge's +x) is
-    -<dA, D> at A and <D, dB> at B.  All terms come from the short
-    difference D, never from the far points (full relative precision).
-    relax_chord streams the same operations in the same order.
-    """
-    k, C, S, _, _, _ = _KERNEL[steps[0].space]
-    cs, sn = [C(x) for x in s], [S(x) for x in s]
-    dsn = [-k * x for x in sn]                 # P'(s) = (-k S(s), C(s), 0)
-    terms = []
-    for i, step in enumerate(steps):
-        (t00, t01, _), (t10, t11, _), (t20, t21, _) = step.transition
-        ca, sa, da = cs[i], sn[i], dsn[i]
-        cb, sb = cs[i + 1], sn[i + 1]
-        d0 = cb - (t00 * ca + t01 * sa)        # D = B - A
-        d1 = sb - (t10 * ca + t11 * sa)
-        d2 = -(t20 * ca + t21 * sa)
-        a0, a1, a2 = t00 * da + t01 * ca, t10 * da + t11 * ca, t20 * da + t21 * ca   # dA
-        terms.append((k * d0 * d0 + d1 * d1 + d2 * d2,    # <D, D>
-                      -(k * a0 * d0 + a1 * d1 + a2 * d2),  # -<dA, D>
-                      -d0 * sb + d1 * cb,                  # <D, dB>
-                      a0 * sb - a1 * cb))                  # -<dA, dB>
-    return cs, sn, terms
-
-
 def _chord_derivatives(space, rows, x, pinned):
     """Length, gradient and tridiagonal Hessian of the chord in the offsets x.
 
-    One pass with the operations of chord_segments in its order; rows[i]
-    is (t00, t01, t10, t11, t20, t21) of transition i.  Pinned segments
-    (two crossings at their shared vertex) have length zero and are
+    One pass with the segment terms of paths._chain_metrics in their order;
+    rows[i] is (t00, t01, t10, t11, t20, t21) of transition i.  Pinned
+    segments (two crossings at their shared vertex) have length zero and are
     skipped, as is a segment whose <D, D> rounds to zero or below.
     """
     k, C, S, _, _, arc = _KERNEL[space]

@@ -25,16 +25,19 @@ crossings, clearance pruned exactly by line distances): a regular midpoint
 path on its quarter chain, which the half turns carry onto the whole
 curve, a generic or Euclidean path on its whole closed chain.
 Simplicity is decided from the fractions alone: along each edge they must
-follow the strand order of the exact word.  The half turns' images of the
-edges sit in the static table tetra.HALF_TURN, which the exact word shares.
+follow the strand order of the exact word, read by the word's two getters.
+The mirror map walks the half turns of tetra.HALF_TURN once per word.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 from . import frames
 from .combinat import GeodesicType, canonical_word, trace_crossings
@@ -140,16 +143,23 @@ def _chain_metrics(spec, steps, ells, fracs, copies, crossings):
     The plane's reps (1, x, y) enter the clamped segment distance as (x, y).
     """
     space = spec.space
-    k = frames._KERNEL[space][0]
-    arc = (lambda x: math.asin(min(1.0, x))) if k > 0 else frames._KERNEL[space][5]
+    k, C, S, _, _, arc = frames._KERNEL[space]
+    arc = (lambda x: math.asin(min(1.0, x))) if k > 0 else arc
     cut = 0 if k else 1
     s = [(f - 0.5) * ell for ell, f in zip(ells, fracs)]
     # the edge-end bound, widened by 1e-9 relative and absolute past a crossing's rounding
     bound = min(0.5 * ell - abs(x) for ell, x in zip(ells, s)) * (1.0 + 1e-9) + 1e-9
     lim = math.sinh(bound) if k < 0 else math.sin(min(bound, 0.5 * math.pi)) if k else bound
-    cs, sn, terms = frames.chord_segments(steps, s)
-    total, clearance, ends = 0.0, math.inf, []
-    for i, (step, (m, cx, cy, _)) in enumerate(zip(steps, terms)):
+    total, clearance, ends, cb, sb = 0.0, math.inf, [], C(s[0]), S(s[0])
+    for step, xb in zip(steps, s[1:]):
+        # m, cx, cy: <D, D>, -<dA, D>, <D, dB> of segment i, as frames._chord_derivatives
+        t00, t01, t10, t11, t20, t21 = step.row
+        ca, sa, cb, sb = cb, sb, C(xb), S(xb)
+        da = -k * sa
+        d0, d1, d2 = cb - (t00 * ca + t01 * sa), sb - (t10 * ca + t11 * sa), -(t20 * ca + t21 * sa)
+        a0, a1, a2 = t00 * da + t01 * ca, t10 * da + t11 * ca, t20 * da + t21 * ca
+        m, cx, cy = (k * d0 * d0 + d1 * d1 + d2 * d2, -(k * a0 * d0 + a1 * d1 + a2 * d2),
+                     -d0 * sb + d1 * cb)
         r = math.sqrt(m * (1.0 - 0.25 * k * m))          # S(d)
         total += 2.0 * arc(0.5 * math.sqrt(m))
         # the angles of segment i with e_i and e_{i+1}, at its two ends; each cosine
@@ -161,7 +171,6 @@ def _chain_metrics(spec, steps, ells, fracs, copies, crossings):
         # with C, S at s_i, N = (S w, -k C w, k u) is normal to AB, <N, N> = u^2 + w^2
         # (in the plane, where C = 1, the vertex's distance to the line AB is the same ratio)
         (i00, i01, _), (i10, i11, _), (i20, i21, _) = step.inverse
-        ca, sa, cb, sb = cs[i], sn[i], cs[i + 1], sn[i + 1]
         A = (ca, sa, 0.0)
         B = (i00 * cb + i01 * sb, i10 * cb + i11 * sb, i20 * cb + i21 * sb)
         u, w = ca * B[1] - sa * B[0], B[2]
@@ -190,20 +199,20 @@ def simplicity_check(path, spec):
     and a curve in that order is simple: faces are geodesically convex, so
     two segments of one face cross iff their ends interleave along its
     boundary, and in strand order they nest as the tiling line's do.  The
-    path is simple iff, walking each edge in strand order, no fraction
-    drops by more than STRAND_TIE: closer crossings are not resolved by the
-    rounding of the fractions and read as in order.  No geometry (``spec``
-    is not needed).  Raises PreconditionFailed unless the path carries the
-    canonical word of its type, as every path the library builds does.
-    Only the path's gtype, tokens and fractions are read, so a path is
-    checked before it is built (_assemble_path).
+    path is simple iff, walking each edge in strand order (the word's
+    strand_pairs), no fraction drops by more than STRAND_TIE: closer
+    crossings are not resolved by rounding and read as in order, a NaN as
+    out of order.  No geometry (``spec`` is not needed).  PreconditionFailed
+    unless the path carries the canonical word of its type, as every path
+    the library builds does.  Only the path's gtype, tokens and fractions
+    are read, so a path is checked before it is built (_assemble_path).
     """
     word = canonical_word(path.gtype)
     if path.tokens != word.tokens:
         raise PreconditionFailed("simplicity is decided on the canonical word of the path's type")
-    fracs = path.fractions
-    return all(fracs[i] - fracs[j] <= STRAND_TIE
-               for strand in word.strands for i, j in zip(strand, strand[1:]))
+    fracs, (before, after) = path.fractions, word.strand_pairs
+    return all(map(operator.le, map(operator.sub, before(fracs), after(fracs)),
+                   repeat(STRAND_TIE)))
 
 
 # what simplicity_check reads of a path, for a path not yet built
@@ -277,29 +286,40 @@ def full_fractions_from_quarter(seq, quarter_fracs):
     The half turn about the midpoint of e_c maps crossing c-k to crossing
     c+k and relabels endpoints by the edge involution, so fractions mirror
     (f -> 1-f exactly when the involution flips the endpoint order); images
-    and flips come from the static table tetra.HALF_TURN.  The map only appends
-    mirror images: it checks that the word has the half-turn symmetry and
-    that the mirrored fractions close up, and raises ValueError for any
-    other number of fractions than K + 1.  ``seq`` is the type's word, a
-    CanonicalWord or a CrossingSequence: only its tokens are read.
+    and flips come from the static table tetra.HALF_TURN, walked once per
+    word (_mirror_plan).  The map only appends mirror images and checks that
+    they close up.  ValueError for any other number of fractions than K + 1
+    or a fraction not finite or outside [0, 1]; NumericalFailure on every
+    call for a word without the half-turn symmetry.  ``seq`` is the type's
+    word, a CanonicalWord or a CrossingSequence: only its tokens are read.
     """
-    n = len(seq.tokens)
-    K = n // 4
-    toks = seq.tokens
-    fracs = list(quarter_fracs)            # indices 0..K
-    if len(fracs) != K + 1:
+    toks, fracs = tuple(seq.tokens), list(quarter_fracs)     # fracs: indices 0..K
+    n = len(toks)
+    if len(fracs) != n // 4 + 1:
         raise ValueError(f"{len(fracs)} quarter fractions for a word of {n} tokens")
-    for center in (K, 2 * K):
-        mirror = HALF_TURN[toks[center]]
-        for k in range(1, center + 1):     # extend to index 2*center
-            mapped, flip = mirror[toks[center - k]]
-            if mapped != toks[(center + k) % n]:
-                raise NumericalFailure("crossing word lacks the half-turn symmetry")
-            f = fracs[center - k]
-            fracs.append(1.0 - f if flip else f)
+    if not all(0.0 <= f <= 1.0 for f in fracs):
+        raise ValueError("every fraction must be finite and lie in [0, 1]")
+    for i, flip in zip(*_mirror_plan(toks)):
+        f = fracs[i]
+        fracs.append(1.0 - f if flip else f)
     if abs(fracs[n] - fracs[0]) > 1e-9:
         raise NumericalFailure("mirrored fractions do not close up")
     return fracs[:n]
+
+
+# bounded: two flat tuples of 3K entries per word, twice the 256 words canonical_word caches
+@functools.lru_cache(maxsize=512)
+def _mirror_plan(toks):
+    """Sources c - k and flips of the images appended at c + k; NumericalFailure if asymmetric."""
+    n, K, plan = len(toks), len(toks) // 4, []
+    for c in (K, 2 * K):
+        turn = HALF_TURN[toks[c]]
+        for i in range(c - 1, -1, -1):
+            tok, flip = turn[toks[i]]
+            if tok != toks[(2 * c - i) % n]:
+                raise NumericalFailure("crossing word lacks the half-turn symmetry")
+            plan.append((i, flip))
+    return tuple(zip(*plan)) or ((), ())
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,12 @@ reps keyed by vertex label and its turn given as the hinge (pivot, other
 end of the entry edge, third vertex), on top of a label-free face frame
 (``labelled_face_frame``); ``labelled_place_faces`` places a chain of
 such steps.
+
+``chord_segments`` is the per-segment term list that frames once built
+for every reader of a chord: the fold-back metrics
+(paths._chain_metrics), the segment lengths (frames.trace_geometry) and
+the solver's pass (frames._chord_derivatives) each compute its terms in
+their own loop now, with its operations in its order.
 """
 
 import functools
@@ -232,3 +238,32 @@ def labelled_place_faces(steps):
         faces.append({lab: _matvec(acc, v) for lab, v in step.verts.items()})
         acc = _matmul(acc, step.inverse)
     return faces
+
+
+def chord_segments(steps, s):
+    """C(s_i), S(s_i) and per-segment terms of the chord with offsets s.
+
+    Segment i joins A = T_i P(s_i) to B = P(s_{i+1}) in frame E_{i+1}, with
+    P(s) = (C(s), S(s), 0).  Its terms are <D, D>, -<dA, D>, <D, dB> and
+    -<dA, dB> for D = B - A and the edge tangents dA, dB: its length d has
+    2 S(d / 2) = sqrt(<D, D>), and S(d) cos(angle with the edge's +x) is
+    -<dA, D> at A and <D, dB> at B.  All terms come from the short
+    difference D, never from the far points (full relative precision).
+    """
+    k, C, S, _, _, _ = _KERNEL[steps[0].space]
+    cs, sn = [C(x) for x in s], [S(x) for x in s]
+    dsn = [-k * x for x in sn]                 # P'(s) = (-k S(s), C(s), 0)
+    terms = []
+    for i, step in enumerate(steps):
+        (t00, t01, _), (t10, t11, _), (t20, t21, _) = step.transition
+        ca, sa, da = cs[i], sn[i], dsn[i]
+        cb, sb = cs[i + 1], sn[i + 1]
+        d0 = cb - (t00 * ca + t01 * sa)        # D = B - A
+        d1 = sb - (t10 * ca + t11 * sa)
+        d2 = -(t20 * ca + t21 * sa)
+        a0, a1, a2 = t00 * da + t01 * ca, t10 * da + t11 * ca, t20 * da + t21 * ca   # dA
+        terms.append((k * d0 * d0 + d1 * d1 + d2 * d2,    # <D, D>
+                      -(k * a0 * d0 + a1 * d1 + a2 * d2),  # -<dA, D>
+                      -d0 * sb + d1 * cb,                  # <D, dB>
+                      a0 * sb - a1 * cb))                  # -<dA, dB>
+    return cs, sn, terms

@@ -1,7 +1,7 @@
 """The chord solver's one-pass Newton terms and Thomas sweeps against their reference loops.
 
 frames._chord_derivatives computes the segment terms of
-frames.chord_segments and accumulates the length, gradient and
+face_fold.chord_segments and accumulates the length, gradient and
 tridiagonal Hessian in the same pass; _solve_tridiagonal takes its first
 row out of the sweep.  Each keeps the floating-point operations of the
 reference below and their order, so results are compared with ==.
@@ -12,6 +12,7 @@ import math
 from hypothesis import given, strategies as st
 
 from conftest import coprime_types
+from face_fold import chord_segments
 from tetrageo import frames
 from tetrageo.combinat import GeodesicType, canonical_word
 from tetrageo.geom import SpaceKind
@@ -27,7 +28,7 @@ def _chain_derivatives(steps, s, pinned=()):
     half, quarter = -0.5 * k, -0.25 * k
     grad, diag, off = [0.0] * (K + 1), [0.0] * (K + 1), [0.0] * K
     length = 0.0
-    for i, (m, cx, cy, cxy) in enumerate(frames.chord_segments(steps, s)[2]):
+    for i, (m, cx, cy, cxy) in enumerate(chord_segments(steps, s)[2]):
         c = 1.0 + half * m                     # C(d)
         r2 = m * (1.0 + quarter * m)           # S(d)^2
         if not r2 > 0.0 or i in pinned:

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import coprime_types
+from face_fold import chord_segments
 from tetrageo import frames
 from tetrageo.combinat import GeodesicType, canonical_word
 from tetrageo.errors import TooLong
@@ -42,7 +43,7 @@ def brute_clearance(spec, tokens, fractions):
     """Least rpoint_seg_dist over every vertex of every face and its segment."""
     chain, s = _offsets(spec, tokens, fractions)
     steps = frames.build_chain(spec, chain)
-    cs, sn, _ = frames.chord_segments(steps, s)
+    cs, sn, _ = chord_segments(steps, s)
     cut = 1 if spec.space == E else 0
     best = math.inf
     for i, step in enumerate(steps):
