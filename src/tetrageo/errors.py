@@ -6,7 +6,7 @@ class TetrageoError(Exception):
 
 
 class AmbiguousGeodesic(TetrageoError):
-    """Antipodal spherical endpoints: no unique minor arc."""
+    """No unique geodesic: antipodal spherical endpoints, or segment ends that coincide."""
 
 
 class OutOfHemisphere(TetrageoError):

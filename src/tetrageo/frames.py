@@ -17,7 +17,8 @@ build_chain caches each token tuple's plan, its pairs' keys and layout.
 A chord is described by its crossing offsets, one signed arclength from
 each edge midpoint, so every crossing, fraction, margin and length is a
 well-conditioned local computation; chains are placed (place_faces) and
-measured this way in all three spaces.  Each reader writes the segment
+measured this way in all three spaces, with geom's curvature table
+(geom._KERNEL: k, C, S and the inverse of S).  Each reader writes the segment
 terms in its own loop with the same floating-point operations in the same
 order: the fold-back metrics (paths._chain_metrics), the segment lengths
 (trace_geometry) and the one pass per Newton iterate of relax_chord, the
@@ -40,7 +41,7 @@ import operator
 from collections import namedtuple
 
 from .errors import NumericalFailure
-from .geom import SpaceKind, _cross3, _dot3, _mcross, _mdot, rangle
+from .geom import _KERNEL, _kunit, rangle
 from .tetra import EDGES, edge_token
 
 
@@ -77,22 +78,6 @@ _PLANE = "the plane has no chord solver: its geodesic is the tiling line (paths.
 #   row         (t00, t01, t10, t11, t20, t21), the entries the chord passes read
 #   det_sign    1.0 if det(transition) > 0, else -1.0 (the sphere's handedness flips)
 ChainStep = namedtuple("ChainStep", "verts transition inverse space sides row det_sign")
-
-
-# per curvature k = -1 (hyperboloid), 0 (plane) or +1 (sphere): k, the trig
-# pair of an edge point (C(s), S(s), 0), the inner product, its cross product
-# (the plane's rigid frames need neither), and the inverse of S, which gives a
-# chord D the length 2 arc(sqrt(<D, D>) / 2)
-_KERNEL = {
-    SpaceKind.HYPERBOLIC: (-1.0, math.cosh, math.sinh, _mdot, _mcross, math.asinh),
-    SpaceKind.EUCLIDEAN: (0.0, lambda s: 1.0, lambda s: s, None, None, lambda x: x),
-    SpaceKind.SPHERICAL: (1.0, math.cos, math.sin, _dot3, _cross3, math.asin),
-}
-
-
-def _unit(v, dot):
-    s = math.sqrt(max(abs(dot(v, v)), 1e-300))
-    return (v[0] / s, v[1] / s, v[2] / s)
 
 
 # (entry, exit) pair of glue edges sharing one vertex -> (a, b, w): the entry edge ab,
@@ -158,7 +143,7 @@ def _chain_step(space, ell, d_minus, d_plus, from_b, w_first):
         if (B[1] - m1) * y1 + (B[2] - m2) * y2 > 0.0:
             y1, y2, det_sign = x2, -x1, -det_sign
         lam = ((1.0, 0.0, 0.0), (-(m1 * x1 + m2 * x2), x1, x2), (-(m1 * y1 + m2 * y2), y1, y2))
-    else:           # M, tx, ty by _unit, the space's dot and cross, written out
+    else:           # M, tx, ty by geom's _kunit, _kdot and _kcross, written out
         m0, m1, m2 = Pm[0] + Pp[0], Pm[1] + Pp[1], Pm[2] + Pp[2]
         r = math.sqrt(max(abs(k * m0 * m0 + m1 * m1 + m2 * m2), 1e-300))
         m0, m1, m2 = m0 / r, m1 / r, m2 / r
@@ -181,7 +166,7 @@ def _chain_step(space, ell, d_minus, d_plus, from_b, w_first):
 @functools.lru_cache(maxsize=1024)
 def _face_reps(space, ell, d_minus, d_plus):
     """Reps A, B, W of the face abw in the frame of ab (see _chain_step), or None if degenerate."""
-    k, C, S, _, _, _ = _KERNEL[space]
+    k, C, S, _ = _KERNEL[space]
     if not k:       # |W - A| = d_minus, |W - B| = d_plus
         w1 = (d_minus * d_minus - d_plus * d_plus) / (2.0 * ell)
         w2sq = d_minus * d_minus - (w1 + 0.5 * ell) ** 2
@@ -214,7 +199,7 @@ def place_faces(steps, tokens):
 
 
 def carry_normals(steps, n):
-    """Unit normals at e_0..e_K of the chord with normal n in frame E_0: _unit(_matvec(T_i, n))."""
+    """Unit normals at e_0..e_K of the chord with normal n in frame E_0: _kunit(k, T_i n)."""
     k, normals = _KERNEL[steps[0].space][0], [n]
     for step in steps:
         (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = step.transition
@@ -281,7 +266,7 @@ def holonomy_axis(steps):
     for step in steps:
         holonomy = _matmul(step.transition, holonomy)
     (_, b, c), (d, _, f), (g, h, _) = holonomy
-    n = _unit((f - h, c + g, -(b + d)), _mdot)
+    n = _kunit(-1.0, (f - h, c + g, -(b + d)))
     if abs(n[0]) >= abs(n[1]):
         raise NumericalFailure("holonomy axis misses the geodesic of edge e_0")
     return n, math.atanh(n[0] / n[1])
@@ -299,7 +284,7 @@ def axis_chord(steps, axis):
     normals = carry_normals(steps[:half], axis)
     behind = [axis]
     for step in reversed(steps[half + 1:]):
-        behind.append(_unit(_matvec(step.inverse, behind[-1]), _mdot))
+        behind.append(_kunit(-1.0, _matvec(step.inverse, behind[-1])))
     offsets = []
     for i, n in enumerate(normals + behind[::-1]):
         if abs(n[0]) >= abs(n[1]):
@@ -310,7 +295,7 @@ def axis_chord(steps, axis):
 
 def trace_geometry(steps, offsets):
     """Segment lengths of the chord with the given crossing offsets, 2 arc(sqrt(<D, D>) / 2)."""
-    k, C, S, _, _, arc = _KERNEL[steps[0].space]
+    k, C, S, arc = _KERNEL[steps[0].space]
     lengths, cb, sb = [], C(offsets[0]), S(offsets[0])
     for step, x in zip(steps, offsets[1:]):
         t00, t01, t10, t11, t20, t21 = step.row
@@ -365,7 +350,7 @@ def _chord_derivatives(space, rows, x, pinned):
     segments (two crossings at their shared vertex) have length zero and are
     skipped, as is a segment whose <D, D> rounds to zero or below.
     """
-    k, C, S, _, _, arc = _KERNEL[space]
+    k, C, S, arc = _KERNEL[space]
     hyperbolic, half, quarter, sqrt = k < 0, -0.5 * k, -0.25 * k, math.sqrt
     grad, diag, off = [0.0] * (len(rows) + 1), [0.0] * (len(rows) + 1), [0.0] * len(rows)
     length = gi = di = 0.0          # grad and diag at s_i from the segment before

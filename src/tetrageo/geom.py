@@ -10,8 +10,9 @@ Three model charts, selected by :class:`SpaceKind`:
 Every operation is implemented once, in the ``r*`` functions, on
 computational representations (reps): hyperbolic points are hyperboloid
 vectors (signature (-,+,+)), Euclidean and spherical reps are their chart
-points.  ``rep_point`` and ``chart_point`` convert; the chart-level
-functions are thin wrappers over the rep layer.
+points; H and S share one body in k, with the curvature table ``_KERNEL``
+that :mod:`tetrageo.frames` reads too.  ``rep_point`` and ``chart_point``
+convert; the chart-level functions are thin wrappers over the rep layer.
 
 All functions are pure; no state is shared anywhere in the kernel.
 """
@@ -66,37 +67,35 @@ class Segment2:
 
 
 # ---------------------------------------------------------------------------
-# small vector helpers (3-vectors as tuples)
+# vector helpers of the curved spaces in k = float(space): <u, v> = k u0 v0 +
+# u1 v1 + u2 v2 is the sphere's dot product at k = 1, the Minkowski product at
+# k = -1; a factor k = +-1.0 is exact, so each space rounds as in its own formula
 
-def _dot3(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+def _kdot(k, u, v):
+    return k * u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _cross3(u, v):
+def _kcross(k, u, v):
+    """Cross product of (k u0, u1, u2) and (k v0, v1, v2): <, >-orthogonal to u and v."""
     return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
+            u[2] * (k * v[0]) - (k * u[0]) * v[2],
+            (k * u[0]) * v[1] - u[1] * (k * v[0]))
 
 
-def _norm3(u):
-    return math.sqrt(_dot3(u, u))
+def _kunit(k, v):
+    # the floor engages for a zero vector, or where saturated far coordinates cancel
+    s = math.sqrt(max(abs(_kdot(k, v, v)), 1e-300))
+    return (v[0] / s, v[1] / s, v[2] / s)
 
 
-def _unit3(u):
-    n = _norm3(u)
-    return (u[0] / n, u[1] / n, u[2] / n)
-
-
-def _mdot(u, v):
-    """Minkowski inner product, signature (-,+,+)."""
-    return -u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _mcross(u, v):
-    """Euclidean cross of (eta u, eta v): Minkowski-orthogonal to u and v."""
-    eu = (-u[0], u[1], u[2])
-    ev = (-v[0], v[1], v[2])
-    return _cross3(eu, ev)
+# per curvature k = -1 (hyperboloid), 0 (plane) or +1 (sphere): k, the trig pair
+# of the exponential map (C(s) P + S(s) T) and the inverse of S, which gives a
+# chord D the length 2 arc(sqrt(<D, D>) / 2)
+_KERNEL = {
+    SpaceKind.HYPERBOLIC: (-1.0, math.cosh, math.sinh, math.asinh),
+    SpaceKind.EUCLIDEAN: (0.0, lambda s: 1.0, lambda s: s, lambda x: x),
+    SpaceKind.SPHERICAL: (1.0, math.cos, math.sin, math.asin),
+}
 
 
 def lift_klein(p):
@@ -116,29 +115,19 @@ def drop_klein(X):
     return (X[1] / X[0], X[2] / X[0])
 
 
-def _unit_spacelike(n):
-    # the norm is positive for genuine spacelike input; the floor only
-    # engages when saturated far coordinates cancel catastrophically, where
-    # the chart is display-quality anyway
-    s = math.sqrt(max(_mdot(n, n), 1e-300))
-    return (n[0] / s, n[1] / s, n[2] / s)
-
-
-def _normalize_timelike(X):
-    s = math.sqrt(max(-_mdot(X, X), 1e-300))
-    return (X[0] / s, X[1] / s, X[2] / s)
-
-
 # ---------------------------------------------------------------------------
 # representation layer
 #
 # Every operation is written once, on reps: hyperboloid vectors for H,
-# unit 3-vectors for S (the sphere chart itself) and plane points for E.
-# Hyperbolic computation in the Klein chart would cost ~cosh^2 of the
-# working radius in precision, so charts appear only at input and output.
+# unit 3-vectors for S (the sphere chart itself) and plane points for E; H and
+# S share one body in k unless the formula differs in kind (rdistance, rangle).
+# Hyperbolic computation in the Klein chart would cost ~cosh^2 of the working
+# radius in precision, so charts appear only at input and output.
 
 def rep_point(space, p):
-    """Chart point -> computational representation."""
+    """Chart point -> computational representation; ValueError unless finite."""
+    if not all(map(math.isfinite, p)):
+        raise ValueError(f"chart point {p!r} is not finite")
     return lift_klein(p) if space == SpaceKind.HYPERBOLIC else p
 
 
@@ -147,20 +136,16 @@ def chart_point(space, P):
     return drop_klein(P) if space == SpaceKind.HYPERBOLIC else P
 
 
-def _hyp_dist_lifted(P, Q):
-    # 2 asinh of the half Minkowski chord: <P-Q, P-Q> = 4 sinh^2(d/2).
-    # Unlike acosh(-<P,Q>) this has no sqrt(eps) floor near coincidence.
-    d0, d1, d2 = P[0] - Q[0], P[1] - Q[1], P[2] - Q[2]
-    m = -d0 * d0 + d1 * d1 + d2 * d2
-    return 2.0 * math.asinh(0.5 * math.sqrt(max(m, 0.0)))
-
-
 def rdistance(space, P, Q):
     """Geodesic distance; spherical antipodes raise AmbiguousGeodesic."""
     if space == SpaceKind.HYPERBOLIC:
-        return _hyp_dist_lifted(P, Q)
+        # 2 asinh of the half Minkowski chord: <P-Q, P-Q> = 4 sinh^2(d/2).
+        # Unlike acosh(-<P,Q>) this has no sqrt(eps) floor near coincidence.
+        D = (P[0] - Q[0], P[1] - Q[1], P[2] - Q[2])
+        return 2.0 * math.asinh(0.5 * math.sqrt(max(_kdot(-1.0, D, D), 0.0)))
     if space == SpaceKind.SPHERICAL:
-        ang = math.atan2(_norm3(_cross3(P, Q)), _dot3(P, Q))
+        c = _kcross(1.0, P, Q)
+        ang = math.atan2(math.sqrt(_kdot(1.0, c, c)), _kdot(1.0, P, Q))
         if math.pi - ang < 1e-12:
             raise AmbiguousGeodesic("antipodal spherical points")
         return ang
@@ -168,37 +153,30 @@ def rdistance(space, P, Q):
 
 
 def rmidpoint(space, P, Q):
-    if space == SpaceKind.HYPERBOLIC:
-        return _normalize_timelike((P[0] + Q[0], P[1] + Q[1], P[2] + Q[2]))
-    if space == SpaceKind.SPHERICAL:
-        s = (P[0] + Q[0], P[1] + Q[1], P[2] + Q[2])
-        n = _norm3(s)
-        if n < 1e-12:
-            raise AmbiguousGeodesic("midpoint of antipodal points")
-        return (s[0] / n, s[1] / n, s[2] / n)
-    return ((P[0] + Q[0]) / 2.0, (P[1] + Q[1]) / 2.0)
+    if space == SpaceKind.EUCLIDEAN:
+        return ((P[0] + Q[0]) / 2.0, (P[1] + Q[1]) / 2.0)
+    k, M = float(space), (P[0] + Q[0], P[1] + Q[1], P[2] + Q[2])
+    if k > 0.0 and math.sqrt(_kdot(k, M, M)) < 1e-12:
+        raise AmbiguousGeodesic("midpoint of antipodal points")
+    return _kunit(k, M)
 
 
 def rtangent(space, P, Q):
-    """Unit tangent vector at P pointing toward Q."""
-    if space == SpaceKind.HYPERBOLIC:
-        c = _mdot(Q, P)
-        return _unit_spacelike((Q[0] + c * P[0], Q[1] + c * P[1], Q[2] + c * P[2]))
-    if space == SpaceKind.SPHERICAL:
-        c = _dot3(P, Q)
-        return _unit3((Q[0] - c * P[0], Q[1] - c * P[1], Q[2] - c * P[2]))
-    d = math.hypot(Q[0] - P[0], Q[1] - P[1])
-    return ((Q[0] - P[0]) / d, (Q[1] - P[1]) / d)
+    """Unit tangent vector at P pointing toward Q: Q - k<P, Q> P, normalized."""
+    if space == SpaceKind.EUCLIDEAN:
+        d = math.hypot(Q[0] - P[0], Q[1] - P[1])
+        return ((Q[0] - P[0]) / d, (Q[1] - P[1]) / d)
+    k = float(space)
+    c = k * _kdot(k, P, Q)
+    return _kunit(k, (Q[0] - c * P[0], Q[1] - c * P[1], Q[2] - c * P[2]))
 
 
 def rpoint_at(space, P, tangent, dist):
     """Exponential map: walk dist from P along a unit tangent."""
-    if space == SpaceKind.HYPERBOLIC:
-        c, s = math.cosh(dist), math.sinh(dist)
-    elif space == SpaceKind.SPHERICAL:
-        c, s = math.cos(dist), math.sin(dist)
-    else:
+    if space == SpaceKind.EUCLIDEAN:
         return (P[0] + dist * tangent[0], P[1] + dist * tangent[1])
+    _, C, S, _ = _KERNEL[space]
+    c, s = C(dist), S(dist)
     return (c * P[0] + s * tangent[0], c * P[1] + s * tangent[1], c * P[2] + s * tangent[2])
 
 
@@ -215,36 +193,32 @@ def rangle(space, V, P, Q):
     t1 = rtangent(space, V, P)
     t2 = rtangent(space, V, Q)
     if space == SpaceKind.HYPERBOLIC:
-        return math.acos(max(-1.0, min(1.0, _mdot(t1, t2))))
+        return math.acos(max(-1.0, min(1.0, _kdot(-1.0, t1, t2))))
     if space == SpaceKind.SPHERICAL:
-        return math.atan2(_norm3(_cross3(t1, t2)), _dot3(t1, t2))
+        c = _kcross(1.0, t1, t2)
+        return math.atan2(math.sqrt(_kdot(1.0, c, c)), _kdot(1.0, t1, t2))
     return abs(math.atan2(t1[0] * t2[1] - t1[1] * t2[0], t1[0] * t2[0] + t1[1] * t2[1]))
 
 
 def rreflect(space, A, B, P):
     """Reflect P across the geodesic through A, B."""
-    if space == SpaceKind.HYPERBOLIC:
-        n = _unit_spacelike(_mcross(A, B))
-        d = _mdot(P, n)
-    elif space == SpaceKind.SPHERICAL:
-        n = _unit3(_cross3(A, B))
-        d = _dot3(P, n)
-    else:
+    if space == SpaceKind.EUCLIDEAN:
         dx, dy = B[0] - A[0], B[1] - A[1]
         t = ((P[0] - A[0]) * dx + (P[1] - A[1]) * dy) / (dx * dx + dy * dy)
         return (2 * (A[0] + t * dx) - P[0], 2 * (A[1] + t * dy) - P[1])
+    k = float(space)
+    n = _kunit(k, _kcross(k, A, B))
+    d = _kdot(k, P, n)
     return (P[0] - 2 * d * n[0], P[1] - 2 * d * n[1], P[2] - 2 * d * n[2])
 
 
 def rhalf_turn(space, C, P):
-    """Rotation of P by pi about C (the geodesic point reflection)."""
-    if space == SpaceKind.HYPERBOLIC:
-        d = _mdot(P, C)
-        return (-P[0] - 2 * d * C[0], -P[1] - 2 * d * C[1], -P[2] - 2 * d * C[2])
-    if space == SpaceKind.SPHERICAL:
-        d = _dot3(P, C)
-        return (2 * d * C[0] - P[0], 2 * d * C[1] - P[1], 2 * d * C[2] - P[2])
-    return (2 * C[0] - P[0], 2 * C[1] - P[1])
+    """Rotation of P by pi about C (the geodesic point reflection): 2k<P, C> C - P."""
+    if space == SpaceKind.EUCLIDEAN:
+        return (2 * C[0] - P[0], 2 * C[1] - P[1])
+    k = float(space)
+    d = 2.0 * k * _kdot(k, P, C)
+    return (d * C[0] - P[0], d * C[1] - P[1], d * C[2] - P[2])
 
 
 def rpoint_seg_dist(space, V, A, B):
@@ -279,14 +253,13 @@ def rside_measure(space, A, B, P):
     """Signed orientation of P against the geodesic through A, B.
 
     Positive means Left: counterclockwise in the plane and Klein charts,
-    along A x B on the sphere.
+    along A x B on the sphere; k<P, _kcross(k, A, B)> in the curved spaces.
     """
-    if space == SpaceKind.HYPERBOLIC:
-        c = _mcross(A, B)
-        return P[0] * c[0] - P[1] * c[1] - P[2] * c[2]
-    if space == SpaceKind.SPHERICAL:
-        return _dot3(P, _cross3(A, B))
-    return (B[0] - A[0]) * (P[1] - A[1]) - (B[1] - A[1]) * (P[0] - A[0])
+    if space == SpaceKind.EUCLIDEAN:
+        return (B[0] - A[0]) * (P[1] - A[1]) - (B[1] - A[1]) * (P[0] - A[0])
+    k = float(space)
+    c = _kcross(k, A, B)
+    return P[0] * c[0] + k * P[1] * c[1] + k * P[2] * c[2]     # k * _kdot would flip a zero
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +275,21 @@ def distance(space, p, q):
     return rdistance(space, rep_point(space, p), rep_point(space, q))
 
 
+def _line_reps(space, seg):
+    """Reps of seg's ends; AmbiguousGeodesic if they coincide or, on S, are antipodal (span 0)."""
+    A, B = rep_point(space, seg.a), rep_point(space, seg.b)
+    if not any(_kcross(float(space), A, B) if space else (B[0] - A[0], B[1] - A[1])):
+        raise AmbiguousGeodesic("segment ends coincide or are antipodal")
+    return A, B
+
+
 def side_of(space, seg, p, tol=DEFAULT_TOL):
     """Orientation of p relative to the complete geodesic through seg.
 
     Returns Side.LEFT / Side.RIGHT / Side.ON; tol applies to the signed
     measure of :func:`rside_measure`.
     """
-    m = rside_measure(space, rep_point(space, seg.a), rep_point(space, seg.b),
-                      rep_point(space, p))
+    m = rside_measure(space, *_line_reps(space, seg), rep_point(space, p))
     if abs(m) < tol:
         return Side.ON
     return Side.LEFT if m > 0 else Side.RIGHT
@@ -317,8 +297,7 @@ def side_of(space, seg, p, tol=DEFAULT_TOL):
 
 def reflect_across(space, seg, p):
     """Isometric reflection of p in the complete geodesic through seg."""
-    return chart_point(space, rreflect(space, rep_point(space, seg.a),
-                                       rep_point(space, seg.b), rep_point(space, p)))
+    return chart_point(space, rreflect(space, *_line_reps(space, seg), rep_point(space, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,21 +309,15 @@ def gnomonic_project(p, tangent_point):
     Rays start at the sphere's center; the image lands on the plane tangent
     at ``tangent_point`` and is returned in 2D coordinates of a fixed
     orthonormal frame of that plane.  Great circles map to straight lines.
+    ValueError unless both points are finite.
     """
-    c = _dot3(p, tangent_point)
+    p, t = (rep_point(SpaceKind.SPHERICAL, v) for v in (p, tangent_point))
+    c = _kdot(1.0, p, t)
     if c <= 1e-12:
         raise OutOfHemisphere("point not strictly inside the open hemisphere")
-    q = (p[0] / c, p[1] / c, p[2] / c)
-    e1, e2 = _tangent_frame(tangent_point)
-    v = (q[0] - tangent_point[0], q[1] - tangent_point[1], q[2] - tangent_point[2])
-    return (_dot3(v, e1), _dot3(v, e2))
-
-
-def _tangent_frame(t):
-    ref = (0.0, 0.0, 1.0) if abs(t[2]) < 0.9 else (1.0, 0.0, 0.0)
-    e1 = _unit3(_cross3(ref, t))
-    e2 = _cross3(t, e1)
-    return e1, e2
+    e1 = _kunit(1.0, _kcross(1.0, (0.0, 0.0, 1.0) if abs(t[2]) < 0.9 else (1.0, 0.0, 0.0), t))
+    v = (p[0] / c - t[0], p[1] / c - t[1], p[2] / c - t[2])     # the image p / c, from t
+    return (_kdot(1.0, v, e1), _kdot(1.0, v, _kcross(1.0, t, e1)))
 
 
 def projected_angle_pair(r_over_R, a1, a2):

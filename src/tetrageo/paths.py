@@ -143,7 +143,7 @@ def _chain_metrics(spec, steps, ells, fracs, copies, crossings):
     The plane's reps (1, x, y) enter the clamped segment distance as (x, y).
     """
     space = spec.space
-    k, C, S, _, _, arc = frames._KERNEL[space]
+    k, C, S, arc = frames._KERNEL[space]
     arc = (lambda x: math.asin(min(1.0, x))) if k > 0 else arc
     cut = 0 if k else 1
     s = [(f - 0.5) * ell for ell, f in zip(ells, fracs)]
@@ -285,9 +285,9 @@ def full_fractions_from_quarter(seq, quarter_fracs):
 
     The half turn about the midpoint of e_c maps crossing c-k to crossing
     c+k and relabels endpoints by the edge involution, so fractions mirror
-    (f -> 1-f exactly when the involution flips the endpoint order); images
-    and flips come from the static table tetra.HALF_TURN, walked once per
-    word (_mirror_plan).  The map only appends mirror images and checks that
+    (f -> 1 - f, a Fraction kept exact, when the involution flips the
+    endpoint order); images and flips come from the static table
+    tetra.HALF_TURN, walked once per word (_mirror_plan).  The map only appends mirror images and checks that
     they close up.  ValueError for any other number of fractions than K + 1
     or a fraction not finite or outside [0, 1]; NumericalFailure on every
     call for a word without the half-turn symmetry.  ``seq`` is the type's
@@ -301,7 +301,7 @@ def full_fractions_from_quarter(seq, quarter_fracs):
         raise ValueError("every fraction must be finite and lie in [0, 1]")
     for i, flip in zip(*_mirror_plan(toks)):
         f = fracs[i]
-        fracs.append(1.0 - f if flip else f)
+        fracs.append(1 - f if flip else f)
     if abs(fracs[n] - fracs[0]) > 1e-9:
         raise NumericalFailure("mirrored fractions do not close up")
     return fracs[:n]

@@ -26,6 +26,11 @@ for every reader of a chord: the fold-back metrics
 (paths._chain_metrics), the segment lengths (frames.trace_geometry) and
 the solver's pass (frames._chord_derivatives) each compute its terms in
 their own loop now, with its operations in its order.
+
+The ``split_*`` functions are the rep kernel of :mod:`tetrageo.geom` as
+it was written once for the hyperboloid and once for the sphere, with its
+own vector helpers (``_dot3`` and ``_cross3``, ``_mdot`` and ``_mcross``
+and their normalizers); geom writes each of them once in the curvature k.
 """
 
 import functools
@@ -34,11 +39,159 @@ from collections import namedtuple
 from itertools import combinations
 
 from tetrageo.errors import NumericalFailure
-from tetrageo.frames import _KERNEL, IDENTITY3, _face_reps, _matmul, _matvec, _unit
+from tetrageo.errors import AmbiguousGeodesic, OutOfHemisphere
+from tetrageo.frames import _KERNEL, IDENTITY3, _face_reps, _matmul, _matvec
+from tetrageo.geom import (SpaceKind, _kcross, _kdot, _kunit, rangle, rdistance, rinterpolate,
+                           rpoint_at, rpoint_seg_dist, rreflect, rtangent)
 
-from tetrageo.geom import (SpaceKind, _cross3, _dot3, _hyp_dist_lifted, _mcross, _mdot, _norm3,
-                           _normalize_timelike, _unit3, _unit_spacelike, rangle, rdistance,
-                           rinterpolate, rpoint_at, rpoint_seg_dist, rreflect, rtangent)
+
+# ---------------------------------------------------------------------------
+# the rep kernel as it was written once per curved space, with its own vector helpers
+
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross3(u, v):
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _norm3(u):
+    return math.sqrt(_dot3(u, u))
+
+
+def _unit3(u):
+    n = _norm3(u)
+    return (u[0] / n, u[1] / n, u[2] / n)
+
+
+def _mdot(u, v):
+    """Minkowski inner product, signature (-,+,+)."""
+    return -u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _mcross(u, v):
+    """Euclidean cross of (eta u, eta v): Minkowski-orthogonal to u and v."""
+    eu = (-u[0], u[1], u[2])
+    ev = (-v[0], v[1], v[2])
+    return _cross3(eu, ev)
+
+
+def _unit_spacelike(n):
+    s = math.sqrt(max(_mdot(n, n), 1e-300))
+    return (n[0] / s, n[1] / s, n[2] / s)
+
+
+def _normalize_timelike(X):
+    s = math.sqrt(max(-_mdot(X, X), 1e-300))
+    return (X[0] / s, X[1] / s, X[2] / s)
+
+
+def _hyp_dist_lifted(P, Q):
+    d0, d1, d2 = P[0] - Q[0], P[1] - Q[1], P[2] - Q[2]
+    m = -d0 * d0 + d1 * d1 + d2 * d2
+    return 2.0 * math.asinh(0.5 * math.sqrt(max(m, 0.0)))
+
+
+def split_rdistance(space, P, Q):
+    if space == SpaceKind.HYPERBOLIC:
+        return _hyp_dist_lifted(P, Q)
+    if space == SpaceKind.SPHERICAL:
+        ang = math.atan2(_norm3(_cross3(P, Q)), _dot3(P, Q))
+        if math.pi - ang < 1e-12:
+            raise AmbiguousGeodesic("antipodal spherical points")
+        return ang
+    return math.hypot(Q[0] - P[0], Q[1] - P[1])
+
+
+def split_rmidpoint(space, P, Q):
+    if space == SpaceKind.HYPERBOLIC:
+        return _normalize_timelike((P[0] + Q[0], P[1] + Q[1], P[2] + Q[2]))
+    if space == SpaceKind.SPHERICAL:
+        s = (P[0] + Q[0], P[1] + Q[1], P[2] + Q[2])
+        n = _norm3(s)
+        if n < 1e-12:
+            raise AmbiguousGeodesic("midpoint of antipodal points")
+        return (s[0] / n, s[1] / n, s[2] / n)
+    return ((P[0] + Q[0]) / 2.0, (P[1] + Q[1]) / 2.0)
+
+
+def split_rtangent(space, P, Q):
+    if space == SpaceKind.HYPERBOLIC:
+        c = _mdot(Q, P)
+        return _unit_spacelike((Q[0] + c * P[0], Q[1] + c * P[1], Q[2] + c * P[2]))
+    if space == SpaceKind.SPHERICAL:
+        c = _dot3(P, Q)
+        return _unit3((Q[0] - c * P[0], Q[1] - c * P[1], Q[2] - c * P[2]))
+    d = math.hypot(Q[0] - P[0], Q[1] - P[1])
+    return ((Q[0] - P[0]) / d, (Q[1] - P[1]) / d)
+
+
+def split_rpoint_at(space, P, tangent, dist):
+    if space == SpaceKind.HYPERBOLIC:
+        c, s = math.cosh(dist), math.sinh(dist)
+    elif space == SpaceKind.SPHERICAL:
+        c, s = math.cos(dist), math.sin(dist)
+    else:
+        return (P[0] + dist * tangent[0], P[1] + dist * tangent[1])
+    return (c * P[0] + s * tangent[0], c * P[1] + s * tangent[1], c * P[2] + s * tangent[2])
+
+
+def split_rangle(space, V, P, Q):
+    t1 = split_rtangent(space, V, P)
+    t2 = split_rtangent(space, V, Q)
+    if space == SpaceKind.HYPERBOLIC:
+        return math.acos(max(-1.0, min(1.0, _mdot(t1, t2))))
+    if space == SpaceKind.SPHERICAL:
+        return math.atan2(_norm3(_cross3(t1, t2)), _dot3(t1, t2))
+    return abs(math.atan2(t1[0] * t2[1] - t1[1] * t2[0], t1[0] * t2[0] + t1[1] * t2[1]))
+
+
+def split_rreflect(space, A, B, P):
+    if space == SpaceKind.HYPERBOLIC:
+        n = _unit_spacelike(_mcross(A, B))
+        d = _mdot(P, n)
+    elif space == SpaceKind.SPHERICAL:
+        n = _unit3(_cross3(A, B))
+        d = _dot3(P, n)
+    else:
+        dx, dy = B[0] - A[0], B[1] - A[1]
+        t = ((P[0] - A[0]) * dx + (P[1] - A[1]) * dy) / (dx * dx + dy * dy)
+        return (2 * (A[0] + t * dx) - P[0], 2 * (A[1] + t * dy) - P[1])
+    return (P[0] - 2 * d * n[0], P[1] - 2 * d * n[1], P[2] - 2 * d * n[2])
+
+
+def split_rhalf_turn(space, C, P):
+    if space == SpaceKind.HYPERBOLIC:
+        d = _mdot(P, C)
+        return (-P[0] - 2 * d * C[0], -P[1] - 2 * d * C[1], -P[2] - 2 * d * C[2])
+    if space == SpaceKind.SPHERICAL:
+        d = _dot3(P, C)
+        return (2 * d * C[0] - P[0], 2 * d * C[1] - P[1], 2 * d * C[2] - P[2])
+    return (2 * C[0] - P[0], 2 * C[1] - P[1])
+
+
+def split_rside_measure(space, A, B, P):
+    if space == SpaceKind.HYPERBOLIC:
+        c = _mcross(A, B)
+        return P[0] * c[0] - P[1] * c[1] - P[2] * c[2]
+    if space == SpaceKind.SPHERICAL:
+        return _dot3(P, _cross3(A, B))
+    return (B[0] - A[0]) * (P[1] - A[1]) - (B[1] - A[1]) * (P[0] - A[0])
+
+
+def split_gnomonic_project(p, tangent_point):
+    c = _dot3(p, tangent_point)
+    if c <= 1e-12:
+        raise OutOfHemisphere("point not strictly inside the open hemisphere")
+    q = (p[0] / c, p[1] / c, p[2] / c)
+    ref = (0.0, 0.0, 1.0) if abs(tangent_point[2]) < 0.9 else (1.0, 0.0, 0.0)
+    e1 = _unit3(_cross3(ref, tangent_point))
+    e2 = _cross3(tangent_point, e1)
+    v = (q[0] - tangent_point[0], q[1] - tangent_point[1], q[2] - tangent_point[2])
+    return (_dot3(v, e1), _dot3(v, e2))
 
 
 def foot_point_seg_dist(space, V, A, B):
@@ -199,7 +352,7 @@ def labelled_face_frame(space, ell, d_minus, d_plus, from_b, w_first):
     pivot, b if from_b else a; w_first when w is the smaller label of the
     exit edge.  (None,) * 4 for a degenerate face.
     """
-    k, _, _, dot, cross, _ = _KERNEL[space]
+    k = _KERNEL[space][0]
     reps = _face_reps(space, ell, d_minus, d_plus)
     if reps is None:
         return None, None, None, None
@@ -218,11 +371,11 @@ def labelled_face_frame(space, ell, d_minus, d_plus, from_b, w_first):
                (-(M[1] * tx[1] + M[2] * tx[2]), tx[1], tx[2]),
                (-(M[1] * ty[1] + M[2] * ty[2]), ty[1], ty[2]))
     else:
-        M = _unit((Pm[0] + Pp[0], Pm[1] + Pp[1], Pm[2] + Pp[2]), dot)
-        cc = -k * dot(Pp, M)
-        tx = _unit((Pp[0] + cc * M[0], Pp[1] + cc * M[1], Pp[2] + cc * M[2]), dot)
-        ty = _unit(cross(M, tx), dot)
-        if dot(B, ty) > 0.0:
+        M = _kunit(k, (Pm[0] + Pp[0], Pm[1] + Pp[1], Pm[2] + Pp[2]))
+        cc = -k * _kdot(k, Pp, M)
+        tx = _kunit(k, (Pp[0] + cc * M[0], Pp[1] + cc * M[1], Pp[2] + cc * M[2]))
+        ty = _kunit(k, _kcross(k, M, tx))
+        if _kdot(k, B, ty) > 0.0:
             ty, det_sign = (-ty[0], -ty[1], -ty[2]), -det_sign
         lam = ((M[0], k * M[1], k * M[2]),
                (k * tx[0], tx[1], tx[2]),
@@ -250,7 +403,7 @@ def chord_segments(steps, s):
     -<dA, D> at A and <D, dB> at B.  All terms come from the short
     difference D, never from the far points (full relative precision).
     """
-    k, C, S, _, _, _ = _KERNEL[steps[0].space]
+    k, C, S, _ = _KERNEL[steps[0].space]
     cs, sn = [C(x) for x in s], [S(x) for x in s]
     dsn = [-k * x for x in sn]                 # P'(s) = (-k S(s), C(s), 0)
     terms = []

@@ -24,7 +24,7 @@ H, S = SpaceKind.HYPERBOLIC, SpaceKind.SPHERICAL
 def _chain_derivatives(steps, s, pinned=()):
     """Length, gradient and tridiagonal Hessian of the chord, from the terms of chord_segments."""
     K = len(steps)
-    k, _, _, _, _, arc = frames._KERNEL[steps[0].space]
+    k, _, _, arc = frames._KERNEL[steps[0].space]
     half, quarter = -0.5 * k, -0.25 * k
     grad, diag, off = [0.0] * (K + 1), [0.0] * (K + 1), [0.0] * K
     length = 0.0

@@ -103,6 +103,54 @@ def test_gnomonic_fixed_point_and_radius():
     assert math.hypot(u, v) == pytest.approx(math.tan(r), abs=1e-12)
 
 
+# three distinct chart points per space, no two of them antipodal
+POINTS = {E: ((0.3, -0.2), (0.1, 0.4), (-0.5, 0.7)),
+          S: ((0.6, 0.0, 0.8), (0.0, 1.0, 0.0), (0.0, 0.6, -0.8)),
+          H: ((0.3, -0.2), (0.1, 0.4), (-0.5, 0.7))}
+
+
+@pytest.mark.parametrize("space", (E, S, H))
+def test_a_segment_with_coincident_ends_spans_no_geodesic(space):
+    a, b, _ = POINTS[space]
+    for call in (side_of, reflect_across):
+        with pytest.raises(AmbiguousGeodesic):
+            call(space, Segment2(a, a, space), b)
+
+
+def test_a_spherical_segment_with_antipodal_ends_spans_no_geodesic():
+    a, b, _ = POINTS[S]
+    for call in (side_of, reflect_across):
+        with pytest.raises(AmbiguousGeodesic):
+            call(S, Segment2(a, tuple(-x for x in a), S), b)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("space", (E, S, H))
+def test_chart_wrappers_reject_non_finite_points(space, bad):
+    a, b, c = POINTS[space]
+    x = (bad,) + a[1:]
+    for p, q in ((x, b), (a, x)):
+        with pytest.raises(ValueError):
+            distance(space, p, q)
+    for seg, p in ((Segment2(x, b, space), c), (Segment2(a, x, space), c),
+                   (Segment2(a, b, space), x)):
+        for call in (side_of, reflect_across):
+            with pytest.raises(ValueError):
+                call(space, seg, p)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_gnomonic_rejects_non_finite_points(bad):
+    a, b, _ = POINTS[S]
+    x = (bad,) + a[1:]
+    for p, t in ((x, b), (b, x)):
+        with pytest.raises(ValueError):
+            gnomonic_project(p, t)
+
+
 def test_gnomonic_out_of_hemisphere():
     with pytest.raises(OutOfHemisphere):
         gnomonic_project((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0))

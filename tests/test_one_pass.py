@@ -27,11 +27,11 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from conftest import coprime_types
-from face_fold import foot_point_seg_dist
+from face_fold import _cross3, _dot3, foot_point_seg_dist
 from tetrageo import counting, frames, paths
 from tetrageo.combinat import GeodesicType, _integer_trace, canonical_word
 from tetrageo.errors import TooLong, VertexHit
-from tetrageo.geom import SpaceKind, _cross3, _dot3, rdistance, rpoint_seg_dist
+from tetrageo.geom import SpaceKind, _kunit, rdistance, rpoint_seg_dist
 from tetrageo.paths import euclid_mu_interval, midpoint_geodesic
 from tetrageo.tetra import TetrahedronSpec, edge_token
 
@@ -157,14 +157,14 @@ def test_quarter_length_is_the_traced_length(alpha, monkeypatch):
 # propagation: the written-out product and normalisation against the helpers
 
 def _helper_propagation(steps, theta):
-    """propagate_chord through frames._matvec, frames._unit and the determinant of each transition."""
-    k, _, _, dot, _, _ = frames._KERNEL[steps[0].space]
+    """propagate_chord through frames._matvec, geom._kunit and the determinant of each transition."""
+    k = frames._KERNEL[steps[0].space][0]
     n, h = (0.0, math.sin(theta), -math.cos(theta)), 1.0
     offsets, normals = [], []
     for i in range(len(steps) + 1):
         if i:
             m = steps[i - 1].transition
-            n = frames._unit(frames._matvec(m, n), dot)
+            n = _kunit(k, frames._matvec(m, n))
             h = h if _dot3(m[2], _cross3(m[0], m[1])) > 0.0 else -h
         if k < 0 and abs(n[0]) >= abs(n[1]):
             raise frames.NumericalFailure(f"chord misses the geodesic of edge e_{i}")

@@ -12,15 +12,14 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from conftest import coprime_types
-from face_fold import _face_fold_metrics, _rep_segments, place_chain
+from face_fold import _cross3, _dot3, _face_fold_metrics, _rep_segments, _unit3, place_chain
 from tetrageo import frames
 from tetrageo.combinat import (ROTATION_PERMS, CrossingSequence, GeodesicType,
                                canonical_word, crossing_sequence, relabel_sequence)
 from tetrageo.errors import (InvalidTetrahedron, NumericalFailure, PreconditionFailed, TooLong,
                              VertexHit)
 from tetrageo.existence import hyperbolic_clearance_bound, hyperbolic_length_lower_bound
-from tetrageo.geom import (SpaceKind, _cross3, _dot3, _unit3, rdistance, rmidpoint, rpoint_at,
-                           rside_measure, rtangent)
+from tetrageo.geom import SpaceKind, rdistance, rmidpoint, rpoint_at, rside_measure, rtangent
 from tetrageo.paths import (FRACTION_MARGIN, STRAND_TIE, GeodesicPath, NotContained,
                             euclid_geodesic, euclid_mu_interval, full_fractions_from_quarter,
                             generic_hyperbolic_geodesic, midpoint_geodesic, path_metrics,

@@ -100,7 +100,7 @@ def _walked_fractions(seq, quarter_fracs):
             if mapped != toks[(center + k) % n]:
                 raise NumericalFailure("crossing word lacks the half-turn symmetry")
             f = fracs[center - k]
-            fracs.append(1.0 - f if flip else f)
+            fracs.append(1 - f if flip else f)
     if abs(fracs[n] - fracs[0]) > 1e-9:
         raise NumericalFailure("mirrored fractions do not close up")
     return fracs[:n]
@@ -125,10 +125,19 @@ def test_mirror_plan_matches_the_half_turn_walk():
                     paths.full_fractions_from_quarter(word, quarter)
                 continue
             assert repr(paths.full_fractions_from_quarter(word, quarter)) == repr(expected), pq
-        exact = crossing_sequence(GeodesicType(*pq))     # Fraction quarters mirror as they did
+        exact = crossing_sequence(GeodesicType(*pq))     # Fraction quarters mirror exactly
         full = paths.full_fractions_from_quarter(exact, exact.fractions[:K + 1])
-        assert repr(full) == repr(_walked_fractions(exact, exact.fractions[:K + 1])), pq
-        assert len(full) == n
+        assert full == list(exact.fractions), pq
+        assert all(isinstance(f, Fraction) for f in full), pq
+
+
+def test_exact_quarters_mirror_to_the_exact_word():
+    for pq in coprime_types(30):
+        seq = crossing_sequence(GeodesicType(*pq))
+        K = len(seq.tokens) // 4
+        full = paths.full_fractions_from_quarter(seq, seq.fractions[:K + 1])
+        assert full == list(seq.fractions), pq
+        assert all(isinstance(f, Fraction) for f in full), pq
 
 
 def test_mirror_plan_raises_on_every_call_for_an_asymmetric_word():
@@ -214,7 +223,7 @@ def _chain_metrics_from_segments(spec, steps, ells, fracs, copies, crossings):
     """paths._chain_metrics as it read the terms of chord_segments."""
     space = spec.space
     k = frames._KERNEL[space][0]
-    arc = (lambda x: math.asin(min(1.0, x))) if k > 0 else frames._KERNEL[space][5]
+    arc = (lambda x: math.asin(min(1.0, x))) if k > 0 else frames._KERNEL[space][3]
     cut = 0 if k else 1
     s = [(f - 0.5) * ell for ell, f in zip(ells, fracs)]
     bound = min(0.5 * ell - abs(x) for ell, x in zip(ells, s)) * (1.0 + 1e-9) + 1e-9
@@ -273,7 +282,7 @@ def test_chain_metrics_and_lengths_match_chord_segments(case):
     args = (spec, steps, ells, measured, copies, crossings)
     assert _outcome(paths._chain_metrics, *args) == _outcome(_chain_metrics_from_segments, *args)
     s = [(f - 0.5) * ell for ell, f in zip(ells, measured)]
-    arc = frames._KERNEL[spec.space][5]
+    arc = frames._KERNEL[spec.space][3]
     assert repr(frames.trace_geometry(steps, s)) == repr(
         [2.0 * arc(0.5 * math.sqrt(max(m, 0.0))) for m, _, _, _ in chord_segments(steps, s)[2]])
 
