@@ -115,7 +115,7 @@ wide = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
 def wide_points(space):
-    """Hyperboloid vectors out to radius ~7.6, or any unit 3-vectors."""
+    """Hyperboloid vectors out to radius ~8, or any unit 3-vectors."""
     if space == S:
         return st.tuples(wide, wide, wide).filter(
             lambda v: v[0] * v[0] + v[1] * v[1] + v[2] * v[2] > 0.01).map(_unit)
