@@ -386,7 +386,7 @@ STEP_TOL = 1e-13
 FLOOR_STEP = 1e-9
 ROOM_FRACTION = 0.5
 LENGTH_SLACK = 1e-12
-OVERSHOOT = 8.0          # a step leaving its edge by more rooms than this is only cut
+OVERSHOOT = 8.0          # a sphere step leaving its edge by more rooms than this is only cut
 SADDLE_GRADIENT = 1e-2   # gradient below which negative curvature is followed
 
 
@@ -438,11 +438,14 @@ def relax_chord(steps, ells, init_fractions):
     pinned at their initial fractions.
 
     Every offset stays on its edge.  A step moves no offset by more than
-    ROOM_FRACTION of the room left to its end; one that would leave an
-    edge is also tried projected onto the ends, and the shorter curve
-    wins.  An offset at an end stays there while moving it inwards would
-    lengthen the curve: so the curve wraps a blocking vertex.  When s_i
-    sits at the vertex p that e_i shares with e_{i+1}, the segment to
+    ROOM_FRACTION of the room left to its end.  On the hyperboloid the
+    length is convex in the offsets and its minimum is interior (the
+    clearance bound), so every step stays inside the edges.  Only the
+    sphere's abstract curve reaches the ends: there a step that would
+    leave an edge is also tried projected onto the ends, and the shorter
+    curve wins.  An offset at an end stays there while moving it inwards
+    would lengthen the curve: so the curve wraps a blocking vertex.  When
+    s_i sits at the vertex p that e_i shares with e_{i+1}, the segment to
     s_{i+1} runs along e_{i+1}, so by the triangle inequality s_{i+1} joins
     it at p; such a run at one vertex is held or released as a unit
     (_corner_cut).  Steps that lengthen the curve are rejected.  Levenberg
@@ -466,6 +469,7 @@ def relax_chord(steps, ells, init_fractions):
     ends = [0.5 * ell for ell in ells]
     near_ends = [e * (1.0 - 1e-12) for e in ends]     # within rounding of an end is at it
     space = steps[0].space
+    sphere = _KERNEL[space][0] > 0.0
     rows = [st.row for st in steps]
 
     def evaluate(x):
@@ -546,7 +550,7 @@ def relax_chord(steps, ells, init_fractions):
                     scale = room
         cut = s[:1] + [v + scale * x for v, x in zip(s[1:K], delta)] + s[K:]
         candidate = evaluate(cut)
-        if ROOM_FRACTION / OVERSHOOT <= scale < ROOM_FRACTION:
+        if sphere and ROOM_FRACTION / OVERSHOOT <= scale < ROOM_FRACTION:
             # the full step leaves an edge, by at most OVERSHOOT rooms: try it projected too
             candidate = min(candidate, evaluate(moved_by(delta)), key=lambda c: c[1][0])
         accepted = candidate[1][0] <= length * (1.0 + LENGTH_SLACK)

@@ -27,9 +27,6 @@ from .errors import AmbiguousGeodesic, OutOfHemisphere
 
 DEFAULT_TOL = 1e-10
 
-# clamp for Klein chart points, guards artanh overflow near the rim
-KLEIN_RIM = 1.0 - 1e-14
-
 
 class SpaceKind(IntEnum):
     """Curvature selector; the value is the curvature k."""
@@ -99,14 +96,9 @@ _KERNEL = {
 
 
 def lift_klein(p):
-    """Klein disk point -> hyperboloid point (x0 > 0)."""
+    """Klein disk point (x^2 + y^2 < 1) -> hyperboloid point (x0 > 0)."""
     x, y = p
-    r2 = x * x + y * y
-    if r2 >= 1.0:
-        s = KLEIN_RIM / math.sqrt(r2)
-        x, y = x * s, y * s
-        r2 = x * x + y * y
-    g = 1.0 / math.sqrt(1.0 - r2)
+    g = 1.0 / math.sqrt(1.0 - (x * x + y * y))
     return (g, g * x, g * y)
 
 
@@ -125,10 +117,21 @@ def drop_klein(X):
 # radius in precision, so charts appear only at input and output.
 
 def rep_point(space, p):
-    """Chart point -> computational representation; ValueError unless finite."""
+    """Chart point -> computational representation.
+
+    ValueError unless the point is finite, has its space's number of
+    coordinates (three on S, two on E and H) and, on H, lies inside the disk.
+    """
+    dim = 3 if space == SpaceKind.SPHERICAL else 2
+    if len(p) != dim:
+        raise ValueError(f"chart point {p!r} needs {dim} coordinates on {SpaceKind(space).name}")
     if not all(map(math.isfinite, p)):
         raise ValueError(f"chart point {p!r} is not finite")
-    return lift_klein(p) if space == SpaceKind.HYPERBOLIC else p
+    if space == SpaceKind.HYPERBOLIC:
+        if p[0] * p[0] + p[1] * p[1] >= 1.0:
+            raise ValueError(f"chart point {p!r} is not inside the Klein disk")
+        return lift_klein(p)
+    return p
 
 
 def chart_point(space, P):
@@ -276,9 +279,15 @@ def distance(space, p, q):
 
 
 def _line_reps(space, seg):
-    """Reps of seg's ends; AmbiguousGeodesic if they coincide or, on S, are antipodal (span 0)."""
+    """Reps of seg's ends; AmbiguousGeodesic if they span no line.
+
+    They span none where the squared norm of their cross product (on the
+    plane, of B - A) is zero: where they coincide to rounding or, on S, are
+    antipodal.
+    """
     A, B = rep_point(space, seg.a), rep_point(space, seg.b)
-    if not any(_kcross(float(space), A, B) if space else (B[0] - A[0], B[1] - A[1])):
+    span = _kcross(float(space), A, B) if space else (B[0] - A[0], B[1] - A[1])
+    if not sum(x * x for x in span):
         raise AmbiguousGeodesic("segment ends coincide or are antipodal")
     return A, B
 

@@ -160,7 +160,10 @@ def _chain_metrics(spec, steps, ells, fracs, copies, crossings):
         a0, a1, a2 = t00 * da + t01 * ca, t10 * da + t11 * ca, t20 * da + t21 * ca
         m, cx, cy = (k * d0 * d0 + d1 * d1 + d2 * d2, -(k * a0 * d0 + a1 * d1 + a2 * d2),
                      -d0 * sb + d1 * cb)
-        r = math.sqrt(m * (1.0 - 0.25 * k * m))          # S(d)
+        r = m * (1.0 - 0.25 * k * m)                     # S(d)^2
+        if not r > 0.0:     # as where <D, D> rounds to 0 or below near the ideal limit
+            raise NumericalFailure(f"chain segment {len(ends)}: S(d)^2 = {r!r} is not positive")
+        r = math.sqrt(r)
         total += 2.0 * arc(0.5 * math.sqrt(m))
         # the angles of segment i with e_i and e_{i+1}, at its two ends; each cosine
         # clamped as by max(-1, min(1, x)), a NaN to 1, without the two calls

@@ -9,6 +9,8 @@ symmetry points carry distinct class attributes for styling.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .geom import SpaceKind, rinterpolate
 
 SCALE = {SpaceKind.EUCLIDEAN: 200.0, SpaceKind.SPHERICAL: 1000.0,
@@ -53,16 +55,12 @@ def render_development(dev, path=None):
     """SVG document of the development; overlays the path when given."""
     space = dev.space
     parts = []
-    seen = set()
     all_xy = []
 
-    for face in dev.faces:
-        labs = face.labels
-        for u, v in ((labs[0], labs[1]), (labs[0], labs[2]), (labs[1], labs[2])):
-            key = frozenset((face.vertex_ids[u], face.vertex_ids[v]))
-            if key in seen:
-                continue
-            seen.add(key)
+    for i, face in enumerate(dev.faces):
+        for u, v in combinations(face.labels, 2):
+            if i and f"{u}{v}" == dev.glue_edges[i][0]:
+                continue    # drawn by the face behind it
             pts = _edge_samples(space, face.points[u], face.points[v])
             parts.append(_polyline(space, pts, "face-edge"))
             all_xy.extend(_xy(space, p) for p in pts)
@@ -89,10 +87,7 @@ def render_development(dev, path=None):
         parts.append(f'<circle class="symmetry-point" cx="{_fmt(x)}" cy="{_fmt(y)}" r="4">'
                      f"<title>{name}</title></circle>")
 
-    if space == SpaceKind.HYPERBOLIC:
-        parts.append(f'<circle class="chart" cx="0" cy="0" r="{_fmt(SCALE[space])}"/>')
-        all_xy.extend([(-SCALE[space], -SCALE[space]), (SCALE[space], SCALE[space])])
-    if space == SpaceKind.SPHERICAL:
+    if space != SpaceKind.EUCLIDEAN:
         parts.append(f'<circle class="chart" cx="0" cy="0" r="{_fmt(SCALE[space])}"/>')
         all_xy.extend([(-SCALE[space], -SCALE[space]), (SCALE[space], SCALE[space])])
 

@@ -81,6 +81,14 @@ def build_development(spec, s: CrossingSequence, hemisphere_check=True):
     (1, x, y) are kept as (x, y).  The symmetry points X1, Y1,
     X2, Y2, X1' are the midpoints of the start, quarter, half,
     three-quarter and closing glue edges.
+
+    The vertices, glue edges and boundary are read off the word in the same
+    pass: F_0 brings three vertices (ids in label order), every later face
+    the end w of its exit edge off its entry edge, and w extends the
+    boundary side of the entry end the face leaves behind.  The boundary
+    runs from X1's smaller end a along its side, e_N and the other side
+    back, or the other way round when e_0 is F_0's first edge through a in
+    label order; each vertex's angles are summed in face order.
     """
     space = spec.space
     tokens_ext = list(s.tokens) + [s.tokens[0]]
@@ -96,34 +104,44 @@ def build_development(spec, s: CrossingSequence, hemisphere_check=True):
     if space == SpaceKind.EUCLIDEAN:
         placed = [{lab: rep[1:] for lab, rep in face.items()} for face in placed]
 
-    vertex_reps = {}
-    faces = []
-    for i, face_reps in enumerate(placed):
-        ids, reps = {}, {}
+    pairs = [(int(tok[0]), int(tok[1])) for tok in tokens_ext]
+    vertex_reps, faces, glue_edges, ids = {}, [], [], {}
+    angle_sums = [0.0] * (len(placed) + 2)
+    for tok, entry, leave, face_reps in zip(tokens_ext, pairs, pairs[1:], placed):
         if faces:  # the glue edge e_i keeps the vertices of the face behind it
-            prev = faces[-1]
-            for lab in (int(tokens_ext[i][0]), int(tokens_ext[i][1])):
-                ids[lab], reps[lab] = prev.vertex_ids[lab], prev.reps[lab]
+            ids = {lab: faces[-1].vertex_ids[lab] for lab in entry}
         for lab in sorted(face_reps):
             if lab not in ids:
                 ids[lab] = len(vertex_reps)
-                vertex_reps[ids[lab]] = reps[lab] = face_reps[lab]
-        faces.append(PlacedFace(labels=tuple(sorted(reps)), points={}, reps=reps,
-                                vertex_ids=ids))
-    glue_edges = []
-    for i, tok in enumerate(tokens_ext):
-        ids = faces[min(i, len(faces) - 1)].vertex_ids
-        glue_edges.append((tok, (ids[int(tok[0])], ids[int(tok[1])])))
+                vertex_reps[ids[lab]] = face_reps[lab]
+        glue_edges.append((tok, (ids[entry[0]], ids[entry[1]])))
+        if not faces:   # the two sides, lists of (vid, label) keyed by the label at their end
+            sides = {lab: [(ids[lab], lab)] for lab in entry}
+            side_a, side_b = sides.values()
+        (w,), (behind,) = set(leave) - set(entry), set(entry) - set(leave)
+        sides[w] = sides.pop(behind)
+        sides[w].append((ids[w], w))
+        reps = {lab: vertex_reps[vid] for lab, vid in ids.items()}
+        labels = tuple(sorted(reps))
+        for lab in labels:
+            u, v = (other for other in labels if other != lab)
+            angle_sums[ids[lab]] += rangle(space, reps[lab], reps[u], reps[v])
+        faces.append(PlacedFace(labels=labels, points={}, reps=reps, vertex_ids=ids))
+    glue_edges.append((tokens_ext[-1], (ids[leave[0]], ids[leave[1]])))
 
     vertex_points = {vid: chart_point(space, rep) for vid, rep in vertex_reps.items()}
     for face in faces:
         face.points = {lab: vertex_points[vid] for lab, vid in face.vertex_ids.items()}
-
+    ring = side_a + side_b[::-1]
+    (a, b), (w0,) = pairs[0], set(pairs[1]) - set(pairs[0])
+    if a in pairs[1] or w0 > b:     # e_0 is F_0's first edge through a in label order
+        ring = ring[:1] + ring[:0:-1]
     dev = Development(space=space, spec=spec, sequence=s, faces=faces,
                       glue_edges=glue_edges, vertex_points=vertex_points,
-                      vertex_reps=vertex_reps)
+                      vertex_reps=vertex_reps,
+                      boundary=[(vid, lab, vertex_points[vid], angle_sums[vid])
+                                for vid, lab in ring])
     _attach_symmetry_points(dev)
-    _attach_boundary(dev)
     return dev
 
 
@@ -137,55 +155,15 @@ def _attach_symmetry_points(dev):
         dev.sym_points[name] = chart_point(dev.space, rep)
 
 
-def _attach_boundary(dev):
-    edge_count = {}
-    for face in dev.faces:
-        lab = face.labels
-        for u, v in ((lab[0], lab[1]), (lab[0], lab[2]), (lab[1], lab[2])):
-            key = frozenset((face.vertex_ids[u], face.vertex_ids[v]))
-            edge_count[key] = edge_count.get(key, 0) + 1
-    boundary_edges = [tuple(k) for k, cnt in edge_count.items() if cnt == 1]
-    adj = {}
-    for u, v in boundary_edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = dev.glue_edges[0][1][0]
-    cycle = [start]
-    prev = None
-    cur = start
-    while True:
-        nbrs = adj[cur]
-        nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        prev, cur = cur, nxt
-
-    vid_label = {}
-    vid_faces = {}
-    for face in dev.faces:
-        for label, vid in face.vertex_ids.items():
-            vid_label[vid] = label
-            vid_faces.setdefault(vid, []).append(face)
-
-    boundary = []
-    for vid in cycle:
-        rep = dev.vertex_reps[vid]
-        label = vid_label[vid]
-        total = 0.0
-        for face in vid_faces[vid]:
-            others = [l for l in face.labels if l != label]
-            total += rangle(dev.space, rep, face.reps[others[0]], face.reps[others[1]])
-        boundary.append((vid, label, dev.vertex_points[vid], total))
-    dev.boundary = boundary
-
-
 def symmetry_check(dev, tol=1e-8):
     """Half-turn symmetry of the chain about X2, Y1, Y2 (regular specs).
 
     True iff for each center the adjacent quarter (resp. half) developments
-    map onto each other vertex-wise within tol.
+    map onto each other vertex-wise within tol; ValueError unless tol is
+    finite and not negative.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and not negative; got {tol!r}")
     n = len(dev.faces)
     if n % 4 != 0:
         return False

@@ -27,6 +27,11 @@ for every reader of a chord: the fold-back metrics
 the solver's pass (frames._chord_derivatives) each compute its terms in
 their own loop now, with its operations in its order.
 
+``walked_boundary`` is a development's boundary as unfold found it before
+it read the strip's two sides off the word: the face edges counted by
+vertex ids, the edges met once walked as a cycle from X1's smaller end,
+and each vertex's angles summed over the faces that hold it.
+
 The ``split_*`` functions are the rep kernel of :mod:`tetrageo.geom` as
 it was written once for the hyperboloid and once for the sphere, with its
 own vector helpers (``_dot3`` and ``_cross3``, ``_mdot`` and ``_mcross``
@@ -420,3 +425,47 @@ def chord_segments(steps, s):
                       -d0 * sb + d1 * cb,                  # <D, dB>
                       a0 * sb - a1 * cb))                  # -<dA, dB>
     return cs, sn, terms
+
+
+def walked_boundary(dev):
+    """(vid, label, chart point, angle sum) of the development's boundary vertices, walked."""
+    edge_count = {}
+    for face in dev.faces:
+        lab = face.labels
+        for u, v in ((lab[0], lab[1]), (lab[0], lab[2]), (lab[1], lab[2])):
+            key = frozenset((face.vertex_ids[u], face.vertex_ids[v]))
+            edge_count[key] = edge_count.get(key, 0) + 1
+    boundary_edges = [tuple(k) for k, cnt in edge_count.items() if cnt == 1]
+    adj = {}
+    for u, v in boundary_edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    start = dev.glue_edges[0][1][0]
+    cycle = [start]
+    prev = None
+    cur = start
+    while True:
+        nbrs = adj[cur]
+        nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
+        if nxt == start:
+            break
+        cycle.append(nxt)
+        prev, cur = cur, nxt
+
+    vid_label = {}
+    vid_faces = {}
+    for face in dev.faces:
+        for label, vid in face.vertex_ids.items():
+            vid_label[vid] = label
+            vid_faces.setdefault(vid, []).append(face)
+
+    boundary = []
+    for vid in cycle:
+        rep = dev.vertex_reps[vid]
+        label = vid_label[vid]
+        total = 0.0
+        for face in vid_faces[vid]:
+            others = [l for l in face.labels if l != label]
+            total += rangle(dev.space, rep, face.reps[others[0]], face.reps[others[1]])
+        boundary.append((vid, label, dev.vertex_points[vid], total))
+    return boundary

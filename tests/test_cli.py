@@ -386,3 +386,12 @@ def test_construct_deep_hyperbolic(tmp_path):
     code, _ = run_cli(["construct", "--space", "hyperbolic", "--alpha", "0.05",
                        "--p", "7", "--q", "13", "--format", "svg"], tmp_path, "deep.svg")
     assert code == 0
+
+
+@pytest.mark.parametrize("q", [41, 60])
+def test_ideal_limit_float_failure_exits_4(q, tmp_path, capsys):
+    # <D, D> of a segment rounds to zero or below near the ideal limit: the fold-back
+    # metrics raise NumericalFailure, not "math domain error" (exit 2) or ZeroDivisionError
+    args = ["construct", "--space", "hyperbolic", "--alpha", "3e-8", "--p", "1", "--q", str(q)]
+    assert run_cli(args, tmp_path) == (4, "")
+    assert "is not positive" in capsys.readouterr().err

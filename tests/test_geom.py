@@ -142,6 +142,41 @@ def test_chart_wrappers_reject_non_finite_points(space, bad):
                 call(space, seg, p)
 
 
+def _rejects(space, bad):
+    """Every chart wrapper rejects the point bad, in each of its places."""
+    a, b, c = POINTS[space]
+    for p, q in ((bad, b), (a, bad)):
+        with pytest.raises(ValueError):
+            distance(space, p, q)
+    for seg, p in ((Segment2(bad, b, space), c), (Segment2(a, bad, space), c),
+                   (Segment2(a, b, space), bad)):
+        for call in (side_of, reflect_across):
+            with pytest.raises(ValueError):
+                call(space, seg, p)
+
+
+@pytest.mark.parametrize("bad", [(2.0, 0.0), (1.0, 0.0), (0.6, -0.8), (1e200, 0.0)])
+def test_chart_wrappers_reject_points_off_the_klein_disk(bad):
+    # a point on or past the rim was clamped onto it: distance(H, (2, 0), (0, 0)) read 16.465
+    _rejects(H, bad)
+
+
+@pytest.mark.parametrize("space,bad", [(S, (1e300, 0.0)), (S, (0.6, 0.0, 0.8, 0.0)),
+                                       (E, (0.3, -0.2, 0.0)), (H, (0.3,)), (H, (0.1, 0.2, 0.0))])
+def test_chart_wrappers_reject_the_wrong_number_of_coordinates(space, bad):
+    # on S a two-coordinate point raised IndexError
+    _rejects(space, bad)
+
+
+def test_a_plane_segment_whose_squared_length_underflows_spans_no_geodesic():
+    # ends 1e-200 apart: reflect_across divided by zero and side_of answered ON
+    seg = Segment2((0.0, 0.0), (1e-200, 0.0), E)
+    for call in (side_of, reflect_across):
+        with pytest.raises(AmbiguousGeodesic):
+            call(E, seg, (0.5, 0.5))
+    assert reflect_across(E, Segment2((0.0, 0.0), (1e-150, 0.0), E), (0.5, 0.5)) == (0.5, -0.5)
+
+
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_gnomonic_rejects_non_finite_points(bad):
     a, b, _ = POINTS[S]

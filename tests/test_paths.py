@@ -1240,6 +1240,29 @@ def test_failed_axis_falls_back_to_the_euclidean_seed(axis, monkeypatch):
     assert abs(path.total_length - seeded.total_length) <= 1e-12 * seeded.total_length
 
 
+def test_hyperbolic_solves_never_cut_a_corner(monkeypatch):
+    # on the hyperboloid the chord's length is convex with an interior minimum:
+    # no solve projects a step onto an edge end, so none reaches the corner cut,
+    # neither in a count nor from the Euclidean seeds of the quarter and generic solves
+    from tetrageo import counting
+    cuts, cut = [], frames._corner_cut
+    monkeypatch.setattr(frames, "_corner_cut", lambda *args: cuts.append(1) or cut(*args))
+    counting._measure_type.cache_clear()
+    counting.count_exact(40, 1.0)
+    monkeypatch.setattr(frames, "shoot_chord", _missed)
+    monkeypatch.setattr(frames, "axis_chord", lambda steps, axis: _missed(steps))
+    solved = 0
+    for alpha in (0.05, 0.5, 1.0):
+        for pq in coprime_types(20):
+            solved += isinstance(midpoint_geodesic(TetrahedronSpec(H, alpha), GeodesicType(*pq)),
+                                 GeodesicPath)
+    for seed in range(6):
+        spec = generic_from_edges([random.Random(seed).uniform(1.8, 2.3) for _ in range(6)])
+        for pq in [(1, 2), (2, 3), (3, 5), (1, 4), (4, 7)]:
+            solved += isinstance(generic_hyperbolic_geodesic(spec, GeodesicType(*pq)), GeodesicPath)
+    assert (solved, cuts) == (3 * len(coprime_types(20)) + 30, [])
+
+
 def _boost(i, t):
     """The hyperboloid's translation by t along the x (i = 1) or y (i = 2) direction."""
     m = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]

@@ -231,7 +231,10 @@ def _chain_metrics_from_segments(spec, steps, ells, fracs, copies, crossings):
     cs, sn, terms = chord_segments(steps, s)
     total, clearance, ends = 0.0, math.inf, []
     for i, (step, (m, cx, cy, _)) in enumerate(zip(steps, terms)):
-        r = math.sqrt(m * (1.0 - 0.25 * k * m))
+        r = m * (1.0 - 0.25 * k * m)
+        if not r > 0.0:
+            raise NumericalFailure(f"chain segment {i}: S(d)^2 = {r!r} is not positive")
+        r = math.sqrt(r)
         total += 2.0 * arc(0.5 * math.sqrt(m))
         x, y = -cx / r, cy / r
         ends.append((math.acos((x if x > -1.0 else -1.0) if x < 1.0 else 1.0),
@@ -254,7 +257,7 @@ def _outcome(f, *args):
     """repr of f(*args), or the name of the exception it raises."""
     try:
         return repr(f(*args))
-    except (ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError, NumericalFailure) as exc:
         return type(exc).__name__
 
 

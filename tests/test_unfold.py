@@ -5,8 +5,8 @@ import warnings
 
 import pytest
 
-from face_fold import place_chain
-from tetrageo import frames
+from face_fold import place_chain, walked_boundary
+from tetrageo import frames, svg
 from tetrageo.combinat import CrossingSequence, GeodesicType, crossing_sequence
 from tetrageo.geom import SpaceKind, rdistance
 from tetrageo.tetra import TetrahedronSpec, generic_from_edges
@@ -96,6 +96,34 @@ def test_euclid_strip_boundary():
         assert a == pytest.approx(b, abs=1e-12)
 
 
+_STRIP_SPECS = [TetrahedronSpec(E, math.pi / 3), TetrahedronSpec(S, 1.1), TetrahedronSpec(S, 1.5),
+                TetrahedronSpec(H, 0.5), TetrahedronSpec(H, 1.0),
+                generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02])]
+_STRIP_TYPES = [(p, q) for q in range(1, 16) for p in range(q + 1)
+                if p + q <= 15 and math.gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("spec", _STRIP_SPECS, ids=["E", "S1.1", "S1.5", "H0.5", "H1.0", "generic"])
+def test_boundary_read_off_the_strip_matches_the_walk(spec):
+    # the two sides built with the faces against the edge-count walk (face_fold's
+    # oracle), by repr: the same vertices, start, direction and angle sums to the bit
+    for pq in _STRIP_TYPES:
+        dev = _dev(spec, pq)
+        assert len(dev.boundary) == len(dev.faces) + 2
+        assert repr(dev.boundary) == repr(walked_boundary(dev)), pq
+
+
+@pytest.mark.parametrize("spec", _STRIP_SPECS[::2], ids=["E", "S1.5", "H1.0"])
+def test_svg_draws_each_face_edge_once(spec):
+    # every face after F_0 skips only its entry glue edge: 2N + 1 distinct edges
+    for pq in _STRIP_TYPES:
+        dev = _dev(spec, pq)
+        drawn = svg.render_development(dev).count('class="face-edge"')
+        distinct = {frozenset((f.vertex_ids[u], f.vertex_ids[v]))
+                    for f in dev.faces for u in f.labels for v in f.labels if u < v}
+        assert drawn == len(distinct) == 2 * len(dev.faces) + 1, pq
+
+
 def test_hemisphere_warning():
     spec = TetrahedronSpec(S, 0.55 * math.pi)
     with pytest.warns(HemisphereWarning):
@@ -128,6 +156,14 @@ def test_shifted_word_breaks_symmetry():
     shifted = CrossingSequence(t, toks[1:] + toks[:1])
     dev = build_development(TetrahedronSpec(H, math.pi / 6), shifted)
     assert not symmetry_check(dev)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+def test_symmetry_check_rejects_an_unusable_tolerance(tol):
+    dev = _dev(TetrahedronSpec(H, math.pi / 6), (1, 2))
+    with pytest.raises(ValueError, match="tol"):
+        symmetry_check(dev, tol=tol)
+    assert symmetry_check(dev, tol=0.5)
 
 
 def test_symmetry_points_are_edge_midpoints():
