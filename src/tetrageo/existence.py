@@ -9,8 +9,8 @@ exists; the closed-form angle bounds and the 2*pi criterion are cross-checks:
   two-term minimum built from the constants c0, c_l, c_alpha;
 * exact: existence iff the abstract shortest curve in the development is
   shorter than 2*pi; the curve is the midpoint chord where that is
-  contained, otherwise one bounded solve of the Newton chord solver of
-  :mod:`frames`, which wraps the blocking vertices;
+  contained, otherwise the shortest path from X1 to X1' over the
+  development's vertices, each piece a minor arc that stays in the strip;
 * threshold: beta(p,q), where the geodesic becomes the flat digon of
   length 2*pi, is the least root in (pi/3, 2pi/3) of the integer trace
   polynomial x_(p,q)(cos alpha) = 2 cos(L/4), bracketed in exact integer
@@ -23,13 +23,13 @@ import functools
 import math
 from dataclasses import dataclass
 
-from . import frames
-from .combinat import GeodesicType, canonical_word
+from .combinat import GeodesicType, crossing_sequence
 from .counting import length_pruning_bound
 from .errors import BoundDegenerate, BoundVacuous, NoThreshold, NumericalFailure, TooLong
-from .geom import SpaceKind
+from .geom import SpaceKind, _kcross, _kdot, rdistance, rside_measure
 from .paths import GeodesicPath, NotContained, midpoint_geodesic
 from .tetra import TetrahedronSpec
+from .unfold import build_development
 
 UNDETERMINED_MARGIN = 1e-9
 
@@ -318,19 +318,19 @@ def threshold_beta(t: GeodesicType, tol=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# abstract shortest curve (bounded chord over the development)
+# abstract shortest curve (shortest visible path over the development's vertices)
 
 def abstract_shortest_curve_length(spec: TetrahedronSpec, t: GeodesicType):
     """Length of the shortest development curve from X1 to X1'.
 
     Where the midpoint chord is contained (below the threshold) this is
-    its length, the geodesic's.  Otherwise the chain e_0..e_N of the whole
-    crossing word is placed in edge-local frames, and one Newton chord
-    solve, pinned at the midpoints X1 of e_0 and X1' of e_N only and seeded
-    with the exact Euclidean crossing fractions, shortens the curve; each
-    crossing may reach an end of its edge, so the curve wraps the vertices
-    that block it.  At the threshold the value is 2*pi (the perimeter of
-    the flat digon).
+    its length, the geodesic's.  Otherwise the curve is the shortest path
+    from X1 to X1' in the strip of the development's faces, which bends
+    only at vertices; each piece is locally shortest, so at most pi long
+    and a minor arc.  The nodes are X1, the vertices in order of their
+    first glue edge, and X1'; one forward pass gives each node the least
+    length over the earlier nodes that see it (:func:`_sees`).  At the
+    threshold the value is 2*pi (the perimeter of the flat digon).
     """
     if spec.space != SpaceKind.SPHERICAL:
         raise ValueError("the abstract shortest curve is a spherical construction")
@@ -340,9 +340,48 @@ def abstract_shortest_curve_length(spec: TetrahedronSpec, t: GeodesicType):
             return result.total_length
     except TooLong:
         pass
-    word = canonical_word(t)
-    tokens = list(word.tokens) + [word.tokens[0]]
-    steps = frames.build_chain(spec, tokens)
-    init = [0.5] + list(word.fractions[1:]) + [0.5]
-    offsets, _ = frames.relax_chord(steps, [spec.edge] * len(tokens), init)
-    return sum(frames.trace_geometry(steps, offsets))
+    dev = build_development(spec, crossing_sequence(t), hemisphere_check=False)
+    spans = {}      # vertex id -> [first, last] glue edge through it
+    for i, (_, vids) in enumerate(dev.glue_edges):
+        for vid in vids:
+            spans.setdefault(vid, [i, i])[1] = i
+    portals = [dev.glue_edge_reps(i) for i in range(len(dev.glue_edges))]
+    n = len(portals) - 1
+    nodes = ([(dev.sym_reps["X1"], 0, 0)]
+             + [(dev.vertex_reps[vid], first, last) for vid, (first, last) in spans.items()]
+             + [(dev.sym_reps["X1p"], n, n)])
+    best = [0.0] + [math.inf] * (len(nodes) - 1)
+    for j, (Q, c, _) in enumerate(nodes):
+        for i in range(j - 1, -1, -1):
+            P, _, b = nodes[i]
+            if best[i] < best[j] and _sees(portals, P, b, Q, c):
+                best[j] = min(best[j], best[i] + rdistance(SpaceKind.SPHERICAL, P, Q))
+    return best[-1]
+
+
+def _sees(portals, P, b, Q, c):
+    """Whether the minor arc from P, last on glue edge e_b, to Q, first on e_c, is in the strip.
+
+    portals[m] holds the ends of e_m.  For c <= b the arc is e_c itself.
+    Otherwise it must cross e_(b+1)..e_(c-1) in turn: the ends E, F of each
+    lie on opposite sides of its great circle n = P x Q, or on it, and the
+    crossing |<n, F>| E + |<n, E>| F lies after the one before (P first)
+    and before Q.
+    """
+    if c <= b:
+        return True
+    n = _kcross(1.0, P, Q)
+    if not _kdot(1.0, n, n) > 1e-22:    # coincident, or antipodal where rdistance raises: no piece
+        return False
+    prev = P
+    for m in range(b + 1, c):
+        E, F = portals[m]
+        e, f = _kdot(1.0, n, E), _kdot(1.0, n, F)
+        if e * f > 0.0:
+            return False
+        X = tuple(abs(f) * u + abs(e) * v for u, v in zip(E, F))
+        if (rside_measure(SpaceKind.SPHERICAL, prev, X, n) < 0.0
+                or rside_measure(SpaceKind.SPHERICAL, X, Q, n) < 0.0):
+            return False
+        prev = X
+    return True

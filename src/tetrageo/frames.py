@@ -22,14 +22,15 @@ measured this way in all three spaces, with geom's curvature table
 terms in its own loop with the same floating-point operations in the same
 order: the fold-back metrics (paths._chain_metrics), the segment lengths
 (trace_geometry) and the one pass per Newton iterate of relax_chord, the
-chord solver of both curved spaces, which also sums the length it returns.
-Direction shooting (shoot_chord) carries the chord's normal through the
-transitions; it is the sphere's exact quarter solver, and on the
-hyperboloid the start of the quarter's Newton solve, which polishes it to
-relax_chord's step tolerance.  A closed hyperbolic chain's geodesic is the
-axis of its holonomy, which pins the Newton solve at e_0 (holonomy_axis)
-and, carried along the chain (axis_chord), starts it.  The plane needs no
-solver: its chord is the tiling line.
+hyperboloid's chord solver, which also sums the length it returns; its
+minimum is interior, so no crossing reaches an edge end and the solver has
+no end handling.  Direction shooting (shoot_chord) carries the chord's
+normal through the transitions; it is the sphere's exact quarter solver,
+and on the hyperboloid the start of the quarter's Newton solve, which
+polishes it to relax_chord's step tolerance.  A closed hyperbolic chain's
+geodesic is the axis of its holonomy, which pins the Newton solve at e_0
+(holonomy_axis) and, carried along the chain (axis_chord), starts it.  The
+plane needs no solver: its chord is the tiling line.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import operator
 from collections import namedtuple
 
 from .errors import NumericalFailure
-from .geom import _KERNEL, _kunit, rangle
+from .geom import _KERNEL, _kunit
 from .tetra import EDGES, edge_token
 
 
@@ -306,49 +307,38 @@ def trace_geometry(steps, offsets):
 
 
 class _Indefinite(Exception):
-    """A Thomas pivot is not positive; args[0] is a direction of non-positive curvature."""
-
-
-def _indefinite(c, r):
-    """_Indefinite for the pivot d_r <= 0 of a sweep with multipliers c: z = L^-T e_r."""
-    z = [0.0] * len(c)
-    z[r] = 1.0
-    for j in range(r - 1, -1, -1):
-        z[j] = -c[j] * z[j + 1]
-    return _Indefinite(z)
+    """A Thomas pivot is not positive: the matrix is not positive definite."""
 
 
 def _solve_tridiagonal(diag, off, rhs):
     """Thomas solve of the symmetric tridiagonal system (diag, off) x = rhs.
 
-    Raises _Indefinite at the first pivot d_r <= 0 of A = L D L^T, with
-    z = L^-T e_r, for which z^T A z = d_r.
+    Raises _Indefinite at the first pivot of A = L D L^T that is not positive.
     """
     m = len(diag)
     c, d = [0.0] * m, list(rhs)
     piv = diag[0]
     if not piv > 0.0:
-        raise _indefinite(c, 0)
+        raise _Indefinite
     d[0] = di = d[0] / piv
     for i in range(1, m):
         o = off[i - 1]
         c[i - 1] = ci = o / piv
         piv = diag[i] - o * ci
         if not piv > 0.0:
-            raise _indefinite(c, i)
+            raise _Indefinite
         d[i] = di = (d[i] - o * di) / piv
     for i in range(m - 2, -1, -1):
         d[i] = di = d[i] - c[i] * di
     return d
 
 
-def _chord_derivatives(space, rows, x, pinned):
+def _chord_derivatives(space, rows, x):
     """Length, gradient and tridiagonal Hessian of the chord in the offsets x.
 
     One pass with the segment terms of paths._chain_metrics in their order;
-    rows[i] is (t00, t01, t10, t11, t20, t21) of transition i.  Pinned
-    segments (two crossings at their shared vertex) have length zero and are
-    skipped, as is a segment whose <D, D> rounds to zero or below.
+    rows[i] is (t00, t01, t10, t11, t20, t21) of transition i.  A segment
+    whose <D, D> rounds to zero or below is skipped.
     """
     k, C, S, arc = _KERNEL[space]
     hyperbolic, half, quarter, sqrt = k < 0, -0.5 * k, -0.25 * k, math.sqrt
@@ -363,7 +353,7 @@ def _chord_derivatives(space, rows, x, pinned):
         d2 = -(t20 * ca + t21 * sa)
         m = k * d0 * d0 + d1 * d1 + d2 * d2
         r2 = m * (1.0 + quarter * m)           # S(d)^2
-        if not r2 > 0.0 or i in pinned:
+        if not r2 > 0.0:
             grad[i], diag[i], gi, di = gi, di, 0.0, 0.0
             continue
         da = sa if hyperbolic else -sa
@@ -386,155 +376,42 @@ STEP_TOL = 1e-13
 FLOOR_STEP = 1e-9
 ROOM_FRACTION = 0.5
 LENGTH_SLACK = 1e-12
-OVERSHOOT = 8.0          # a sphere step leaving its edge by more rooms than this is only cut
-SADDLE_GRADIENT = 1e-2   # gradient below which negative curvature is followed
-
-
-def _shorter(levels, evaluate, length):
-    """Shortest state of the first level of trial offsets that shortens the curve, or None."""
-    for trials in levels:
-        best = min((evaluate(x) for x in trials), key=lambda c: c[1][0])
-        if best[1][0] < length:
-            return best
-    return None
-
-
-def _corner_cut(steps, state, run, ends, evaluate):
-    """The state with a run of offsets taken off its vertex v, or None while v blocks.
-
-    The curve's angle at v on the side of the faces F_i..F_{j-1} of the run
-    i..j adds the angle of segment i-1 against e_i, the face angles at v
-    and the angle of e_j against segment j (grad[i] and grad[j] hold just
-    those two segments' terms).  Below pi the corner is cut by a geodesic
-    at distance h from v across the bisector of that angle: it meets e_m at
-    h / cos(psi_m), psi_m the angle of e_m from the bisector.
-    """
-    s, (length, grad, _, _), sides, _ = state
-    i, j = run[0], run[-1]
-    rays = [math.acos(max(-1.0, min(1.0, sides[i] * grad[i])))]
-    for step in steps[i:j]:     # the face angle at the pivot, between the entry edge and the exit
-        A, B, W = step.verts
-        rays.append(rays[-1] + rangle(step.space, *((B, A) if step.sides[0] > 0 else (A, B)), W))
-    theta = rays[-1] + math.acos(max(-1.0, min(1.0, sides[j] * grad[j])))
-    if theta >= math.pi:
-        return None
-    stretch = [1.0 / math.cos(a - 0.5 * theta) for a in rays]
-    h = min(ends[m] / g for m, g in zip(run, stretch))
-
-    def across(d):
-        x = list(s)
-        for m, g in zip(run, stretch):
-            x[m] = sides[m] * (ends[m] - d * g)
-        return x
-
-    return _shorter(([across(h * 0.25 ** k)] for k in range(40)), evaluate, length)
 
 
 def relax_chord(steps, ells, init_fractions):
-    """Taut-chord offsets through the chain by damped Newton steps.
+    """Taut-chord offsets through the chain by damped Newton steps: the hyperboloid's solver.
 
     Segment i couples only s_i and s_{i+1}, so the Hessian of the length is
     tridiagonal and a step is one O(K) Thomas solve.  s_0 and s_K stay
     pinned at their initial fractions.
 
-    Every offset stays on its edge.  A step moves no offset by more than
-    ROOM_FRACTION of the room left to its end.  On the hyperboloid the
+    A step moves no offset by more than ROOM_FRACTION of the room left to
+    its end, so every offset stays inside its edge: on the hyperboloid the
     length is convex in the offsets and its minimum is interior (the
-    clearance bound), so every step stays inside the edges.  Only the
-    sphere's abstract curve reaches the ends: there a step that would
-    leave an edge is also tried projected onto the ends, and the shorter
-    curve wins.  An offset at an end stays there while moving it inwards
-    would lengthen the curve: so the curve wraps a blocking vertex.  When
-    s_i sits at the vertex p that e_i shares with e_{i+1}, the segment to
-    s_{i+1} runs along e_{i+1}, so by the triangle inequality s_{i+1} joins
-    it at p; such a run at one vertex is held or released as a unit
-    (_corner_cut).  Steps that lengthen the curve are rejected.  Levenberg
-    damping grows after a rejected or cut step and while H + mu I is not
-    positive definite, and relaxes after full steps; near a saddle of the
-    sphere's length, where the gradient has all but vanished, the curve
-    moves along a direction of negative curvature instead.  The iteration
+    clearance bound).  Steps that lengthen the curve are rejected.
+    Levenberg damping grows after a rejected or cut step and while H + mu I
+    is not positive definite, and relaxes after full steps.  The iteration
     stops when the step falls below STEP_TOL, or at the rounding floor (a
     full step below FLOOR_STEP that fails to shrink the next one), and
     confirms a stop without damping.  Returns the offsets s_0..s_K and their
-    length: the last pass's sum (pinned segments count zero), or the trace.
-    ValueError on the plane.
+    length: the last pass's sum, or the trace.  ValueError on the plane.
     """
     if steps and not _KERNEL[steps[0].space][0]:
         raise ValueError(_PLANE)
     K = len(ells) - 1
     s = [(float(f) - 0.5) * ells[i] for i, f in enumerate(init_fractions)]
-    free = range(1, K)
-    if not free:
+    if K < 2:
         return s, sum(trace_geometry(steps, s)) if steps else 0.0
     ends = [0.5 * ell for ell in ells]
-    near_ends = [e * (1.0 - 1e-12) for e in ends]     # within rounding of an end is at it
-    space = steps[0].space
-    sphere = _KERNEL[space][0] > 0.0
-    rows = [st.row for st in steps]
-
-    def evaluate(x):
-        """State (offsets, derivatives, end sides or None, pinned segments) at x, snapped."""
-        if not any(map(operator.gt, map(abs, x), near_ends)):
-            return x, _chord_derivatives(space, rows, x, ()), None, ()
-        sides = [(1 if v > 0.0 else -1) if abs(v) > e else 0 for v, e in zip(x, near_ends)]
-        for i in free:
-            x[i] = sides[i] * ends[i] if sides[i] else x[i]
-        for i in list(range(K)) + list(range(K - 1, -1, -1)):
-            a, b = steps[i].sides
-            if sides[i] == a and sides[i + 1] != b and i + 1 in free:
-                x[i + 1], sides[i + 1] = b * ends[i + 1], b
-            elif sides[i + 1] == b and sides[i] != a and i in free:
-                x[i], sides[i] = a * ends[i], a
-        pinned = {i for i, st in enumerate(steps) if (sides[i], sides[i + 1]) == st.sides}
-        return x, _chord_derivatives(space, rows, x, pinned), sides, pinned
-
-    def moved_by(step):
-        """Offsets s + step on the free indices, held to their edges."""
-        x = list(s)
-        for i, d in zip(free, step):
-            x[i] = max(-ends[i], min(ends[i], s[i] + d))
-        return x
-
-    state = evaluate(s)
+    space, rows = steps[0].space, [st.row for st in steps]
+    length, grad, diag, off = _chord_derivatives(space, rows, s)
     mu, last_full, checked = 0.0, None, False
     for _ in range(MAX_NEWTON_STEPS):
-        s, (length, grad, diag, off), sides, pinned = state
-        if sides is None:               # no offset at an edge end: nothing is held
-            rhs, dg, offs = [-g for g in grad[1:K]], [d + mu for d in diag[1:K]], off[1:K - 1]
-        else:
-            runs, held, moved = [], set(), None
-            for i in free:
-                if sides[i] and runs and runs[-1][-1] == i - 1 and i - 1 in pinned:
-                    runs[-1].append(i)
-                elif sides[i]:
-                    runs.append([i])
-            for run in runs:
-                if len(run) > 1:
-                    moved = moved or _corner_cut(steps, state, run, ends, evaluate)
-                if len(run) > 1 or sides[run[0]] * grad[run[0]] <= 0.0:
-                    held.update(run)
-            if moved:
-                state, last_full, checked = moved, None, False
-                continue
-            rhs = [0.0 if i in held else -grad[i] for i in free]
-            dg = [1.0 if i in held else diag[i] + mu for i in free]
-            offs = [0.0 if i in held or i + 1 in held else off[i] for i in free[:-1]]
+        dg = [d + mu for d in diag[1:K]]
         try:
-            delta = _solve_tridiagonal(dg, offs, rhs)
-        except _Indefinite as exc:
-            z, moved = exc.args[0], None
-            if max(map(abs, rhs)) < SADDLE_GRADIENT:
-                # the length is concave along z: from the first edge end inwards
-                reach = min((ends[i] - (s[i] if x > 0.0 else -s[i])) / abs(x)
-                            for i, x in zip(free, z) if x)
-                levels = ([moved_by([t * x for x in z]) for t in (r, -r)]
-                          for r in (reach * 0.25 ** j for j in range(8)))
-                moved = _shorter(levels, evaluate, length)
-            if moved:
-                state, checked = moved, False
-            else:
-                mu = max(4.0 * mu, 1e-3 * max(map(abs, dg)))
-            last_full = None
+            delta = _solve_tridiagonal(dg, off[1:K - 1], [-g for g in grad[1:K]])
+        except _Indefinite:
+            mu, last_full = max(4.0 * mu, 1e-3 * max(map(abs, dg))), None
             continue
         size = max(map(abs, delta))
         if size < STEP_TOL or (last_full is not None and size >= last_full):
@@ -543,19 +420,16 @@ def relax_chord(steps, ells, init_fractions):
             mu, checked = 0.0, True
             continue
         scale = 1.0
-        for i, x in zip(free, delta):
+        for i, x in enumerate(delta, 1):
             if x:
                 room = ROOM_FRACTION * ((ends[i] - (s[i] if x > 0.0 else -s[i])) / abs(x))
                 if room < scale:
                     scale = room
         cut = s[:1] + [v + scale * x for v, x in zip(s[1:K], delta)] + s[K:]
-        candidate = evaluate(cut)
-        if sphere and ROOM_FRACTION / OVERSHOOT <= scale < ROOM_FRACTION:
-            # the full step leaves an edge, by at most OVERSHOOT rooms: try it projected too
-            candidate = min(candidate, evaluate(moved_by(delta)), key=lambda c: c[1][0])
-        accepted = candidate[1][0] <= length * (1.0 + LENGTH_SLACK)
+        candidate = _chord_derivatives(space, rows, cut)
+        accepted = candidate[0] <= length * (1.0 + LENGTH_SLACK)
         if accepted:
-            state, checked = candidate, False
+            s, (length, grad, diag, off), checked = cut, candidate, False
         if accepted and scale == 1.0:
             mu *= 0.25
             last_full = size if size < FLOOR_STEP else None

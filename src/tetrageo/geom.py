@@ -164,11 +164,26 @@ def rmidpoint(space, P, Q):
     return _kunit(k, M)
 
 
+def _span(space, A, B):
+    """_kcross(k, A, B), or B - A on the plane; AmbiguousGeodesic where it is zero and A, B span
+    no line: where they coincide to rounding or, on S, are antipodal."""
+    span = _kcross(float(space), A, B) if space else (B[0] - A[0], B[1] - A[1])
+    if not sum(x * x for x in span):
+        raise AmbiguousGeodesic("segment ends coincide or are antipodal")
+    return span
+
+
 def rtangent(space, P, Q):
-    """Unit tangent vector at P pointing toward Q: Q - k<P, Q> P, normalized."""
+    """Unit tangent at P toward Q: Q - k<P, Q> P, normalized; AmbiguousGeodesic where P, Q span
+    no line (_span) or, on H, whose far reps can round that test to zero, coincide."""
     if space == SpaceKind.EUCLIDEAN:
-        d = math.hypot(Q[0] - P[0], Q[1] - P[1])
-        return ((Q[0] - P[0]) / d, (Q[1] - P[1]) / d)
+        dx, dy = _span(space, P, Q)
+        d = math.hypot(dx, dy)
+        return (dx / d, dy / d)
+    if space == SpaceKind.SPHERICAL:
+        _span(space, P, Q)
+    elif tuple(P) == tuple(Q):
+        raise AmbiguousGeodesic("segment ends coincide")
     k = float(space)
     c = k * _kdot(k, P, Q)
     return _kunit(k, (Q[0] - c * P[0], Q[1] - c * P[1], Q[2] - c * P[2]))
@@ -192,7 +207,7 @@ def rinterpolate(space, P, Q, frac):
 
 
 def rangle(space, V, P, Q):
-    """Unsigned angle at V between the geodesic rays V->P and V->Q, in [0, pi]."""
+    """Unsigned angle at V between the geodesic rays V->P and V->Q, in [0, pi] (rtangent)."""
     t1 = rtangent(space, V, P)
     t2 = rtangent(space, V, Q)
     if space == SpaceKind.HYPERBOLIC:
@@ -204,13 +219,13 @@ def rangle(space, V, P, Q):
 
 
 def rreflect(space, A, B, P):
-    """Reflect P across the geodesic through A, B."""
+    """Reflect P across the geodesic through A, B; AmbiguousGeodesic if they span none (_span)."""
     if space == SpaceKind.EUCLIDEAN:
-        dx, dy = B[0] - A[0], B[1] - A[1]
+        dx, dy = _span(space, A, B)
         t = ((P[0] - A[0]) * dx + (P[1] - A[1]) * dy) / (dx * dx + dy * dy)
         return (2 * (A[0] + t * dx) - P[0], 2 * (A[1] + t * dy) - P[1])
     k = float(space)
-    n = _kunit(k, _kcross(k, A, B))
+    n = _kunit(k, _span(space, A, B))
     d = _kdot(k, P, n)
     return (P[0] - 2 * d * n[0], P[1] - 2 * d * n[1], P[2] - 2 * d * n[2])
 
@@ -279,16 +294,9 @@ def distance(space, p, q):
 
 
 def _line_reps(space, seg):
-    """Reps of seg's ends; AmbiguousGeodesic if they span no line.
-
-    They span none where the squared norm of their cross product (on the
-    plane, of B - A) is zero: where they coincide to rounding or, on S, are
-    antipodal.
-    """
+    """Reps of seg's ends; AmbiguousGeodesic if they span no line (_span)."""
     A, B = rep_point(space, seg.a), rep_point(space, seg.b)
-    span = _kcross(float(space), A, B) if space else (B[0] - A[0], B[1] - A[1])
-    if not sum(x * x for x in span):
-        raise AmbiguousGeodesic("segment ends coincide or are antipodal")
+    _span(space, A, B)
     return A, B
 
 

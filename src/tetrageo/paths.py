@@ -117,14 +117,21 @@ def path_metrics(spec, tokens, fractions):
     clearance from above: only a line distance under that bound and the
     running minimum calls the clamped test.  ValueError for a fraction not
     finite or outside [0, 1], for any other number of fractions, for an
-    empty word and for consecutive edges (e_n = e_0 closes the chain) that
-    do not share exactly one vertex.
+    empty word, for consecutive edges (e_n = e_0 closes the chain) that
+    do not share exactly one vertex, and for two consecutive crossings both
+    at the vertex their edges share, whose segment has no length.
     """
     if not all(0.0 <= f <= 1.0 for f in fractions):
         raise ValueError("every fraction must be finite and lie in [0, 1]")
     chain = _measured_chain(tokens, fractions)
     steps = frames.build_chain(spec, chain[0])
+    for i, step in enumerate(steps):
+        if (_END.get(chain[1][i]), _END.get(chain[1][i + 1])) == step.sides:
+            raise ValueError(f"crossing {i} and the next sit at the vertex their edges share")
     return _chain_metrics(spec, steps, [spec.edges[tok] for tok in chain[0]], *chain[1:])
+
+
+_END = {0.0: -1, 1.0: 1}     # the end of an edge a fraction sits at, as in ChainStep.sides
 
 
 def _measured_chain(tokens, fractions):
@@ -392,7 +399,7 @@ def _quarter_chord(spec, word):
     if out_of_order:
         return None, NotContained(word.gtype, face_index=K, edge=tokens[K], signed_distance=0.0,
                                   reason="crossings out of order"), None, (steps, ells)
-    if not spherical:       # the solver's length: a contained quarter has no pinned segment
+    if not spherical:       # the solver's length
         return fracs, None, {"quarter_length": quarter_len}, (steps, ells)
     quarter_len = sum(frames.trace_geometry(steps, offsets))
     # by the exact criterion a contained chord is shorter than 2*pi; the

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import coprime_types
-from tetrageo.combinat import GeodesicType
-from tetrageo.errors import (BoundDegenerate, BoundVacuous, NoThreshold, NumericalFailure,
-                             TooLong)
+from tetrageo import frames
+from tetrageo.combinat import GeodesicType, canonical_word
+from tetrageo.errors import BoundDegenerate, BoundVacuous, NoThreshold, TooLong
 from tetrageo.existence import (abstract_shortest_curve_length,
                                 edge_sufficient_bound, exists_geodesic,
                                 hyperbolic_clearance_bound,
@@ -199,7 +199,6 @@ def test_threshold_bracket_is_certified(pq, tol):
 
 def test_threshold_makes_no_construction(monkeypatch):
     import tetrageo.existence as existence_mod
-    from tetrageo import frames
 
     def refuse(*args):
         raise AssertionError("threshold_beta built a chord")
@@ -434,6 +433,38 @@ def test_abstract_length_against_taut_string(pq, where, frozen):
     assert frozen - L < 1e-6
 
 
+def _thresholded_types(max_sum):
+    return [pq for pq in coprime_types(max_sum) if pq != (0, 1)]   # (0,1) has no threshold
+
+
+@pytest.mark.parametrize("pq", _thresholded_types(12))
+def test_abstract_curve_returns_just_above_the_threshold(pq):
+    # the Newton solve of the curve raised NumericalFailure here, as at (3,4)
+    # beta + 1e-9, (1,7) beta + 3e-9 and (2,3) beta + 1e-6
+    t = GeodesicType(*pq)
+    beta = threshold_beta(t, tol=1e-14).beta
+    for da in (1e-9, 3e-9, 1e-8, 1e-6):
+        L = abstract_shortest_curve_length(TetrahedronSpec(S, beta + da), t)
+        assert 2 * math.pi - 1e-9 <= L < 2 * math.pi + 1e-3, (pq, da, L)
+
+
+@given(pq=st.sampled_from(_thresholded_types(12)), u=st.floats(0.0, 1.0))
+def test_abstract_curve_above_the_threshold_is_at_most_the_euclidean_trace(pq, u):
+    # above the bracket no geodesic exists, so the curve is at least 2 pi; it is
+    # the shortest curve from X1 to X1' in the strip, so no longer than the one
+    # through the word's Euclidean crossing fractions
+    t = GeodesicType(*pq)
+    hi = threshold_beta(t, tol=1e-9).hi
+    spec = TetrahedronSpec(S, hi + u * (2 * math.pi / 3 - 1e-6 - hi))
+    word = canonical_word(t)
+    tokens = list(word.tokens) + [word.tokens[0]]
+    fracs = [0.5] + list(word.fractions[1:]) + [0.5]
+    euclidean = sum(frames.trace_geometry(frames.build_chain(spec, tokens),
+                                          [(f - 0.5) * spec.edge for f in fracs]))
+    L = abstract_shortest_curve_length(spec, t)
+    assert 2 * math.pi - 1e-9 <= L <= euclidean + 1e-12
+
+
 def test_exact_criterion_on_verdict_grid():
     # the paper's exact criterion: a type-(p,q) geodesic exists iff the
     # abstract shortest curve is shorter than 2 pi; and the curve lengthens
@@ -452,7 +483,6 @@ def test_exact_criterion_on_verdict_grid():
 def test_verdict_builds_the_midpoint_chord_once(monkeypatch):
     # not_exists is read off the threshold bracket; exists builds the chord once
     import tetrageo.existence as existence_mod
-    from tetrageo import frames
     t = GeodesicType(1, 2)
     calls = []
 
@@ -491,12 +521,8 @@ def _containment_verdict(spec, t):
             return "not_exists"
     except BoundVacuous:
         pass
-    # the chord is not contained, so this is the bounded taut-string solve; just
-    # above some thresholds it does not converge, and the oracle has no verdict
-    try:
-        length = abstract_shortest_curve_length(spec, t)
-    except NumericalFailure:
-        return "undetermined"
+    # the chord is not contained: the abstract curve decides
+    length = abstract_shortest_curve_length(spec, t)
     return "not_exists" if length >= 2.0 * math.pi - 1e-9 else "undetermined"
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from tetrageo.errors import AmbiguousGeodesic, OutOfHemisphere
 from tetrageo.geom import (SpaceKind, Segment2, Side, distance, gnomonic_project,
-                           projected_angle_pair, reflect_across, rep_point, rpoint_seg_dist,
-                           side_of)
+                           projected_angle_pair, rangle, reflect_across, rep_point,
+                           rinterpolate, rpoint_seg_dist, rreflect, rtangent, side_of)
 
 E, S, H = SpaceKind.EUCLIDEAN, SpaceKind.SPHERICAL, SpaceKind.HYPERBOLIC
 
@@ -115,6 +115,22 @@ def test_a_segment_with_coincident_ends_spans_no_geodesic(space):
     for call in (side_of, reflect_across):
         with pytest.raises(AmbiguousGeodesic):
             call(space, Segment2(a, a, space), b)
+
+
+@pytest.mark.parametrize("space", (S, H))
+def test_rep_kernel_rejects_coincident_and_antipodal_reps(space):
+    # the tangent was a normalized floored vector, (0, 0, 0) or the point itself,
+    # rangle read an angle off it, and rreflect reflected across a zero normal
+    A, B, _ = (rep_point(space, p) for p in POINTS[space])
+    degenerate = [A] + ([tuple(-x for x in A)] if space == S else [])
+    for D in degenerate:
+        for call, args in ((rtangent, (A, D)), (rangle, (A, D, B)), (rangle, (A, B, D)),
+                           (rreflect, (A, D, B))):
+            with pytest.raises(AmbiguousGeodesic):
+                call(space, *args)
+    # a distinct point however near is a direction
+    near = rinterpolate(space, A, B, 1e-9)
+    assert max(map(abs, map(float.__sub__, rtangent(space, A, near), rtangent(space, A, B)))) < 1e-6
 
 
 def test_a_spherical_segment_with_antipodal_ends_spans_no_geodesic():

@@ -789,6 +789,34 @@ def test_metrics_reject_words_that_are_no_chain(spec):
         vertex_clearance(replace(path, crossings=()), spec)
 
 
+@pytest.mark.parametrize("spec", [TetrahedronSpec(E, math.pi / 3), TetrahedronSpec(S, 1.1),
+                                  TetrahedronSpec(H, 0.5),
+                                  generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02])],
+                         ids=["E", "S", "H", "generic"])
+def test_metrics_reject_two_crossings_at_the_vertex_their_edges_share(spec):
+    # their segment has no length: the fold-back metrics read its angles off rounding,
+    # or raised NumericalFailure where its S(d)^2 rounded below zero
+    t = GeodesicType(1, 2)
+    word = canonical_word(t)
+    tokens, n = word.tokens, len(word.tokens)
+    for i in (1, n - 1):        # inside the word, and the pair that closes it
+        j = (i + 1) % n
+        pivot = (set(tokens[i]) & set(tokens[j])).pop()
+        fracs = list(word.fractions)
+        fracs[i], fracs[j] = float(tokens[i].index(pivot)), float(tokens[j].index(pivot))
+        path = GeodesicPath(t, spec.space, tuple(zip(tokens, fracs)), 1.0, 0.1, True, True,
+                            0.0, 0.0)
+        with pytest.raises(ValueError, match=f"crossing {i} and the next sit at the vertex"):
+            path_metrics(spec, tokens, fracs)
+        with pytest.raises(ValueError, match=f"crossing {i} and the next sit at the vertex"):
+            vertex_clearance(path, spec)
+        if i < n // 4:          # in the quarter too
+            with pytest.raises(ValueError, match=f"crossing {i} and the next"):
+                path_metrics(spec, tokens, fracs[:n // 4 + 1])
+        fracs[i] = 1.0 - fracs[i]   # the other end of e_i: the segment runs along e_i
+        assert vertex_clearance(replace(path, crossings=tuple(zip(tokens, fracs))), spec) == 0.0
+
+
 @pytest.mark.parametrize("pq", [(0, 1), (1, 2), (3, 5), (7, 13)])
 def test_hyperbolic_midpoint_path_builds_only_its_quarter_chain(monkeypatch, pq):
     lengths, build_chain = [], frames.build_chain
@@ -1238,29 +1266,6 @@ def test_failed_axis_falls_back_to_the_euclidean_seed(axis, monkeypatch):
     assert isinstance(path, GeodesicPath) and path.closed and path.simple
     assert max(abs(a - b) for a, b in zip(path.fractions, seeded.fractions)) < 1e-11
     assert abs(path.total_length - seeded.total_length) <= 1e-12 * seeded.total_length
-
-
-def test_hyperbolic_solves_never_cut_a_corner(monkeypatch):
-    # on the hyperboloid the chord's length is convex with an interior minimum:
-    # no solve projects a step onto an edge end, so none reaches the corner cut,
-    # neither in a count nor from the Euclidean seeds of the quarter and generic solves
-    from tetrageo import counting
-    cuts, cut = [], frames._corner_cut
-    monkeypatch.setattr(frames, "_corner_cut", lambda *args: cuts.append(1) or cut(*args))
-    counting._measure_type.cache_clear()
-    counting.count_exact(40, 1.0)
-    monkeypatch.setattr(frames, "shoot_chord", _missed)
-    monkeypatch.setattr(frames, "axis_chord", lambda steps, axis: _missed(steps))
-    solved = 0
-    for alpha in (0.05, 0.5, 1.0):
-        for pq in coprime_types(20):
-            solved += isinstance(midpoint_geodesic(TetrahedronSpec(H, alpha), GeodesicType(*pq)),
-                                 GeodesicPath)
-    for seed in range(6):
-        spec = generic_from_edges([random.Random(seed).uniform(1.8, 2.3) for _ in range(6)])
-        for pq in [(1, 2), (2, 3), (3, 5), (1, 4), (4, 7)]:
-            solved += isinstance(generic_hyperbolic_geodesic(spec, GeodesicType(*pq)), GeodesicPath)
-    assert (solved, cuts) == (3 * len(coprime_types(20)) + 30, [])
 
 
 def _boost(i, t):
