@@ -201,6 +201,22 @@ def exists_geodesic(spec: TetrahedronSpec, t: GeodesicType):
     return ExistenceVerdict("exists", t, spec.alpha, path=result, **bounds)
 
 
+def _stern_brocot(t, x01, x11, fricke):
+    """x_(p,q) in any ring from x(0,1) = x(1,0) = x01 and x(1,1) = x11 (see trace_polynomial)."""
+    xa, xb, xd = x01, x11, x01
+    if t.p == 0:
+        return xa
+    a, b = (0, 1), (1, 1)
+    while b != (t.p, t.q):
+        m = (a[0] + b[0], a[1] + b[1])
+        if t.p * m[1] <= m[0] * t.q:    # p/q in [a, m]: its difference is b
+            b, xb, xd = m, fricke(xa, xb, xd), xb
+        else:                           # in (m, b]: its difference is a
+            a, xa, xd = m, fricke(xa, xb, xd), xa
+    return xb
+
+
+@functools.lru_cache(maxsize=256)
 def trace_polynomial(t: GeodesicType):
     """x_(p,q) = 2 C(L/4) as a polynomial in c = cos(alpha): integer coefficients, c^0 first.
 
@@ -211,21 +227,26 @@ def trace_polynomial(t: GeodesicType):
     (x_a, x_b, x_d) from x(0,1) = x(1,0) = 1 + 2c and x(1,1) = 2c(1 + 2c).
     x = 2 at c = 1/2 for every type, and x = 0 is the flat digon L = 2 pi.
     """
-    xa, xb, xd = (1, 2), (0, 2, 4), (1, 2)
-    if t.p == 0:
-        return xa
-    a, b = (0, 1), (1, 1)
-    while b != (t.p, t.q):
-        m = (a[0] + b[0], a[1] + b[1])
+    def fricke(xa, xb, xd):
         xm = [-v for v in xd] + [0] * (len(xa) + len(xb) - 1 - len(xd))
         for i, u in enumerate(xa):
             for j, v in enumerate(xb):
                 xm[i + j] += u * v
-        if t.p * m[1] <= m[0] * t.q:    # p/q in [a, m]: its difference is b
-            b, xb, xd = m, tuple(xm), xb
-        else:                           # in (m, b]: its difference is a
-            a, xa, xd = m, tuple(xm), xa
-    return xb
+        return tuple(xm)
+    return _stern_brocot(t, (1, 2), (0, 2, 4), fricke)
+
+
+def _float_root(t):
+    """beta(p,q) in floats: Newton in c on the walk's (x, dx/dc), from pi/3 + pi^2/(4 sqrt(3) N)."""
+    c = math.cos(math.pi / 3.0 + math.pi ** 2 / (4.0 * math.sqrt(3.0) * t.norm))
+    for _ in range(40):
+        x, dx = _stern_brocot(t, (1.0 + 2.0 * c, 2.0), (2.0 * c + 4.0 * c * c, 2.0 + 8.0 * c),
+                              lambda a, b, d: (a[0] * b[0] - d[0], a[1] * b[0] + a[0] * b[1] - d[1]))
+        step = x / dx if dx else math.nan
+        c -= step
+        if not abs(step) >= 1e-15:
+            break
+    return math.acos(c) if abs(c) <= 1.0 else math.nan
 
 
 def _sign(poly, c):
@@ -279,11 +300,12 @@ def threshold_beta(t: GeodesicType, tol=1e-6):
 
     Below beta the type-(p,q) geodesic is shorter than 2 pi; at beta it is
     the flat digon (see :func:`trace_polynomial`).  No construction is made.
-    Writing x(a) for x_(p,q) at the float cos(a), the bracket is certified
-    in exact integers on the floats' rationals: x(lo) > 0 >= x(hi), and no
-    root on (pi/3, lo] by Descartes' rule of signs on parts of (pi/3, 2pi/3)
-    halved from the left until one holds a root.  The bisection on the sign
-    of x ends when hi - lo <= tol or lo and hi are adjacent floats.
+    [lo, hi] is the node of the float bisection tree of (pi/3, 2pi/3) around
+    beta where hi - lo <= tol or lo, hi are adjacent floats, found by the
+    float root (:func:`_bisect`) and certified in exact integers at the
+    floats cos(lo), cos(hi): x(lo) > 0 >= x(hi), and one Descartes count
+    clears (pi/3, lo].  Else Descartes isolates beta first (:func:`_isolate`).
+    Both agree for tol <= 1e-2; above, the walk may stop at a wider node.
 
     Raises NoThreshold when x has no root on the interval, as for type
     (0,1), whose root is 2pi/3.
@@ -291,30 +313,37 @@ def threshold_beta(t: GeodesicType, tol=1e-6):
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
     x = trace_polynomial(t)
-    # each part (lo, hi) has x(lo) > 0 and no root left of it; at the first,
-    # x(1/2) = 2 and the float cos(pi/3) lies 1.1e-16 above 1/2
+    lo, hi = _bisect(x, math.pi / 3.0, 2.0 * math.pi / 3.0, tol, _float_root(t))
+    if not (_sign(x, math.cos(lo)) > 0 >= _sign(x, math.cos(hi))
+            and _variations(x, math.cos(lo), math.cos(math.pi / 3.0)) == 0):
+        lo, hi = _bisect(x, *_isolate(t, x), tol)
+    return ThresholdResult(beta=0.5 * (lo + hi), lo=lo, hi=hi, tol=tol)
+
+
+def _bisect(x, lo, hi, tol, root=math.nan):
+    """Halve (lo, hi) toward beta on mid < root, or on x(mid) > 0 within 1e-12 of root or if nan."""
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        below = mid < root if abs(mid - root) > 1e-12 * root else _sign(x, math.cos(mid)) > 0
+        lo, hi = (mid, hi) if below else (lo, mid)
+    return lo, hi
+
+
+def _isolate(t, x):
+    """The first part of (pi/3, 2pi/3), halved from the left, with x(lo) > 0 and one root."""
+    # at the first part x(1/2) = 2 and the float cos(pi/3) lies 1.1e-16 above 1/2
     parts = [(math.pi / 3.0, 2.0 * math.pi / 3.0)]
     while parts:
         lo, hi = parts.pop()
         changes = _variations(x, math.cos(hi), math.cos(lo))
         if changes == 1 or changes == 0 and _sign(x, math.cos(hi)) == 0:
-            break
+            return lo, hi
         if changes > 1:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 raise NumericalFailure(f"roots of x{(t.p, t.q)} closer than the float spacing")
             parts += [(mid, hi), (lo, mid)]
-    else:
-        raise NoThreshold(f"type {(t.p, t.q)} exists across the whole interval")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if _sign(x, math.cos(mid)) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdResult(beta=0.5 * (lo + hi), lo=lo, hi=hi, tol=tol)
+    raise NoThreshold(f"type {(t.p, t.q)} exists across the whole interval")
 
 
 # ---------------------------------------------------------------------------

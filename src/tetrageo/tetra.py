@@ -91,6 +91,9 @@ class TetrahedronSpec:
     def face_edge_length(self, u, v):
         return self.edge
 
+    def angle(self, face, vertex):
+        return self.alpha
+
     @property
     def is_regular(self):
         return True

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 
 from . import frames as frames_mod
 from .combinat import CrossingSequence
-# rside_measure has no caller here; it stays importable from this module
-# because the perfbench layer trace counts kernel calls at this site
+# rangle and rside_measure have no caller here; the layer trace counts calls at this site
 from .geom import (SpaceKind, chart_point, rangle, rdistance, rhalf_turn,  # noqa: F401
                    rinterpolate, rmidpoint, rside_measure)
 from .tetra import HALF_TURN_LABELS
@@ -88,7 +87,7 @@ def build_development(spec, s: CrossingSequence, hemisphere_check=True):
     boundary side of the entry end the face leaves behind.  The boundary
     runs from X1's smaller end a along its side, e_N and the other side
     back, or the other way round when e_0 is F_0's first edge through a in
-    label order; each vertex's angles are summed in face order.
+    label order; each vertex's face angles (the spec's) are summed in face order.
     """
     space = spec.space
     tokens_ext = list(s.tokens) + [s.tokens[0]]
@@ -124,8 +123,7 @@ def build_development(spec, s: CrossingSequence, hemisphere_check=True):
         reps = {lab: vertex_reps[vid] for lab, vid in ids.items()}
         labels = tuple(sorted(reps))
         for lab in labels:
-            u, v = (other for other in labels if other != lab)
-            angle_sums[ids[lab]] += rangle(space, reps[lab], reps[u], reps[v])
+            angle_sums[ids[lab]] += spec.angle(labels, lab)
         faces.append(PlacedFace(labels=labels, points={}, reps=reps, vertex_ids=ids))
     glue_edges.append((tokens_ext[-1], (ids[leave[0]], ids[leave[1]])))
 

@@ -30,7 +30,8 @@ their own loop now, with its operations in its order.
 ``walked_boundary`` is a development's boundary as unfold found it before
 it read the strip's two sides off the word: the face edges counted by
 vertex ids, the edges met once walked as a cycle from X1's smaller end,
-and each vertex's angles summed over the faces that hold it.
+and each vertex's face angles (the spec's) summed over the faces that
+hold it.
 
 The ``split_*`` functions are the rep kernel of :mod:`tetrageo.geom` as
 it was written once for the hyperboloid and once for the sphere, with its
@@ -461,11 +462,9 @@ def walked_boundary(dev):
 
     boundary = []
     for vid in cycle:
-        rep = dev.vertex_reps[vid]
         label = vid_label[vid]
         total = 0.0
         for face in vid_faces[vid]:
-            others = [l for l in face.labels if l != label]
-            total += rangle(dev.space, rep, face.reps[others[0]], face.reps[others[1]])
+            total += dev.spec.angle(face.labels, label)
         boundary.append((vid, label, dev.vertex_points[vid], total))
     return boundary

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import coprime_types
-from tetrageo import frames
+from tetrageo import existence as existence_mod, frames
 from tetrageo.combinat import GeodesicType, canonical_word
 from tetrageo.errors import BoundDegenerate, BoundVacuous, NoThreshold, TooLong
 from tetrageo.existence import (abstract_shortest_curve_length,
@@ -231,6 +231,73 @@ def test_threshold_deep_type():
     res = threshold_beta(t, 1e-6)
     assert math.pi / 3 < res.lo < res.hi <= res.lo + 1e-6
     assert _x(t, res.lo) > 0 >= _x(t, res.hi)
+
+
+GRID_TOLS = (1e-2, 1e-5, 1e-6, 1e-9, 1e-12, 1e-300)
+
+
+def test_threshold_walk_matches_the_isolation_path():
+    # the float-guided walk lands on the bracket that Descartes isolation and
+    # exact bisection give, at every tol of the grid
+    for pq in coprime_types(40, min_sum=2):
+        t = GeodesicType(*pq)
+        x = trace_polynomial(t)
+        part = existence_mod._isolate(t, x)
+        for tol in GRID_TOLS:
+            res = threshold_beta(t, tol)
+            assert (res.lo, res.hi) == existence_mod._bisect(x, *part, tol), (pq, tol)
+
+
+def test_threshold_falls_back_on_a_wrong_float_root(monkeypatch):
+    # a float root that misleads the walk fails the certificate, and the
+    # isolation path gives the same certified bracket
+    want = {(pq, tol): threshold_beta(GeodesicType(*pq), tol)
+            for pq in THRESHOLD_TYPES for tol in (1e-6, 1e-9)}
+    monkeypatch.setattr(existence_mod, "_float_root", lambda t: math.pi / 3 + 0.2)
+    assert {key: threshold_beta(GeodesicType(*key[0]), key[1]) for key in want} == want
+    with pytest.raises(NoThreshold):
+        threshold_beta(GeodesicType(0, 1), 1e-9)
+
+
+def _count_variations(monkeypatch):
+    calls = []
+    variations = existence_mod._variations
+    monkeypatch.setattr(existence_mod, "_variations",
+                        lambda *args: calls.append(args) or variations(*args))
+    return calls
+
+
+def test_threshold_makes_one_descartes_count(monkeypatch):
+    # the cost pinned by structure: one Descartes count per threshold, none
+    # in the walk, for every type with p >= 1 and p+q <= 60
+    calls = _count_variations(monkeypatch)
+    for pq in coprime_types(60, min_sum=2):
+        if pq[0] >= 1:
+            del calls[:]
+            threshold_beta(GeodesicType(*pq), 1e-9)
+            assert len(calls) == 1, pq
+
+
+def test_threshold_deepest_type_one_descartes_count(monkeypatch):
+    # (89, 144), degree 233: one Descartes count and exact end signs
+    calls = _count_variations(monkeypatch)
+    t = GeodesicType(89, 144)
+    res = threshold_beta(t, 1e-9)
+    assert len(calls) == 1
+    assert math.pi / 3 < res.lo < res.hi <= res.lo + 1e-9
+    assert _x(t, res.lo) > 0 >= _x(t, res.hi)
+
+
+def test_threshold_below_necessary_bound():
+    # hi < alpha_2 on the 550 types p+q <= 60 with a necessary bound, with
+    # N^2 (alpha_2 - beta) in its measured band [2.73, 4.14]
+    types = [GeodesicType(*pq) for pq in coprime_types(60, min_sum=3)]
+    assert len(types) == 550
+    for t in types:
+        res = threshold_beta(t, 1e-9)
+        alpha2 = necessary_alpha_bound(t)
+        assert res.hi < alpha2, (t, res)
+        assert 2.73 <= t.norm ** 2 * (alpha2 - res.beta) <= 4.14, t
 
 
 @given(pq=st.sampled_from(coprime_types(12)),

@@ -150,6 +150,16 @@ def test_spherical_angle_classes():
         assert min(abs(ang - k * alpha) for k in (1, 2, 3, 4)) < 1e-9
 
 
+@pytest.mark.parametrize("pq", [(7, 8), (1, 14), (2, 13), (4, 11), (1, 20)])
+def test_deep_hyperbolic_angle_sums_are_face_angles(pq):
+    # these chains compose reps to ~1e18, where an angle measured on them was
+    # 0.22-0.25 off; the sums are the spec's face angles, so a multiple of alpha
+    alpha = 0.5
+    dev = _dev(TetrahedronSpec(H, alpha), pq)
+    for ang in dev.boundary_angles():
+        assert abs(ang - round(ang / alpha) * alpha) <= 1e-12, (pq, ang)
+
+
 def test_shifted_word_breaks_symmetry():
     t = GeodesicType(1, 2)
     toks = crossing_sequence(t).tokens
