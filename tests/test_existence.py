@@ -259,31 +259,18 @@ def test_threshold_falls_back_on_a_wrong_float_root(monkeypatch):
         threshold_beta(GeodesicType(0, 1), 1e-9)
 
 
-def _count_variations(monkeypatch):
+def test_threshold_makes_one_descartes_count(monkeypatch):
+    # the cost pinned by structure: one Descartes count per threshold, none in
+    # the walk, for every type with p >= 1 and p+q <= 60 and for (89, 144)
     calls = []
     variations = existence_mod._variations
     monkeypatch.setattr(existence_mod, "_variations",
                         lambda *args: calls.append(args) or variations(*args))
-    return calls
-
-
-def test_threshold_makes_one_descartes_count(monkeypatch):
-    # the cost pinned by structure: one Descartes count per threshold, none
-    # in the walk, for every type with p >= 1 and p+q <= 60
-    calls = _count_variations(monkeypatch)
-    for pq in coprime_types(60, min_sum=2):
-        if pq[0] >= 1:
-            del calls[:]
-            threshold_beta(GeodesicType(*pq), 1e-9)
-            assert len(calls) == 1, pq
-
-
-def test_threshold_deepest_type_one_descartes_count(monkeypatch):
-    # (89, 144), degree 233: one Descartes count and exact end signs
-    calls = _count_variations(monkeypatch)
+    for pq in [pq for pq in coprime_types(60) if pq[0] >= 1] + [(89, 144)]:
+        del calls[:]
+        res = threshold_beta(GeodesicType(*pq), 1e-9)
+        assert len(calls) == 1, pq
     t = GeodesicType(89, 144)
-    res = threshold_beta(t, 1e-9)
-    assert len(calls) == 1
     assert math.pi / 3 < res.lo < res.hi <= res.lo + 1e-9
     assert _x(t, res.lo) > 0 >= _x(t, res.hi)
 
