@@ -51,6 +51,13 @@ handed its calls to the projected foot.  Only (1, 1) clearances moved,
 by 1 or 2 ulps: the count row at alpha = 0.5 and four spherical lengths
 entries, where the band had decided a tie.
 
+Its "own_measures" part pins what the library itself reports, to the
+bit: the repr of each of those midpoint paths' own total_length,
+clearance and closure_residual (measured on its quarter chain), under
+"path ALPHA", and of the count_exact(40, alpha) rows, under "count ALPHA".
+It was frozen before the quarter construction and the fold-back were
+trimmed of their per-call detours, which had to leave every bit in place.
+
 Its "verify" part holds report.dumps of run_verification(), the document
 that ``python -m tetrageo verify`` prints, under the key "report".  The
 file is written by
@@ -173,11 +180,13 @@ def _closed_chain_path(spec, p, q):
 def frozen_outputs():
     """The frozen parts, and (key, closed-chain value, library value) per length and clearance."""
     measured = []
-    counts = {}
+    counts, own = {}, {}
     for alpha in (0.3, 0.5, 0.9):
         spec = TetrahedronSpec(SpaceKind.HYPERBOLIC, alpha)
         rows = []
-        for p, q, length, clearance in count_exact(40, alpha).lengths:
+        own_rows = count_exact(40, alpha).lengths
+        own["count " + repr(alpha)] = repr(tuple(own_rows))
+        for p, q, length, clearance in own_rows:
             _, closed_length, closed_clearance = _closed_chain_path(spec, p, q)
             rows.append((p, q, closed_length, closed_clearance))
             measured += [(("count", alpha, p, q), closed_length, length),
@@ -186,14 +195,16 @@ def frozen_outputs():
     paths = {}
     for alpha in (0.05, 0.5, 1.0):
         spec = TetrahedronSpec(SpaceKind.HYPERBOLIC, alpha)
-        paths[repr(alpha)] = []
+        paths[repr(alpha)], own["path " + repr(alpha)] = [], []
         for p, q in coprime_types(12):
             path, closed_length, _ = _closed_chain_path(spec, p, q)
             paths[repr(alpha)].append(repr((p, q, closed_length, path.fractions)))
+            own["path " + repr(alpha)].append(repr((p, q, path.total_length, path.clearance,
+                                                    path.closure_residual)))
             measured.append((("path", alpha, p, q), closed_length, path.total_length))
     outputs = {"count_exact": counts, "midpoint_geodesic": paths,
                "spherical": spherical_decisions(), "generic": generic_outputs(),
-               "spherical_lengths": spherical_lengths(),
+               "spherical_lengths": spherical_lengths(), "own_measures": own,
                "verify": {"report": report.dumps(run_verification())}}
     return outputs, measured
 
@@ -202,7 +213,7 @@ def test_outputs_match_frozen_reprs():
     frozen = json.loads(FROZEN.read_text())
     outputs, measured = frozen_outputs()
     for part in ("count_exact", "midpoint_geodesic", "spherical", "generic",
-                 "spherical_lengths", "verify"):
+                 "spherical_lengths", "own_measures", "verify"):
         assert outputs[part].keys() == frozen[part].keys()
         for key, value in frozen[part].items():
             assert outputs[part][key] == value, (part, key)
