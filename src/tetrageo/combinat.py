@@ -30,7 +30,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .errors import NoLinkNodes, VertexHit
 from .tetra import HALF_TURN, OPPOSITE_EDGE, edge_token
@@ -110,12 +109,12 @@ def _integer_trace(t, a, b, last=None):
     D = 2 * b * math.lcm(qe, pe + qe, pe or 1)
     X0, step = a * (D // b), w * (D // (2 * qe))
     stop = X0 + w * D if last is None else math.floor(last * D) + 1   # trace X < stop
-    out = []
+    out, half = [], D // 2
     # rows Y = m/2, m = 0 .. 2*qe - 1 (m = 2*qe is identified with m = 0); the vertices
     # of row m sit at x = k + off, off = 1/2 on odd rows: the edge is u = 2k + m % 2 to u + 2
     for m in range(0, -(-(stop - X0) // step)):
         X = X0 + m * step
-        k, F = divmod(X - D // 2 * (m % 2), D)
+        k, F = divmod(X - half * (m % 2), D)
         tok, up = _ROW_EDGE[m % 4][k % 2]
         out.append((X, tok, F if up else D - F))
 
@@ -171,6 +170,10 @@ class CanonicalWord:
     correctly rounded floats, equal to float(Fraction(F, D)).  strands is
     the strand order: per crossed edge, its crossing indices by fraction;
     strand_pairs, two getters of (f_i, ...) and (f_j, ...) over its steps i, j.
+    mirror is the half-turn walk that completed the word, as two flat
+    tuples: the sources c - k, for c = K then 2K and k = 1..c, of the images
+    at c + k (index 4K is crossing 0 again), and whether each image flips
+    its fraction (paths.full_fractions_from_quarter replays it).
     """
 
     gtype: GeodesicType
@@ -179,13 +182,16 @@ class CanonicalWord:
     denominator: int
     fractions: tuple
     strands: tuple
+    mirror: tuple
 
     def __post_init__(self):    # itemgetter(*idx) returns a tuple for two indices or more
-        ends = [tuple(chain.from_iterable(map(operator.itemgetter(cut), self.strands)))
-                for cut in (slice(-1), slice(1, None))]
+        before, after = [], []
+        for strand in self.strands:
+            before += strand[:-1]
+            after += strand[1:]
         object.__setattr__(self, "strand_pairs", tuple(
             operator.itemgetter(*idx) if len(idx) > 1
-            else lambda seq, idx=idx: tuple(seq[i] for i in idx) for idx in ends))
+            else lambda seq, idx=idx: tuple(seq[i] for i in idx) for idx in (before, after)))
 
 
 # bounded: the words of every type with p+q <= 154 (a count at L = 320) hold ~150 MB,
@@ -205,11 +211,13 @@ def canonical_word(t: GeodesicType):
     D, quarter = _integer_trace(t, 1, 2, Fraction(qe + 2 * pe + 2, 4))
     _, tokens, nums = map(list, zip(*quarter))
     assert len(nums) == K + 1, "quarter point missed"
+    flips = []
     for c in (K, 2 * K):
         turn = HALF_TURN[tokens[c]]
         for i in range(c - 1, -1, -1):
             tok, flip = turn[tokens[i]]
             tokens.append(tok)
+            flips.append(flip)
             nums.append(D - nums[i] if flip else nums[i])
     assert tokens.pop() == tokens[0] and nums.pop() == nums[0], "word does not close up"
     assert all(2 * nums[k * K] == D for k in range(4)), "midpoint anchor violated"
@@ -217,9 +225,11 @@ def canonical_word(t: GeodesicType):
     for i, tok in enumerate(tokens):
         by_edge.setdefault(tok, []).append(i)
     return CanonicalWord(gtype=t, tokens=tuple(tokens), numerators=tuple(nums), denominator=D,
-                         fractions=tuple(F / D for F in nums),
+                         fractions=tuple([F / D for F in nums]),
                          strands=tuple(tuple(sorted(strand, key=nums.__getitem__))
-                                       for strand in by_edge.values()))
+                                       for strand in by_edge.values()),
+                         mirror=((*range(K - 1, -1, -1), *range(2 * K - 1, -1, -1)),
+                                 tuple(flips)))
 
 
 def strand_order(t):

@@ -146,14 +146,17 @@ def _chain_step(space, ell, d_minus, d_plus, from_b, w_first):
         lam = ((1.0, 0.0, 0.0), (-(m1 * x1 + m2 * x2), x1, x2), (-(m1 * y1 + m2 * y2), y1, y2))
     else:           # M, tx, ty by geom's _kunit, _kdot and _kcross, written out
         m0, m1, m2 = Pm[0] + Pp[0], Pm[1] + Pp[1], Pm[2] + Pp[2]
-        r = math.sqrt(max(abs(k * m0 * m0 + m1 * m1 + m2 * m2), 1e-300))
+        r = abs(k * m0 * m0 + m1 * m1 + m2 * m2)     # each clamped as by max(r, 1e-300)
+        r = math.sqrt(1e-300 if r < 1e-300 else r)
         m0, m1, m2 = m0 / r, m1 / r, m2 / r
         cc = -k * (k * Pp[0] * m0 + Pp[1] * m1 + Pp[2] * m2)
         x0, x1, x2 = Pp[0] + cc * m0, Pp[1] + cc * m1, Pp[2] + cc * m2
-        r = math.sqrt(max(abs(k * x0 * x0 + x1 * x1 + x2 * x2), 1e-300))
+        r = abs(k * x0 * x0 + x1 * x1 + x2 * x2)
+        r = math.sqrt(1e-300 if r < 1e-300 else r)
         x0, x1, x2 = x0 / r, x1 / r, x2 / r
         y0, y1, y2 = m1 * x2 - m2 * x1, m2 * (k * x0) - k * m0 * x2, k * m0 * x1 - m1 * (k * x0)
-        r = math.sqrt(max(abs(k * y0 * y0 + y1 * y1 + y2 * y2), 1e-300))
+        r = abs(k * y0 * y0 + y1 * y1 + y2 * y2)
+        r = math.sqrt(1e-300 if r < 1e-300 else r)
         y0, y1, y2 = y0 / r, y1 / r, y2 / r
         if k * B[0] * y0 + B[1] * y1 + B[2] * y2 > 0.0:
             y0, y1, y2, det_sign = -y0, -y1, -y2, -det_sign
@@ -201,14 +204,15 @@ def place_faces(steps, tokens):
 
 def carry_normals(steps, n):
     """Unit normals at e_0..e_K of the chord with normal n in frame E_0: _kunit(k, T_i n)."""
-    k, normals = _KERNEL[steps[0].space][0], [n]
+    k, normals, (n0, n1, n2) = _KERNEL[steps[0].space][0], [n], n
     for step in steps:
         (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = step.transition
-        n0, n1, n2 = normals[-1]
         v0, v1, v2 = (m00 * n0 + m01 * n1 + m02 * n2, m10 * n0 + m11 * n1 + m12 * n2,
                       m20 * n0 + m21 * n1 + m22 * n2)
-        s = math.sqrt(max(abs(k * v0 * v0 + v1 * v1 + v2 * v2), 1e-300))
-        normals.append((v0 / s, v1 / s, v2 / s))
+        s = abs(k * v0 * v0 + v1 * v1 + v2 * v2)     # clamped as by max(s, 1e-300)
+        s = math.sqrt(1e-300 if s < 1e-300 else s)
+        n0, n1, n2 = v0 / s, v1 / s, v2 / s
+        normals.append((n0, n1, n2))
     return normals
 
 
@@ -228,8 +232,9 @@ def propagate_chord(steps, theta):
         raise ValueError(_PLANE)
     normals = carry_normals(steps, (0.0, math.sin(theta), -math.cos(theta)))
     for i, (n0, n1, _) in enumerate(normals):
-        h *= steps[i - 1].det_sign if i else 1.0
-        if k < 0 and abs(n0) >= abs(n1):
+        if k > 0:
+            h *= steps[i - 1].det_sign if i else 1.0
+        elif abs(n0) >= abs(n1):
             raise NumericalFailure(f"chord misses the geodesic of edge e_{i}")
         offsets.append(math.atan2(-h * n0, h * n1) if k > 0 else math.atanh(n0 / n1))
     return offsets, normals
@@ -302,7 +307,8 @@ def trace_geometry(steps, offsets):
         t00, t01, t10, t11, t20, t21 = step.row
         ca, sa, cb, sb = cb, sb, C(x), S(x)
         d0, d1, d2 = cb - (t00 * ca + t01 * sa), sb - (t10 * ca + t11 * sa), -(t20 * ca + t21 * sa)
-        lengths.append(2.0 * arc(0.5 * math.sqrt(max(k * d0 * d0 + d1 * d1 + d2 * d2, 0.0))))
+        m = k * d0 * d0 + d1 * d1 + d2 * d2     # clamped as by max(m, 0.0)
+        lengths.append(2.0 * arc(0.5 * math.sqrt(0.0 if m < 0.0 else m)))
     return lengths
 
 
@@ -399,7 +405,7 @@ def relax_chord(steps, ells, init_fractions):
     if steps and not _KERNEL[steps[0].space][0]:
         raise ValueError(_PLANE)
     K = len(ells) - 1
-    s = [(float(f) - 0.5) * ells[i] for i, f in enumerate(init_fractions)]
+    s = [(float(f) - 0.5) * ell for f, ell in zip(init_fractions, ells)]
     if K < 2:
         return s, sum(trace_geometry(steps, s)) if steps else 0.0
     ends = [0.5 * ell for ell in ells]

@@ -26,12 +26,12 @@ path on its quarter chain, which the half turns carry onto the whole
 curve, a generic or Euclidean path on its whole closed chain.
 Simplicity is decided from the fractions alone: along each edge they must
 follow the strand order of the exact word, read by the word's two getters.
-The mirror map walks the half turns of tetra.HALF_TURN once per word.
+The mirror map replays the half-turn walk that completed the type's
+canonical word (CanonicalWord.mirror): no word is walked twice.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections import namedtuple
@@ -45,7 +45,7 @@ from .errors import NumericalFailure, PreconditionFailed, TooLong, VertexHit
 # rangle, rdistance and rside_measure have no caller here; they stay importable
 # from this module because the perfbench layer trace counts kernel calls at this site
 from .geom import SpaceKind, rangle, rdistance, rpoint_seg_dist, rside_measure  # noqa: F401
-from .tetra import HALF_TURN, TetrahedronSpec
+from .tetra import TetrahedronSpec
 
 FRACTION_MARGIN = 1e-9
 STRAND_TIE = 1e-12  # crossings of one edge closer than this (in fraction) are unresolved
@@ -136,11 +136,17 @@ _END = {0.0: -1, 1.0: 1}     # the end of an edge a fraction sits at, as in Chai
 
 def _measured_chain(tokens, fractions):
     """Chain tokens, their fractions, copies in the curve and residual crossings (path_metrics)."""
-    n, K = len(tokens), len(tokens) // 4
+    measured = _measured(len(tokens), fractions)
+    return (tokens[:len(fractions)] if measured[1] == 4 else list(tokens) + [tokens[0]]), *measured
+
+
+def _measured(n, fractions):
+    """_measured_chain of a word of n tokens but its tokens: the fractions, copies and crossings."""
+    K = n // 4
     if len(fractions) == n > 0:     # closed: crossing 0 joins segments n-1 and 0
-        return list(tokens) + [tokens[0]], list(fractions) + [fractions[0]], 1, range(n)
+        return list(fractions) + [fractions[0]], 1, range(n)
     if len(fractions) == K + 1 > 1:     # the quarter
-        return tokens[:K + 1], fractions, 4, range(1, K)
+        return fractions, 4, range(1, K)
     raise ValueError(f"{len(fractions)} fractions for a word of {n} tokens")
 
 
@@ -151,11 +157,10 @@ def _chain_metrics(spec, steps, ells, fracs, copies, crossings):
     """
     space = spec.space
     k, C, S, arc = frames._KERNEL[space]
-    arc = (lambda x: math.asin(min(1.0, x))) if k > 0 else arc
     cut = 0 if k else 1
     s = [(f - 0.5) * ell for ell, f in zip(ells, fracs)]
     # the edge-end bound, widened by 1e-9 relative and absolute past a crossing's rounding
-    bound = min(0.5 * ell - abs(x) for ell, x in zip(ells, s)) * (1.0 + 1e-9) + 1e-9
+    bound = min([0.5 * ell - abs(x) for ell, x in zip(ells, s)]) * (1.0 + 1e-9) + 1e-9
     lim = math.sinh(bound) if k < 0 else math.sin(min(bound, 0.5 * math.pi)) if k else bound
     total, clearance, ends, cb, sb = 0.0, math.inf, [], C(s[0]), S(s[0])
     for step, xb in zip(steps, s[1:]):
@@ -171,25 +176,28 @@ def _chain_metrics(spec, steps, ells, fracs, copies, crossings):
         if not r > 0.0:     # as where <D, D> rounds to 0 or below near the ideal limit
             raise NumericalFailure(f"chain segment {len(ends)}: S(d)^2 = {r!r} is not positive")
         r = math.sqrt(r)
+        # on the sphere S(d)^2 > 0 holds <D, D> below 4, and the vertex test below
+        # holds h / norm under sin(bound) <= 1: asin's argument never passes 1
         total += 2.0 * arc(0.5 * math.sqrt(m))
         # the angles of segment i with e_i and e_{i+1}, at its two ends; each cosine
         # clamped as by max(-1, min(1, x)), a NaN to 1, without the two calls
         x, y = -cx / r, cy / r
         ends.append((math.acos((x if x > -1.0 else -1.0) if x < 1.0 else 1.0),
                      math.acos((y if y > -1.0 else -1.0) if y < 1.0 else 1.0)))
-        # in the entry frame E_i: A = P(s_i), B = T_i^-1 P(s_{i+1}) = (B_0, B_1, w), and
-        # with C, S at s_i, N = (S w, -k C w, k u) is normal to AB, <N, N> = u^2 + w^2
-        # (in the plane, where C = 1, the vertex's distance to the line AB is the same ratio)
+        # in the entry frame E_i: A = P(s_i) = (C, S, 0), B = T_i^-1 P(s_{i+1}) = (b0, b1, w),
+        # and N = (S w, -k C w, k u) is normal to AB, <N, N> = u^2 + w^2 (in the plane,
+        # where C = 1, the vertex's distance to the line AB is the same ratio)
         (i00, i01, _), (i10, i11, _), (i20, i21, _) = step.inverse
-        A = (ca, sa, 0.0)
-        B = (i00 * cb + i01 * sb, i10 * cb + i11 * sb, i20 * cb + i21 * sb)
-        u, w = ca * B[1] - sa * B[0], B[2]
+        b0, b1, w = i00 * cb + i01 * sb, i10 * cb + i11 * sb, i20 * cb + i21 * sb
+        u = ca * b1 - sa * b0
         norm = math.sqrt(u * u + w * w)
-        for V in step.verts:
-            h = abs(w * (sa * V[0] - ca * V[1]) + u * V[2])
-            if h < lim * norm and arc(h / norm) < clearance:
-                clearance = min(clearance, rpoint_seg_dist(space, V[cut:], A[cut:], B[cut:]))
-    worst = max((abs(ends[j - 1][1] - ends[j][0]) for j in crossings), default=0.0)
+        reach = lim * norm
+        for v0, v1, v2 in step.verts:
+            h = abs(w * (sa * v0 - ca * v1) + u * v2)
+            if h < reach and arc(h / norm) < clearance:
+                clearance = min(clearance, rpoint_seg_dist(
+                    space, (v0, v1, v2)[cut:], (ca, sa, 0.0)[cut:], (b0, b1, w)[cut:]))
+    worst = max([abs(ends[j - 1][1] - ends[j][0]) for j in crossings], default=0.0)
     return copies * total, clearance, worst
 
 
@@ -240,8 +248,7 @@ def _assemble_path(spec, t, tokens, fractions, extras=None, measured=None, chain
     if chain is None:
         total, clearance, worst = path_metrics(spec, tokens, measured)
     else:
-        total, clearance, worst = _chain_metrics(spec, *chain,
-                                                 *_measured_chain(tokens, measured)[1:])
+        total, clearance, worst = _chain_metrics(spec, *chain, *_measured(len(tokens), measured))
     return GeodesicPath(
         gtype=t, space=spec.space,
         crossings=tuple(zip(tokens, fractions)),
@@ -296,40 +303,31 @@ def full_fractions_from_quarter(seq, quarter_fracs):
     The half turn about the midpoint of e_c maps crossing c-k to crossing
     c+k and relabels endpoints by the edge involution, so fractions mirror
     (f -> 1 - f, a Fraction kept exact, when the involution flips the
-    endpoint order); images and flips come from the static table
-    tetra.HALF_TURN, walked once per word (_mirror_plan).  The map only appends mirror images and checks that
-    they close up.  ValueError for any other number of fractions than K + 1
-    or a fraction not finite or outside [0, 1]; NumericalFailure on every
-    call for a word without the half-turn symmetry.  ``seq`` is the type's
-    word, a CanonicalWord or a CrossingSequence: only its tokens are read.
+    endpoint order).  ``seq`` (a CanonicalWord or a CrossingSequence) must
+    carry the canonical tokens of its type: the images and flips are the
+    ones the type's canonical word recorded while its half turns completed
+    it (CanonicalWord.mirror), and the map only appends mirror images and
+    checks that they close up.  ValueError for any other number of
+    fractions than K + 1 or a fraction not finite or outside [0, 1];
+    NumericalFailure on every call for any other token tuple, which lacks
+    the canonical word's half-turn symmetry.
     """
-    toks, fracs = tuple(seq.tokens), list(quarter_fracs)     # fracs: indices 0..K
+    toks, fracs = seq.tokens, list(quarter_fracs)     # fracs: indices 0..K
     n = len(toks)
     if len(fracs) != n // 4 + 1:
         raise ValueError(f"{len(fracs)} quarter fractions for a word of {n} tokens")
     if not all(0.0 <= f <= 1.0 for f in fracs):
         raise ValueError("every fraction must be finite and lie in [0, 1]")
-    for i, flip in zip(*_mirror_plan(toks)):
+    word = canonical_word(seq.gtype)
+    if toks is not word.tokens and tuple(toks) != word.tokens:
+        raise NumericalFailure("crossing word lacks the half-turn symmetry of its type's "
+                               "canonical word")
+    for i, flip in zip(*word.mirror):
         f = fracs[i]
         fracs.append(1 - f if flip else f)
     if abs(fracs[n] - fracs[0]) > 1e-9:
         raise NumericalFailure("mirrored fractions do not close up")
     return fracs[:n]
-
-
-# bounded: two flat tuples of 3K entries per word, twice the 256 words canonical_word caches
-@functools.lru_cache(maxsize=512)
-def _mirror_plan(toks):
-    """Sources c - k and flips of the images appended at c + k; NumericalFailure if asymmetric."""
-    n, K, plan = len(toks), len(toks) // 4, []
-    for c in (K, 2 * K):
-        turn = HALF_TURN[toks[c]]
-        for i in range(c - 1, -1, -1):
-            tok, flip = turn[toks[i]]
-            if tok != toks[(2 * c - i) % n]:
-                raise NumericalFailure("crossing word lacks the half-turn symmetry")
-            plan.append((i, flip))
-    return tuple(zip(*plan)) or ((), ())
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +363,11 @@ def _quarter_chord(spec, word):
     The chain is built once, on the sphere the whole closed one, whose
     first K steps are the quarter's.
     """
-    n = len(word.tokens)
-    K = n // 4
-    tokens = list(word.tokens[:K + 1])
+    K = len(word.tokens) // 4
+    tokens = word.tokens[:K + 1]
     spherical = spec.space == SpaceKind.SPHERICAL
-    chain = frames.build_chain(spec, list(word.tokens) + tokens[:1] if spherical else tokens)
-    steps = chain[:K]
+    chain = frames.build_chain(spec, word.tokens + tokens[:1] if spherical else tokens)
+    steps = chain[:K] if spherical else chain
     ells = [spec.edges[tok] for tok in tokens]
     if spherical:
         _, offsets, normals = frames.shoot_chord(steps)

@@ -27,6 +27,12 @@ for every reader of a chord: the fold-back metrics
 the solver's pass (frames._chord_derivatives) each compute its terms in
 their own loop now, with its operations in its order.
 
+``mirror_plan`` is the half-turn walk that paths._mirror_plan made over
+a word's tokens, a second time after combinat.canonical_word had made
+it: the sources and flips of the images appended at c + k, c = K then
+2K; the canonical word now records them as it completes itself
+(CanonicalWord.mirror).
+
 ``walked_boundary`` is a development's boundary as unfold found it before
 it read the strip's two sides off the word: the face edges counted by
 vertex ids, the edges met once walked as a cycle from X1's smaller end,
@@ -49,6 +55,7 @@ from tetrageo.errors import AmbiguousGeodesic, OutOfHemisphere
 from tetrageo.frames import _KERNEL, IDENTITY3, _face_reps, _matmul, _matvec
 from tetrageo.geom import (SpaceKind, _kcross, _kdot, _kunit, rangle, rdistance, rinterpolate,
                            rpoint_at, rpoint_seg_dist, rreflect, rtangent)
+from tetrageo.tetra import HALF_TURN
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +433,19 @@ def chord_segments(steps, s):
                       -d0 * sb + d1 * cb,                  # <D, dB>
                       a0 * sb - a1 * cb))                  # -<dA, dB>
     return cs, sn, terms
+
+
+def mirror_plan(toks):
+    """Sources c - k and flips of the images appended at c + k; NumericalFailure if asymmetric."""
+    n, K, plan = len(toks), len(toks) // 4, []
+    for c in (K, 2 * K):
+        turn = HALF_TURN[toks[c]]
+        for i in range(c - 1, -1, -1):
+            tok, flip = turn[toks[i]]
+            if tok != toks[(2 * c - i) % n]:
+                raise NumericalFailure("crossing word lacks the half-turn symmetry")
+            plan.append((i, flip))
+    return tuple(zip(*plan)) or ((), ())
 
 
 def walked_boundary(dev):

@@ -3,8 +3,11 @@
 * frames.build_chain lays out one step table lookup per distinct pair by
   the tokens' cached plan (frames._chain_plan); the oracle builds each pair
   on its own, and the steps must be the very same objects.
-* paths.full_fractions_from_quarter appends by the cached mirror plan
-  (paths._mirror_plan); the oracle walks tetra.HALF_TURN on every call.
+* paths.full_fractions_from_quarter appends by the mirror plan that the
+  type's canonical word recorded while its half turns completed it
+  (CanonicalWord.mirror); the plan is checked against a second walk of
+  the word's tokens (face_fold.mirror_plan), and the oracle walks
+  tetra.HALF_TURN on every call.
 * paths.simplicity_check compares the word's strand pairs through two
   index getters (CanonicalWord.strand_pairs); the oracle loops over the
   strands.
@@ -26,9 +29,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import coprime_types
-from face_fold import chord_segments
+from face_fold import chord_segments, mirror_plan
 from tetrageo import frames, paths
-from tetrageo.combinat import GeodesicType, canonical_word, crossing_sequence
+from tetrageo.combinat import GeodesicType, canonical_word, crossing_sequence, isometric_copies
 from tetrageo.errors import NumericalFailure
 from tetrageo.geom import SpaceKind, rpoint_seg_dist
 from tetrageo.tetra import HALF_TURN, TetrahedronSpec, generic_from_edges
@@ -111,7 +114,8 @@ def test_mirror_plan_matches_the_half_turn_walk():
     for pq in coprime_types(60):
         word = canonical_word(GeodesicType(*pq))
         n, K = len(word.tokens), len(word.tokens) // 4
-        sources, flips = paths._mirror_plan(word.tokens)
+        sources, flips = word.mirror
+        assert word.mirror == mirror_plan(word.tokens), pq
         walk = [(c - k, HALF_TURN[word.tokens[c]][word.tokens[c - k]][1])
                 for c in (K, 2 * K) for k in range(1, c + 1)]
         assert list(zip(sources, flips)) == walk, pq
@@ -149,6 +153,23 @@ def test_mirror_plan_raises_on_every_call_for_an_asymmetric_word():
     for _ in range(2):
         with pytest.raises(NumericalFailure, match="half-turn symmetry"):
             paths.full_fractions_from_quarter(bent, word.fractions[:K + 1])
+
+
+def test_full_fractions_take_only_the_canonical_tokens():
+    # the plan is the canonical word's: its tokens as a list are accepted, a rotated copy
+    # of the word, although it has half-turn symmetry too, is refused on every call
+    for pq in ((1, 2), (2, 3), (3, 5)):
+        base, *rotated = isometric_copies(GeodesicType(*pq))
+        K = len(base.tokens) // 4
+        quarter = [float(f) for f in base.fractions[:K + 1]]
+        listed = replace(base, tokens=list(base.tokens))
+        assert repr(paths.full_fractions_from_quarter(listed, quarter)) == \
+            repr(paths.full_fractions_from_quarter(base, quarter))
+        for seq in rotated:
+            assert seq.tokens != base.tokens
+            for _ in range(2):
+                with pytest.raises(NumericalFailure, match="half-turn symmetry"):
+                    paths.full_fractions_from_quarter(seq, quarter)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0, -1.0, 1.0 + 1e-16 * 3])
