@@ -101,14 +101,14 @@ def _integer_trace(t, a, b, last=None):
     Returns D and the records (x * D, token, fraction * D) sorted by x, with
     the fraction measured from the smaller-labelled endpoint; see
     :func:`trace_crossings`.  A stored F or D - F lies outside (0, D) at a vertex hit.
-    The records stop at the abscissa ``last`` (a Fraction, included) when it
-    is given, else at the segment's end, the first crossing again.
+    The records stop at the abscissa ``last`` = n/d, given as the integers
+    (n, d) (included), else at the segment's end, the first crossing again.
     """
     pe, qe = t.effective()
     w = qe + 2 * pe
     D = 2 * b * math.lcm(qe, pe + qe, pe or 1)
     X0, step = a * (D // b), w * (D // (2 * qe))
-    stop = X0 + w * D if last is None else math.floor(last * D) + 1   # trace X < stop
+    stop = X0 + w * D if last is None else last[0] * D // last[1] + 1   # trace X < stop
     out, half = [], D // 2
     # rows Y = m/2, m = 0 .. 2*qe - 1 (m = 2*qe is identified with m = 0); the vertices
     # of row m sit at x = k + off, off = 1/2 on odd rows: the edge is u = 2k + m % 2 to u + 2
@@ -208,7 +208,7 @@ def canonical_word(t: GeodesicType):
     """
     K = t.p + t.q
     pe, qe = t.effective()
-    D, quarter = _integer_trace(t, 1, 2, Fraction(qe + 2 * pe + 2, 4))
+    D, quarter = _integer_trace(t, 1, 2, (qe + 2 * pe + 2, 4))
     _, tokens, nums = map(list, zip(*quarter))
     assert len(nums) == K + 1, "quarter point missed"
     flips = []
@@ -220,14 +220,15 @@ def canonical_word(t: GeodesicType):
             flips.append(flip)
             nums.append(D - nums[i] if flip else nums[i])
     assert tokens.pop() == tokens[0] and nums.pop() == nums[0], "word does not close up"
-    assert all(2 * nums[k * K] == D for k in range(4)), "midpoint anchor violated"
+    assert 2 * nums[0] == 2 * nums[K] == 2 * nums[2 * K] == 2 * nums[3 * K] == D, \
+        "midpoint anchor violated"
     by_edge = {}
     for i, tok in enumerate(tokens):
         by_edge.setdefault(tok, []).append(i)
     return CanonicalWord(gtype=t, tokens=tuple(tokens), numerators=tuple(nums), denominator=D,
                          fractions=tuple([F / D for F in nums]),
-                         strands=tuple(tuple(sorted(strand, key=nums.__getitem__))
-                                       for strand in by_edge.values()),
+                         strands=tuple([tuple(sorted(strand, key=nums.__getitem__))
+                                        for strand in by_edge.values()]),
                          mirror=((*range(K - 1, -1, -1), *range(2 * K - 1, -1, -1)),
                                  tuple(flips)))
 

@@ -316,7 +316,7 @@ def full_fractions_from_quarter(seq, quarter_fracs):
     n = len(toks)
     if len(fracs) != n // 4 + 1:
         raise ValueError(f"{len(fracs)} quarter fractions for a word of {n} tokens")
-    if not all(0.0 <= f <= 1.0 for f in fracs):
+    if not all([0.0 <= f <= 1.0 for f in fracs]):
         raise ValueError("every fraction must be finite and lie in [0, 1]")
     word = canonical_word(seq.gtype)
     if toks is not word.tokens and tuple(toks) != word.tokens:
@@ -344,7 +344,7 @@ def _seed_fractions(seed, ells, euclidean):
         init = [(x + ell / 2.0) / ell for x, ell in zip(seed(), ells)]
     except NumericalFailure:
         return list(euclidean)
-    return init if all(0.0 < f < 1.0 for f in init) else list(euclidean)
+    return init if all([0.0 < f < 1.0 for f in init]) else list(euclidean)
 
 
 def _quarter_chord(spec, word):
