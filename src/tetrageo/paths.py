@@ -157,7 +157,9 @@ def _chain_metrics(spec, steps, ells, fracs, copies, crossings):
     """
     space = spec.space
     k, C, S, arc = frames._KERNEL[space]
-    cut = 0 if k else 1
+    # the plane's line distance h / norm and clamped hypot round apart by a few ulps: there a
+    # vertex within 1e-12 of the running minimum is measured too, so the least pair is reached
+    cut, tie = (0, 0.0) if k else (1, 1e-12)
     s = [(f - 0.5) * ell for ell, f in zip(ells, fracs)]
     # the edge-end bound, widened by 1e-9 relative and absolute past a crossing's rounding
     bound = min([0.5 * ell - abs(x) for ell, x in zip(ells, s)]) * (1.0 + 1e-9) + 1e-9
@@ -194,7 +196,7 @@ def _chain_metrics(spec, steps, ells, fracs, copies, crossings):
         reach = lim * norm
         for v0, v1, v2 in step.verts:
             h = abs(w * (sa * v0 - ca * v1) + u * v2)
-            if h < reach and arc(h / norm) < clearance:
+            if h < reach and arc(h / norm) < clearance + tie:
                 clearance = min(clearance, rpoint_seg_dist(
                     space, (v0, v1, v2)[cut:], (ca, sa, 0.0)[cut:], (b0, b1, w)[cut:]))
     worst = max([abs(ends[j - 1][1] - ends[j][0]) for j in crossings], default=0.0)

@@ -8,10 +8,10 @@ ends and takes geom.rpoint_seg_dist over every (vertex, segment) pair.
 The scan's clearance is one of those values, so it is never below their
 minimum, and it must be within 2 ulps of it in the curved spaces.  In the
 plane the line distance and the segment distance round apart by a few
-ulps of the coordinates, so the running minimum can pass over the least
-pair by that much: there the clearance must be within 4 ulps of the edge
-length.  The edge-end bound, inflated by 1e-9 relative, must be at least
-the clearance.
+ulps of the coordinates, so the scan passes on every vertex within 1e-12
+of the running minimum: there the clearance must be the minimum itself.
+The edge-end bound, inflated by 1e-9 relative, must be at least the
+clearance.
 """
 
 import math
@@ -64,7 +64,7 @@ def edge_end_bound(spec, tokens, fractions):
 
 def _assert_brute_force_minimum(spec, tokens, fractions, clearance):
     brute = brute_clearance(spec, tokens, fractions)
-    slack = 4.0 * math.ulp(spec.edges[tokens[0]]) if spec.space == E else 2.0 * math.ulp(brute)
+    slack = 0.0 if spec.space == E else 2.0 * math.ulp(brute)
     assert brute <= clearance <= brute + slack, (tokens, fractions)
 
 

@@ -245,7 +245,7 @@ def _chain_metrics_from_segments(spec, steps, ells, fracs, copies, crossings):
     space = spec.space
     k = frames._KERNEL[space][0]
     arc = (lambda x: math.asin(min(1.0, x))) if k > 0 else frames._KERNEL[space][3]
-    cut = 0 if k else 1
+    cut, tie = (0, 0.0) if k else (1, 1e-12)
     s = [(f - 0.5) * ell for ell, f in zip(ells, fracs)]
     bound = min(0.5 * ell - abs(x) for ell, x in zip(ells, s)) * (1.0 + 1e-9) + 1e-9
     lim = math.sinh(bound) if k < 0 else math.sin(min(bound, 0.5 * math.pi)) if k else bound
@@ -268,7 +268,7 @@ def _chain_metrics_from_segments(spec, steps, ells, fracs, copies, crossings):
         norm = math.sqrt(u * u + w * w)
         for V in step.verts:
             h = abs(w * (sa * V[0] - ca * V[1]) + u * V[2])
-            if h < lim * norm and arc(h / norm) < clearance:
+            if h < lim * norm and arc(h / norm) < clearance + tie:
                 clearance = min(clearance, rpoint_seg_dist(space, V[cut:], A[cut:], B[cut:]))
     worst = max((abs(ends[j - 1][1] - ends[j][0]) for j in crossings), default=0.0)
     return copies * total, clearance, worst
