@@ -170,10 +170,9 @@ class CanonicalWord:
     correctly rounded floats, equal to float(Fraction(F, D)).  strands is
     the strand order: per crossed edge, its crossing indices by fraction;
     strand_pairs, two getters of (f_i, ...) and (f_j, ...) over its steps i, j.
-    mirror is the half-turn walk that completed the word, as two flat
-    tuples: the sources c - k, for c = K then 2K and k = 1..c, of the images
-    at c + k (index 4K is crossing 0 again), and whether each image flips
-    its fraction (paths.full_fractions_from_quarter replays it).
+    mirror, the half-turn walk that completed the word: the sources c - k
+    (c = K, then 2K; k = 1..c) of the images at c + k, index 4K being
+    crossing 0, and whether each flips its fraction (two flat tuples).
     """
 
     gtype: GeodesicType
@@ -220,8 +219,7 @@ def canonical_word(t: GeodesicType):
             flips.append(flip)
             nums.append(D - nums[i] if flip else nums[i])
     assert tokens.pop() == tokens[0] and nums.pop() == nums[0], "word does not close up"
-    assert 2 * nums[0] == 2 * nums[K] == 2 * nums[2 * K] == 2 * nums[3 * K] == D, \
-        "midpoint anchor violated"
+    assert {2 * F for F in nums[::K]} == {D}, "midpoint anchor violated"
     by_edge = {}
     for i, tok in enumerate(tokens):
         by_edge.setdefault(tok, []).append(i)

@@ -171,14 +171,13 @@ class CountReport:
 
 
 # one spec per angle, shared by the rows of every count at it
-_hyperbolic_spec = functools.lru_cache(maxsize=16)(
-    functools.partial(TetrahedronSpec, SpaceKind.HYPERBOLIC))
+_spec = functools.lru_cache(maxsize=16)(functools.partial(TetrahedronSpec, SpaceKind.HYPERBOLIC))
 
 
 @functools.lru_cache(maxsize=MAX_TYPES)
 def _measure_type(alpha, p, q):
     """Row (p, q, length, clearance) of the type-(p, q) geodesic at alpha."""
-    result = midpoint_geodesic(_hyperbolic_spec(alpha), GeodesicType(p, q))
+    result = midpoint_geodesic(_spec(alpha), GeodesicType(p, q))
     if not isinstance(result, GeodesicPath):
         raise NumericalFailure(f"type ({p},{q}) at alpha={alpha!r}: {result.reason}")
     if not result.simple:

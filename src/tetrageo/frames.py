@@ -204,15 +204,15 @@ def place_faces(steps, tokens):
 
 def carry_normals(steps, n):
     """Unit normals at e_0..e_K of the chord with normal n in frame E_0: _kunit(k, T_i n)."""
-    k, normals, (n0, n1, n2) = _KERNEL[steps[0].space][0], [n], n
+    k, normals = _KERNEL[steps[0].space][0], [n]
     for step in steps:
         (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = step.transition
+        n0, n1, n2 = normals[-1]
         v0, v1, v2 = (m00 * n0 + m01 * n1 + m02 * n2, m10 * n0 + m11 * n1 + m12 * n2,
                       m20 * n0 + m21 * n1 + m22 * n2)
         s = abs(k * v0 * v0 + v1 * v1 + v2 * v2)     # clamped as by max(s, 1e-300)
         s = math.sqrt(1e-300 if s < 1e-300 else s)
-        n0, n1, n2 = v0 / s, v1 / s, v2 / s
-        normals.append((n0, n1, n2))
+        normals.append((v0 / s, v1 / s, v2 / s))
     return normals
 
 

@@ -157,8 +157,7 @@ def _chain_metrics(spec, steps, ells, fracs, copies, crossings):
     """
     space = spec.space
     k, C, S, arc = frames._KERNEL[space]
-    # the plane's line distance h / norm and clamped hypot round apart by a few ulps: there a
-    # vertex within 1e-12 of the running minimum is measured too, so the least pair is reached
+    # the plane's h / norm and clamped hypot round apart: pass on ties within 1e-12 there
     cut, tie = (0, 0.0) if k else (1, 1e-12)
     s = [(f - 0.5) * ell for ell, f in zip(ells, fracs)]
     # the edge-end bound, widened by 1e-9 relative and absolute past a crossing's rounding
@@ -178,8 +177,7 @@ def _chain_metrics(spec, steps, ells, fracs, copies, crossings):
         if not r > 0.0:     # as where <D, D> rounds to 0 or below near the ideal limit
             raise NumericalFailure(f"chain segment {len(ends)}: S(d)^2 = {r!r} is not positive")
         r = math.sqrt(r)
-        # on the sphere S(d)^2 > 0 holds <D, D> below 4, and the vertex test below
-        # holds h / norm under sin(bound) <= 1: asin's argument never passes 1
+        # on the sphere S(d)^2 > 0 holds <D, D> < 4, and h / norm < sin(bound) <= 1 below
         total += 2.0 * arc(0.5 * math.sqrt(m))
         # the angles of segment i with e_i and e_{i+1}, at its two ends; each cosine
         # clamped as by max(-1, min(1, x)), a NaN to 1, without the two calls
@@ -305,14 +303,12 @@ def full_fractions_from_quarter(seq, quarter_fracs):
     The half turn about the midpoint of e_c maps crossing c-k to crossing
     c+k and relabels endpoints by the edge involution, so fractions mirror
     (f -> 1 - f, a Fraction kept exact, when the involution flips the
-    endpoint order).  ``seq`` (a CanonicalWord or a CrossingSequence) must
-    carry the canonical tokens of its type: the images and flips are the
-    ones the type's canonical word recorded while its half turns completed
-    it (CanonicalWord.mirror), and the map only appends mirror images and
-    checks that they close up.  ValueError for any other number of
-    fractions than K + 1 or a fraction not finite or outside [0, 1];
-    NumericalFailure on every call for any other token tuple, which lacks
-    the canonical word's half-turn symmetry.
+    endpoint order); images and flips are those the type's canonical word
+    recorded as its half turns completed it (CanonicalWord.mirror).  The map
+    only appends mirror images and checks that they close up.  ValueError
+    for any other number of fractions than K + 1 or a fraction not finite or
+    outside [0, 1]; NumericalFailure on every call for a ``seq`` (CanonicalWord
+    or CrossingSequence) whose tokens are not its type's canonical word.
     """
     toks, fracs = seq.tokens, list(quarter_fracs)     # fracs: indices 0..K
     n = len(toks)
@@ -322,8 +318,7 @@ def full_fractions_from_quarter(seq, quarter_fracs):
         raise ValueError("every fraction must be finite and lie in [0, 1]")
     word = canonical_word(seq.gtype)
     if toks is not word.tokens and tuple(toks) != word.tokens:
-        raise NumericalFailure("crossing word lacks the half-turn symmetry of its type's "
-                               "canonical word")
+        raise NumericalFailure("crossing word lacks the half-turn symmetry of the canonical word")
     for i, flip in zip(*word.mirror):
         f = fracs[i]
         fracs.append(1 - f if flip else f)
