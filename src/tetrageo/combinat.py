@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,10 +77,7 @@ class CrossingSequence:
         return len(self.tokens)
 
     def multiplicities(self):
-        counts = {}
-        for tok in self.tokens:
-            counts[tok] = counts.get(tok, 0) + 1
-        return counts
+        return dict(Counter(self.tokens))
 
 
 # label of the tiling vertex at (x, Y) = (u/2, m/2): _ROW_LABELS[m % 4][(u // 2) % 2]
@@ -135,9 +133,8 @@ def _integer_trace(t, a, b, last=None):
     out.sort()   # three runs, each already sorted by x
     if last is None and len(out) != t.n_crossings:
         raise VertexHit(f"expected {t.n_crossings} crossings, traced {len(out)}")
-    for i in range(1, len(out)):
-        if out[i][0] == out[i - 1][0]:
-            raise VertexHit("two crossings coincide: segment passes a tiling vertex")
+    if len({X for X, _, _ in out}) < len(out):
+        raise VertexHit("two crossings coincide: segment passes a tiling vertex")
     return D, out
 
 
@@ -322,21 +319,14 @@ ROTATION_PERMS = (
 
 def relabel_sequence(s: CrossingSequence, perm):
     """Apply a vertex relabelling; fractions stay tied to their endpoints."""
-    toks = []
-    fracs = [] if s.fractions is not None else None
-    for i, tok in enumerate(s.tokens):
+    toks, kept = [], []
+    for tok in s.tokens:
         u, v = int(tok[0]), int(tok[1])
-        pu, pv = perm[u], perm[v]
-        toks.append(edge_token(pu, pv))
-        if fracs is not None:
-            f = s.fractions[i]
-            # stored from the smaller label; flip if the permutation swaps order
-            fracs.append(f if (u < v) == (pu < pv) else 1 - f)
-    return CrossingSequence(
-        gtype=s.gtype,
-        tokens=tuple(toks),
-        fractions=tuple(fracs) if fracs is not None else None,
-    )
+        toks.append(edge_token(perm[u], perm[v]))
+        kept.append((u < v) == (perm[u] < perm[v]))     # else the ends swap: f -> 1 - f
+    fracs = None if s.fractions is None else tuple(
+        f if keep else 1 - f for f, keep in zip(s.fractions, kept))
+    return CrossingSequence(gtype=s.gtype, tokens=tuple(toks), fractions=fracs)
 
 
 def isometric_copies(t: GeodesicType):

@@ -157,8 +157,7 @@ def _chain_metrics(spec, steps, ells, fracs, copies, crossings):
     """
     space = spec.space
     k, C, S, arc = frames._KERNEL[space]
-    # the plane's h / norm and clamped hypot round apart: pass on ties within 1e-12 there
-    cut, tie = (0, 0.0) if k else (1, 1e-12)
+    cut, tie = (0, 0.0) if k else (1, 1e-12)     # the plane's h / norm and hypot round apart
     s = [(f - 0.5) * ell for ell, f in zip(ells, fracs)]
     # the edge-end bound, widened by 1e-9 relative and absolute past a crossing's rounding
     bound = min([0.5 * ell - abs(x) for ell, x in zip(ells, s)]) * (1.0 + 1e-9) + 1e-9
@@ -177,8 +176,7 @@ def _chain_metrics(spec, steps, ells, fracs, copies, crossings):
         if not r > 0.0:     # as where <D, D> rounds to 0 or below near the ideal limit
             raise NumericalFailure(f"chain segment {len(ends)}: S(d)^2 = {r!r} is not positive")
         r = math.sqrt(r)
-        # on the sphere S(d)^2 > 0 holds <D, D> < 4, and h / norm < sin(bound) <= 1 below
-        total += 2.0 * arc(0.5 * math.sqrt(m))
+        total += 2.0 * arc(0.5 * math.sqrt(m))     # m < 4 on the sphere, as S(d)^2 > 0
         # the angles of segment i with e_i and e_{i+1}, at its two ends; each cosine
         # clamped as by max(-1, min(1, x)), a NaN to 1, without the two calls
         x, y = -cx / r, cy / r
@@ -191,7 +189,7 @@ def _chain_metrics(spec, steps, ells, fracs, copies, crossings):
         b0, b1, w = i00 * cb + i01 * sb, i10 * cb + i11 * sb, i20 * cb + i21 * sb
         u = ca * b1 - sa * b0
         norm = math.sqrt(u * u + w * w)
-        reach = lim * norm
+        reach = lim * norm      # h < reach holds h / norm under sin(bound) <= 1 on the sphere
         for v0, v1, v2 in step.verts:
             h = abs(w * (sa * v0 - ca * v1) + u * v2)
             if h < reach and arc(h / norm) < clearance + tie:
