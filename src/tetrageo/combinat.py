@@ -17,8 +17,8 @@ denominator D, so the trace runs exactly on scaled integers.  The
 canonical word (mu = 1/2) traces its first quarter only and completes it by
 the half turns about its quarter points (tetra.HALF_TURN), on integers too
 (:class:`CanonicalWord`, cached for the most recently used types): its
-tokens, the numerators F of its fractions F/D, their correctly rounded
-floats and its per-edge strand order, all the curved constructions read.
+tokens, the numerators F of its fractions F/D and their rounded floats,
+its per-edge strand order and its mirror plan, which the constructions read.
 ``Fraction`` values are built where a caller asks for them: the records of
 :func:`trace_crossings` and the canonical :class:`CrossingSequence`.
 """
@@ -99,8 +99,8 @@ def _integer_trace(t, a, b, last=None):
     Returns D and the records (x * D, token, fraction * D) sorted by x, with
     the fraction measured from the smaller-labelled endpoint; see
     :func:`trace_crossings`.  A stored F or D - F lies outside (0, D) at a vertex hit.
-    The records stop at the abscissa ``last`` = n/d, given as the integers
-    (n, d) (included), else at the segment's end, the first crossing again.
+    Given ``last`` = (n, d), the records stop at the abscissa n/d (included),
+    else at the segment's end, the first crossing again.
     """
     pe, qe = t.effective()
     w = qe + 2 * pe
