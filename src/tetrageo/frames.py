@@ -21,12 +21,13 @@ measured this way in all three spaces, with geom's curvature table
 (geom._KERNEL: k, C, S and the inverse of S).  Each reader writes the segment
 terms in its own loop with the same floating-point operations in the same
 order: the fold-back metrics (paths._chain_metrics), the segment lengths
-(trace_geometry) and the one pass per Newton iterate of relax_chord, the
+(trace_geometry, for relax_chord's chains with no interior crossing to
+solve) and the one pass per Newton iterate of relax_chord, the
 hyperboloid's chord solver, which also sums the length it returns; its
 minimum is interior, so no crossing reaches an edge end and the solver has
 no end handling.  Direction shooting (shoot_chord) carries the chord's
 normal through the transitions; it is the sphere's exact quarter solver,
-and on the hyperboloid the start of the quarter's Newton solve, which
+whose last normal gives Y1's distance from the chord, and on the hyperboloid the start of the quarter's Newton solve, which
 polishes it to relax_chord's step tolerance.  A closed hyperbolic chain's
 geodesic is the axis of its holonomy, which pins the Newton solve at e_0
 (holonomy_axis) and, carried along the chain (axis_chord), starts it.  The

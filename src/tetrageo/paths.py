@@ -10,12 +10,13 @@ Three construction routes:
   s0, where the axis of its holonomy meets the first edge, back to s0.
 
 Every chain is placed in the edge-local frames of :mod:`frames`, the
-Euclidean one as the plane's k = 0.
+Euclidean one as the plane's k = 0, and measured as it was built.
 The quarter chord is shot through the two midpoints in both curved spaces
-(:func:`frames.shoot_chord`): on the sphere the shot is exact; on the
-hyperboloid it seeds the one Newton solver of :func:`frames.relax_chord`,
-pinned at X1 and Y1.  The generic tetrahedron's chord is the same solver
-pinned at s0 (:func:`frames.holonomy_axis`), started from the carried axis
+(:func:`frames.shoot_chord`): on the sphere the shot is exact, and its
+distance from Y1 checks the half-turn symmetry; on the hyperboloid it
+seeds the one Newton solver of :func:`frames.relax_chord`, pinned at X1
+and Y1.  The generic tetrahedron's chord is the same solver pinned at s0
+(:func:`frames.holonomy_axis`), started from the carried axis
 (:func:`frames.axis_chord`).  The exact Euclidean fractions are the seed
 when the shot or the carried axis fails.
 
@@ -235,18 +236,11 @@ def simplicity_check(path, spec):
 _Crossings = namedtuple("_Crossings", "gtype tokens fractions")
 
 
-def _assemble_path(spec, t, tokens, fractions, extras=None, measured=None, chain=None):
-    """The path through the crossings, measured on the fractions ``measured`` (default: all).
-
-    A curved construction passes the chain its solver used (``chain``: steps
-    and edge lengths of the tokens path_metrics would measure); path_metrics
-    builds the closed chain of a Euclidean path.
-    """
+def _assemble_path(spec, t, tokens, fractions, chain, extras=None, measured=None):
+    """The path through the crossings, measured at the fractions ``measured`` (default: all)
+    on ``chain``: the steps and edge lengths of the tokens path_metrics would measure."""
     measured = fractions if measured is None else measured
-    if chain is None:
-        total, clearance, worst = path_metrics(spec, tokens, measured)
-    else:
-        total, clearance, worst = _chain_metrics(spec, *chain, *_measured(len(tokens), measured))
+    total, clearance, worst = _chain_metrics(spec, *chain, *_measured(len(tokens), measured))
     return GeodesicPath(
         gtype=t, space=spec.space,
         crossings=tuple(zip(tokens, fractions)),
@@ -288,7 +282,9 @@ def euclid_geodesic(t: GeodesicType, mu=Fraction(1, 2)):
     if min(min(f, 1.0 - f) for f in fractions) < FRACTION_MARGIN:
         raise VertexHit(f"mu={float(mu)} puts a crossing within {FRACTION_MARGIN} of a vertex")
     spec = TetrahedronSpec(SpaceKind.EUCLIDEAN, math.pi / 3)
+    closed = tokens + tokens[:1]
     return _assemble_path(spec, t, tokens, fractions,
+                          (frames.build_chain(spec, closed), [spec.edges[tok] for tok in closed]),
                           extras={"mu": float(mu), "length_formula": 2.0 * math.sqrt(t.norm)})
 
 
@@ -347,35 +343,31 @@ def _quarter_chord(spec, word):
     and the quarter chain: its steps and edge lengths.
 
     The chord runs from the midpoint X1 of e_0 to the midpoint Y1 of e_K of
-    the chain placed in edge-local frames, and is shot from X1 at Y1 first.
-    On the hyperboloid the shot's crossing fractions seed Newton steps
-    pinned at X1 and Y1, which polish the far crossings the shot loses to
-    rounding on deep chains; a shot that misses an edge's geodesic or puts
-    a crossing off its edge is replaced by the exact Euclidean fractions
-    (the float fractions of ``word``, the type's CanonicalWord).  On the
-    sphere the shot is the chord: it must reach e_K at its midpoint, and is
-    checked against the whole chain: X2, Y2 and X1' must lie on it too.
-    The chain is built once, on the sphere the whole closed one, whose
-    first K steps are the quarter's.
+    the quarter chain e_0..e_K placed in edge-local frames, and is shot from
+    X1 at Y1 first.  On the hyperboloid the shot's crossing fractions seed
+    Newton steps pinned at X1 and Y1, which polish the far crossings the
+    shot loses to rounding on deep chains; a shot that misses an edge's
+    geodesic or puts a crossing off its edge is replaced by the exact
+    Euclidean fractions (the float fractions of ``word``, the type's
+    CanonicalWord).  On the sphere the shot is the chord: it must reach e_K
+    at its midpoint, and its distance from Y1 is the symmetry residual.
     """
     K = len(word.tokens) // 4
     tokens = word.tokens[:K + 1]
-    spherical = spec.space == SpaceKind.SPHERICAL
-    chain = frames.build_chain(spec, word.tokens + tokens[:1] if spherical else tokens)
-    steps = chain[:K] if spherical else chain
+    steps = frames.build_chain(spec, tokens)
     ells = [spec.edges[tok] for tok in tokens]
+    spherical = spec.space == SpaceKind.SPHERICAL
     if spherical:
         _, offsets, normals = frames.shoot_chord(steps)
+        # mid(e_K) is (1, 0, 0) in frame E_K: its distance from the chord is asin(n_0)
+        extras = {"symmetry_residual": abs(normals[K][0])}
     else:
         init = _seed_fractions(lambda: frames.shoot_chord(steps)[1], ells,
                                word.fractions[:K + 1])
         init[0] = init[K] = 0.5
         offsets, quarter_len = frames.relax_chord(steps, ells, init)
+        extras = {"quarter_length": quarter_len}
     fracs = [0.5] + [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(1, K)] + [0.5]
-    out_of_order = abs(offsets[K]) > 0.5 * math.pi  # the great circle runs into F_K at -mid(e_K)
-    # pinned at both midpoints, the length is stationary in the interior
-    # crossings; a grazing chord's rounding on e_K would enter it to first order
-    offsets[0] = offsets[K] = 0.0
     for i in range(1, K):
         f = fracs[i]
         if not (FRACTION_MARGIN < f < 1.0 - FRACTION_MARGIN):
@@ -388,22 +380,9 @@ def _quarter_chord(spec, word):
                 sd = min(f, 1.0 - f) * ells[i]
             return None, NotContained(word.gtype, face_index=i, edge=tokens[i],
                                       signed_distance=sd), None, (steps, ells)
-    if out_of_order:
+    if abs(offsets[K]) > 0.5 * math.pi:     # the great circle runs into F_K at -mid(e_K)
         return None, NotContained(word.gtype, face_index=K, edge=tokens[K], signed_distance=0.0,
                                   reason="crossings out of order"), None, (steps, ells)
-    if not spherical:       # the solver's length
-        return fracs, None, {"quarter_length": quarter_len}, (steps, ells)
-    quarter_len = sum(frames.trace_geometry(steps, offsets))
-    # by the exact criterion a contained chord is shorter than 2*pi; the
-    # length check runs after containment so genuine exits report a witness
-    if 4.0 * quarter_len >= 2.0 * math.pi:
-        raise TooLong(f"candidate length {4 * quarter_len:.6f} >= 2*pi")
-    # mid(e_j) is (1, 0, 0) in frame E_j: its distance from the chord is asin(n_0)
-    normals = frames.carry_normals(chain[K:], normals[K])
-    sym_res = max(abs(normals[j][0]) for j in (K, 2 * K, 3 * K))
-    if sym_res > 1e-8:
-        raise NumericalFailure(f"symmetry points off the chord by {sym_res:.3e}")
-    extras = {"quarter_length": quarter_len, "symmetry_residual": sym_res}
     return fracs, None, extras, (steps, ells)
 
 
@@ -413,31 +392,35 @@ def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
     Returns the GeodesicPath when the chord stays strictly inside the face
     chain, otherwise the first NotContained witness.  The quarter chord is
     shot (:func:`_quarter_chord`), on the hyperboloid as the seed of a
-    Newton solve, the Euclidean fractions its fallback.  Spherical chords of
-    length >= 2*pi raise TooLong.  The path is measured on its quarter
-    chain, so its closure residual covers the quarter's interior crossings
-    only.  The other crossings, those at the symmetry points X1, Y1, X2 and
-    Y2 among them, rest on the mirror map instead: it checks that the word
-    has the half-turn symmetry and pins the symmetry crossings to edge
-    midpoints, and the half turns carry the quarter onto the rest of the
-    curve, the segment before a symmetry point onto the one after it.  On
-    the sphere the whole chain is checked as well (the symmetry residual).
+    Newton solve, the Euclidean fractions its fallback.  The path is
+    measured on its quarter chain, so its closure residual covers the
+    quarter's interior crossings only.  The other crossings, those at the
+    symmetry points X1, Y1, X2 and Y2 among them, rest on the mirror map
+    instead: it checks that the word has the half-turn symmetry and pins
+    the symmetry crossings to edge midpoints, and the half turns carry the
+    quarter onto the rest of the curve, the segment before a symmetry point
+    onto the one after it.  On the sphere a contained chord of length >=
+    2*pi raises TooLong, and then one whose great circle misses Y1 by more
+    than 1e-8 NumericalFailure: the half turn about Y1 maps the great circle
+    onto itself exactly when Y1 lies on it, and then X2, Y2 and X1' do too.
     """
     if spec.space == SpaceKind.EUCLIDEAN:
         raise PreconditionFailed("use euclid_geodesic for the Euclidean tetrahedron")
     word = canonical_word(t)
-    spherical = spec.space == SpaceKind.SPHERICAL
     quarter, witness, extras, chain = _quarter_chord(spec, word)
     if witness is not None:
         return witness
     fracs = full_fractions_from_quarter(word, quarter)
-    path = _assemble_path(spec, t, word.tokens, fracs, extras=extras, measured=quarter,
-                          chain=chain)
-    if spherical and path.total_length >= 2.0 * math.pi:
-        raise TooLong(f"constructed length {path.total_length:.6f} >= 2*pi")
-    if not (spherical or path.closed):
+    path = _assemble_path(spec, t, word.tokens, fracs, chain, extras=extras, measured=quarter)
+    if spec.space == SpaceKind.HYPERBOLIC:
+        if not path.closed:
+            raise NumericalFailure(
+                f"quarter chord fails the closure check (residual {path.closure_residual:.3e})")
+    elif path.total_length >= 2.0 * math.pi:
+        raise TooLong(f"candidate length {path.total_length:.6f} >= 2*pi")
+    elif extras["symmetry_residual"] > 1e-8:
         raise NumericalFailure(
-            f"quarter chord fails the closure check (residual {path.closure_residual:.3e})")
+            f"symmetry points off the chord by {extras['symmetry_residual']:.3e}")
     return path
 
 
@@ -473,8 +456,8 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     for i, f in enumerate(fracs):
         if not (FRACTION_MARGIN < f < 1.0 - FRACTION_MARGIN):
             raise NumericalFailure(f"crossing {i} leaves its edge (fraction {f})")
-    path = _assemble_path(spec, t, word.tokens, fracs,
-                          extras={"s0": offsets[0] + ells[0] / 2.0}, chain=(steps, ells))
+    path = _assemble_path(spec, t, word.tokens, fracs, (steps, ells),
+                          extras={"s0": offsets[0] + ells[0] / 2.0})
     if not path.closed:
         raise NumericalFailure(
             f"extracted path fails closure (residual {path.closure_residual:.3e})")

@@ -13,12 +13,13 @@ from hypothesis import assume, example, given, strategies as st
 
 from conftest import coprime_types
 from face_fold import _cross3, _dot3, _face_fold_metrics, _rep_segments, _unit3, place_chain
-from tetrageo import frames
+from tetrageo import frames, paths
 from tetrageo.combinat import (ROTATION_PERMS, CrossingSequence, GeodesicType,
                                canonical_word, crossing_sequence, relabel_sequence)
 from tetrageo.errors import (InvalidTetrahedron, NumericalFailure, PreconditionFailed, TooLong,
                              VertexHit)
-from tetrageo.existence import hyperbolic_clearance_bound, hyperbolic_length_lower_bound
+from tetrageo.existence import (exists_geodesic, hyperbolic_clearance_bound,
+                                hyperbolic_length_lower_bound, threshold_beta)
 from tetrageo.geom import SpaceKind, rdistance, rmidpoint, rpoint_at, rside_measure, rtangent
 from tetrageo.paths import (FRACTION_MARGIN, STRAND_TIE, GeodesicPath, NotContained,
                             euclid_geodesic, euclid_mu_interval, full_fractions_from_quarter,
@@ -466,15 +467,17 @@ def _quarter_outcome(quarter, spec, seq):
 @example(1.1582012796234369, (1, 3))
 @given(st.floats(math.pi / 3 + 1e-6, 2 * math.pi / 3 - 1e-6), st.sampled_from(coprime_types(15)))
 def test_spherical_quarter_matches_global_chart(alpha, pq):
-    # shooting in edge-local frames against the global-chart sweep it replaced
+    # shooting in edge-local frames against the global-chart sweep it replaced;
+    # midpoint_geodesic checks the length and the symmetry residual
     spec = TetrahedronSpec(S, alpha)
     seq = crossing_sequence(GeodesicType(*pq))
-    new = _quarter_outcome(_quarter_chord, spec, seq)
     old = _quarter_outcome(_global_chart_quarter, spec, seq)
+    new = _quarter_outcome(midpoint_geodesic, spec, seq.gtype)
     if isinstance(old, type):
         assert new is old
         return
-    (fracs, witness, extras, _), (ref_fracs, ref_witness, ref_extras) = new, old
+    fracs, witness, _, _ = _quarter_chord(spec, seq)
+    ref_fracs, ref_witness, ref_extras = old
     if ref_witness is not None:
         assert fracs is None and witness is not None
         assert ((witness.face_index, witness.edge, witness.reason)
@@ -482,9 +485,72 @@ def test_spherical_quarter_matches_global_chart(alpha, pq):
         if min(abs(witness.signed_distance), abs(ref_witness.signed_distance)) < 1e-3:
             assert abs(witness.signed_distance - ref_witness.signed_distance) < 1e-12
         return
+    assert isinstance(new, GeodesicPath)
     assert witness is None and len(fracs) == len(ref_fracs)
     assert max(abs(f - g) for f, g in zip(fracs, ref_fracs)) < 1e-9
-    assert abs(extras["quarter_length"] - ref_extras["quarter_length"]) < 1e-12
+    quarter_len = path_metrics(spec, seq.tokens, fracs)[0] / 4
+    assert abs(quarter_len - ref_extras["quarter_length"]) < 1e-12
+
+
+def _sphere_alphas(t):
+    """A grid over (pi/3, 2pi/3) and beta - 10^-j for j = 5..11 where the type has a threshold."""
+    alphas = [math.pi / 3 * (1.0 + k / 64) for k in range(1, 64)]
+    if t.p:
+        beta = threshold_beta(t, 1e-12).beta
+        alphas += [beta - 10.0 ** -j for j in range(5, 12)]
+    return alphas
+
+
+def test_symmetry_points_lie_on_the_quarter_chord():
+    # the whole-chain check the construction made before it read the residual at
+    # Y1 alone: carried over the closed chain, the chord passes X2, Y2 and X1'
+    contained = 0
+    for pq in coprime_types(12):
+        word = canonical_word(GeodesicType(*pq))
+        K = len(word.tokens) // 4
+        for alpha in _sphere_alphas(word.gtype):
+            spec = TetrahedronSpec(S, alpha)
+            if not isinstance(midpoint_geodesic(spec, word.gtype), GeodesicPath):
+                continue
+            contained += 1
+            chain = frames.build_chain(spec, list(word.tokens) + [word.tokens[0]])
+            normals = frames.carry_normals(chain[K:], frames.shoot_chord(chain[:K])[2][K])
+            assert max(abs(normals[j][0]) for j in (K, 2 * K, 3 * K)) < 1e-12, (pq, alpha)
+    assert contained > 200
+
+
+def _tilted_shot(monkeypatch, residual):
+    """shoot_chord with the normal at e_K moved so that Y1 lies ``residual`` off the chord."""
+    shoot = frames.shoot_chord
+
+    def tilted(steps):
+        theta, offsets, normals = shoot(steps)
+        return theta, offsets, normals[:-1] + [(residual,) + normals[-1][1:]]
+
+    monkeypatch.setattr(frames, "shoot_chord", tilted)
+
+
+def test_symmetry_residual_above_1e_8_raises(monkeypatch):
+    spec, t = TetrahedronSpec(S, 1.12), GeodesicType(2, 3)
+    _tilted_shot(monkeypatch, 5e-9)
+    assert midpoint_geodesic(spec, t).extras["symmetry_residual"] == 5e-9
+    _tilted_shot(monkeypatch, -2e-8)
+    with pytest.raises(NumericalFailure, match="off the chord by 2.000e-08"):
+        midpoint_geodesic(spec, t)
+
+
+def test_measured_length_of_2pi_is_too_long(monkeypatch):
+    # by the exact criterion a contained chord is shorter than 2*pi, so only a
+    # measure forced to 2*pi reaches the check; it runs before the residual
+    measure = paths._chain_metrics
+    monkeypatch.setattr(paths, "_chain_metrics",
+                        lambda *args: (2.0 * math.pi,) + measure(*args)[1:])
+    _tilted_shot(monkeypatch, 1.0)
+    spec, t = TetrahedronSpec(S, 1.12), GeodesicType(2, 3)
+    with pytest.raises(TooLong, match="length 6.283185 >= 2"):
+        midpoint_geodesic(spec, t)
+    verdict = exists_geodesic(spec, t)
+    assert verdict.outcome == "undetermined" and "2*pi" in verdict.reason
 
 
 def test_spherical_uniqueness_same_word():
@@ -589,6 +655,19 @@ def test_near_ideal_limit_every_type_builds():
     markov = _markov_numbers(10 ** 12)
     for pq in coprime_types(20):
         _assert_markov_length(3e-8, pq, markov)
+
+
+def test_ideal_limit_builds_or_raises_numerical_failure():
+    # the contract toward the ideal limit, not how often it builds: about half
+    # of these types fail today (closure, S(d)^2 <= 0, no convergence), and a
+    # float error there once escaped as ValueError or ZeroDivisionError
+    spec = TetrahedronSpec(H, 3e-8)
+    for pq in coprime_types(80):
+        try:
+            path = midpoint_geodesic(spec, GeodesicType(*pq))
+        except NumericalFailure:
+            continue
+        assert isinstance(path, GeodesicPath) and path.closed and path.simple, pq
 
 
 @given(st.floats(1e-4, 1.04), st.sampled_from(coprime_types(20)))
@@ -828,6 +907,17 @@ def test_hyperbolic_midpoint_path_builds_only_its_quarter_chain(monkeypatch, pq)
     monkeypatch.setattr(frames, "build_chain", recording)
     path = midpoint_geodesic(TetrahedronSpec(H, 0.5), GeodesicType(*pq))
     assert lengths and max(lengths) <= len(path.tokens) // 4 + 1, lengths
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.3, 1.6, 2.0])
+def test_spherical_midpoint_path_builds_only_its_quarter_chain(monkeypatch, alpha):
+    lengths, build_chain = [], frames.build_chain
+    monkeypatch.setattr(frames, "build_chain",
+                        lambda spec, toks: lengths.append(len(toks)) or build_chain(spec, toks))
+    for pq in coprime_types(12):
+        lengths.clear()
+        midpoint_geodesic(TetrahedronSpec(S, alpha), GeodesicType(*pq))
+        assert lengths and max(lengths) <= sum(pq) + 1, (pq, lengths)
 
 
 @pytest.mark.parametrize("spec", [TetrahedronSpec(H, 0.3), TetrahedronSpec(S, 1.2),
