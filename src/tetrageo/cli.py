@@ -89,22 +89,36 @@ def _build_parser():
     return ap
 
 
-def _apply_config(argv, config_path):
-    """key=value pairs act as defaults; explicit flags win."""
+def _apply_config(argv):
+    """argv without ``--config PATH``, the file's key=value flags inserted after the subcommand.
+
+    Flags on the command line come later, so argparse lets them win in both
+    the ``--flag value`` and ``--flag=value`` forms.  ``key=true`` or
+    ``key=`` gives the bare flag, ``key=false`` leaves it out; blank lines
+    and ``#`` comments are skipped.  SystemExit(2), with a message on
+    stderr, for a --config without a value or a path that cannot be read.
+    """
+    pre = argparse.ArgumentParser(prog="tetrageo", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, argv = pre.parse_known_args(argv)
+    if known.config is None:
+        return argv
+    try:
+        with open(known.config, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, ValueError) as exc:
+        pre.error(f"cannot read --config {known.config!r}: {exc}")
     pairs = []
-    with open(config_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    for line in map(str.strip, lines):
+        if line and not line.startswith("#"):
             key, _, value = line.partition("=")
-            flag = "--" + key.strip().lstrip("-")
-            if flag not in argv:
-                if value.strip().lower() in ("true", ""):
-                    pairs.append(flag)
-                else:
-                    pairs.extend((flag, value.strip()))
-    return argv + pairs
+            flag, value = "--" + key.strip().lstrip("-"), value.strip()
+            if value.lower() in ("true", ""):
+                pairs.append(flag)
+            elif value.lower() != "false":
+                pairs.extend((flag, value))
+    at = next((i + 1 for i, arg in enumerate(argv) if not arg.startswith("-")), len(argv))
+    return argv[:at] + pairs + argv[at:]
 
 
 def _emit(text, out):
@@ -246,13 +260,8 @@ def _cmd_verify(args):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--config" in argv:
-        idx = argv.index("--config")
-        path = argv[idx + 1]
-        argv = _apply_config(argv[:idx] + argv[idx + 2:], path)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(_apply_config(argv))
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     handlers = {

@@ -235,6 +235,40 @@ def test_config_file(tmp_path):
     assert code == 3
 
 
+def test_config_file_loses_to_explicit_flags_in_both_forms(tmp_path):
+    # --alpha=1.40 was ignored: the config's (0,1) at 1.885 ran and exited 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\n\nspace=spherical\nalpha=1.885\n  # indented\np=0\nq=1\n")
+    out = tmp_path / "cfg_out.json"
+    assert main(["exists", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["outcome"] == "exists"
+    for explicit in (["--alpha=1.40", "--p=1", "--q=2"],
+                     ["--alpha", "1.40", "--p", "1", "--q", "2"]):
+        assert main(["exists", "--config", str(cfg), *explicit, "--out", str(out)]) == 3
+        assert main(["exists", *explicit, f"--config={cfg}", "--out", str(out)]) == 3
+        assert main(["--config", str(cfg), "exists", *explicit, "--out", str(out)]) == 3
+
+
+def test_config_file_true_and_false_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "cfg_out.json"
+    for deg, code in (("false", 0), ("true", 2), ("", 2)):
+        # in degrees 1.885 is below pi/3: an invalid spherical angle
+        cfg.write_text(f"alpha=1.885\np=0\nq=1\ndeg={deg}\n")
+        assert main(["exists", "--config", str(cfg), "--out", str(out)]) == code, deg
+
+
+@pytest.mark.parametrize("args", [["--config"], ["--config", "{missing}"],
+                                  ["--config", "{directory}"]])
+def test_config_file_that_cannot_be_read_exits_2(tmp_path, capsys, args):
+    # a bare --config raised IndexError, an unreadable path FileNotFoundError
+    # or IsADirectoryError
+    args = [a.format(missing=tmp_path / "none.cfg", directory=tmp_path) for a in args]
+    assert main(["exists", "--alpha", "1.2", "--p", "0", "--q", "1", *args]) == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and "Traceback" not in err
+
+
 def test_json_round_trip():
     spec = TetrahedronSpec(SpaceKind.SPHERICAL, 1.2)
     t = GeodesicType(1, 2)
