@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -44,6 +45,8 @@ class GeodesicType:
     q: int
 
     def __post_init__(self):
+        if not (isinstance(self.p, numbers.Integral) and isinstance(self.q, numbers.Integral)):
+            raise ValueError(f"p and q must be integers; got {(self.p, self.q)}")
         if not (0 <= self.p <= self.q) or (self.p, self.q) == (0, 0):
             raise ValueError(f"need 0 <= p <= q, (p,q) != (0,0); got {(self.p, self.q)}")
         if math.gcd(self.p, self.q) != 1:

@@ -304,8 +304,11 @@ def side_of(space, seg, p, tol=DEFAULT_TOL):
     """Orientation of p relative to the complete geodesic through seg.
 
     Returns Side.LEFT / Side.RIGHT / Side.ON; tol applies to the signed
-    measure of :func:`rside_measure`.
+    measure of :func:`rside_measure`.  ValueError unless tol is finite and
+    not negative.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and not negative; got {tol!r}")
     m = rside_measure(space, *_line_reps(space, seg), rep_point(space, p))
     if abs(m) < tol:
         return Side.ON

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvalidAngle, InvalidEdge, InvalidTetrahedron
+from .errors import InvalidAngle, InvalidEdge, InvalidTetrahedron, PreconditionFailed
 from .geom import SpaceKind
 
 EDGES = ("12", "13", "14", "23", "24", "34")
@@ -104,7 +104,10 @@ def face_altitude(spec):
 
     Hyperbolic faces satisfy tanh(h) = tanh(a) cos(alpha/2); the spherical
     and Euclidean versions follow from the same right-triangle relation.
+    PreconditionFailed for a generic spec, whose faces have no one altitude.
     """
+    if not isinstance(spec, TetrahedronSpec):
+        raise PreconditionFailed("face_altitude needs a regular TetrahedronSpec")
     a = spec.edge
     if spec.space == SpaceKind.EUCLIDEAN:
         return math.sqrt(3.0) / 2.0 * a

@@ -29,6 +29,13 @@ def test_type_validation():
     assert GeodesicType(1, 2).norm == 7
 
 
+@pytest.mark.parametrize("pq", [(1.5, 2), (1, 2.0), ("1", 2), (None, 1)])
+def test_type_rejects_non_integers(pq):
+    # (1.5, 2) raised TypeError from math.gcd
+    with pytest.raises(ValueError, match="integers"):
+        GeodesicType(*pq)
+
+
 def test_basic_words():
     assert crossing_sequence(GeodesicType(0, 1)).tokens == ("12", "23", "34", "14")
     assert crossing_sequence(GeodesicType(1, 1)).tokens == (

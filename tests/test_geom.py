@@ -184,6 +184,13 @@ def test_chart_wrappers_reject_the_wrong_number_of_coordinates(space, bad):
     _rejects(space, bad)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+def test_side_of_rejects_an_unusable_tolerance(tol):
+    # a NaN tolerance read as 0 (abs(m) < nan is false), as symmetry_check's once did
+    with pytest.raises(ValueError, match="tol"):
+        side_of(E, Segment2((0, 0), (1, 0), E), (0.5, 1.0), tol=tol)
+
+
 def test_a_plane_segment_whose_squared_length_underflows_spans_no_geodesic():
     # ends 1e-200 apart: reflect_across divided by zero and side_of answered ON
     seg = Segment2((0.0, 0.0), (1e-200, 0.0), E)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from tetrageo.errors import InvalidAngle, InvalidEdge, InvalidTetrahedron
+from tetrageo.errors import InvalidAngle, InvalidEdge, InvalidTetrahedron, PreconditionFailed
 from tetrageo.geom import SpaceKind
 from tetrageo.tetra import (HYPERBOLIC_EDGE_MAX, SPHERICAL_EDGE_MAX, TetrahedronSpec,
                             angle_from_edge, edge_from_angle, face_altitude,
@@ -90,6 +90,12 @@ def test_face_altitude():
     assert math.tanh(face_altitude(spec)) == pytest.approx(1.0, abs=1e-3)
     spec = TetrahedronSpec(S, math.pi / 2)
     assert face_altitude(spec) == pytest.approx(math.pi / 2, abs=1e-12)
+
+
+def test_face_altitude_rejects_a_generic_spec():
+    # a generic spec has no one edge: spec.edge raised AttributeError
+    with pytest.raises(PreconditionFailed, match="regular"):
+        face_altitude(generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02]))
 
 
 def test_generic_regular_reproduces_angles():
