@@ -90,14 +90,9 @@ def _build_parser():
 
 
 def _apply_config(argv):
-    """argv without ``--config PATH``, the file's key=value flags inserted after the subcommand.
-
-    Flags on the command line come later, so argparse lets them win in both
-    the ``--flag value`` and ``--flag=value`` forms.  ``key=true`` or
-    ``key=`` gives the bare flag, ``key=false`` leaves it out; blank lines
-    and ``#`` comments are skipped.  SystemExit(2), with a message on
-    stderr, for a --config without a value or a path that cannot be read.
-    """
+    """argv without ``--config PATH``, the file's key=value flags inserted after the subcommand,
+    so that explicit flags, parsed later, win.  key=true or key= gives the bare flag, key=false
+    none.  SystemExit(2) for a --config without a value or a path that cannot be read."""
     pre = argparse.ArgumentParser(prog="tetrageo", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, argv = pre.parse_known_args(argv)
@@ -113,10 +108,8 @@ def _apply_config(argv):
         if line and not line.startswith("#"):
             key, _, value = line.partition("=")
             flag, value = "--" + key.strip().lstrip("-"), value.strip()
-            if value.lower() in ("true", ""):
-                pairs.append(flag)
-            elif value.lower() != "false":
-                pairs.extend((flag, value))
+            if value.lower() != "false":
+                pairs += [flag] if value.lower() in ("true", "") else [flag, value]
     at = next((i + 1 for i, arg in enumerate(argv) if not arg.startswith("-")), len(argv))
     return argv[:at] + pairs + argv[at:]
 

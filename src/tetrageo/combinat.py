@@ -37,6 +37,9 @@ from .errors import NoLinkNodes, VertexHit
 from .tetra import HALF_TURN, OPPOSITE_EDGE, edge_token
 
 
+_INTEGRAL = (int, numbers.Integral)     # int first: a plain int skips the slow ABC check
+
+
 @dataclass(frozen=True)
 class GeodesicType:
     """Coprime ordered pair naming the combinatorial class."""
@@ -45,7 +48,7 @@ class GeodesicType:
     q: int
 
     def __post_init__(self):
-        if not (isinstance(self.p, numbers.Integral) and isinstance(self.q, numbers.Integral)):
+        if not (isinstance(self.p, _INTEGRAL) and isinstance(self.q, _INTEGRAL)):
             raise ValueError(f"p and q must be integers; got {(self.p, self.q)}")
         if not (0 <= self.p <= self.q) or (self.p, self.q) == (0, 0):
             raise ValueError(f"need 0 <= p <= q, (p,q) != (0,0); got {(self.p, self.q)}")

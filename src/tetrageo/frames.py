@@ -27,8 +27,9 @@ hyperboloid's chord solver, which also sums the length it returns; its
 minimum is interior, so no crossing reaches an edge end and the solver has
 no end handling.  Direction shooting (shoot_chord) carries the chord's
 normal through the transitions; it is the sphere's exact quarter solver,
-whose last normal gives Y1's distance from the chord, and on the hyperboloid the start of the quarter's Newton solve, which
-polishes it to relax_chord's step tolerance.  A closed hyperbolic chain's
+whose last normal gives Y1's distance from the chord, and on the
+hyperboloid the start of the quarter's Newton solve, which polishes it to
+relax_chord's step tolerance.  A closed hyperbolic chain's
 geodesic is the axis of its holonomy, which pins the Newton solve at e_0
 (holonomy_axis) and, carried along the chain (axis_chord), starts it.  The
 plane needs no solver: its chord is the tiling line.

@@ -392,17 +392,16 @@ def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
     Returns the GeodesicPath when the chord stays strictly inside the face
     chain, otherwise the first NotContained witness.  The quarter chord is
     shot (:func:`_quarter_chord`), on the hyperboloid as the seed of a
-    Newton solve, the Euclidean fractions its fallback.  The path is
-    measured on its quarter chain, so its closure residual covers the
-    quarter's interior crossings only.  The other crossings, those at the
-    symmetry points X1, Y1, X2 and Y2 among them, rest on the mirror map
-    instead: it checks that the word has the half-turn symmetry and pins
-    the symmetry crossings to edge midpoints, and the half turns carry the
-    quarter onto the rest of the curve, the segment before a symmetry point
-    onto the one after it.  On the sphere a contained chord of length >=
-    2*pi raises TooLong, and then one whose great circle misses Y1 by more
-    than 1e-8 NumericalFailure: the half turn about Y1 maps the great circle
-    onto itself exactly when Y1 lies on it, and then X2, Y2 and X1' do too.
+    Newton solve.  The path is measured on its quarter chain, so its
+    closure residual covers the quarter's interior crossings only.  The
+    other crossings, those at the symmetry points X1, Y1, X2 and Y2 among
+    them, rest on the mirror map: it checks the word's half-turn symmetry
+    and pins the symmetry crossings to edge midpoints, and the half turns
+    carry the quarter onto the rest of the curve.  On the sphere a contained
+    chord of length >= 2*pi raises TooLong, then one whose great circle
+    misses Y1 by more than 1e-8 NumericalFailure: the half turn about Y1
+    maps the great circle onto itself exactly when Y1 lies on it, and then
+    X2, Y2 and X1' do too.
     """
     if spec.space == SpaceKind.EUCLIDEAN:
         raise PreconditionFailed("use euclid_geodesic for the Euclidean tetrahedron")

@@ -403,7 +403,9 @@ def _global_chart_quarter(spec, seq):
     circle from X1 towards Y1 is cut with each edge's great circle at the
     first angle past the previous crossing, and the crossings must come
     before Y1; a witness is signed by the edge end nearer the chord's great
-    circle.  Returns what paths._quarter_chord returns but its chain steps.
+    circle.  Returns the fractions or the witness, and extras: the quarter's
+    length X1Y1 and the symmetry points' distance from the chord, the whole-chain
+    residual the construction checked before it read Y1's alone.
     """
     n = len(seq.tokens)
     K = n // 4

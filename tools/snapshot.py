@@ -27,7 +27,7 @@ import sys
 
 from tetrageo.combinat import GeodesicType
 from tetrageo.errors import NoThreshold
-from tetrageo.existence import exists_geodesic, threshold_beta
+from tetrageo.existence import ExistenceVerdict, exists_geodesic, threshold_beta
 from tetrageo.geom import SpaceKind
 from tetrageo.paths import (GeodesicPath, euclid_geodesic, generic_hyperbolic_geodesic,
                             midpoint_geodesic)
@@ -55,7 +55,7 @@ def outcome(call):
         return f"{type(exc).__name__}: {exc}"
     if isinstance(result, GeodesicPath):
         return path_fields(result)
-    if hasattr(result, "outcome"):     # an ExistenceVerdict
+    if isinstance(result, ExistenceVerdict):
         path = path_fields(result.path) if result.path is not None else None
         return repr((result.outcome, result.reason, result.alpha1, result.alpha2, result.beta,
                      path))
