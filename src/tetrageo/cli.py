@@ -3,13 +3,15 @@
 Subcommands: construct, exists, threshold, bounds, count, verify.
 Exit codes: 0 success, 2 invalid input, 3 informative negative
 (NotExists / NoThreshold), 4 numerical failure or undetermined verdict.
-Artifacts go to stdout or --out; diagnostics to stderr.
+Artifacts go to stdout or --out; diagnostics to stderr.  A reader that
+closes stdout early (as head does) ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import report, svg
@@ -266,7 +268,12 @@ def main(argv=None):
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:     # the reader closed stdout early, as head does: end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (NoThreshold, TooLong) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NEGATIVE

@@ -22,17 +22,18 @@ measured this way in all three spaces, with geom's curvature table
 terms in its own loop with the same floating-point operations in the same
 order: the fold-back metrics (paths._chain_metrics), the segment lengths
 (trace_geometry, for relax_chord's chains with no interior crossing to
-solve) and the one pass per Newton iterate of relax_chord, the
-hyperboloid's chord solver, which also sums the length it returns; its
+solve) and the one pass per Newton iterate of relax_chord, the generic
+hyperbolic chord solver, which also sums the length it returns; its
 minimum is interior, so no crossing reaches an edge end and the solver has
-no end handling.  Direction shooting (shoot_chord) carries the chord's
-normal through the transitions; it is the sphere's exact quarter solver,
-whose last normal gives Y1's distance from the chord, and on the
-hyperboloid the start of the quarter's Newton solve, which polishes it to
-relax_chord's step tolerance.  A closed hyperbolic chain's
-geodesic is the axis of its holonomy, which pins the Newton solve at e_0
-(holonomy_axis) and, carried along the chain (axis_chord), starts it.  The
-plane needs no solver: its chord is the tiling line.
+no end handling.  One helper (carry) carries a vector through a run of
+matrices.  Direction shooting (shoot_chord) carries the chord's normal
+through the transitions; it is the sphere's exact quarter solver, whose
+last normal gives Y1's distance from the chord.  The hyperboloid's regular
+quarter needs no solver: its two ends are carried toward each other
+(paths._quarter_chord).  A closed hyperbolic chain's geodesic is the axis
+of its holonomy, which pins the Newton solve at e_0 (holonomy_axis) and,
+carried along the chain (axis_chord), starts it.  The plane needs no
+solver: its chord is the tiling line.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ def _matmul(a, b):
 
 IDENTITY3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _PLANE = "the plane has no chord solver: its geodesic is the tiling line (paths.euclid_geodesic)"
+_SHOT_ONLY = ("only the sphere's chord is shot: the plane's geodesic is the tiling line"
+              " (paths.euclid_geodesic), the hyperboloid's quarter is carried from its two ends")
 
 
 # face abw in the frame of its entry edge ab, a < b; label-free, one per shape and turn:
@@ -204,53 +207,49 @@ def place_faces(steps, tokens):
     return faces
 
 
-def carry_normals(steps, n):
-    """Unit normals at e_0..e_K of the chord with normal n in frame E_0: _kunit(k, T_i n)."""
-    k, normals = _KERNEL[steps[0].space][0], [n]
-    for step in steps:
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = step.transition
-        n0, n1, n2 = normals[-1]
+def carry(matrices, v, k=1.0):
+    """v and its images M_0 v, M_1 M_0 v, ..., each scaled to unit |<v, v>_k|.
+
+    k = 1, the Euclidean norm (the sphere's own), carries a hyperboloid point
+    as a projective point: near the ideal limit its Minkowski norm cancels."""
+    carried = [v]
+    for (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) in matrices:
+        n0, n1, n2 = carried[-1]
         v0, v1, v2 = (m00 * n0 + m01 * n1 + m02 * n2, m10 * n0 + m11 * n1 + m12 * n2,
                       m20 * n0 + m21 * n1 + m22 * n2)
         s = abs(k * v0 * v0 + v1 * v1 + v2 * v2)     # clamped as by max(s, 1e-300)
         s = math.sqrt(1e-300 if s < 1e-300 else s)
-        normals.append((v0 / s, v1 / s, v2 / s))
-    return normals
+        carried.append((v0 / s, v1 / s, v2 / s))
+    return carried
 
 
 def propagate_chord(steps, theta):
-    """Offsets and unit normals at e_0..e_K of the chord through mid(e_0) at angle theta from +x.
+    """Offsets and unit normals at e_0..e_K of the sphere's chord through mid(e_0) at angle theta.
 
     The normal n of the chord's plane, <n, X> = 0 on the chord, is carried
-    through the transitions.  On the hyperboloid the chord meets e_i where
-    tanh s = n_0 / n_1; NumericalFailure if it misses the edge's geodesic.
-    On the sphere it meets the great circle of e_i twice; the crossing taken
-    is the one where it runs into the face ahead, s = atan2(-h n_0, h n_1),
-    where the handedness h flips at every transition with det_sign -1.
-    ValueError on the plane.
+    through the transitions.  It meets the great circle of e_i twice; the
+    crossing taken is the one where it runs into the face ahead, s =
+    atan2(-h n_0, h n_1), where the handedness h flips at every transition
+    with det_sign -1.  ValueError on the plane and the hyperboloid, whose
+    quarter chord is carried from its two ends (paths._quarter_chord).
     """
-    k, h, offsets = _KERNEL[steps[0].space][0], 1.0, []
-    if not k:
-        raise ValueError(_PLANE)
-    normals = carry_normals(steps, (0.0, math.sin(theta), -math.cos(theta)))
+    h, offsets = 1.0, []
+    if _KERNEL[steps[0].space][0] <= 0:
+        raise ValueError(_SHOT_ONLY)
+    normals = carry([step.transition for step in steps], (0.0, math.sin(theta), -math.cos(theta)))
     for i, (n0, n1, _) in enumerate(normals):
-        if k > 0:
-            h *= steps[i - 1].det_sign if i else 1.0
-        elif abs(n0) >= abs(n1):
-            raise NumericalFailure(f"chord misses the geodesic of edge e_{i}")
-        offsets.append(math.atan2(-h * n0, h * n1) if k > 0 else math.atanh(n0 / n1))
+        h *= steps[i - 1].det_sign if i else 1.0
+        offsets.append(math.atan2(-h * n0, h * n1))
     return offsets, normals
 
 
 def shoot_chord(steps):
-    """The chord through mid(e_0) aimed at mid(e_K): direction theta, offsets and normals.
+    """The sphere's chord through mid(e_0) aimed at mid(e_K): direction theta, offsets and normals.
 
     mid(e_K) is pulled back into frame E_0 through the inverse transitions,
-    the chord aimed at it and propagated.  On the sphere the great circle
-    runs into the face ahead of e_K at its midpoint or, offset +-pi, at the
-    antipode: the caller tells the two apart.  On deep hyperbolic chains the
-    far point loses the precision that relax_chord keeps edge by edge, so
-    there the shot only seeds relax_chord.  ValueError on the plane.
+    the chord aimed at it and propagated.  The great circle runs into the
+    face ahead of e_K at its midpoint or, offset +-pi, at the antipode: the
+    caller tells the two apart.  ValueError on the plane and the hyperboloid.
     """
     v0, v1, v2 = 1.0, 0.0, 0.0                      # mid(e_K) in frame E_K
     for step in reversed(steps):
@@ -289,10 +288,8 @@ def axis_chord(steps, axis):
     line misses the geodesic of an edge.
     """
     half = len(steps) // 2
-    normals = carry_normals(steps[:half], axis)
-    behind = [axis]
-    for step in reversed(steps[half + 1:]):
-        behind.append(_kunit(-1.0, _matvec(step.inverse, behind[-1])))
+    normals = carry([step.transition for step in steps[:half]], axis, -1.0)
+    behind = carry([step.inverse for step in reversed(steps[half + 1:])], axis, -1.0)
     offsets = []
     for i, n in enumerate(normals + behind[::-1]):
         if abs(n[0]) >= abs(n[1]):

@@ -11,14 +11,15 @@ Three construction routes:
 
 Every chain is placed in the edge-local frames of :mod:`frames`, the
 Euclidean one as the plane's k = 0, and measured as it was built.
-The quarter chord is shot through the two midpoints in both curved spaces
-(:func:`frames.shoot_chord`): on the sphere the shot is exact, and its
-distance from Y1 checks the half-turn symmetry; on the hyperboloid it
-seeds the one Newton solver of :func:`frames.relax_chord`, pinned at X1
-and Y1.  The generic tetrahedron's chord is the same solver pinned at s0
+The quarter chord runs through the two midpoints X1 and Y1: on the sphere
+it is shot from X1 at Y1 (:func:`frames.shoot_chord`), and its distance
+from Y1 checks the half-turn symmetry; on the hyperboloid X1 and Y1 are
+carried toward each other (:func:`frames.carry`), and each crossing is
+read in its own frame, with no solver.  The generic tetrahedron's chord
+is the Newton solver of :func:`frames.relax_chord` pinned at s0
 (:func:`frames.holonomy_axis`), started from the carried axis
-(:func:`frames.axis_chord`).  The exact Euclidean fractions are the seed
-when the shot or the carried axis fails.
+(:func:`frames.axis_chord`), or from the exact Euclidean fractions when
+the carried axis fails.
 
 Length, clearance and closure residual are recomputed from the crossing
 fractions in edge-local frames, in all three spaces (closure angles at the
@@ -82,8 +83,8 @@ class NotContained:
 
     signed_distance: in S, the distance from the chord's great circle of
     whichever end of the edge lies nearer it, signed by the side of the pole
-    X1 x Y1 it lies on; in H, where the solver keeps every crossing on its
-    edge, the distance along the edge from the crossing to the nearer end.
+    X1 x Y1 it lies on; in H, the distance along the edge from the crossing
+    to the nearer end, negative for a crossing that lies off its edge.
     """
 
     gtype: GeodesicType
@@ -343,14 +344,15 @@ def _quarter_chord(spec, word):
     and the quarter chain: its steps and edge lengths.
 
     The chord runs from the midpoint X1 of e_0 to the midpoint Y1 of e_K of
-    the quarter chain e_0..e_K placed in edge-local frames, and is shot from
-    X1 at Y1 first.  On the hyperboloid the shot's crossing fractions seed
-    Newton steps pinned at X1 and Y1, which polish the far crossings the
-    shot loses to rounding on deep chains; a shot that misses an edge's
-    geodesic or puts a crossing off its edge is replaced by the exact
-    Euclidean fractions (the float fractions of ``word``, the type's
-    CanonicalWord).  On the sphere the shot is the chord: it must reach e_K
-    at its midpoint, and its distance from Y1 is the symmetry residual.
+    the quarter chain e_0..e_K placed in edge-local frames (``word`` is the
+    type's CanonicalWord).  On the hyperboloid X1 = (1, 0, 0) in frame E_0
+    is carried forward through the transitions and Y1 = (1, 0, 0) in frame
+    E_K backward through the inverses, each as a projective point; in frame
+    E_i they are P_i and Q_i, the chord's normal is J(P_i x Q_i), J =
+    diag(-1, 1, 1), and it meets e_i at tanh s = n_0 / n_1 (NumericalFailure
+    if it misses the edge's geodesic).  On the sphere the chord is shot from
+    X1 at Y1: it must reach e_K at its midpoint, and its distance from Y1 is
+    the symmetry residual.
     """
     K = len(word.tokens) // 4
     tokens = word.tokens[:K + 1]
@@ -361,12 +363,15 @@ def _quarter_chord(spec, word):
         _, offsets, normals = frames.shoot_chord(steps)
         # mid(e_K) is (1, 0, 0) in frame E_K: its distance from the chord is asin(n_0)
         extras = {"symmetry_residual": abs(normals[K][0])}
-    else:
-        init = _seed_fractions(lambda: frames.shoot_chord(steps)[1], ells,
-                               word.fractions[:K + 1])
-        init[0] = init[K] = 0.5
-        offsets, quarter_len = frames.relax_chord(steps, ells, init)
-        extras = {"quarter_length": quarter_len}
+    else:   # X1 carried forward, Y1 backward: the chord's normal in E_i is J(P_i x Q_i)
+        x1 = frames.carry([step.transition for step in steps], (1.0, 0.0, 0.0))
+        y1 = frames.carry([step.inverse for step in reversed(steps)], (1.0, 0.0, 0.0))[::-1]
+        offsets, extras = [], {}
+        for i, ((p0, p1, p2), (q0, q1, q2)) in enumerate(zip(x1, y1)):
+            n0, n1 = p2 * q1 - p1 * q2, p2 * q0 - p0 * q2
+            if not abs(n0) < abs(n1):     # or not finite
+                raise NumericalFailure(f"chord misses the geodesic of edge e_{i}")
+            offsets.append(math.atanh(n0 / n1))
     fracs = [0.5] + [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(1, K)] + [0.5]
     for i in range(1, K):
         f = fracs[i]
@@ -391,9 +396,9 @@ def midpoint_geodesic(spec: TetrahedronSpec, t: GeodesicType):
 
     Returns the GeodesicPath when the chord stays strictly inside the face
     chain, otherwise the first NotContained witness.  The quarter chord is
-    shot (:func:`_quarter_chord`), on the hyperboloid as the seed of a
-    Newton solve.  The path is measured on its quarter chain, so its
-    closure residual covers the quarter's interior crossings only.  The
+    shot on the sphere and carried from its two ends on the hyperboloid
+    (:func:`_quarter_chord`).  The path is measured on its quarter chain,
+    so its closure residual covers the quarter's interior crossings only.  The
     other crossings, those at the symmetry points X1, Y1, X2 and Y2 among
     them, rest on the mirror map: it checks the word's half-turn symmetry
     and pins the symmetry crossings to edge midpoints, and the half turns
@@ -434,7 +439,7 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     (NumericalFailure if the axis misses e_0).  One Newton solve in
     edge-local frames, pinned at s0 on e_0 and e_N, finds the interior
     crossings from the carried axis (the Euclidean fractions when that
-    fails, as for the quarter chord).
+    fails).
     """
     if isinstance(spec, TetrahedronSpec):
         if spec.space != SpaceKind.HYPERBOLIC or spec.alpha > math.pi / 4 + 1e-12:

@@ -424,8 +424,26 @@ def test_construct_deep_hyperbolic(tmp_path):
 
 @pytest.mark.parametrize("q", [41, 60])
 def test_ideal_limit_float_failure_exits_4(q, tmp_path, capsys):
-    # <D, D> of a segment rounds to zero or below near the ideal limit: the fold-back
-    # metrics raise NumericalFailure, not "math domain error" (exit 2) or ZeroDivisionError
+    # these once exited 4: the solved chord put a segment whose <D, D> rounds to zero or
+    # below into the fold-back metrics.  The chord carried from its two ends builds them
+    # (test_paths.test_metrics_raise_where_a_segment_rounds_to_no_length keeps that raise)
     args = ["construct", "--space", "hyperbolic", "--alpha", "3e-8", "--p", "1", "--q", str(q)]
-    assert run_cli(args, tmp_path) == (4, "")
-    assert "is not positive" in capsys.readouterr().err
+    code, text = run_cli(args, tmp_path)
+    assert (code, capsys.readouterr().err) == (0, "")
+    path = json.loads(text)["path"]
+    assert path["closed"] is True and path["simple"] is True
+
+
+@pytest.mark.parametrize("command", [["verify"],
+                                     ["construct", "--space", "hyperbolic", "--alpha", "0.5",
+                                      "--p", "2", "--q", "3"]])
+def test_closed_stdout_ends_quietly(command):
+    # a reader that stops early, as head does: no BrokenPipeError traceback, exit 0
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tetrageo", *command], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=subprocess_env())
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -45,15 +45,28 @@ def test_spherical_quarter_runs_the_shooting_layers():
     assert tracer.counts["frames.propagate_chord"] > 0
 
 
-@pytest.mark.parametrize("construct, layers", [
-    (lambda: paths.midpoint_geodesic(TetrahedronSpec(SpaceKind.HYPERBOLIC, 0.5),
-                                     GeodesicType(2, 3)),
-     {"paths.full_fractions_from_quarter", "frames.shoot_chord"}),
-    (lambda: paths.generic_hyperbolic_geodesic(
+def test_hyperbolic_midpoint_runs_no_chord_solver():
+    # the regular quarter chord is carried from its two ends: neither the shot nor
+    # the Newton solve runs, and the construction's other layers still record work
+    tracer = _layertrace().Tracer().install()
+    try:
+        path = paths.midpoint_geodesic(TetrahedronSpec(SpaceKind.HYPERBOLIC, 0.5),
+                                       GeodesicType(2, 3))
+    finally:
+        tracer.restore()
+    assert isinstance(path, paths.GeodesicPath)
+    recorded = {span[0] for span in tracer.spans}
+    assert {"frames.build_chain", "paths.full_fractions_from_quarter",
+            "paths.simplicity_check"} <= recorded
+    assert not {"frames.shoot_chord", "frames.relax_chord"} & recorded
+    assert tracer.counts["frames.propagate_chord"] == 0
+
+
+@pytest.mark.parametrize("construct", [
+    lambda: paths.generic_hyperbolic_geodesic(
         tetra.generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02]), GeodesicType(2, 3)),
-     set()),
-], ids=["midpoint", "generic"])
-def test_hyperbolic_constructions_run_the_solver_layers(construct, layers):
+], ids=["generic"])
+def test_hyperbolic_constructions_run_the_solver_layers(construct):
     # the solver's inner work is inlined, but the layers the benchmark times
     # are still called through their module attributes: none may read 0
     tracer = _layertrace().Tracer().install()
@@ -63,4 +76,4 @@ def test_hyperbolic_constructions_run_the_solver_layers(construct, layers):
         tracer.restore()
     assert isinstance(path, paths.GeodesicPath)
     recorded = {span[0] for span in tracer.spans}
-    assert {"frames.build_chain", "frames.relax_chord", "paths.simplicity_check"} | layers <= recorded
+    assert {"frames.build_chain", "frames.relax_chord", "paths.simplicity_check"} <= recorded

@@ -3,11 +3,11 @@
 Each layer but the clearance kernel keeps the floating-point (or integer)
 operations of its reference, so results are compared with ==:
 
-* the hyperbolic quarter length, taken from the solver's last pass,
-  against the trace of the solved chord (frames.trace_geometry);
-* frames.propagate_chord and carry_normals, with the product and the
+* the hyperbolic quarter length, the fold-back pass's sum (paths._chain_metrics),
+  against the trace of the carried chord (frames.trace_geometry);
+* frames.propagate_chord and frames.carry, with the product and the
   normalisation written out and the handedness read from each step's
-  det_sign, against the helper-based propagation;
+  det_sign, against the helper-based propagation of the sphere's chord;
 * combinat._integer_trace, with the vertex labels read inline, against
   the closure-based trace below.
 
@@ -137,20 +137,18 @@ def test_seg_distance_near_segment_ends(space, d, a, log_gap, inside, at_b, h, p
 
 
 # ---------------------------------------------------------------------------
-# the hyperbolic quarter length: the solver's last pass against the trace
+# the hyperbolic quarter length: the fold-back pass against the trace
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
-def test_quarter_length_is_the_traced_length(alpha, monkeypatch):
-    solved, relax = [], frames.relax_chord
-    monkeypatch.setattr(frames, "relax_chord",
-                        lambda steps, *args: solved.append((steps, relax(steps, *args)))
-                        or solved[-1][1])
+def test_quarter_length_is_the_traced_length(alpha):
+    # the carried quarter chord has no length of its own: the path's is four times
+    # the fold-back pass's sum over its quarter, the trace of the chord's offsets
     spec = TetrahedronSpec(H, alpha)
     for pq in coprime_types(12):
-        path = midpoint_geodesic(spec, GeodesicType(*pq))
-        steps, (offsets, length) = solved.pop()
-        assert length == sum(frames.trace_geometry(steps, offsets)), pq
-        assert path.extras["quarter_length"] == length, pq
+        word = canonical_word(GeodesicType(*pq))
+        fracs, _, _, (steps, ells) = paths._quarter_chord(spec, word)
+        traced = frames.trace_geometry(steps, [(f - 0.5) * ell for f, ell in zip(fracs, ells)])
+        assert midpoint_geodesic(spec, word.gtype).total_length == 4 * sum(traced), pq
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +156,14 @@ def test_quarter_length_is_the_traced_length(alpha, monkeypatch):
 
 def _helper_propagation(steps, theta):
     """propagate_chord through frames._matvec, geom._kunit and the determinant of each transition."""
-    k = frames._KERNEL[steps[0].space][0]
     n, h = (0.0, math.sin(theta), -math.cos(theta)), 1.0
     offsets, normals = [], []
     for i in range(len(steps) + 1):
         if i:
             m = steps[i - 1].transition
-            n = _kunit(k, frames._matvec(m, n))
+            n = _kunit(1.0, frames._matvec(m, n))
             h = h if _dot3(m[2], _cross3(m[0], m[1])) > 0.0 else -h
-        if k < 0 and abs(n[0]) >= abs(n[1]):
-            raise frames.NumericalFailure(f"chord misses the geodesic of edge e_{i}")
-        offsets.append(math.atan2(-h * n[0], h * n[1]) if k > 0 else math.atanh(n[0] / n[1]))
+        offsets.append(math.atan2(-h * n[0], h * n[1]))
         normals.append(n)
     return offsets, normals
 
@@ -188,27 +183,24 @@ def test_det_sign_is_the_sign_of_the_determinant(space, ell, d_minus, d_plus, fr
     assert step.det_sign == (1.0 if _dot3(lam[2], _cross3(lam[0], lam[1])) > 0.0 else -1.0)
 
 
-@given(st.sampled_from([(H, 0.05), (H, 0.5), (H, 1.0), (S, 1.1), (S, 1.3), (S, 1.6)]),
-       st.sampled_from(coprime_types(20)))
-def test_propagation_matches_the_helpers(case, pq):
-    space, alpha = case
+@given(st.sampled_from([1.1, 1.3, 1.6]), st.sampled_from(coprime_types(20)))
+def test_propagation_matches_the_helpers(alpha, pq):
+    # the sphere's chord: the hyperboloid's is carried from both ends, not shot
     word = canonical_word(GeodesicType(*pq))
     K = len(word.tokens) // 4
-    chain = frames.build_chain(TetrahedronSpec(space, alpha), list(word.tokens) + [word.tokens[0]])
+    chain = frames.build_chain(TetrahedronSpec(S, alpha), list(word.tokens) + [word.tokens[0]])
     v = (1.0, 0.0, 0.0)             # the shot's direction: mid(e_K) pulled back to frame E_0
     for step in reversed(chain[:K]):
         v = frames._matvec(step.inverse, v)
     theta = math.atan2(v[2], v[1])
-    try:
-        expected = _helper_propagation(chain, theta)
-    except frames.NumericalFailure as exc:
-        with pytest.raises(frames.NumericalFailure, match=str(exc)):
-            frames.propagate_chord(chain, theta)
-        return
+    expected = _helper_propagation(chain, theta)
     assert frames.propagate_chord(chain, theta) == expected
     # carried on from e_K over the rest of the chain, the normals are the same bits
     normals = frames.propagate_chord(chain[:K], theta)[1]
-    assert normals[:-1] + frames.carry_normals(chain[K:], normals[-1]) == expected[1]
+    assert normals[:-1] + frames.carry([st.transition for st in chain[K:]],
+                                       normals[-1]) == expected[1]
+    with pytest.raises(ValueError, match="carried from its two ends"):
+        frames.propagate_chord(frames.build_chain(TetrahedronSpec(H, 0.5), word.tokens), theta)
 
 
 # ---------------------------------------------------------------------------

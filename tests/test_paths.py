@@ -516,7 +516,8 @@ def test_symmetry_points_lie_on_the_quarter_chord():
                 continue
             contained += 1
             chain = frames.build_chain(spec, list(word.tokens) + [word.tokens[0]])
-            normals = frames.carry_normals(chain[K:], frames.shoot_chord(chain[:K])[2][K])
+            normals = frames.carry([step.transition for step in chain[K:]],
+                                   frames.shoot_chord(chain[:K])[2][K])
             assert max(abs(normals[j][0]) for j in (K, 2 * K, 3 * K)) < 1e-12, (pq, alpha)
     assert contained > 200
 
@@ -660,61 +661,40 @@ def test_near_ideal_limit_every_type_builds():
 
 
 def test_ideal_limit_builds_or_raises_numerical_failure():
-    # the contract toward the ideal limit, not how often it builds: about half
-    # of these types fail today (closure, S(d)^2 <= 0, no convergence), and a
-    # float error there once escaped as ValueError or ZeroDivisionError
-    spec = TetrahedronSpec(H, 3e-8)
-    for pq in coprime_types(80):
-        try:
+    # toward the ideal limit every type builds: the quarter chord is carried from its
+    # two ends with no solver, where a damped Newton solve once raised NumericalFailure
+    # on 524, 110 and 4 of these types (closure, S(d)^2 <= 0, no convergence)
+    for alpha in (3e-8, 1e-7, 1e-6):
+        spec = TetrahedronSpec(H, alpha)
+        for pq in coprime_types(80):
             path = midpoint_geodesic(spec, GeodesicType(*pq))
-        except NumericalFailure:
-            continue
-        assert isinstance(path, GeodesicPath) and path.closed and path.simple, pq
+            assert isinstance(path, GeodesicPath) and path.closed and path.simple, (alpha, pq)
 
 
-@given(st.floats(1e-4, 1.04), st.sampled_from(coprime_types(20)))
-def test_shot_seed_matches_the_euclidean_seed(alpha, pq):
-    # the hyperbolic quarter solve starts from the shot chord's fractions;
-    # from the Euclidean fractions the same solver reaches the same chord
+@pytest.mark.parametrize("alpha", [3e-8, 1e-6])
+def test_ideal_limit_builds_long_one_n_types(alpha):
+    # the (1, n) quarter chains run n + 1 faces deep, with edges of length 29 to 36
+    spec = TetrahedronSpec(H, alpha)
+    for n in list(range(1, 60)) + list(range(60, 501, 20)):
+        path = midpoint_geodesic(spec, GeodesicType(1, n))
+        assert isinstance(path, GeodesicPath) and path.closed and path.simple, (alpha, n)
+
+
+@given(st.floats(1e-4, 1.04), st.sampled_from(coprime_types(30)))
+def test_carried_chord_matches_the_relaxed_chord(alpha, pq):
+    # the quarter chord carried from X1 and Y1 against the Newton solve pinned at
+    # them, run from the word's Euclidean fractions: both are the taut chord.  The
+    # solve stops at a step of STEP_TOL in offset, and near the flat limit its
+    # rounding floor reads up to 1.5e-13 there (6e-13 in fraction, on edges of 0.22)
     spec = TetrahedronSpec(H, alpha)
     word = canonical_word(GeodesicType(*pq))
-    fracs, _, extras, (steps, _) = _quarter_chord(spec, word)
-    K = len(steps)
-    offsets, _ = frames.relax_chord(steps, [spec.edge] * (K + 1), list(word.fractions[:K + 1]))
-    assert max(abs(f - (x / spec.edge + 0.5)) for f, x in zip(fracs, offsets)) < 1e-11
-    length = sum(frames.trace_geometry(steps, [0.0] + offsets[1:K] + [0.0]))
-    assert abs(length - extras["quarter_length"]) <= 1e-12 * length
-
-
-def test_shot_seeded_solve_takes_few_evaluations(monkeypatch):
-    # from the Euclidean fractions a solve took about 9.4 evaluations here
-    calls, derivatives = [], frames._chord_derivatives
-    monkeypatch.setattr(frames, "_chord_derivatives",
-                        lambda *args: calls.append(1) or derivatives(*args))
-    spec = TetrahedronSpec(H, 0.5)
-    types = coprime_types(20)
-    for pq in types:
-        assert isinstance(midpoint_geodesic(spec, GeodesicType(*pq)), GeodesicPath)
-    assert len(calls) <= 3 * len(types), len(calls)
-
-
-def _missed(steps):
-    raise NumericalFailure("chord misses the geodesic of edge e_1")
-
-
-@pytest.mark.parametrize("shot", [
-    _missed,
-    lambda steps: (0.0, [math.nan] * (len(steps) + 1), None),
-    lambda steps: (0.0, [0.0] + [1e3] * len(steps), None),
-], ids=["missed", "not-finite", "off-the-edge"])
-def test_failed_shot_falls_back_to_the_euclidean_seed(shot, monkeypatch):
-    spec, t = TetrahedronSpec(H, 0.3), GeodesicType(5, 8)
-    seeded = midpoint_geodesic(spec, t)
-    monkeypatch.setattr(frames, "shoot_chord", shot)
-    path = midpoint_geodesic(spec, t)
-    assert isinstance(path, GeodesicPath) and path.closed and path.simple
-    assert max(abs(a - b) for a, b in zip(path.fractions, seeded.fractions)) < 1e-11
-    assert abs(path.total_length - seeded.total_length) <= 1e-12 * seeded.total_length
+    fracs, witness, _, (steps, ells) = _quarter_chord(spec, word)
+    assert witness is None
+    offsets, length = frames.relax_chord(steps, ells, list(word.fractions[:len(ells)]))
+    assert max(abs((f - 0.5) * ell - x) for f, x, ell in zip(fracs, offsets, ells)) < (
+        4.0 * frames.STEP_TOL)
+    path = midpoint_geodesic(spec, word.gtype)
+    assert abs(path.total_length / 4.0 - length) <= 1e-14 * length
 
 
 @lru_cache(maxsize=None)
@@ -845,6 +825,38 @@ def test_metrics_reject_fractions_off_the_edge(space, bad):
         vertex_clearance(path, TetrahedronSpec(other, angles[other]))
 
 
+def test_metrics_raise_where_a_segment_rounds_to_no_length():
+    # near the ideal limit the vertices lie about 3e7 from their frame's origin: two
+    # crossings 1e-10 and 1e-8 of an edge from the vertex their edges share span a
+    # segment whose <D, D> rounds below zero, a NumericalFailure and no length
+    spec, word = TetrahedronSpec(H, 3e-8), canonical_word(GeodesicType(1, 1))
+    fracs = list(word.fractions)
+    fracs[:2] = 1.0 - 1e-10, 1e-8
+    with pytest.raises(NumericalFailure, match=r"chain segment 0: S\(d\)\^2 = .* is not positive"):
+        path_metrics(spec, word.tokens, fracs)
+
+
+def test_hyperbolic_crossing_off_its_edge_is_a_witness(monkeypatch):
+    # no solver holds the carried chord on its edges: a crossing 0.1 past the end of
+    # e_1 is the NotContained witness, its signed distance -0.1
+    spec, t = TetrahedronSpec(H, 0.5), GeodesicType(2, 3)
+    carry, calls = frames.carry, []
+
+    def moved(matrices, v, k=1.0):
+        points = carry(matrices, v, k)
+        calls.append(1)
+        if len(calls) == 1:     # X1 carried forward: put its image in E_1 past the edge end
+            x = 0.5 * spec.edge + 0.1
+            points[1] = (math.cosh(x), math.sinh(x), 0.0)
+        return points
+
+    monkeypatch.setattr(frames, "carry", moved)
+    witness = midpoint_geodesic(spec, t)
+    assert isinstance(witness, NotContained)
+    assert (witness.face_index, witness.edge) == (1, canonical_word(t).tokens[1])
+    assert witness.signed_distance == pytest.approx(-0.1, rel=1e-9)
+
+
 @pytest.mark.parametrize("spec", [TetrahedronSpec(E, math.pi / 3), TetrahedronSpec(S, 1.1),
                                   TetrahedronSpec(H, 0.5),
                                   generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02])],
@@ -972,20 +984,17 @@ def shot_chains(draw):
 
 @given(shot_chains())
 def test_shoot_and_relax_agree(chain):
-    # direction shooting is exact on shallow hyperbolic chains and on every
-    # spherical one: the Newton chord pinned at both midpoints must reproduce
-    # its crossing offsets, near the flat limit too
+    # the exact quarter chords, shot on the sphere and carried from both ends on
+    # the hyperboloid, against the Newton chord pinned at both midpoints: it must
+    # reproduce their crossing offsets, near the flat limit too
     space, alpha, p, q = chain
     spec = TetrahedronSpec(space, alpha)
     t = GeodesicType(p, q)
     if space == S:   # on contained quarters
         assume(isinstance(midpoint_geodesic(spec, t), GeodesicPath))
-    seq = crossing_sequence(t)
-    K = len(seq.tokens) // 4
-    steps = frames.build_chain(spec, list(seq.tokens[:K + 1]))
-    ells = [spec.edge] * (K + 1)
-    _, shot, _ = frames.shoot_chord(steps)
-    offsets, _ = frames.relax_chord(steps, ells, [float(f) for f in seq.fractions[:K + 1]])
+    fracs, _, _, (steps, ells) = _quarter_chord(spec, canonical_word(t))
+    shot = [(f - 0.5) * ell for f, ell in zip(fracs, ells)]
+    offsets, _ = frames.relax_chord(steps, ells, list(canonical_word(t).fractions[:len(ells)]))
     for o1, o2 in zip(shot, offsets):
         assert abs(o1 - o2) < 1e-9
 
@@ -1333,6 +1342,10 @@ def test_axis_seeded_solve_takes_few_evaluations(monkeypatch):
         per_solve.append(len(calls) - before)
     assert sum(per_solve) <= 3 * len(cases), sum(per_solve)
     assert max(per_solve) <= 8, max(per_solve)
+
+
+def _missed(steps):
+    raise NumericalFailure("chord misses the geodesic of edge e_1")
 
 
 @pytest.mark.parametrize("axis", [

@@ -314,9 +314,11 @@ def test_chain_metrics_and_lengths_match_chord_segments(case):
 @given(drawn_chains())
 def test_shoot_chord_pulls_back_as_matvec(case):
     spec, tokens, _ = case
-    if spec.space == E:
-        return
     steps = frames.build_chain(spec, list(tokens) + [tokens[0]])
+    if spec.space != S:     # the plane has the tiling line, the hyperboloid the carried chord
+        with pytest.raises(ValueError, match="only the sphere's chord is shot"):
+            frames.shoot_chord(steps)
+        return
     v = (1.0, 0.0, 0.0)
     for step in reversed(steps):
         v = frames._matvec(step.inverse, v)
