@@ -58,6 +58,17 @@ clearance and closure_residual (measured on its quarter chain), under
 It was frozen before the quarter construction and the fold-back were
 trimmed of their per-call detours, which had to leave every bit in place.
 
+The "count_exact", "midpoint_geodesic", "own_measures" and "verify" parts
+were re-taken when the hyperbolic quarter chord came from X1 and Y1 carried
+toward each other instead of a Newton solve pinned at them, which stopped
+at a step of 1e-13.  All 3 count_exact entries moved, 67 of 72
+midpoint_geodesic entries and 70 of 75 own_measures entries, by rounding
+only: fractions by up to 3.2e-14 ((5, 6) at alpha = 0.5), lengths by up to
+7.9e-16 relative, clearances by up to 2.4e-13 relative ((1, 15) at alpha =
+0.9) and closure residuals by up to 2.1e-13, the largest of them falling
+from 2.1e-13 to 1.3e-15 at alpha = 0.5.  The verify report moved by one
+line, a residual from 7.99e-15 to 5.77e-15.  The other parts did not move.
+
 Its "verify" part holds report.dumps of run_verification(), the document
 that ``python -m tetrageo verify`` prints, under the key "report".  The
 file is written by
