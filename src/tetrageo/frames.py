@@ -72,8 +72,6 @@ def _matmul(a, b):
 
 IDENTITY3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _PLANE = "the plane has no chord solver: its geodesic is the tiling line (paths.euclid_geodesic)"
-_SHOT_ONLY = ("only the sphere's chord is shot: the plane's geodesic is the tiling line"
-              " (paths.euclid_geodesic), the hyperboloid's quarter is carried from its two ends")
 
 
 # face abw in the frame of its entry edge ab, a < b; label-free, one per shape and turn:
@@ -235,7 +233,8 @@ def propagate_chord(steps, theta):
     """
     h, offsets = 1.0, []
     if _KERNEL[steps[0].space][0] <= 0:
-        raise ValueError(_SHOT_ONLY)
+        raise ValueError("only the sphere's chord is shot: the plane's geodesic is the tiling"
+                         " line, the hyperboloid's quarter is carried from its two ends")
     normals = carry([step.transition for step in steps], (0.0, math.sin(theta), -math.cos(theta)))
     for i, (n0, n1, _) in enumerate(normals):
         h *= steps[i - 1].det_sign if i else 1.0

@@ -363,12 +363,12 @@ def _quarter_chord(spec, word):
         _, offsets, normals = frames.shoot_chord(steps)
         # mid(e_K) is (1, 0, 0) in frame E_K: its distance from the chord is asin(n_0)
         extras = {"symmetry_residual": abs(normals[K][0])}
-    else:   # X1 carried forward, Y1 backward: the chord's normal in E_i is J(P_i x Q_i)
+    else:
         x1 = frames.carry([step.transition for step in steps], (1.0, 0.0, 0.0))
         y1 = frames.carry([step.inverse for step in reversed(steps)], (1.0, 0.0, 0.0))[::-1]
         offsets, extras = [], {}
         for i, ((p0, p1, p2), (q0, q1, q2)) in enumerate(zip(x1, y1)):
-            n0, n1 = p2 * q1 - p1 * q2, p2 * q0 - p0 * q2
+            n0, n1 = p2 * q1 - p1 * q2, p2 * q0 - p0 * q2     # of J(P_i x Q_i)
             if not abs(n0) < abs(n1):     # or not finite
                 raise NumericalFailure(f"chord misses the geodesic of edge e_{i}")
             offsets.append(math.atanh(n0 / n1))
