@@ -246,7 +246,7 @@ def rpoint_seg_dist(space, V, A, B):
     foot of the perpendicular from V lies inside AB where <V, t_A> and
     <V, t_B> are both positive, and the distance is the perpendicular one.
     Otherwise it is the distance to the end whose sign is not positive (A for
-    t_A), or to the nearer end where both are not.
+    t_A), or to the nearer end where both are not (_end_distance).
     """
     if space == SpaceKind.EUCLIDEAN:
         dx, dy = B[0] - A[0], B[1] - A[1]
@@ -263,8 +263,21 @@ def rpoint_seg_dist(space, V, A, B):
         dn = k * v0 * (n0 / s) + v1 * (n1 / s) + v2 * (n2 / s)
         return math.asinh(abs(dn)) if k < 0.0 else abs(math.asin(max(-1.0, min(1.0, dn))))
     if ta <= 0.0 and tb <= 0.0:
-        return min(rdistance(space, V, A), rdistance(space, V, B))
-    return rdistance(space, V, A if ta <= 0.0 else B)
+        return min(_end_distance(space, V, A, va), _end_distance(space, V, B, vb))
+    return _end_distance(space, V, A, va) if ta <= 0.0 else _end_distance(space, V, B, vb)
+
+
+def _end_distance(space, V, E, ve):
+    """rdistance(space, V, E) from a vertex V to an end E of a segment, given ve = <V, E>_k.
+
+    On H, past cosh d = -ve = 2, it is acosh(-ve).  There rdistance's chord
+    <V - E, V - E> is a small difference of the squares of a far vertex's
+    coordinates and loses their rounding: 6 ulps at cosh 20 on the (1, 1)
+    path at alpha = 0.05, where the perpendicular's asinh |<V, n>| keeps it.
+    """
+    if space == SpaceKind.HYPERBOLIC and ve < -2.0:
+        return math.acosh(-ve)
+    return rdistance(space, V, E)
 
 
 def rside_measure(space, A, B, P):

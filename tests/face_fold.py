@@ -12,7 +12,8 @@ length, vertex clearance and closure residual are taken
 ``foot_point_seg_dist`` is the curved point-to-segment distance that
 geom.rpoint_seg_dist computed before it placed the foot by two signs: the
 foot projected onto the segment's line and tested against the segment
-with end slack.
+with end slack.  Its distance to an end is the kernel's own
+(geom._end_distance), so the two differ only in where they place the foot.
 
 ``labelled_chain_step`` is the chain step as it was built before the
 step table was keyed by face shape: one step per labelled edge pair, its
@@ -53,8 +54,8 @@ from itertools import combinations
 from tetrageo.errors import NumericalFailure
 from tetrageo.errors import AmbiguousGeodesic, OutOfHemisphere
 from tetrageo.frames import _KERNEL, IDENTITY3, _face_reps, _matmul, _matvec
-from tetrageo.geom import (SpaceKind, _kcross, _kdot, _kunit, rangle, rdistance, rinterpolate,
-                           rpoint_at, rpoint_seg_dist, rreflect, rtangent)
+from tetrageo.geom import (SpaceKind, _end_distance, _kcross, _kdot, _kunit, rangle, rdistance,
+                           rinterpolate, rpoint_at, rpoint_seg_dist, rreflect, rtangent)
 from tetrageo.tetra import HALF_TURN
 
 
@@ -220,7 +221,7 @@ def foot_point_seg_dist(space, V, A, B):
         if (_hyp_dist_lifted(A, foot) <= dab + 1e-12
                 and _hyp_dist_lifted(B, foot) <= dab + 1e-12):
             return math.asinh(abs(dn))
-        return min(_hyp_dist_lifted(V, A), _hyp_dist_lifted(V, B))
+        return min(_end_distance(space, V, A, _mdot(V, A)), _end_distance(space, V, B, _mdot(V, B)))
     if space == SpaceKind.SPHERICAL:
         n = _unit3(_cross3(A, B))
         dn = _dot3(V, n)

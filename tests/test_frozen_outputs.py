@@ -68,6 +68,11 @@ only: fractions by up to 3.2e-14 ((5, 6) at alpha = 0.5), lengths by up to
 0.9) and closure residuals by up to 2.1e-13, the largest of them falling
 from 2.1e-13 to 1.3e-15 at alpha = 0.5.  The verify report moved by one
 line, a residual from 7.99e-15 to 5.77e-15.  The other parts did not move.
+The "own_measures" part was re-taken once more when the clearance kernel
+measured a far vertex's distance to a segment end as acosh(-<V, E>) past
+cosh 2 (geom._end_distance): one entry moved, the (1, 1) clearance at
+alpha = 0.05, from 3.341941209354212 to 3.3419412093542094, 2 ulps under
+the exact 3.34194120935421034 where it had been 4 over.
 
 Its "verify" part holds report.dumps of run_verification(), the document
 that ``python -m tetrageo verify`` prints, under the key "report".  The

@@ -15,7 +15,8 @@ The clearance kernel geom.rpoint_seg_dist places the foot of the
 perpendicular by two signs.  It replaced the projected foot with end
 slack (face_fold.foot_point_seg_dist), which it equals on every recorded
 call outside a 1e-8 relative band around either sign's zero, and matches
-within 4 ulps inside it.  Near a segment's ends it is checked against
+within 4 ulps inside it; the two share the distance to a segment end
+(geom._end_distance).  Near a segment's ends it is checked against
 the distance taken in an unmoved frame, where the old end slack read a
 point just beyond an end as on the segment.
 """
