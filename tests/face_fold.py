@@ -12,8 +12,9 @@ length, vertex clearance and closure residual are taken
 ``foot_point_seg_dist`` is the curved point-to-segment distance that
 geom.rpoint_seg_dist computed before it placed the foot by two signs: the
 foot projected onto the segment's line and tested against the segment
-with end slack.  Its distance to an end is the kernel's own
-(geom._end_distance), so the two differ only in where they place the foot.
+with end slack.  It measures an end as the kernel does (geom._end_distance),
+in its own code: acosh(-<V, E>) past cosh 2, the chord below, so the two
+differ only in where they place the foot.
 
 ``labelled_chain_step`` is the chain step as it was built before the
 step table was keyed by face shape: one step per labelled edge pair, its
@@ -54,7 +55,7 @@ from itertools import combinations
 from tetrageo.errors import NumericalFailure
 from tetrageo.errors import AmbiguousGeodesic, OutOfHemisphere
 from tetrageo.frames import _KERNEL, IDENTITY3, _face_reps, _matmul, _matvec
-from tetrageo.geom import (SpaceKind, _end_distance, _kcross, _kdot, _kunit, rangle, rdistance,
+from tetrageo.geom import (SpaceKind, _kcross, _kdot, _kunit, rangle, rdistance,
                            rinterpolate, rpoint_at, rpoint_seg_dist, rreflect, rtangent)
 from tetrageo.tetra import HALF_TURN
 
@@ -107,6 +108,12 @@ def _hyp_dist_lifted(P, Q):
     d0, d1, d2 = P[0] - Q[0], P[1] - Q[1], P[2] - Q[2]
     m = -d0 * d0 + d1 * d1 + d2 * d2
     return 2.0 * math.asinh(0.5 * math.sqrt(max(m, 0.0)))
+
+
+def _hyp_end_dist(V, E):
+    """Distance to a segment end: acosh(-<V, E>) past cosh 2, the chord of V - E below."""
+    c = -_mdot(V, E)
+    return math.acosh(c) if c > 2.0 else _hyp_dist_lifted(V, E)
 
 
 def split_rdistance(space, P, Q):
@@ -221,7 +228,7 @@ def foot_point_seg_dist(space, V, A, B):
         if (_hyp_dist_lifted(A, foot) <= dab + 1e-12
                 and _hyp_dist_lifted(B, foot) <= dab + 1e-12):
             return math.asinh(abs(dn))
-        return min(_end_distance(space, V, A, _mdot(V, A)), _end_distance(space, V, B, _mdot(V, B)))
+        return min(_hyp_end_dist(V, A), _hyp_end_dist(V, B))
     if space == SpaceKind.SPHERICAL:
         n = _unit3(_cross3(A, B))
         dn = _dot3(V, n)

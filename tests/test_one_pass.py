@@ -15,10 +15,12 @@ The clearance kernel geom.rpoint_seg_dist places the foot of the
 perpendicular by two signs.  It replaced the projected foot with end
 slack (face_fold.foot_point_seg_dist), which it equals on every recorded
 call outside a 1e-8 relative band around either sign's zero, and matches
-within 4 ulps inside it; the two share the distance to a segment end
-(geom._end_distance).  Near a segment's ends it is checked against
-the distance taken in an unmoved frame, where the old end slack read a
-point just beyond an end as on the segment.
+within 4 ulps inside it; both measure a segment end as acosh(-<V, E>) past
+cosh 2 and by the chord below it (geom._end_distance, and its own copy in
+the oracle).  Near a segment's ends it is checked against the distance
+taken in an unmoved frame, where the old end slack read a point just
+beyond an end as on the segment, and far beyond an end against the
+known distance.
 """
 
 import math
@@ -32,7 +34,7 @@ from face_fold import _cross3, _dot3, foot_point_seg_dist
 from tetrageo import counting, frames, paths
 from tetrageo.combinat import GeodesicType, _integer_trace, canonical_word
 from tetrageo.errors import TooLong, VertexHit
-from tetrageo.geom import SpaceKind, _kunit, rdistance, rpoint_seg_dist
+from tetrageo.geom import SpaceKind, _end_distance, _kunit, rdistance, rpoint_seg_dist
 from tetrageo.paths import euclid_mu_interval, midpoint_geodesic
 from tetrageo.tetra import TetrahedronSpec, edge_token
 
@@ -135,6 +137,26 @@ def test_seg_distance_near_segment_ends(space, d, a, log_gap, inside, at_b, h, p
     V = (C(h) * C(x), C(h) * Sn(x), Sn(h))
     expected = abs(h) if inside > 0 else rdistance(space, V, B if at_b else A)
     assert abs(rpoint_seg_dist(space, move(V), move(A), move(B)) - expected) <= 1e-12
+
+
+@given(st.floats(0.5, 40.0), st.floats(math.pi / 2 + 0.05, 3 * math.pi / 2 - 0.05),
+       st.floats(0.05, 2.0), st.floats(0.0, 2.0 * math.pi), st.floats(-1.0, 1.0))
+@example(20.0, math.pi, 1.0, 0.0, 0.0)
+def test_seg_distance_to_a_far_end(d, theta, ell, phi, beta):
+    # V at the known distance d from the end A of AB, at an angle theta > pi/2 from
+    # it, so the foot lies beyond A.  Under a rigid motion the moved reps round by a
+    # few ulps of cosh(beta)^2: the distance is d within them and the final rounding,
+    # the chord below cosh d = 2 and acosh(-<V, A>) past it (the chord's <V - A, V - A>
+    # loses e^d ulps there: 1e6 at d = 16)
+    move = _motion(H, phi, beta)
+    A, B = move((1.0, 0.0, 0.0)), move((math.cosh(ell), math.sinh(ell), 0.0))
+    V = move((math.cosh(d), math.sinh(d) * math.cos(theta), math.sinh(d) * math.sin(theta)))
+    va = -V[0] * A[0] + V[1] * A[1] + V[2] * A[2]
+    got = _end_distance(H, V, A, va)
+    assert abs(got - d) <= 2 * math.ulp(d) + 16 * 2.0 ** -52 * math.cosh(beta) ** 2
+    assert rpoint_seg_dist(H, V, A, B) == got
+    if va >= -2.0:
+        assert got == rdistance(H, V, A)
 
 
 # ---------------------------------------------------------------------------
