@@ -4,7 +4,8 @@ Subcommands: construct, exists, threshold, bounds, count, verify.
 Exit codes: 0 success, 2 invalid input, 3 informative negative
 (NotExists / NoThreshold), 4 numerical failure or undetermined verdict.
 Artifacts go to stdout or --out; diagnostics to stderr.  A reader that
-closes stdout early (as head does) ends the run quietly with exit 0.
+closes stdout early (as head does) ends the run quietly, with the exit
+code of its result.
 """
 
 from __future__ import annotations
@@ -121,9 +122,11 @@ def _emit(text, out):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:     # the reader closed stdout early, as head does: end quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _resolve_alpha(args, space):
@@ -268,12 +271,7 @@ def main(argv=None):
         "verify": _cmd_verify,
     }
     try:
-        code = handlers[args.command](args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:     # the reader closed stdout early, as head does: end quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+        return handlers[args.command](args)
     except (NoThreshold, TooLong) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NEGATIVE

@@ -434,16 +434,26 @@ def test_ideal_limit_float_failure_exits_4(q, tmp_path, capsys):
     assert path["closed"] is True and path["simple"] is True
 
 
-@pytest.mark.parametrize("command", [["verify"],
-                                     ["construct", "--space", "hyperbolic", "--alpha", "0.5",
-                                      "--p", "2", "--q", "3"]])
-def test_closed_stdout_ends_quietly(command):
-    # a reader that stops early, as head does: no BrokenPipeError traceback, exit 0
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command, exit_code", [
+    (["verify"], 0),
+    (["construct", "--space", "hyperbolic", "--alpha", "0.5", "--p", "2", "--q", "3"], 0),
+    (["exists", "--space", "spherical", "--alpha", "1.40", "--p", "1", "--q", "2"], 3),
+    # 22 kB of output, more than a buffered stdout holds
+    (["construct", "--space", "hyperbolic", "--alpha", "0.5", "--p", "7", "--q", "9"], 0)])
+def test_closed_stdout_ends_quietly(command, exit_code, unbuffered):
+    # a reader that stops early, as head does: no BrokenPipeError traceback, and the
+    # exit code of the result (a not_exists verdict stays 3), whether the pipe breaks
+    # at the first write (unbuffered) or at the flush
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read, write = os.pipe()
     os.close(read)
     try:
         proc = subprocess.run([sys.executable, "-m", "tetrageo", *command], stdout=write,
-                              stderr=subprocess.PIPE, text=True, env=subprocess_env())
+                              stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(write)
-    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (proc.returncode, proc.stderr) == (exit_code, "")
