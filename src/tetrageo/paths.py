@@ -325,20 +325,6 @@ def full_fractions_from_quarter(seq, quarter_fracs):
 # ---------------------------------------------------------------------------
 # quarter construction (edge-local frames)
 
-def _seed_fractions(seed, ells, euclidean):
-    """Fractions of the seed offsets seed() on edges of lengths ells, or the Euclidean ones.
-
-    A seed that misses the geodesic of an edge (NumericalFailure) or puts a
-    crossing at a fraction that is not finite or lies off its edge is
-    replaced by ``euclidean``, the word's exact Euclidean fractions.
-    """
-    try:
-        init = [(x + ell / 2.0) / ell for x, ell in zip(seed(), ells)]
-    except NumericalFailure:
-        return list(euclidean)
-    return init if all([0.0 < f < 1.0 for f in init]) else list(euclidean)
-
-
 def _quarter_chord(spec, word):
     """Quarter chord of a curved regular tetrahedron: fractions f_0..f_K or a witness, extras,
     and the quarter chain: its steps and edge lengths.
@@ -452,8 +438,12 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     steps = frames.build_chain(spec, tokens_ext)
     ells = [spec.edges[tok] for tok in tokens_ext]
     axis, s0 = frames.holonomy_axis(steps)
-    init = _seed_fractions(lambda: frames.axis_chord(steps, axis), ells,
-                           list(word.fractions) + [word.fractions[0]])
+    try:        # the carried axis, or the word's Euclidean fractions where it leaves an edge
+        init = [(x + ell / 2.0) / ell for x, ell in zip(frames.axis_chord(steps, axis), ells)]
+        if not all([0.0 < f < 1.0 for f in init]):
+            raise NumericalFailure("carried axis leaves an edge")
+    except NumericalFailure:
+        init = list(word.fractions) + [word.fractions[0]]
     init[0] = init[-1] = s0 / ells[0] + 0.5
     offsets, _ = frames.relax_chord(steps, ells, init)
     fracs = [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(len(word.tokens))]
