@@ -22,18 +22,17 @@ measured this way in all three spaces, with geom's curvature table
 terms in its own loop with the same floating-point operations in the same
 order: the fold-back metrics (paths._chain_metrics), the segment lengths
 (trace_geometry, for relax_chord's chains with no interior crossing to
-solve) and the one pass per Newton iterate of relax_chord, the generic
-hyperbolic chord solver, which also sums the length it returns; its
-minimum is interior, so no crossing reaches an edge end and the solver has
-no end handling.  One helper (carry) carries a vector through a run of
-matrices.  Direction shooting (shoot_chord) carries the chord's normal
-through the transitions; it is the sphere's exact quarter solver, whose
-last normal gives Y1's distance from the chord.  The hyperboloid's regular
-quarter needs no solver: its two ends are carried toward each other
-(paths._quarter_chord).  A closed hyperbolic chain's geodesic is the axis
-of its holonomy, which pins the Newton solve at e_0 (holonomy_axis) and,
-carried along the chain (axis_chord), starts it.  The plane needs no
-solver: its chord is the tiling line.
+solve) and the one pass per Newton iterate of relax_chord, a pinned
+hyperbolic chord solver that no construction calls: the tests take it as
+an oracle and the benchmark's layer trace looks it up.  One helper (carry)
+carries a vector through a run of matrices.  Direction shooting
+(shoot_chord) carries the chord's normal through the transitions; it is
+the sphere's exact quarter solver, whose last normal gives Y1's distance
+from the chord.  No hyperbolic chord is solved for: it runs through two
+points carried toward each other (paths._two_point_chord), the regular
+quarter's midpoints X1 and Y1, or a closed chain's two ideal fixed points
+of its holonomy (holonomy_ends).  The plane needs no solver: its chord is
+the tiling line.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import operator
 from collections import namedtuple
 
 from .errors import NumericalFailure
-from .geom import _KERNEL, _kunit
+from .geom import _KERNEL
 from .tetra import EDGES, edge_token
 
 
@@ -259,42 +258,39 @@ def shoot_chord(steps):
     return (theta, *propagate_chord(steps, theta))
 
 
-def holonomy_axis(steps):
-    """Axis normal n in frame E_0 of a closed hyperbolic chain's holonomy, and its offset s_0.
+MAX_POWER_STEPS = 100
+POWER_TOL = 1e-15
+
+
+def holonomy_ends(steps):
+    """The ideal fixed points A and R, in frame E_0, of a closed hyperbolic chain's holonomy.
 
     M = T_{N-1}..T_0 carries frame E_0 onto its last copy E_N = E_0; the
-    closed geodesic is the invariant line of M, whose normal n (M n = n) is
-    J axial(M J - J M^T), J = diag(-1, 1, 1): for M = ((a, b, c), (d, e, f),
-    (g, h, i)), n = (f - h, c + g, -(b + d)).  It meets e_0 at s_0 =
-    atanh(n_0 / n_1); NumericalFailure if it misses the geodesic of e_0.
+    closed geodesic runs between its fixed points at infinity.  A, M's
+    dominant eigenvector, is iterated from M's first column, and R, that of
+    M^-1 = J M^T J, J = diag(-1, 1, 1), from J times M's first row.  M is
+    rescaled past 1e150 and at the end, which moves neither.
+    NumericalFailure if either does not settle within MAX_POWER_STEPS, as
+    for a holonomy that is not hyperbolic.
     """
     holonomy = IDENTITY3
     for step in steps:
         holonomy = _matmul(step.transition, holonomy)
-    (_, b, c), (d, _, f), (g, h, _) = holonomy
-    n = _kunit(-1.0, (f - h, c + g, -(b + d)))
-    if abs(n[0]) >= abs(n[1]):
-        raise NumericalFailure("holonomy axis misses the geodesic of edge e_0")
-    return n, math.atanh(n[0] / n[1])
+        if holonomy[0][0] > 1e150:      # m00 is M's largest entry, positive (M keeps the sheet)
+            holonomy = tuple(tuple(x * 1e-150 for x in row) for row in holonomy)
+    scale = holonomy[0][0]      # M / m00: its entries at most 1, its iterates far from overflow
+    (a, b, c), (d, e, f), (g, h, i) = holonomy = [[x / scale for x in row] for row in holonomy]
+    return _dominant(holonomy, (a, d, g)), _dominant(((a, -d, -g), (-b, e, h), (-c, f, i)),
+                                                     (-a, b, c))
 
 
-def axis_chord(steps, axis):
-    """Offsets s_0..s_N of the line with normal axis in frame E_0 of the closed chain e_0..e_N.
-
-    Rounding in the normal grows with the distance it is carried, so it is
-    carried forward up to e_{N/2} and backward from E_N = E_0 through the
-    inverses; each offset is atanh(n_0 / n_1).  NumericalFailure if the
-    line misses the geodesic of an edge.
-    """
-    half = len(steps) // 2
-    normals = carry([step.transition for step in steps[:half]], axis, -1.0)
-    behind = carry([step.inverse for step in reversed(steps[half + 1:])], axis, -1.0)
-    offsets = []
-    for i, n in enumerate(normals + behind[::-1]):
-        if abs(n[0]) >= abs(n[1]):
-            raise NumericalFailure(f"holonomy axis misses the geodesic of edge e_{i}")
-        offsets.append(math.atanh(n[0] / n[1]))
-    return offsets
+def _dominant(m, v):
+    """Unit dominant eigenvector of m, iterated from v; NumericalFailure unless it settles."""
+    for _ in range(MAX_POWER_STEPS):
+        u, v = v, carry([m], v)[1]
+        if max(abs(x - y) for x, y in zip(u, v)) <= POWER_TOL:
+            return v
+    raise NumericalFailure("holonomy fixed points did not settle: the holonomy is not hyperbolic")
 
 
 def trace_geometry(steps, offsets):
@@ -383,7 +379,7 @@ LENGTH_SLACK = 1e-12
 
 
 def relax_chord(steps, ells, init_fractions):
-    """Taut-chord offsets through the chain by damped Newton steps: the hyperboloid's solver.
+    """Taut-chord offsets through the chain by damped Newton steps, pinned at both ends.
 
     Segment i couples only s_i and s_{i+1}, so the Hessian of the length is
     tridiagonal and a step is one O(K) Thomas solve.  s_0 and s_K stay

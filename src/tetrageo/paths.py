@@ -6,20 +6,17 @@ Three construction routes:
 * spherical / hyperbolic regular: the midpoint-chord method on one quarter
   of the development (the central symmetry of the development transports
   the quarter to the whole curve);
-* generic hyperbolic: the taut chord of the whole closed development from
-  s0, where the axis of its holonomy meets the first edge, back to s0.
+* generic hyperbolic: the axis of the holonomy of the whole closed
+  development, through its two ideal fixed points.
 
 Every chain is placed in the edge-local frames of :mod:`frames`, the
 Euclidean one as the plane's k = 0, and measured as it was built.
 The quarter chord runs through the two midpoints X1 and Y1: on the sphere
 it is shot from X1 at Y1 (:func:`frames.shoot_chord`), and its distance
-from Y1 checks the half-turn symmetry; on the hyperboloid X1 and Y1 are
-carried toward each other (:func:`frames.carry`), and each crossing is
-read in its own frame, with no solver.  The generic tetrahedron's chord
-is the Newton solver of :func:`frames.relax_chord` pinned at s0
-(:func:`frames.holonomy_axis`), started from the carried axis
-(:func:`frames.axis_chord`), or from the exact Euclidean fractions when
-the carried axis fails.
+from Y1 checks the half-turn symmetry.  No hyperbolic chord is solved
+for: X1 and Y1, or the generic chain's two fixed points
+(:func:`frames.holonomy_ends`), are carried toward each other and each
+crossing is read in its own frame (:func:`_two_point_chord`).
 
 Length, clearance and closure residual are recomputed from the crossing
 fractions in edge-local frames, in all three spaces (closure angles at the
@@ -325,20 +322,37 @@ def full_fractions_from_quarter(seq, quarter_fracs):
 # ---------------------------------------------------------------------------
 # quarter construction (edge-local frames)
 
+def _two_point_chord(steps, behind, ahead):
+    """Offsets s_0..s_K on the chain e_0..e_K of the hyperbolic line through two points.
+
+    ``behind`` in frame E_0 is carried forward through the transitions and
+    ``ahead`` in frame E_K backward through the inverses, each as a
+    projective point (either may be ideal); in frame E_i they are P_i and
+    Q_i, the line's normal is J(P_i x Q_i), J = diag(-1, 1, 1), and it
+    meets e_i at tanh s = n_0 / n_1 (NumericalFailure if it misses).
+    """
+    ps = frames.carry([step.transition for step in steps], behind)
+    qs = frames.carry([step.inverse for step in reversed(steps)], ahead)[::-1]
+    offsets = []
+    for i, ((p0, p1, p2), (q0, q1, q2)) in enumerate(zip(ps, qs)):
+        n0, n1 = p2 * q1 - p1 * q2, p2 * q0 - p0 * q2     # of J(P_i x Q_i)
+        if not abs(n0) < abs(n1):     # or not finite
+            raise NumericalFailure(f"chord misses the geodesic of edge e_{i}")
+        offsets.append(math.atanh(n0 / n1))
+    return offsets
+
+
 def _quarter_chord(spec, word):
     """Quarter chord of a curved regular tetrahedron: fractions f_0..f_K or a witness, extras,
     and the quarter chain: its steps and edge lengths.
 
     The chord runs from the midpoint X1 of e_0 to the midpoint Y1 of e_K of
     the quarter chain e_0..e_K placed in edge-local frames (``word`` is the
-    type's CanonicalWord).  On the hyperboloid X1 = (1, 0, 0) in frame E_0
-    is carried forward through the transitions and Y1 = (1, 0, 0) in frame
-    E_K backward through the inverses, each as a projective point; in frame
-    E_i they are P_i and Q_i, the chord's normal is J(P_i x Q_i), J =
-    diag(-1, 1, 1), and it meets e_i at tanh s = n_0 / n_1 (NumericalFailure
-    if it misses the edge's geodesic).  On the sphere the chord is shot from
-    X1 at Y1: it must reach e_K at its midpoint, and its distance from Y1 is
-    the symmetry residual.
+    type's CanonicalWord).  On the hyperboloid the chord is the line through
+    X1 = (1, 0, 0) in frame E_0 and Y1 = (1, 0, 0) in frame E_K, each
+    crossing read in its own frame (:func:`_two_point_chord`).  On the sphere
+    the chord is shot from X1 at Y1: it must reach e_K at its midpoint, and
+    its distance from Y1 is the symmetry residual.
     """
     K = len(word.tokens) // 4
     tokens = word.tokens[:K + 1]
@@ -350,14 +364,7 @@ def _quarter_chord(spec, word):
         # mid(e_K) is (1, 0, 0) in frame E_K: its distance from the chord is asin(n_0)
         extras = {"symmetry_residual": abs(normals[K][0])}
     else:
-        x1 = frames.carry([step.transition for step in steps], (1.0, 0.0, 0.0))
-        y1 = frames.carry([step.inverse for step in reversed(steps)], (1.0, 0.0, 0.0))[::-1]
-        offsets, extras = [], {}
-        for i, ((p0, p1, p2), (q0, q1, q2)) in enumerate(zip(x1, y1)):
-            n0, n1 = p2 * q1 - p1 * q2, p2 * q0 - p0 * q2     # of J(P_i x Q_i)
-            if not abs(n0) < abs(n1):     # or not finite
-                raise NumericalFailure(f"chord misses the geodesic of edge e_{i}")
-            offsets.append(math.atanh(n0 / n1))
+        offsets, extras = _two_point_chord(steps, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)), {}
     fracs = [0.5] + [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(1, K)] + [0.5]
     for i in range(1, K):
         f = fracs[i]
@@ -421,11 +428,10 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     """Type-(p,q) geodesic on a hyperbolic tetrahedron with angles <= pi/4.
 
     The geodesic is the axis of the holonomy M of the unrolled chain
-    e_0..e_N, e_N being e_0 again; M fixes where it crosses e_0, at s0
-    (NumericalFailure if the axis misses e_0).  One Newton solve in
-    edge-local frames, pinned at s0 on e_0 and e_N, finds the interior
-    crossings from the carried axis (the Euclidean fractions when that
-    fails).
+    e_0..e_N, e_N being e_0 again: the line through M's ideal fixed points,
+    the attracting one carried forward and the repelling one backward, where
+    their rounding does not grow.  extras["s0"]: its crossing on e_0.
+    NumericalFailure if M is not hyperbolic or the axis misses an edge.
     """
     if isinstance(spec, TetrahedronSpec):
         if spec.space != SpaceKind.HYPERBOLIC or spec.alpha > math.pi / 4 + 1e-12:
@@ -437,15 +443,7 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     tokens_ext = list(word.tokens) + [word.tokens[0]]
     steps = frames.build_chain(spec, tokens_ext)
     ells = [spec.edges[tok] for tok in tokens_ext]
-    axis, s0 = frames.holonomy_axis(steps)
-    try:        # the carried axis, or the word's Euclidean fractions where it leaves an edge
-        init = [(x + ell / 2.0) / ell for x, ell in zip(frames.axis_chord(steps, axis), ells)]
-        if not all([0.0 < f < 1.0 for f in init]):
-            raise NumericalFailure("carried axis leaves an edge")
-    except NumericalFailure:
-        init = list(word.fractions) + [word.fractions[0]]
-    init[0] = init[-1] = s0 / ells[0] + 0.5
-    offsets, _ = frames.relax_chord(steps, ells, init)
+    offsets = _two_point_chord(steps, *frames.holonomy_ends(steps))
     fracs = [(offsets[i] + ells[i] / 2.0) / ells[i] for i in range(len(word.tokens))]
     for i, f in enumerate(fracs):
         if not (FRACTION_MARGIN < f < 1.0 - FRACTION_MARGIN):

@@ -8,8 +8,6 @@ installing.
 import importlib.util
 from pathlib import Path
 
-import pytest
-
 from tetrageo import GeodesicType, SpaceKind, TetrahedronSpec, paths, tetra
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
@@ -62,18 +60,19 @@ def test_hyperbolic_midpoint_runs_no_chord_solver():
     assert tracer.counts["frames.propagate_chord"] == 0
 
 
-@pytest.mark.parametrize("construct", [
-    lambda: paths.generic_hyperbolic_geodesic(
-        tetra.generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02]), GeodesicType(2, 3)),
-], ids=["generic"])
-def test_hyperbolic_constructions_run_the_solver_layers(construct):
-    # the solver's inner work is inlined, but the layers the benchmark times
-    # are still called through their module attributes: none may read 0
+def test_generic_construction_runs_no_chord_solver():
+    # the closed chord runs through the holonomy's two fixed points: neither the
+    # Newton solve nor the shot runs, and the construction's other layers still
+    # record work
     tracer = _layertrace().Tracer().install()
     try:
-        path = construct()
+        path = paths.generic_hyperbolic_geodesic(
+            tetra.generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02]), GeodesicType(2, 3))
     finally:
         tracer.restore()
     assert isinstance(path, paths.GeodesicPath)
     recorded = {span[0] for span in tracer.spans}
-    assert {"frames.build_chain", "frames.relax_chord", "paths.simplicity_check"} <= recorded
+    assert {"paths.generic_hyperbolic_geodesic", "frames.build_chain",
+            "paths.simplicity_check"} <= recorded
+    assert not {"frames.shoot_chord", "frames.relax_chord", "frames.trace_geometry"} & recorded
+    assert tracer.counts["frames.propagate_chord"] == 0

@@ -1271,13 +1271,20 @@ def test_frozen_high_precision_references():
     assert path.fractions[2] == pytest.approx(0.42840084302268303, abs=1e-12)
 
 
+def _holonomy(spec, t):
+    """The closed chain of a type's word, and its holonomy M = T_{N-1}..T_0."""
+    word = canonical_word(t)
+    steps = frames.build_chain(spec, list(word.tokens) + [word.tokens[0]])
+    holonomy = frames.IDENTITY3
+    for step in steps:
+        holonomy = frames._matmul(step.transition, holonomy)
+    return steps, holonomy
+
+
 def _holonomy_length(spec, t):
     """Translation length of the closed chain's holonomy M: tr M = 1 + 2 cosh L."""
-    word = canonical_word(t)
-    holonomy = frames.IDENTITY3
-    for step in frames.build_chain(spec, list(word.tokens) + [word.tokens[0]]):
-        holonomy = frames._matmul(step.transition, holonomy)
-    return math.acosh((holonomy[0][0] + holonomy[1][1] + holonomy[2][2] - 1.0) / 2.0)
+    (a, _, _), (_, e, _), (_, _, i) = _holonomy(spec, t)[1]
+    return math.acosh((a + e + i - 1.0) / 2.0)
 
 
 @st.composite
@@ -1293,16 +1300,28 @@ def generic_specs(draw):
     return spec
 
 
+def _axis_offset(spec, t):
+    """Where the axis of the closed chain's holonomy M meets e_0, from M's entries alone.
+
+    M fixes the axis normal n = J axial(M J - J M^T), J = diag(-1, 1, 1): for
+    M = ((a, b, c), (d, e, f), (g, h, i)), n = (f - h, c + g, -(b + d)), and
+    the axis meets e_0 at atanh(n_0 / n_1).  Its rounding grows with M's
+    entries, about e^L: an oracle for short chains only.
+    """
+    (_, b, c), (d, _, f), (g, h, _) = _holonomy(spec, t)[1]
+    return math.atanh((f - h) / (c + g))
+
+
 @given(generic_specs(), st.sampled_from(coprime_types(20)))
 def test_generic_length_is_the_holonomy_translation(spec, pq):
-    # the solve is pinned at the holonomy axis's offset s_0 on e_0 and closes up
+    # the chord through the holonomy's two fixed points is its axis: it crosses e_0
+    # where the axis normal read off M does, and it closes up
     t = GeodesicType(*pq)
     path = generic_hyperbolic_geodesic(spec, t)
     assert path.total_length == pytest.approx(_holonomy_length(spec, t), rel=1e-14)
-    word = canonical_word(t)
-    _, s0 = frames.holonomy_axis(frames.build_chain(spec, list(word.tokens) + [word.tokens[0]]))
-    ell = spec.face_edge_length(int(word.tokens[0][0]), int(word.tokens[0][1]))
-    assert abs(path.extras["s0"] - (s0 + ell / 2.0)) <= 1e-13 * ell
+    ell = spec.face_edge_length(*map(int, path.tokens[0]))
+    assert abs(path.extras["s0"] - (_axis_offset(spec, t) + ell / 2.0)) <= 1e-13 * ell
+    assert path.extras["s0"] / ell == path.fractions[0]
     assert path.closure_residual < 1e-11
 
 
@@ -1314,67 +1333,24 @@ def test_regular_generic_length_is_the_holonomy_translation():
         assert path.total_length == pytest.approx(_holonomy_length(spec, t), rel=1e-12), pq
 
 
-def test_axis_chord_is_the_closed_geodesic():
-    # its offsets lose about e^(L/2) eps to rounding, 6e-13 at (3,5) and 5e-9 at
-    # (4,9): it is only the seed that relax_chord polishes
+def test_holonomy_ends_are_its_fixed_points():
+    # M A = e^L A and M^-1 R = e^L R, M^-1 = J M^T J, within N eps as unit vectors,
+    # where L is the path's length: A and R are the dominant eigenvectors
     spec = generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02])
-    for pq in ((0, 1), (1, 2), (2, 3), (3, 5)):
+    for pq in coprime_types(13):
         path = generic_hyperbolic_geodesic(spec, GeodesicType(*pq))
-        word = list(path.tokens) + [path.tokens[0]]
-        ells = [spec.face_edge_length(int(tok[0]), int(tok[1])) for tok in word]
-        steps = frames.build_chain(spec, word)
-        axis, s0 = frames.holonomy_axis(steps)
-        offsets = frames.axis_chord(steps, axis)
-        assert len(offsets) == len(word) and offsets[0] == offsets[-1] == s0
-        assert max(abs(x / ell + 0.5 - f) for x, ell, f in
-                   zip(offsets, ells, path.fractions + path.fractions[:1])) < 1e-11, pq
+        steps, holonomy = _holonomy(spec, GeodesicType(*pq))
+        for m, end in zip((holonomy, _inverse(holonomy)), frames.holonomy_ends(steps)):
+            image = frames._matvec(m, end)
+            norm = math.sqrt(sum(x * x for x in image))
+            assert max(abs(x / norm - y) for x, y in zip(image, end)) <= len(steps) * 2.0 ** -52
+            assert math.log(norm) == pytest.approx(path.total_length, rel=1e-14), pq
 
 
-def test_axis_seeded_solve_takes_few_evaluations(monkeypatch):
-    # from the Euclidean fractions these solves took about 10 evaluations on
-    # average, up to 55 on the skew spec
-    calls, derivatives = [], frames._chord_derivatives
-    monkeypatch.setattr(frames, "_chord_derivatives",
-                        lambda *args: calls.append(1) or derivatives(*args))
-    specs = (generic_from_edges([edge_from_angle(H, math.pi / 6)] * 6),
-             generic_from_edges([2.0, 2.0, 2.0, 2.2, 2.2, 2.2]))
-    cases = [(spec, GeodesicType(*pq)) for spec in specs for pq in coprime_types(20)]
-    per_solve = []
-    for spec, t in cases:
-        before = len(calls)
-        assert isinstance(generic_hyperbolic_geodesic(spec, t), GeodesicPath)
-        per_solve.append(len(calls) - before)
-    assert sum(per_solve) <= 3 * len(cases), sum(per_solve)
-    assert max(per_solve) <= 8, max(per_solve)
-
-
-def _missed(steps):
-    raise NumericalFailure("chord misses the geodesic of edge e_1")
-
-
-@pytest.mark.parametrize("axis", [
-    lambda steps, axis: _missed(steps),
-    lambda steps, axis: [math.nan] * (len(steps) + 1),
-    lambda steps, axis: [0.0] + [1e3] * len(steps),
-], ids=["missed", "not-finite", "off-the-edge"])
-def test_failed_axis_falls_back_to_the_euclidean_seed(axis, monkeypatch):
-    # a carried axis that fails seeds the interior from the Euclidean fractions;
-    # both ends stay pinned at the holonomy's s_0
-    spec, t = generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02]), GeodesicType(3, 5)
-    seeded = generic_hyperbolic_geodesic(spec, t)
-    word = canonical_word(t)
-    tokens = list(word.tokens) + [word.tokens[0]]
-    _, s0 = frames.holonomy_axis(frames.build_chain(spec, tokens))
-    ell = spec.face_edge_length(int(tokens[0][0]), int(tokens[0][1]))
-    seeds, relax = [], frames.relax_chord
-    monkeypatch.setattr(frames, "axis_chord", axis)
-    monkeypatch.setattr(frames, "relax_chord",
-                        lambda steps, ells, init: seeds.append(init) or relax(steps, ells, init))
-    path = generic_hyperbolic_geodesic(spec, t)
-    assert seeds == [[s0 / ell + 0.5] + list(word.fractions[1:]) + [s0 / ell + 0.5]]
-    assert isinstance(path, GeodesicPath) and path.closed and path.simple
-    assert max(abs(a - b) for a, b in zip(path.fractions, seeded.fractions)) < 1e-11
-    assert abs(path.total_length - seeded.total_length) <= 1e-12 * seeded.total_length
+def _inverse(m):
+    """J M^T J, J = diag(-1, 1, 1): the inverse of a hyperboloid isometry."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return (a, -d, -g), (-b, e, h), (-c, f, i)
 
 
 def _boost(i, t):
@@ -1385,21 +1361,76 @@ def _boost(i, t):
     return tuple(map(tuple, m))
 
 
-def test_holonomy_axis_that_misses_e0_raises(monkeypatch):
-    # a holonomy that translates along a line 0.5 away from e_0's geodesic,
-    # which never meets it: there is no s_0 to pin, and no path
-    holonomy = frames._matmul(_boost(2, 0.5), frames._matmul(_boost(1, 3.0), _boost(2, -0.5)))
+def _holonomy_chain(monkeypatch, transitions, lost=None):
+    """build_chain patched to give a chain's first steps these transitions, the rest identity,
+    and step ``lost`` an inverse that is not finite."""
     build_chain = frames.build_chain
 
-    def skewed(spec, tokens):
+    def patched(spec, tokens):
         steps = build_chain(spec, tokens)
-        return ([steps[0]._replace(transition=holonomy)]
-                + [step._replace(transition=frames.IDENTITY3) for step in steps[1:]])
+        return [step._replace(transition=m, inverse=((math.nan,) * 3,) * 3 if i == lost
+                              else _inverse(m))
+                for i, (step, m) in enumerate(zip(steps, transitions + [frames.IDENTITY3]
+                                                  * len(steps)))]
 
-    monkeypatch.setattr(frames, "build_chain", skewed)
+    monkeypatch.setattr(frames, "build_chain", patched)
+
+
+def test_holonomy_axis_that_misses_e0_raises(monkeypatch):
+    # a holonomy that translates along a line 0.5 away from e_0's geodesic,
+    # which never meets it: there is no s_0, and no path
+    _holonomy_chain(monkeypatch, [frames._matmul(
+        _boost(2, 0.5), frames._matmul(_boost(1, 3.0), _boost(2, -0.5)))])
     spec = generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02])
-    with pytest.raises(NumericalFailure, match="holonomy axis misses the geodesic of edge e_0"):
+    with pytest.raises(NumericalFailure, match="chord misses the geodesic of edge e_0"):
         generic_hyperbolic_geodesic(spec, GeodesicType(1, 2))
+
+
+def _turn(t):
+    """The hyperboloid's rotation by t about the origin (1, 0, 0)."""
+    return (1.0, 0.0, 0.0), (0.0, math.cos(t), -math.sin(t)), (0.0, math.sin(t), math.cos(t))
+
+
+@pytest.mark.parametrize("shift, lost, match", [
+    (lambda: frames._matmul(_boost(2, 0.5), _turn(math.pi / 2)), None,
+     "chord misses the geodesic of edge e_1"),
+    (lambda: _boost(1, 3.0), None, "crossing 1 leaves its edge"),
+    (lambda: frames.IDENTITY3, 1, "chord misses the geodesic of edge e_0"),
+], ids=["missed", "off-the-edge", "not-finite"])
+def test_axis_that_leaves_an_edge_raises(shift, lost, match, monkeypatch):
+    # the holonomy translates along the line x = 0 of frame E_0, which crosses e_0 at
+    # its midpoint; the first step moves the line of frame E_1 off e_1's geodesic or
+    # along e_1 out of the edge, and the second moves it back; or the repelling end,
+    # carried back through an inverse that is not finite, reaches e_0 as no point
+    g = shift()
+    _holonomy_chain(monkeypatch, [g, frames._matmul(_boost(2, 3.0), _inverse(g))], lost)
+    spec = generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02])
+    with pytest.raises(NumericalFailure, match=match):
+        generic_hyperbolic_geodesic(spec, GeodesicType(1, 2))
+
+
+@pytest.mark.parametrize("transitions, match", [
+    ([((1.5, 0.0, 0.5), (0.0, 1.0, 0.0), (-0.5, 0.0, 0.5))], "did not settle"),
+    ([_turn(1.0)], "chord misses the geodesic of edge e_0"),
+], ids=["parabolic", "elliptic"])
+def test_holonomy_that_is_not_hyperbolic_raises(transitions, match, monkeypatch):
+    # a parabolic holonomy's fixed point draws its iterates in only as 1/n, so the
+    # iteration does not settle; an elliptic one fixes the origin, inside the disk,
+    # and the line through it and itself has no normal
+    _holonomy_chain(monkeypatch, transitions)
+    with pytest.raises(NumericalFailure, match=match):
+        generic_hyperbolic_geodesic(generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02]),
+                                    GeodesicType(1, 2))
+
+
+def test_holonomy_iteration_is_capped(monkeypatch):
+    # the (0, 1) chain's holonomy translates by L = 3.0: its power iteration gains
+    # e^-L = 0.05 a step and settles in 11; cut to 4, it raises
+    spec, t = generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02]), GeodesicType(0, 1)
+    assert isinstance(generic_hyperbolic_geodesic(spec, t), GeodesicPath)
+    monkeypatch.setattr(frames, "MAX_POWER_STEPS", 4)
+    with pytest.raises(NumericalFailure, match="did not settle"):
+        generic_hyperbolic_geodesic(spec, t)
 
 
 def test_generic_larger_types():
@@ -1410,6 +1441,71 @@ def test_generic_larger_types():
         path = generic_hyperbolic_geodesic(spec, GeodesicType(*pq))
         assert path.closed and path.simple
         assert path.closure_residual < 1e-10
+
+
+def test_generic_ideal_limit_builds_every_type():
+    # toward the ideal limit the holonomy's ends are carried as the quarter's are, and
+    # every type builds on the midpoint chord; a Newton solve seeded from the carried
+    # axis raised NumericalFailure on 126, 26 and 1 of these types at the three angles.
+    # At 3e-8 each length is the Markov number's 4 acosh(3m/2) to rounding
+    markov = _markov_numbers(10 ** 12)
+    for alpha in (3e-8, 1e-7, 1e-6):
+        spec = TetrahedronSpec(H, alpha)
+        for pq in coprime_types(40):
+            path = generic_hyperbolic_geodesic(spec, GeodesicType(*pq))
+            assert path.closed and path.simple, (alpha, pq)
+            fracs = midpoint_geodesic(spec, GeodesicType(*pq)).fractions
+            assert max(abs(a - b) for a, b in zip(path.fractions, fracs)) <= 1e-14, (alpha, pq)
+            x = 2.0 * math.cosh(path.total_length / 4.0) / 3.0
+            if alpha == 3e-8 and x < 1e12:
+                m = min(markov, key=lambda m: abs(m - x))
+                assert abs(x - m) <= 1e-12 * m, (pq, x, m)
+
+
+@pytest.mark.parametrize("n", [200, 500])
+def test_generic_long_chain_holonomy_is_rescaled(n):
+    # the (1, n) holonomy at 3e-8 translates by L = 773 and 1928, past the e^709 at
+    # which its unscaled entries would overflow
+    spec, t = TetrahedronSpec(H, 3e-8), GeodesicType(1, n)
+    path = generic_hyperbolic_geodesic(spec, t)
+    assert path.closed and path.simple and path.total_length > 709.0
+    fracs = midpoint_geodesic(spec, t).fractions
+    assert max(abs(a - b) for a, b in zip(path.fractions, fracs)) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.78])
+def test_regular_spec_as_generic_is_the_midpoint_chord(alpha):
+    spec = generic_from_edges([edge_from_angle(H, alpha)] * 6)
+    for pq in coprime_types(40):
+        path = generic_hyperbolic_geodesic(spec, GeodesicType(*pq))
+        fracs = midpoint_geodesic(TetrahedronSpec(H, alpha), GeodesicType(*pq)).fractions
+        assert max(abs(a - b) for a, b in zip(path.fractions, fracs)) <= 1e-14, pq
+
+
+@st.composite
+def drawn_generic_specs(draw):
+    """Hyperbolic tetrahedra with each edge drawn from [1.8, 2.3] and every angle <= pi/4."""
+    try:
+        spec = generic_from_edges([draw(st.floats(1.8, 2.3)) for _ in range(6)])
+    except InvalidTetrahedron:
+        assume(False)
+    assume(spec.all_angles_le(math.pi / 4))
+    return spec
+
+
+@given(drawn_generic_specs(), st.sampled_from(coprime_types(20)))
+def test_generic_chord_matches_the_relaxed_chord(spec, pq):
+    # the chord through the holonomy's two fixed points against the Newton solve
+    # pinned at its crossing on e_0 and e_N, run from the word's Euclidean fractions
+    t = GeodesicType(*pq)
+    path = generic_hyperbolic_geodesic(spec, t)
+    steps, _ = _holonomy(spec, t)
+    fracs = path.fractions + path.fractions[:1]
+    ells = [spec.edges[tok] for tok in path.tokens + path.tokens[:1]]
+    word = canonical_word(t).fractions
+    offsets, length = frames.relax_chord(steps, ells, fracs[:1] + word[1:] + fracs[:1])
+    assert abs(path.total_length - length) <= 1e-14 * length
+    assert max(abs(f - (x / ell + 0.5)) for f, x, ell in zip(fracs, offsets, ells)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
