@@ -74,6 +74,16 @@ cosh 2 (geom._end_distance): one entry moved, the (1, 1) clearance at
 alpha = 0.05, from 3.341941209354212 to 3.3419412093542094, 2 ulps under
 the exact 3.34194120935421034 where it had been 4 over.
 
+The "generic" and "verify" parts were re-taken when the closed chord came
+from the holonomy's two ideal fixed points, carried toward each other,
+instead of a Newton solve pinned at the axis's s0, which stopped at a step
+of 1e-13.  All 20 generic entries moved, by rounding only: fractions by up
+to 4.8e-14 ((2, 3) on spec 2), s0 by up to 2.2e-16 relative, lengths by up
+to 2.4e-16 relative and clearances by up to 1.1e-15 relative.  The verify
+report moved by two lines, both the generic check's: regular_match from
+9.77e-15 to 4.44e-16 and skew_residual from 8.88e-16 to 6.66e-16.  The
+other parts did not move.
+
 Its "verify" part holds report.dumps of run_verification(), the document
 that ``python -m tetrageo verify`` prints, under the key "report".  The
 file is written by
