@@ -1353,6 +1353,21 @@ def _inverse(m):
     return (a, -d, -g), (-b, e, h), (-c, f, i)
 
 
+def test_axis_seeded_solve_takes_few_evaluations(monkeypatch):
+    # the Newton solve seeded from the carried axis took up to 8 evaluations a
+    # type here, and about 10 from the Euclidean fractions; the chord through the
+    # holonomy's fixed points takes none
+    calls, derivatives = [], frames._chord_derivatives
+    monkeypatch.setattr(frames, "_chord_derivatives",
+                        lambda *args: calls.append(1) or derivatives(*args))
+    specs = (generic_from_edges([edge_from_angle(H, math.pi / 6)] * 6),
+             generic_from_edges([2.0, 2.0, 2.0, 2.2, 2.2, 2.2]))
+    for spec in specs:
+        for pq in coprime_types(20):
+            assert isinstance(generic_hyperbolic_geodesic(spec, GeodesicType(*pq)), GeodesicPath)
+    assert calls == []
+
+
 def _boost(i, t):
     """The hyperboloid's translation by t along the x (i = 1) or y (i = 2) direction."""
     m = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -1434,8 +1449,8 @@ def test_holonomy_iteration_is_capped(monkeypatch):
 
 
 def test_generic_larger_types():
-    # longer generic chains: the solve pinned at s0 in edge-local frames keeps
-    # the closure residual at solver precision
+    # longer generic chains: the chord read in edge-local frames closes up to
+    # rounding
     spec = generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02])
     for pq in ((1, 3), (2, 3)):
         path = generic_hyperbolic_geodesic(spec, GeodesicType(*pq))
@@ -1445,9 +1460,9 @@ def test_generic_larger_types():
 
 def test_generic_ideal_limit_builds_every_type():
     # toward the ideal limit the holonomy's ends are carried as the quarter's are, and
-    # every type builds on the midpoint chord; a Newton solve seeded from the carried
-    # axis raised NumericalFailure on 126, 26 and 1 of these types at the three angles.
-    # At 3e-8 each length is the Markov number's 4 acosh(3m/2) to rounding
+    # every type builds on the midpoint chord (126, 26 and 1 of these types raised
+    # NumericalFailure at the three angles when a Newton solve polished the carried
+    # axis).  At 3e-8 each length is the Markov number's 4 acosh(3m/2) to rounding
     markov = _markov_numbers(10 ** 12)
     for alpha in (3e-8, 1e-7, 1e-6):
         spec = TetrahedronSpec(H, alpha)
