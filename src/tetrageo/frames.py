@@ -31,8 +31,9 @@ the sphere's exact quarter solver, whose last normal gives Y1's distance
 from the chord.  No hyperbolic chord is solved for: it runs through two
 points carried toward each other (paths._two_point_chord), the regular
 quarter's midpoints X1 and Y1, or a closed chain's two ideal fixed points
-of its holonomy (holonomy_ends).  The plane needs no solver: its chord is
-the tiling line.
+of its holonomy (holonomy_ends: the product and each power step flat loops
+over float locals, with _matmul's and carry's operations in their order).
+The plane needs no solver: its chord is the tiling line.
 """
 
 from __future__ import annotations
@@ -269,27 +270,43 @@ def holonomy_ends(steps):
     closed geodesic runs between its fixed points at infinity.  A, M's
     dominant eigenvector, is iterated from M's first column, and R, that of
     M^-1 = J M^T J, J = diag(-1, 1, 1), from J times M's first row.  M is
-    rescaled past 1e150 and at the end, which moves neither.
+    rescaled past 1e150 and at the end, which moves neither.  M is held in
+    nine floats, each step's sums those of _matmul(T_i, M) in their order.
     NumericalFailure if either does not settle within MAX_POWER_STEPS, as
     for a holonomy that is not hyperbolic.
     """
-    holonomy = IDENTITY3
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
     for step in steps:
-        holonomy = _matmul(step.transition, holonomy)
-        if holonomy[0][0] > 1e150:      # m00 is M's largest entry, positive (M keeps the sheet)
-            holonomy = tuple(tuple(x * 1e-150 for x in row) for row in holonomy)
-    scale = holonomy[0][0]      # M / m00: its entries at most 1, its iterates far from overflow
-    (a, b, c), (d, e, f), (g, h, i) = holonomy = [[x / scale for x in row] for row in holonomy]
-    return _dominant(holonomy, (a, d, g)), _dominant(((a, -d, -g), (-b, e, h), (-c, f, i)),
-                                                     (-a, b, c))
+        (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = step.transition
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = (
+            0.0 + t00 * m00 + t01 * m10 + t02 * m20, 0.0 + t00 * m01 + t01 * m11 + t02 * m21,
+            0.0 + t00 * m02 + t01 * m12 + t02 * m22, 0.0 + t10 * m00 + t11 * m10 + t12 * m20,
+            0.0 + t10 * m01 + t11 * m11 + t12 * m21, 0.0 + t10 * m02 + t11 * m12 + t12 * m22,
+            0.0 + t20 * m00 + t21 * m10 + t22 * m20, 0.0 + t20 * m01 + t21 * m11 + t22 * m21,
+            0.0 + t20 * m02 + t21 * m12 + t22 * m22)
+        if m00 > 1e150:      # m00 is M's largest entry, positive (M keeps the sheet)
+            m00, m01, m02, m10, m11, m12, m20, m21, m22 = (x * 1e-150 for x in (
+                m00, m01, m02, m10, m11, m12, m20, m21, m22))
+    # M / m00: its entries at most 1, its iterates far from overflow
+    a, b, c, d, e, f, g, h, i = (x / m00 for x in (m00, m01, m02, m10, m11, m12, m20, m21, m22))
+    return _dominant(((a, b, c), (d, e, f), (g, h, i)), (a, d, g)), _dominant(
+        ((a, -d, -g), (-b, e, h), (-c, f, i)), (-a, b, c))
 
 
 def _dominant(m, v):
-    """Unit dominant eigenvector of m, iterated from v; NumericalFailure unless it settles."""
+    """Unit dominant eigenvector of m, iterated from v by carry([m], v)[1] (k = 1) written out,
+    to a step of at most POWER_TOL a component; NumericalFailure unless it settles."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    u0, u1, u2 = v
     for _ in range(MAX_POWER_STEPS):
-        u, v = v, carry([m], v)[1]
-        if max(abs(x - y) for x, y in zip(u, v)) <= POWER_TOL:
-            return v
+        v0, v1, v2 = (m00 * u0 + m01 * u1 + m02 * u2, m10 * u0 + m11 * u1 + m12 * u2,
+                      m20 * u0 + m21 * u1 + m22 * u2)
+        s = v0 * v0 + v1 * v1 + v2 * v2     # clamped as by max(s, 1e-300)
+        s = math.sqrt(1e-300 if s < 1e-300 else s)
+        v0, v1, v2 = v0 / s, v1 / s, v2 / s
+        if max(abs(u0 - v0), abs(u1 - v1), abs(u2 - v2)) <= POWER_TOL:
+            return v0, v1, v2
+        u0, u1, u2 = v0, v1, v2
     raise NumericalFailure("holonomy fixed points did not settle: the holonomy is not hyperbolic")
 
 

@@ -1347,6 +1347,57 @@ def test_holonomy_ends_are_its_fixed_points():
             assert math.log(norm) == pytest.approx(path.total_length, rel=1e-14), pq
 
 
+def _reference_holonomy_ends(steps):
+    """holonomy_ends by _matmul and carry: the product, rescaled by 1e-150 past 1e150, then
+    power iteration by carry([m], v)[1]; and whether the rescale ran."""
+    holonomy, rescaled = frames.IDENTITY3, False
+    for step in steps:
+        holonomy = frames._matmul(step.transition, holonomy)
+        if holonomy[0][0] > 1e150:
+            holonomy, rescaled = tuple(tuple(x * 1e-150 for x in row) for row in holonomy), True
+    scale = holonomy[0][0]
+    (a, b, c), (d, e, f), (g, h, i) = holonomy = [[x / scale for x in row] for row in holonomy]
+
+    def dominant(m, v):
+        for _ in range(frames.MAX_POWER_STEPS):
+            u, v = v, frames.carry([m], v)[1]
+            if max(abs(x - y) for x, y in zip(u, v)) <= frames.POWER_TOL:
+                return v
+        raise NumericalFailure("did not settle")
+
+    return (dominant(holonomy, (a, d, g)),
+            dominant(((a, -d, -g), (-b, e, h), (-c, f, i)), (-a, b, c))), rescaled
+
+
+def _random_generic_specs(seed, count):
+    """Hyperbolic tetrahedra with each edge drawn from U(1.8, 2.3) and every angle <= pi/4."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        try:
+            spec = generic_from_edges([rng.uniform(1.8, 2.3) for _ in range(6)])
+        except InvalidTetrahedron:
+            continue
+        if spec.all_angles_le(math.pi / 4):
+            out.append(spec)
+    return out
+
+
+@pytest.mark.parametrize("specs, types, rescaled", [
+    (lambda: _random_generic_specs(38, 6), coprime_types(20), False),
+    (lambda: [generic_from_edges([edge_from_angle(H, alpha)] * 6)
+              for alpha in (3e-8, 1e-6, 0.3, 0.78)], coprime_types(20), False),
+    (lambda: [generic_from_edges([edge_from_angle(H, 3e-8)] * 6)], [(1, 200), (1, 500)], True),
+], ids=["random", "regular", "rescaled"])
+def test_holonomy_ends_bit_for_bit(specs, types, rescaled):
+    # the flat loops of holonomy_ends do _matmul's and carry's operations in their order
+    for spec in specs():
+        for pq in types:
+            steps = _holonomy(spec, GeodesicType(*pq))[0]
+            ends, ran = _reference_holonomy_ends(steps)
+            assert repr(frames.holonomy_ends(steps)) == repr(ends), pq
+            assert ran or not rescaled, pq
+
+
 def _inverse(m):
     """J M^T J, J = diag(-1, 1, 1): the inverse of a hyperboloid isometry."""
     (a, b, c), (d, e, f), (g, h, i) = m
