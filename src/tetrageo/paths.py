@@ -431,11 +431,14 @@ def generic_hyperbolic_geodesic(spec, t: GeodesicType):
     e_0..e_N, e_N being e_0 again: the line through M's ideal fixed points,
     the attracting one carried forward and the repelling one backward, where
     their rounding does not grow.  extras["s0"]: its crossing on e_0.
-    NumericalFailure if M is not hyperbolic or the axis misses an edge.
+    PreconditionFailed for a spec of another space; NumericalFailure if M
+    is not hyperbolic or the axis misses an edge.
     """
+    if spec.space != SpaceKind.HYPERBOLIC:
+        raise PreconditionFailed(f"spec must be hyperbolic, not {spec.space.name.lower()}")
     if isinstance(spec, TetrahedronSpec):
-        if spec.space != SpaceKind.HYPERBOLIC or spec.alpha > math.pi / 4 + 1e-12:
-            raise PreconditionFailed("regular spec must be hyperbolic with alpha <= pi/4")
+        if spec.alpha > math.pi / 4 + 1e-12:
+            raise PreconditionFailed("regular spec must have alpha <= pi/4")
     elif not spec.all_angles_le(math.pi / 4):
         raise PreconditionFailed("all twelve planar angles must be at most pi/4")
 

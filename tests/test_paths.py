@@ -1219,6 +1219,20 @@ def test_generic_precondition():
         generic_hyperbolic_geodesic(spec, GeodesicType(0, 1))
 
 
+@pytest.mark.parametrize("spec", [
+    replace(generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02]), space=S),
+    replace(generic_from_edges([2.0, 2.05, 1.95, 2.1, 2.0, 2.02]), space=E),
+    TetrahedronSpec(S, 1.2),
+    TetrahedronSpec(E, math.pi / 3),
+], ids=["generic-S", "generic-E", "regular-S", "regular-E"])
+def test_generic_rejects_a_spec_of_another_space(spec, monkeypatch):
+    # a generic spherical spec passes the angle check: it ran 2 x 100 power steps on its
+    # chain's holonomy and raised NumericalFailure ("not hyperbolic")
+    monkeypatch.setattr(frames, "holonomy_ends", None)
+    with pytest.raises(PreconditionFailed, match="spec must be hyperbolic"):
+        generic_hyperbolic_geodesic(spec, GeodesicType(1, 2))
+
+
 def test_generic_random_sample():
     rng = random.Random(99)
     made = 0
