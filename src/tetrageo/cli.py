@@ -46,8 +46,8 @@ def _build_parser():
 
     def common(p, space=True):
         if space:
-            p.add_argument("--space", default="spherical",
-                           choices=("euclidean", "spherical", "hyperbolic"))
+            p.add_argument("--space", choices=("euclidean", "spherical", "hyperbolic"),
+                           help="default spherical")
         p.add_argument("--alpha", type=float, help="planar angle (radians)")
         p.add_argument("--edge", type=float, help="edge length (alternative to --alpha)")
         p.add_argument("--deg", action="store_true", help="interpret --alpha in degrees")
@@ -57,7 +57,7 @@ def _build_parser():
     common(c)
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--q", type=int, required=True)
-    c.add_argument("--mu", type=float, default=0.5, help="Euclidean anchor parameter")
+    c.add_argument("--mu", type=float, help="Euclidean anchor parameter (default 0.5)")
     c.add_argument("--edges", help="six comma-separated lengths for a generic tetrahedron")
     c.add_argument("--format", default="json", choices=("json", "svg"))
 
@@ -146,14 +146,22 @@ def _resolve_alpha(args, space):
 def _cmd_construct(args):
     t = GeodesicType(args.p, args.q)
     if args.edges:
+        given = [flag for flag, on in (("--space", args.space not in (None, "hyperbolic")),
+                                       ("--alpha", args.alpha is not None),
+                                       ("--edge", args.edge is not None), ("--deg", args.deg),
+                                       ("--mu", args.mu is not None)) if on]
+        if given:
+            raise ValueError(f"--edges gives a hyperbolic tetrahedron: drop {', '.join(given)}")
         lengths = [float(x) for x in args.edges.split(",")]
         spec = generic_from_edges(lengths)
         result = generic_hyperbolic_geodesic(spec, t)
     else:
-        space = SpaceKind.parse(args.space)
+        space = SpaceKind.parse(args.space or "spherical")
+        if args.mu is not None and space != SpaceKind.EUCLIDEAN:
+            raise ValueError("--mu is the Euclidean anchor: it needs --space euclidean")
         spec = TetrahedronSpec(space, _resolve_alpha(args, space))
         if space == SpaceKind.EUCLIDEAN:
-            result = euclid_geodesic(t, args.mu)
+            result = euclid_geodesic(t, 0.5 if args.mu is None else args.mu)
         else:
             result = midpoint_geodesic(spec, t)
     if isinstance(result, NotContained):
@@ -177,7 +185,7 @@ def _cmd_construct(args):
 
 
 def _cmd_exists(args):
-    space = SpaceKind.parse(args.space)
+    space = SpaceKind.parse(args.space or "spherical")
     if space != SpaceKind.SPHERICAL:
         print("existence verdicts are a spherical operation", file=sys.stderr)
         return EXIT_INVALID

@@ -73,6 +73,32 @@ def test_construct_generic(tmp_path):
     assert doc["development"]["edges"]["34"] == 2.2
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--space", "spherical"], ["--space"]),
+    (["--space", "euclidean", "--mu", "0.3"], ["--space", "--mu"]),
+    (["--alpha", "0.3"], ["--alpha"]),
+    (["--space", "hyperbolic", "--edge", "2.0"], ["--edge"]),
+    (["--alpha", "30", "--deg"], ["--alpha", "--deg"]),
+    (["--mu", "0.5"], ["--mu"]),
+], ids=["space", "space-mu", "alpha", "edge", "deg", "mu"])
+def test_construct_generic_rejects_conflicting_flags(args, named, tmp_path, capsys):
+    # --edges gives a hyperbolic tetrahedron: these flags were ignored, and it exited 0
+    code, text = run_cli(["construct", *args, "--edges", "2.0,2.0,2.0,2.2,2.2,2.2",
+                          "--p", "1", "--q", "2"], tmp_path)
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in named), err
+    assert ("--space" in err) == ("--space" in named)
+
+
+@pytest.mark.parametrize("space", ["spherical", "hyperbolic", None])
+def test_construct_rejects_mu_on_a_curved_space(space, tmp_path, capsys):
+    args = ["construct", "--alpha", "1.2" if space != "hyperbolic" else "0.5", "--mu", "0.3",
+            "--p", "1", "--q", "2"] + (["--space", space] if space else [])
+    assert run_cli(args, tmp_path) == (2, "")
+    assert "--mu" in capsys.readouterr().err
+
+
 def test_exists_exit_codes(tmp_path):
     code, text = run_cli(["exists", "--space", "spherical", "--alpha", "1.40",
                           "--p", "1", "--q", "2"], tmp_path)
