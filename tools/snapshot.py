@@ -8,8 +8,9 @@ and message.  The cases:
   around each type's threshold beta;
 * the hyperboloid at alpha in {1e-6, 0.05, 0.5, 1.0}, and at 3e-8 to p+q = 60;
 * the Euclidean tiling paths;
-* generic hyperbolic geodesics on the regular pi/6 spec and on seeded
-  random specs drawn as in acceptance criterion 08;
+* generic hyperbolic geodesics on the regular pi/6 spec, on seeded
+  random specs drawn as in acceptance criterion 08, and on the regular
+  3e-8 spec for (1, 200) and (1, 500), whose holonomy is rescaled;
 * existence verdicts on the spherical_existence benchmark's grid.
 
 Usage, from a checkout's root (about 5 s)::
@@ -104,6 +105,10 @@ def cases():
     for pq in coprime_types(8):
         yield f"generic regular {pq}", lambda t=GeodesicType(*pq): generic_hyperbolic_geodesic(
             regular, t)
+    deep = generic_from_edges([edge_from_angle(H, 3e-8)] * 6)     # M passes 1e150: rescaled
+    for pq in ((1, 200), (1, 500)):
+        yield f"generic 3e-08 {pq}", lambda t=GeodesicType(*pq): generic_hyperbolic_geodesic(
+            deep, t)
     for seed in range(3):
         for i, spec in enumerate(random_generic_specs(random.Random(seed), 32)):
             for pq in ((1, 1), (1, 2), (2, 3), (3, 5)):
