@@ -1397,7 +1397,7 @@ def _random_generic_specs(seed, count):
 
 
 @pytest.mark.parametrize("specs, types, rescaled", [
-    (lambda: _random_generic_specs(38, 6), coprime_types(20), False),
+    (lambda: _random_generic_specs(7, 6), coprime_types(20), False),
     (lambda: [generic_from_edges([edge_from_angle(H, alpha)] * 6)
               for alpha in (3e-8, 1e-6, 0.3, 0.78)], coprime_types(20), False),
     (lambda: [generic_from_edges([edge_from_angle(H, 3e-8)] * 6)], [(1, 200), (1, 500)], True),
